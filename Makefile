@@ -1,7 +1,7 @@
 GO ?= go
 ECAVET := bin/ecavet
 
-.PHONY: check fmt vet lint lint-fix-check waivers build test race differential cep-differential crash-suite cluster-chaos fuzz bench-json bench-matrix bench-gate metrics-smoke
+.PHONY: check fmt vet lint lint-fix-check waivers build test race differential cep-differential crash-suite cluster-chaos fuzz bench-json bench-matrix bench-gate bench-e2e bench-e2e-compare metrics-smoke
 
 # The full pre-merge gate: static checks (including the ecavet invariant
 # suite and the waiver-count ratchet), a clean build, the entire test
@@ -154,6 +154,21 @@ BENCH_SYNC_OUT ?= BENCH_PR9.json
 bench-gate:
 	$(GO) run ./cmd/ecabench -exp gate -gate-baseline $(GATE_BASELINE) -gate-threshold $(GATE_THRESHOLD)
 	$(GO) run ./cmd/ecabench -exp syncship -bench-json $(BENCH_SYNC_OUT)
+
+# The repo's end-to-end benchmark (bench/, contract in BENCHMARK.json):
+# six workloads over the paper's whole loop, each RUNS times untraced and
+# once traced, one process per run, written to OUT as a result set. Not
+# part of `make check` — a set takes minutes and the host's drift makes a
+# single set meaningless; compare two sets (parent and change, runs
+# alternated) against the contract's bounds with bench-e2e-compare, which
+# exits 1 on a breach: make bench-e2e-compare A=parent.json B=change.json
+RUNS ?= 10
+OUT ?= bench-e2e.json
+bench-e2e:
+	bash bench/run.sh -runs $(RUNS) -out $(OUT)
+
+bench-e2e-compare:
+	bash bench/run.sh -compare $(A) $(B)
 
 # Live smoke test of the observability surface: stand up sqlserverd and
 # ecaagent -http, then require a 200 with a non-empty Prometheus

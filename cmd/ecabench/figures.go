@@ -171,7 +171,7 @@ func figure2(w io.Writer) error {
 		{"Local Event Detector (LED)", "internal/led", "Snoop event graph; contexts; couplings"},
 		{"Persistent Manager", "internal/agent/persist.go", "system tables; persistence; recovery"},
 		{"Event Notifier", "internal/agent/notifier.go", "UDP listener; decodes; signals the LED"},
-		{"Action Handler", "internal/agent/action.go", "goroutine per action; sysContext; executes procs"},
+		{"Action Handler", "internal/agent/action.go", "one FIFO action queue; sysContext; executes procs"},
 	}
 	fmt.Fprintf(w, "%-42s %-38s %s\n", "Module (Figure 2)", "Implementation", "Role")
 	for _, m := range modules {
@@ -424,8 +424,8 @@ func figure16(w io.Writer) error {
 			return fmt.Errorf("setup %d: %w", i, err)
 		}
 	}
-	fmt.Fprintln(w, "Action Handler (Figure 16): one goroutine per SybaseAction call, FIFO")
-	fmt.Fprintln(w, "tickets preserve priority order; each invokes its stored procedure")
+	fmt.Fprintln(w, "Action Handler (Figure 16): SybaseAction calls run on one FIFO queue in")
+	fmt.Fprintln(w, "detection (priority) order; each invokes its stored procedure")
 	fmt.Fprintln(w, "through the gateway's upstream connection.")
 	if _, err := r.cs.Exec("insert stock values ('X', 1)"); err != nil {
 		return err

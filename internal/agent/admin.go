@@ -64,7 +64,7 @@ func (a *Agent) AdminHandler() http.Handler {
 			Stats:       a.Stats(),
 			Events:      events,
 			Triggers:    triggers,
-			DeadLetters: len(a.DeadLetters()),
+			DeadLetters: a.dlq.len(),
 			Histograms:  a.met.reg.Histograms(),
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -4,14 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/activedb/ecaagent/internal/faults"
 	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/obs"
 	"github.com/activedb/ecaagent/internal/snoop"
@@ -37,12 +35,6 @@ type Config struct {
 	NotifyPort int
 	// Clock drives the LED's temporal operators; nil selects real time.
 	Clock led.Clock
-	// IngestWorkers sizes the worker pool that drains decoded notification
-	// batches into the LED, one fixed worker per LED shard group so
-	// independent shards are signalled concurrently (0 selects
-	// 2×GOMAXPROCS). Set to -1 to disable the pool: DeliverBatch then
-	// ingests synchronously, line by line, like repeated Deliver calls.
-	IngestWorkers int
 	// ActionBuffer sizes the ActionDone channel (default 256). When the
 	// buffer is full, completed-action reports are dropped (the channel is
 	// observational; rule execution itself is unaffected).
@@ -122,12 +114,11 @@ type Agent struct {
 	// clock). Every timestamp and latency measurement in the agent goes
 	// through it so recovery and replay are deterministic under
 	// led.ManualClock — enforced by the nowallclock analyzer.
-	clock      led.Clock
-	led        *led.LED
-	pm         *persistentManager
-	actions    *actionHandler
-	notifier   *notifier
-	ingestPool *ingestPool
+	clock    led.Clock
+	led      *led.LED
+	pm       *persistentManager
+	actions  *actionHandler
+	notifier *notifier
 
 	mu       sync.Mutex
 	events   map[string]*eventInfo   // internal event name → info
@@ -136,19 +127,13 @@ type Agent struct {
 	// enforcing one primitive event per native trigger slot.
 	nativeByTableOp map[string]string
 
-	// actionMu guards actionTail; actions themselves run on goroutines
-	// chained FIFO through tail tickets, so sysContext population + action
-	// execution pairs are serialized *in detection (priority) order*.
-	actionMu   sync.Mutex
-	actionTail chan struct{}
-	// actionWG tracks in-flight rule actions.
-	actionWG sync.WaitGroup
+	// actionq serializes rule actions in detection (priority) order.
+	actionq *actionQueue
 	// ActionDone receives a report for every completed rule action.
 	ActionDone chan ActionResult
 
-	// ctr holds the operational counters surfaced by Stats(); met holds
-	// the registry-backed instruments surfaced by /metrics.
-	ctr counters
+	// met holds the registry-backed instruments surfaced by /metrics;
+	// Stats() is a view over its counters.
 	met *agentMetrics
 
 	// rec tracks per-event delivery watermarks (gap detection), recUp is
@@ -226,13 +211,7 @@ func New(cfg Config) (*Agent, error) {
 	a.rec.seen = make(map[string]*eventWatermark)
 	a.rec.mu.Unlock()
 	a.dlq.limit = cfg.DeadLetterLimit
-	if cfg.IngestWorkers >= 0 {
-		w := cfg.IngestWorkers
-		if w == 0 {
-			w = 2 * runtime.GOMAXPROCS(0)
-		}
-		a.ingestPool = newIngestPool(a, w)
-	}
+	a.actionq = newActionQueue(a.runAction)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -253,8 +232,7 @@ func New(cfg Config) (*Agent, error) {
 		rc = rc.withDefaults()
 		rc.Seed += seedOffset
 		return newRetryUpstream(dialAdmin, rc, cfg.Logf,
-			func() { a.ctr.upstreamRetries.Add(1) },
-			func() { a.ctr.reconnects.Add(1) })
+			a.met.upstreamRetries.Inc, a.met.reconnects.Inc)
 	}
 	pm, err := newPersistentManager(mkRetry(0), cfg.AdminUser)
 	if err != nil {
@@ -266,13 +244,7 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.NotifyAddr != "-" {
 		n, err := startNotifier(a, cfg.NotifyAddr)
 		if err != nil {
-			a.stopOnce.Do(func() { close(a.stopCh) })
-			if a.ingestPool != nil {
-				a.ingestPool.close()
-			}
-			pm.close()
-			a.actions.close()
-			a.recUp.Close()
+			a.Close()
 			return nil, err
 		}
 		a.notifier = n
@@ -319,15 +291,11 @@ func (a *Agent) Close() {
 	if a.notifier != nil {
 		a.notifier.close()
 	}
-	if a.ingestPool != nil {
-		// After the notifier stops, no DeliverBatch submissions remain;
-		// drain what is queued so no accepted notification is lost.
-		a.ingestPool.close()
-	}
 	a.bgWG.Wait()
 	if !a.drain(a.cfg.DrainTimeout) {
 		a.cfg.Logf("agent: drain deadline %v exceeded; abandoning in-flight rule actions", a.cfg.DrainTimeout)
 	}
+	a.actionq.stop()
 	if a.dur != nil && a.dur.recovered() {
 		// Final checkpoint: the dead-letter queue and any still-pending
 		// actions (including ones abandoned at the drain deadline) are
@@ -347,9 +315,7 @@ func (a *Agent) Close() {
 func (a *Agent) drain(timeout time.Duration) bool {
 	done := make(chan struct{})
 	go func() {
-		a.WaitIngest()
-		a.led.Wait()
-		a.actionWG.Wait()
+		a.WaitActions()
 		close(done)
 	}()
 	//ecavet:allow nowallclock shutdown drain deadline is operational, never replayed
@@ -450,10 +416,10 @@ func (a *Agent) NotifyEndpoint() (string, int) {
 // (see recovery.go).
 func (a *Agent) Deliver(msg string) {
 	a.waitReady()
-	a.ctr.notifReceived.Add(1)
+	a.met.notifReceived.Inc()
 	event, table, op, vno, err := parseNotification(msg)
 	if err != nil {
-		a.ctr.notifDropped.Add(1)
+		a.met.notifDropped.Inc()
 		a.cfg.Logf("agent: dropping notification: %v", err)
 		return
 	}
@@ -466,9 +432,8 @@ func (a *Agent) FlushDeferred() { a.led.FlushDeferred() }
 
 // WaitActions blocks until all in-flight rule actions complete.
 func (a *Agent) WaitActions() {
-	a.WaitIngest()
 	a.led.Wait()
-	a.actionWG.Wait()
+	a.actionq.wg.Wait()
 }
 
 // Events lists registered internal event names, sorted.
@@ -744,15 +709,9 @@ func (a *Agent) installRule(db, user, trigName, eventName string, def *TriggerDe
 }
 
 // addLEDRule wires a trigger's rule into the LED; its action is the
-// SybaseAction analog: spawn a handler that materializes the context and
+// SybaseAction analog: queue a call that materializes the context and
 // executes the stored procedure (Figure 16).
 func (a *Agent) addLEDRule(info *triggerInfo) error {
-	param := ActionParam{
-		StoreProc: info.Proc,
-		EventName: info.Event,
-		Context:   info.Context,
-		DB:        info.DB,
-	}
 	return a.led.AddRule(&led.Rule{
 		Name:     info.Name,
 		Event:    info.Event,
@@ -769,77 +728,18 @@ func (a *Agent) addLEDRule(info *triggerInfo) error {
 					d.notePending(info.Name, key, occ)
 					return
 				}
-				// Claim the key synchronously, before the goroutine spawn
-				// and before detection clears the outstanding entry —
-				// every firing is in the outstanding set, the ledger, or
-				// both at any checkpoint cut.
+				// Claim the key synchronously, before the hand-off to the
+				// action worker and before detection clears the outstanding
+				// entry — every firing is in the outstanding set, the
+				// ledger, or both at any checkpoint cut.
 				if !d.begin(info.Name, key, occ) {
 					d.met.deduped.Inc()
 					return
 				}
 			}
-			a.actionWG.Add(1)
-			enqueued := a.clock.Now()
-			// FIFO ticket: this action starts only after the previous one
-			// finished, preserving priority order across goroutines.
-			a.actionMu.Lock()
-			prev := a.actionTail
-			done := make(chan struct{})
-			a.actionTail = done
-			a.actionMu.Unlock()
-			go a.runAction(info.Name, param, occ, enqueued, prev, done, key)
+			a.actionq.enqueue(actionJob{info: info, occ: occ, enqueued: a.clock.Now(), key: key})
 		},
 	})
-}
-
-// runAction executes one rule action in its own goroutine (one thread per
-// SybaseAction call, Figure 16), gated by its FIFO ticket. The enqueued
-// timestamp is when detection fired the rule; the latency histogram spans
-// queue wait (the FIFO ticket) plus procedure execution.
-func (a *Agent) runAction(rule string, p ActionParam, occ *led.Occ, enqueued time.Time, prev, done chan struct{}, key string) {
-	// Recover is outermost so a simulated crash still releases the FIFO
-	// ticket and the drain waitgroup on its way out.
-	defer faults.Recover()
-	defer a.actionWG.Done()
-	defer close(done)
-	if prev != nil {
-		<-prev
-	}
-	if d := a.dur; d != nil {
-		d.crash.Hit("action.preExec")
-	}
-	results, msgs, err := a.actions.invoke(p, occ)
-	if d := a.dur; d != nil && key != "" {
-		// Journal completion before anything acknowledges it. Failures
-		// count too: the upstream already retried, what reaches here is
-		// terminal and dead-lettered, not re-runnable by a restart.
-		d.markDone(key)
-		d.crash.Hit("action.postDone")
-	}
-	a.ctr.actionsRun.Add(1)
-	a.met.ruleRuns.With(rule).Inc()
-	a.met.actionSec.Observe(a.clock.Now().Sub(enqueued).Seconds())
-	res := ActionResult{Rule: rule, Event: occ.Event, Occ: occ, Messages: msgs, Results: results, Err: err}
-	if err != nil {
-		a.ctr.actionsFailed.Add(1)
-		a.met.ruleFails.With(rule).Inc()
-		a.cfg.Logf("agent: action %s on %s failed: %v", p.StoreProc, p.EventName, err)
-		// The upstream already retried transient failures; what reaches
-		// here is terminal, so park it for inspection or manual replay.
-		a.ctr.deadLettered.Add(1)
-		a.dlq.push(res)
-	}
-	select {
-	case a.ActionDone <- res:
-		a.reportDropLogged.Store(false)
-	default:
-		// Observational channel full — drop the report, but never
-		// silently: count it, and log once per overflow episode.
-		a.ctr.reportsDropped.Add(1)
-		if a.reportDropLogged.CompareAndSwap(false, true) {
-			a.cfg.Logf("agent: ActionDone buffer full; dropping completed-action reports (see Stats.ActionReportsDropped)")
-		}
-	}
 }
 
 // DropTrigger removes an ECA trigger: the LED rule, the stored procedure,

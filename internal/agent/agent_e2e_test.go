@@ -247,8 +247,8 @@ func TestMultipleTriggersOnOneEvent(t *testing.T) {
 		res := waitAction(t, r.agent)
 		rules = append(rules, res.Rule)
 	}
-	// Actions run on goroutines serialized by the action mutex in firing
-	// order: priority 10 (t2), then 5 (t3), then 0 (t1).
+	// Actions run on the action queue's one worker in firing order:
+	// priority 10 (t2), then 5 (t3), then 0 (t1).
 	want := []string{"sentineldb.sharma.t2", "sentineldb.sharma.t3", "sentineldb.sharma.t1"}
 	if fmt.Sprint(rules) != fmt.Sprint(want) {
 		t.Errorf("rule order: %v want %v", rules, want)

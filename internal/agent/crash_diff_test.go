@@ -235,13 +235,12 @@ create table tc (x int null)`); err != nil {
 func (r *cdRun) startAgent(crash *faults.CrashSet) {
 	r.t.Helper()
 	a, err := New(Config{
-		Dial:          recordingDialer(r.eng, r.acts),
-		NotifyAddr:    "-",
-		Clock:         r.clock,
-		IngestWorkers: -1,
-		Forward:       r.occs.add,
-		Logf:          func(string, ...any) {},
-		Durability:    &Durability{FS: r.fs, WALSync: WALSyncAlways, Crash: crash},
+		Dial:       recordingDialer(r.eng, r.acts),
+		NotifyAddr: "-",
+		Clock:      r.clock,
+		Forward:    r.occs.add,
+		Logf:       func(string, ...any) {},
+		Durability: &Durability{FS: r.fs, WALSync: WALSyncAlways, Crash: crash},
 	})
 	if err != nil {
 		r.t.Fatalf("starting agent: %v", err)

@@ -577,15 +577,8 @@ func (a *Agent) resumePending() {
 			d.markDone(e.key)
 			continue
 		}
-		param := ActionParam{StoreProc: info.Proc, EventName: info.Event, Context: info.Context, DB: info.DB}
 		d.met.resumed.Inc()
-		a.actionWG.Add(1)
-		a.actionMu.Lock()
-		prev := a.actionTail
-		done := make(chan struct{})
-		a.actionTail = done
-		a.actionMu.Unlock()
-		go a.runAction(e.rule, param, e.occ, a.clock.Now(), prev, done, e.key)
+		a.actionq.enqueue(actionJob{info: info, occ: e.occ, enqueued: a.clock.Now(), key: e.key})
 	}
 }
 

@@ -100,7 +100,7 @@ func (cs *ClientSession) execBatch(batch string) ([]*sqltypes.ResultSet, error) 
 	}
 	switch {
 	case IsECACreateTrigger(batch):
-		cs.agent.ctr.ecaCommands.Add(1)
+		cs.agent.met.ecaCommands.Inc()
 		def, err := ParseECATrigger(batch)
 		if err != nil {
 			return nil, err
@@ -114,7 +114,7 @@ func (cs *ClientSession) execBatch(batch string) ([]*sqltypes.ResultSet, error) 
 	default:
 		if parts, ok := ParseDropTrigger(batch); ok &&
 			cs.agent.IsECATrigger(cs.db, cs.user, parts) {
-			cs.agent.ctr.ecaCommands.Add(1)
+			cs.agent.met.ecaCommands.Inc()
 			msgs, err := cs.agent.DropTrigger(cs.db, cs.user, parts)
 			if err != nil {
 				return nil, err
@@ -123,7 +123,7 @@ func (cs *ClientSession) execBatch(batch string) ([]*sqltypes.ResultSet, error) 
 		}
 		// Ordinary SQL: pass through untouched, then track database
 		// switches so later ECA commands expand names correctly.
-		cs.agent.ctr.passThrough.Add(1)
+		cs.agent.met.passThrough.Inc()
 		results, err := cs.up.Exec(batch)
 		if err == nil {
 			if db, switched := lastUseTarget(batch); switched {

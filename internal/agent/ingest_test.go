@@ -3,8 +3,10 @@ package agent
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
+	"time"
+
+	"github.com/activedb/ecaagent/internal/led"
 )
 
 // TestDeliverBatchMultiLine: one datagram carrying several newline-separated
@@ -22,9 +24,6 @@ func TestDeliverBatchMultiLine(t *testing.T) {
 	stk, stkTbl := "sentineldb.sharma.addStk", "sentineldb.sharma.stock"
 	aud, audTbl := "sentineldb.sharma.addAud", "sentineldb.sharma.audit"
 
-	if r.agent.ingestPool == nil {
-		t.Fatal("ingest pool should be on by default")
-	}
 	datagram := strings.Join([]string{
 		notifMsg(stk, stkTbl, "insert", 1),
 		notifMsg(aud, audTbl, "insert", 1),
@@ -33,7 +32,6 @@ func TestDeliverBatchMultiLine(t *testing.T) {
 		"", // blank lines (trailing newline) are ignored
 	}, "\n")
 	r.agent.DeliverBatch(datagram)
-	r.agent.WaitIngest()
 	r.agent.WaitActions()
 
 	var got []string
@@ -65,88 +63,39 @@ func TestDeliverBatchMultiLine(t *testing.T) {
 	}
 }
 
-// TestDeliverBatchSynchronousWhenDisabled: IngestWorkers -1 removes the
-// pool; DeliverBatch must behave exactly like repeated Deliver calls.
-func TestDeliverBatchSynchronousWhenDisabled(t *testing.T) {
-	r := newChaosRig(t, nil, func(c *Config) { c.IngestWorkers = -1 })
-	if r.agent.ingestPool != nil {
-		t.Fatal("IngestWorkers = -1 must disable the pool")
-	}
+// TestDeliverBatchAfterClose: a batch that arrives after Close (a datagram
+// in flight across shutdown, or an embedding program's late call) behaves
+// like a late Deliver — counted, its firings failed fast into the
+// dead-letter queue against the closed upstream — and neither panics nor
+// leaves anything for a following Close to wait out.
+func TestDeliverBatchAfterClose(t *testing.T) {
+	r := newChaosRig(t, nil, func(c *Config) { c.DrainTimeout = 5 * time.Second })
 	cs := r.session(t, "sharma", "sentineldb")
 	if _, err := cs.Exec("create trigger t on stock for insert event addStk as print 'x'"); err != nil {
 		t.Fatal(err)
 	}
 	ev, tbl := "sentineldb.sharma.addStk", "sentineldb.sharma.stock"
-	r.agent.DeliverBatch(notifMsg(ev, tbl, "insert", 1) + "\n" + notifMsg(ev, tbl, "insert", 2))
-	// Synchronous: by return, both occurrences are in the LED.
-	for i := 1; i <= 2; i++ {
-		res := waitAction(t, r.agent)
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if vno := res.Occ.Constituents[0].VNo; vno != i {
-			t.Errorf("occurrence %d has vno %d", i, vno)
-		}
+	// One action before Close, so Close has a parked action worker to stop
+	// and the late firings need a new one.
+	r.agent.Deliver(notifMsg(ev, tbl, "insert", 1))
+	if res := waitAction(t, r.agent); res.Err != nil {
+		t.Fatal(res.Err)
 	}
-}
+	r.agent.Close()
 
-// TestDeliverBatchConcurrentOrdering: many goroutines batch-delivering to
-// independent events must neither lose nor duplicate occurrences, and each
-// event's vNo stream must stay gap-free (per-shard FIFO routing).
-func TestDeliverBatchConcurrentOrdering(t *testing.T) {
-	r := newChaosRig(t, nil, func(c *Config) { c.IngestWorkers = 4 })
-	cs := r.session(t, "sharma", "sentineldb")
-	if _, err := cs.Exec("create trigger t1 on stock for insert event addStk as print 'x'"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Exec("create trigger t2 on audit for insert event addAud as print 'y'"); err != nil {
-		t.Fatal(err)
-	}
-	events := []struct{ ev, tbl string }{
-		{"sentineldb.sharma.addStk", "sentineldb.sharma.stock"},
-		{"sentineldb.sharma.addAud", "sentineldb.sharma.audit"},
-	}
-	const perEvent = 50
-	var wg sync.WaitGroup
-	for _, e := range events {
-		wg.Add(1)
-		go func(ev, tbl string) {
-			defer wg.Done()
-			// Two notifications per datagram: the batched wire format.
-			for v := 1; v <= perEvent; v += 2 {
-				r.agent.DeliverBatch(
-					notifMsg(ev, tbl, "insert", v) + "\n" + notifMsg(ev, tbl, "insert", v+1))
-			}
-		}(e.ev, e.tbl)
-	}
-	wg.Wait()
-	r.agent.WaitIngest()
+	r.agent.DeliverBatch(notifMsg(ev, tbl, "insert", 2) + "\n" + notifMsg(ev, tbl, "insert", 3))
+	r.agent.DeliverBatchBytes(mustEncode(t, []led.Primitive{{Event: ev, Table: tbl, Op: "insert", VNo: 4}}))
 	r.agent.WaitActions()
-
 	st := r.agent.Stats()
-	if want := uint64(len(events) * perEvent); st.NotificationsDelivered != want {
-		t.Errorf("NotificationsDelivered = %d, want %d", st.NotificationsDelivered, want)
+	if st.NotificationsReceived != 4 || st.NotificationsDelivered != 4 {
+		t.Errorf("late batches: received %d delivered %d, want 4/4", st.NotificationsReceived, st.NotificationsDelivered)
 	}
-	if st.GapsDetected != 0 {
-		t.Errorf("GapsDetected = %d, want 0 (per-event FIFO should hold)", st.GapsDetected)
+	if st.ActionsDeadLettered != 3 || len(r.agent.DeadLetters()) != 3 {
+		t.Errorf("late firings: dead-lettered %d (queue %d), want 3", st.ActionsDeadLettered, len(r.agent.DeadLetters()))
 	}
-	if st.NotificationsDuplicate != 0 {
-		t.Errorf("NotificationsDuplicate = %d, want 0", st.NotificationsDuplicate)
-	}
-}
-
-// TestIngestMetricsExposed: the per-worker queue-depth gauge vector and the
-// worker-count gauge must appear on /metrics.
-func TestIngestMetricsExposed(t *testing.T) {
-	r := newChaosRig(t, nil, func(c *Config) { c.IngestWorkers = 2 })
-	var b strings.Builder
-	r.agent.Metrics().WritePrometheus(&b)
-	out := b.String()
-	if !strings.Contains(out, `eca_ingest_queue_depth{worker="0"}`) ||
-		!strings.Contains(out, `eca_ingest_queue_depth{worker="1"}`) {
-		t.Errorf("per-worker depth gauges missing from exposition:\n%s", out)
-	}
-	if !strings.Contains(out, "eca_ingest_workers 2") {
-		t.Errorf("eca_ingest_workers missing from exposition")
+	start := time.Now()
+	r.agent.Close()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("Close after a late batch took %v; nothing should be left to drain", elapsed)
 	}
 }

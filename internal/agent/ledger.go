@@ -17,7 +17,7 @@ import (
 // facts:
 //
 //	pending  — detection handed the firing off; the action must run
-//	launched — this process has a goroutine running it (volatile)
+//	launched — this process has it on its action queue (volatile)
 //	done     — the procedure call returned (journaled in the WAL)
 //
 // Checkpoints persist the pending set; the WAL persists done marks.

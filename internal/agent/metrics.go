@@ -1,18 +1,31 @@
 package agent
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/activedb/ecaagent/internal/obs"
 )
 
-// agentMetrics holds the agent's direct instruments. Counters that already
-// exist as Stats atomics are exported through CounterFuncs instead of
-// being double-counted; only the latency histograms and per-rule vectors
-// are new state.
+// agentMetrics holds the agent's instruments. The first block is the one
+// counter ledger: Stats() reads these same registry counters, so /stats
+// and /metrics cannot disagree.
 type agentMetrics struct {
 	reg *obs.Registry
+
+	notifReceived   *obs.Counter
+	notifDelivered  *obs.Counter
+	notifDropped    *obs.Counter
+	notifDuplicate  *obs.Counter
+	gapsDetected    *obs.Counter
+	occRecovered    *obs.Counter
+	ecaCommands     *obs.Counter
+	passThrough     *obs.Counter
+	actionsRun      *obs.Counter
+	actionsFailed   *obs.Counter
+	deadLettered    *obs.Counter
+	reportsDropped  *obs.Counter
+	upstreamRetries *obs.Counter
+	reconnects      *obs.Counter
 
 	// gateway (Language Filter) path
 	gatewayBatchSec *obs.Histogram
@@ -32,42 +45,39 @@ type agentMetrics struct {
 	resyncSec    *obs.Histogram
 }
 
-// initMetrics registers every agent instrument in reg and bridges the
-// Stats counters. Called once from New, after the counters struct exists.
+// initMetrics registers every agent instrument in reg. Called once from
+// New, before anything can count.
 func (a *Agent) initMetrics(reg *obs.Registry) {
 	m := &agentMetrics{reg: reg}
 
-	cf := func(name, help string, v interface{ Load() uint64 }) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	cf("eca_notifications_received_total",
-		"Notification datagrams delivered to the Event Notifier (UDP or in-process).", &a.ctr.notifReceived)
-	cf("eca_notifications_delivered_total",
-		"Well-formed, non-duplicate notifications signalled into the LED.", &a.ctr.notifDelivered)
-	cf("eca_notifications_dropped_total",
-		"Malformed notification datagrams discarded.", &a.ctr.notifDropped)
-	cf("eca_notifications_duplicate_total",
-		"Notifications suppressed by the per-event vNo watermark.", &a.ctr.notifDuplicate)
-	cf("eca_notification_gaps_total",
-		"vNo gaps observed in-stream or by the resync sweep.", &a.ctr.gapsDetected)
-	cf("eca_occurrences_recovered_total",
-		"Primitive occurrences replayed into the LED after notification loss.", &a.ctr.occRecovered)
-	cf("eca_commands_total",
-		"CREATE/DROP trigger commands intercepted by the Language Filter.", &a.ctr.ecaCommands)
-	cf("eca_passthrough_batches_total",
-		"SQL batches forwarded to the server untouched.", &a.ctr.passThrough)
-	cf("eca_actions_run_total",
-		"Completed rule actions.", &a.ctr.actionsRun)
-	cf("eca_actions_failed_total",
-		"Rule actions whose procedure returned an error.", &a.ctr.actionsFailed)
-	cf("eca_actions_deadlettered_total",
-		"Failed actions parked in the dead-letter queue.", &a.ctr.deadLettered)
-	cf("eca_action_reports_dropped_total",
-		"Completed-action reports dropped because ActionDone was full.", &a.ctr.reportsDropped)
-	cf("eca_upstream_retries_total",
-		"Re-attempts of upstream batches after retryable failures.", &a.ctr.upstreamRetries)
-	cf("eca_upstream_reconnects_total",
-		"Fresh upstream connections dialed to replace broken ones.", &a.ctr.reconnects)
+	m.notifReceived = reg.Counter("eca_notifications_received_total",
+		"Notification datagrams delivered to the Event Notifier (UDP or in-process).")
+	m.notifDelivered = reg.Counter("eca_notifications_delivered_total",
+		"Well-formed, non-duplicate notifications signalled into the LED.")
+	m.notifDropped = reg.Counter("eca_notifications_dropped_total",
+		"Malformed notification datagrams discarded.")
+	m.notifDuplicate = reg.Counter("eca_notifications_duplicate_total",
+		"Notifications suppressed by the per-event vNo watermark.")
+	m.gapsDetected = reg.Counter("eca_notification_gaps_total",
+		"vNo gaps observed in-stream or by the resync sweep.")
+	m.occRecovered = reg.Counter("eca_occurrences_recovered_total",
+		"Primitive occurrences replayed into the LED after notification loss.")
+	m.ecaCommands = reg.Counter("eca_commands_total",
+		"CREATE/DROP trigger commands intercepted by the Language Filter.")
+	m.passThrough = reg.Counter("eca_passthrough_batches_total",
+		"SQL batches forwarded to the server untouched.")
+	m.actionsRun = reg.Counter("eca_actions_run_total",
+		"Completed rule actions.")
+	m.actionsFailed = reg.Counter("eca_actions_failed_total",
+		"Rule actions whose procedure returned an error.")
+	m.deadLettered = reg.Counter("eca_actions_deadlettered_total",
+		"Failed actions parked in the dead-letter queue.")
+	m.reportsDropped = reg.Counter("eca_action_reports_dropped_total",
+		"Completed-action reports dropped because ActionDone was full.")
+	m.upstreamRetries = reg.Counter("eca_upstream_retries_total",
+		"Re-attempts of upstream batches after retryable failures.")
+	m.reconnects = reg.Counter("eca_upstream_reconnects_total",
+		"Fresh upstream connections dialed to replace broken ones.")
 
 	reg.GaugeFunc("eca_events",
 		"Registered events (primitive and composite).",
@@ -85,7 +95,7 @@ func (a *Agent) initMetrics(reg *obs.Registry) {
 		})
 	reg.GaugeFunc("eca_dead_letters",
 		"Failed rule actions currently parked in the dead-letter queue.",
-		func() float64 { return float64(len(a.dlq.snapshot())) })
+		func() float64 { return float64(a.dlq.len()) })
 	reg.GaugeFunc("eca_deferred_actions",
 		"Deferred rule firings queued for the next transaction boundary.",
 		func() float64 { return float64(a.led.DeferredCount()) })
@@ -108,18 +118,6 @@ func (a *Agent) initMetrics(reg *obs.Registry) {
 		"Resync sweeps executed against the authoritative vNo counters.")
 	m.resyncSec = reg.Histogram("eca_resync_seconds",
 		"Resync sweep duration, seconds.", nil)
-
-	if a.ingestPool != nil {
-		depth := reg.GaugeVec("eca_ingest_queue_depth",
-			"Notification batches queued per ingest worker.", "worker")
-		a.ingestPool.gauges = make([]*obs.Gauge, len(a.ingestPool.queues))
-		for i := range a.ingestPool.queues {
-			a.ingestPool.gauges[i] = depth.With(fmt.Sprintf("%d", i))
-		}
-		reg.GaugeFunc("eca_ingest_workers",
-			"Ingest workers draining notification batches into the LED.",
-			func() float64 { return float64(len(a.ingestPool.queues)) })
-	}
 
 	a.met = m
 	a.led.EnableMetrics(reg)

@@ -157,7 +157,6 @@ func TestDeliverBinaryBatch(t *testing.T) {
 		{Event: ev, Table: tbl, Op: "insert", VNo: 2},
 	})
 	r.agent.DeliverBatchBytes(buf)
-	r.agent.WaitIngest()
 	r.agent.WaitActions()
 	for i := 1; i <= 2; i++ {
 		res := waitAction(t, r.agent)
@@ -173,7 +172,6 @@ func TestDeliverBinaryBatch(t *testing.T) {
 	bad := append([]byte(nil), buf...)
 	bad[len(bad)-1] ^= 0xFF
 	r.agent.DeliverBatchBytes(bad)
-	r.agent.WaitIngest()
 	st = r.agent.Stats()
 	if st.NotificationsReceived != 3 || st.NotificationsDropped != 1 {
 		t.Errorf("after corrupt frame: received %d dropped %d, want 3/1", st.NotificationsReceived, st.NotificationsDropped)

@@ -67,25 +67,25 @@ func (a *Agent) ingest(p led.Primitive) {
 	if !tracked {
 		// Stray or foreign notification: hand it to the LED untracked
 		// (unknown events are ignored there).
-		a.ctr.notifDelivered.Add(1)
+		a.met.notifDelivered.Inc()
 		a.signal(p)
 		return
 	}
 	if p.VNo <= w.last {
-		a.ctr.notifDuplicate.Add(1)
+		a.met.notifDuplicate.Inc()
 		return
 	}
 	if p.VNo > w.last+1 {
-		a.ctr.gapsDetected.Add(1)
+		a.met.gapsDetected.Inc()
 		a.cfg.Logf("agent: notification gap on %s: vNo %d after %d; replaying %d missed occurrence(s)",
 			p.Event, p.VNo, w.last, p.VNo-w.last-1)
 		for v := w.last + 1; v < p.VNo; v++ {
-			a.ctr.occRecovered.Add(1)
+			a.met.occRecovered.Inc()
 			a.durableSignal(led.Primitive{Event: p.Event, Table: w.table, Op: w.op, VNo: v})
 		}
 	}
 	w.last = p.VNo
-	a.ctr.notifDelivered.Add(1)
+	a.met.notifDelivered.Inc()
 	a.durableSignal(p)
 }
 
@@ -166,11 +166,11 @@ func (a *Agent) recoverRange(event string, auth int) {
 	if !ok || auth <= w.last {
 		return
 	}
-	a.ctr.gapsDetected.Add(1)
+	a.met.gapsDetected.Inc()
 	a.cfg.Logf("agent: resync on %s: authoritative vNo %d beyond watermark %d; replaying %d occurrence(s)",
 		event, auth, w.last, auth-w.last)
 	for v := w.last + 1; v <= auth; v++ {
-		a.ctr.occRecovered.Add(1)
+		a.met.occRecovered.Inc()
 		a.durableSignal(led.Primitive{Event: event, Table: w.table, Op: w.op, VNo: v})
 	}
 	w.last = auth

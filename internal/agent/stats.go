@@ -1,7 +1,5 @@
 package agent
 
-import "sync/atomic"
-
 // Stats is a snapshot of the agent's operational counters, the kind of
 // observability a production mediator needs (the paper's §6 efficiency
 // discussion motivates measuring exactly these paths).
@@ -50,40 +48,24 @@ type Stats struct {
 	UpstreamReconnects uint64
 }
 
-// counters holds the live atomic counters.
-type counters struct {
-	notifReceived   atomic.Uint64
-	notifDelivered  atomic.Uint64
-	notifDropped    atomic.Uint64
-	notifDuplicate  atomic.Uint64
-	gapsDetected    atomic.Uint64
-	occRecovered    atomic.Uint64
-	ecaCommands     atomic.Uint64
-	passThrough     atomic.Uint64
-	actionsRun      atomic.Uint64
-	actionsFailed   atomic.Uint64
-	deadLettered    atomic.Uint64
-	reportsDropped  atomic.Uint64
-	upstreamRetries atomic.Uint64
-	reconnects      atomic.Uint64
-}
-
-// Stats returns a consistent-enough snapshot of the counters.
+// Stats returns a consistent-enough snapshot of the counters: a view over
+// the same registry instruments /metrics serves.
 func (a *Agent) Stats() Stats {
+	m := a.met
 	return Stats{
-		NotificationsReceived:  a.ctr.notifReceived.Load(),
-		NotificationsDelivered: a.ctr.notifDelivered.Load(),
-		NotificationsDropped:   a.ctr.notifDropped.Load(),
-		NotificationsDuplicate: a.ctr.notifDuplicate.Load(),
-		GapsDetected:           a.ctr.gapsDetected.Load(),
-		OccurrencesRecovered:   a.ctr.occRecovered.Load(),
-		ECACommands:            a.ctr.ecaCommands.Load(),
-		PassThroughBatches:     a.ctr.passThrough.Load(),
-		ActionsRun:             a.ctr.actionsRun.Load(),
-		ActionsFailed:          a.ctr.actionsFailed.Load(),
-		ActionsDeadLettered:    a.ctr.deadLettered.Load(),
-		ActionReportsDropped:   a.ctr.reportsDropped.Load(),
-		UpstreamRetries:        a.ctr.upstreamRetries.Load(),
-		UpstreamReconnects:     a.ctr.reconnects.Load(),
+		NotificationsReceived:  m.notifReceived.Value(),
+		NotificationsDelivered: m.notifDelivered.Value(),
+		NotificationsDropped:   m.notifDropped.Value(),
+		NotificationsDuplicate: m.notifDuplicate.Value(),
+		GapsDetected:           m.gapsDetected.Value(),
+		OccurrencesRecovered:   m.occRecovered.Value(),
+		ECACommands:            m.ecaCommands.Value(),
+		PassThroughBatches:     m.passThrough.Value(),
+		ActionsRun:             m.actionsRun.Value(),
+		ActionsFailed:          m.actionsFailed.Value(),
+		ActionsDeadLettered:    m.deadLettered.Value(),
+		ActionReportsDropped:   m.reportsDropped.Value(),
+		UpstreamRetries:        m.upstreamRetries.Value(),
+		UpstreamReconnects:     m.reconnects.Value(),
 	}
 }

@@ -111,12 +111,11 @@ func TestStandbyRecoveryPinsDurablePrefixOnTornTail(t *testing.T) {
 
 	priActs := &foActionRecorder{}
 	pri, err := agent.New(agent.Config{
-		Dial:          foRecordingDialer(eng, priActs),
-		NotifyAddr:    "-",
-		Clock:         led.NewManualClock(foClockBase),
-		IngestWorkers: -1,
-		Logf:          func(string, ...any) {},
-		Durability:    &agent.Durability{FS: ship, WALSync: agent.WALSyncAlways},
+		Dial:       foRecordingDialer(eng, priActs),
+		NotifyAddr: "-",
+		Clock:      led.NewManualClock(foClockBase),
+		Logf:       func(string, ...any) {},
+		Durability: &agent.Durability{FS: ship, WALSync: agent.WALSyncAlways},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,10 +231,9 @@ func TestStandbyRecoveryPinsDurablePrefixOnTornTail(t *testing.T) {
 	var logs []string
 	stbActs := &foActionRecorder{}
 	stb, err := agent.New(agent.Config{
-		Dial:          foRecordingDialer(eng, stbActs),
-		NotifyAddr:    "-",
-		Clock:         led.NewManualClock(foClockBase),
-		IngestWorkers: -1,
+		Dial:       foRecordingDialer(eng, stbActs),
+		NotifyAddr: "-",
+		Clock:      led.NewManualClock(foClockBase),
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))

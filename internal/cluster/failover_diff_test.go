@@ -259,13 +259,12 @@ func (r *foRun) startPrimary() {
 	ship := NewShipFS(r.priFS, r.applier.Apply, r.crash, r.metA)
 
 	a, err := agent.New(agent.Config{
-		Dial:          FencedDialer(foRecordingDialer(r.eng, r.acts), r.auth, tokA, r.metA),
-		NotifyAddr:    "-",
-		Clock:         r.dataClock,
-		IngestWorkers: -1,
-		Forward:       r.occs.add,
-		Logf:          func(string, ...any) {},
-		Durability:    &agent.Durability{FS: ship, WALSync: agent.WALSyncAlways, Crash: r.crash},
+		Dial:       FencedDialer(foRecordingDialer(r.eng, r.acts), r.auth, tokA, r.metA),
+		NotifyAddr: "-",
+		Clock:      r.dataClock,
+		Forward:    r.occs.add,
+		Logf:       func(string, ...any) {},
+		Durability: &agent.Durability{FS: ship, WALSync: agent.WALSyncAlways, Crash: r.crash},
 	})
 	if err != nil {
 		r.t.Fatalf("starting primary: %v", err)
@@ -379,13 +378,12 @@ func (r *foRun) failover() {
 
 	r.dataClock = led.NewManualClock(r.dataClock.Now())
 	a, err := agent.New(agent.Config{
-		Dial:          FencedDialer(foRecordingDialer(r.eng, r.acts), r.auth, tokB, r.metB),
-		NotifyAddr:    "-",
-		Clock:         r.dataClock,
-		IngestWorkers: -1,
-		Forward:       r.occs.add,
-		Logf:          func(string, ...any) {},
-		Durability:    &agent.Durability{FS: r.stbFS, WALSync: agent.WALSyncAlways},
+		Dial:       FencedDialer(foRecordingDialer(r.eng, r.acts), r.auth, tokB, r.metB),
+		NotifyAddr: "-",
+		Clock:      r.dataClock,
+		Forward:    r.occs.add,
+		Logf:       func(string, ...any) {},
+		Durability: &agent.Durability{FS: r.stbFS, WALSync: agent.WALSyncAlways},
 	})
 	if err != nil {
 		r.t.Fatalf("promoting standby: %v", err)
@@ -485,13 +483,12 @@ create table tc (x int null)`); err != nil {
 		t.Fatal(err)
 	}
 	a, err := agent.New(agent.Config{
-		Dial:          foRecordingDialer(r.eng, r.acts),
-		NotifyAddr:    "-",
-		Clock:         r.clock,
-		IngestWorkers: -1,
-		Forward:       r.occs.add,
-		Logf:          func(string, ...any) {},
-		Durability:    &agent.Durability{FS: r.fs, WALSync: agent.WALSyncAlways},
+		Dial:       foRecordingDialer(r.eng, r.acts),
+		NotifyAddr: "-",
+		Clock:      r.clock,
+		Forward:    r.occs.add,
+		Logf:       func(string, ...any) {},
+		Durability: &agent.Durability{FS: r.fs, WALSync: agent.WALSyncAlways},
 	})
 	if err != nil {
 		t.Fatalf("starting oracle: %v", err)

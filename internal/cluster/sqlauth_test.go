@@ -230,12 +230,11 @@ create table ta (x int null)`); err != nil {
 	priFS := faults.NewCrashDir(18)
 	dataClockA := led.NewManualClock(foClockBase)
 	a, err := agent.New(agent.Config{
-		Dial:          FencedDialer(foRecordingDialer(eng, acts), authA, tokA, metA),
-		NotifyAddr:    "-",
-		Clock:         dataClockA,
-		IngestWorkers: -1,
-		Logf:          func(string, ...any) {},
-		Durability:    &agent.Durability{FS: NewShipFS(priFS, sink, nil, metA), WALSync: agent.WALSyncAlways},
+		Dial:       FencedDialer(foRecordingDialer(eng, acts), authA, tokA, metA),
+		NotifyAddr: "-",
+		Clock:      dataClockA,
+		Logf:       func(string, ...any) {},
+		Durability: &agent.Durability{FS: NewShipFS(priFS, sink, nil, metA), WALSync: agent.WALSyncAlways},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,12 +332,11 @@ create table ta (x int null)`); err != nil {
 	metB.SetRole(RolePrimary)
 	metB.Promotions.Inc()
 	b, err := agent.New(agent.Config{
-		Dial:          FencedDialer(foRecordingDialer(eng, acts), authB, tokB, metB),
-		NotifyAddr:    "-",
-		Clock:         led.NewManualClock(dataClockA.Now()),
-		IngestWorkers: -1,
-		Logf:          func(string, ...any) {},
-		Durability:    &agent.Durability{FS: stbFS, WALSync: agent.WALSyncAlways},
+		Dial:       FencedDialer(foRecordingDialer(eng, acts), authB, tokB, metB),
+		NotifyAddr: "-",
+		Clock:      led.NewManualClock(dataClockA.Now()),
+		Logf:       func(string, ...any) {},
+		Durability: &agent.Durability{FS: stbFS, WALSync: agent.WALSyncAlways},
 	})
 	if err != nil {
 		t.Fatalf("promoting standby: %v", err)

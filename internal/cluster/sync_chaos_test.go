@@ -170,12 +170,11 @@ func (r *syncRun) startPrimary() {
 	ship = NewShipFS(r.priFS, sink, r.crash, r.metA)
 
 	a, err := agent.New(agent.Config{
-		Dial:          FencedDialer(foRecordingDialer(r.eng, r.acts), r.auth, tokA, r.metA),
-		NotifyAddr:    "-",
-		Clock:         r.dataClock,
-		IngestWorkers: -1,
-		Forward:       r.occs.add,
-		Logf:          func(string, ...any) {},
+		Dial:       FencedDialer(foRecordingDialer(r.eng, r.acts), r.auth, tokA, r.metA),
+		NotifyAddr: "-",
+		Clock:      r.dataClock,
+		Forward:    r.occs.add,
+		Logf:       func(string, ...any) {},
 		Durability: &agent.Durability{
 			FS:          ship,
 			WALSync:     agent.WALSyncAlways,
@@ -323,13 +322,12 @@ func (r *syncRun) failover() {
 
 	r.dataClock = led.NewManualClock(r.dataClock.Now())
 	a, err := agent.New(agent.Config{
-		Dial:          FencedDialer(foRecordingDialer(r.eng, r.acts), r.auth, tokB, r.metB),
-		NotifyAddr:    "-",
-		Clock:         r.dataClock,
-		IngestWorkers: -1,
-		Forward:       r.occs.add,
-		Logf:          func(string, ...any) {},
-		Durability:    &agent.Durability{FS: r.stbFS, WALSync: agent.WALSyncAlways},
+		Dial:       FencedDialer(foRecordingDialer(r.eng, r.acts), r.auth, tokB, r.metB),
+		NotifyAddr: "-",
+		Clock:      r.dataClock,
+		Forward:    r.occs.add,
+		Logf:       func(string, ...any) {},
+		Durability: &agent.Durability{FS: r.stbFS, WALSync: agent.WALSyncAlways},
 	})
 	if err != nil {
 		r.t.Fatalf("promoting standby: %v", err)

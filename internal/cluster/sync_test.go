@@ -117,12 +117,11 @@ func TestReadyzFailsWhenSyncPeerUnreachable(t *testing.T) {
 	}, func() error { return errors.New("dial tcp: connection refused") }, met)
 
 	a, err := agent.New(agent.Config{
-		Dial:          agent.LocalDialer(eng),
-		NotifyAddr:    "-",
-		Clock:         led.NewManualClock(foClockBase),
-		IngestWorkers: -1,
-		Logf:          func(string, ...any) {},
-		Durability:    &agent.Durability{FS: faults.NewCrashDir(3), WALSync: agent.WALSyncAlways, ShipBarrier: ctl.Barrier},
+		Dial:       agent.LocalDialer(eng),
+		NotifyAddr: "-",
+		Clock:      led.NewManualClock(foClockBase),
+		Logf:       func(string, ...any) {},
+		Durability: &agent.Durability{FS: faults.NewCrashDir(3), WALSync: agent.WALSyncAlways, ShipBarrier: ctl.Barrier},
 	})
 	if err != nil {
 		t.Fatal(err)

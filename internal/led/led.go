@@ -570,9 +570,7 @@ func (l *LED) Signal(p Primitive) {
 }
 
 // ShardID reports the shard currently owning an event (-1 when the event
-// is not defined). Callers batching signals — the agent's notifier — use
-// it to group co-shard events; the id is stable between definition
-// changes.
+// is not defined); the id is stable between definition changes.
 func (l *LED) ShardID(event string) int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
