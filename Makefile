@@ -77,9 +77,13 @@ race:
 
 # The operator x context x coupling equivalence proof for the sharded LED:
 # every Snoop operator through a 1-shard oracle and an N-shard detector on
-# the same clock, plus the randomized merge/split stress, under -race.
+# the same clock, plus the randomized merge/split stress; then the engine's
+# index-vs-scan differential (seeded random joins answered by hash-index
+# probes and by the nested loop must return identical result sets, row
+# order included, across every mutation an index survives), under -race.
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestStressConcurrentShards|TestShard' ./internal/led
+	$(GO) test -race -count=1 -run 'TestIndexScanDifferential' ./internal/engine
 
 # The CEP oracle-differential proof (DESIGN.md §12): every window,
 # aggregate, and interval operator × context × coupling × shard topology

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/sqltypes"
 )
 
@@ -137,5 +138,71 @@ func TestResumedActionsRunBeforeLiveFirings(t *testing.T) {
 	a2.WaitActions()
 	if st := a2.Stats(); st.ActionsRun != pending+1 {
 		t.Errorf("ActionsRun = %d, want %d", st.ActionsRun, pending+1)
+	}
+}
+
+// scriptUpstream records the one script invoke sends.
+type scriptUpstream struct{ sql *string }
+
+func (u scriptUpstream) Exec(sql string) ([]*sqltypes.ResultSet, error) {
+	*u.sql = sql
+	return nil, nil
+}
+func (scriptUpstream) Close() error { return nil }
+
+// TestInvokeScriptText pins the exact §5.6 populate + execute script:
+// sysContext deletes per shadow table in first-seen order, one insert per
+// distinct (shadow, vNo), an update constituent touching both shadows,
+// temporal constituents skipped, names escaped.
+func TestInvokeScriptText(t *testing.T) {
+	var got string
+	h := newActionHandler(scriptUpstream{&got})
+	p := ActionParam{StoreProc: "db.u.r__Proc", EventName: "db.u.e", Context: led.Chronicle, DB: "db"}
+	prim := func(table, op string, vno int) led.Primitive {
+		return led.Primitive{Event: "db.u.e", Table: table, Op: op, VNo: vno}
+	}
+	for _, tc := range []struct {
+		name  string
+		parts []led.Primitive
+		want  string
+	}{
+		{"insert", []led.Primitive{prim("db.u.stock", "insert", 7)},
+			"use db\n" +
+				"delete sysContext where tableName = 'db.u.stock_inserted' and context = 'CHRONICLE'\n" +
+				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 7)\n" +
+				"execute db.u.r__Proc"},
+		{"update", []led.Primitive{prim("db.u.stock", "update", 12345)},
+			"use db\n" +
+				"delete sysContext where tableName = 'db.u.stock_inserted' and context = 'CHRONICLE'\n" +
+				"delete sysContext where tableName = 'db.u.stock_deleted' and context = 'CHRONICLE'\n" +
+				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 12345)\n" +
+				"insert sysContext values ('db.u.stock_deleted', 'CHRONICLE', 12345)\n" +
+				"execute db.u.r__Proc"},
+		{"repeated", []led.Primitive{prim("db.u.stock", "insert", 3), {Op: "tick"}, prim("db.u.stock", "insert", 3)},
+			"use db\n" +
+				"delete sysContext where tableName = 'db.u.stock_inserted' and context = 'CHRONICLE'\n" +
+				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 3)\n" +
+				"execute db.u.r__Proc"},
+		{"composite", []led.Primitive{
+			prim("db.u.stock", "insert", 3), prim("db.u.o'k", "delete", -5),
+			prim("db.u.stock", "insert", 4), prim("db.u.stock", "update", 9), prim("db.u.o'k", "delete", -5)},
+			"use db\n" +
+				"delete sysContext where tableName = 'db.u.stock_inserted' and context = 'CHRONICLE'\n" +
+				"delete sysContext where tableName = 'db.u.o''k_deleted' and context = 'CHRONICLE'\n" +
+				"delete sysContext where tableName = 'db.u.stock_deleted' and context = 'CHRONICLE'\n" +
+				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 3)\n" +
+				"insert sysContext values ('db.u.o''k_deleted', 'CHRONICLE', -5)\n" +
+				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 4)\n" +
+				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 9)\n" +
+				"insert sysContext values ('db.u.stock_deleted', 'CHRONICLE', 9)\n" +
+				"execute db.u.r__Proc"},
+	} {
+		got = ""
+		if _, _, err := h.invoke(p, &led.Occ{Event: p.EventName, Context: p.Context, Constituents: tc.parts}); err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: script\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package agent
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +11,8 @@ import (
 	"github.com/activedb/ecaagent/internal/client"
 	"github.com/activedb/ecaagent/internal/engine"
 	"github.com/activedb/ecaagent/internal/server"
+	"github.com/activedb/ecaagent/internal/sqlparse"
+	"github.com/activedb/ecaagent/internal/sqltypes"
 )
 
 // rig is an in-process test deployment: engine + agent wired with direct
@@ -360,6 +363,66 @@ insert stock values ('T', 20)`
 	// Errors pass through too.
 	if _, err := cs.Exec("select * from nonexistent"); err == nil {
 		t.Error("pass-through error lost")
+	}
+}
+
+// sentUpstream records every batch text a connection sends.
+type sentUpstream struct {
+	Upstream
+	mu   *sync.Mutex
+	sent *[]string
+}
+
+func (u sentUpstream) Exec(sql string) ([]*sqltypes.ResultSet, error) {
+	u.mu.Lock()
+	*u.sent = append(*u.sent, sql)
+	u.mu.Unlock()
+	return u.Upstream.Exec(sql)
+}
+
+// TestTransparencyCreateIndex: a client's CREATE INDEX is ordinary SQL to
+// the Language Filter (Fig 1) — it reaches the server byte for byte, the
+// index exists afterwards, and a repeat fails exactly as it does directly.
+func TestTransparencyCreateIndex(t *testing.T) {
+	var mu sync.Mutex
+	var sent []string
+	r := newChaosRig(t, nil, func(c *Config) {
+		inner := c.Dial
+		c.Dial = func(user, db string) (Upstream, error) {
+			up, err := inner(user, db)
+			if err != nil {
+				return nil, err
+			}
+			return sentUpstream{Upstream: up, mu: &mu, sent: &sent}, nil
+		}
+	})
+	cs := r.session(t, "sharma", "sentineldb")
+	const batch = "create  INDEX stock_price\non stock ( price ) -- client spelling"
+	if _, err := cs.Exec(batch); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	last := sent[len(sent)-1]
+	mu.Unlock()
+	if want := sqlparse.SplitBatches(batch)[0]; last != want {
+		t.Errorf("upstream received %q, client batch is %q", last, want)
+	}
+	db, _ := r.eng.Catalog().Database("sentineldb")
+	tbl, err := db.Table("sharma", "stock", "sharma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Indexes(); len(got) != 1 || got[0].Name != "stock_price" || got[0].Column != "price" {
+		t.Errorf("indexes after gateway create: %+v", got)
+	}
+	_, viaAgent := cs.Exec(batch)
+	direct := r.eng.NewSession("sharma")
+	if err := direct.Use("sentineldb"); err != nil {
+		t.Fatal(err)
+	}
+	_, viaDirect := direct.ExecScript(batch)
+	if viaAgent == nil || viaDirect == nil || viaAgent.Error() != viaDirect.Error() {
+		t.Errorf("repeat: agent %v, direct %v", viaAgent, viaDirect)
 	}
 }
 

@@ -109,13 +109,19 @@ func genActionProc(procName, contextName string, action string, shadows []Shadow
 }
 
 // genTmpTables generates the one-time creation of _tmp tables for the
-// shadow references (idempotent; skipped when they already exist).
+// shadow references, and of a hash index on each referenced shadow table's
+// vNo, which turns the procedure's s.vNo = c.vNo join into a point lookup
+// (idempotent; each is skipped when it already exists). Shadow tables no
+// action reads get no index.
 func genTmpTables(shadows []ShadowRef) []string {
 	var out []string
 	for _, sr := range shadows {
 		tmp := tmpTableName(sr.Table, sr.Op)
-		out = append(out, fmt.Sprintf("select * into %s from %s where 1 = 2",
-			tmp, shadowTableName(sr.Table, sr.Op)))
+		shadow := shadowTableName(sr.Table, sr.Op)
+		_, _, obj, _ := splitInternal(shadow)
+		out = append(out,
+			fmt.Sprintf("select * into %s from %s where 1 = 2", tmp, shadow),
+			fmt.Sprintf("create index %s_vNo on %s (vNo)", obj, shadow))
 	}
 	return out
 }

@@ -354,7 +354,8 @@ func TestGenActionProcCode(t *testing.T) {
 		}
 	}
 	tmp := genTmpTables(shadows)
-	if len(tmp) != 1 || !strings.Contains(tmp[0], "stock_inserted_tmp") {
+	if len(tmp) != 2 || !strings.Contains(tmp[0], "stock_inserted_tmp") ||
+		tmp[1] != "create index stock_inserted_vNo on sentineldb.sharma.stock_inserted (vNo)" {
 		t.Errorf("tmp tables: %v", tmp)
 	}
 }

@@ -3,10 +3,12 @@ package catalog
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
+	"github.com/activedb/ecaagent/internal/storage"
 )
 
 func stockSchema() *sqltypes.Schema {
@@ -334,5 +336,133 @@ func TestLoadCorruptSnapshot(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte("garbage!"))); err == nil {
 		t.Error("garbage snapshot accepted")
+	}
+}
+
+// TestSaveLoadIndexes: index declarations survive a snapshot and the key
+// maps are rebuilt from the loaded rows; DROP TABLE takes them along.
+func TestSaveLoadIndexes(t *testing.T) {
+	c := buildFullCatalog(t)
+	db, _ := c.Database("sentineldb")
+	tbl, err := db.Table("sharma", "stock", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("stock_symbol", "SYMBOL"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("stock_price", "price"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2, _ := c2.Database("sentineldb")
+	tbl2, err := db2.Table("sharma", "stock", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []storage.IndexDef{{Name: "stock_symbol", Column: "symbol"}, {Name: "stock_price", Column: "price"}}
+	if got := tbl2.Indexes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("indexes after load: %+v, want %+v", got, want)
+	}
+	rows, _, ok := tbl2.Pin().Lookup(0, sqltypes.NewString("IBM"))
+	if !ok || len(rows) != 1 {
+		t.Errorf("rebuilt index lookup: %v ok=%v", rows, ok)
+	}
+
+	if err := db2.DropTable("sharma", "stock", ""); err != nil {
+		t.Fatal(err)
+	}
+	recreated, err := db2.CreateTable("sharma", "stock", stockSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recreated.Indexes(); len(got) != 0 {
+		t.Errorf("indexes outlived DROP TABLE: %+v", got)
+	}
+}
+
+// TestSaveDuringSchemaChurn: a checkpoint taken while sessions create,
+// alter, index and drop tables always loads. Every index declaration in a
+// snapshot names a table and a column the same snapshot holds.
+func TestSaveDuringSchemaChurn(t *testing.T) {
+	c := buildFullCatalog(t)
+	db, _ := c.Database("sentineldb")
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tbl, err := db.CreateTable("sharma", "churn", stockSchema())
+			if err != nil {
+				done <- err
+				return
+			}
+			if err := tbl.AddColumn(sqltypes.Column{Name: "extra", Type: sqltypes.Int, Nullable: true}); err != nil {
+				done <- err
+				return
+			}
+			if err := tbl.CreateIndex("churn_extra", "extra"); err != nil {
+				done <- err
+				return
+			}
+			if err := db.DropTable("sharma", "churn", ""); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err != nil {
+			t.Fatalf("snapshot %d does not load: %v", i, err)
+		}
+	}
+}
+
+// TestLoadSnapshotBeforeIndexes pins compatibility: a snapshot written by
+// the encoder that predates index declarations (bytes committed under
+// testdata) loads completely, with no indexes.
+func TestLoadSnapshotBeforeIndexes(t *testing.T) {
+	c, err := LoadFile(filepath.Join("testdata", "snapshot_pre_index.ecasnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := c.Database("sentineldb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Table("sharma", "stock", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != 1 || len(tbl.Indexes()) != 0 {
+		t.Errorf("old snapshot: %d rows, indexes %+v", tbl.Len(), tbl.Indexes())
+	}
+	if _, err := db.Procedure("", "p_report", "sharma"); err != nil {
+		t.Error(err)
+	}
+	if tr, ok := db.TriggerFor("", "stock", "sharma", sqlparse.OpInsert); !ok || tr.Name != "t_addStk" {
+		t.Errorf("trigger after load: %+v ok=%v", tr, ok)
 	}
 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -30,19 +31,33 @@ func (c *Catalog) Save(w io.Writer) error {
 
 	sw := storage.NewWriter(w)
 	sw.WriteUint(uint64(len(dbs)))
+	// Index declarations trail the databases, so a snapshot written before
+	// they existed still loads (with no indexes) and an older reader stops
+	// before them. Only the declarations are stored; Load rebuilds the maps.
+	// Each database's declarations are taken under the lock that writes its
+	// tables, so they always name tables and columns in the snapshot.
+	var decls []indexDecl
 	for _, db := range dbs {
-		if err := db.save(sw); err != nil {
-			return err
-		}
+		decls = append(decls, db.save(sw)...)
+	}
+	sw.WriteUint(uint64(len(decls)))
+	for _, d := range decls {
+		sw.WriteString(d.db)
+		sw.WriteString(d.owner)
+		sw.WriteString(d.table)
+		sw.WriteString(d.Name)
+		sw.WriteString(d.Column)
 	}
 	return sw.Flush()
 }
 
-func (d *Database) save(sw *storage.Writer) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	sw.WriteString(d.name)
+// indexDecl places one index declaration in the catalog.
+type indexDecl struct {
+	db, owner, table string
+	storage.IndexDef
+}
 
+func (d *Database) sortedTableKeys() []object {
 	keys := make([]object, 0, len(d.tables))
 	for k := range d.tables {
 		keys = append(keys, k)
@@ -53,11 +68,25 @@ func (d *Database) save(sw *storage.Writer) error {
 		}
 		return keys[i].name < keys[j].name
 	})
+	return keys
+}
+
+// save writes the database and returns its index declarations, tables in
+// name order, read under the same lock.
+func (d *Database) save(sw *storage.Writer) []indexDecl {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	sw.WriteString(d.name)
+
+	var decls []indexDecl
+	keys := d.sortedTableKeys()
 	sw.WriteUint(uint64(len(keys)))
 	for _, k := range keys {
 		sw.WriteString(d.owners[k])
 		sw.WriteString(k.name)
-		sw.WriteTable(d.tables[k])
+		for _, def := range sw.WriteTable(d.tables[k]) {
+			decls = append(decls, indexDecl{db: d.name, owner: d.owners[k], table: k.name, IndexDef: def})
+		}
 	}
 
 	pkeys := make([]object, 0, len(d.procs))
@@ -83,7 +112,7 @@ func (d *Database) save(sw *storage.Writer) error {
 		sw.WriteString(tr.Owner)
 		sw.WriteString(tr.RawSQL)
 	}
-	return nil
+	return decls
 }
 
 // Load reads a snapshot stream written by Save, returning a fresh catalog.
@@ -107,7 +136,43 @@ func Load(r io.Reader) (*Catalog, error) {
 	if _, ok := c.dbs["master"]; !ok {
 		c.dbs["master"] = newDatabase("master")
 	}
+	if err := c.loadIndexes(sr); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// loadIndexes reads the trailing index declarations and rebuilds each
+// index from its table's rows. A stream that ends before them predates
+// indexes and loads with none.
+func (c *Catalog) loadIndexes(sr *storage.Reader) error {
+	n, err := sr.ReadUint()
+	if errors.Is(err, io.EOF) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < n; i++ {
+		var f [5]string
+		for j := range f {
+			if f[j], err = sr.ReadString(); err != nil {
+				return err
+			}
+		}
+		db, ok := c.dbs[lower(f[0])]
+		if !ok {
+			return fmt.Errorf("index %s: database %s not in snapshot", f[3], f[0])
+		}
+		tbl, ok := db.tables[key(f[1], f[2])]
+		if !ok {
+			return fmt.Errorf("index %s: table %s.%s not in snapshot", f[3], f[1], f[2])
+		}
+		if err := tbl.CreateIndex(f[3], f[4]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func lower(s string) string {

@@ -197,6 +197,8 @@ func (s *Session) ExecStmt(st sqlparse.Statement) (*sqltypes.ResultSet, error) {
 		return s.execDropTable(st)
 	case *sqlparse.AlterTableAdd:
 		return s.execAlterTableAdd(st)
+	case *sqlparse.CreateIndex:
+		return s.execCreateIndex(st)
 	case *sqlparse.Insert:
 		return s.execInsert(st)
 	case *sqlparse.Select:
@@ -299,6 +301,16 @@ func (s *Session) execAlterTableAdd(st *sqlparse.AlterTableAdd) (*sqltypes.Resul
 	}
 	col := sqltypes.Column{Name: st.Column.Name, Type: st.Column.Type, Nullable: st.Column.Nullable}
 	return &sqltypes.ResultSet{}, tbl.AddColumn(col)
+}
+
+// execCreateIndex declares a hash index; the table owns it, so DROP TABLE
+// drops it too.
+func (s *Session) execCreateIndex(st *sqlparse.CreateIndex) (*sqltypes.ResultSet, error) {
+	tbl, err := s.resolveTable(st.Table)
+	if err != nil {
+		return nil, err
+	}
+	return &sqltypes.ResultSet{}, tbl.CreateIndex(st.Name, st.Column)
 }
 
 func (s *Session) execCreateTrigger(st *sqlparse.CreateTrigger) (*sqltypes.ResultSet, error) {

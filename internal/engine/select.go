@@ -7,6 +7,7 @@ import (
 
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
+	"github.com/activedb/ecaagent/internal/storage"
 )
 
 // execSelectStmt runs a SELECT, materializing the result. SELECT ... INTO
@@ -53,16 +54,16 @@ func (s *Session) runSelect(st *sqlparse.Select) (*sqltypes.ResultSet, error) {
 	}
 
 	frames := make([]*frame, len(st.From))
-	var sourceLens []int
-	sources := make([][]sqltypes.Row, len(st.From))
+	tables := make([]*storage.Table, len(st.From))
+	indexed := false
 	for i, ref := range st.From {
 		tbl, err := s.resolveTable(ref.Name)
 		if err != nil {
 			return nil, err
 		}
 		frames[i] = newFrame(ref, tbl.Schema(), s.db)
-		sources[i] = tbl.Rows()
-		sourceLens = append(sourceLens, len(sources[i]))
+		tables[i] = tbl
+		indexed = indexed || tbl.HasIndex()
 	}
 
 	// Compile-time column validation (matters when zero rows match).
@@ -85,28 +86,17 @@ func (s *Session) runSelect(st *sqlparse.Select) (*sqltypes.ResultSet, error) {
 		return nil, err
 	}
 
-	// Nested-loop cartesian product with WHERE filtering.
+	// Probe hash indexes where WHERE allows; otherwise (and always when no
+	// FROM table has an index) the nested-loop cartesian product.
 	var matched []sourceRow
-	idx := make([]int, len(sources))
-	if !anyEmpty(sourceLens) {
-		for {
-			for i := range frames {
-				frames[i].row = sources[i][idx[i]]
-			}
-			ok, err := s.truthy(st.Where, frames)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				sr := make(sourceRow, len(sources))
-				for i := range sources {
-					sr[i] = sources[i][idx[i]]
-				}
-				matched = append(matched, sr)
-			}
-			if !advance(idx, sourceLens) {
-				break
-			}
+	planned := false
+	if indexed {
+		matched, planned = s.joinIndexed(st.Where, frames, tables)
+	}
+	if !planned {
+		var err error
+		if matched, err = s.joinScan(st.Where, frames, tables); err != nil {
+			return nil, err
 		}
 	}
 

@@ -189,7 +189,12 @@ func TestScaleSmoke(t *testing.T) {
 	}
 
 	const rounds = 20
+	// The last action can be reported before its insert returns, so the
+	// test waits for the writer before the deployment stops under it.
+	writer := make(chan struct{})
+	defer func() { <-writer }()
 	go func() {
+		defer close(writer)
 		conn := d.connect(t, "ops", "load")
 		defer conn.Close()
 		for r := 0; r < rounds; r++ {

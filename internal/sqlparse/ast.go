@@ -92,6 +92,14 @@ type AlterTableAdd struct {
 	Column ColumnDef
 }
 
+// CreateIndex is CREATE INDEX name ON table (column): a single-column
+// hash index the engine's join planner probes instead of scanning.
+type CreateIndex struct {
+	Name   string
+	Table  ObjectName
+	Column string
+}
+
 // Insert is INSERT [INTO] table [(cols)] VALUES (...)[, (...)] or
 // INSERT [INTO] table [(cols)] SELECT ...
 type Insert struct {
@@ -225,6 +233,7 @@ func (*UseDatabase) stmtNode()     {}
 func (*CreateTable) stmtNode()     {}
 func (*DropTable) stmtNode()       {}
 func (*AlterTableAdd) stmtNode()   {}
+func (*CreateIndex) stmtNode()     {}
 func (*Insert) stmtNode()          {}
 func (*Select) stmtNode()          {}
 func (*Update) stmtNode()          {}

@@ -292,9 +292,41 @@ func (p *Parser) parseCreate() (Statement, error) {
 		return p.parseCreateTrigger()
 	case p.accept("procedure"), p.accept("proc"):
 		return p.parseCreateProcedure()
+	case p.accept("index"):
+		return p.parseCreateIndex()
 	default:
 		return nil, fmt.Errorf("unsupported CREATE %q", p.peek().Text)
 	}
+}
+
+// parseCreateIndex parses the rest of CREATE INDEX name ON table (column).
+// Only single-column indexes exist.
+func (p *Parser) parseCreateIndex() (Statement, error) {
+	name, err := p.expectIdent()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectKeyword("on"); err != nil {
+		return nil, err
+	}
+	table, err := p.parseObjectName()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectOp("("); err != nil {
+		return nil, err
+	}
+	col, err := p.expectIdent()
+	if err != nil {
+		return nil, err
+	}
+	if p.peek().IsOp(",") {
+		return nil, fmt.Errorf("create index takes one column")
+	}
+	if err := p.expectOp(")"); err != nil {
+		return nil, err
+	}
+	return &CreateIndex{Name: name, Table: table, Column: col}, nil
 }
 
 func (p *Parser) parseColumnDef() (ColumnDef, error) {

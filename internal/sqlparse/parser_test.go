@@ -235,6 +235,35 @@ func TestParsePrecedence(t *testing.T) {
 	}
 }
 
+func TestParseCreateIndex(t *testing.T) {
+	for _, src := range []string{
+		"create index stock_vNo on sentineldb.sharma.stock_inserted (vNo)",
+		"CREATE INDEX stock_vNo ON sentineldb.sharma.stock_inserted(vNo);",
+	} {
+		ci, ok := mustParseOne(t, src).(*CreateIndex)
+		if !ok {
+			t.Fatalf("%q: got %T", src, mustParseOne(t, src))
+		}
+		if ci.Name != "stock_vNo" || ci.Table.String() != "sentineldb.sharma.stock_inserted" || ci.Column != "vNo" {
+			t.Errorf("%q: %+v", src, ci)
+		}
+	}
+	for src, want := range map[string]string{
+		"create index i stock (vNo)":       `expected "on"`,
+		"create index i on stock":          `expected "("`,
+		"create index i on stock vNo":      `expected "("`,
+		"create index i on stock (a, b)":   "one column",
+		"create index i on stock ()":       "expected identifier",
+		"create index on stock (vNo)":      `expected "on"`,
+		"create index i on stock (vNo":     `expected ")"`,
+		"create unique index i on t (vNo)": "unsupported CREATE",
+	} {
+		if _, err := ParseBatch(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseBatch(%q) = %v, want error containing %s", src, err, want)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"create table t",
@@ -299,6 +328,7 @@ func TestRoundTrip(t *testing.T) {
 		"create table stock (symbol varchar(10) not null, price float null, ts datetime)",
 		"drop table stock",
 		"alter table stock add vNo int null",
+		"create index stock_vNo on db.u.stock_inserted (vNo)",
 		"insert stock (symbol, price) values ('IBM', 100.5)",
 		"insert stock select * from old_stock where price > 1",
 		"select distinct symbol, price as p from stock s where price >= 10 group by symbol having count(*) > 1 order by price desc",

@@ -38,6 +38,10 @@ func (s *AlterTableAdd) SQL() string {
 	return fmt.Sprintf("alter table %s add %s", s.Table, colDefSQL(s.Column))
 }
 
+func (s *CreateIndex) SQL() string {
+	return fmt.Sprintf("create index %s on %s (%s)", s.Name, s.Table, s.Column)
+}
+
 func (s *Insert) SQL() string {
 	var b strings.Builder
 	b.WriteString("insert ")

@@ -87,8 +87,10 @@ func (w *Writer) WriteTime(t time.Time) {
 	w.writeVarint(t.UnixNano())
 }
 
-// WriteTable encodes a table snapshot.
-func (w *Writer) WriteTable(t *Table) {
+// WriteTable encodes a table snapshot. It returns the table's index
+// declarations, read under the same lock as the schema and rows, which the
+// encoding itself does not carry.
+func (w *Writer) WriteTable(t *Table) []IndexDef {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	w.writeUvarint(uint64(t.schema.Len()))
@@ -109,6 +111,7 @@ func (w *Writer) WriteTable(t *Table) {
 			w.writeValue(v)
 		}
 	}
+	return t.indexDefs()
 }
 
 func (w *Writer) writeValue(v sqltypes.Value) {

@@ -11,12 +11,16 @@ import (
 	"github.com/activedb/ecaagent/internal/sqltypes"
 )
 
-// Table is a heap of rows with a schema. All methods are safe for
-// concurrent use.
+// Table is a heap of rows with a schema and optional single-column hash
+// indexes (index.go). All methods are safe for concurrent use.
 type Table struct {
-	mu     sync.RWMutex
-	schema *sqltypes.Schema
-	rows   []sqltypes.Row
+	mu      sync.RWMutex
+	schema  *sqltypes.Schema
+	rows    []sqltypes.Row
+	indexes []*hashIndex
+	// gen counts mutations other than appends; a Pin is valid while it
+	// is unchanged.
+	gen uint64
 }
 
 // NewTable creates an empty table with a copy of the given schema.
@@ -48,6 +52,7 @@ func (t *Table) Insert(row sqltypes.Row) error {
 		return err
 	}
 	t.rows = append(t.rows, conv)
+	t.appendIndexed(len(t.rows) - 1)
 	return nil
 }
 
@@ -65,6 +70,7 @@ func (t *Table) InsertMany(rows []sqltypes.Row) error {
 		conv[i] = c
 	}
 	t.rows = append(t.rows, conv...)
+	t.appendIndexed(len(t.rows) - len(conv))
 	return nil
 }
 
@@ -145,10 +151,19 @@ func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.
 		}
 		changes = append(changes, change{idx: i, row: conv})
 	}
+	rekey := false
 	for _, c := range changes {
+		for _, ix := range t.indexes {
+			if !sameKey(t.rows[c.idx][ix.col], c.row[ix.col]) {
+				rekey = true
+			}
+		}
 		old = append(old, t.rows[c.idx])
 		t.rows[c.idx] = c.row
 		new = append(new, c.row.Clone())
+	}
+	if len(changes) > 0 {
+		t.changed(rekey)
 	}
 	return old, new, nil
 }
@@ -172,6 +187,9 @@ func (t *Table) Delete(pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, e
 		}
 	}
 	t.rows = kept
+	if len(removed) > 0 {
+		t.changed(true)
+	}
 	return removed, nil
 }
 
@@ -180,6 +198,7 @@ func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rows = nil
+	t.changed(true)
 }
 
 // AddColumn appends a column to the schema, filling existing rows with
@@ -196,11 +215,12 @@ func (t *Table) AddColumn(col sqltypes.Column) error {
 	for i, r := range t.rows {
 		t.rows[i] = append(r, sqltypes.Null)
 	}
+	t.changed(true)
 	return nil
 }
 
 // ReplaceAll atomically swaps the table contents. Rows are validated like
-// Insert. Used by the snapshot loader.
+// Insert. Used for trigger pseudo-tables and transaction rollback.
 func (t *Table) ReplaceAll(rows []sqltypes.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -213,5 +233,6 @@ func (t *Table) ReplaceAll(rows []sqltypes.Row) error {
 		conv[i] = c
 	}
 	t.rows = conv
+	t.changed(true)
 	return nil
 }
