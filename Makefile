@@ -1,12 +1,12 @@
 GO ?= go
 ECAVET := bin/ecavet
 
-.PHONY: check fmt vet lint lint-fix-check waivers build test race differential cep-differential crash-suite cluster-chaos fuzz bench-json bench-matrix bench-gate bench-e2e bench-e2e-compare metrics-smoke
+.PHONY: check fmt vet lint lint-fix-check waivers build test race differential cep-differential crash-suite cluster-chaos fuzz bench-matrix bench-gate bench-e2e bench-e2e-compare metrics-smoke
 
 # The full pre-merge gate: static checks (including the ecavet invariant
 # suite and the waiver-count ratchet), a clean build, the entire test
-# suite under the race detector, an explicit pass over the sharded-LED
-# differential equivalence suite, the crash-recovery differential matrix,
+# suite under the race detector, an explicit pass over the LED's golden
+# operator-stream suite, the crash-recovery differential matrix,
 # the cluster failover chaos suite (all under -race), and the
 # perf-regression gate against the committed BENCH_PR7.json baseline.
 check: fmt vet lint lint-fix-check build race differential cep-differential crash-suite cluster-chaos bench-gate
@@ -75,19 +75,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The operator x context x coupling equivalence proof for the sharded LED:
-# every Snoop operator through a 1-shard oracle and an N-shard detector on
-# the same clock, plus the randomized merge/split stress; then the engine's
+# The operator x context x coupling stream proof for the LED: every Snoop
+# operator's occurrence streams, signalled serially and with the rule-set
+# copies signalled concurrently, against the committed golden file, plus
+# the concurrent-signal stress under define/drop churn and the detector
+# tests that define or drop events around live state; then the engine's
 # index-vs-scan differential (seeded random joins answered by hash-index
 # probes and by the nested loop must return identical result sets, row
 # order included, across every mutation an index survives), under -race.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestStressConcurrentShards|TestShard' ./internal/led
+	$(GO) test -race -count=1 -run 'TestOperatorStreamsGolden|TestDifferential|TestStressConcurrentSignalsUnderChurn|AcrossDefineAndDrop|SurvivesDefineAndDrop|TestDeferredPriorityAcrossRuleSets' ./internal/led
 	$(GO) test -race -count=1 -run 'TestIndexScanDifferential' ./internal/engine
 
 # The CEP oracle-differential proof (DESIGN.md §12): every window,
-# aggregate, and interval operator × context × coupling × shard topology
-# against the brute-force reference interpreter in internal/led/oracle,
+# aggregate, and interval operator × context × coupling against the
+# brute-force reference interpreter in internal/led/oracle,
 # plus the randomized window property test, under -race.
 cep-differential:
 	$(GO) test -race -count=1 -run 'TestCEPDifferential|TestWindowPropertyRandom' ./internal/led
@@ -133,15 +135,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/snoop
 
-# Sharding ablation: concurrent detection throughput, single-lock vs
-# sharded LED (see EXPERIMENTS.md). BENCH_OUT parametrizes the output so
-# ad-hoc runs do not clobber the committed BENCH_PR3.json.
-BENCH_OUT ?= BENCH_PR3.json
-bench-json:
-	$(GO) run ./cmd/ecabench -exp parallel -bench-json $(BENCH_OUT)
-
-# GOMAXPROCS-matrixed ablation + gated micro-benchmarks: regenerates the
-# perf baseline the gate compares against. Run this (on a quiet machine)
+# Gated micro-benchmarks + host calibration: regenerates the perf
+# baseline the gate compares against. Run this (on a quiet machine)
 # when a deliberate perf change moves the needle, and commit the result.
 BENCH7_OUT ?= BENCH_PR7.json
 bench-matrix:

@@ -16,23 +16,28 @@ import (
 	"github.com/activedb/ecaagent/internal/led"
 )
 
-// This file is the ISSUE 7 performance surface: the GOMAXPROCS-matrixed
-// sharding ablation plus a set of gated micro-benchmarks of the signal hot
-// path, written to BENCH_PR7.json (-exp matrix), and the regression gate
-// that compares a fresh run of the gated set against that committed
-// baseline (-exp gate, `make bench-gate`).
+// This file is the gated micro-benchmark set of the signal hot path,
+// written with a host-speed calibration to BENCH_PR7.json (-exp matrix),
+// and the regression gate that compares a fresh run of the gated set
+// against that committed baseline (-exp gate, `make bench-gate`).
 //
 // The gate's sharp edge is allocs/op: it is machine-independent and must
 // never increase. ns/op is gated with a threshold generous enough to
 // absorb host variance (10% locally, 25% in CI), so it catches collapses,
 // not jitter.
 
-// gateBaselinePath / gateThreshold back the -gate-baseline and
-// -gate-threshold flags (main.go).
+// benchJSONPath / gateBaselinePath / gateThreshold back the -bench-json,
+// -gate-baseline and -gate-threshold flags (main.go).
 var (
+	benchJSONPath    string
 	gateBaselinePath string
 	gateThreshold    float64
 )
+
+// gatedReps is the repetitions per gated benchmark; each reports its best
+// run. Single runs on a busy host swing ±30% (scheduler and GC phase
+// noise); best-of-R suppresses the one-sided noise.
+const gatedReps = 3
 
 // gatedMetric is one gated micro-benchmark measurement.
 type gatedMetric struct {
@@ -41,95 +46,38 @@ type gatedMetric struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// matrixLeg is the sharding ablation at one GOMAXPROCS setting.
-type matrixLeg struct {
-	GoMaxProcs int                `json:"go_max_procs"`
-	Results    []parallelResult   `json:"results"`
-	Speedups   map[string]float64 `json:"speedups"`
-}
-
-// bench7Report is the BENCH_PR7.json document.
+// bench7Report is the BENCH_PR7.json document. The committed baseline
+// carries keys this type does not have; json.Unmarshal ignores them.
 type bench7Report struct {
-	Bench         string                 `json:"bench"`
-	GoVersion     string                 `json:"go_version"`
-	NumCPU        int                    `json:"num_cpu"`
-	Reps          int                    `json:"reps"`
-	SignalsPerSet int                    `json:"signals_per_set"`
-	Matrix        []matrixLeg            `json:"matrix"`
-	Gated         map[string]gatedMetric `json:"gated"`
+	Bench     string                 `json:"bench"`
+	GoVersion string                 `json:"go_version"`
+	NumCPU    int                    `json:"num_cpu"`
+	Reps      int                    `json:"reps"`
+	Gated     map[string]gatedMetric `json:"gated"`
 	// CalibrationNs is the host-speed probe (calibrate) measured alongside
 	// the gated set. The gate re-measures it and scales the baseline's
 	// ns/op by the ratio, so systematic host drift — a slower CI runner, a
 	// noisy neighbor — cancels out of the comparison instead of tripping
 	// the threshold. allocs/op needs no such normalization.
 	CalibrationNs float64 `json:"calibration_ns"`
-	// ShardParitySets8 pins the sets=8 sharded/single-lock ratio (best of
-	// parallelReps) that BENCH_PR3.json once recorded as a regression; the
-	// gate holds it above shardParityFloor.
-	ShardParitySets8 float64 `json:"shard_parity_sets8"`
-	Note             string  `json:"note"`
+	Note          string  `json:"note"`
 }
 
-// shardParityFloor is the minimum acceptable sets=8 sharded/single-lock
-// throughput ratio. Best-of-reps parity on one core sits at ~1.0 (the
-// single-run 0.98 in BENCH_PR3.json was sampling noise); 0.80 leaves room
-// for host variance while still catching a real sharding regression.
-const shardParityFloor = 0.80
-
-// matrixProcs returns the GOMAXPROCS legs to measure: 1, 2, 4 and the
-// host's core count, deduplicated, capped at NumCPU (legs above the core
-// count measure scheduler thrash, not parallelism).
-func matrixProcs() []int {
-	seen := map[int]bool{}
-	var procs []int
-	for _, p := range []int{1, 2, 4, runtime.NumCPU()} {
-		if p > runtime.NumCPU() || seen[p] {
-			continue
-		}
-		seen[p] = true
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	return procs
-}
-
-// expMatrix measures the sharding ablation at every GOMAXPROCS leg plus
-// the gated micro-benchmark set, and writes BENCH_PR7.json when
-// -bench-json is given.
+// expMatrix measures the gated micro-benchmark set and the host
+// calibration, and writes BENCH_PR7.json when -bench-json is given.
 func expMatrix(w io.Writer) error {
-	const perSet = 30000
 	report := bench7Report{
-		Bench:         "zero-allocation signal hot path + GOMAXPROCS-matrixed sharding ablation",
-		GoVersion:     runtime.Version(),
-		NumCPU:        runtime.NumCPU(),
-		Reps:          parallelReps,
-		SignalsPerSet: perSet,
-		Note: "each matrix cell is the best of reps runs; gated metrics feed `make bench-gate` " +
+		Bench:     "zero-allocation signal hot path",
+		GoVersion: runtime.Version(),
+		NumCPU:    runtime.NumCPU(),
+		Reps:      gatedReps,
+		Note: "gated metrics feed `make bench-gate` " +
 			"(allocs/op must never increase, ns/op within threshold)",
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range matrixProcs() {
-		runtime.GOMAXPROCS(procs)
-		fmt.Fprintf(w, "--- GOMAXPROCS=%d ---\n", procs)
-		results, speedups, err := runParallelSweep(w, perSet, parallelReps)
-		if err != nil {
-			return err
-		}
-		report.Matrix = append(report.Matrix, matrixLeg{
-			GoMaxProcs: procs, Results: results, Speedups: speedups,
-		})
-		if procs == 1 {
-			report.ShardParitySets8 = speedups["sets=8"]
-		}
-	}
-	if report.ShardParitySets8 == 0 && len(report.Matrix) > 0 {
-		report.ShardParitySets8 = report.Matrix[0].Speedups["sets=8"]
 	}
 	fmt.Fprintf(w, "--- gated micro-benchmarks ---\n")
 	report.Gated = runGatedBenchmarks(w)
 	report.CalibrationNs = calibrate()
 	fmt.Fprintf(w, "calibration: %.0f ns\n", report.CalibrationNs)
-	fmt.Fprintf(w, "shard parity sets=8: %.2fx (floor %.2f)\n", report.ShardParitySets8, shardParityFloor)
 	if benchJSONPath != "" {
 		doc, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -155,7 +103,7 @@ var gatedBenchNames = []string{
 
 // runGatedBenchmarks measures the gated micro-benchmark set with the
 // testing harness (calibrated iteration counts, allocation accounting)
-// and prints one row per benchmark. Each benchmark runs parallelReps
+// and prints one row per benchmark. Each benchmark runs gatedReps
 // times and reports its fastest ns/op — scheduler and GC noise on a
 // loaded host is strictly one-sided, so min-of-R is the stable estimator
 // the thresholded gate needs (the same methodology produces the committed
@@ -168,7 +116,7 @@ func runGatedBenchmarks(w io.Writer) map[string]gatedMetric {
 			panic("ecabench: no body for gated benchmark " + name)
 		}
 		var m gatedMetric
-		for rep := 0; rep < parallelReps; rep++ {
+		for rep := 0; rep < gatedReps; rep++ {
 			res := testing.Benchmark(fn)
 			ns := float64(res.T.Nanoseconds()) / float64(res.N)
 			if rep == 0 || ns < m.NsPerOp {
@@ -303,11 +251,10 @@ func textBatch(n int) []byte {
 	return out
 }
 
-// expGate is the perf-regression gate: re-measure the gated set and the
-// sets=8 shard parity, then compare against the committed BENCH_PR7.json
-// baseline. Any allocs/op increase, an ns/op slowdown beyond the
-// threshold, or parity under the floor fails the run (and with it `make
-// check`).
+// expGate is the perf-regression gate: re-measure the gated set, then
+// compare against the committed BENCH_PR7.json baseline. Any allocs/op
+// increase or an ns/op slowdown beyond the threshold fails the run (and
+// with it `make check`).
 func expGate(w io.Writer) error {
 	raw, err := os.ReadFile(gateBaselinePath)
 	if err != nil {
@@ -335,11 +282,6 @@ func expGate(w io.Writer) error {
 		fmt.Fprintf(w, "calibration: %.0f ns vs baseline %.0f ns (host speed scale %.2fx)\n",
 			cal, baseline.CalibrationNs, scale)
 	}
-	parity, err := measureShardParity()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "shard parity sets=8: %.2fx (floor %.2f)\n", parity, shardParityFloor)
 	violations := compareGate(baseline.Gated, fresh, gateThreshold, scale)
 	// Benchmark noise on a loaded host is one-sided (a measurement only
 	// ever comes out slower than the code's true cost), so an apparent
@@ -352,10 +294,6 @@ func expGate(w io.Writer) error {
 			len(violations), attempt+1, gateRetries)
 		fresh = remeasureViolating(w, violations, fresh)
 		violations = compareGate(baseline.Gated, fresh, gateThreshold, scale)
-	}
-	if parity < shardParityFloor {
-		violations = append(violations, fmt.Sprintf(
-			"shard parity sets=8: %.2fx below floor %.2fx", parity, shardParityFloor))
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -403,20 +341,6 @@ func remeasureViolating(w io.Writer, violations []string, fresh map[string]gated
 			name, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp)
 	}
 	return fresh
-}
-
-// measureShardParity reruns just the sets=8 pair (best of parallelReps).
-func measureShardParity() (float64, error) {
-	const perSet = 30000
-	single, err := runParallelBest("single-lock", led.Options{MaxShards: 1}, 8, perSet, parallelReps)
-	if err != nil {
-		return 0, err
-	}
-	sharded, err := runParallelBest("sharded", led.Options{}, 8, perSet, parallelReps)
-	if err != nil {
-		return 0, err
-	}
-	return sharded.PerSec / single.PerSec, nil
 }
 
 // compareGate is the pure comparator behind the gate: for every baseline

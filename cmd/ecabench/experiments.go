@@ -36,8 +36,7 @@ var experiments = map[string]struct {
 	"contexts":    {title: "LED detection cost per parameter context", fn: expContexts},
 	"recovery":    {title: "agent restart time vs persisted rule count", fn: expRecovery},
 	"fanout":      {title: "k triggers on one event (native limit lifted)", fn: expFanout},
-	"parallel":    {title: "sharded vs single-lock LED under concurrent independent rule sets", fn: expParallel},
-	"matrix":      {title: "GOMAXPROCS-matrixed sharding ablation + gated hot-path micro-benchmarks (BENCH_PR7.json)", fn: expMatrix, manual: true},
+	"matrix":      {title: "gated hot-path micro-benchmarks + host calibration (BENCH_PR7.json)", fn: expMatrix, manual: true},
 	"gate":        {title: "perf-regression gate: fresh gated metrics vs committed BENCH_PR7.json", fn: expGate, manual: true},
 	"syncship":    {title: "sync-ship overhead: per-record durable-ack barrier vs fire-and-forget (BENCH_PR9.json)", fn: expSyncShip, manual: true},
 }

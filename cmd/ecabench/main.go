@@ -23,7 +23,7 @@ func main() {
 	all := flag.Bool("all", false, "regenerate every figure")
 	exp := flag.String("exp", "", "experiment to run: "+strings.Join(experimentIDs(), ", ")+", or all")
 	flag.StringVar(&benchJSONPath, "bench-json", "",
-		"write the parallel/matrix experiment's results as JSON to this path")
+		"write the matrix/syncship experiment's results as JSON to this path")
 	flag.StringVar(&gateBaselinePath, "gate-baseline", "BENCH_PR7.json",
 		"baseline JSON the gate experiment compares fresh measurements against")
 	flag.Float64Var(&gateThreshold, "gate-threshold", 0.10,

@@ -1,8 +1,8 @@
 // Package nowallclock forbids wall-clock reads in the deterministic core.
 //
 // The invariant: every package whose behavior must be reproducible under
-// replay — the LED (snapshot/restore and the shard-equivalence
-// differential suite), the Snoop machinery, and the agent's
+// replay — the LED (snapshot/restore and the golden operator-stream
+// suite), the Snoop machinery, and the agent's
 // recovery/replay path (the crash-differential suite) — routes all time
 // through the Clock seam (led.Clock). A raw time.Now() there produces
 // occurrences, action keys or metrics that differ between a live run and

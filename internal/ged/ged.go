@@ -28,8 +28,8 @@ func globalName(event, site string) string { return event + "::" + site }
 type GED struct {
 	// mu guards sites and autoRegister. Signal takes it shared: the fan-in
 	// path from many forwarding sites only reads the registry once its
-	// site and event are known, so concurrent sites contend on the global
-	// LED's shard locks, not on a single GED mutex.
+	// site and event are known, so concurrent sites serialize only on the
+	// global LED's detector lock, not on the GED registry as well.
 	mu    sync.RWMutex
 	led   *led.LED
 	sites map[string]bool // guarded by mu

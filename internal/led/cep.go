@@ -74,7 +74,7 @@ func boundaryAfter(t time.Time, slide time.Duration) time.Time {
 }
 
 // onWindowChild buffers a child occurrence and lazily arms the next
-// boundary. Runs with the owning shard's lock held.
+// boundary. Runs with the detector lock held.
 func (n *node) onWindowChild(ctx Context, st *opState, occ *Occ) {
 	st.ring = append(st.ring, occ)
 	if st.nextBound.IsZero() {

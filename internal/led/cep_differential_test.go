@@ -1,9 +1,8 @@
 package led_test
 
 // The CEP oracle-differential suite (ISSUE 8): every windowed/aggregate/
-// interval operator, under all four parameter contexts, all three coupling
-// modes, and both shard topologies (MaxShards:1 — the historical
-// single-lock detector — and fully sharded), is driven through the same
+// interval operator, under all four parameter contexts and all three
+// coupling modes, is driven through the production LED on the same
 // ManualClock event script as the deliberately naive reference interpreter
 // in internal/led/oracle, which recomputes every window from the full
 // occurrence history. The observable occurrence streams — event name,
@@ -214,9 +213,9 @@ func cepExprFor(c cepCase, pfx string) string {
 	return fmt.Sprintf(c.expr, pfx+"e1", pfx+"e2", pfx+"e3", pfx+"e4")
 }
 
-// runCepScript drives the production detectors and the oracle through the
+// runCepScript drives the production detector and the oracle through the
 // script in lockstep on the shared clock.
-func runCepScript(c cepCase, clock *led.ManualClock, orc *oracle.Oracle, leds ...*led.LED) {
+func runCepScript(c cepCase, clock *led.ManualClock, orc *oracle.Oracle, l *led.LED) {
 	vno := 0
 	for _, st := range c.script {
 		switch st.kind {
@@ -232,9 +231,7 @@ func runCepScript(c cepCase, clock *led.ManualClock, orc *oracle.Oracle, leds ..
 					Event: fmt.Sprintf("c%d_%s", k, st.event),
 					Table: st.event + "_tbl", Op: "insert", VNo: vno, At: at,
 				}
-				for _, l := range leds {
-					l.Signal(p)
-				}
+				l.Signal(p)
 				if orc != nil {
 					orc.Signal(p)
 				}
@@ -249,9 +246,8 @@ func runCepScript(c cepCase, clock *led.ManualClock, orc *oracle.Oracle, leds ..
 }
 
 // TestCEPDifferential is the oracle-differential acceptance gate: for
-// every CEP operator × context × coupling, both the single-shard and the
-// fully sharded production LED must produce exactly the oracle's
-// occurrence streams.
+// every CEP operator × context × coupling, the production LED must produce
+// exactly the oracle's occurrence streams.
 func TestCEPDifferential(t *testing.T) {
 	contexts := []led.Context{led.Recent, led.Chronicle, led.Continuous, led.Cumulative}
 	couplings := []led.Coupling{led.Immediate, led.Deferred, led.Detached}
@@ -260,53 +256,33 @@ func TestCEPDifferential(t *testing.T) {
 			for _, coupling := range couplings {
 				t.Run(fmt.Sprintf("%s/%s/%s", c.name, ctx, coupling), func(t *testing.T) {
 					clock := led.NewManualClock(cepT0)
-					single := led.NewWithOptions(clock, led.Options{MaxShards: 1})
-					sharded := led.New(clock)
+					l := led.New(clock)
 					orc := oracle.New()
 
-					singleRec := &cepRecorder{byKey: make(map[string][]string)}
-					shardedRec := &cepRecorder{byKey: make(map[string][]string)}
+					rec := &cepRecorder{byKey: make(map[string][]string)}
 					orcRec := &cepRecorder{byKey: make(map[string][]string)}
-					buildCepLED(t, single, c, ctx, coupling, singleRec)
-					buildCepLED(t, sharded, c, ctx, coupling, shardedRec)
+					buildCepLED(t, l, c, ctx, coupling, rec)
 					buildCepOracle(t, orc, c, ctx, orcRec)
 
-					if got := single.ShardCount(); got != 1 {
-						t.Fatalf("single-shard LED has %d shards, want 1", got)
-					}
-					compShards := make(map[int]bool)
-					for k := 0; k < cepCopies; k++ {
-						compShards[sharded.ShardID(fmt.Sprintf("c%d_comp", k))] = true
-					}
-					if len(compShards) != cepCopies {
-						t.Fatalf("composites share shards: %d distinct, want %d", len(compShards), cepCopies)
-					}
-
-					runCepScript(c, clock, orc, single, sharded)
+					runCepScript(c, clock, orc, l)
 					if coupling == led.Deferred {
-						single.FlushDeferred()
-						sharded.FlushDeferred()
+						l.FlushDeferred()
 					}
-					single.Wait()
-					sharded.Wait()
+					l.Wait()
 
 					for k := 0; k < cepCopies; k++ {
 						key := fmt.Sprintf("c%d_", k)
-						want := append([]string(nil), orcRec.byKey[key]...)
-						for side, rec := range map[string]*cepRecorder{"single-shard": singleRec, "sharded": shardedRec} {
-							got := append([]string(nil), rec.byKey[key]...)
-							w := want
-							if coupling == led.Detached {
-								// Detached execution order is unspecified;
-								// compare as multisets.
-								w = append([]string(nil), want...)
-								sort.Strings(w)
-								sort.Strings(got)
-							}
-							if strings.Join(w, "\n") != strings.Join(got, "\n") {
-								t.Errorf("copy %s: %s diverges from oracle\noracle:\n  %s\n%s:\n  %s",
-									key, side, strings.Join(w, "\n  "), side, strings.Join(got, "\n  "))
-							}
+						want := orcRec.byKey[key]
+						got := rec.byKey[key]
+						if coupling == led.Detached {
+							// Detached execution order is unspecified;
+							// compare as multisets.
+							sort.Strings(want)
+							sort.Strings(got)
+						}
+						if strings.Join(want, "\n") != strings.Join(got, "\n") {
+							t.Errorf("copy %s: LED diverges from oracle\noracle:\n  %s\nLED:\n  %s",
+								key, strings.Join(want, "\n  "), strings.Join(got, "\n  "))
 						}
 					}
 				})

@@ -13,11 +13,11 @@ import (
 // event. Useful for debugging rule bases; `ecasql` users can dump it via
 // the agent's LED accessor.
 func (l *LED) Dot() string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 
-	names := make([]string, 0, len(l.eventShard))
-	for n := range l.eventShard {
+	names := make([]string, 0, len(l.nodes))
+	for n := range l.nodes {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -26,7 +26,7 @@ func (l *LED) Dot() string {
 	b.WriteString("digraph eventgraph {\n")
 	b.WriteString("  rankdir=BT;\n")
 	for _, name := range names {
-		n := l.eventShard[name].nodes[name]
+		n := l.nodes[name]
 		if n.kind == kPrimitive {
 			fmt.Fprintf(&b, "  %s [shape=box, label=%s];\n", dotID(name), dotQ(name))
 			continue
@@ -42,13 +42,13 @@ func (l *LED) Dot() string {
 			}
 		}
 	}
-	ruleNames := make([]string, 0, len(l.ruleShard))
-	for rn := range l.ruleShard {
+	ruleNames := make([]string, 0, len(l.rules))
+	for rn := range l.rules {
 		ruleNames = append(ruleNames, rn)
 	}
 	sort.Strings(ruleNames)
 	for _, rn := range ruleNames {
-		r := l.ruleShard[rn].rules[rn]
+		r := l.rules[rn]
 		id := dotID("rule_" + rn)
 		label := fmt.Sprintf("%s\\n[%s, %s, prio %d]", rn, r.Coupling, r.Context, r.Priority)
 		fmt.Fprintf(&b, "  %s [shape=note, label=%s];\n", id, dotQ(label))

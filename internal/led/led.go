@@ -6,13 +6,9 @@
 // attached to events run with IMMEDIATE, DEFERRED or DETACHED coupling and
 // priority ordering.
 //
-// Detection is sharded by connected component of the event graph: rules and
-// composites that share no event are provably independent, so each
-// component lives in its own shard with its own lock and independent rule
-// sets detect in parallel. Signal routes through a read-locked event→shard
-// index; DefineComposite merges the components it connects and DropEvent
-// splits any component a drop disconnects (see DESIGN.md, "Sharded
-// detection").
+// The whole graph sits behind one lock: the agent signals the detector from
+// one serial ingest path, so finer locking would have nothing to run in
+// parallel (see DESIGN.md, "Local event detection: one lock").
 package led
 
 import (
@@ -219,46 +215,31 @@ type firing struct {
 	seq  uint64
 }
 
-// Options tunes a LED.
-type Options struct {
-	// MaxShards caps the number of event-graph shards. 0 means one shard
-	// per connected component (the default); 1 reproduces the historical
-	// single-lock detector — every event in one shard behind one mutex —
-	// which the differential equivalence suite uses as its oracle.
-	MaxShards int
-	// DetachedWorkers caps the goroutines running DETACHED rule actions
-	// (0 selects 4×GOMAXPROCS). Detached firings beyond the cap queue and
-	// run as workers free up instead of each spawning a goroutine.
-	DetachedWorkers int
-}
-
 // LED is the local event detector. All exported methods are safe for
 // concurrent use.
 //
-// Lock order: mu (topology: shard set, event→shard and rule→shard indexes,
-// every node's shard pointer) before any shard.mu, before defMu. Signal and
-// timer dispatch hold mu for read only, so independent shards detect
-// concurrently; definition and drop operations hold mu for write, which
-// excludes all detection and makes rebalancing safe without touching shard
-// locks.
+// Lock order: mu before outMu. timMu and the detached pool's lock are
+// leaves. mu is the detector lock: every graph propagation (Signal, timer
+// dispatch), definition change, deferred flush and checkpoint holds it, so
+// each sees the graph, its operator state and the queued firings as one
+// consistent cut. Rule actions always run after it is released.
 type LED struct {
-	mu    sync.RWMutex
 	clock Clock
 
-	shards     map[int]*shard
-	eventShard map[string]*shard // event name → owning shard
-	ruleShard  map[string]*shard // rule name → owning shard
-	nextShard  int
-	maxShards  int
+	mu    sync.Mutex
+	nodes map[string]*node // guarded by mu
+	rules map[string]*Rule // guarded by mu
+	// refs counts how many composites reference each named event, so drops
+	// are refused while dependents exist.
+	refs map[string]int // guarded by mu
+	// pending accumulates rule firings during one graph propagation.
+	pending []firing // guarded by mu
+	// deferred queues DEFERRED firings, in detection order, until
+	// FlushDeferred.
+	deferred []firing // guarded by mu
 
-	// defMu guards the global deferred queue. Deferred firings from every
-	// shard funnel here so FlushDeferred preserves the pre-shard priority
-	// ordering across independent rule sets.
-	defMu    sync.Mutex
-	deferred []firing
-
-	// pool bounds DETACHED rule concurrency (it also owns the WaitGroup
-	// behind Wait).
+	// pool bounds DETACHED rule concurrency at 4×GOMAXPROCS workers (it
+	// also owns the WaitGroup behind Wait).
 	pool detachedPool
 
 	// timMu guards the logical timer registry (timers.go). Leaf lock:
@@ -273,7 +254,7 @@ type LED struct {
 
 	// outMu guards the outstanding-firing set (snapshot.go): firings
 	// detected but not yet durably handed off to their rule actions.
-	// Acquired after mu/defMu, never before them.
+	// Acquired after mu, never before it.
 	outMu       sync.Mutex
 	outstanding map[uint64]firing
 	outSeq      uint64
@@ -284,27 +265,18 @@ type LED struct {
 	met metAtomic
 }
 
-// New returns a LED with default options. A nil clock selects the
-// real-time clock.
-func New(clock Clock) *LED { return NewWithOptions(clock, Options{}) }
-
-// NewWithOptions returns a LED with explicit sharding and pool options.
-func NewWithOptions(clock Clock, opt Options) *LED {
+// New returns a LED. A nil clock selects the real-time clock.
+func New(clock Clock) *LED {
 	if clock == nil {
 		clock = realClock{}
 	}
-	workers := opt.DetachedWorkers
-	if workers <= 0 {
-		workers = 4 * runtime.GOMAXPROCS(0)
-	}
 	l := &LED{
-		clock:      clock,
-		shards:     make(map[int]*shard),
-		eventShard: make(map[string]*shard),
-		ruleShard:  make(map[string]*shard),
-		maxShards:  opt.MaxShards,
+		clock: clock,
+		nodes: make(map[string]*node),
+		rules: make(map[string]*Rule),
+		refs:  make(map[string]int),
 	}
-	l.pool.maxWorkers = workers
+	l.pool.maxWorkers = 4 * runtime.GOMAXPROCS(0)
 	l.pool.run = func(f firing) {
 		l.runRule(f)
 		l.clearFired(f.seq)
@@ -312,98 +284,53 @@ func NewWithOptions(clock Clock, opt Options) *LED {
 	return l
 }
 
-// DefinePrimitive registers a primitive event name. A fresh primitive is
-// its own connected component, so it opens a new shard (unless MaxShards
-// forces placement into an existing one).
+// DefinePrimitive registers a primitive event name.
 func (l *LED) DefinePrimitive(name string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.eventShard[name]; ok {
+	if _, ok := l.nodes[name]; ok {
 		return fmt.Errorf("led: event %q already defined", name)
 	}
-	sh := l.placeShard()
-	sh.nodes[name] = &node{led: l, sh: sh, name: name, kind: kPrimitive}
-	l.eventShard[name] = sh
+	l.nodes[name] = &node{led: l, name: name, kind: kPrimitive}
 	return nil
 }
 
 // DefineComposite registers a named composite event over a Snoop
 // expression. Every event referenced by the expression must already be
 // defined (primitive or composite), enabling the event reuse the paper
-// lists as contribution 2. The components of the referenced events are
-// merged into one shard — they are no longer independent — and the
-// composite's graph is built there.
+// lists as contribution 2.
 func (l *LED) DefineComposite(name string, expr snoop.Expr) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.eventShard[name]; ok {
+	if _, ok := l.nodes[name]; ok {
 		return fmt.Errorf("led: event %q already defined", name)
 	}
-	refs := snoop.EventNames(expr)
-	// Validate before merging so a failed define never changes topology.
-	for _, ref := range refs {
-		if _, ok := l.eventShard[ref]; !ok {
-			return fmt.Errorf("led: event %q is not defined", ref)
-		}
-	}
-	if err := validateExpr(expr); err != nil {
-		return err
-	}
-	sh := l.mergeFor(refs)
-	n, err := sh.build(expr)
+	n, err := l.buildLocked(expr)
 	if err != nil {
 		return err
 	}
 	n.name = name
-	sh.nodes[name] = n
-	l.eventShard[name] = sh
-	for _, ref := range refs {
-		sh.refs[ref]++
+	l.nodes[name] = n
+	for _, ref := range snoop.EventNames(expr) {
+		l.refs[ref]++
 	}
 	return nil
 }
 
-// validateExpr rejects expressions build would refuse, without building.
-func validateExpr(expr snoop.Expr) error {
-	var err error
-	snoop.Walk(expr, func(e snoop.Expr) {
-		if err != nil {
-			return
-		}
-		switch x := e.(type) {
-		case *snoop.Periodic:
-			if x.Period <= 0 {
-				err = fmt.Errorf("led: periodic event needs a positive period")
-			}
-		case *snoop.Plus:
-			if x.Delta < 0 {
-				err = fmt.Errorf("led: PLUS needs a non-negative delay")
-			}
-		case *snoop.Window:
-			err = validateWindow(x.Size, x.Slide)
-		case *snoop.Agg:
-			err = validateAgg(x)
-		case *snoop.Interval:
-			_, err = intervalKind(x.Rel)
-		}
-	})
-	return err
-}
-
 // HasEvent reports whether an event name is defined.
 func (l *LED) HasEvent(name string) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	_, ok := l.eventShard[name]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, ok := l.nodes[name]
 	return ok
 }
 
 // EventNames lists defined events in sorted order.
 func (l *LED) EventNames() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]string, 0, len(l.eventShard))
-	for n := range l.eventShard {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]string, 0, len(l.nodes))
+	for n := range l.nodes {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -411,45 +338,52 @@ func (l *LED) EventNames() []string {
 }
 
 // DropEvent removes a named event. It fails while other composites
-// reference it or rules are attached to it. Dropping a composite can
-// disconnect the component it held together; the shard is then split so
-// the now-independent rule sets stop sharing a lock.
+// reference it or rules are attached to it.
 func (l *LED) DropEvent(name string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	sh, ok := l.eventShard[name]
+	n, ok := l.nodes[name]
 	if !ok {
 		return fmt.Errorf("led: event %q not defined", name)
 	}
-	if sh.refs[name] > 0 {
+	if l.refs[name] > 0 {
 		return fmt.Errorf("led: event %q is referenced by other events", name)
 	}
-	for _, r := range sh.rules {
+	for _, r := range l.rules {
 		if r.Event == name {
 			return fmt.Errorf("led: event %q has rule %q attached", name, r.Name)
 		}
 	}
-	n := sh.nodes[name]
 	n.shutdown()
-	// Unsubscribe the dropped graph from its surviving constituents:
-	// without this, a later split would leave cross-shard subscriptions
-	// into the dropped composite's orphaned operator state.
+	// Unsubscribe the dropped graph from its surviving constituents, which
+	// would otherwise keep feeding the dropped composite's orphaned
+	// operator state.
 	dropped := make(map[*node]bool)
 	forEachOwnedNode(n, func(m *node) { dropped[m] = true })
-	for _, root := range sh.nodes {
+	for _, root := range l.nodes {
 		forEachOwnedNode(root, func(m *node) { m.pruneSubs(dropped) })
 	}
-	delete(sh.nodes, name)
-	delete(l.eventShard, name)
+	delete(l.nodes, name)
 	if n.expr != nil {
 		for _, ref := range snoop.EventNames(n.expr) {
-			if sh.refs[ref]--; sh.refs[ref] <= 0 {
-				delete(sh.refs, ref)
+			if l.refs[ref]--; l.refs[ref] <= 0 {
+				delete(l.refs, ref)
 			}
 		}
 	}
-	l.resplit(sh)
 	return nil
+}
+
+// forEachOwnedNode visits a named root and the anonymous operator nodes it
+// owns (recursion stops at named children — those belong to their own
+// registration).
+func forEachOwnedNode(root *node, fn func(*node)) {
+	fn(root)
+	for _, c := range root.children {
+		if c.name == "" {
+			forEachOwnedNode(c, fn)
+		}
+	}
 }
 
 // Rule is an ECA rule: when Event is detected in Context, and Condition
@@ -469,50 +403,42 @@ type Rule struct {
 
 // AddRule attaches a rule, activating detection of its event in its
 // context. Multiple rules on the same event are supported (lifting the
-// native one-trigger-per-operation restriction of §2.2). The rule lives in
-// its event's shard; it references no other event, so no components merge.
+// native one-trigger-per-operation restriction of §2.2).
 func (l *LED) AddRule(r *Rule) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if r.Name == "" || r.Action == nil {
 		return fmt.Errorf("led: rule needs a name and an action")
 	}
-	if _, ok := l.ruleShard[r.Name]; ok {
+	if _, ok := l.rules[r.Name]; ok {
 		return fmt.Errorf("led: rule %q already defined", r.Name)
 	}
-	sh, ok := l.eventShard[r.Event]
+	n, ok := l.nodes[r.Event]
 	if !ok {
 		return fmt.Errorf("led: rule %q references undefined event %q", r.Name, r.Event)
 	}
-	n := sh.nodes[r.Event]
-	sh.rules[r.Name] = r
-	l.ruleShard[r.Name] = sh
+	l.rules[r.Name] = r
 	n.activate(r.Context)
 	n.subscribeRule(r, func(occ *Occ) {
 		if r.disabled {
 			return
 		}
-		// n.sh, not a captured shard: rebalancing moves the node (and the
-		// propagation that reaches this closure) to its current shard.
-		n.sh.pending = append(n.sh.pending, firing{rule: r, occ: occ})
+		l.pending = append(l.pending, firing{rule: r, occ: occ})
 	})
 	return nil
 }
 
-// DropRule detaches a rule. Components are keyed by composite references,
-// not rules, so no split can result.
+// DropRule detaches a rule.
 func (l *LED) DropRule(name string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	sh, ok := l.ruleShard[name]
+	r, ok := l.rules[name]
 	if !ok {
 		return fmt.Errorf("led: rule %q not defined", name)
 	}
-	r := sh.rules[name]
 	r.disabled = true
-	delete(sh.rules, name)
-	delete(l.ruleShard, name)
-	if n, ok := sh.nodes[r.Event]; ok {
+	delete(l.rules, name)
+	if n, ok := l.nodes[r.Event]; ok {
 		n.unsubscribeRule(r)
 	}
 	return nil
@@ -520,10 +446,10 @@ func (l *LED) DropRule(name string) error {
 
 // RuleNames lists attached rules in sorted order.
 func (l *LED) RuleNames() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]string, 0, len(l.ruleShard))
-	for n := range l.ruleShard {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]string, 0, len(l.rules))
+	for n := range l.rules {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -532,10 +458,7 @@ func (l *LED) RuleNames() []string {
 
 // Signal injects a primitive event occurrence (called by the agent's Event
 // Notifier when a server notification arrives). Unknown events are
-// ignored, matching the notifier's tolerance of stray datagrams. The
-// event→shard index is consulted under a read lock, so signals into
-// independent components propagate concurrently; only signals into the
-// same component serialize on that shard's lock.
+// ignored, matching the notifier's tolerance of stray datagrams.
 func (l *LED) Signal(p Primitive) {
 	if p.At.IsZero() {
 		p.At = l.clock.Now()
@@ -546,77 +469,49 @@ func (l *LED) Signal(p Primitive) {
 		start := l.clock.Now()
 		defer func() { m.detectSec.Observe(l.clock.Now().Sub(start).Seconds()) }()
 	}
-	l.mu.RLock()
-	sh, ok := l.eventShard[p.Event]
-	if !ok {
-		l.mu.RUnlock()
-		return
-	}
-	scr := l.firings.get()
-	fired := sh.collect(scr, func() {
-		n := sh.nodes[p.Event]
-		if n == nil || n.kind != kPrimitive {
-			return
-		}
+	l.dispatch(func() { l.signalLocked(p) })
+}
+
+// signalLocked delivers p to its primitive node. Caller holds mu.
+func (l *LED) signalLocked(p Primitive) {
+	if n := l.nodes[p.Event]; n != nil && n.kind == kPrimitive {
 		n.emitPrimitive(p)
-	})
-	// Note outstanding firings before releasing the topology lock, so a
-	// checkpoint (which takes it for write) sees node state and pending
-	// firings as one consistent cut.
-	l.noteFired(fired, false)
-	l.mu.RUnlock()
-	l.runFirings(fired)
-	l.firings.put(scr)
-}
-
-// ShardID reports the shard currently owning an event (-1 when the event
-// is not defined); the id is stable between definition changes.
-func (l *LED) ShardID(event string) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if sh, ok := l.eventShard[event]; ok {
-		return sh.id
 	}
-	return -1
 }
 
-// ShardCount reports the number of shards (connected components, modulo
-// the MaxShards cap).
-func (l *LED) ShardCount() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.shards)
-}
-
-// ShardSizes reports the per-shard occupancy (number of named events),
-// largest first — the skew a rebalance aims to keep small.
-func (l *LED) ShardSizes() []int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]int, 0, len(l.shards))
-	for _, sh := range l.shards {
-		out = append(out, len(sh.nodes))
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}
-
-// dispatchNode runs fn in the shard currently owning n (timer callbacks:
-// periodic ticks, PLUS delays, absolute-time events), then executes the
-// rule firings it produced.
-func (l *LED) dispatchNode(n *node, fn func()) {
-	l.mu.RLock()
+// dispatch runs fn — one graph propagation: a signal, or a timer callback
+// (periodic tick, PLUS delay, absolute-time event, window boundary) —
+// under mu, queues the deferred firings it produced, and executes the rest
+// after releasing the lock.
+func (l *LED) dispatch(fn func()) {
 	scr := l.firings.get()
-	fired := n.sh.collect(scr, fn)
+	l.mu.Lock()
+	l.pending = scr.fs[:0]
+	fn()
+	fired := l.pending
+	l.pending = nil
+	// Keep the (possibly regrown) backing array with the scratch so the
+	// pool learns the propagation's working-set size.
+	scr.fs = fired
+	// Stable insertion sort by descending priority; equal priorities keep
+	// detection order (allocation-free, see sortFirings).
+	sortFirings(fired)
+	for _, f := range fired {
+		if f.rule.Coupling == Deferred {
+			l.deferred = append(l.deferred, f)
+		}
+	}
+	// Note outstanding firings before unlocking, so a checkpoint sees node
+	// state and not-yet-executed firings as one consistent cut.
 	l.noteFired(fired, false)
-	l.mu.RUnlock()
+	l.mu.Unlock()
 	l.runFirings(fired)
 	l.firings.put(scr)
 }
 
 // runFirings executes rule firings detection produced: immediate
 // synchronously (already in priority order), detached via the bounded
-// worker pool. Deferred firings were queued by collect.
+// worker pool. Deferred firings were queued by dispatch.
 func (l *LED) runFirings(fired []firing) {
 	for _, f := range fired {
 		switch f.rule.Coupling {
@@ -639,28 +534,21 @@ func (l *LED) runRule(f firing) {
 // FlushDeferred runs all queued deferred rule firings (the agent calls
 // this at transaction boundaries).
 func (l *LED) FlushDeferred() {
-	l.defMu.Lock()
+	l.mu.Lock()
 	queued := l.deferred
 	l.deferred = nil
+	kept := queued[:0]
+	for _, f := range queued {
+		if !f.rule.disabled { // DropRule since the firing was queued
+			kept = append(kept, f)
+		}
+	}
 	// Hand the popped batch to the outstanding set inside the same
 	// critical section as the swap: a checkpoint cut between the swap and
 	// the runs would otherwise see the firings in neither the deferred
 	// queue nor the outstanding set.
-	l.noteFired(queued, true)
-	l.defMu.Unlock()
-	// Filter disabled rules under the topology read lock: DropRule flips
-	// disabled while holding it for write, so reading it outside would
-	// race.
-	l.mu.RLock()
-	kept := queued[:0]
-	for _, f := range queued {
-		if !f.rule.disabled {
-			kept = append(kept, f)
-		} else {
-			l.clearFired(f.seq)
-		}
-	}
-	l.mu.RUnlock()
+	l.noteFired(kept, true)
+	l.mu.Unlock()
 	sortFirings(kept)
 	for _, f := range kept {
 		l.runRule(f)
@@ -670,8 +558,8 @@ func (l *LED) FlushDeferred() {
 
 // DeferredCount reports the number of queued deferred firings.
 func (l *LED) DeferredCount() int {
-	l.defMu.Lock()
-	defer l.defMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return len(l.deferred)
 }
 

@@ -586,6 +586,100 @@ func TestDropEventGuards(t *testing.T) {
 	}
 }
 
+// TestRuleFiresAcrossDefineAndDrop checks a rule keeps firing while a
+// composite over its event is defined and dropped again.
+func TestRuleFiresAcrossDefineAndDrop(t *testing.T) {
+	h := newHarness(t, "a", "b")
+	var fired []int
+	if err := h.led.AddRule(&Rule{
+		Name: "ra", Event: "a", Context: Recent,
+		Action: func(o *Occ) { fired = append(fired, o.Constituents[0].VNo) },
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	h.sig("a") // vno 1
+	defComposite(t, h, "link", "a ; b")
+	h.sig("a") // vno 2, a now feeds link too
+	if err := h.led.DropEvent("link"); err != nil {
+		t.Fatal(err)
+	}
+	h.sig("a") // vno 3, link gone
+
+	if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 3 {
+		t.Fatalf("rule firings across define/drop = %v, want [1 2 3]", fired)
+	}
+}
+
+// TestCompositeStateSurvivesDefineAndDrop checks a half-detected AND keeps
+// its partial state while another composite over its constituents is
+// defined, and again after that composite is dropped.
+func TestCompositeStateSurvivesDefineAndDrop(t *testing.T) {
+	h := newHarness(t, "a", "b", "x", "y")
+	defComposite(t, h, "ab", "a ^ b")
+	var got []*Occ
+	if err := h.led.AddRule(&Rule{
+		Name: "r", Event: "ab", Context: Chronicle,
+		Action: func(o *Occ) { got = append(got, o) },
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	h.sig("a") // initiate: AND holds state
+	defComposite(t, h, "bridge", "(a ; x) | y")
+	h.sig("b") // terminate after the define
+	if len(got) != 1 {
+		t.Fatalf("AND fired %d times across define, want 1", len(got))
+	}
+	if len(got[0].Constituents) != 2 {
+		t.Fatalf("constituents = %d, want 2", len(got[0].Constituents))
+	}
+
+	if err := h.led.DropEvent("bridge"); err != nil {
+		t.Fatal(err)
+	}
+	h.sig("a")
+	h.sig("b")
+	if len(got) != 2 {
+		t.Fatalf("AND fired %d times after drop, want 2", len(got))
+	}
+}
+
+// TestDeferredPriorityAcrossRuleSets checks FlushDeferred runs deferred
+// firings of unrelated rules highest priority first, not in signal order.
+func TestDeferredPriorityAcrossRuleSets(t *testing.T) {
+	l := New(NewManualClock(t0))
+	var order []string
+	mk := func(ev string, prio int) {
+		if err := l.DefinePrimitive(ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AddRule(&Rule{
+			Name: "r_" + ev, Event: ev, Context: Recent,
+			Coupling: Deferred, Priority: prio,
+			Action: func(o *Occ) { order = append(order, ev) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mk("low", 1)
+	mk("high", 9)
+	mk("mid", 5)
+	at := t0
+	for i, ev := range []string{"low", "high", "mid"} {
+		at = at.Add(time.Second)
+		l.Signal(Primitive{Event: ev, Table: "t", Op: "insert", VNo: i + 1, At: at})
+	}
+	if len(order) != 0 {
+		t.Fatalf("deferred rules ran before flush: %v", order)
+	}
+	l.FlushDeferred()
+	want := []string{"high", "mid", "low"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("deferred order = %v, want %v", order, want)
+	}
+}
+
 func TestDefinitionErrors(t *testing.T) {
 	h := newHarness(t, "e1")
 	if err := h.led.DefinePrimitive("e1"); err == nil {

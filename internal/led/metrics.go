@@ -50,18 +50,6 @@ func (l *LED) EnableMetrics(reg *obs.Registry) {
 	for k, name := range opName {
 		m.opOccs[k] = occs.With(name)
 	}
-	reg.GaugeFunc("eca_led_shards",
-		"Event-graph shards currently detecting (independent components, modulo MaxShards).",
-		func() float64 { return float64(l.ShardCount()) })
-	reg.GaugeFunc("eca_led_shard_events_max",
-		"Named events in the most occupied shard (occupancy skew indicator).",
-		func() float64 {
-			sizes := l.ShardSizes()
-			if len(sizes) == 0 {
-				return 0
-			}
-			return float64(sizes[0])
-		})
 	reg.GaugeFunc("eca_led_detached_queue_depth",
 		"DETACHED rule firings queued for the bounded worker pool.",
 		func() float64 { q, _, _ := l.DetachedStats(); return float64(q) })

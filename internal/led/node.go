@@ -40,13 +40,9 @@ type sub struct {
 }
 
 // node is one vertex of the event graph. All node methods run with the
-// owning shard's lock held (detection) or the LED topology lock held for
-// write (definition, rebalancing).
+// LED's mu held.
 type node struct {
-	led *LED // immutable: clock, metrics, timer dispatch entry
-	// sh is the shard currently owning this node; rebalancing rewrites it
-	// under the LED topology write lock.
-	sh       *shard
+	led      *LED   // immutable: clock, metrics, timer dispatch entry
 	name     string // registered name; "" for anonymous operator nodes
 	kind     kind
 	children []*node
@@ -111,34 +107,34 @@ type plusPending struct {
 	at  time.Time
 }
 
-// build constructs the (anonymous) graph for an expression inside this
-// shard. Caller holds the LED topology lock for write; every event the
-// expression references has already been merged into this shard.
-func (sh *shard) build(expr snoop.Expr) (*node, error) {
+// buildLocked constructs the (anonymous) graph for an expression. It
+// registers nothing, so a failed build leaves the detector unchanged.
+// Caller holds mu.
+func (l *LED) buildLocked(expr snoop.Expr) (*node, error) {
 	switch e := expr.(type) {
 	case *snoop.EventRef:
-		n, ok := sh.nodes[e.Name]
+		n, ok := l.nodes[e.Name]
 		if !ok {
 			return nil, fmt.Errorf("led: event %q is not defined", e.Name)
 		}
 		// Wrap named nodes in a pass-through so the composite root can be
 		// renamed without renaming the shared constituent.
-		root := &node{led: sh.led, sh: sh, kind: kOr, children: []*node{n}, expr: expr}
+		root := &node{led: l, kind: kOr, children: []*node{n}, expr: expr}
 		return root, nil
 	case *snoop.Or:
-		return sh.buildBinary(kOr, e.L, e.R, expr)
+		return l.buildBinary(kOr, e.L, e.R, expr)
 	case *snoop.And:
-		return sh.buildBinary(kAnd, e.L, e.R, expr)
+		return l.buildBinary(kAnd, e.L, e.R, expr)
 	case *snoop.Seq:
-		return sh.buildBinary(kSeq, e.L, e.R, expr)
+		return l.buildBinary(kSeq, e.L, e.R, expr)
 	case *snoop.Not:
-		return sh.buildNary(kNot, []snoop.Expr{e.Start, e.Middle, e.End}, expr, 0, time.Time{})
+		return l.buildNary(kNot, []snoop.Expr{e.Start, e.Middle, e.End}, expr, 0, time.Time{})
 	case *snoop.Aperiodic:
 		k := kAper
 		if e.Star {
 			k = kAperStar
 		}
-		return sh.buildNary(k, []snoop.Expr{e.Start, e.Mid, e.End}, expr, 0, time.Time{})
+		return l.buildNary(k, []snoop.Expr{e.Start, e.Mid, e.End}, expr, 0, time.Time{})
 	case *snoop.Periodic:
 		k := kPer
 		if e.Star {
@@ -147,19 +143,19 @@ func (sh *shard) build(expr snoop.Expr) (*node, error) {
 		if e.Period <= 0 {
 			return nil, fmt.Errorf("led: periodic event needs a positive period")
 		}
-		return sh.buildNary(k, []snoop.Expr{e.Start, e.End}, expr, e.Period, time.Time{})
+		return l.buildNary(k, []snoop.Expr{e.Start, e.End}, expr, e.Period, time.Time{})
 	case *snoop.Plus:
 		if e.Delta < 0 {
 			return nil, fmt.Errorf("led: PLUS needs a non-negative delay")
 		}
-		return sh.buildNary(kPlus, []snoop.Expr{e.E}, expr, e.Delta, time.Time{})
+		return l.buildNary(kPlus, []snoop.Expr{e.E}, expr, e.Delta, time.Time{})
 	case *snoop.Temporal:
-		return &node{led: sh.led, sh: sh, kind: kTemporal, absAt: e.At, expr: expr}, nil
+		return &node{led: l, kind: kTemporal, absAt: e.At, expr: expr}, nil
 	case *snoop.Window:
 		if err := validateWindow(e.Size, e.Slide); err != nil {
 			return nil, err
 		}
-		n, err := sh.buildNary(kWindow, []snoop.Expr{e.E}, expr, e.Size, time.Time{})
+		n, err := l.buildNary(kWindow, []snoop.Expr{e.E}, expr, e.Size, time.Time{})
 		if err != nil {
 			return nil, err
 		}
@@ -169,7 +165,7 @@ func (sh *shard) build(expr snoop.Expr) (*node, error) {
 		if err := validateAgg(e); err != nil {
 			return nil, err
 		}
-		n, err := sh.buildNary(kAgg, []snoop.Expr{e.E}, expr, e.Size, time.Time{})
+		n, err := l.buildNary(kAgg, []snoop.Expr{e.E}, expr, e.Size, time.Time{})
 		if err != nil {
 			return nil, err
 		}
@@ -184,34 +180,34 @@ func (sh *shard) build(expr snoop.Expr) (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return sh.buildBinary(k, e.L, e.R, expr)
+		return l.buildBinary(k, e.L, e.R, expr)
 	default:
 		return nil, fmt.Errorf("led: unsupported expression %T", expr)
 	}
 }
 
-func (sh *shard) buildBinary(k kind, le, re snoop.Expr, expr snoop.Expr) (*node, error) {
-	ln, err := sh.build(le)
+func (l *LED) buildBinary(k kind, le, re snoop.Expr, expr snoop.Expr) (*node, error) {
+	ln, err := l.buildLocked(le)
 	if err != nil {
 		return nil, err
 	}
-	rn, err := sh.build(re)
+	rn, err := l.buildLocked(re)
 	if err != nil {
 		return nil, err
 	}
-	return &node{led: sh.led, sh: sh, kind: k, children: []*node{ln, rn}, expr: expr}, nil
+	return &node{led: l, kind: k, children: []*node{ln, rn}, expr: expr}, nil
 }
 
-func (sh *shard) buildNary(k kind, exprs []snoop.Expr, expr snoop.Expr, d time.Duration, at time.Time) (*node, error) {
+func (l *LED) buildNary(k kind, exprs []snoop.Expr, expr snoop.Expr, d time.Duration, at time.Time) (*node, error) {
 	children := make([]*node, len(exprs))
 	for i, e := range exprs {
-		c, err := sh.build(e)
+		c, err := l.buildLocked(e)
 		if err != nil {
 			return nil, err
 		}
 		children[i] = c
 	}
-	return &node{led: sh.led, sh: sh, kind: k, children: children, expr: expr, dur: d, absAt: at}, nil
+	return &node{led: l, kind: k, children: children, expr: expr, dur: d, absAt: at}, nil
 }
 
 // eventName is the name occurrences of this node carry.
@@ -246,8 +242,8 @@ func (n *node) unsubscribeRule(r *Rule) {
 }
 
 // pruneSubs removes subscriptions owned by dropped operator nodes (called
-// when their composite is dropped, so later shard splits cannot leave
-// cross-shard listeners behind).
+// when their composite is dropped, so its orphaned operators stop
+// receiving occurrences).
 func (n *node) pruneSubs(dropped map[*node]bool) {
 	kept := n.subs[:0]
 	for _, s := range n.subs {
@@ -632,17 +628,16 @@ func (n *node) onPeriodic(ctx Context, st *opState, idx int, occ *Occ) {
 }
 
 // armTimer arms a logical timer owned by this node, recording its cancel
-// for shutdown. fn runs inside the node's *current* shard — the component
-// may have been rebalanced between arming and firing — with the timer's
-// logical deadline as its argument (identical whether the clock or a
-// recovery FireTimersUpTo fired it).
+// for shutdown. fn runs under the detector lock with the timer's logical
+// deadline as its argument (identical whether the clock or a recovery
+// FireTimersUpTo fired it).
 func (n *node) armTimer(at time.Time, fn func(at time.Time)) func() {
 	id := n.nextID
 	n.nextID++
 	if n.cancels == nil {
 		n.cancels = make(map[int]func())
 	}
-	inner := n.led.armNodeTimer(n, at, func(fireAt time.Time) {
+	inner := n.led.armTimer(at, func(fireAt time.Time) {
 		delete(n.cancels, id)
 		fn(fireAt)
 	})

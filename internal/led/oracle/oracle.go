@@ -5,7 +5,7 @@
 // Everything here favors obvious correctness over speed, and shares no
 // code with the production detector's hot path:
 //
-//   - No shards, no locks, no goroutines — a single-threaded interpreter.
+//   - No locks, no goroutines — a single-threaded interpreter.
 //   - No timers and no ring buffers: every window/aggregate node keeps the
 //     FULL child occurrence history forever, and AdvanceTo recomputes each
 //     boundary's content by scanning that history against the definition
@@ -18,9 +18,9 @@
 //
 // Supported operators: event references, OR, AND, SEQ, WINDOW, AGG, and
 // the Allen relations DURING/OVERLAPS. The classic Snoop context-sensitive
-// operators (NOT, A/A*, P/P*, PLUS, temporal) are out of scope — their
-// equivalence proof is the existing sharded differential suite — and
-// building them returns an error.
+// operators (NOT, A/A*, P/P*, PLUS, temporal) are out of scope — the
+// golden operator-stream suite (TestOperatorStreamsGolden) pins their
+// output — and building them returns an error.
 package oracle
 
 import (

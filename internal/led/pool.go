@@ -24,10 +24,10 @@ func newPrimOcc(p Primitive, ctx Context) *Occ {
 }
 
 // firingScratch is a recyclable firing slice used for the per-propagation
-// pending list. collect appends into it under the shard lock; the caller
+// pending list. dispatch appends into it under the detector lock, then
 // runs the firings and returns the scratch to the pool. Recycling is safe
 // because every consumer of a firing copies the value out of the slice
-// before the caller releases it: noteFired stores copies in the
+// before dispatch releases it: noteFired stores copies in the
 // outstanding map, the deferred queue and the detached pool append copies,
 // and IMMEDIATE rules run to completion before release.
 type firingScratch struct {

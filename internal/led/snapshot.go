@@ -23,8 +23,8 @@ type StateSnapshot struct {
 }
 
 // NodeState is one operator node's non-empty per-context state. Nodes are
-// identified by a structural path that is stable across restarts and
-// shard layouts: the registered event name for roots, then child indexes
+// identified by a structural path that is stable across restarts: the
+// registered event name for roots, then child indexes
 // for the anonymous operator nodes it owns ("comp/0/1"). Recursion stops
 // at named children — their state belongs to their own registration.
 type NodeState struct {
@@ -125,8 +125,8 @@ func occsFromState(ss []OccState) []*Occ {
 }
 
 // SnapshotState captures the detector's full volatile state. It holds the
-// topology lock for write, which excludes every Signal, timer dispatch and
-// definition change, so the image is a consistent cut; in-flight rule
+// detector lock, which excludes every Signal, timer dispatch, deferred
+// flush and definition change, so the image is a consistent cut; in-flight rule
 // actions that already left the detector are covered by the Outstanding
 // list (see noteFired) and by the agent's action ledger.
 func (l *LED) SnapshotState() *StateSnapshot {
@@ -134,13 +134,13 @@ func (l *LED) SnapshotState() *StateSnapshot {
 	defer l.mu.Unlock()
 	snap := &StateSnapshot{}
 
-	names := make([]string, 0, len(l.eventShard))
-	for name := range l.eventShard {
+	names := make([]string, 0, len(l.nodes))
+	for name := range l.nodes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		root := l.eventShard[name].nodes[name]
+		root := l.nodes[name]
 		var walk func(n *node, path string)
 		walk = func(n *node, path string) {
 			if ns := n.captureState(path); ns != nil {
@@ -155,11 +155,9 @@ func (l *LED) SnapshotState() *StateSnapshot {
 		walk(root, name)
 	}
 
-	l.defMu.Lock()
 	for _, f := range l.deferred {
 		snap.Deferred = append(snap.Deferred, FiringState{Rule: f.rule.Name, Occ: occToState(f.occ)})
 	}
-	l.defMu.Unlock()
 
 	l.outMu.Lock()
 	seqs := make([]uint64, 0, len(l.outstanding))
@@ -176,7 +174,7 @@ func (l *LED) SnapshotState() *StateSnapshot {
 }
 
 // captureState renders this node's non-empty context states. Caller holds
-// the topology lock for write.
+// the detector lock.
 func (n *node) captureState(path string) *NodeState {
 	if len(n.state) == 0 {
 		return nil
@@ -241,7 +239,7 @@ func (l *LED) RestoreState(snap *StateSnapshot) error {
 	}
 	var plan []target
 	for _, ns := range snap.Nodes {
-		n, err := l.nodeAtPath(ns.Path)
+		n, err := l.nodeAtPathLocked(ns.Path)
 		if err != nil {
 			return err
 		}
@@ -307,27 +305,23 @@ func (l *LED) RestoreState(snap *StateSnapshot) error {
 			n.armTemporal(cs.Ctx)
 		}
 	}
-	l.defMu.Lock()
 	for _, fs := range snap.Deferred {
-		sh, ok := l.ruleShard[fs.Rule]
+		r, ok := l.rules[fs.Rule]
 		if !ok {
 			continue // rule dropped since the checkpoint
 		}
-		l.deferred = append(l.deferred, firing{rule: sh.rules[fs.Rule], occ: occFromState(fs.Occ)})
+		l.deferred = append(l.deferred, firing{rule: r, occ: occFromState(fs.Occ)})
 	}
-	l.defMu.Unlock()
 	return nil
 }
 
-// nodeAtPath resolves a snapshot path to its node. Caller holds the
-// topology lock.
-func (l *LED) nodeAtPath(path string) (*node, error) {
+// nodeAtPathLocked resolves a snapshot path to its node. Caller holds mu.
+func (l *LED) nodeAtPathLocked(path string) (*node, error) {
 	parts := strings.Split(path, "/")
-	sh, ok := l.eventShard[parts[0]]
+	n, ok := l.nodes[parts[0]]
 	if !ok {
 		return nil, fmt.Errorf("led: restore: event %q not defined", parts[0])
 	}
-	n := sh.nodes[parts[0]]
 	for _, p := range parts[1:] {
 		i, err := strconv.Atoi(p)
 		if err != nil || i < 0 || i >= len(n.children) {
@@ -347,7 +341,7 @@ func (l *LED) nodeAtPath(path string) (*node, error) {
 func (l *LED) TrackFirings(on bool) { l.track.Store(on) }
 
 // noteFired registers detected firings in the outstanding set before the
-// topology read lock is released, so a checkpoint's consistent cut sees
+// detector lock is released, so a checkpoint's consistent cut sees
 // node state and not-yet-executed firings together. Deferred firings are
 // skipped — the deferred queue snapshot covers them until FlushDeferred
 // notes them itself.

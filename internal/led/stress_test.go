@@ -10,14 +10,15 @@ import (
 	"github.com/activedb/ecaagent/internal/snoop"
 )
 
-// TestStressConcurrentShards hammers a sharded LED from many goroutines
-// while admin churn forces shard merges and splits, then audits a delivery
-// ledger for lost or duplicated firings. Each of K independent rule sets
-// is `e1 ^ e2` under CHRONICLE context, so signalling each primitive
-// exactly once per round must fire each rule exactly once per round —
-// any lock-ordering or rebalance bug shows up as a missing or double
-// entry (and -race catches unsynchronized access outright).
-func TestStressConcurrentShards(t *testing.T) {
+// TestStressConcurrentSignalsUnderChurn hammers the LED from many
+// goroutines while admin churn defines and drops a composite spanning the
+// rule sets, then audits a delivery ledger for lost or duplicated
+// firings. Each of K independent rule sets is `e1 ^ e2` under CHRONICLE
+// context, so signalling each primitive exactly once per round must fire
+// each rule exactly once per round — any locking or subscription-pruning
+// bug shows up as a missing or double entry (and -race catches
+// unsynchronized access outright).
+func TestStressConcurrentSignalsUnderChurn(t *testing.T) {
 	const (
 		sets   = 8
 		rounds = 60
@@ -62,9 +63,9 @@ func TestStressConcurrentShards(t *testing.T) {
 	}
 
 	// Churn goroutine: repeatedly defines a "bridge" composite spanning two
-	// rule sets (merging their shards) and drops it again (splitting them),
-	// while signal goroutines are running. The bridge has its own primitive
-	// terminator so it never fires and never consumes s*_a occurrences:
+	// rule sets and drops it again, while signal goroutines are running.
+	// The bridge has its own primitive terminator so it never fires and
+	// never consumes s*_a occurrences:
 	// AND initiated by s0_a ^ s6_a cannot complete without both, and we
 	// drop it between rounds — but to be fully inert we bridge over
 	// dedicated primitives instead.
@@ -90,7 +91,7 @@ func TestStressConcurrentShards(t *testing.T) {
 				return
 			default:
 			}
-			// Merge two random sets' shards through an inert composite.
+			// Link two random sets through an inert composite.
 			i, j := rng.Intn(sets), rng.Intn(sets)
 			if i == j {
 				continue
@@ -111,9 +112,7 @@ func TestStressConcurrentShards(t *testing.T) {
 	}()
 
 	// One signal goroutine per rule set; round r signals a then b with
-	// VNo r. The LED serializes Signal against admin churn via l.mu, and
-	// independent sets only contend when the churn goroutine has merged
-	// their shards.
+	// VNo r. The LED serializes every Signal and the admin churn on l.mu.
 	for k := 0; k < sets; k++ {
 		wg.Add(1)
 		go func(set int) {
@@ -159,7 +158,7 @@ func TestStressConcurrentShards(t *testing.T) {
 	l.Wait()
 
 	if churn == 0 {
-		t.Error("churn goroutine never merged/split a shard; stress is vacuous")
+		t.Error("churn goroutine never defined/dropped the bridge; stress is vacuous")
 	}
 	ledgerMu.Lock()
 	defer ledgerMu.Unlock()
@@ -178,7 +177,7 @@ func TestStressConcurrentShards(t *testing.T) {
 
 // TestDetachedBurstBounded is the regression test for the unbounded
 // goroutine spawn: a burst of detached firings must be drained by at most
-// DetachedWorkers goroutines, every action must run exactly once, and
+// the pool's worker cap, every action must run exactly once, and
 // Wait (the shutdown drain) must complete.
 func TestDetachedBurstBounded(t *testing.T) {
 	const (
@@ -186,7 +185,8 @@ func TestDetachedBurstBounded(t *testing.T) {
 		burst   = 500
 	)
 	clock := NewManualClock(t0)
-	l := NewWithOptions(clock, Options{DetachedWorkers: workers})
+	l := New(clock)
+	l.pool.maxWorkers = workers
 	if err := l.DefinePrimitive("ev"); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import "time"
 type logTimer struct {
 	id uint64
 	at time.Time
-	n  *node
 	fn func(at time.Time)
 	// clockCancel stops the backing clock timer; set under timMu right
 	// after arming (a timer that fires in that gap just finds itself
@@ -26,15 +25,15 @@ type logTimer struct {
 	clockCancel func()
 }
 
-// armNodeTimer registers a logical timer owned by n and arms the backing
-// clock. fn runs inside n's current shard (via dispatchNode) with the
-// logical deadline, whether the clock or FireTimersUpTo fires it. The
-// returned cancel is idempotent.
-func (l *LED) armNodeTimer(n *node, at time.Time, fn func(at time.Time)) func() {
+// armTimer registers a logical timer and arms the backing clock. fn runs
+// as one graph propagation (via dispatch) with the logical deadline,
+// whether the clock or FireTimersUpTo fires it. The returned cancel is
+// idempotent.
+func (l *LED) armTimer(at time.Time, fn func(at time.Time)) func() {
 	l.timMu.Lock()
 	l.timNext++
 	id := l.timNext
-	t := &logTimer{id: id, at: at, n: n, fn: fn}
+	t := &logTimer{id: id, at: at, fn: fn}
 	if l.timers == nil {
 		l.timers = make(map[uint64]*logTimer)
 	}
@@ -83,7 +82,7 @@ func (l *LED) fireLogical(id uint64) {
 	if !ok {
 		return
 	}
-	l.dispatchNode(t.n, func() { t.fn(t.at) })
+	l.dispatch(func() { t.fn(t.at) })
 }
 
 // FireTimersUpTo synchronously fires every armed timer with deadline at or
@@ -114,7 +113,7 @@ func (l *LED) FireTimersUpTo(t time.Time) {
 		if next.clockCancel != nil {
 			next.clockCancel()
 		}
-		l.dispatchNode(next.n, func() { next.fn(next.at) })
+		l.dispatch(func() { next.fn(next.at) })
 	}
 }
 
