@@ -108,10 +108,9 @@ crash-suite:
 # occurrence set and action multiset for every Snoop operator x context,
 # with promotion latency asserted on a deterministic clock; the sync-ship
 # RPO=0 matrix and SQL-lease zombie cell (ISSUE 9); zombie fencing under
-# a faults.Pipe partition, the affinity router's degradation ladder, and
-# the replication frame/shipper/applier tests ride along. The hard
-# -timeout turns a wedged promotion into a loud failure instead of a hung
-# gate. Output tees to cluster-chaos.log (CI uploads it on failure), and
+# a faults.Pipe partition and the replication frame/shipper/applier tests
+# ride along. The hard -timeout turns a wedged promotion into a loud
+# failure instead of a hung gate. Output tees to cluster-chaos.log (CI uploads it on failure), and
 # CHAOS_SEED=<n> offsets every cell's deterministic seed — failures print
 # the seed to replay with.
 cluster-chaos:
@@ -124,8 +123,8 @@ cluster-chaos:
 	exit $$status
 
 # Short fuzzing passes over the notification decoders, the Snoop parser,
-# and the checkpoint/journal decoders (seed corpora always run under
-# plain `make test`; this explores further).
+# the checkpoint/journal decoders and the replication frame decoder (seed
+# corpora always run under plain `make test`; this explores further).
 fuzz:
 	$(GO) test -fuzz=FuzzParseNotification -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/agent
@@ -134,6 +133,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/snoop
+	$(GO) test -fuzz=FuzzDecodeReplFrame -fuzztime=10s ./internal/cluster
 
 # Gated micro-benchmarks + host calibration: regenerates the perf
 # baseline the gate compares against. Run this (on a quiet machine)

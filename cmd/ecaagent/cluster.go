@@ -222,8 +222,8 @@ func runStandbyPhase(cf *clusterFlags, ckptDir, httpAddr string, reg *obs.Regist
 }
 
 // standbyHandler is the pre-promotion observability surface: liveness,
-// a readiness probe that tells routers to keep notifications away, and
-// the cluster metrics.
+// a readiness probe that fails until promotion, and the cluster
+// metrics.
 func standbyHandler(reg *obs.Registry, met *cluster.Metrics) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

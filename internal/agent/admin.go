@@ -23,7 +23,7 @@ import (
 //
 // Liveness and readiness are deliberately split: a node mid-recovery (or a
 // cluster standby) is alive — restarting it would only lose progress — but
-// a router or load balancer must not send it notifications yet. Before
+// a load balancer must not send it notifications yet. Before
 // this split /healthz was a flat "ok" and a balancer had no way to tell
 // "booting, leave alone" from "ready, send traffic".
 //

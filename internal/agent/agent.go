@@ -370,7 +370,7 @@ func (a *Agent) SetReadinessGate(fn func() (state string, ok bool)) {
 // installed gate's veto (replication health), then the cluster role —
 // ready only when this node is the one that should be ingesting
 // ("primary", or "ok" standalone). A standby is alive but not ready:
-// routers must hold its traffic until promotion flips the role.
+// load balancers must hold its traffic until promotion flips the role.
 func (a *Agent) Readiness() (state string, ready bool) {
 	if !a.Ready() {
 		return "recovering", false

@@ -212,11 +212,3 @@ const maxNotificationLen = 4096
 func parseNotification(msg string) (event, table, op string, vno int, err error) {
 	return parseNotificationBytes([]byte(msg), &wireNames)
 }
-
-// NotificationEvent extracts the internal event name from one notification
-// line without delivering it — the peek a cluster router needs to decide
-// which node owns the event before forwarding the datagram verbatim.
-func NotificationEvent(msg string) (string, error) {
-	event, _, _, _, err := parseNotification(msg)
-	return event, err
-}

@@ -47,8 +47,8 @@ func (a *Agent) DeliverBatch(datagram string) {
 // DecodeBatchBytes decodes a newline-batched text datagram through the
 // process-wide name table, calling emit per decoded notification and
 // onErr per malformed line; it returns the good and bad line counts. The
-// exported, allocation-free counterpart of DeliverBatch for routers and
-// benchmarks that decode without delivering.
+// exported, allocation-free counterpart of DeliverBatch for embedders
+// and benchmarks that decode without delivering.
 func DecodeBatchBytes(data []byte, emit func(led.Primitive), onErr func(error)) (good, bad int) {
 	return decodeText(data, emit, onErr)
 }

@@ -15,8 +15,8 @@ import (
 //	text   — "ECA1|event|table|op|vNo" lines joined by '\n' (the format
 //	         the generated triggers' syb_sendmsg calls emit, Figure 11);
 //	binary — the ECB1 frame below, for senders under the agent's control
-//	         (the cluster router, in-process embedders, benchmarks) that
-//	         want the decode to cost nothing.
+//	         (in-process embedders, benchmarks) that want the decode to
+//	         cost nothing.
 //
 // ECB1 batch layout (all integers little-endian, following the WAL /
 // checkpoint / replication frame conventions):
@@ -82,7 +82,7 @@ func EncodeBinaryBatch(prims []led.Primitive) ([]byte, error) {
 
 // DecodeBinaryBatch verifies and decodes one ECB1 frame through the
 // process-wide name table, passing each notification to emit in wire
-// order — the exported surface routers, embedders and benchmarks use.
+// order — the exported surface embedders and benchmarks use.
 func DecodeBinaryBatch(data []byte, emit func(led.Primitive)) (int, error) {
 	return decodeBinaryBatch(data, &wireNames, emit)
 }

@@ -36,9 +36,6 @@ type Applier struct {
 	// OnHeartbeat, when set, observes every heartbeat frame (the monitor
 	// hooks in here). Set before the first Apply; not guarded.
 	OnHeartbeat func(seq, epoch uint64)
-	// OnRoute, when set, observes ownership broadcasts. Set before the
-	// first Apply; not guarded.
-	OnRoute func(node string, events []string)
 	// OnRule, when set, observes replicated definition records in arrival
 	// order. Set before the first Apply; not guarded.
 	OnRule func(node string, record []byte)
@@ -182,17 +179,6 @@ func (ap *Applier) apply(f Frame) error {
 		ap.bumpApplied()
 		if ap.OnRule != nil {
 			ap.OnRule(f.Name, f.Payload)
-		}
-		return nil
-
-	case FrameRoute:
-		events, err := decodeRoute(f.Payload)
-		if err != nil {
-			return err
-		}
-		ap.bumpApplied()
-		if ap.OnRoute != nil {
-			ap.OnRoute(f.Name, events)
 		}
 		return nil
 	}

@@ -1,10 +1,10 @@
-// Package cluster turns the single-process ECA agent into a small
-// replicated deployment: N agent processes own disjoint event-graph
-// components, a router forwards each notification datagram to the node
-// owning its event, and every primary streams its durable state — the
-// PR 4 checkpoint and WAL byte formats, reused verbatim — to a hot
-// standby that can promote within a bounded, clock-driven deadline when
-// a missed-heartbeat quorum declares the primary dead.
+// Package cluster turns the single-process ECA agent into a hot pair: one
+// primary ingests every notification and streams its durable state — the
+// checkpoint and WAL byte formats, reused verbatim — to one standby,
+// which promotes within a bounded, clock-driven deadline once a run of
+// missed heartbeats declares the primary dead. Both share one
+// notification address, so a failover moves the whole event graph at
+// once; nothing splits it across nodes.
 //
 // The design leans on three existing seams instead of inventing new
 // machinery:
@@ -17,8 +17,8 @@
 //     directory. Checkpoint restore, journal replay, pending-action
 //     resume and the shadow-table Resync gap-fill do all the work; the
 //     cluster layer only decides *when* to boot.
-//   - led.Clock: every cluster timer (heartbeats, hysteresis, retry
-//     backoff, backpressure bounds) runs on the Clock seam, on a control
+//   - led.Clock: every cluster timer (heartbeats, hysteresis, lease
+//     renewal, sync-degrade grace) runs on the Clock seam, on a control
 //     clock separate from the LED's data clock, so the chaos suite can
 //     drive failure detection deterministically without perturbing
 //     temporal-operator timelines.

@@ -22,21 +22,21 @@ import (
 // crash-free single-node oracle, once against a two-node cluster whose
 // primary is killed mid-run at a named crash point (the agent's seven
 // durability points plus the mid-replication windows ShipFS exposes).
-// The standby detects the silence on a deterministic clock, wins the
-// missed-heartbeat quorum, promotes within the configured deadline, and
-// finishes the workload. The promoted node must produce exactly the
-// oracle's occurrence set and exactly the oracle's action multiset:
-// failover loses nothing and double-fires nothing.
+// The standby detects the silence on a deterministic clock, promotes
+// after the configured run of missed heartbeats, and finishes the
+// workload. The promoted node must produce exactly the oracle's
+// occurrence set and exactly the oracle's action multiset: failover
+// loses nothing and double-fires nothing.
 
 var foClockBase = time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
 
 const (
 	foInterval = 500 * time.Millisecond
 	foMisses   = 3
-	// foPromoteDeadline bounds crash-to-promotion in *control* time: the
+	// foPromoteBound bounds crash-to-promotion in *control* time: the
 	// miss hysteresis plus one interval of slack. Asserted on the manual
 	// clock, so it is exact, not a race against the scheduler.
-	foPromoteDeadline = (foMisses + 1) * foInterval
+	foPromoteBound = (foMisses + 1) * foInterval
 )
 
 // foActionRecorder captures rule-action executions at the upstream Exec
@@ -274,11 +274,9 @@ func (r *foRun) startPrimary() {
 
 	r.hb = NewHeartbeater(r.ctrlClock, foInterval, tokA, r.applier.Apply, r.metA)
 	r.monitor = NewMonitor(MonitorConfig{
-		Clock:           r.ctrlClock,
-		Interval:        foInterval,
-		Misses:          foMisses,
-		Witnesses:       []func() bool{func() bool { return true }}, // the second voter agrees A is gone
-		PromoteDeadline: foPromoteDeadline,
+		Clock:    r.ctrlClock,
+		Interval: foInterval,
+		Misses:   foMisses,
 	}, r.metB, nil)
 	r.applier.OnHeartbeat = r.monitor.Beat
 	r.monitor.Start()
@@ -343,7 +341,7 @@ func (r *foRun) step(s foStep) {
 // failover is the kill-and-promote sequence: the dead primary's pending
 // work quiesces (pre-crash history), its directory drops unsynced writes,
 // its beacon dies with it, and control time advances interval by interval
-// until the monitor's quorum promotes — which must happen within the
+// until the monitor promotes — which must happen within the
 // deterministic deadline. The standby then boots a full agent over the
 // replica directory under a fresh fencing epoch.
 func (r *foRun) failover() {
@@ -359,8 +357,8 @@ func (r *foRun) failover() {
 	if !r.monitor.Promoted() {
 		r.t.Fatalf("standby did not promote after %v of silence", r.ctrlClock.Now().Sub(crashAt))
 	}
-	if took := r.ctrlClock.Now().Sub(crashAt); took > foPromoteDeadline {
-		r.t.Errorf("promotion took %v of control time, deadline %v", took, foPromoteDeadline)
+	if took := r.ctrlClock.Now().Sub(crashAt); took > foPromoteBound {
+		r.t.Errorf("promotion took %v of control time, deadline %v", took, foPromoteBound)
 	}
 	r.monitor.Stop()
 	if err := r.applier.Close(); err != nil {

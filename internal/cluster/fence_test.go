@@ -15,8 +15,8 @@ import (
 // TestZombiePrimaryFenced drives the classic asymmetric-partition
 // topology with the faults.Pipe partition mode: the primary keeps
 // running, but the one-directional pipe carrying its heartbeats and
-// replication frames goes dark, the standby wins the missed-heartbeat
-// quorum and promotes under a fresh fencing epoch — and then the zombie,
+// replication frames goes dark, the standby counts its missed heartbeats
+// and promotes under a fresh fencing epoch — and then the zombie,
 // still believing it leads, tries to fire a rule action. The fencing
 // token must reject it terminally (one validation, no retries, the action
 // dead-lettered), and the promoted node must fire that action exactly
@@ -75,10 +75,9 @@ create table ta (x int null)`); err != nil {
 	defer a.Close()
 
 	monitor := NewMonitor(MonitorConfig{
-		Clock:     ctrlClock,
-		Interval:  foInterval,
-		Misses:    foMisses,
-		Witnesses: []func() bool{func() bool { return true }},
+		Clock:    ctrlClock,
+		Interval: foInterval,
+		Misses:   foMisses,
 	}, metB, nil)
 	applier.OnHeartbeat = monitor.Beat
 	monitor.Start()

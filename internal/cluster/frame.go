@@ -45,10 +45,7 @@ const (
 	// defining node (Name) to cluster members, so every member's rule
 	// log records the full catalog.
 	FrameRule FrameKind = 6
-	// FrameRoute publishes event ownership: Name is the owning node,
-	// Payload a length-prefixed list of event names. Routers fold it
-	// into their affinity table.
-	FrameRoute FrameKind = 7
+	// Kind 7 is reserved (retired); never reuse it.
 	// FrameHeartbeat is the liveness beacon: Name is the beating node,
 	// Payload is seq uvarint | epoch uvarint.
 	FrameHeartbeat FrameKind = 8
@@ -109,7 +106,9 @@ func DecodeReplFrame(b []byte) (Frame, int, error) {
 		return Frame{}, 0, fmt.Errorf("%w: crc mismatch", ErrCorruptFrame)
 	}
 	f := Frame{Kind: FrameKind(body[0])}
-	if f.Kind < FrameHello || f.Kind > FrameHeartbeat {
+	switch f.Kind {
+	case FrameHello, FrameCkpt, FrameFileOpen, FrameFileData, FrameRemove, FrameRule, FrameHeartbeat:
+	default:
 		return Frame{}, 0, fmt.Errorf("%w: unknown kind %d", ErrCorruptFrame, body[0])
 	}
 	nameLen, n := binary.Uvarint(body[1:])
@@ -172,28 +171,4 @@ func decodeHeartbeat(p []byte) (seq, epoch uint64, err error) {
 		return 0, 0, fmt.Errorf("%w: heartbeat epoch", ErrCorruptFrame)
 	}
 	return seq, epoch, nil
-}
-
-// encodeRoute renders a FrameRoute payload from event names.
-func encodeRoute(events []string) []byte {
-	var b []byte
-	for _, ev := range events {
-		b = binary.AppendUvarint(b, uint64(len(ev)))
-		b = append(b, ev...)
-	}
-	return b
-}
-
-// decodeRoute parses a FrameRoute payload.
-func decodeRoute(p []byte) ([]string, error) {
-	var out []string
-	for len(p) > 0 {
-		n, sz := binary.Uvarint(p)
-		if sz <= 0 || n > uint64(len(p)-sz) {
-			return nil, fmt.Errorf("%w: route entry", ErrCorruptFrame)
-		}
-		out = append(out, string(p[sz:sz+int(n)]))
-		p = p[sz+int(n):]
-	}
-	return out, nil
 }

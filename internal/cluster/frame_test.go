@@ -14,9 +14,13 @@ var frameFixtures = []Frame{
 	{Kind: FrameFileData, Name: "wal-4", Payload: []byte{1, 2, 3, 4, 5}},
 	{Kind: FrameRemove, Name: "wal-3"},
 	{Kind: FrameRule, Name: "node-a", Payload: []byte("create trigger t ...")},
-	{Kind: FrameRoute, Name: "node-b", Payload: encodeRoute([]string{"ea", "eb"})},
 	{Kind: FrameHeartbeat, Name: "node-a", Payload: heartbeatPayload(42, 7)},
 }
+
+// retiredKind7 is a well-formed, correctly checksummed frame of the
+// reserved kind 7 (once an event-ownership broadcast). The decoder must
+// call it corrupt rather than hand it to Apply.
+var retiredKind7 = EncodeFrame(Frame{Kind: 7, Name: "node-b", Payload: []byte{2, 'e', 'a', 2, 'e', 'b'}})
 
 func TestFrameRoundTrip(t *testing.T) {
 	for _, f := range frameFixtures {
@@ -54,6 +58,9 @@ func TestDecodeShortVsCorrupt(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
 	if _, _, err := DecodeReplFrame(huge); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("oversized length: got %v, want ErrCorruptFrame", err)
+	}
+	if _, _, err := DecodeReplFrame(retiredKind7); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("reserved kind 7: got %v, want ErrCorruptFrame", err)
 	}
 }
 
@@ -138,6 +145,7 @@ func FuzzDecodeReplFrame(f *testing.F) {
 	for _, fx := range frameFixtures {
 		f.Add(EncodeFrame(fx))
 	}
+	f.Add(retiredKind7)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -157,9 +165,6 @@ func FuzzDecodeReplFrame(f *testing.F) {
 		}
 		if fr.Kind == FrameHeartbeat {
 			decodeHeartbeat(fr.Payload) // must never panic either
-		}
-		if fr.Kind == FrameRoute {
-			decodeRoute(fr.Payload)
 		}
 	})
 }

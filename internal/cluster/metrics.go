@@ -34,11 +34,6 @@ type Metrics struct {
 	AuthRenewFailed *obs.Counter
 	AuthLeaseLost   *obs.Counter
 
-	Routed       *obs.CounterVec // per destination node
-	RouteRetries *obs.Counter
-	RouteDLQ     *obs.Counter
-	RouteBad     *obs.Counter
-
 	mu      sync.Mutex
 	curRole string // guarded by mu
 }
@@ -85,14 +80,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Epoch lease renewal attempts that failed (server unreachable or CAS miss)."),
 		AuthLeaseLost: reg.Counter("eca_cluster_auth_lease_lost_total",
 			"Times this node discovered its epoch lease was superseded."),
-		Routed: reg.CounterVec("eca_cluster_routed_total",
-			"Notifications forwarded, by destination node.", "node"),
-		RouteRetries: reg.Counter("eca_cluster_route_retries_total",
-			"Forwarding attempts that failed and were retried."),
-		RouteDLQ: reg.Counter("eca_cluster_route_dlq_total",
-			"Notifications parked on the router's dead-letter queue."),
-		RouteBad: reg.Counter("eca_cluster_route_bad_total",
-			"Datagrams the router could not parse an event name from."),
 	}
 	return m
 }

@@ -81,17 +81,6 @@ type MonitorConfig struct {
 	// without a beat before the primary is suspected. One dropped
 	// datagram or a scheduling hiccup must not trigger a failover.
 	Misses int
-	// Witnesses are polled once the miss threshold is reached; each
-	// returns true when it, too, cannot reach the primary. Promotion
-	// requires a strict majority of (witnesses + this monitor) — the
-	// missed-heartbeat quorum that keeps one partitioned standby from
-	// promoting itself while everyone else still sees the primary.
-	Witnesses []func() bool
-	// PromoteDeadline bounds suspicion-to-promotion; the failover suite
-	// asserts it on the deterministic clock. Informational (the monitor
-	// does not abandon a promotion that overruns it; the metric and test
-	// surface it).
-	PromoteDeadline time.Duration
 }
 
 func (c MonitorConfig) withDefaults() MonitorConfig {
@@ -100,9 +89,6 @@ func (c MonitorConfig) withDefaults() MonitorConfig {
 	}
 	if c.Misses <= 0 {
 		c.Misses = 3
-	}
-	if c.PromoteDeadline <= 0 {
-		c.PromoteDeadline = 10 * c.Interval
 	}
 	return c
 }
@@ -125,8 +111,7 @@ type Monitor struct {
 	cancel   func()    // pending timer; guarded by mu
 	suspect  time.Time // when the miss threshold was crossed; guarded by mu
 
-	// onPromote fires (once) outside mu when the quorum agrees the
-	// primary is dead.
+	// onPromote fires (once) outside mu after Misses silent intervals.
 	onPromote func()
 }
 
@@ -200,7 +185,7 @@ func (m *Monitor) tick() {
 		if m.misses == m.cfg.Misses {
 			m.suspect = m.cfg.Clock.Now()
 		}
-		if m.misses >= m.cfg.Misses && !m.promoted && m.quorumLocked() {
+		if m.misses >= m.cfg.Misses && !m.promoted {
 			m.promoted = true
 			promote = true
 		}
@@ -212,18 +197,6 @@ func (m *Monitor) tick() {
 	if promote && m.onPromote != nil {
 		m.onPromote()
 	}
-}
-
-// quorumLocked polls the witnesses; this monitor's own vote counts.
-// Caller holds m.mu.
-func (m *Monitor) quorumLocked() bool {
-	votes, voters := 1, 1+len(m.cfg.Witnesses)
-	for _, w := range m.cfg.Witnesses {
-		if w() {
-			votes++
-		}
-	}
-	return votes > voters/2
 }
 
 // SuspectedAt reports when the miss threshold was crossed (zero when the

@@ -8,25 +8,20 @@ import (
 	"github.com/activedb/ecaagent/internal/obs"
 )
 
-func newTestMonitor(witness func() bool) (*led.ManualClock, *Monitor, *int) {
+func newTestMonitor() (*led.ManualClock, *Monitor, *int) {
 	clock := led.NewManualClock(foClockBase)
 	promotions := 0
-	var witnesses []func() bool
-	if witness != nil {
-		witnesses = []func() bool{witness}
-	}
 	m := NewMonitor(MonitorConfig{
-		Clock:     clock,
-		Interval:  time.Second,
-		Misses:    3,
-		Witnesses: witnesses,
+		Clock:    clock,
+		Interval: time.Second,
+		Misses:   3,
 	}, NewMetrics(obs.NewRegistry()), func() { promotions++ })
 	m.Start()
 	return clock, m, &promotions
 }
 
 func TestMonitorSteadyBeatsNeverPromote(t *testing.T) {
-	clock, m, promotions := newTestMonitor(func() bool { return true })
+	clock, m, promotions := newTestMonitor()
 	seq := uint64(0)
 	for i := 0; i < 20; i++ {
 		seq++
@@ -39,7 +34,7 @@ func TestMonitorSteadyBeatsNeverPromote(t *testing.T) {
 }
 
 func TestMonitorHysteresisAbsorbsFlaps(t *testing.T) {
-	clock, m, promotions := newTestMonitor(func() bool { return true })
+	clock, m, promotions := newTestMonitor()
 	seq := uint64(0)
 	// Two silent intervals, then a beat, repeatedly: the miss counter must
 	// keep resetting below the threshold of three.
@@ -61,7 +56,7 @@ func TestMonitorHysteresisAbsorbsFlaps(t *testing.T) {
 }
 
 func TestMonitorDuplicateBeatsCountOnce(t *testing.T) {
-	clock, m, _ := newTestMonitor(func() bool { return true })
+	clock, m, _ := newTestMonitor()
 	m.Beat(5, 1)
 	clock.Advance(time.Second) // consumes the real beat
 	// A relay replaying old sequence numbers must not look like liveness.
@@ -75,8 +70,8 @@ func TestMonitorDuplicateBeatsCountOnce(t *testing.T) {
 	}
 }
 
-func TestMonitorPromotesAfterQuorum(t *testing.T) {
-	clock, m, promotions := newTestMonitor(func() bool { return true })
+func TestMonitorPromotesAfterMisses(t *testing.T) {
+	clock, m, promotions := newTestMonitor()
 	m.Beat(1, 1)
 	clock.Advance(time.Second)
 	start := clock.Now()
@@ -96,22 +91,8 @@ func TestMonitorPromotesAfterQuorum(t *testing.T) {
 	}
 }
 
-// TestMonitorLoneVoteCannotPromote pins the quorum rule: with one witness
-// still reaching the primary, the monitor's own suspicion is 1 vote of 2
-// — not a strict majority — so a partitioned standby cannot crown itself.
-func TestMonitorLoneVoteCannotPromote(t *testing.T) {
-	clock, m, promotions := newTestMonitor(func() bool { return false })
-	clock.Advance(20 * time.Second)
-	if m.Promoted() || *promotions != 0 {
-		t.Fatal("a minority vote promoted")
-	}
-	if m.Misses() < 3 {
-		t.Fatalf("misses = %d; the primary is suspected, just not promotable", m.Misses())
-	}
-}
-
 func TestMonitorStopDisarms(t *testing.T) {
-	clock, m, promotions := newTestMonitor(func() bool { return true })
+	clock, m, promotions := newTestMonitor()
 	m.Stop()
 	clock.Advance(20 * time.Second)
 	if m.Promoted() || *promotions != 0 {

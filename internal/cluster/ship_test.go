@@ -189,7 +189,6 @@ func TestMetricsExposition(t *testing.T) {
 	met.FencedRejections.Inc()
 	met.ReplLagBytes.Set(42)
 	met.ReplLagRecords.Set(2)
-	met.Routed.With("node-b").Inc()
 
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
@@ -202,7 +201,6 @@ func TestMetricsExposition(t *testing.T) {
 		"eca_cluster_fenced_rejections_total 1",
 		"eca_cluster_repl_lag_bytes 42",
 		"eca_cluster_repl_lag_records 2",
-		`eca_cluster_routed_total{node="node-b"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

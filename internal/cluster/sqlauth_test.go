@@ -242,10 +242,9 @@ create table ta (x int null)`); err != nil {
 	defer a.Close()
 
 	monitor := NewMonitor(MonitorConfig{
-		Clock:     ctrlClock,
-		Interval:  foInterval,
-		Misses:    foMisses,
-		Witnesses: []func() bool{func() bool { return true }},
+		Clock:    ctrlClock,
+		Interval: foInterval,
+		Misses:   foMisses,
 	}, metB, nil)
 	applier.OnHeartbeat = monitor.Beat
 	monitor.Start()

@@ -191,11 +191,9 @@ func (r *syncRun) startPrimary() {
 
 	r.hb = NewHeartbeater(r.ctrlClock, foInterval, tokA, r.applier.Apply, r.metA)
 	r.monitor = NewMonitor(MonitorConfig{
-		Clock:           r.ctrlClock,
-		Interval:        foInterval,
-		Misses:          foMisses,
-		Witnesses:       []func() bool{func() bool { return true }},
-		PromoteDeadline: foPromoteDeadline,
+		Clock:    r.ctrlClock,
+		Interval: foInterval,
+		Misses:   foMisses,
 	}, r.metB, nil)
 	r.applier.OnHeartbeat = r.monitor.Beat
 	r.monitor.Start()
@@ -281,8 +279,8 @@ func (r *syncRun) failover() {
 	if !r.monitor.Promoted() {
 		r.t.Fatalf("standby did not promote after %v of silence", r.ctrlClock.Now().Sub(crashAt))
 	}
-	if took := r.ctrlClock.Now().Sub(crashAt); took > foPromoteDeadline {
-		r.t.Errorf("promotion took %v of control time, deadline %v", took, foPromoteDeadline)
+	if took := r.ctrlClock.Now().Sub(crashAt); took > foPromoteBound {
+		r.t.Errorf("promotion took %v of control time, deadline %v", took, foPromoteBound)
 	}
 	r.monitor.Stop()
 	r.stopListen()
