@@ -1,15 +1,16 @@
 GO ?= go
 ECAVET := bin/ecavet
 
-.PHONY: check fmt vet lint lint-fix-check waivers build test race differential cep-differential crash-suite cluster-chaos fuzz bench-matrix bench-gate bench-e2e bench-e2e-compare metrics-smoke
+.PHONY: check fmt vet lint lint-fix-check waivers build test race differential cep-differential crash-suite cluster-chaos fuzz bench-e2e bench-e2e-compare metrics-smoke
 
 # The full pre-merge gate: static checks (including the ecavet invariant
 # suite and the waiver-count ratchet), a clean build, the entire test
 # suite under the race detector, an explicit pass over the LED's golden
 # operator-stream suite, the crash-recovery differential matrix,
-# the cluster failover chaos suite (all under -race), and the
-# perf-regression gate against the committed BENCH_PR7.json baseline.
-check: fmt vet lint lint-fix-check build race differential cep-differential crash-suite cluster-chaos bench-gate
+# and the cluster failover chaos suite (all under -race). The TestAllocs*
+# guards inside `race` hold the signal and decode hot paths to their
+# allocation budgets; wall-clock cost is judged by bench-e2e's paired runs.
+check: fmt vet lint lint-fix-check build race differential cep-differential crash-suite cluster-chaos
 
 # gofmt -l prints nonconforming files; any output fails the gate. The
 # second check is waiver hygiene: every //ecavet:allow needs an analyzer
@@ -134,25 +135,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/snoop
 	$(GO) test -fuzz=FuzzDecodeReplFrame -fuzztime=10s ./internal/cluster
-
-# Gated micro-benchmarks + host calibration: regenerates the perf
-# baseline the gate compares against. Run this (on a quiet machine)
-# when a deliberate perf change moves the needle, and commit the result.
-BENCH7_OUT ?= BENCH_PR7.json
-bench-matrix:
-	$(GO) run ./cmd/ecabench -exp matrix -bench-json $(BENCH7_OUT)
-
-# Perf-regression gate: re-measures the gated micro-benchmark set and
-# fails on any allocs/op increase or a host-calibrated ns/op slowdown
-# beyond GATE_THRESHOLD vs the committed baseline (EXPERIMENTS.md §PR7),
-# then records the sync-ship overhead ablation (per-record ack latency
-# and throughput, sync vs async, ISSUE 9) into BENCH_PR9.json.
-GATE_BASELINE ?= BENCH_PR7.json
-GATE_THRESHOLD ?= 0.10
-BENCH_SYNC_OUT ?= BENCH_PR9.json
-bench-gate:
-	$(GO) run ./cmd/ecabench -exp gate -gate-baseline $(GATE_BASELINE) -gate-threshold $(GATE_THRESHOLD)
-	$(GO) run ./cmd/ecabench -exp syncship -bench-json $(BENCH_SYNC_OUT)
 
 # The repo's end-to-end benchmark (bench/, contract in BENCHMARK.json):
 # six workloads over the paper's whole loop, each RUNS times untraced and

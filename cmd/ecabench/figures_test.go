@@ -60,16 +60,3 @@ func TestFigureIDsOrdered(t *testing.T) {
 		t.Errorf("numeric ordering: %v", ids)
 	}
 }
-
-// TestExperimentIDs ensures the experiment registry stays consistent.
-func TestExperimentIDs(t *testing.T) {
-	ids := experimentIDs()
-	if len(ids) != len(experiments) {
-		t.Fatalf("ids %d vs experiments %d", len(ids), len(experiments))
-	}
-	for _, id := range ids {
-		if experiments[id].fn == nil {
-			t.Errorf("experiment %s has no function", id)
-		}
-	}
-}

@@ -197,53 +197,94 @@ func TestAllocsParseNotificationBytes(t *testing.T) {
 	}
 }
 
-// TestAllocsDecodeTextClean: a clean multi-line text batch must decode
-// with zero allocations once the name universe is interned.
+// wireBatch is n distinct-vNo notifications on the canonical wire names,
+// the batch the allocation guards below decode and encode.
+func wireBatch(n int) []led.Primitive {
+	prims := make([]led.Primitive, n)
+	for i := range prims {
+		prims[i] = led.Primitive{Event: "db.u.ev", Table: "db.u.tbl", Op: "insert", VNo: i + 1}
+	}
+	return prims
+}
+
+// TestAllocsDecodeTextClean: a clean text batch must decode with zero
+// allocations once the name universe is interned, through the internal
+// walk and through the exported DecodeBatchBytes, for one line and for a
+// 16-line batch of distinct vNos.
 func TestAllocsDecodeTextClean(t *testing.T) {
-	datagram := bytes.Repeat([]byte("ECA1|db.u.ev|db.u.tbl|insert|42\n"), 8)
-	sink := 0
-	emit := func(p led.Primitive) { sink += p.VNo }
-	onErr := func(err error) { t.Errorf("clean batch produced error: %v", err) }
-	decodeText(datagram, emit, onErr) // warm wireNames
-	if avg := testing.AllocsPerRun(200, func() {
-		if good, bad := decodeText(datagram, emit, onErr); good != 8 || bad != 0 {
-			t.Fatalf("decoded %d/%d, want 8/0", good, bad)
-		}
-	}); avg != 0 {
-		t.Fatalf("decodeText allocates %.1f objects/op on a clean batch, want 0", avg)
+	var batch16 []byte
+	for _, p := range wireBatch(16) {
+		batch16 = fmt.Appendf(batch16, "ECA1|%s|%s|%s|%d\n", p.Event, p.Table, p.Op, p.VNo)
+	}
+	for _, tc := range []struct {
+		name     string
+		decode   func([]byte, func(led.Primitive), func(error)) (int, int)
+		datagram []byte
+		want     int
+	}{
+		{"decodeText/repeated8", decodeText, bytes.Repeat([]byte("ECA1|db.u.ev|db.u.tbl|insert|42\n"), 8), 8},
+		{"DecodeBatchBytes/line1", DecodeBatchBytes, []byte("ECA1|db.u.ev|db.u.tbl|insert|42"), 1},
+		{"DecodeBatchBytes/distinct16", DecodeBatchBytes, batch16, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := 0
+			emit := func(p led.Primitive) { sink += p.VNo }
+			onErr := func(err error) { t.Errorf("clean batch produced error: %v", err) }
+			tc.decode(tc.datagram, emit, onErr) // warm wireNames
+			if avg := testing.AllocsPerRun(200, func() {
+				if good, bad := tc.decode(tc.datagram, emit, onErr); good != tc.want || bad != 0 {
+					t.Fatalf("decoded %d/%d, want %d/0", good, bad, tc.want)
+				}
+			}); avg != 0 {
+				t.Fatalf("allocates %.1f objects/op on a clean batch, want 0", avg)
+			}
+		})
 	}
 }
 
 // TestAllocsBinaryCodec: encoding into a sized buffer and decoding with a
-// warmed interner must both be allocation-free.
+// warmed interner must both be allocation-free, through the internal
+// decoder and through the exported DecodeBinaryBatch.
 func TestAllocsBinaryCodec(t *testing.T) {
-	prims := []led.Primitive{
-		{Event: "db.u.ev", Table: "db.u.tbl", Op: "insert", VNo: 1},
-		{Event: "db.u.ev2", Table: "db.u.tbl", Op: "delete", VNo: 2},
-	}
-	buf := mustEncode(t, prims)
-	dst := make([]byte, 0, 2*len(buf))
-	if avg := testing.AllocsPerRun(200, func() {
-		out, err := AppendBinaryBatch(dst[:0], prims)
-		if err != nil || len(out) != len(buf) {
-			t.Fatalf("encode: %v (%d bytes)", err, len(out))
-		}
-	}); avg != 0 {
-		t.Fatalf("AppendBinaryBatch allocates %.1f objects/op, want 0", avg)
-	}
-
 	var in interner
-	sink := 0
-	emit := func(p led.Primitive) { sink += p.VNo }
-	if _, err := decodeBinaryBatch(buf, &in, emit); err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := decodeBinaryBatch(buf, &in, emit); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Fatalf("decodeBinaryBatch allocates %.1f objects/op, want 0", avg)
+	for _, tc := range []struct {
+		name   string
+		decode func([]byte, func(led.Primitive)) (int, error)
+		prims  []led.Primitive
+	}{
+		{"decodeBinaryBatch/mixed2",
+			func(buf []byte, emit func(led.Primitive)) (int, error) { return decodeBinaryBatch(buf, &in, emit) },
+			[]led.Primitive{
+				{Event: "db.u.ev", Table: "db.u.tbl", Op: "insert", VNo: 1},
+				{Event: "db.u.ev2", Table: "db.u.tbl", Op: "delete", VNo: 2},
+			}},
+		{"DecodeBinaryBatch/distinct16", DecodeBinaryBatch, wireBatch(16)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := mustEncode(t, tc.prims)
+			dst := make([]byte, 0, 2*len(buf))
+			if avg := testing.AllocsPerRun(200, func() {
+				out, err := AppendBinaryBatch(dst[:0], tc.prims)
+				if err != nil || len(out) != len(buf) {
+					t.Fatalf("encode: %v (%d bytes)", err, len(out))
+				}
+			}); avg != 0 {
+				t.Fatalf("AppendBinaryBatch allocates %.1f objects/op, want 0", avg)
+			}
+
+			sink := 0
+			emit := func(p led.Primitive) { sink += p.VNo }
+			if _, err := tc.decode(buf, emit); err != nil {
+				t.Fatal(err)
+			}
+			if avg := testing.AllocsPerRun(200, func() {
+				if n, err := tc.decode(buf, emit); err != nil || n != len(tc.prims) {
+					t.Fatalf("decode: %v (%d notifications)", err, n)
+				}
+			}); avg != 0 {
+				t.Fatalf("decode allocates %.1f objects/op, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -30,11 +30,10 @@ func warmedLED(tb testing.TB) (*LED, *int) {
 	return l, &hits
 }
 
-// TestAllocsSignalWarmed is the gated allocation budget for the
-// Signal→detect path (ISSUE 7 / ROADMAP item 3): one warmed primitive
-// signal through detection and an IMMEDIATE rule firing must stay within
-// two heap allocations — the occurrence block handed to the rule is the
-// only allocation the design admits, the budget leaves one spare.
+// TestAllocsSignalWarmed is the allocation budget for the Signal→detect
+// path: one warmed primitive signal through detection and an IMMEDIATE
+// rule firing must stay within one heap allocation — the occurrence block
+// handed to the rule is the only allocation the design admits.
 func TestAllocsSignalWarmed(t *testing.T) {
 	l, hits := warmedLED(t)
 	at := time.Unix(1, 0)
@@ -44,8 +43,8 @@ func TestAllocsSignalWarmed(t *testing.T) {
 		vno++
 		l.Signal(Primitive{Event: "e", Op: "insert", VNo: vno, At: at})
 	})
-	if avg > 2 {
-		t.Fatalf("Signal→detect allocates %.1f objects/op, budget is 2", avg)
+	if avg > 1 {
+		t.Fatalf("Signal→detect allocates %.1f objects/op, budget is 1", avg)
 	}
 	// 1000 warm signals + 200 measured + AllocsPerRun's one warm-up call.
 	if *hits != 1201 {
