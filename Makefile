@@ -124,8 +124,9 @@ cluster-chaos:
 	exit $$status
 
 # Short fuzzing passes over the notification decoders, the Snoop parser,
-# the checkpoint/journal decoders and the replication frame decoder (seed
-# corpora always run under plain `make test`; this explores further).
+# the checkpoint/journal decoders, the replication frame decoder and the
+# TDS response reader (seed corpora always run under plain `make test`;
+# this explores further).
 fuzz:
 	$(GO) test -fuzz=FuzzParseNotification -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/agent
@@ -135,6 +136,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/snoop
 	$(GO) test -fuzz=FuzzDecodeReplFrame -fuzztime=10s ./internal/cluster
+	$(GO) test -fuzz=FuzzReadResponse -fuzztime=10s ./internal/tds
 
 # The repo's end-to-end benchmark (bench/, contract in BENCHMARK.json):
 # six workloads over the paper's whole loop, each RUNS times untraced and

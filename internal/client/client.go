@@ -4,6 +4,8 @@
 package client
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -14,10 +16,13 @@ import (
 )
 
 // Conn is one logged-in connection. It is safe for concurrent use; requests
-// are serialized on the wire.
+// are serialized on the wire. Responses are read through one buffer that
+// lives as long as the connection, so a small response costs one read.
 type Conn struct {
-	mu   sync.Mutex
-	conn net.Conn
+	mu     sync.Mutex // serializes requests; guards r and closed
+	conn   net.Conn
+	r      *bufio.Reader
+	closed bool
 }
 
 // Options configures Connect.
@@ -40,37 +45,59 @@ func Connect(addr string, opts Options) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tds.WritePacket(conn, tds.MarshalLogin(tds.Login{User: opts.User, Database: opts.Database})); err != nil {
+	c, err := login(conn, opts)
+	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	pkt, err := tds.ReadPacket(conn)
+	return c, nil
+}
+
+// login performs the handshake on an open connection.
+func login(conn net.Conn, opts Options) (*Conn, error) {
+	if err := tds.WritePacket(conn, tds.MarshalLogin(tds.Login{User: opts.User, Database: opts.Database})); err != nil {
+		return nil, err
+	}
+	c := &Conn{conn: conn, r: bufio.NewReader(conn)}
+	pkt, err := tds.ReadPacket(c.r)
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 	ack, err := tds.UnmarshalLoginAck(pkt)
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 	if !ack.OK {
-		conn.Close()
 		return nil, fmt.Errorf("login rejected: %s", ack.Message)
 	}
-	return &Conn{conn: conn}, nil
+	return c, nil
 }
 
 // Exec sends a SQL script (GO-separated batches allowed) and materializes
 // the full response. A server-reported error is returned as
-// *tds.ServerError together with the results that preceded it.
+// *tds.ServerError together with the results that preceded it. Any other
+// error leaves the stream at an unknown offset, so it closes the
+// connection: every later Exec fails with net.ErrClosed instead of
+// reading the rest of this response as its own.
 func (c *Conn) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return nil, fmt.Errorf("client: %w", net.ErrClosed)
+	}
+	results, err := c.roundTrip(sql)
+	var se *tds.ServerError
+	if err != nil && !errors.As(err, &se) {
+		c.closeLocked()
+	}
+	return results, err
+}
+
+func (c *Conn) roundTrip(sql string) ([]*sqltypes.ResultSet, error) {
 	if err := tds.WritePacket(c.conn, tds.MarshalLanguage(sql)); err != nil {
 		return nil, err
 	}
-	return tds.ReadResponse(c.conn)
+	return tds.ReadResponse(c.r)
 }
 
 // MustExec is Exec for program setup paths: it returns only the first
@@ -106,9 +133,17 @@ func (c *Conn) Messages(sql string) ([]string, error) {
 	return msgs, err
 }
 
-// Close shuts the connection down.
+// Close shuts the connection down. Closing twice is a no-op.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.closeLocked()
+}
+
+func (c *Conn) closeLocked() error {
+	if c.closed {
+		return nil
+	}
+	c.closed = true
 	return c.conn.Close()
 }

@@ -13,45 +13,72 @@ type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return e.Msg }
 
+// writeChunk caps the encoded bytes WriteResults holds before writing
+// them out: a response up to this size is one Write, and a larger result
+// set is written in chunks of about this size rather than buffered whole.
+const writeChunk = 64 << 10
+
 // WriteResults streams a slice of materialized result sets as protocol
 // tokens, appending an ERROR token if execErr is non-nil, and terminates
 // the response with DONEFINAL. The token order per result set is
-// ROWFMT, ROW*, INFO*, DONE — the order a real server emits.
+// ROWFMT, ROW*, INFO*, DONE — the order a real server emits. The tokens
+// are encoded into one buffer and written together, so a response of up
+// to writeChunk bytes costs one Write.
 func WriteResults(w io.Writer, results []*sqltypes.ResultSet, execErr error) error {
+	rw := responseWriter{w: w}
 	for _, rs := range results {
 		if rs == nil {
 			continue
 		}
 		if rs.Schema != nil {
-			if err := WritePacket(w, MarshalRowFmt(rs.Schema)); err != nil {
-				return err
-			}
+			rw.put(MarshalRowFmt(rs.Schema))
 			for _, row := range rs.Rows {
-				if err := WritePacket(w, MarshalRow(row)); err != nil {
-					return err
-				}
+				rw.put(MarshalRow(row))
 			}
 		}
 		for _, msg := range rs.Messages {
-			if err := WritePacket(w, MarshalInfo(msg)); err != nil {
-				return err
-			}
+			rw.put(MarshalInfo(msg))
 		}
-		if err := WritePacket(w, MarshalDone(rs.RowsAffected, false)); err != nil {
-			return err
-		}
+		rw.put(MarshalDone(rs.RowsAffected, false))
 	}
 	if execErr != nil {
-		if err := WritePacket(w, MarshalError(execErr.Error())); err != nil {
-			return err
-		}
+		rw.put(MarshalError(execErr.Error()))
 	}
-	return WritePacket(w, MarshalDone(0, true))
+	rw.put(MarshalDone(0, true))
+	return rw.flush()
+}
+
+// responseWriter frames packets into one buffer and writes the buffer out
+// whenever it reaches writeChunk. The first error sticks.
+type responseWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (rw *responseWriter) put(p Packet) {
+	if rw.err != nil {
+		return
+	}
+	rw.buf, rw.err = AppendPacket(rw.buf, p)
+	if len(rw.buf) >= writeChunk {
+		rw.flush()
+	}
+}
+
+func (rw *responseWriter) flush() error {
+	if rw.err == nil && len(rw.buf) > 0 {
+		_, rw.err = rw.w.Write(rw.buf)
+		rw.buf = rw.buf[:0]
+	}
+	return rw.err
 }
 
 // ReadResponse consumes tokens until DONEFINAL, reassembling materialized
 // result sets. A remote ERROR token is returned as *ServerError alongside
 // any results that preceded it; transport failures are returned as-is.
+// It makes two reads per token, so r should be buffered: client.Conn
+// passes its connection's bufio.Reader.
 func ReadResponse(r io.Reader) ([]*sqltypes.ResultSet, error) {
 	var (
 		results []*sqltypes.ResultSet
@@ -109,23 +136,6 @@ func ReadResponse(r io.Reader) ([]*sqltypes.ResultSet, error) {
 			return results, srvErr
 		default:
 			return results, fmt.Errorf("tds: unexpected token %s in response", p.Type)
-		}
-	}
-}
-
-// CopyResponse forwards tokens from src to dst until DONEFINAL without
-// materializing them — the gateway's pass-through path.
-func CopyResponse(dst io.Writer, src io.Reader) error {
-	for {
-		p, err := ReadPacket(src)
-		if err != nil {
-			return err
-		}
-		if err := WritePacket(dst, p); err != nil {
-			return err
-		}
-		if p.Type == PktDoneFinal {
-			return nil
 		}
 	}
 }

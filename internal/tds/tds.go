@@ -69,18 +69,25 @@ type Packet struct {
 	Payload []byte
 }
 
-// WritePacket frames and writes one packet: type byte, 4-byte big-endian
+// AppendPacket appends p's frame to dst: type byte, 4-byte big-endian
 // payload length, payload.
-func WritePacket(w io.Writer, p Packet) error {
+func AppendPacket(dst []byte, p Packet) ([]byte, error) {
 	if len(p.Payload) > maxPacketSize {
-		return fmt.Errorf("tds: packet too large (%d bytes)", len(p.Payload))
+		return dst, fmt.Errorf("tds: packet too large (%d bytes)", len(p.Payload))
 	}
-	hdr := [5]byte{byte(p.Type)}
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(p.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	dst = append(dst, byte(p.Type))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Payload)))
+	return append(dst, p.Payload...), nil
+}
+
+// WritePacket frames p and writes it in one Write, so the peer never
+// wakes for a header without its payload.
+func WritePacket(w io.Writer, p Packet) error {
+	frame, err := AppendPacket(make([]byte, 0, 5+len(p.Payload)), p)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(p.Payload)
+	_, err = w.Write(frame)
 	return err
 }
 
@@ -150,7 +157,7 @@ func (d *decoder) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if d.pos+int(n) > len(d.buf) {
+	if n > uint64(len(d.buf)-d.pos) {
 		return "", fmt.Errorf("tds: truncated string")
 	}
 	s := string(d.buf[d.pos : d.pos+int(n)])
