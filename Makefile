@@ -79,13 +79,13 @@ race:
 # The operator x context x coupling stream proof for the LED: every Snoop
 # operator's occurrence streams, signalled serially and with the rule-set
 # copies signalled concurrently, against the committed golden file, plus
-# the concurrent-signal stress under define/drop churn and the detector
-# tests that define or drop events around live state; then the engine's
+# the concurrent-signal stress under rule add/drop churn and the detector
+# tests that define events around live state; then the engine's
 # index-vs-scan differential (seeded random joins answered by hash-index
 # probes and by the nested loop must return identical result sets, row
 # order included, across every mutation an index survives), under -race.
 differential:
-	$(GO) test -race -count=1 -run 'TestOperatorStreamsGolden|TestDifferential|TestStressConcurrentSignalsUnderChurn|AcrossDefineAndDrop|SurvivesDefineAndDrop|TestDeferredPriorityAcrossRuleSets' ./internal/led
+	$(GO) test -race -count=1 -run 'TestOperatorStreamsGolden|TestDifferential|TestStressConcurrentSignalsUnderChurn|AcrossDefine|SurvivesDefine|TestDeferredPriorityAcrossRuleSets' ./internal/led
 	$(GO) test -race -count=1 -run 'TestIndexScanDifferential' ./internal/engine
 
 # The CEP oracle-differential proof (DESIGN.md §12): every window,

@@ -1,4 +1,4 @@
-// Command ecavet is the repo's static-analysis suite: ten analyzers that
+// Command ecavet is the repo's static-analysis suite: nine analyzers that
 // mechanize the agent's determinism, durability, concurrency, fencing
 // and resource-lifecycle invariants (DESIGN.md §9).
 //
@@ -25,13 +25,12 @@ import (
 	"github.com/activedb/ecaagent/internal/analysis/lockguard"
 	"github.com/activedb/ecaagent/internal/analysis/nowallclock"
 	"github.com/activedb/ecaagent/internal/analysis/obsreg"
-	"github.com/activedb/ecaagent/internal/analysis/poolleak"
 	"github.com/activedb/ecaagent/internal/analysis/syncerr"
 	"github.com/activedb/ecaagent/internal/analysis/waiverstale"
 )
 
 // Suite is the full analyzer set, in the order findings are reported:
-// the five syntactic tier-1 passes, then the four CFG/facts tier-2
+// the five syntactic tier-1 passes, then the three CFG/facts tier-2
 // passes, then the waiver-ledger check.
 var suite = []*analysis.Analyzer{
 	nowallclock.Analyzer,
@@ -40,7 +39,6 @@ var suite = []*analysis.Analyzer{
 	syncerr.Analyzer,
 	obsreg.Analyzer,
 	fencedwrite.Analyzer,
-	poolleak.Analyzer,
 	goroleak.Analyzer,
 	iodeadline.Analyzer,
 	waiverstale.Analyzer,

@@ -3,6 +3,8 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"syscall"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"github.com/activedb/ecaagent/internal/catalog"
+	"github.com/activedb/ecaagent/internal/client"
 	"github.com/activedb/ecaagent/internal/engine"
 	"github.com/activedb/ecaagent/internal/faults"
 	"github.com/activedb/ecaagent/internal/sqltypes"
@@ -291,6 +294,81 @@ func TestRetryUpstreamAttemptDeadlineAbortsHang(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("hang not aborted by deadline (took %v)", elapsed)
+	}
+}
+
+// TestRetryUpstreamAttemptDeadlineSilentServer runs the retry ladder over
+// real client connections to a server that acks the login and then never
+// answers. Each timed-out attempt must close its connection out from
+// under the blocked Exec, so the whole call fails with errAttemptTimeout
+// after two attempts instead of waiting for a response that never comes.
+func TestRetryUpstreamAttemptDeadlineSilentServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := tds.ReadPacket(conn); err != nil {
+					return
+				}
+				if err := tds.WritePacket(conn, tds.MarshalLoginAck(tds.LoginAck{OK: true})); err != nil {
+					return
+				}
+				_, _ = io.Copy(io.Discard, conn) // read requests, answer none
+			}()
+		}
+	}()
+	r := newRetryUpstream(
+		func() (Upstream, error) { return client.Connect(ln.Addr().String(), client.Options{}) },
+		RetryConfig{MaxAttempts: 2, AttemptTimeout: 200 * time.Millisecond},
+		nil, nil, nil,
+	)
+	defer func() {
+		// Stop the server first: its closed sockets release an Exec that
+		// a failed deadline left blocked, so r.Close cannot hang the test.
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+		r.Close()
+	}()
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := r.Exec("select 1")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errAttemptTimeout) {
+			t.Fatalf("exec against a silent server: %v, want errAttemptTimeout", err)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("exec took %v, want under 1s", elapsed)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("exec still blocked after 3s: the timed-out attempt's Close waited for the hung Exec")
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package cfg builds intra-procedural control-flow graphs over go/ast —
 // ecavet's second analysis tier. Where the PR 5 analyzers reasoned
 // positionally ("a Sync call textually before the Rename"), the tier-2
-// analyzers (fencedwrite, poolleak, goroleak, iodeadline) ask flow
-// questions: does a Validate call *reach* this Exec, can this goroutine's
-// function *exit*, is a pooled value used on a path *after* its Put. A
+// analyzers (fencedwrite, goroleak, iodeadline) ask flow questions: does
+// a Validate call *reach* this Exec, can this goroutine's function *exit*,
+// does a blocking call run on a path with no deadline set before it. A
 // Graph answers those with basic blocks and edges for if/for/range/
 // switch/select/goto/labeled break/continue, plus the non-local exits:
 // return, panic and the never-returning terminators (os.Exit, log.Fatal*)
@@ -94,76 +94,6 @@ func (g *Graph) Live() map[*Block]bool {
 	live := g.ReachableFrom(g.Entry)
 	live[g.Entry] = true
 	return live
-}
-
-// Dominators computes the dominator sets of the live blocks: dom[b]
-// holds every block that appears on all paths Entry→b (b dominates
-// itself). Dead blocks are absent. The iterative set intersection is
-// quadratic, which is fine at function-body scale.
-func (g *Graph) Dominators() map[*Block]map[*Block]bool {
-	live := g.Live()
-	var order []*Block
-	for _, b := range g.Blocks {
-		if live[b] {
-			order = append(order, b)
-		}
-	}
-	dom := make(map[*Block]map[*Block]bool, len(order))
-	all := make(map[*Block]bool, len(order))
-	for _, b := range order {
-		all[b] = true
-	}
-	for _, b := range order {
-		if b == g.Entry {
-			dom[b] = map[*Block]bool{b: true}
-			continue
-		}
-		set := make(map[*Block]bool, len(order))
-		for k := range all {
-			set[k] = true
-		}
-		dom[b] = set
-	}
-	preds := make(map[*Block][]*Block)
-	for _, b := range order {
-		for _, s := range b.Succs {
-			if live[s] {
-				preds[s] = append(preds[s], b)
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			if b == g.Entry {
-				continue
-			}
-			var next map[*Block]bool
-			for _, p := range preds[b] {
-				if next == nil {
-					next = make(map[*Block]bool, len(dom[p]))
-					for k := range dom[p] {
-						next[k] = true
-					}
-					continue
-				}
-				for k := range next {
-					if !dom[p][k] {
-						delete(next, k)
-					}
-				}
-			}
-			if next == nil {
-				next = make(map[*Block]bool)
-			}
-			next[b] = true
-			if len(next) != len(dom[b]) {
-				dom[b] = next
-				changed = true
-			}
-		}
-	}
-	return dom
 }
 
 // Visit calls f for every node of every block, in block order. Nested

@@ -342,39 +342,6 @@ func TestRangeLoop(t *testing.T) {
 	}
 }
 
-// Dominators: the entry dominates everything; a branch dominates its own
-// arm but not the join; the loop head dominates the body.
-func TestDominators(t *testing.T) {
-	g, _ := build(t, `func f(c bool) {
-	pre()
-	if c {
-		a()
-	} else {
-		b()
-	}
-	join()
-	for cond() {
-		body()
-	}
-	after()
-}`, "f")
-	dom := g.Dominators()
-	bPre, ba, bJoin := blockWith(t, g, "pre"), blockWith(t, g, "a"), blockWith(t, g, "join")
-	bCond, bBody := blockWith(t, g, "cond"), blockWith(t, g, "body")
-	if !dom[bJoin][bPre] {
-		t.Error("pre must dominate the join")
-	}
-	if dom[bJoin][ba] {
-		t.Error("one branch arm must not dominate the join")
-	}
-	if !dom[bBody][bCond] {
-		t.Error("loop head must dominate the loop body")
-	}
-	if !dom[ba][ba] {
-		t.Error("every block dominates itself")
-	}
-}
-
 // `for {}` without break: everything after is dead, but the body is live
 // and cyclic.
 func TestForeverLoop(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/activedb/ecaagent/internal/sqltypes"
@@ -19,10 +20,13 @@ import (
 // are serialized on the wire. Responses are read through one buffer that
 // lives as long as the connection, so a small response costs one read.
 type Conn struct {
-	mu     sync.Mutex // serializes requests; guards r and closed
-	conn   net.Conn
-	r      *bufio.Reader
-	closed bool
+	mu   sync.Mutex // serializes requests; guards r
+	conn net.Conn
+	r    *bufio.Reader
+	// closed is set once by Close, which never takes mu: closing the
+	// socket is how another goroutine unblocks an Exec that waits on a
+	// silent server.
+	closed atomic.Bool
 }
 
 // Options configures Connect.
@@ -82,13 +86,13 @@ func login(conn net.Conn, opts Options) (*Conn, error) {
 func (c *Conn) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return nil, fmt.Errorf("client: %w", net.ErrClosed)
 	}
 	results, err := c.roundTrip(sql)
 	var se *tds.ServerError
 	if err != nil && !errors.As(err, &se) {
-		c.closeLocked()
+		c.Close()
 	}
 	return results, err
 }
@@ -133,17 +137,11 @@ func (c *Conn) Messages(sql string) ([]string, error) {
 	return msgs, err
 }
 
-// Close shuts the connection down. Closing twice is a no-op.
+// Close shuts the connection down without waiting for an Exec in
+// progress, which then fails. Closing twice is a no-op.
 func (c *Conn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closeLocked()
-}
-
-func (c *Conn) closeLocked() error {
-	if c.closed {
+	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	c.closed = true
 	return c.conn.Close()
 }

@@ -26,21 +26,15 @@ func globalName(event, site string) string { return event + "::" + site }
 
 // GED detects composite events spanning multiple sites.
 type GED struct {
-	// mu guards sites and autoRegister. Signal takes it shared: the fan-in
-	// path from many forwarding sites only reads the registry once its
-	// site and event are known, so concurrent sites serialize only on the
-	// global LED's detector lock, not on the GED registry as well.
+	// mu guards sites. Signal takes it shared: the fan-in path from many
+	// forwarding sites only reads the registry once its site and event are
+	// known, so concurrent sites serialize only on the global LED's
+	// detector lock, not on the GED registry as well.
 	mu    sync.RWMutex
 	led   *led.LED
 	sites map[string]bool // guarded by mu
-	// autoRegister lets Signal register unknown sites on first contact.
-	// Off by default: RegisterSite promises "already registered" errors,
-	// and silently adopting any sender contradicts that contract (and lets
-	// a typoed site name shadow a real one forever).
-	autoRegister bool // guarded by mu
 
 	sigAccepted atomic.Uint64
-	sigAutoReg  atomic.Uint64
 	sigRejected atomic.Uint64
 
 	conn *net.UDPConn
@@ -48,40 +42,28 @@ type GED struct {
 }
 
 // New returns a GED. A nil clock selects real time. Signals from
-// unregistered sites are rejected (and counted) unless SetAutoRegister
-// enables lazy adoption.
+// unregistered sites are rejected and counted: RegisterSite promises
+// "already registered" errors, and silently adopting any sender would
+// contradict that contract (and let a typoed site name shadow a real one
+// forever).
 func New(clock led.Clock) *GED {
 	return &GED{led: led.New(clock), sites: make(map[string]bool)}
-}
-
-// SetAutoRegister chooses the unknown-site policy for Signal: when on,
-// a signal from an unregistered site registers the site (the original
-// "sites may announce themselves by sending" behaviour); when off (the
-// default), the signal is dropped and counted in SignalsRejected.
-func (g *GED) SetAutoRegister(on bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.autoRegister = on
 }
 
 // Stats is a snapshot of the GED's signal-policy counters.
 type Stats struct {
 	// SignalsAccepted counts signals from registered sites fed to the LED.
 	SignalsAccepted uint64
-	// SignalsAutoRegistered counts signals that lazily registered their
-	// site (auto-registration on).
-	SignalsAutoRegistered uint64
 	// SignalsRejected counts signals dropped because their site was not
-	// registered (auto-registration off).
+	// registered.
 	SignalsRejected uint64
 }
 
 // Stats returns the current counters.
 func (g *GED) Stats() Stats {
 	return Stats{
-		SignalsAccepted:       g.sigAccepted.Load(),
-		SignalsAutoRegistered: g.sigAutoReg.Load(),
-		SignalsRejected:       g.sigRejected.Load(),
+		SignalsAccepted: g.sigAccepted.Load(),
+		SignalsRejected: g.sigRejected.Load(),
 	}
 }
 
@@ -91,9 +73,6 @@ func (g *GED) EnableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("ged_signals_accepted_total",
 		"Site signals from registered sites fed to the global LED.",
 		func() float64 { return float64(g.sigAccepted.Load()) })
-	reg.CounterFunc("ged_signals_auto_registered_total",
-		"Site signals that lazily registered their site.",
-		func() float64 { return float64(g.sigAutoReg.Load()) })
 	reg.CounterFunc("ged_signals_rejected_total",
 		"Site signals dropped because their site was not registered.",
 		func() float64 { return float64(g.sigRejected.Load()) })
@@ -130,10 +109,9 @@ func (g *GED) DeclareSiteEvent(site, event string) error {
 }
 
 // Signal injects one site's primitive event occurrence. Signals from
-// unregistered sites are dropped unless auto-registration is enabled (see
-// SetAutoRegister); either way the outcome is counted in Stats. Site
-// events are still registered lazily on first signal — only the *site*
-// has an explicit registration contract.
+// unregistered sites are dropped; either way the outcome is counted in
+// Stats. Site events are still registered lazily on first signal — only
+// the *site* has an explicit registration contract.
 func (g *GED) Signal(site string, p led.Primitive) {
 	name := globalName(p.Event, site)
 	// Fast path: known site, known event — a shared lock suffices, so
@@ -149,19 +127,15 @@ func (g *GED) Signal(site string, p led.Primitive) {
 	g.led.Signal(p)
 }
 
-// registerSlow is Signal's write path: first contact from a site (policy
-// permitting) or a site event's lazy registration. Reports whether the
-// signal may proceed.
+// registerSlow is Signal's write path: a site event's lazy registration,
+// or the rejection of an unregistered site. Reports whether the signal may
+// proceed.
 func (g *GED) registerSlow(site, name string) bool {
 	g.mu.Lock()
 	if !g.sites[site] {
-		if !g.autoRegister {
-			g.mu.Unlock()
-			g.sigRejected.Add(1)
-			return false
-		}
-		g.sites[site] = true
-		g.sigAutoReg.Add(1)
+		g.mu.Unlock()
+		g.sigRejected.Add(1)
+		return false
 	}
 	if !g.led.HasEvent(name) {
 		_ = g.led.DefinePrimitive(name)

@@ -99,7 +99,7 @@ func TestSignalRejectsUnregisteredSiteByDefault(t *testing.T) {
 	if g.LED().HasEvent("e::stranger") {
 		t.Error("unregistered site's event was defined")
 	}
-	if st := g.Stats(); st.SignalsRejected != 1 || st.SignalsAccepted != 0 || st.SignalsAutoRegistered != 0 {
+	if st := g.Stats(); st.SignalsRejected != 1 || st.SignalsAccepted != 0 {
 		t.Errorf("stats after rejection: %+v", st)
 	}
 	// A registered site's signal is accepted, and its event still
@@ -113,29 +113,6 @@ func TestSignalRejectsUnregisteredSiteByDefault(t *testing.T) {
 	}
 	if st := g.Stats(); st.SignalsAccepted != 1 || st.SignalsRejected != 1 {
 		t.Errorf("stats after accept: %+v", st)
-	}
-}
-
-func TestSignalAutoRegisterOptIn(t *testing.T) {
-	g := New(led.NewManualClock(time.Unix(0, 0)))
-	g.SetAutoRegister(true)
-	// Opt-in restores the original behaviour: the site announces itself by
-	// sending, and the signal is both auto-registered and accepted.
-	g.Signal("lazy", led.Primitive{Event: "e", At: time.Unix(1, 0)})
-	if !g.LED().HasEvent("e::lazy") {
-		t.Error("lazy registration failed")
-	}
-	if st := g.Stats(); st.SignalsAutoRegistered != 1 || st.SignalsAccepted != 1 || st.SignalsRejected != 0 {
-		t.Errorf("stats: %+v", st)
-	}
-	// The site is now registered for real: RegisterSite refuses it, and a
-	// second signal is a plain accept (no second auto-registration).
-	if err := g.RegisterSite("lazy"); err == nil {
-		t.Error("auto-registered site not visible to RegisterSite")
-	}
-	g.Signal("lazy", led.Primitive{Event: "e", At: time.Unix(2, 0)})
-	if st := g.Stats(); st.SignalsAutoRegistered != 1 || st.SignalsAccepted != 2 {
-		t.Errorf("stats after second signal: %+v", st)
 	}
 }
 

@@ -85,7 +85,7 @@ func (n *node) onWindowChild(ctx Context, st *opState, occ *Occ) {
 // armBoundary arms the window's boundary timer at the logical deadline at.
 func (n *node) armBoundary(ctx Context, st *opState, at time.Time) {
 	st.nextBound = at
-	st.ringStop = n.armTimer(at, func(fireAt time.Time) {
+	st.ringStop = n.led.armTimer(at, func(fireAt time.Time) {
 		// The node may have been restored (or the context torn down)
 		// between arming and firing; only the deadline the state still
 		// expects may run the boundary.

@@ -274,10 +274,12 @@ func TestOperatorStreamsGolden(t *testing.T) {
 }
 
 // TestDifferentialShardedEquivalence drives every cell with the rule-set
-// copies sharded across goroutines — each signal step signals every copy
+// copies signalled concurrently — each signal step signals every copy
 // from its own goroutine — and still requires the golden streams:
 // independent rule sets must not observe each other through the one
-// detector lock, the shared pending list or the shared deferred queue.
+// detector lock, the shared pending list, the shared deferred queue or
+// the spare firing scratch (under -race, two propagations sharing one
+// scratch is a reported race).
 func TestDifferentialShardedEquivalence(t *testing.T) {
 	checkOperatorStreams(t, true)
 }

@@ -229,9 +229,6 @@ type LED struct {
 	mu    sync.Mutex
 	nodes map[string]*node // guarded by mu
 	rules map[string]*Rule // guarded by mu
-	// refs counts how many composites reference each named event, so drops
-	// are refused while dependents exist.
-	refs map[string]int // guarded by mu
 	// pending accumulates rule firings during one graph propagation.
 	pending []firing // guarded by mu
 	// deferred queues DEFERRED firings, in detection order, until
@@ -248,9 +245,9 @@ type LED struct {
 	timers  map[uint64]*logTimer
 	timNext uint64
 
-	// firings recycles the per-propagation pending slices (pool.go), so a
-	// warmed Signal carries no per-call bookkeeping allocation.
-	firings firingPool
+	// spare holds one recycled per-propagation pending slice (pool.go), so
+	// a warmed Signal carries no per-call bookkeeping allocation.
+	spare atomic.Pointer[firingScratch]
 
 	// outMu guards the outstanding-firing set (snapshot.go): firings
 	// detected but not yet durably handed off to their rule actions.
@@ -274,7 +271,6 @@ func New(clock Clock) *LED {
 		clock: clock,
 		nodes: make(map[string]*node),
 		rules: make(map[string]*Rule),
-		refs:  make(map[string]int),
 	}
 	l.pool.maxWorkers = 4 * runtime.GOMAXPROCS(0)
 	l.pool.run = func(f firing) {
@@ -311,9 +307,6 @@ func (l *LED) DefineComposite(name string, expr snoop.Expr) error {
 	}
 	n.name = name
 	l.nodes[name] = n
-	for _, ref := range snoop.EventNames(expr) {
-		l.refs[ref]++
-	}
 	return nil
 }
 
@@ -335,55 +328,6 @@ func (l *LED) EventNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// DropEvent removes a named event. It fails while other composites
-// reference it or rules are attached to it.
-func (l *LED) DropEvent(name string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n, ok := l.nodes[name]
-	if !ok {
-		return fmt.Errorf("led: event %q not defined", name)
-	}
-	if l.refs[name] > 0 {
-		return fmt.Errorf("led: event %q is referenced by other events", name)
-	}
-	for _, r := range l.rules {
-		if r.Event == name {
-			return fmt.Errorf("led: event %q has rule %q attached", name, r.Name)
-		}
-	}
-	n.shutdown()
-	// Unsubscribe the dropped graph from its surviving constituents, which
-	// would otherwise keep feeding the dropped composite's orphaned
-	// operator state.
-	dropped := make(map[*node]bool)
-	forEachOwnedNode(n, func(m *node) { dropped[m] = true })
-	for _, root := range l.nodes {
-		forEachOwnedNode(root, func(m *node) { m.pruneSubs(dropped) })
-	}
-	delete(l.nodes, name)
-	if n.expr != nil {
-		for _, ref := range snoop.EventNames(n.expr) {
-			if l.refs[ref]--; l.refs[ref] <= 0 {
-				delete(l.refs, ref)
-			}
-		}
-	}
-	return nil
-}
-
-// forEachOwnedNode visits a named root and the anonymous operator nodes it
-// owns (recursion stops at named children — those belong to their own
-// registration).
-func forEachOwnedNode(root *node, fn func(*node)) {
-	fn(root)
-	for _, c := range root.children {
-		if c.name == "" {
-			forEachOwnedNode(c, fn)
-		}
-	}
 }
 
 // Rule is an ECA rule: when Event is detected in Context, and Condition
@@ -484,14 +428,14 @@ func (l *LED) signalLocked(p Primitive) {
 // under mu, queues the deferred firings it produced, and executes the rest
 // after releasing the lock.
 func (l *LED) dispatch(fn func()) {
-	scr := l.firings.get()
+	scr := l.getScratch()
 	l.mu.Lock()
 	l.pending = scr.fs[:0]
 	fn()
 	fired := l.pending
 	l.pending = nil
 	// Keep the (possibly regrown) backing array with the scratch so the
-	// pool learns the propagation's working-set size.
+	// spare learns the propagation's working-set size.
 	scr.fs = fired
 	// Stable insertion sort by descending priority; equal priorities keep
 	// detection order (allocation-free, see sortFirings).
@@ -506,7 +450,7 @@ func (l *LED) dispatch(fn func()) {
 	l.noteFired(fired, false)
 	l.mu.Unlock()
 	l.runFirings(fired)
-	l.firings.put(scr)
+	l.putScratch(scr)
 }
 
 // runFirings executes rule firings detection produced: immediate

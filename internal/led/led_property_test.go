@@ -273,29 +273,6 @@ func TestPlusMultipleOccurrences(t *testing.T) {
 	}
 }
 
-func TestDropEventCancelsTimers(t *testing.T) {
-	h := newHarness(t, "open", "close")
-	e, _ := snoop.Parse("P(open, [5 sec], close)")
-	if err := h.led.DefineComposite("p", e); err != nil {
-		t.Fatal(err)
-	}
-	h.watch(t, "p", Recent)
-	h.led.Signal(Primitive{Event: "open", At: h.clock.Now()})
-	if h.clock.PendingTimers() == 0 {
-		t.Fatal("no timer armed")
-	}
-	for _, r := range h.led.RuleNames() {
-		_ = h.led.DropRule(r)
-	}
-	if err := h.led.DropEvent("p"); err != nil {
-		t.Fatal(err)
-	}
-	h.clock.Advance(30 * time.Second)
-	if got := len(h.take()); got != 0 {
-		t.Errorf("dropped periodic event still ticked %d times", got)
-	}
-}
-
 func TestAperiodicChronicleClosesOldestWindow(t *testing.T) {
 	h := newHarness(t, "open", "trade", "close")
 	defComposite(t, h, "a", "A(open, trade, close)")

@@ -561,34 +561,9 @@ func TestDropRule(t *testing.T) {
 	}
 }
 
-func TestDropEventGuards(t *testing.T) {
-	h := newHarness(t, "e1", "e2")
-	defComposite(t, h, "c", "e1 ^ e2")
-	if err := h.led.DropEvent("e1"); err == nil {
-		t.Error("dropped event still referenced by composite")
-	}
-	h.watch(t, "c", Recent)
-	if err := h.led.DropEvent("c"); err == nil {
-		t.Error("dropped event with attached rule")
-	}
-	// After dropping the rule, the composite can go; then e1 can go.
-	for _, r := range h.led.RuleNames() {
-		_ = h.led.DropRule(r)
-	}
-	if err := h.led.DropEvent("c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.led.DropEvent("e1"); err != nil {
-		t.Fatal(err)
-	}
-	if h.led.HasEvent("e1") {
-		t.Error("e1 still defined")
-	}
-}
-
-// TestRuleFiresAcrossDefineAndDrop checks a rule keeps firing while a
-// composite over its event is defined and dropped again.
-func TestRuleFiresAcrossDefineAndDrop(t *testing.T) {
+// TestRuleFiresAcrossDefine checks a rule keeps firing while a composite
+// over its event is defined.
+func TestRuleFiresAcrossDefine(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	var fired []int
 	if err := h.led.AddRule(&Rule{
@@ -601,20 +576,15 @@ func TestRuleFiresAcrossDefineAndDrop(t *testing.T) {
 	h.sig("a") // vno 1
 	defComposite(t, h, "link", "a ; b")
 	h.sig("a") // vno 2, a now feeds link too
-	if err := h.led.DropEvent("link"); err != nil {
-		t.Fatal(err)
-	}
-	h.sig("a") // vno 3, link gone
 
-	if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 3 {
-		t.Fatalf("rule firings across define/drop = %v, want [1 2 3]", fired)
+	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
+		t.Fatalf("rule firings across define = %v, want [1 2]", fired)
 	}
 }
 
-// TestCompositeStateSurvivesDefineAndDrop checks a half-detected AND keeps
-// its partial state while another composite over its constituents is
-// defined, and again after that composite is dropped.
-func TestCompositeStateSurvivesDefineAndDrop(t *testing.T) {
+// TestCompositeStateSurvivesDefine checks a half-detected AND keeps its
+// partial state while another composite over its constituents is defined.
+func TestCompositeStateSurvivesDefine(t *testing.T) {
 	h := newHarness(t, "a", "b", "x", "y")
 	defComposite(t, h, "ab", "a ^ b")
 	var got []*Occ
@@ -635,13 +605,10 @@ func TestCompositeStateSurvivesDefineAndDrop(t *testing.T) {
 		t.Fatalf("constituents = %d, want 2", len(got[0].Constituents))
 	}
 
-	if err := h.led.DropEvent("bridge"); err != nil {
-		t.Fatal(err)
-	}
 	h.sig("a")
 	h.sig("b")
 	if len(got) != 2 {
-		t.Fatalf("AND fired %d times after drop, want 2", len(got))
+		t.Fatalf("AND fired %d times after define, want 2", len(got))
 	}
 }
 

@@ -29,14 +29,11 @@ const (
 )
 
 // sub is one subscription to a node's occurrences in one context. rule is
-// set for rule subscriptions so DropRule can remove them; parent-operator
-// subscriptions carry the owning operator node instead, so DropEvent can
-// prune a dropped composite's listeners from its surviving constituents.
+// set for rule subscriptions so DropRule can remove them.
 type sub struct {
-	ctx   Context
-	fn    func(*Occ)
-	rule  *Rule
-	owner *node
+	ctx  Context
+	fn   func(*Occ)
+	rule *Rule
 }
 
 // node is one vertex of the event graph. All node methods run with the
@@ -46,7 +43,7 @@ type node struct {
 	name     string // registered name; "" for anonymous operator nodes
 	kind     kind
 	children []*node
-	expr     snoop.Expr // set on registered composite roots, for refcounts
+	expr     snoop.Expr // the operator expression, for names and the DOT view
 
 	dur   time.Duration // kPer, kPerStar, kPlus; window size for kWindow/kAgg
 	absAt time.Time     // kTemporal
@@ -60,9 +57,6 @@ type node struct {
 	subs      []sub
 	activated map[Context]bool
 	state     map[Context]*opState
-	// cancels collects outstanding timer cancellations for shutdown.
-	cancels map[int]func()
-	nextID  int
 }
 
 // opState is the per-context detection state of an operator node. Every
@@ -221,9 +215,9 @@ func (n *node) eventName() string {
 	return "<anonymous>"
 }
 
-// subscribe attaches a context-tagged listener owned by an operator node.
-func (n *node) subscribe(ctx Context, owner *node, fn func(*Occ)) {
-	n.subs = append(n.subs, sub{ctx: ctx, fn: fn, owner: owner})
+// subscribe attaches a parent operator's context-tagged listener.
+func (n *node) subscribe(ctx Context, fn func(*Occ)) {
+	n.subs = append(n.subs, sub{ctx: ctx, fn: fn})
 }
 
 // subscribeRule attaches a rule's listener; unsubscribeRule removes it.
@@ -235,19 +229,6 @@ func (n *node) unsubscribeRule(r *Rule) {
 	kept := n.subs[:0]
 	for _, s := range n.subs {
 		if s.rule != r {
-			kept = append(kept, s)
-		}
-	}
-	n.subs = kept
-}
-
-// pruneSubs removes subscriptions owned by dropped operator nodes (called
-// when their composite is dropped, so its orphaned operators stop
-// receiving occurrences).
-func (n *node) pruneSubs(dropped map[*node]bool) {
-	kept := n.subs[:0]
-	for _, s := range n.subs {
-		if s.owner == nil || !dropped[s.owner] {
 			kept = append(kept, s)
 		}
 	}
@@ -277,20 +258,7 @@ func (n *node) activate(ctx Context) {
 		for i, c := range n.children {
 			c.activate(ctx)
 			idx := i
-			c.subscribe(ctx, n, func(occ *Occ) { n.onChild(ctx, idx, occ) })
-		}
-	}
-}
-
-// shutdown cancels outstanding timers (on DropEvent).
-func (n *node) shutdown() {
-	for _, cancel := range n.cancels {
-		cancel()
-	}
-	n.cancels = nil
-	for _, c := range n.children {
-		if c.name == "" {
-			c.shutdown()
+			c.subscribe(ctx, func(occ *Occ) { n.onChild(ctx, idx, occ) })
 		}
 	}
 }
@@ -627,28 +595,6 @@ func (n *node) onPeriodic(ctx Context, st *opState, idx int, occ *Occ) {
 	}
 }
 
-// armTimer arms a logical timer owned by this node, recording its cancel
-// for shutdown. fn runs under the detector lock with the timer's logical
-// deadline as its argument (identical whether the clock or a recovery
-// FireTimersUpTo fired it).
-func (n *node) armTimer(at time.Time, fn func(at time.Time)) func() {
-	id := n.nextID
-	n.nextID++
-	if n.cancels == nil {
-		n.cancels = make(map[int]func())
-	}
-	inner := n.led.armTimer(at, func(fireAt time.Time) {
-		delete(n.cancels, id)
-		fn(fireAt)
-	})
-	cancel := func() {
-		delete(n.cancels, id)
-		inner()
-	}
-	n.cancels[id] = cancel
-	return cancel
-}
-
 // armPeriodic schedules the next tick of a periodic window at its logical
 // deadline: the start occurrence's time plus a whole number of periods.
 // The tick carries the deadline as its At, so replaying a restored window
@@ -657,7 +603,7 @@ func (n *node) armPeriodic(ctx Context, st *opState, w *window) {
 	if w.next.IsZero() {
 		w.next = w.start.At.Add(n.dur)
 	}
-	w.cancel = n.armTimer(w.next, func(at time.Time) {
+	w.cancel = n.led.armTimer(w.next, func(at time.Time) {
 		// The window may have been closed between firing and lock
 		// acquisition.
 		open := false
@@ -705,7 +651,7 @@ func (n *node) onPlus(ctx Context, st *opState, occ *Occ) {
 
 // armPlus arms the timer for one pending PLUS emission.
 func (n *node) armPlus(ctx Context, st *opState, p *plusPending) {
-	n.armTimer(p.at, func(time.Time) {
+	n.led.armTimer(p.at, func(time.Time) {
 		for i, q := range st.plus {
 			if q == p {
 				st.plus = append(st.plus[:i], st.plus[i+1:]...)
@@ -732,7 +678,7 @@ func (n *node) scheduleTemporal(ctx Context) {
 // armTemporal arms the temporal timer; the done flag makes firing one-shot
 // even when a restore re-arms alongside an activate-time timer.
 func (n *node) armTemporal(ctx Context) {
-	n.armTimer(n.absAt, func(time.Time) {
+	n.led.armTimer(n.absAt, func(time.Time) {
 		st := n.state[ctx]
 		if st == nil || st.done {
 			return

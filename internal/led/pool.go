@@ -25,37 +25,35 @@ func newPrimOcc(p Primitive, ctx Context) *Occ {
 
 // firingScratch is a recyclable firing slice used for the per-propagation
 // pending list. dispatch appends into it under the detector lock, then
-// runs the firings and returns the scratch to the pool. Recycling is safe
-// because every consumer of a firing copies the value out of the slice
-// before dispatch releases it: noteFired stores copies in the
-// outstanding map, the deferred queue and the detached pool append copies,
-// and IMMEDIATE rules run to completion before release.
+// runs the firings and returns the scratch to the LED's spare slot.
+// Recycling is safe because every consumer of a firing copies the value
+// out of the slice before dispatch releases it: noteFired stores copies in
+// the outstanding map, the deferred queue and the detached pool append
+// copies, and IMMEDIATE rules run to completion before release.
 type firingScratch struct {
 	fs []firing
 }
 
-// firingPool recycles firing scratch slices so a warmed Signal allocates
-// no per-propagation bookkeeping.
-type firingPool struct {
-	p sync.Pool
-}
-
-func (fp *firingPool) get() *firingScratch {
-	if v := fp.p.Get(); v != nil {
-		return v.(*firingScratch)
+// getScratch takes the spare scratch, or makes a fresh one when a nested
+// or concurrent propagation holds it. Signal ingest runs inline on one
+// listener goroutine, so the slot almost always hits.
+func (l *LED) getScratch() *firingScratch {
+	if s := l.spare.Swap(nil); s != nil {
+		return s
 	}
 	return &firingScratch{fs: make([]firing, 0, 8)}
 }
 
-// put clears the slice before pooling it so a recycled scratch never pins
-// occurrence objects (a pooled slice holding live *Occ pointers would keep
-// every constituent reachable until the next reuse).
-func (fp *firingPool) put(s *firingScratch) {
+// putScratch clears the slice before storing it in the spare slot, so a
+// recycled scratch never pins occurrence objects (a kept slice holding
+// live *Occ pointers would keep every constituent reachable until the next
+// reuse).
+func (l *LED) putScratch(s *firingScratch) {
 	for i := range s.fs {
 		s.fs[i] = firing{}
 	}
 	s.fs = s.fs[:0]
-	fp.p.Put(s)
+	l.spare.Store(s)
 }
 
 // sortFirings stable-sorts a firing slice by descending priority without

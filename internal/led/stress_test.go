@@ -6,18 +6,16 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/activedb/ecaagent/internal/snoop"
 )
 
 // TestStressConcurrentSignalsUnderChurn hammers the LED from many
-// goroutines while admin churn defines and drops a composite spanning the
-// rule sets, then audits a delivery ledger for lost or duplicated
+// goroutines while admin churn adds and drops rules on composites spanning
+// the rule sets, then audits a delivery ledger for lost or duplicated
 // firings. Each of K independent rule sets is `e1 ^ e2` under CHRONICLE
 // context, so signalling each primitive exactly once per round must fire
-// each rule exactly once per round — any locking or subscription-pruning
-// bug shows up as a missing or double entry (and -race catches
-// unsynchronized access outright).
+// each rule exactly once per round — any locking or subscription bug shows
+// up as a missing or double entry (and -race catches unsynchronized access
+// outright).
 func TestStressConcurrentSignalsUnderChurn(t *testing.T) {
 	const (
 		sets   = 8
@@ -62,19 +60,21 @@ func TestStressConcurrentSignalsUnderChurn(t *testing.T) {
 		}
 	}
 
-	// Churn goroutine: repeatedly defines a "bridge" composite spanning two
-	// rule sets and drops it again, while signal goroutines are running.
-	// The bridge has its own primitive terminator so it never fires and
-	// never consumes s*_a occurrences:
-	// AND initiated by s0_a ^ s6_a cannot complete without both, and we
-	// drop it between rounds — but to be fully inert we bridge over
-	// dedicated primitives instead.
-	if err := l.DefinePrimitive("bridge_x"); err != nil {
-		t.Fatal(err)
+	// Bridge composites, defined once, each spanning two rule sets over
+	// dedicated primitives that are never signalled, so they never fire
+	// and never consume s*_a occurrences. The churn goroutine attaches and
+	// drops a rule on a random bridge in a random context while the signal
+	// goroutines run: the detector work CREATE and DROP TRIGGER do.
+	for _, p := range []string{"bridge_x", "bridge_y"} {
+		if err := l.DefinePrimitive(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.DefinePrimitive("bridge_y"); err != nil {
-		t.Fatal(err)
+	for i := 0; i < sets; i++ {
+		expr := fmt.Sprintf("(s%d_a ; bridge_x) ; (s%d_a ; bridge_y)", i, (i+1)%sets)
+		defComposite(t, &harness{led: l}, fmt.Sprintf("bridge%d", i), expr)
 	}
+	contexts := []Context{Recent, Chronicle, Continuous, Cumulative}
 
 	var (
 		wg    sync.WaitGroup
@@ -91,21 +91,22 @@ func TestStressConcurrentSignalsUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			// Link two random sets through an inert composite.
-			i, j := rng.Intn(sets), rng.Intn(sets)
-			if i == j {
-				continue
-			}
-			expr := fmt.Sprintf("(s%d_a ; bridge_x) ; (s%d_a ; bridge_y)", i, j)
-			e, err := snoop.Parse(expr)
+			err := l.AddRule(&Rule{
+				Name:    "bridge_r",
+				Event:   fmt.Sprintf("bridge%d", rng.Intn(sets)),
+				Context: contexts[rng.Intn(len(contexts))],
+				Action: func(*Occ) {
+					// A bridge firing is a phantom ledger entry.
+					ledgerMu.Lock()
+					ledger[ledgerKey{-1, 0}]++
+					ledgerMu.Unlock()
+				},
+			})
 			if err != nil {
 				panic(err)
 			}
-			if err := l.DefineComposite("bridge_comp", e); err != nil {
-				panic(err)
-			}
 			churn++
-			if err := l.DropEvent("bridge_comp"); err != nil {
+			if err := l.DropRule("bridge_r"); err != nil {
 				panic(err)
 			}
 		}
@@ -158,7 +159,7 @@ func TestStressConcurrentSignalsUnderChurn(t *testing.T) {
 	l.Wait()
 
 	if churn == 0 {
-		t.Error("churn goroutine never defined/dropped the bridge; stress is vacuous")
+		t.Error("churn goroutine never added/dropped a bridge rule; stress is vacuous")
 	}
 	ledgerMu.Lock()
 	defer ledgerMu.Unlock()
