@@ -52,13 +52,17 @@ func newActionHandler(up Upstream) *actionHandler {
 func (h *actionHandler) close() { h.up.Close() }
 
 // invoke materializes the occurrence's parameter context into sysContext
-// (§5.6's four steps) and executes the action procedure. It returns the
-// informational messages the action produced.
-//
-// The only caller is Agent.runAction on the action queue's single worker,
-// which makes the populate + execute pair atomic with respect to other
-// actions.
+// (§5.6's four steps) and executes the action procedure on its own. It
+// returns the informational messages the action produced.
 func (h *actionHandler) invoke(p ActionParam, occ *led.Occ) ([]*sqltypes.ResultSet, []string, error) {
+	results, err := h.up.Exec(actionScript(p, occ))
+	return results, messages(results), err
+}
+
+// actionScript builds the §5.6 script for one occurrence: populate
+// sysContext with the occurrence's (shadow table, context, vNo) tuples,
+// then execute the action procedure.
+func actionScript(p ActionParam, occ *led.Occ) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "use %s\n", p.DB)
 
@@ -115,13 +119,16 @@ func (h *actionHandler) invoke(p ActionParam, occ *led.Occ) ([]*sqltypes.ResultS
 	// Step 4: the procedure joins sysContext with the shadow tables and
 	// runs the user action.
 	fmt.Fprintf(&b, "execute %s", p.StoreProc)
+	return b.String()
+}
 
-	results, err := h.up.Exec(b.String())
+// messages collects the informational messages of a response in order.
+func messages(results []*sqltypes.ResultSet) []string {
 	var msgs []string
 	for _, rs := range results {
 		msgs = append(msgs, rs.Messages...)
 	}
-	return results, msgs, err
+	return msgs
 }
 
 // actionJob is one rule firing queued for, or running on, the action worker.
@@ -132,17 +139,20 @@ type actionJob struct {
 	key      string    // durable ledger key ("" when durability is off)
 }
 
-// actionQueue runs rule actions one at a time in enqueue order — detection
-// (priority) order — which serializes the sysContext populate + execute
-// pairs (§5.6). It is an unbounded FIFO drained by one worker goroutine:
-// started by the first enqueue, parked on wake while the queue is empty
-// (a parked worker hands off measurably faster than a goroutine spawned
-// per burst), and gone after stop once the queue is empty. An enqueue
-// that finds no worker starts one, so a firing after Close still runs —
-// failing fast into the dead-letter queue against the closed upstream —
-// instead of hanging.
+// actionQueue runs rule actions in enqueue order — detection (priority)
+// order — on one worker, which serializes the sysContext populate +
+// execute pairs (§5.6). It is an unbounded FIFO drained by one worker
+// goroutine: started by the first enqueue, parked on wake while the queue
+// is empty (a parked worker hands off measurably faster than a goroutine
+// spawned per burst), and gone after stop once the queue is empty. Each
+// time it wakes it hands the whole backlog to run as one group; run
+// releases every job from the barrier once, through settle for a job it
+// finishes. An enqueue that finds no
+// worker starts one, so a firing after Close still runs — failing fast
+// into the dead-letter queue against the closed upstream — instead of
+// hanging.
 type actionQueue struct {
-	run func(actionJob)
+	run func(group []actionJob)
 	wg  sync.WaitGroup // queued + running jobs: the barrier of WaitActions and Close
 
 	mu   sync.Mutex
@@ -154,7 +164,7 @@ type actionQueue struct {
 	stopped     bool        // the worker exits rather than parks; guarded by mu
 }
 
-func newActionQueue(run func(actionJob)) *actionQueue {
+func newActionQueue(run func([]actionJob)) *actionQueue {
 	q := &actionQueue{run: run}
 	q.wake.L = &q.mu
 	return q
@@ -182,7 +192,7 @@ func (q *actionQueue) stop() {
 	q.wake.Signal()
 }
 
-// work is the worker: it takes the whole backlog, runs it in order
+// work is the worker: it takes the whole backlog, runs it as one group
 // outside the lock, and parks when it comes back to an empty queue.
 func (q *actionQueue) work() {
 	q.mu.Lock()
@@ -198,32 +208,71 @@ func (q *actionQueue) work() {
 		batch := q.jobs
 		q.jobs = q.spare[:0]
 		q.mu.Unlock()
-		for i := range batch {
-			q.runOne(batch[i])
-			batch[i] = actionJob{} // do not pin the occurrence
-		}
+		q.run(batch)
+		clear(batch) // do not pin the occurrences
 		q.mu.Lock()
 		q.spare = batch
 	}
 }
 
-// runOne keeps a simulated crash inside one job: that job stops where a dead
-// process's would, the barrier is still released, the worker moves on.
-func (q *actionQueue) runOne(j actionJob) {
+// settle ends one job: step runs behind the job's own crash shield, and
+// the barrier is released however it ends. A simulated crash stops that
+// job where a dead process's would; the worker moves on.
+func (q *actionQueue) settle(step func()) {
 	defer faults.Recover()
 	defer q.wg.Done()
-	q.run(j)
+	step()
 }
 
-// runAction executes one rule action on the action worker (the
-// SybaseAction call of Figure 16).
-func (a *Agent) runAction(j actionJob) {
-	rule := j.info.Name
-	p := ActionParam{StoreProc: j.info.Proc, EventName: j.info.Event, Context: j.info.Context, DB: j.info.DB}
-	if d := a.dur; d != nil {
-		d.crash.Hit("action.preExec")
+// runActions is the action queue's run: it executes a drained backlog
+// (the SybaseAction call of Figure 16) as one pipelined group, or, under
+// durability, as groups of one, so a power cut re-executes at most the
+// one action in flight (DESIGN.md §8).
+func (a *Agent) runActions(jobs []actionJob) {
+	size := len(jobs)
+	if a.dur != nil {
+		size = 1
 	}
-	results, msgs, err := a.actions.invoke(p, j.occ)
+	for len(jobs) > 0 {
+		n := min(size, len(jobs))
+		a.runGroup(jobs[:n])
+		jobs = jobs[n:]
+	}
+}
+
+// runGroup sends the group's scripts to the upstream together and
+// finishes each job, in order, as its reply arrives.
+func (a *Agent) runGroup(group []actionJob) {
+	scripts := make([]string, len(group))
+	for i, j := range group {
+		if d := a.dur; d != nil && !survives(func() { d.crash.Hit("action.preExec") }) {
+			// Nothing of the group has been sent: it stops where a dead
+			// process's would.
+			a.actionq.wg.Add(-len(group))
+			return
+		}
+		scripts[i] = actionScript(j.param(), j.occ)
+	}
+	up := a.actions.up.(*retryUpstream) // New always wraps the action connection
+	up.ExecGroup(scripts, func(i int, results []*sqltypes.ResultSet, err error) {
+		a.actionq.settle(func() { a.finishAction(group[i], results, err) })
+	})
+}
+
+// survives runs step and reports false if a simulated crash stopped it.
+func survives(step func()) (ok bool) {
+	defer faults.Recover()
+	step()
+	return true
+}
+
+func (j actionJob) param() ActionParam {
+	return ActionParam{StoreProc: j.info.Proc, EventName: j.info.Event, Context: j.info.Context, DB: j.info.DB}
+}
+
+// finishAction journals, counts and reports one executed rule action.
+func (a *Agent) finishAction(j actionJob, results []*sqltypes.ResultSet, err error) {
+	rule := j.info.Name
 	if d := a.dur; d != nil && j.key != "" {
 		// Journal completion before anything acknowledges it. Failures
 		// count too: the upstream already retried, what reaches here is
@@ -234,11 +283,11 @@ func (a *Agent) runAction(j actionJob) {
 	a.met.actionsRun.Inc()
 	a.met.ruleRuns.With(rule).Inc()
 	a.met.actionSec.Observe(a.clock.Now().Sub(j.enqueued).Seconds())
-	res := ActionResult{Rule: rule, Event: j.occ.Event, Occ: j.occ, Messages: msgs, Results: results, Err: err}
+	res := ActionResult{Rule: rule, Event: j.occ.Event, Occ: j.occ, Messages: messages(results), Results: results, Err: err}
 	if err != nil {
 		a.met.actionsFailed.Inc()
 		a.met.ruleFails.With(rule).Inc()
-		a.cfg.Logf("agent: action %s on %s failed: %v", p.StoreProc, p.EventName, err)
+		a.cfg.Logf("agent: action %s on %s failed: %v", j.info.Proc, j.info.Event, err)
 		// The upstream already retried transient failures; what reaches
 		// here is terminal, so park it for inspection or manual replay.
 		a.met.deadLettered.Inc()

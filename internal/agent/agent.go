@@ -211,7 +211,7 @@ func New(cfg Config) (*Agent, error) {
 	a.rec.seen = make(map[string]*eventWatermark)
 	a.rec.mu.Unlock()
 	a.dlq.limit = cfg.DeadLetterLimit
-	a.actionq = newActionQueue(a.runAction)
+	a.actionq = newActionQueue(a.runActions)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()

@@ -419,8 +419,10 @@ func (a *Agent) Checkpoint() error {
 				_ = d.fs.Remove(name)
 			}
 		}
-		//ecavet:allow syncerr pruning is best-effort; the new generation is already durable
-		_ = d.fs.SyncDir()
+		// Pruning is best-effort: the new generation is already durable.
+		if err := d.fs.SyncDir(); err != nil {
+			d.a.cfg.Logf("agent: syncing pruned checkpoint directory: %v", err)
+		}
 	}
 	for k, e := range d.ledger {
 		if e.done {

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -272,7 +273,9 @@ func (g *gateway) serve(conn net.Conn) {
 		g.mu.Unlock()
 	}()
 
-	pkt, err := tds.ReadPacket(conn)
+	// One buffer for the connection's life: a small request costs one read.
+	r := bufio.NewReader(conn)
+	pkt, err := tds.ReadPacket(r)
 	if err != nil {
 		return
 	}
@@ -292,7 +295,7 @@ func (g *gateway) serve(conn net.Conn) {
 	}
 
 	for {
-		pkt, err := tds.ReadPacket(conn)
+		pkt, err := tds.ReadPacket(r)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				g.agent.cfg.Logf("agent: gateway read: %v", err)

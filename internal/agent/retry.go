@@ -156,8 +156,77 @@ func (r *retryUpstream) dropConn(up Upstream) {
 func (r *retryUpstream) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 	r.execMu.Lock()
 	defer r.execMu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
+	return r.exec(sql, 0, nil)
+}
+
+// pipeliner is the optional method of a live connection that sends
+// several scripts before it reads their responses (client.Conn).
+type pipeliner interface {
+	Pipeline(scripts []string, reply func(i int, results []*sqltypes.ResultSet, err error)) (int, error)
+}
+
+// ExecGroup runs the scripts in order and calls reply once per script, in
+// order, with what Exec would have returned for it. When the live
+// connection pipelines, the scripts go out together and the per-attempt
+// deadline covers the group, restarting at every reply, so no script gets
+// less time than Exec gives it. A server error is final for its script
+// alone. A transport error after j replies leaves replies 0..j-1 final
+// and counts as script j's first attempt; scripts j.. then run one at a
+// time through Exec's ladder. The server may already have run some of
+// them, so each can run twice. Any other connection runs every script
+// through that ladder.
+func (r *retryUpstream) ExecGroup(scripts []string, reply func(i int, results []*sqltypes.ResultSet, err error)) {
+	r.execMu.Lock()
+	defer r.execMu.Unlock()
+	done, tried, lastErr := 0, 0, error(nil)
+	if up, err := r.conn(); err == nil {
+		if p, ok := up.(pipeliner); ok {
+			done, lastErr = r.pipelineAttempt(up, p, scripts, reply)
+			if lastErr != nil {
+				r.dropConn(up)
+				tried = 1
+				if !retryableError(lastErr) {
+					// Not the connection's failure (a script that cannot
+					// be framed, a reply that does not decode): final for
+					// its script, as in Exec.
+					reply(done, nil, lastErr)
+					done, tried, lastErr = done+1, 0, nil
+				}
+			}
+		}
+	}
+	for i := done; i < len(scripts); i++ {
+		results, err := r.exec(scripts[i], tried, lastErr)
+		reply(i, results, err)
+		tried, lastErr = 0, nil
+	}
+}
+
+// pipelineAttempt is one pipelined try. The deadline is stopped while
+// reply runs and restarted before the next read.
+func (r *retryUpstream) pipelineAttempt(up Upstream, p pipeliner, scripts []string, reply func(int, []*sqltypes.ResultSet, error)) (int, error) {
+	deadline := r.startDeadline(up)
+	if deadline == nil {
+		return p.Pipeline(scripts, reply)
+	}
+	n, err := p.Pipeline(scripts, func(i int, results []*sqltypes.ResultSet, err error) {
+		deadline.Stop()
+		reply(i, results, err)
+		deadline.Reset(r.cfg.AttemptTimeout)
+	})
+	if !deadline.Stop() {
+		r.dropConn(up) // the deadline closed it
+		if err != nil {
+			err = fmt.Errorf("%w (%v)", errAttemptTimeout, r.cfg.AttemptTimeout)
+		}
+	}
+	return n, err
+}
+
+// exec is Exec's retry ladder for a script already tried the given
+// number of times, the last failing with lastErr; the caller holds execMu.
+func (r *retryUpstream) exec(sql string, tried int, lastErr error) ([]*sqltypes.ResultSet, error) {
+	for attempt := tried; attempt < r.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if r.onRetry != nil {
 				r.onRetry()
@@ -186,33 +255,29 @@ func (r *retryUpstream) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 	return nil, fmt.Errorf("agent: upstream failed after %d attempts: %w", r.cfg.MaxAttempts, lastErr)
 }
 
-// execAttempt runs one try, bounded by the per-attempt deadline. A timed
-// out attempt's connection is closed to unblock the in-flight call — the
-// only abort an Open Client style blocking API offers.
+// execAttempt runs one try, bounded by the per-attempt deadline.
 func (r *retryUpstream) execAttempt(up Upstream, sql string) ([]*sqltypes.ResultSet, error) {
+	deadline := r.startDeadline(up)
+	results, err := up.Exec(sql)
+	if deadline != nil && !deadline.Stop() {
+		r.dropConn(up) // the deadline closed it
+		if err != nil {
+			return nil, fmt.Errorf("%w (%v)", errAttemptTimeout, r.cfg.AttemptTimeout)
+		}
+	}
+	return results, err
+}
+
+// startDeadline arms the per-attempt deadline on up, or returns nil when
+// there is none. When it fires it closes the connection, which fails the
+// call in progress — the only abort an Open Client style blocking API
+// offers.
+func (r *retryUpstream) startDeadline(up Upstream) *time.Timer {
 	if r.cfg.AttemptTimeout <= 0 {
-		return up.Exec(sql)
+		return nil
 	}
-	type outcome struct {
-		rs  []*sqltypes.ResultSet
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		rs, err := up.Exec(sql)
-		done <- outcome{rs, err}
-	}()
 	//ecavet:allow nowallclock per-attempt upstream deadline is operational wall-clock
-	timer := time.NewTimer(r.cfg.AttemptTimeout)
-	defer timer.Stop()
-	select {
-	case out := <-done:
-		return out.rs, out.err
-	case <-timer.C:
-		up.Close() // unblocks the hung Exec
-		<-done     // wait so no goroutine still touches the dead conn
-		return nil, fmt.Errorf("%w (%v)", errAttemptTimeout, r.cfg.AttemptTimeout)
-	}
+	return time.AfterFunc(r.cfg.AttemptTimeout, func() { up.Close() })
 }
 
 // backoff returns the jittered exponential delay before the given attempt

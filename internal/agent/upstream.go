@@ -3,6 +3,7 @@ package agent
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/activedb/ecaagent/internal/client"
 	"github.com/activedb/ecaagent/internal/engine"
@@ -37,14 +38,24 @@ func TCPDialer(addr string) UpstreamDialer {
 // localUpstream wraps an in-process engine session; used for embedded
 // deployments and for the mediation-overhead ablation benchmarks.
 type localUpstream struct {
+	// mu serializes the session: a deadline may Close it from another
+	// goroutine while an Exec runs.
+	mu   sync.Mutex
 	sess *engine.Session
 }
 
 func (u *localUpstream) Exec(sql string) ([]*sqltypes.ResultSet, error) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
 	return u.sess.ExecScript(sql)
 }
 
-func (u *localUpstream) Close() error { return nil }
+// Close ends the session, rolling back its open transaction.
+func (u *localUpstream) Close() error {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.sess.Close()
+}
 
 // LocalDialer creates upstream "connections" directly on an in-process
 // engine, bypassing the wire protocol.

@@ -41,15 +41,12 @@ type Options struct {
 
 // Connect dials addr and performs the login handshake.
 func Connect(addr string, opts Options) (*Conn, error) {
-	if opts.User == "" {
-		opts.User = "dbo"
-	}
 	d := net.Dialer{Timeout: opts.Timeout}
 	conn, err := d.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c, err := login(conn, opts)
+	c, err := NewConn(conn, opts)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -57,8 +54,13 @@ func Connect(addr string, opts Options) (*Conn, error) {
 	return c, nil
 }
 
-// login performs the handshake on an open connection.
-func login(conn net.Conn, opts Options) (*Conn, error) {
+// NewConn performs the login handshake on an open connection; opts.Timeout
+// is not used. On success the returned Conn owns conn; on failure the
+// caller still does.
+func NewConn(conn net.Conn, opts Options) (*Conn, error) {
+	if opts.User == "" {
+		opts.User = "dbo"
+	}
 	if err := tds.WritePacket(conn, tds.MarshalLogin(tds.Login{User: opts.User, Database: opts.Database})); err != nil {
 		return nil, err
 	}
@@ -102,6 +104,60 @@ func (c *Conn) roundTrip(sql string) ([]*sqltypes.ResultSet, error) {
 		return nil, err
 	}
 	return tds.ReadResponse(c.r)
+}
+
+// Pipeline sends the scripts in order without waiting for each answer,
+// then reads the responses in order, calling reply for each as it
+// arrives; err is nil or the *tds.ServerError that script raised, and a
+// server error is final for its script alone. The server runs one
+// connection's requests in arrival order. Requests are framed into one
+// buffer and written together, at most tds.WriteChunk bytes per write
+// (one script more if it alone is larger), and the responses they are
+// owed are read before the next write, so a write never waits on
+// responses nobody reads. Pipeline returns how many responses it read.
+// A transport error stops it and closes the connection, as in Exec, and
+// is returned.
+func (c *Conn) Pipeline(scripts []string, reply func(i int, results []*sqltypes.ResultSet, err error)) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		return 0, fmt.Errorf("client: %w", net.ErrClosed)
+	}
+	var buf []byte
+	read := 0
+	for read < len(scripts) {
+		buf = buf[:0]
+		sent := read
+		for sent < len(scripts) {
+			p := tds.MarshalLanguage(scripts[sent])
+			if sent > read && len(buf)+5+len(p.Payload) > tds.WriteChunk {
+				break
+			}
+			b, err := tds.AppendPacket(buf, p)
+			if err != nil {
+				if sent > read {
+					break // send what is framed; this script fails on its own turn
+				}
+				return read, err
+			}
+			buf = b
+			sent++
+		}
+		if _, err := c.conn.Write(buf); err != nil {
+			c.Close()
+			return read, err
+		}
+		for ; read < sent; read++ {
+			results, err := tds.ReadResponse(c.r)
+			var se *tds.ServerError
+			if err != nil && !errors.As(err, &se) {
+				c.Close()
+				return read, err
+			}
+			reply(read, results, err)
+		}
+	}
+	return read, nil
 }
 
 // MustExec is Exec for program setup paths: it returns only the first

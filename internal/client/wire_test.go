@@ -82,7 +82,7 @@ func TestReadsPerResponse(t *testing.T) {
 	cli, srv := net.Pipe()
 	go serveRaw(srv, resp)
 	cc := &countingConn{Conn: cli}
-	c, err := login(cc, Options{User: "dbo"})
+	c, err := NewConn(cc, Options{User: "dbo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestBrokenResponseClosesConn(t *testing.T) {
 func TestCloseIsIdempotent(t *testing.T) {
 	cli, srv := net.Pipe()
 	go serveRaw(srv)
-	c, err := login(cli, Options{User: "dbo"})
+	c, err := NewConn(cli, Options{User: "dbo"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ package engine
 import (
 	"fmt"
 	"net"
+	"net/netip"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -24,17 +26,65 @@ import (
 // a direct function call.
 type Notifier func(host string, port int, msg string) error
 
-// UDPNotifier returns the production Notifier: one UDP datagram per call.
+// UDPNotifier returns the production Notifier. Every datagram leaves
+// through one unconnected UDP socket, opened on first use and shared by
+// all sessions (UDPConn writes are safe for concurrent use); each
+// host:port is resolved once. The socket is dual-stack where the host
+// allows it, so IPv4 and IPv6 destinations both work.
 func UDPNotifier() Notifier {
-	return func(host string, port int, msg string) error {
-		conn, err := net.Dial("udp", net.JoinHostPort(host, fmt.Sprintf("%d", port)))
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		_, err = conn.Write([]byte(msg))
+	n := &udpNotifier{addrs: make(map[udpDest]netip.AddrPort)}
+	return n.send
+}
+
+type udpDest struct {
+	host string
+	port int
+}
+
+type udpNotifier struct {
+	mu    sync.Mutex
+	conn  *net.UDPConn               // guarded by mu; nil until the first send
+	addrs map[udpDest]netip.AddrPort // guarded by mu; successful resolves only
+}
+
+func (n *udpNotifier) send(host string, port int, msg string) error {
+	conn, to, err := n.route(host, port)
+	if err != nil {
 		return err
 	}
+	_, err = conn.WriteToUDPAddrPort([]byte(msg), to)
+	return err
+}
+
+// route returns the shared socket and the resolved destination, opening
+// and resolving on first use. A failed resolve is not cached.
+func (n *udpNotifier) route(host string, port int) (*net.UDPConn, netip.AddrPort, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.conn == nil {
+		conn, err := net.ListenUDP("udp", nil)
+		if err != nil {
+			return nil, netip.AddrPort{}, err
+		}
+		n.conn = conn
+	}
+	d := udpDest{host, port}
+	to, ok := n.addrs[d]
+	if !ok {
+		ua, err := net.ResolveUDPAddr("udp", net.JoinHostPort(host, strconv.Itoa(port)))
+		if err != nil {
+			return nil, netip.AddrPort{}, err
+		}
+		// An IPv4 address must not stay IPv4-mapped: a host without IPv6
+		// gives an IPv4-only socket, which refuses the mapped form.
+		ap := ua.AddrPort()
+		to = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+		if !to.Addr().IsValid() {
+			return nil, netip.AddrPort{}, fmt.Errorf("engine: no address for host %q", host)
+		}
+		n.addrs[d] = to
+	}
+	return n.conn, to, nil
 }
 
 // maxTriggerDepth bounds trigger nesting, matching the original server's

@@ -61,5 +61,14 @@ func (s *Session) rollbackTran() error {
 	return nil
 }
 
+// Close ends the session. An open transaction is rolled back, as the
+// original server does when a client disconnects mid-transaction.
+func (s *Session) Close() error {
+	if s.txn == nil {
+		return nil
+	}
+	return s.rollbackTran()
+}
+
 // InTransaction reports whether the session has an open transaction.
 func (s *Session) InTransaction() bool { return s.txn != nil }

@@ -4,6 +4,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -126,42 +127,37 @@ func (s *Server) Checkpoint() error {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
+	var sess *engine.Session
 	defer func() {
+		if sess != nil {
+			sess.Close() // a dropped connection rolls back its open transaction
+		}
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
 
-	// Login handshake.
-	pkt, err := tds.ReadPacket(conn)
-	if err != nil {
-		return
-	}
-	login, err := tds.UnmarshalLogin(pkt)
-	if err != nil {
-		_ = tds.WritePacket(conn, tds.MarshalLoginAck(tds.LoginAck{Message: err.Error()}))
-		return
-	}
-	sess := s.eng.NewSession(login.User)
-	if login.Database != "" {
-		if err := sess.Use(login.Database); err != nil {
-			_ = tds.WritePacket(conn, tds.MarshalLoginAck(tds.LoginAck{Message: err.Error()}))
-			return
-		}
-	}
-	if err := tds.WritePacket(conn, tds.MarshalLoginAck(tds.LoginAck{OK: true, Message: "login succeeded"})); err != nil {
-		return
-	}
-
-	// Request loop.
+	// One buffer for the connection's life, so a small request costs one
+	// read. The first packet is the login; every later one is a request.
+	r := bufio.NewReader(conn)
 	for {
-		pkt, err := tds.ReadPacket(conn)
+		pkt, err := tds.ReadPacket(r) //ecavet:allow iodeadline a session waits for its next command indefinitely; Close() closes the conn
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			if sess != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.Logf("server: read: %v", err)
 			}
 			return
+		}
+		if sess == nil {
+			ack := tds.LoginAck{OK: true, Message: "login succeeded"}
+			if sess, err = s.login(pkt); err != nil {
+				ack = tds.LoginAck{Message: err.Error()}
+			}
+			if err := tds.WritePacket(conn, tds.MarshalLoginAck(ack)); err != nil || !ack.OK {
+				return
+			}
+			continue
 		}
 		sql, err := tds.UnmarshalLanguage(pkt)
 		if err != nil {
@@ -173,4 +169,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// login opens the session a LOGIN packet asks for.
+func (s *Server) login(pkt tds.Packet) (*engine.Session, error) {
+	login, err := tds.UnmarshalLogin(pkt)
+	if err != nil {
+		return nil, err
+	}
+	sess := s.eng.NewSession(login.User)
+	if login.Database != "" {
+		if err := sess.Use(login.Database); err != nil {
+			return nil, err
+		}
+	}
+	return sess, nil
 }

@@ -13,17 +13,18 @@ type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return e.Msg }
 
-// writeChunk caps the encoded bytes WriteResults holds before writing
+// WriteChunk caps the encoded bytes WriteResults holds before writing
 // them out: a response up to this size is one Write, and a larger result
 // set is written in chunks of about this size rather than buffered whole.
-const writeChunk = 64 << 10
+// client.Conn.Pipeline caps each write of requests at the same size.
+const WriteChunk = 64 << 10
 
 // WriteResults streams a slice of materialized result sets as protocol
 // tokens, appending an ERROR token if execErr is non-nil, and terminates
 // the response with DONEFINAL. The token order per result set is
 // ROWFMT, ROW*, INFO*, DONE — the order a real server emits. The tokens
 // are encoded into one buffer and written together, so a response of up
-// to writeChunk bytes costs one Write.
+// to WriteChunk bytes costs one Write.
 func WriteResults(w io.Writer, results []*sqltypes.ResultSet, execErr error) error {
 	rw := responseWriter{w: w}
 	for _, rs := range results {
@@ -49,7 +50,7 @@ func WriteResults(w io.Writer, results []*sqltypes.ResultSet, execErr error) err
 }
 
 // responseWriter frames packets into one buffer and writes the buffer out
-// whenever it reaches writeChunk. The first error sticks.
+// whenever it reaches WriteChunk. The first error sticks.
 type responseWriter struct {
 	w   io.Writer
 	buf []byte
@@ -61,7 +62,7 @@ func (rw *responseWriter) put(p Packet) {
 		return
 	}
 	rw.buf, rw.err = AppendPacket(rw.buf, p)
-	if len(rw.buf) >= writeChunk {
+	if len(rw.buf) >= WriteChunk {
 		rw.flush()
 	}
 }

@@ -176,8 +176,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 // TestWritesPerMessage holds every packet and every golden response to one
-// Write, and a response larger than writeChunk to about one Write per
-// writeChunk bytes.
+// Write, and a response larger than WriteChunk to about one Write per
+// WriteChunk bytes.
 func TestWritesPerMessage(t *testing.T) {
 	for _, c := range wireCases() {
 		var w countingWriter
@@ -201,12 +201,12 @@ func TestWritesPerMessage(t *testing.T) {
 	if err := WriteResults(&w, []*sqltypes.ResultSet{big}, nil); err != nil {
 		t.Fatal(err)
 	}
-	limit := (w.Len()+writeChunk-1)/writeChunk + 1
-	if w.Len() <= writeChunk || w.writes > limit {
+	limit := (w.Len()+WriteChunk-1)/WriteChunk + 1
+	if w.Len() <= WriteChunk || w.writes > limit {
 		t.Errorf("%d-byte response: %d writes, want 2..%d", w.Len(), w.writes, limit)
 	}
-	if row := len(MarshalRow(big.Rows[0]).Payload) + 5; w.largest >= writeChunk+row {
-		t.Errorf("a %d-byte write holds more than %d bytes plus one row", w.largest, writeChunk)
+	if row := len(MarshalRow(big.Rows[0]).Payload) + 5; w.largest >= WriteChunk+row {
+		t.Errorf("a %d-byte write holds more than %d bytes plus one row", w.largest, WriteChunk)
 	}
 	got, err := ReadResponse(bufio.NewReader(&w))
 	if err != nil || len(got) != 1 || len(got[0].Rows) != len(big.Rows) {
