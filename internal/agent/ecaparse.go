@@ -46,10 +46,12 @@ func (d *TriggerDef) DefinesEvent() bool {
 // server untouched.
 func IsECACreateTrigger(src string) bool {
 	toks, err := sqllex.Tokenize(src)
-	if err != nil || len(toks) < 2 {
-		return false
-	}
-	if !toks[0].IsKeyword("create") || !toks[1].IsKeyword("trigger") {
+	return err == nil && isECACreate(toks)
+}
+
+// isECACreate is IsECACreateTrigger over a batch's tokens.
+func isECACreate(toks []sqllex.Token) bool {
+	if len(toks) < 2 || !toks[0].IsKeyword("create") || !toks[1].IsKeyword("trigger") {
 		return false
 	}
 	for _, t := range toks {
@@ -68,10 +70,15 @@ func IsECACreateTrigger(src string) bool {
 // ECA trigger (handled by the agent) or a native one (passed through).
 func ParseDropTrigger(src string) ([]string, bool) {
 	toks, err := sqllex.Tokenize(src)
-	if err != nil || len(toks) < 3 {
+	if err != nil {
 		return nil, false
 	}
-	if !toks[0].IsKeyword("drop") || !toks[1].IsKeyword("trigger") {
+	return dropTriggerName(toks)
+}
+
+// dropTriggerName is ParseDropTrigger over a batch's tokens.
+func dropTriggerName(toks []sqllex.Token) ([]string, bool) {
+	if len(toks) < 3 || !toks[0].IsKeyword("drop") || !toks[1].IsKeyword("trigger") {
 		return nil, false
 	}
 	parts, rest := parseDottedName(toks[2:])
@@ -117,6 +124,12 @@ func ParseECATrigger(src string) (*TriggerDef, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agent: %v", err)
 	}
+	return parseECATrigger(src, toks)
+}
+
+// parseECATrigger parses the trigger whose tokens are toks, which hold
+// offsets into src.
+func parseECATrigger(src string, toks []sqllex.Token) (*TriggerDef, error) {
 	def := &TriggerDef{Coupling: led.Immediate, Context: led.Recent}
 	i := 0
 	expect := func(kw string) error {

@@ -10,11 +10,10 @@ import (
 
 func TestClassifiersNeverPanic(t *testing.T) {
 	f := func(s string) bool {
+		_ = classifyBatch(s)
+		_ = classifyBatch("use db " + s)
 		_ = IsECACreateTrigger(s)
 		_, _ = ParseDropTrigger(s)
-		_, _, _ = splitLeadingUse(s)
-		_, _ = lastUseTarget(s)
-		_ = batchCommits(s)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

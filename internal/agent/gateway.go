@@ -66,93 +66,126 @@ func (cs *ClientSession) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 	return out, nil
 }
 
-// splitLeadingUse detects a batch beginning with "use <db>" and returns
-// the database plus the remaining text, so an ECA command can follow a
-// database switch in the same batch (the common isql pattern).
-func splitLeadingUse(batch string) (db, rest string, ok bool) {
+// batchClass is what the Language Filter reads from one tokenize of a
+// batch. A batch that does not lex is ordinary SQL: every field is zero and
+// the server reports the error.
+type batchClass struct {
+	// useDB is the database of a leading "use db" that more tokens follow,
+	// so an ECA command can follow a database switch in the same batch
+	// (the common isql pattern); "" without one.
+	useDB string
+	// body is the batch's tokens after that leading USE, or all of them.
+	body []sqllex.Token
+	// create reports that body is an ECA CREATE TRIGGER.
+	create bool
+	// drop holds the name parts when body is a DROP TRIGGER (ECA or
+	// native: that depends on the catalog), else nil.
+	drop []string
+	// lastUse is the target of the batch's last statement-initial USE
+	// (one not preceded by a '.'), "" without one.
+	lastUse string
+	// commits reports a COMMIT anywhere in the batch.
+	commits bool
+}
+
+// classifyBatch tokenizes batch once and takes every Language Filter
+// decision from that token slice.
+func classifyBatch(batch string) batchClass {
 	toks, err := sqllex.Tokenize(batch)
-	if err != nil || len(toks) < 3 {
-		return "", "", false
+	if err != nil {
+		return batchClass{}
 	}
-	if !toks[0].IsKeyword("use") || toks[1].Kind != sqllex.TokIdent {
-		return "", "", false
+	c := batchClass{body: toks}
+	if len(toks) >= 3 && toks[0].IsKeyword("use") && toks[1].Kind == sqllex.TokIdent {
+		c.useDB, c.body = toks[1].Text, toks[2:]
 	}
-	return toks[1].Text, batch[toks[1].End:], true
+	c.create = isECACreate(c.body)
+	c.drop, _ = dropTriggerName(c.body)
+	for i, t := range toks {
+		switch {
+		case t.IsKeyword("commit"):
+			c.commits = true
+		case t.IsKeyword("use") && i+1 < len(toks) && toks[i+1].Kind == sqllex.TokIdent &&
+			(i == 0 || !toks[i-1].IsOp(".")):
+			c.lastUse = toks[i+1].Text
+		}
+	}
+	return c
 }
 
 func (cs *ClientSession) execBatch(batch string) ([]*sqltypes.ResultSet, error) {
-	// A "use db" prefix ahead of an ECA command is honoured here so the
-	// name expansion happens in the right database.
-	if db, rest, ok := splitLeadingUse(batch); ok {
-		isECADrop := false
-		if parts, isDrop := ParseDropTrigger(rest); isDrop {
-			// The drop is classified against the *target* database.
-			isECADrop = cs.agent.IsECATrigger(db, cs.user, parts)
-		}
-		if IsECACreateTrigger(rest) || isECADrop {
-			useResults, err := cs.up.Exec("use " + db)
+	c := classifyBatch(batch)
+	db := cs.db
+	if c.useDB != "" {
+		db = c.useDB
+	}
+	// The drop is classified against the database it would run in.
+	ecaDrop := c.drop != nil && cs.agent.IsECATrigger(db, cs.user, c.drop)
+	if c.create || ecaDrop {
+		var results []*sqltypes.ResultSet
+		if c.useDB != "" {
+			// Honour the leading USE first so the name expansion happens
+			// in the right database.
+			useResults, err := cs.up.Exec("use " + c.useDB)
 			if err != nil {
 				return useResults, err
 			}
-			cs.db = db
-			ecaResults, err := cs.execBatch(rest)
-			return append(useResults, ecaResults...), err
+			cs.db = c.useDB
+			results = useResults
 		}
-	}
-	switch {
-	case IsECACreateTrigger(batch):
 		cs.agent.met.ecaCommands.Inc()
-		def, err := ParseECATrigger(batch)
+		var msgs []string
+		var err error
+		if c.create {
+			var def *TriggerDef
+			if def, err = parseECATrigger(batch, c.body); err == nil {
+				msgs, err = cs.agent.CreateTrigger(cs.db, cs.user, def)
+			}
+		} else {
+			msgs, err = cs.agent.DropTrigger(cs.db, cs.user, c.drop)
+		}
 		if err != nil {
-			return nil, err
+			return results, err
 		}
-		msgs, err := cs.agent.CreateTrigger(cs.db, cs.user, def)
-		if err != nil {
-			return nil, err
-		}
-		return []*sqltypes.ResultSet{{Messages: msgs}}, nil
-
-	default:
-		if parts, ok := ParseDropTrigger(batch); ok &&
-			cs.agent.IsECATrigger(cs.db, cs.user, parts) {
-			cs.agent.met.ecaCommands.Inc()
-			msgs, err := cs.agent.DropTrigger(cs.db, cs.user, parts)
-			if err != nil {
-				return nil, err
-			}
-			return []*sqltypes.ResultSet{{Messages: msgs}}, nil
-		}
-		// Ordinary SQL: pass through untouched, then track database
-		// switches so later ECA commands expand names correctly.
-		cs.agent.met.passThrough.Inc()
-		results, err := cs.up.Exec(batch)
-		if err == nil {
-			if db, switched := lastUseTarget(batch); switched {
-				cs.db = db
-			}
-			// DEFERRED rules run at transaction boundaries: a committed
-			// batch releases the queue (Snoop's deferred coupling
-			// semantics; the paper lists this mode as future work).
-			if batchCommits(batch) {
-				cs.agent.FlushDeferred()
-			}
-		}
-		return results, err
+		return append(results, &sqltypes.ResultSet{Messages: msgs}), nil
 	}
+
+	// Ordinary SQL: pass through untouched, then track database switches
+	// so later ECA commands expand names correctly.
+	cs.agent.met.passThrough.Inc()
+	results, err := cs.up.Exec(batch)
+	switch {
+	case err == nil:
+		if c.lastUse != "" {
+			cs.db = c.lastUse
+		}
+		// DEFERRED rules run at transaction boundaries: a committed batch
+		// releases the queue (Snoop's deferred coupling semantics; the
+		// paper lists this mode as future work).
+		if c.commits {
+			cs.agent.FlushDeferred()
+		}
+	case c.lastUse != "":
+		// A USE ahead of the failing statement may have run: ask the
+		// server where the session is.
+		cs.refreshDatabase()
+	}
+	return results, err
 }
 
-// batchCommits reports whether the batch contains a top-level COMMIT.
-func batchCommits(batch string) bool {
-	toks, err := sqllex.Tokenize(batch)
+// refreshDatabase re-reads the session's current database from the server,
+// keeping the tracked one if the query fails.
+func (cs *ClientSession) refreshDatabase() {
+	results, err := cs.up.Exec("select db_name()")
 	if err != nil {
-		return false
+		return
 	}
-	for _, t := range toks {
-		if t.IsKeyword("commit") {
-			return true
+	for _, rs := range results {
+		if len(rs.Rows) == 1 && len(rs.Rows[0]) == 1 {
+			cs.db = rs.Rows[0][0].Str()
+			return
 		}
 	}
-	return false
 }
 
 // Query is a convenience wrapper returning the last result set with rows.
@@ -167,26 +200,6 @@ func (cs *ClientSession) Query(sql string) (*sqltypes.ResultSet, error) {
 		}
 	}
 	return &sqltypes.ResultSet{}, nil
-}
-
-// lastUseTarget lexically scans a batch for USE statements, returning the
-// final target database.
-func lastUseTarget(batch string) (string, bool) {
-	toks, err := sqllex.Tokenize(batch)
-	if err != nil {
-		return "", false
-	}
-	db := ""
-	for i := 0; i+1 < len(toks); i++ {
-		if toks[i].IsKeyword("use") && toks[i+1].Kind == sqllex.TokIdent {
-			// Only count statement-initial USE (previous token is not a
-			// name component).
-			if i == 0 || !toks[i-1].IsOp(".") {
-				db = toks[i+1].Text
-			}
-		}
-	}
-	return db, db != ""
 }
 
 // gateway is the General Interface: a TCP listener speaking the same wire

@@ -108,16 +108,16 @@ func (s *Session) execUpdate(st *sqlparse.Update) (*sqltypes.ResultSet, error) {
 			return s.truthy(st.Where, frames)
 		},
 		func(r sqltypes.Row) (sqltypes.Row, error) {
-			fr.row = r.Clone() // assignments see pre-update values
-			out := r
+			// fr.row is still the stored row pred just accepted, so the
+			// assignments see pre-update values while r takes the new ones.
 			for i, a := range st.Set {
 				v, err := s.eval(a.Value, frames)
 				if err != nil {
 					return nil, err
 				}
-				out[setIdx[i]] = v
+				r[setIdx[i]] = v
 			}
-			return out, nil
+			return r, nil
 		},
 	)
 	if err != nil {

@@ -203,3 +203,51 @@ func TestStringRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAllocsTokenize: a statement, and a generated action script, cost one
+// allocation (the token slice); string literals are slices of the source
+// unless they contain an escaped quote.
+func TestAllocsTokenize(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  string
+		want float64
+	}{
+		{"insert", "insert quotes values ('IBM', 101.25)", 1},
+		{"update", "update quotes set price = 1001.25 where symbol = 'Q12'", 1},
+		{"action script", "use db\n" +
+			"delete sysContext where tableName = 'db.u.stock_inserted' and context = 'CHRONICLE'\n" +
+			"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 7)\n" +
+			"execute db.u.r__Proc", 1},
+		{"escaped quote", "print 'it''s'", 2},
+	} {
+		if _, err := Tokenize(tc.src); err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(200, func() { _, _ = Tokenize(tc.src) }); avg > tc.want {
+			t.Errorf("%s: %.1f allocs/op, want <= %.0f", tc.name, avg, tc.want)
+		}
+	}
+}
+
+func TestTokenizeStringEscapes(t *testing.T) {
+	for src, want := range map[string]string{
+		"''":             "",
+		"''''":           "'",
+		"'a''''b'":       "a''b",
+		"'''a'''":        "'a'",
+		"'plain text'":   "plain text",
+		"'-- not a c'":   "-- not a c",
+		"'/* nor this'":  "/* nor this",
+		"'tab\there'":    "tab\there",
+		"'ends in '''''": "ends in ''",
+	} {
+		ts, err := Tokenize(src)
+		if err != nil {
+			t.Fatalf("Tokenize(%s): %v", src, err)
+		}
+		if len(ts) != 1 || ts[0].Kind != TokString || ts[0].Text != want || ts[0].End != len(src) {
+			t.Errorf("Tokenize(%s) = %+v, want one string %q", src, ts, want)
+		}
+	}
+}

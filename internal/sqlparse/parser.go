@@ -1040,7 +1040,9 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return &Literal{Value: sqltypes.NewInt(n)}, nil
 	case sqllex.TokString:
 		p.pos++
-		return &Literal{Value: sqltypes.NewString(t.Text)}, nil
+		// The token text shares the batch's memory; a literal may end up
+		// stored in a table, which must not keep the whole batch alive.
+		return &Literal{Value: sqltypes.NewString(strings.Clone(t.Text))}, nil
 	case sqllex.TokVariable:
 		p.pos++
 		return &ColumnRef{Name: t.Text}, nil

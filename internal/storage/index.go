@@ -187,7 +187,7 @@ type Pin struct {
 	n   int
 }
 
-// Lookup returns, as clones and in ascending position order, the rows of
+// Lookup returns, in ascending position order, the stored rows (read-only) of
 // the pinned state whose column col may equal key under
 // sqltypes.Value.Compare — a superset of the rows that do — with their
 // positions. A NULL key matches nothing. ok is false when the index cannot
@@ -215,7 +215,7 @@ func (p Pin) Lookup(col int, key sqltypes.Value) (rows []sqltypes.Row, pos []int
 	pos = mergeBelow(ix.keys[k], ix.nan, p.n)
 	rows = make([]sqltypes.Row, len(pos))
 	for i, at := range pos {
-		rows[i] = t.rows[at].Clone()
+		rows[i] = t.rows[at]
 	}
 	return rows, pos, true
 }

@@ -2,6 +2,14 @@
 // substrate: concurrency-safe in-memory tables plus a binary snapshot codec
 // used for database persistence, which is what makes the agent's ECA rules
 // durable "using the native database functionality" as the paper requires.
+//
+// Tables are copy-on-write. A stored row, and the table's schema, is never
+// written after it is stored: every mutation replaces a row slot or the
+// schema pointer instead. So the rows and schemas a table hands out (Scan,
+// Rows, Pin.Lookup, the Update and Delete predicates, Update's and Delete's
+// returned images, Schema) are the stored values themselves, shared with
+// the table and every other reader. They stay valid and unchanged after
+// later mutations, and callers must treat them as read-only.
 package storage
 
 import (
@@ -28,11 +36,12 @@ func NewTable(schema *sqltypes.Schema) *Table {
 	return &Table{schema: schema.Clone()}
 }
 
-// Schema returns a copy of the table's schema.
+// Schema returns the table's schema: shared and read-only. AddColumn
+// installs a new schema rather than changing this one.
 func (t *Table) Schema() *sqltypes.Schema {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.schema.Clone()
+	return t.schema
 }
 
 // Len returns the number of rows.
@@ -98,33 +107,33 @@ func (t *Table) prepareRowLocked(row sqltypes.Row) (sqltypes.Row, error) {
 }
 
 // Scan calls fn for every row, stopping early if fn returns false. The
-// callback receives a clone and may retain it. The read lock is held for
-// the duration of the scan (Update rewrites row slots in place), so fn
-// must not call methods of the same table.
+// callback receives the stored row: read-only, and it may retain it. The
+// read lock is held for the duration of the scan (Update replaces row
+// slots), so fn must not call methods of the same table.
 func (t *Table) Scan(fn func(row sqltypes.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, r := range t.rows {
-		if !fn(r.Clone()) {
+		if !fn(r) {
 			return
 		}
 	}
 }
 
-// Rows returns a deep copy of all rows.
+// Rows returns the stored rows in position order. The slice is the
+// caller's own; the rows in it are shared and read-only.
 func (t *Table) Rows() []sqltypes.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]sqltypes.Row, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r.Clone()
-	}
-	return out
+	return append([]sqltypes.Row(nil), t.rows...)
 }
 
 // Update rewrites every row matching pred with the result of set, returning
 // the old and new images of the affected rows (the engine feeds these to
-// the trigger machinery as the deleted/inserted pseudo-tables).
+// the trigger machinery as the deleted/inserted pseudo-tables). pred sees
+// the stored row and the images are the stored rows before and after; all
+// are read-only. set is called right after pred accepted a row and is the
+// one callback that gets a private copy, which it may modify and return.
 func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -134,7 +143,7 @@ func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.
 	}
 	var changes []change
 	for i, r := range t.rows {
-		match, err := pred(r.Clone())
+		match, err := pred(r)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -160,7 +169,7 @@ func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.
 		}
 		old = append(old, t.rows[c.idx])
 		t.rows[c.idx] = c.row
-		new = append(new, c.row.Clone())
+		new = append(new, c.row)
 	}
 	if len(changes) > 0 {
 		t.changed(rekey)
@@ -168,14 +177,15 @@ func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.
 	return old, new, nil
 }
 
-// Delete removes every row matching pred, returning the removed rows.
+// Delete removes every row matching pred, returning the removed rows. pred
+// sees the stored row, read-only.
 func (t *Table) Delete(pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var removed []sqltypes.Row
 	kept := make([]sqltypes.Row, 0, len(t.rows))
 	for _, r := range t.rows {
-		match, err := pred(r.Clone())
+		match, err := pred(r)
 		if err != nil {
 			// kept is a fresh slice, so the table is untouched on error.
 			return nil, err
@@ -202,19 +212,26 @@ func (t *Table) Truncate() {
 }
 
 // AddColumn appends a column to the schema, filling existing rows with
-// NULL. Matching the server, added columns must be nullable.
+// NULL. Matching the server, added columns must be nullable. It builds a
+// new schema and new rows, so the ones handed out before stay as they were.
 func (t *Table) AddColumn(col sqltypes.Column) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !col.Nullable {
 		return fmt.Errorf("column %q added to existing table must allow NULL", col.Name)
 	}
-	if err := t.schema.AddColumn(col); err != nil {
+	schema := t.schema.Clone()
+	if err := schema.AddColumn(col); err != nil {
 		return err
 	}
+	rows := make([]sqltypes.Row, len(t.rows))
 	for i, r := range t.rows {
-		t.rows[i] = append(r, sqltypes.Null)
+		wide := make(sqltypes.Row, len(r)+1)
+		copy(wide, r)
+		wide[len(r)] = sqltypes.Null
+		rows[i] = wide
 	}
+	t.schema, t.rows = schema, rows
 	t.changed(true)
 	return nil
 }
