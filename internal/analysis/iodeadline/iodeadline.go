@@ -13,7 +13,8 @@
 // block). "Blocking operation" covers direct Read/Write-family method
 // calls on conn-typed values (anything with a SetDeadline method, save
 // *os.File), I/O through a bufio.Reader/Writer derived from a conn in
-// the same function, and calls to helpers known to block on a conn
+// the same function (methods that only inspect the buffer, such as
+// Buffered, excepted), and calls to helpers known to block on a conn
 // argument.
 //
 // Helpers are known through two facts, computed for every package and
@@ -85,6 +86,13 @@ var readMethods = map[string]bool{
 }
 var writeMethods = map[string]bool{
 	"Write": true, "WriteTo": true, "WriteToUDP": true, "WriteMsgUDP": true,
+}
+
+// bufferMethods are the bufio methods that only look at or step back
+// within the buffer; they never touch the conn.
+var bufferMethods = map[string]bool{
+	"Buffered": true, "Available": true, "AvailableBuffer": true, "Size": true,
+	"UnreadByte": true, "UnreadRune": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -237,9 +245,9 @@ func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt, params *ast.FieldList
 				}
 			}
 			if id, ok := sel.X.(*ast.Ident); ok {
-				if a, ok := aliases[pass.TypesInfo.Uses[id]]; ok && sel.X != nil {
-					// Any method on a conn-derived bufio value blocks in
-					// the alias's direction (Flush, Read, ReadByte, ...).
+				if a, ok := aliases[pass.TypesInfo.Uses[id]]; ok && sel.X != nil && !bufferMethods[name] {
+					// Any other method on a conn-derived bufio value blocks
+					// in the alias's direction (Flush, Read, ReadByte, ...).
 					ops = append(ops, op{a.expr, a.dir, b, i, call, name + " via " + id.Name + " on " + a.expr})
 					return
 				}

@@ -47,6 +47,13 @@ func derivedReader(conn net.Conn) {
 	r.ReadByte() // want `blocking read: ReadByte via r on conn has no reachable SetReadDeadline`
 }
 
+// Looking at the buffer does not touch the conn.
+func derivedReaderBuffered(conn net.Conn) int {
+	r := bufio.NewReader(conn)
+	r.UnreadByte()
+	return r.Buffered() + r.Size()
+}
+
 func derivedReaderDeadlined(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(time.Second))
 	r := bufio.NewReader(conn)

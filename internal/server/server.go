@@ -10,6 +10,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"runtime"
 	"sync"
 
 	"github.com/activedb/ecaagent/internal/engine"
@@ -167,6 +168,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		results, execErr := sess.ExecScript(sql)
 		if err := tds.WriteResults(conn, results, execErr); err != nil {
 			return
+		}
+		if r.Buffered() > 0 {
+			// The next pipelined request is already buffered, so this
+			// goroutine would run it without ever blocking. Yield first:
+			// goroutines already waiting to run (another session's, or the
+			// one that reads a reply this server just wrote) go before the
+			// rest of the pipeline instead of after all of it.
+			runtime.Gosched()
 		}
 	}
 }
