@@ -8,42 +8,80 @@ import (
 	"github.com/activedb/ecaagent/internal/sqltypes"
 )
 
-// frame binds one table's current row during evaluation. qualifiers holds
-// every lowercased spelling that may reference the frame: its alias, bare
-// table name, owner.table and db.owner.table.
+// frame binds one table's current row during evaluation. A frame with an
+// alias is referenced by the alias alone; otherwise by its bare table name,
+// owner.table when the FROM name has an owner, and db.owner.table when it
+// has a database or an owner (the session's database filling in).
 type frame struct {
-	qualifiers []string
-	schema     *sqltypes.Schema
-	row        sqltypes.Row
+	alias            string
+	db, owner, table string
+	schema           *sqltypes.Schema
+	row              sqltypes.Row
 }
 
-func (f *frame) matches(q string) bool {
-	for _, name := range f.qualifiers {
-		if name == q {
-			return true
-		}
+// matches reports whether the qualifier parts q reference the frame.
+// Identifiers compare case-insensitively, as Schema.Index does.
+func (f *frame) matches(q []string) bool {
+	if f.alias != "" {
+		return len(q) == 1 && strings.EqualFold(q[0], f.alias)
+	}
+	switch len(q) {
+	case 1:
+		return strings.EqualFold(q[0], f.table)
+	case 2:
+		return f.owner != "" && strings.EqualFold(q[0], f.owner) && strings.EqualFold(q[1], f.table)
+	case 3:
+		return f.db != "" && strings.EqualFold(q[0], f.db) && strings.EqualFold(q[1], f.owner) &&
+			strings.EqualFold(q[2], f.table)
 	}
 	return false
 }
 
 // newFrame builds a frame for a table reference.
 func newFrame(ref sqlparse.TableRef, schema *sqltypes.Schema, currentDB string) *frame {
-	var quals []string
 	if ref.Alias != "" {
-		quals = append(quals, strings.ToLower(ref.Alias))
-	} else {
-		name := ref.Name
-		quals = append(quals, strings.ToLower(name.Name()))
-		if o := name.Owner(); o != "" {
-			quals = append(quals, strings.ToLower(o+"."+name.Name()))
+		return &frame{alias: ref.Alias, schema: schema}
+	}
+	name := ref.Name
+	f := &frame{db: name.Database(), owner: name.Owner(), table: name.Name(), schema: schema}
+	if f.db == "" && f.owner != "" {
+		f.db = currentDB
+	}
+	return f
+}
+
+// resolve finds the frame and column position a column reference names:
+// a qualified reference in the first frame its qualifier matches, an
+// unqualified one in the only frame with such a column. It is the one
+// column-resolution rule of the engine — evaluation, compile-time
+// validation and join planning all use it — and allocates only for an
+// error.
+func resolve(e *sqlparse.ColumnRef, frames []*frame) (f, col int, err error) {
+	if len(e.Qualifier.Parts) > 0 {
+		for i, fr := range frames {
+			if !fr.matches(e.Qualifier.Parts) {
+				continue
+			}
+			if col = fr.schema.Index(e.Name); col >= 0 {
+				return i, col, nil
+			}
+			return 0, 0, fmt.Errorf("column %s not found in %s", e.Name, e.Qualifier)
 		}
-		if d := name.Database(); d != "" {
-			quals = append(quals, strings.ToLower(d+"."+name.Owner()+"."+name.Name()))
-		} else if name.Owner() != "" && currentDB != "" {
-			quals = append(quals, strings.ToLower(currentDB+"."+name.Owner()+"."+name.Name()))
+		return 0, 0, fmt.Errorf("unknown table or alias %q", e.Qualifier)
+	}
+	f = -1
+	for i, fr := range frames {
+		if c := fr.schema.Index(e.Name); c >= 0 {
+			if f >= 0 {
+				return 0, 0, fmt.Errorf("ambiguous column %q", e.Name)
+			}
+			f, col = i, c
 		}
 	}
-	return &frame{qualifiers: quals, schema: schema}
+	if f < 0 {
+		return 0, 0, fmt.Errorf("unknown column %q", e.Name)
+	}
+	return f, col, nil
 }
 
 // eval evaluates an expression. frames may be nil for standalone
@@ -83,37 +121,11 @@ func (s *Session) evalColumnRef(e *sqlparse.ColumnRef, frames []*frame) (sqltype
 		}
 		return sqltypes.Null, fmt.Errorf("variable %s is not declared", e.Name)
 	}
-	col := strings.ToLower(e.Name)
-	if len(e.Qualifier.Parts) > 0 {
-		q := strings.ToLower(e.Qualifier.String())
-		for _, f := range frames {
-			if !f.matches(q) {
-				continue
-			}
-			if i := f.schema.Index(col); i >= 0 {
-				return f.row[i], nil
-			}
-			return sqltypes.Null, fmt.Errorf("column %s not found in %s", e.Name, e.Qualifier)
-		}
-		return sqltypes.Null, fmt.Errorf("unknown table or alias %q", e.Qualifier)
+	f, col, err := resolve(e, frames)
+	if err != nil {
+		return sqltypes.Null, err
 	}
-	// Unqualified: must match exactly one frame.
-	var found sqltypes.Value
-	matches := 0
-	for _, f := range frames {
-		if i := f.schema.Index(col); i >= 0 {
-			found = f.row[i]
-			matches++
-		}
-	}
-	switch matches {
-	case 0:
-		return sqltypes.Null, fmt.Errorf("unknown column %q", e.Name)
-	case 1:
-		return found, nil
-	default:
-		return sqltypes.Null, fmt.Errorf("ambiguous column %q", e.Name)
-	}
+	return frames[f].row[col], nil
 }
 
 func (s *Session) evalBinary(e *sqlparse.BinaryExpr, frames []*frame) (sqltypes.Value, error) {
@@ -393,33 +405,8 @@ func (s *Session) validateColumns(e sqlparse.Expr, frames []*frame) error {
 		if strings.HasPrefix(e.Name, "@") {
 			return nil // variables are checked at evaluation time
 		}
-		col := strings.ToLower(e.Name)
-		if len(e.Qualifier.Parts) > 0 {
-			q := strings.ToLower(e.Qualifier.String())
-			for _, f := range frames {
-				if f.matches(q) {
-					if f.schema.Index(col) < 0 {
-						return fmt.Errorf("column %s not found in %s", e.Name, e.Qualifier)
-					}
-					return nil
-				}
-			}
-			return fmt.Errorf("unknown table or alias %q", e.Qualifier)
-		}
-		matches := 0
-		for _, f := range frames {
-			if f.schema.Index(col) >= 0 {
-				matches++
-			}
-		}
-		switch matches {
-		case 0:
-			return fmt.Errorf("unknown column %q", e.Name)
-		case 1:
-			return nil
-		default:
-			return fmt.Errorf("ambiguous column %q", e.Name)
-		}
+		_, _, err := resolve(e, frames)
+		return err
 	case *sqlparse.BinaryExpr:
 		if err := s.validateColumns(e.L, frames); err != nil {
 			return err

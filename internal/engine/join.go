@@ -178,8 +178,12 @@ func (s *Session) planJoin(where sqlparse.Expr, frames []*frame, tables []*stora
 			continue
 		}
 		for _, side := range [2][2]sqlparse.Expr{{eq.L, eq.R}, {eq.R, eq.L}} {
-			f, col, isCol := resolveColumn(side[0], frames)
-			if !isCol || !tables[f].IndexedColumn(col) {
+			cr, isCol := side[0].(*sqlparse.ColumnRef)
+			if !isCol || strings.HasPrefix(cr.Name, "@") {
+				continue
+			}
+			f, col, err := resolve(cr, frames)
+			if err != nil || !tables[f].IndexedColumn(col) {
 				continue
 			}
 			needs, ok := s.keyFrames(side[1], frames)
@@ -241,35 +245,6 @@ func conjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
 	return append(out, e)
 }
 
-// resolveColumn resolves e, when it is a column reference, to its frame and
-// column position, by the rules of evalColumnRef.
-func resolveColumn(e sqlparse.Expr, frames []*frame) (f, col int, ok bool) {
-	cr, isRef := e.(*sqlparse.ColumnRef)
-	if !isRef || strings.HasPrefix(cr.Name, "@") {
-		return 0, 0, false
-	}
-	if len(cr.Qualifier.Parts) > 0 {
-		q := strings.ToLower(cr.Qualifier.String())
-		for i, fr := range frames {
-			if fr.matches(q) {
-				col = fr.schema.Index(cr.Name)
-				return i, col, col >= 0
-			}
-		}
-		return 0, 0, false
-	}
-	f = -1
-	for i, fr := range frames {
-		if c := fr.schema.Index(cr.Name); c >= 0 {
-			if f >= 0 {
-				return 0, 0, false // ambiguous
-			}
-			f, col = i, c
-		}
-	}
-	return f, col, f >= 0
-}
-
 // keyFrames returns the set of frames a probe key reads. ok is false
 // unless e is a literal, a declared variable or a column that resolves —
 // the operands whose evaluation cannot fail.
@@ -282,7 +257,7 @@ func (s *Session) keyFrames(e sqlparse.Expr, frames []*frame) (needs uint64, ok 
 			_, declared := s.vars[strings.ToLower(e.Name)]
 			return 0, declared
 		}
-		if f, _, ok := resolveColumn(e, frames); ok {
+		if f, _, err := resolve(e, frames); err == nil {
 			return 1 << f, true
 		}
 	}

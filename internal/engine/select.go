@@ -172,10 +172,9 @@ func (s *Session) buildProjections(st *sqlparse.Select, frames []*frame) ([]proj
 				}
 			}
 		case item.Star:
-			q := strings.ToLower(item.StarTable.String())
 			found := false
 			for fi, f := range frames {
-				if !f.matches(q) {
+				if !f.matches(item.StarTable.Parts) {
 					continue
 				}
 				for ci, col := range f.schema.Columns {

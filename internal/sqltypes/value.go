@@ -11,30 +11,31 @@ import (
 // Value is a single SQL value. The zero Value is NULL.
 //
 // Values are immutable once constructed; the engine copies rows rather than
-// mutating values in place.
+// mutating values in place. A Value is 32 bytes: the kind, one 64-bit word
+// and a string header. The word holds INT and BIT as is, FLOAT as its IEEE
+// 754 bits and DATETIME as Unix milliseconds (a UTC instant, the engine's
+// datetime resolution).
 type Value struct {
 	kind Kind
-	i    int64     // KindInt, KindBit
-	f    float64   // KindFloat
-	s    string    // character kinds
-	t    time.Time // KindDateTime
+	n    int64  // KindInt, KindBit, KindFloat (bits), KindDateTime (Unix ms)
+	s    string // character kinds
 }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // NewInt returns an INT value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, n: v} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, n: int64(math.Float64bits(v))} }
 
 // NewBit returns a BIT value (normalized to 0 or 1).
 func NewBit(b bool) Value {
 	if b {
-		return Value{kind: KindBit, i: 1}
+		return Value{kind: KindBit, n: 1}
 	}
-	return Value{kind: KindBit, i: 0}
+	return Value{kind: KindBit}
 }
 
 // NewString returns a VARCHAR value.
@@ -43,10 +44,11 @@ func NewString(s string) Value { return Value{kind: KindVarChar, s: s} }
 // NewText returns a TEXT value.
 func NewText(s string) Value { return Value{kind: KindText, s: s} }
 
-// NewDateTime returns a DATETIME value truncated to millisecond precision,
-// the engine's datetime resolution.
+// NewDateTime returns a DATETIME value: t's instant truncated to millisecond
+// precision, the engine's datetime resolution. The location is not kept;
+// Time returns the instant in UTC.
 func NewDateTime(t time.Time) Value {
-	return Value{kind: KindDateTime, t: t.Truncate(time.Millisecond)}
+	return Value{kind: KindDateTime, n: t.UnixMilli()}
 }
 
 // Kind returns the runtime kind of the value (KindNull for NULL).
@@ -61,7 +63,7 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt && v.kind != KindBit {
 		panic(fmt.Sprintf("sqltypes: Int() on %s value", v.kind))
 	}
-	return v.i
+	return v.n
 }
 
 // Float returns the value as a float64. It panics unless the value is
@@ -70,8 +72,10 @@ func (v Value) Float() float64 {
 	if v.kind != KindFloat {
 		panic(fmt.Sprintf("sqltypes: Float() on %s value", v.kind))
 	}
-	return v.f
+	return v.float()
 }
+
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.n)) }
 
 // Str returns the character payload. It panics on non-character values;
 // use AsString for display conversion.
@@ -82,21 +86,23 @@ func (v Value) Str() string {
 	return v.s
 }
 
-// Time returns the DATETIME payload. It panics on other kinds.
+// Time returns the DATETIME payload as a UTC time. It panics on other kinds.
 func (v Value) Time() time.Time {
 	if v.kind != KindDateTime {
 		panic(fmt.Sprintf("sqltypes: Time() on %s value", v.kind))
 	}
-	return v.t
+	return v.time()
 }
+
+func (v Value) time() time.Time { return time.UnixMilli(v.n).UTC() }
 
 // AsInt coerces the value to an integer. NULL coerces to (0, false).
 func (v Value) AsInt() (int64, bool) {
 	switch v.kind {
 	case KindInt, KindBit:
-		return v.i, true
+		return v.n, true
 	case KindFloat:
-		return int64(v.f), true
+		return int64(v.float()), true
 	case KindChar, KindVarChar, KindText:
 		n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		return n, err == nil
@@ -109,9 +115,9 @@ func (v Value) AsInt() (int64, bool) {
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt, KindBit:
-		return float64(v.i), true
+		return float64(v.n), true
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	case KindChar, KindVarChar, KindText:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 		return f, err == nil
@@ -125,9 +131,9 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) AsBool() (bool, bool) {
 	switch v.kind {
 	case KindInt, KindBit:
-		return v.i != 0, true
+		return v.n != 0, true
 	case KindFloat:
-		return v.f != 0, true
+		return v.float() != 0, true
 	default:
 		return false, false
 	}
@@ -140,13 +146,13 @@ func (v Value) AsString() string {
 	case KindNull:
 		return "NULL"
 	case KindInt, KindBit:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindChar, KindVarChar, KindText:
 		return v.s
 	case KindDateTime:
-		return v.t.Format(DateTimeFormat)
+		return v.time().Format(DateTimeFormat)
 	default:
 		return fmt.Sprintf("<%s>", v.kind)
 	}
@@ -161,7 +167,7 @@ func (v Value) SQLLiteral() string {
 	case KindChar, KindVarChar, KindText:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindDateTime:
-		return "'" + v.t.Format(DateTimeFormat) + "'"
+		return "'" + v.time().Format(DateTimeFormat) + "'"
 	default:
 		return v.AsString()
 	}
@@ -180,35 +186,22 @@ func (v Value) Equal(o Value) bool {
 
 // Compare orders two values. The second result is false when the
 // comparison is unknown (either side NULL, or incomparable kinds), matching
-// SQL three-valued logic.
+// SQL three-valued logic. INT and BIT compare exactly as int64; a pair with
+// a FLOAT side compares as float64, where NaN is equal to every number.
 func (v Value) Compare(o Value) (int, bool) {
 	if v.IsNull() || o.IsNull() {
 		return 0, false
 	}
 	vt, ot := Type{Kind: v.kind}, Type{Kind: o.kind}
 	switch {
+	case isInteger(v.kind) && isInteger(o.kind), v.kind == KindDateTime && o.kind == KindDateTime:
+		return cmpOrdered(v.n, o.n), true
 	case vt.IsNumeric() && ot.IsNumeric():
 		a, _ := v.AsFloat()
 		b, _ := o.AsFloat()
-		switch {
-		case a < b:
-			return -1, true
-		case a > b:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return cmpOrdered(a, b), true
 	case vt.IsCharacter() && ot.IsCharacter():
 		return strings.Compare(v.s, o.s), true
-	case v.kind == KindDateTime && o.kind == KindDateTime:
-		switch {
-		case v.t.Before(o.t):
-			return -1, true
-		case v.t.After(o.t):
-			return 1, true
-		default:
-			return 0, true
-		}
 	case vt.IsCharacter() && ot.IsNumeric(), vt.IsNumeric() && ot.IsCharacter():
 		// The original server implicitly converts; we convert the string
 		// side to a number when possible.
@@ -217,16 +210,24 @@ func (v Value) Compare(o Value) (int, bool) {
 		if !aok || !bok {
 			return 0, false
 		}
-		switch {
-		case a < b:
-			return -1, true
-		case a > b:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return cmpOrdered(a, b), true
 	default:
 		return 0, false
+	}
+}
+
+func isInteger(k Kind) bool { return k == KindInt || k == KindBit }
+
+// cmpOrdered is -1, 0 or 1 as a is below, equal to or above b; unordered
+// floats (NaN) are 0.
+func cmpOrdered[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
 	}
 }
 
@@ -296,9 +297,8 @@ func Arith(op byte, a, b Value) (Value, error) {
 	if !at.IsNumeric() || !bt.IsNumeric() {
 		return Null, fmt.Errorf("operator %c not defined for %s and %s", op, a.kind, b.kind)
 	}
-	intOp := (a.kind == KindInt || a.kind == KindBit) && (b.kind == KindInt || b.kind == KindBit)
-	if intOp {
-		x, y := a.i, b.i
+	if isInteger(a.kind) && isInteger(b.kind) {
+		x, y := a.n, b.n
 		switch op {
 		case '+':
 			return NewInt(x + y), nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestNullSemantics(t *testing.T) {
@@ -109,6 +110,114 @@ func TestCompare(t *testing.T) {
 	if _, ok := NewDateTime(time.Now()).Compare(NewInt(1)); ok {
 		t.Error("datetime vs int should be unknown")
 	}
+}
+
+// TestValueSize pins the stored layout: kind, one 64-bit word and a string
+// header, 32 bytes on a 64-bit platform. Every stored cell pays this size.
+func TestValueSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the 32-byte layout is a 64-bit figure")
+	}
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// TestCompareIntegersExact: INT and BIT pairs compare as int64, so
+// integers that one float64 cannot tell apart (above 2^53) still order;
+// a pair with a FLOAT side compares as float64.
+func TestCompareIntegersExact(t *testing.T) {
+	const big = 1 << 53 // 9007199254740992; big+1 has no float64 of its own
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{NewInt(big + 1), NewInt(big), 1},
+		{NewInt(big), NewInt(big + 1), -1},
+		{NewInt(big + 1), NewInt(big + 1), 0},
+		{NewInt(math.MaxInt64), NewInt(math.MaxInt64 - 1), 1},
+		{NewInt(math.MinInt64), NewInt(math.MinInt64 + 1), -1},
+		{NewInt(-big - 1), NewInt(-big), -1},
+		{NewBit(true), NewInt(1), 0},
+		{NewBit(false), NewInt(1), -1},
+		{NewInt(big + 1), NewFloat(big), 0}, // FLOAT side: float64 comparison
+		{NewFloat(big), NewInt(big + 1), 0},
+		{NewInt(3), NewFloat(2.5), 1},
+	}
+	for _, c := range cases {
+		got, ok := c.a.Compare(c.b)
+		if !ok || got != c.want {
+			t.Errorf("Compare(%v %s, %v %s) = %d,%v; want %d", c.a.AsString(), c.a.Kind(), c.b.AsString(), c.b.Kind(), got, ok, c.want)
+		}
+	}
+	if NewInt(big + 1).Equal(NewInt(big)) {
+		t.Error("2^53+1 Equal 2^53")
+	}
+}
+
+// TestDateTimeInstant pins the DATETIME contract: a value is a UTC instant
+// at millisecond resolution, so equal instants from any zone compare
+// equal, and every rendering reads in UTC.
+func TestDateTimeInstant(t *testing.T) {
+	at := time.Date(1999, 3, 23, 9, 30, 0, 125_600_000, time.UTC)
+	zones := []*time.Location{time.UTC, time.FixedZone("minus2", -2*3600), time.FixedZone("plus5:30", 5*3600+1800), time.Local}
+	for _, za := range zones {
+		a := NewDateTime(at.In(za))
+		for _, zb := range zones {
+			b := NewDateTime(at.In(zb))
+			if c, ok := a.Compare(b); !ok || c != 0 || !a.Equal(b) {
+				t.Errorf("%s vs %s: Compare = %d,%v, Equal = %v; want equal", za, zb, c, ok, a.Equal(b))
+			}
+		}
+		if got := a.Time(); got.Location() != time.UTC || !got.Equal(at.Truncate(time.Millisecond)) {
+			t.Errorf("%s: Time() = %v, want %v in UTC", za, got, at.Truncate(time.Millisecond))
+		}
+		if got, want := a.AsString(), "1999-03-23 09:30:00.125"; got != want {
+			t.Errorf("%s: AsString() = %q, want %q", za, got, want)
+		}
+		if got, want := a.SQLLiteral(), "'1999-03-23 09:30:00.125'"; got != want {
+			t.Errorf("%s: SQLLiteral() = %q, want %q", za, got, want)
+		}
+	}
+	later := NewDateTime(at.Add(time.Millisecond).In(time.FixedZone("far", 12*3600)))
+	if c, ok := NewDateTime(at).Compare(later); !ok || c != -1 {
+		t.Errorf("Compare with an instant 1 ms later = %d,%v; want -1", c, ok)
+	}
+	// Before 1970 the instant still truncates toward the past.
+	pre := time.Date(1969, 12, 31, 23, 59, 59, 999_500_000, time.UTC)
+	if got := NewDateTime(pre).Time(); !got.Equal(pre.Truncate(time.Millisecond)) || got.UnixMilli() != -1 {
+		t.Errorf("NewDateTime(%v).Time() = %v (%d ms), want %v (-1 ms)", pre, got, got.UnixMilli(), pre.Truncate(time.Millisecond))
+	}
+}
+
+// TestAllocsCompare: comparing, testing and reading values allocates
+// nothing; the engine does all three for every row a WHERE sees. (A
+// character value that must convert to a number is left out: a string
+// that does not parse allocates strconv's error.)
+func TestAllocsCompare(t *testing.T) {
+	vals := []Value{NewInt(7), NewBit(true), NewFloat(2.5), NewString("Q12"), NewText("Q13"), NewDateTime(time.Unix(100, 0)), Null}
+	sink := 0
+	avg := testing.AllocsPerRun(100, func() {
+		for _, a := range vals {
+			for _, b := range vals {
+				if (Type{Kind: a.kind}).IsCharacter() != (Type{Kind: b.kind}).IsCharacter() {
+					continue
+				}
+				c, _ := a.Compare(b)
+				sink += c
+			}
+			if ok, _ := a.AsBool(); ok {
+				sink++
+			}
+			if a.Kind() == KindDateTime {
+				sink += a.Time().Second()
+			}
+		}
+	})
+	if avg != 0 {
+		t.Errorf("%.1f allocs/op, want 0", avg)
+	}
+	_ = sink
 }
 
 func TestConvert(t *testing.T) {

@@ -29,15 +29,16 @@ type hashIndex struct {
 }
 
 // indexKey is the canonical form of a non-NULL value: two values of the
-// column's class have equal keys exactly when Value.Compare returns 0.
-// Numerics key as a float64 (Compare compares them as float64, and Go map
-// equality already treats -0 and +0 alike), character values as their
-// string, datetimes as their instant.
+// column's class that Value.Compare finds equal have equal keys. Numerics
+// key as a float64 (Go map equality already treats -0 and +0 alike); INT
+// pairs compare exactly as int64, so integers above 2^53 that round to one
+// float64 share a key, and a probe then returns a superset of the rows
+// that match, which Pin.Lookup's contract allows. Character values key as
+// their string, datetimes as their Unix milliseconds.
 type indexKey struct {
-	num  float64
-	str  string
-	sec  int64
-	nsec int
+	num float64
+	str string
+	ms  int64
 }
 
 // keyClass groups kinds whose values Compare without conversion: 1 numeric,
@@ -65,8 +66,7 @@ func keyOf(v sqltypes.Value) (indexKey, bool) {
 	case 2:
 		return indexKey{str: v.Str()}, true
 	case 3:
-		t := v.Time()
-		return indexKey{sec: t.Unix(), nsec: t.Nanosecond()}, true
+		return indexKey{ms: v.Time().UnixMilli()}, true
 	}
 	return indexKey{}, false
 }
