@@ -83,10 +83,13 @@ race:
 # tests that define events around live state; then the engine's
 # index-vs-scan differential (seeded random joins answered by hash-index
 # probes and by the nested loop must return identical result sets, row
-# order included, across every mutation an index survives), under -race.
+# order included, across every mutation an index survives); and the
+# engine's plan-cache differential (seeded batch streams through a warm
+# session's cached plans and through a fresh parse per batch must return
+# identical results, errors and tables), under -race.
 differential:
 	$(GO) test -race -count=1 -run 'TestOperatorStreamsGolden|TestDifferential|TestStressConcurrentSignalsUnderChurn|AcrossDefine|SurvivesDefine|TestDeferredPriorityAcrossRuleSets' ./internal/led
-	$(GO) test -race -count=1 -run 'TestIndexScanDifferential' ./internal/engine
+	$(GO) test -race -count=1 -run 'TestIndexScanDifferential|TestPlanCacheDifferential' ./internal/engine
 
 # The CEP oracle-differential proof (DESIGN.md §12): every window,
 # aggregate, and interval operator × context × coupling against the

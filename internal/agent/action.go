@@ -66,33 +66,30 @@ func actionScript(p ActionParam, occ *led.Occ) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "use %s\n", p.DB)
 
-	// Steps 2-3 of §5.6: derive the (tableName, context, vNo) list from
-	// the LED occurrence and replace the previous occurrence's tuples.
+	// Steps 2-3 of §5.6: replace the context's tuples with this
+	// occurrence's (tableName, context, vNo) list, derived from the LED
+	// occurrence. The context is cleared whole, so an action never reads a
+	// table the previous occurrence left behind (an OR that fired on the
+	// other table, or a temporal occurrence with no table at all).
 	// sysContext rows are keyed by the *shadow* table (stock_inserted /
 	// stock_deleted) rather than the base table the paper's Figure 14
 	// shows: each event keeps its own vNo counter, so rows keyed only by
 	// base table would cross-match occurrences of different events on the
 	// same table. EXPERIMENTS.md records this correctness fix.
+	fmt.Fprintf(&b, "delete %s where context = '%s'\n", TabContext, p.Context)
 	type key struct {
 		table string
 		vno   int
 	}
 	seen := make(map[key]bool)
-	tableSeen := make(map[string]bool)
-	var tables []string // first-seen order: the batch must be deterministic
-	var inserts []string
 	record := func(shadow string, vno int) {
 		k := key{table: shadow, vno: vno}
 		if seen[k] {
 			return
 		}
 		seen[k] = true
-		if !tableSeen[shadow] {
-			tableSeen[shadow] = true
-			tables = append(tables, shadow)
-		}
-		inserts = append(inserts, fmt.Sprintf("insert %s values ('%s', '%s', %d)",
-			TabContext, sqlEscape(shadow), p.Context, vno))
+		fmt.Fprintf(&b, "insert %s values ('%s', '%s', %d)\n",
+			TabContext, sqlEscape(shadow), p.Context, vno)
 	}
 	for _, c := range occ.Constituents {
 		if c.Table == "" {
@@ -107,14 +104,6 @@ func actionScript(p ActionParam, occ *led.Occ) string {
 			record(shadowTableName(c.Table, "inserted"), c.VNo)
 			record(shadowTableName(c.Table, "deleted"), c.VNo)
 		}
-	}
-	for _, t := range tables {
-		fmt.Fprintf(&b, "delete %s where tableName = '%s' and context = '%s'\n",
-			TabContext, sqlEscape(t), p.Context)
-	}
-	for _, ins := range inserts {
-		b.WriteString(ins)
-		b.WriteByte('\n')
 	}
 	// Step 4: the procedure joins sysContext with the shadow tables and
 	// runs the user action.

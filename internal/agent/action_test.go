@@ -151,7 +151,7 @@ func (u scriptUpstream) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 func (scriptUpstream) Close() error { return nil }
 
 // TestInvokeScriptText pins the exact §5.6 populate + execute script:
-// sysContext deletes per shadow table in first-seen order, one insert per
+// one sysContext delete for the whole context, one insert per
 // distinct (shadow, vNo), an update constituent touching both shadows,
 // temporal constituents skipped, names escaped.
 func TestInvokeScriptText(t *testing.T) {
@@ -168,28 +168,25 @@ func TestInvokeScriptText(t *testing.T) {
 	}{
 		{"insert", []led.Primitive{prim("db.u.stock", "insert", 7)},
 			"use db\n" +
-				"delete sysContext where tableName = 'db.u.stock_inserted' and context = 'CHRONICLE'\n" +
+				"delete sysContext where context = 'CHRONICLE'\n" +
 				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 7)\n" +
 				"execute db.u.r__Proc"},
 		{"update", []led.Primitive{prim("db.u.stock", "update", 12345)},
 			"use db\n" +
-				"delete sysContext where tableName = 'db.u.stock_inserted' and context = 'CHRONICLE'\n" +
-				"delete sysContext where tableName = 'db.u.stock_deleted' and context = 'CHRONICLE'\n" +
+				"delete sysContext where context = 'CHRONICLE'\n" +
 				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 12345)\n" +
 				"insert sysContext values ('db.u.stock_deleted', 'CHRONICLE', 12345)\n" +
 				"execute db.u.r__Proc"},
 		{"repeated", []led.Primitive{prim("db.u.stock", "insert", 3), {Op: "tick"}, prim("db.u.stock", "insert", 3)},
 			"use db\n" +
-				"delete sysContext where tableName = 'db.u.stock_inserted' and context = 'CHRONICLE'\n" +
+				"delete sysContext where context = 'CHRONICLE'\n" +
 				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 3)\n" +
 				"execute db.u.r__Proc"},
 		{"composite", []led.Primitive{
 			prim("db.u.stock", "insert", 3), prim("db.u.o'k", "delete", -5),
 			prim("db.u.stock", "insert", 4), prim("db.u.stock", "update", 9), prim("db.u.o'k", "delete", -5)},
 			"use db\n" +
-				"delete sysContext where tableName = 'db.u.stock_inserted' and context = 'CHRONICLE'\n" +
-				"delete sysContext where tableName = 'db.u.o''k_deleted' and context = 'CHRONICLE'\n" +
-				"delete sysContext where tableName = 'db.u.stock_deleted' and context = 'CHRONICLE'\n" +
+				"delete sysContext where context = 'CHRONICLE'\n" +
 				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 3)\n" +
 				"insert sysContext values ('db.u.o''k_deleted', 'CHRONICLE', -5)\n" +
 				"insert sysContext values ('db.u.stock_inserted', 'CHRONICLE', 4)\n" +

@@ -10,6 +10,7 @@ import (
 	"github.com/activedb/ecaagent/internal/catalog"
 	"github.com/activedb/ecaagent/internal/client"
 	"github.com/activedb/ecaagent/internal/engine"
+	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/server"
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
@@ -145,6 +146,73 @@ func TestExample1EndToEnd(t *testing.T) {
 	if len(rs.Rows) != 1 || rs.Rows[0][0].Str() != "IBM" || rs.Rows[0][1].Int() != 1 {
 		t.Errorf("shadow: %v", rs.Rows)
 	}
+}
+
+// TestActionContextNotStale: an action reads only its own occurrence's
+// tuples. The OR fired by a delete must not see the insert an earlier
+// occurrence put in sysContext, and neither must an occurrence with no
+// table constituent, such as a temporal one.
+func TestActionContextNotStale(t *testing.T) {
+	r := newRig(t)
+	cs := r.session(t, "sharma", "sentineldb")
+	for _, sql := range []string{
+		"create trigger t_addStk on stock for insert event addStk as print 'add'",
+		"create trigger t_delStk on stock for delete event delStk as print 'del'",
+		"create trigger t_or event anyStk = addStk | delStk RECENT as select symbol from stock.inserted",
+	} {
+		if _, err := cs.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	// orRows runs sql and returns the rows t_or's action selected.
+	orRows := func(sql string) []sqltypes.Row {
+		t.Helper()
+		if _, err := cs.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+		var or *ActionResult
+		for i := 0; i < 2; i++ { // the primitive rule and t_or, in either order
+			res := waitAction(t, r.agent)
+			if res.Rule == "sentineldb.sharma.t_or" {
+				or = &res
+			}
+		}
+		if or == nil || or.Err != nil {
+			t.Fatalf("%s: t_or did not run: %+v", sql, or)
+		}
+		return lastRowsOf(or.Results)
+	}
+	if rows := orRows("insert stock values ('IBM', 50)"); len(rows) != 1 || rows[0][0].Str() != "IBM" {
+		t.Fatalf("insert: t_or read %v, want IBM", rows)
+	}
+	if rows := orRows("delete stock where symbol = 'IBM'"); len(rows) != 0 {
+		t.Errorf("delete: t_or read %v from stock.inserted, want nothing", rows)
+	}
+
+	if rows := orRows("insert stock values ('T', 20)"); len(rows) != 1 || rows[0][0].Str() != "T" {
+		t.Fatalf("second insert: t_or read %v, want T", rows)
+	}
+	r.agent.mu.Lock()
+	info := r.agent.triggers["sentineldb.sharma.t_or"]
+	r.agent.mu.Unlock()
+	occ := &led.Occ{Event: info.Event, Context: info.Context, Constituents: []led.Primitive{{Op: "tick"}}}
+	results, _, err := r.agent.actions.invoke(actionJob{info: info}.param(), occ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := lastRowsOf(results); len(rows) != 0 {
+		t.Errorf("temporal occurrence: t_or read %v from stock.inserted, want nothing", rows)
+	}
+}
+
+// lastRowsOf returns the rows of the last result set that has a schema.
+func lastRowsOf(results []*sqltypes.ResultSet) []sqltypes.Row {
+	for i := len(results) - 1; i >= 0; i-- {
+		if results[i].Schema != nil {
+			return results[i].Rows
+		}
+	}
+	return nil
 }
 
 // Example 2 of the paper, §5.3: composite event addDel = delStk ^ addStk.

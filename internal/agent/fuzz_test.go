@@ -10,8 +10,8 @@ import (
 
 func TestClassifiersNeverPanic(t *testing.T) {
 	f := func(s string) bool {
-		_ = classifyBatch(s)
-		_ = classifyBatch("use db " + s)
+		_ = classifyBatch(nil, s)
+		_ = classifyBatch(nil, "use db "+s)
 		_ = IsECACreateTrigger(s)
 		_, _ = ParseDropTrigger(s)
 		return true

@@ -24,7 +24,14 @@ type ClientSession struct {
 	up    Upstream
 	user  string
 	db    string
+	// toks is the token buffer every batch is classified in.
+	toks []sqllex.Token
 }
+
+// maxKeptTokens bounds the token buffer a ClientSession keeps between
+// batches, so one bulk script does not pin its buffer for the session's
+// life.
+const maxKeptTokens = 1024
 
 // NewClientSession opens a session as the gateway does for each incoming
 // client connection. It is also the embedding API: programs can drive the
@@ -70,6 +77,9 @@ func (cs *ClientSession) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 // batch. A batch that does not lex is ordinary SQL: every field is zero and
 // the server reports the error.
 type batchClass struct {
+	// toks is every token of the batch, in the buffer classifyBatch was
+	// given (grown if it had to be).
+	toks []sqllex.Token
 	// useDB is the database of a leading "use db" that more tokens follow,
 	// so an ECA command can follow a database switch in the same batch
 	// (the common isql pattern); "" without one.
@@ -88,14 +98,14 @@ type batchClass struct {
 	commits bool
 }
 
-// classifyBatch tokenizes batch once and takes every Language Filter
-// decision from that token slice.
-func classifyBatch(batch string) batchClass {
-	toks, err := sqllex.Tokenize(batch)
+// classifyBatch tokenizes batch once, into buf, and takes every Language
+// Filter decision from that token slice.
+func classifyBatch(buf []sqllex.Token, batch string) batchClass {
+	toks, err := sqllex.AppendTokens(buf[:0], batch)
 	if err != nil {
-		return batchClass{}
+		return batchClass{toks: toks}
 	}
-	c := batchClass{body: toks}
+	c := batchClass{toks: toks, body: toks}
 	if len(toks) >= 3 && toks[0].IsKeyword("use") && toks[1].Kind == sqllex.TokIdent {
 		c.useDB, c.body = toks[1].Text, toks[2:]
 	}
@@ -114,7 +124,10 @@ func classifyBatch(batch string) batchClass {
 }
 
 func (cs *ClientSession) execBatch(batch string) ([]*sqltypes.ResultSet, error) {
-	c := classifyBatch(batch)
+	c := classifyBatch(cs.toks, batch)
+	if cap(c.toks) <= maxKeptTokens {
+		cs.toks = c.toks
+	}
 	db := cs.db
 	if c.useDB != "" {
 		db = c.useDB

@@ -57,7 +57,7 @@ func viewOf(c batchClass) batchClassView {
 
 func TestClassifyHardBatches(t *testing.T) {
 	for _, b := range hardBatches {
-		if got := viewOf(classifyBatch(b.sql)); got != b.want {
+		if got := viewOf(classifyBatch(nil, b.sql)); got != b.want {
 			t.Errorf("%s: classifyBatch(%q) = %+v, want %+v", b.name, b.sql, got, b.want)
 		}
 	}
@@ -142,8 +142,10 @@ func TestFailedBatchRereadsDatabase(t *testing.T) {
 // TestAllocsPassThroughBatch is the allocation budget of one warmed
 // in-process pass-through statement on a 64-row table: the Language
 // Filter's single tokenize plus the engine's execution, which reads the
-// table's stored rows instead of copying them. The budgets sit a few
-// allocations above the measured 41, 34 and 24; a copy per row would add 64.
+// table's stored rows instead of copying them and binds a repeated
+// statement's literals into its cached plan instead of parsing it. The
+// budgets sit a few allocations above the measured 22, 15 and 9; a copy
+// per row would add 64, a parse per statement 10 to 20.
 func TestAllocsPassThroughBatch(t *testing.T) {
 	r := newRig(t)
 	cs := r.session(t, "sharma", "sentineldb")
@@ -156,9 +158,9 @@ func TestAllocsPassThroughBatch(t *testing.T) {
 		sql  string
 		want float64
 	}{
-		{"select price from stock where symbol = 'Q01'", 45},
-		{"update stock set price = 11 where symbol = 'Q02'", 38},
-		{"delete stock where symbol = 'nosuch'", 28},
+		{"select price from stock where symbol = 'Q01'", 26},
+		{"update stock set price = 11 where symbol = 'Q02'", 19},
+		{"delete stock where symbol = 'nosuch'", 13},
 	} {
 		if _, err := cs.Exec(tc.sql); err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
@@ -42,74 +43,141 @@ type Trigger struct {
 	RawSQL    string
 }
 
-type object struct {
+// byName holds one kind of catalog object, keyed by lowercased name; each
+// name lists its objects, one per owner. Keying by name alone lets a lookup
+// index with a name it lowercases into a stack buffer, and answers the
+// any-owner step of resolution without a scan.
+type byName[T any] map[string][]owned[T]
+
+// owned is one object and its owner as spelled at creation.
+type owned[T any] struct {
 	owner string
-	name  string
+	v     T
 }
 
-func key(owner, name string) object {
-	return object{owner: strings.ToLower(owner), name: strings.ToLower(name)}
+// fold appends s lowercased to buf, as strings.ToLower would: the key the
+// maps are indexed by. Indexing with string(fold(buf[:0], s)) for a stack
+// buf allocates nothing for a short ASCII name.
+func fold(buf []byte, s string) []byte {
+	n := len(buf)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return append(buf[:n], strings.ToLower(s)...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c)
+	}
+	return buf
+}
+
+// index resolves name for a session user to its object list and the
+// position in it, or -1. Resolution order matches the server: exact owner
+// if specified; else the session user's object, then dbo's, then the only
+// object of that name under any owner.
+func (m byName[T]) index(owner, name, user string) ([]owned[T], int) {
+	var buf [64]byte
+	list := m[string(fold(buf[:0], name))]
+	if owner != "" {
+		return list, ownerIndex(list, owner)
+	}
+	if i := ownerIndex(list, user); i >= 0 {
+		return list, i
+	}
+	if i := ownerIndex(list, DefaultOwner); i >= 0 {
+		return list, i
+	}
+	if len(list) == 1 {
+		return list, 0
+	}
+	return list, -1
+}
+
+func ownerIndex[T any](list []owned[T], owner string) int {
+	if owner == "" {
+		return -1
+	}
+	for i, ob := range list {
+		if strings.EqualFold(ob.owner, owner) {
+			return i
+		}
+	}
+	return -1
+}
+
+// get returns the object index resolves to.
+func (m byName[T]) get(owner, name, user string) (T, bool) {
+	list, i := m.index(owner, name, user)
+	if i < 0 {
+		var zero T
+		return zero, false
+	}
+	return list[i].v, true
+}
+
+// add registers v under (owner, name), reporting false if that pair
+// exists.
+func (m byName[T]) add(owner, name string, v T) bool {
+	k := strings.ToLower(name)
+	if ownerIndex(m[k], owner) >= 0 {
+		return false
+	}
+	m[k] = append(m[k], owned[T]{owner: owner, v: v})
+	return true
+}
+
+// put registers v under (owner, name), replacing what that pair held.
+func (m byName[T]) put(owner, name string, v T) {
+	k := strings.ToLower(name)
+	if i := ownerIndex(m[k], owner); i >= 0 {
+		m[k][i].v = v
+		return
+	}
+	m[k] = append(m[k], owned[T]{owner: owner, v: v})
+}
+
+// remove deletes the object index resolves to, reporting what it was.
+func (m byName[T]) remove(owner, name, user string) (T, bool) {
+	list, i := m.index(owner, name, user)
+	if i < 0 {
+		var zero T
+		return zero, false
+	}
+	v := list[i].v
+	k := strings.ToLower(name)
+	if len(list) == 1 {
+		delete(m, k)
+	} else {
+		m[k] = append(list[:i:i], list[i+1:]...)
+	}
+	return v, true
 }
 
 // Database holds one database's objects.
 type Database struct {
 	mu       sync.RWMutex
 	name     string
-	tables   map[object]*storage.Table
-	owners   map[object]string // preserves original owner spelling
-	procs    map[object]*Procedure
-	triggers map[object]*Trigger
-	// trigByTable indexes triggers by (table key, operation).
-	trigByTable map[object]map[sqlparse.TriggerOp]*Trigger
+	tables   byName[*storage.Table]
+	procs    byName[*Procedure]
+	triggers byName[*Trigger]
+	// trigByTable indexes triggers by table and operation.
+	trigByTable map[*storage.Table]map[sqlparse.TriggerOp]*Trigger
 }
 
 func newDatabase(name string) *Database {
 	return &Database{
 		name:        name,
-		tables:      make(map[object]*storage.Table),
-		owners:      make(map[object]string),
-		procs:       make(map[object]*Procedure),
-		triggers:    make(map[object]*Trigger),
-		trigByTable: make(map[object]map[sqlparse.TriggerOp]*Trigger),
+		tables:      make(byName[*storage.Table]),
+		procs:       make(byName[*Procedure]),
+		triggers:    make(byName[*Trigger]),
+		trigByTable: make(map[*storage.Table]map[sqlparse.TriggerOp]*Trigger),
 	}
 }
 
 // Name returns the database name.
 func (d *Database) Name() string { return d.name }
-
-// resolve finds an object key given an optional owner and a resolver user.
-// Resolution order matches the server: exact owner if specified; else the
-// session user's object, then dbo's, then a unique match across owners.
-func resolve[T any](d *Database, m map[object]T, owner, name, user string) (object, bool) {
-	if owner != "" {
-		k := key(owner, name)
-		_, ok := m[k]
-		return k, ok
-	}
-	if user != "" {
-		k := key(user, name)
-		if _, ok := m[k]; ok {
-			return k, true
-		}
-	}
-	k := key(DefaultOwner, name)
-	if _, ok := m[k]; ok {
-		return k, true
-	}
-	var found object
-	n := 0
-	lname := strings.ToLower(name)
-	for ko := range m {
-		if ko.name == lname {
-			found = ko
-			n++
-		}
-	}
-	if n == 1 {
-		return found, true
-	}
-	return object{}, false
-}
 
 // CreateTable registers a table. It fails if the (owner, name) pair exists.
 func (d *Database) CreateTable(owner, name string, schema *sqltypes.Schema) (*storage.Table, error) {
@@ -118,13 +186,10 @@ func (d *Database) CreateTable(owner, name string, schema *sqltypes.Schema) (*st
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	k := key(owner, name)
-	if _, ok := d.tables[k]; ok {
+	t := storage.NewTable(schema)
+	if !d.tables.add(owner, name, t) {
 		return nil, fmt.Errorf("table %s.%s already exists in %s", owner, name, d.name)
 	}
-	t := storage.NewTable(schema)
-	d.tables[k] = t
-	d.owners[k] = owner
 	return t, nil
 }
 
@@ -132,40 +197,38 @@ func (d *Database) CreateTable(owner, name string, schema *sqltypes.Schema) (*st
 func (d *Database) Table(owner, name, user string) (*storage.Table, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	k, ok := resolve(d, d.tables, owner, name, user)
+	t, ok := d.tables.get(owner, name, user)
 	if !ok {
 		return nil, fmt.Errorf("table %s not found in %s", displayName(owner, name), d.name)
 	}
-	return d.tables[k], nil
+	return t, nil
 }
 
 // DropTable removes a table and any triggers defined on it.
 func (d *Database) DropTable(owner, name, user string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	k, ok := resolve(d, d.tables, owner, name, user)
+	t, ok := d.tables.remove(owner, name, user)
 	if !ok {
 		return fmt.Errorf("table %s not found in %s", displayName(owner, name), d.name)
 	}
-	delete(d.tables, k)
-	delete(d.owners, k)
-	if ops, ok := d.trigByTable[k]; ok {
-		for _, tr := range ops {
-			delete(d.triggers, key(tr.Owner, tr.Name))
-		}
-		delete(d.trigByTable, k)
+	for _, tr := range d.trigByTable[t] {
+		d.triggers.remove(tr.Owner, tr.Name, "")
 	}
+	delete(d.trigByTable, t)
 	return nil
 }
 
-// TableNames lists tables as owner.name pairs, sorted by map order (callers
-// sort if they need determinism).
+// TableNames lists tables as owner.name pairs, the name lowercased, in map
+// order (callers sort if they need determinism).
 func (d *Database) TableNames() []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.tables))
-	for k := range d.tables {
-		out = append(out, d.owners[k]+"."+k.name)
+	var out []string
+	for name, list := range d.tables {
+		for _, ob := range list {
+			out = append(out, ob.owner+"."+name)
+		}
 	}
 	return out
 }
@@ -178,11 +241,9 @@ func (d *Database) CreateProcedure(p *Procedure) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	k := key(p.Owner, p.Name)
-	if _, ok := d.procs[k]; ok {
+	if !d.procs.add(p.Owner, p.Name, p) {
 		return fmt.Errorf("procedure %s.%s already exists in %s", p.Owner, p.Name, d.name)
 	}
-	d.procs[k] = p
 	return nil
 }
 
@@ -190,22 +251,20 @@ func (d *Database) CreateProcedure(p *Procedure) error {
 func (d *Database) Procedure(owner, name, user string) (*Procedure, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	k, ok := resolve(d, d.procs, owner, name, user)
+	p, ok := d.procs.get(owner, name, user)
 	if !ok {
 		return nil, fmt.Errorf("procedure %s not found in %s", displayName(owner, name), d.name)
 	}
-	return d.procs[k], nil
+	return p, nil
 }
 
 // DropProcedure removes a stored procedure.
 func (d *Database) DropProcedure(owner, name, user string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	k, ok := resolve(d, d.procs, owner, name, user)
-	if !ok {
+	if _, ok := d.procs.remove(owner, name, user); !ok {
 		return fmt.Errorf("procedure %s not found in %s", displayName(owner, name), d.name)
 	}
-	delete(d.procs, k)
 	return nil
 }
 
@@ -218,32 +277,38 @@ func (d *Database) CreateTrigger(tr *Trigger, user string) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	tk, ok := resolve(d, d.tables, "", tr.Table, user)
+	t, ok := d.tables.get("", tr.Table, user)
 	if !ok {
 		return fmt.Errorf("table %s not found in %s", tr.Table, d.name)
 	}
-	ops := d.trigByTable[tk]
+	d.attach(t, tr)
+	return nil
+}
+
+// attach makes tr the trigger for its operation on t, replacing the one
+// that was.
+func (d *Database) attach(t *storage.Table, tr *Trigger) {
+	ops := d.trigByTable[t]
 	if ops == nil {
 		ops = make(map[sqlparse.TriggerOp]*Trigger)
-		d.trigByTable[tk] = ops
+		d.trigByTable[t] = ops
 	}
 	if prev, exists := ops[tr.Operation]; exists {
-		delete(d.triggers, key(prev.Owner, prev.Name))
+		d.triggers.remove(prev.Owner, prev.Name, "")
 	}
 	ops[tr.Operation] = tr
-	d.triggers[key(tr.Owner, tr.Name)] = tr
-	return nil
+	d.triggers.put(tr.Owner, tr.Name, tr)
 }
 
 // TriggerFor returns the trigger on (table, op), if any.
 func (d *Database) TriggerFor(tableOwner, table, user string, op sqlparse.TriggerOp) (*Trigger, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	tk, ok := resolve(d, d.tables, tableOwner, table, user)
+	t, ok := d.tables.get(tableOwner, table, user)
 	if !ok {
 		return nil, false
 	}
-	tr, ok := d.trigByTable[tk][op]
+	tr, ok := d.trigByTable[t][op]
 	return tr, ok
 }
 
@@ -251,25 +316,23 @@ func (d *Database) TriggerFor(tableOwner, table, user string, op sqlparse.Trigge
 func (d *Database) Trigger(owner, name, user string) (*Trigger, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	k, ok := resolve(d, d.triggers, owner, name, user)
+	tr, ok := d.triggers.get(owner, name, user)
 	if !ok {
 		return nil, fmt.Errorf("trigger %s not found in %s", displayName(owner, name), d.name)
 	}
-	return d.triggers[k], nil
+	return tr, nil
 }
 
 // DropTrigger removes a trigger by name.
 func (d *Database) DropTrigger(owner, name, user string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	k, ok := resolve(d, d.triggers, owner, name, user)
+	tr, ok := d.triggers.remove(owner, name, user)
 	if !ok {
 		return fmt.Errorf("trigger %s not found in %s", displayName(owner, name), d.name)
 	}
-	tr := d.triggers[k]
-	delete(d.triggers, k)
-	if tk, ok := resolve(d, d.tables, "", tr.Table, user); ok {
-		if ops := d.trigByTable[tk]; ops != nil && ops[tr.Operation] == tr {
+	if t, ok := d.tables.get("", tr.Table, user); ok {
+		if ops := d.trigByTable[t]; ops != nil && ops[tr.Operation] == tr {
 			delete(ops, tr.Operation)
 		}
 	}
@@ -313,7 +376,8 @@ func (c *Catalog) CreateDatabase(name string) (*Database, error) {
 func (c *Catalog) Database(name string) (*Database, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	db, ok := c.dbs[strings.ToLower(name)]
+	var buf [64]byte
+	db, ok := c.dbs[string(fold(buf[:0], name))]
 	if !ok {
 		return nil, fmt.Errorf("database %s does not exist", name)
 	}

@@ -466,3 +466,38 @@ func TestLoadSnapshotBeforeIndexes(t *testing.T) {
 		t.Errorf("trigger after load: %+v ok=%v", tr, ok)
 	}
 }
+
+// TestAllocsTableLookup: resolving a name allocates nothing, whatever its
+// case, including the any-owner step a generated trigger body takes for
+// SysPrimitiveEvent when a user who does not own it fires the trigger.
+func TestAllocsTableLookup(t *testing.T) {
+	c := New()
+	db, err := c.CreateDatabase("sentineldb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"sysContext", "stock", "audit"} {
+		if _, err := db.CreateTable("sharma", name, stockSchema()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.CreateTable("eca", "SysPrimitiveEvent", stockSchema()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"own table", func() error { _, err := db.Table("", "sysContext", "sharma"); return err }},
+		{"owner-qualified", func() error { _, err := db.Table("Sharma", "STOCK", "dbo"); return err }},
+		{"any owner", func() error { _, err := db.Table("", "SysPrimitiveEvent", "sharma"); return err }},
+		{"database", func() error { _, err := c.Database("sentinelDB"); return err }},
+	} {
+		if err := tc.fn(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if avg := testing.AllocsPerRun(100, func() { _ = tc.fn() }); avg != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, avg)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/storage"
@@ -57,18 +58,31 @@ type indexDecl struct {
 	storage.IndexDef
 }
 
-func (d *Database) sortedTableKeys() []object {
-	keys := make([]object, 0, len(d.tables))
-	for k := range d.tables {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].owner != keys[j].owner {
-			return keys[i].owner < keys[j].owner
+// sorted lists the objects of m with their lowercased names, by owner
+// (lowercased) and then name, or by name and then owner.
+func sorted[T any](m byName[T], ownerFirst bool) []named[T] {
+	var out []named[T]
+	for name, list := range m {
+		for _, ob := range list {
+			out = append(out, named[T]{name: name, lowOwner: strings.ToLower(ob.owner), owned: ob})
 		}
-		return keys[i].name < keys[j].name
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if ownerFirst && a.lowOwner != b.lowOwner {
+			return a.lowOwner < b.lowOwner
+		}
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.lowOwner < b.lowOwner
 	})
-	return keys
+	return out
+}
+
+type named[T any] struct {
+	name, lowOwner string
+	owned[T]
 }
 
 // save writes the database and returns its index declarations, tables in
@@ -79,38 +93,28 @@ func (d *Database) save(sw *storage.Writer) []indexDecl {
 	sw.WriteString(d.name)
 
 	var decls []indexDecl
-	keys := d.sortedTableKeys()
-	sw.WriteUint(uint64(len(keys)))
-	for _, k := range keys {
-		sw.WriteString(d.owners[k])
-		sw.WriteString(k.name)
-		for _, def := range sw.WriteTable(d.tables[k]) {
-			decls = append(decls, indexDecl{db: d.name, owner: d.owners[k], table: k.name, IndexDef: def})
+	tables := sorted(d.tables, true)
+	sw.WriteUint(uint64(len(tables)))
+	for _, t := range tables {
+		sw.WriteString(t.owner)
+		sw.WriteString(t.name)
+		for _, def := range sw.WriteTable(t.v) {
+			decls = append(decls, indexDecl{db: d.name, owner: t.owner, table: t.name, IndexDef: def})
 		}
 	}
 
-	pkeys := make([]object, 0, len(d.procs))
-	for k := range d.procs {
-		pkeys = append(pkeys, k)
-	}
-	sort.Slice(pkeys, func(i, j int) bool { return pkeys[i].name < pkeys[j].name })
-	sw.WriteUint(uint64(len(pkeys)))
-	for _, k := range pkeys {
-		p := d.procs[k]
-		sw.WriteString(p.Owner)
-		sw.WriteString(p.RawSQL)
+	procs := sorted(d.procs, false)
+	sw.WriteUint(uint64(len(procs)))
+	for _, p := range procs {
+		sw.WriteString(p.v.Owner)
+		sw.WriteString(p.v.RawSQL)
 	}
 
-	tkeys := make([]object, 0, len(d.triggers))
-	for k := range d.triggers {
-		tkeys = append(tkeys, k)
-	}
-	sort.Slice(tkeys, func(i, j int) bool { return tkeys[i].name < tkeys[j].name })
-	sw.WriteUint(uint64(len(tkeys)))
-	for _, k := range tkeys {
-		tr := d.triggers[k]
-		sw.WriteString(tr.Owner)
-		sw.WriteString(tr.RawSQL)
+	triggers := sorted(d.triggers, false)
+	sw.WriteUint(uint64(len(triggers)))
+	for _, tr := range triggers {
+		sw.WriteString(tr.v.Owner)
+		sw.WriteString(tr.v.RawSQL)
 	}
 	return decls
 }
@@ -131,7 +135,7 @@ func Load(r io.Reader) (*Catalog, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.dbs[lower(db.name)] = db
+		c.dbs[strings.ToLower(db.name)] = db
 	}
 	if _, ok := c.dbs["master"]; !ok {
 		c.dbs["master"] = newDatabase("master")
@@ -160,11 +164,11 @@ func (c *Catalog) loadIndexes(sr *storage.Reader) error {
 				return err
 			}
 		}
-		db, ok := c.dbs[lower(f[0])]
+		db, ok := c.dbs[strings.ToLower(f[0])]
 		if !ok {
 			return fmt.Errorf("index %s: database %s not in snapshot", f[3], f[0])
 		}
-		tbl, ok := db.tables[key(f[1], f[2])]
+		tbl, ok := db.tables.get(f[1], f[2], "")
 		if !ok {
 			return fmt.Errorf("index %s: table %s.%s not in snapshot", f[3], f[1], f[2])
 		}
@@ -173,16 +177,6 @@ func (c *Catalog) loadIndexes(sr *storage.Reader) error {
 		}
 	}
 	return nil
-}
-
-func lower(s string) string {
-	b := []byte(s)
-	for i, ch := range b {
-		if 'A' <= ch && ch <= 'Z' {
-			b[i] = ch + 'a' - 'A'
-		}
-	}
-	return string(b)
 }
 
 func loadDatabase(sr *storage.Reader) (*Database, error) {
@@ -209,9 +203,7 @@ func loadDatabase(sr *storage.Reader) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		k := key(owner, tname)
-		db.tables[k] = tbl
-		db.owners[k] = owner
+		db.tables.put(owner, tname, tbl)
 	}
 
 	nprocs, err := sr.ReadUint()
@@ -235,10 +227,10 @@ func loadDatabase(sr *storage.Reader) (*Database, error) {
 		if !ok || len(stmts) != 1 {
 			return nil, fmt.Errorf("stored procedure text in %s is not a CREATE PROCEDURE", name)
 		}
-		db.procs[key(owner, cp.Name.Name())] = &Procedure{
+		db.procs.put(owner, cp.Name.Name(), &Procedure{
 			Name: cp.Name.Name(), Owner: owner,
 			Params: cp.Params, Body: cp.Body, RawSQL: raw,
-		}
+		})
 	}
 
 	ntrig, err := sr.ReadUint()
@@ -266,12 +258,12 @@ func loadDatabase(sr *storage.Reader) (*Database, error) {
 			Name: ct.Name.Name(), Owner: owner, Table: ct.Table.Name(),
 			Operation: ct.Operation, Body: ct.Body, RawSQL: raw,
 		}
-		db.triggers[key(owner, tr.Name)] = tr
-		if tk, ok := resolve(db, db.tables, ct.Table.Owner(), tr.Table, owner); ok {
-			ops := db.trigByTable[tk]
+		db.triggers.put(owner, tr.Name, tr)
+		if t, ok := db.tables.get(ct.Table.Owner(), tr.Table, owner); ok {
+			ops := db.trigByTable[t]
 			if ops == nil {
 				ops = make(map[sqlparse.TriggerOp]*Trigger)
-				db.trigByTable[tk] = ops
+				db.trigByTable[t] = ops
 			}
 			ops[tr.Operation] = tr
 		}

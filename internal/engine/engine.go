@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/activedb/ecaagent/internal/catalog"
+	"github.com/activedb/ecaagent/internal/sqllex"
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
 	"github.com/activedb/ecaagent/internal/storage"
@@ -160,6 +161,12 @@ type Session struct {
 	extra []*sqltypes.ResultSet
 	// procDepth guards against runaway procedure recursion.
 	procDepth int
+
+	// toks and key are the lex and shape-key buffers every batch reuses;
+	// plans is the plan cache (plan.go).
+	toks  []sqllex.Token
+	key   []byte
+	plans map[string]*sqlparse.Template
 }
 
 type triggerContext struct {
@@ -191,8 +198,12 @@ func (s *Session) Use(db string) error {
 }
 
 // ExecScript splits src on GO lines and executes every batch, returning
-// one result per statement.
+// one result per statement. A script without a GO line is one batch and
+// runs as it is, without a copy.
 func (s *Session) ExecScript(src string) ([]*sqltypes.ResultSet, error) {
+	if !sqlparse.HasBatchSeparator(src) {
+		return s.ExecBatch(src)
+	}
 	var out []*sqltypes.ResultSet
 	for _, batch := range sqlparse.SplitBatches(src) {
 		results, err := s.ExecBatch(batch)
@@ -206,13 +217,14 @@ func (s *Session) ExecScript(src string) ([]*sqltypes.ResultSet, error) {
 
 // ExecBatch parses and executes one batch, returning one result per
 // statement. On error, the results of the statements that ran are
-// returned along with the error.
+// returned along with the error. A batch whose shape the session has run
+// before is not parsed again (plan.go).
 func (s *Session) ExecBatch(src string) ([]*sqltypes.ResultSet, error) {
-	stmts, err := sqlparse.ParseBatch(src)
-	if err != nil {
+	stmts, err := s.parse(src)
+	if err != nil || len(stmts) == 0 {
 		return nil, err
 	}
-	var out []*sqltypes.ResultSet
+	out := make([]*sqltypes.ResultSet, 0, len(stmts))
 	for _, st := range stmts {
 		rs, err := s.ExecStmt(st)
 		if rs != nil {

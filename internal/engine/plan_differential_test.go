@@ -1,0 +1,229 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/activedb/ecaagent/internal/catalog"
+	"github.com/activedb/ecaagent/internal/sqllex"
+	"github.com/activedb/ecaagent/internal/sqlparse"
+	"github.com/activedb/ecaagent/internal/sqltypes"
+)
+
+// The plan-cache differential: one seeded stream of batches runs through a
+// warm Session.ExecBatch, where repeated shapes are bound into cached
+// statements, and through sqlparse.ParseBatch + ExecStmt on an identically
+// seeded catalog, where every batch is parsed afresh. Every result set,
+// every error text and a final dump of every table must be identical.
+
+// planLits are the number and string literals a slot can take: negatives
+// that fold, ints and floats in one slot, escaped quotes, and numbers the
+// parser rejects.
+var (
+	planNums = []string{"0", "1", "7", "-3", "- 2", "-(4)", "- -5", "2.5", "-0.5", "1e2", "-2.5e1",
+		"9223372036854775807", "99999999999999999999", "1e999"}
+	planStrs = []string{"''", "'a'", "'it''s'", "'x y'", "'''q'''", "'7'", "'-1'", "'IBM'"}
+)
+
+func planNum(r *rand.Rand) string { return pick(r, planNums) }
+func planStr(r *rand.Rand) string { return pick(r, planStrs) }
+
+// planValue is a literal of either kind, or NULL, which changes the shape.
+func planValue(r *rand.Rand) string {
+	switch r.Intn(5) {
+	case 0, 1:
+		return planNum(r)
+	case 2, 3:
+		return planStr(r)
+	}
+	return "null"
+}
+
+// planBatch draws one batch. Most templates have a fixed shape, so their
+// literals change while the shape repeats; the IN list's length varies, so
+// a stream also has many shapes and the cache fills and empties.
+func planBatch(r *rand.Rand, id *int) string {
+	*id++
+	switch r.Intn(16) {
+	case 0, 1:
+		return fmt.Sprintf("insert t1 (id, a, f, s) values (%d, %s, %s, %s)", *id, planNum(r), planNum(r), planStr(r))
+	case 2:
+		return fmt.Sprintf("insert t1 (id, a, f, s) values (%d, %s, %s, %s)", *id, planValue(r), planValue(r), planValue(r))
+	case 3:
+		return fmt.Sprintf("insert t2 values (%d, %s, %s)\ninsert t2 values (%d, %s, %s)",
+			*id, planNum(r), planStr(r), *id+1000, planNum(r), planStr(r))
+	case 4:
+		return fmt.Sprintf("select id, a, f, s from t1 where a > %s or s = %s", planNum(r), planStr(r))
+	case 5:
+		return fmt.Sprintf("select -%s, - -%s, %s + %s, %s * -%s", planNum(r), planNum(r), planNum(r), planNum(r), planNum(r), planNum(r))
+	case 6:
+		return fmt.Sprintf("update t1 set f = %s, s = %s where id %% %d = %d", planNum(r), planStr(r), 2+r.Intn(3), r.Intn(2))
+	case 7:
+		return fmt.Sprintf("delete t1 where a = %s", planNum(r))
+	case 8: // fails mid-batch when the divisor is 0
+		return fmt.Sprintf("insert t2 values (%d, %s, 'mid')\nselect 10 / %s\ninsert t2 values (%d, 1, 'after')", *id, planNum(r), planNum(r), *id+2000)
+	case 9:
+		return fmt.Sprintf("print %s + %s", planValue(r), planValue(r))
+	case 10:
+		return fmt.Sprintf("execute p %s, %s", planNum(r), planStr(r))
+	case 11:
+		return fmt.Sprintf("insert t4 values (%d, %s)", *id, planValue(r))
+	case 12:
+		return fmt.Sprintf("select id, a from t4 where a <> %s order by id", planValue(r))
+	case 13: // drop and re-create, possibly with another column type
+		return fmt.Sprintf("drop table t4\ncreate table t4 (id int null, a %s null)", pick(r, []string{"int", "float", "varchar(8)"}))
+	case 14:
+		return fmt.Sprintf("begin tran\ninsert t2 values (%d, %s, %s)\nupdate t1 set a = a + %s\n%s tran",
+			*id, planNum(r), planStr(r), planNum(r), pick(r, []string{"commit", "rollback"}))
+	}
+	items := make([]string, 1+r.Intn(40))
+	for i := range items {
+		items[i] = planValue(r)
+	}
+	return fmt.Sprintf("select id from t1 where a in (%s) or s in (%s)", strings.Join(items, ", "), planStr(r))
+}
+
+// execParsed runs one batch the way ExecBatch does, with a fresh parse.
+func execParsed(s *Session, src string) ([]*sqltypes.ResultSet, error) {
+	stmts, err := sqlparse.ParseBatch(src)
+	if err != nil {
+		return nil, err
+	}
+	var out []*sqltypes.ResultSet
+	for _, st := range stmts {
+		rs, err := s.ExecStmt(st)
+		if rs != nil {
+			out = append(out, rs)
+		}
+		out = append(out, s.drainExtra()...)
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// dumpTables renders every table of db, in name order, with each value's
+// kind.
+func dumpTables(t *testing.T, s *Session) string {
+	db, err := s.database("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := db.TableNames()
+	sort.Strings(names)
+	var b strings.Builder
+	for _, n := range names {
+		owner, name, _ := strings.Cut(n, ".")
+		tbl, err := db.Table(owner, name, "u")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %v\n", n, tbl.Schema().Columns)
+		for _, row := range tbl.Rows() {
+			for _, v := range row {
+				fmt.Fprintf(&b, "%d:%s|", v.Kind(), v.AsString())
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+func TestPlanCacheDifferential(t *testing.T) {
+	const seeds, perSeed = 10, 600
+	setup := "create database db\nuse db\n" +
+		"create table t1 (id int null, a int null, f float null, s varchar(12) null)\n" +
+		"create table t2 (id int, a float null, s varchar(12) null)\n" +
+		"create table t4 (id int null, a int null)\n" +
+		"create procedure p @k int, @s varchar(12) as\nselect id, s from t1 where a = @k or s = @s\nprint @s"
+	batches, hits, failed := 0, 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		cached := New(catalog.New()).NewSession("u")
+		fresh := New(catalog.New()).NewSession("u")
+		mustExec(t, cached, setup)
+		mustExec(t, fresh, setup)
+		id := 0
+		for i := 0; i < perSeed; i++ {
+			src := planBatch(r, &id)
+			if toks, err := sqllex.Tokenize(src); err == nil && cached.plans[string(sqlparse.AppendShape(nil, toks))] != nil {
+				hits++
+			}
+			got := dump(cached.ExecBatch(src))
+			want := dump(execParsed(fresh, src))
+			if got != want {
+				t.Fatalf("seed %d, batch %d:\n%s\ncached:\n%s\nparsed:\n%s", seed, i, src, got, want)
+			}
+			if strings.Contains(want, "error: ") {
+				failed++
+			}
+			batches++
+		}
+		if got, want := dumpTables(t, cached), dumpTables(t, fresh); got != want {
+			t.Fatalf("seed %d: tables differ\ncached:\n%s\nparsed:\n%s", seed, got, want)
+		}
+		if len(cached.plans) > planCap {
+			t.Fatalf("seed %d: %d cached shapes, cap %d", seed, len(cached.plans), planCap)
+		}
+	}
+	// Anti-vacuity: most batches were bound into a cached plan, and the
+	// error paths ran.
+	if hits < batches/2 || failed < batches/20 {
+		t.Errorf("%d batches, %d cache hits, %d failed", batches, hits, failed)
+	}
+	t.Logf("%d batches, %d cache hits, %d failed", batches, hits, failed)
+}
+
+// TestPlanCacheBindsLiterals: a repeated shape is not parsed again, yet
+// every run sees its own literals, folded negatives included, and a bad
+// number fails with the parser's error.
+func TestPlanCacheBindsLiterals(t *testing.T) {
+	s, _ := newTestSession(t)
+	for _, tc := range []struct{ src, want string }{
+		{"select -1, 'a''b', 2.5", "-1|a'b|2.5|"},
+		{"select -7, 'c', -3", "-7|c|-3|"},
+		{"select - -1, '', 1e2", "1||100|"},
+		{"select -2.5, 'x', 4", "-2.5|x|4|"},
+	} {
+		rs := mustExec(t, s, tc.src)
+		var got strings.Builder
+		for _, v := range rs[0].Rows[0] {
+			got.WriteString(v.AsString() + "|")
+		}
+		if got.String() != tc.want {
+			t.Errorf("%s: got %s, want %s", tc.src, got.String(), tc.want)
+		}
+	}
+	_, err := s.ExecBatch("select -1, 'a', 99999999999999999999")
+	_, want := sqlparse.ParseBatch("select -1, 'a', 99999999999999999999")
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("bad number on a hit: %v, parser says %v", err, want)
+	}
+	// use db, and three shapes of select: the first and last runs share one.
+	if n := len(s.plans); n != 4 {
+		t.Errorf("%d cached shapes, want 4", n)
+	}
+}
+
+// TestPlanCacheSkipsDDL: DDL keeps its AST or text in the catalog, so a
+// batch with DDL is parsed every time and never cached.
+func TestPlanCacheSkipsDDL(t *testing.T) {
+	s, _ := newTestSession(t)
+	before := len(s.plans)
+	mustExec(t, s, "create table t (a varchar(10) null)\ninsert t values ('x')")
+	mustExec(t, s, "create procedure p as print 'p'")
+	mustExec(t, s, "drop procedure p")
+	if len(s.plans) != before {
+		t.Errorf("DDL batches cached: %d shapes, was %d", len(s.plans), before)
+	}
+	for i := 0; i < planCap+10; i++ {
+		mustExec(t, s, "select 1"+strings.Repeat(", 1", i))
+	}
+	if n := len(s.plans); n == 0 || n > planCap {
+		t.Errorf("%d cached shapes, cap %d", n, planCap)
+	}
+}

@@ -77,17 +77,27 @@ func New(src string) *Lexer { return &Lexer{src: src} }
 // The slice is sized up front from the input length, so ordinary SQL
 // costs one allocation.
 func Tokenize(src string) ([]Token, error) {
-	lx := New(src)
-	out := make([]Token, 0, len(src)/tokenBytes+1)
+	toks, err := AppendTokens(make([]Token, 0, len(src)/tokenBytes+1), src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// AppendTokens scans the whole input like Tokenize and appends its tokens
+// to dst, so a caller that lexes batch after batch can reuse one buffer.
+// On error it returns dst with whatever was appended before the error.
+func AppendTokens(dst []Token, src string) ([]Token, error) {
+	lx := Lexer{src: src}
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		if t.Kind == TokEOF {
-			return out, nil
+			return dst, nil
 		}
-		out = append(out, t)
+		dst = append(dst, t)
 	}
 }
 

@@ -51,11 +51,31 @@ func SplitBatches(src string) []string {
 	return out
 }
 
+// HasBatchSeparator reports whether src has a GO line, so SplitBatches
+// would cut it into more than one batch.
+func HasBatchSeparator(src string) bool {
+	for src != "" {
+		line := src
+		if i := strings.IndexByte(src, '\n'); i >= 0 {
+			line, src = src[:i], src[i+1:]
+		} else {
+			src = ""
+		}
+		if strings.EqualFold(strings.TrimSpace(line), "go") {
+			return true
+		}
+	}
+	return false
+}
+
 // Parser parses one batch of SQL text.
 type Parser struct {
 	src  string
 	toks []sqllex.Token
 	pos  int
+	// slots, when not nil, receives the slot of every number and string
+	// token, in token order (template.go).
+	slots *[]slot
 }
 
 // NewParser tokenizes src and returns a parser over it.
@@ -1006,14 +1026,20 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lit, ok := e.(*Literal); ok {
-			// Fold negative numeric literals.
-			switch lit.Value.Kind() {
-			case sqltypes.KindInt:
-				return &Literal{Value: sqltypes.NewInt(-lit.Value.Int())}, nil
-			case sqltypes.KindFloat:
-				return &Literal{Value: sqltypes.NewFloat(-lit.Value.Float())}, nil
+		if lit, ok := e.(*Literal); ok && isNumeric(lit.Value) {
+			// Fold negative numeric literals. The literal is this parse's
+			// own node, so it is negated in place.
+			lit.Value = negate(lit.Value)
+			if p.slots != nil {
+				s := *p.slots
+				for i := len(s) - 1; i >= 0; i-- {
+					if s[i].lit == lit {
+						s[i].neg = !s[i].neg
+						break
+					}
+				}
 			}
+			return lit, nil
 		}
 		return &UnaryExpr{Op: "-", E: e}, nil
 	}
@@ -1024,25 +1050,17 @@ func (p *Parser) parseUnary() (Expr, error) {
 func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.Kind {
-	case sqllex.TokNumber:
+	case sqllex.TokNumber, sqllex.TokString:
 		p.pos++
-		if strings.ContainsAny(t.Text, ".eE") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad number %q: %v", t.Text, err)
-			}
-			return &Literal{Value: sqltypes.NewFloat(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.Text, 10, 64)
+		v, err := literalValue(t)
 		if err != nil {
-			return nil, fmt.Errorf("bad number %q: %v", t.Text, err)
+			return nil, err
 		}
-		return &Literal{Value: sqltypes.NewInt(n)}, nil
-	case sqllex.TokString:
-		p.pos++
-		// The token text shares the batch's memory; a literal may end up
-		// stored in a table, which must not keep the whole batch alive.
-		return &Literal{Value: sqltypes.NewString(strings.Clone(t.Text))}, nil
+		lit := &Literal{Value: v}
+		if p.slots != nil {
+			*p.slots = append(*p.slots, slot{lit: lit})
+		}
+		return lit, nil
 	case sqllex.TokVariable:
 		p.pos++
 		return &ColumnRef{Name: t.Text}, nil
@@ -1111,4 +1129,37 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, fmt.Errorf("unexpected end of expression")
 	}
+}
+
+// literalValue is the value of a number or string token.
+func literalValue(t sqllex.Token) (sqltypes.Value, error) {
+	if t.Kind == sqllex.TokString {
+		// The token text shares the batch's memory; a literal may end up
+		// stored in a table, which must not keep the whole batch alive.
+		return sqltypes.NewString(strings.Clone(t.Text)), nil
+	}
+	if strings.ContainsAny(t.Text, ".eE") {
+		f, err := strconv.ParseFloat(t.Text, 64)
+		if err != nil {
+			return sqltypes.Value{}, fmt.Errorf("bad number %q: %v", t.Text, err)
+		}
+		return sqltypes.NewFloat(f), nil
+	}
+	n, err := strconv.ParseInt(t.Text, 10, 64)
+	if err != nil {
+		return sqltypes.Value{}, fmt.Errorf("bad number %q: %v", t.Text, err)
+	}
+	return sqltypes.NewInt(n), nil
+}
+
+func isNumeric(v sqltypes.Value) bool {
+	return v.Kind() == sqltypes.KindInt || v.Kind() == sqltypes.KindFloat
+}
+
+// negate is unary minus on an INT or FLOAT value.
+func negate(v sqltypes.Value) sqltypes.Value {
+	if v.Kind() == sqltypes.KindFloat {
+		return sqltypes.NewFloat(-v.Float())
+	}
+	return sqltypes.NewInt(-v.Int())
 }
