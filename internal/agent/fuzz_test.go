@@ -3,6 +3,8 @@ package agent
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/activedb/ecaagent/internal/sqllex"
 )
 
 // The Language Filter classifies every byte sequence a client could send;
@@ -10,8 +12,8 @@ import (
 
 func TestClassifiersNeverPanic(t *testing.T) {
 	f := func(s string) bool {
-		_ = classifyBatch(nil, s)
-		_ = classifyBatch(nil, "use db "+s)
+		_ = classifyBatch(new([]sqllex.Token), s)
+		_ = classifyBatch(new([]sqllex.Token), "use db "+s)
 		_ = IsECACreateTrigger(s)
 		_, _ = ParseDropTrigger(s)
 		return true

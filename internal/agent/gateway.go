@@ -28,11 +28,6 @@ type ClientSession struct {
 	toks []sqllex.Token
 }
 
-// maxKeptTokens bounds the token buffer a ClientSession keeps between
-// batches, so one bulk script does not pin its buffer for the session's
-// life.
-const maxKeptTokens = 1024
-
 // NewClientSession opens a session as the gateway does for each incoming
 // client connection. It is also the embedding API: programs can drive the
 // agent in-process through it.
@@ -61,7 +56,7 @@ func (cs *ClientSession) Database() string { return cs.db }
 // (passed through to the server verbatim).
 func (cs *ClientSession) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 	var out []*sqltypes.ResultSet
-	for _, batch := range sqlparse.SplitBatches(sql) {
+	for batch, rest, ok := sqlparse.NextBatch(sql); ok; batch, rest, ok = sqlparse.NextBatch(rest) {
 		start := cs.agent.clock.Now()
 		results, err := cs.execBatch(batch)
 		cs.agent.met.gatewayBatchSec.Observe(cs.agent.clock.Now().Sub(start).Seconds())
@@ -77,9 +72,6 @@ func (cs *ClientSession) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 // batch. A batch that does not lex is ordinary SQL: every field is zero and
 // the server reports the error.
 type batchClass struct {
-	// toks is every token of the batch, in the buffer classifyBatch was
-	// given (grown if it had to be).
-	toks []sqllex.Token
 	// useDB is the database of a leading "use db" that more tokens follow,
 	// so an ECA command can follow a database switch in the same batch
 	// (the common isql pattern); "" without one.
@@ -98,14 +90,14 @@ type batchClass struct {
 	commits bool
 }
 
-// classifyBatch tokenizes batch once, into buf, and takes every Language
-// Filter decision from that token slice.
-func classifyBatch(buf []sqllex.Token, batch string) batchClass {
-	toks, err := sqllex.AppendTokens(buf[:0], batch)
+// classifyBatch tokenizes batch once, into *buf (sqllex.LexInto), and
+// takes every Language Filter decision from that token slice.
+func classifyBatch(buf *[]sqllex.Token, batch string) batchClass {
+	toks, err := sqllex.LexInto(buf, batch)
 	if err != nil {
-		return batchClass{toks: toks}
+		return batchClass{}
 	}
-	c := batchClass{toks: toks, body: toks}
+	c := batchClass{body: toks}
 	if len(toks) >= 3 && toks[0].IsKeyword("use") && toks[1].Kind == sqllex.TokIdent {
 		c.useDB, c.body = toks[1].Text, toks[2:]
 	}
@@ -124,10 +116,7 @@ func classifyBatch(buf []sqllex.Token, batch string) batchClass {
 }
 
 func (cs *ClientSession) execBatch(batch string) ([]*sqltypes.ResultSet, error) {
-	c := classifyBatch(cs.toks, batch)
-	if cap(c.toks) <= maxKeptTokens {
-		cs.toks = c.toks
-	}
+	c := classifyBatch(&cs.toks, batch)
 	db := cs.db
 	if c.useDB != "" {
 		db = c.useDB

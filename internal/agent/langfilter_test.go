@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/activedb/ecaagent/internal/sqllex"
 )
 
 // hardBatches are batches whose classification a careless lexical scan gets
@@ -57,7 +59,7 @@ func viewOf(c batchClass) batchClassView {
 
 func TestClassifyHardBatches(t *testing.T) {
 	for _, b := range hardBatches {
-		if got := viewOf(classifyBatch(nil, b.sql)); got != b.want {
+		if got := viewOf(classifyBatch(new([]sqllex.Token), b.sql)); got != b.want {
 			t.Errorf("%s: classifyBatch(%q) = %+v, want %+v", b.name, b.sql, got, b.want)
 		}
 	}

@@ -258,14 +258,10 @@ func loadDatabase(sr *storage.Reader) (*Database, error) {
 			Name: ct.Name.Name(), Owner: owner, Table: ct.Table.Name(),
 			Operation: ct.Operation, Body: ct.Body, RawSQL: raw,
 		}
-		db.triggers.put(owner, tr.Name, tr)
 		if t, ok := db.tables.get(ct.Table.Owner(), tr.Table, owner); ok {
-			ops := db.trigByTable[t]
-			if ops == nil {
-				ops = make(map[sqlparse.TriggerOp]*Trigger)
-				db.trigByTable[t] = ops
-			}
-			ops[tr.Operation] = tr
+			db.attach(t, tr)
+		} else {
+			db.triggers.put(owner, tr.Name, tr)
 		}
 	}
 	return db, nil

@@ -198,16 +198,16 @@ func (s *Session) Use(db string) error {
 }
 
 // ExecScript splits src on GO lines and executes every batch, returning
-// one result per statement. A script without a GO line is one batch and
-// runs as it is, without a copy.
+// one result per statement.
 func (s *Session) ExecScript(src string) ([]*sqltypes.ResultSet, error) {
-	if !sqlparse.HasBatchSeparator(src) {
-		return s.ExecBatch(src)
-	}
 	var out []*sqltypes.ResultSet
-	for _, batch := range sqlparse.SplitBatches(src) {
+	for batch, rest, ok := sqlparse.NextBatch(src); ok; batch, rest, ok = sqlparse.NextBatch(rest) {
 		results, err := s.ExecBatch(batch)
-		out = append(out, results...)
+		if out == nil {
+			out = results // a one-batch script's results need no copy
+		} else {
+			out = append(out, results...)
+		}
 		if err != nil {
 			return out, err
 		}

@@ -15,21 +15,18 @@ import (
 // planCap is how many shapes a session keeps; a full cache is emptied.
 const planCap = 256
 
-// planMaxTokens bounds the batches a session keeps, and the lex and key
-// buffers it reuses: a bulk load is parsed once anyway, and neither its
-// statements nor its buffers are worth holding on to.
-const planMaxTokens = 1024
-
 // parse returns the statements of one batch, from the plan cache when the
-// session has parsed a batch of the same shape before.
+// session has parsed a batch of the same shape before. Only a batch of at
+// most sqllex.MaxKeptSource bytes is cached: a template's names are slices
+// of the text it was parsed from, so it keeps that text alive, and a bulk
+// load is parsed once anyway.
 func (s *Session) parse(src string) ([]sqlparse.Statement, error) {
-	toks, err := sqllex.AppendTokens(s.toks[:0], src)
+	toks, err := sqllex.LexInto(&s.toks, src)
 	if err != nil {
 		return nil, err
 	}
-	keep := len(toks) <= planMaxTokens
+	keep := len(src) <= sqllex.MaxKeptSource
 	if keep {
-		s.toks = toks
 		s.key = sqlparse.AppendShape(s.key[:0], toks)
 		if t := s.plans[string(s.key)]; t != nil {
 			return t.Bind(toks)

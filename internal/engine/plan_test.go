@@ -2,7 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // actionScriptSetup creates what the §5.6 script of a print rule touches:
@@ -55,4 +59,38 @@ func TestAllocsActionScriptWarm(t *testing.T) {
 		t.Errorf("warm action script: %.1f allocs/op, want <= %d", avg, want)
 	}
 	t.Logf("warm action script: %.1f allocs/op", avg)
+}
+
+// TestPlanCacheDropsLongBatchText: a cached template's names are slices of
+// the text it was parsed from, so a batch longer than sqllex.MaxKeptSource
+// is neither cached nor left in the session's lex buffer, and its text is
+// collected once the caller drops it. An insert that carries a long
+// comment is a few tokens of a shape that repeats: a limit on tokens
+// would keep it.
+func TestPlanCacheDropsLongBatchText(t *testing.T) {
+	s, _ := newTestSession(t)
+	mustExec(t, s, "create table docs (id int, body varchar(10))")
+	collected := make(chan struct{})
+	func() {
+		long := "insert docs values (1, 'a') -- " + strings.Repeat("x", 1<<16)
+		runtime.SetFinalizer(unsafe.StringData(long), func(*byte) { close(collected) })
+		mustExec(t, s, long)
+		mustExec(t, s, long)
+	}()
+	if rows := lastRows(mustExec(t, s, "select id from docs")); len(rows) != 2 {
+		t.Errorf("docs has %d rows, want 2", len(rows))
+	}
+	gone := false
+	for i := 0; i < 50 && !gone; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			gone = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(s)
+	if !gone {
+		t.Fatal("the session keeps the text of a batch longer than sqllex.MaxKeptSource")
+	}
 }

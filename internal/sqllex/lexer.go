@@ -77,17 +77,17 @@ func New(src string) *Lexer { return &Lexer{src: src} }
 // The slice is sized up front from the input length, so ordinary SQL
 // costs one allocation.
 func Tokenize(src string) ([]Token, error) {
-	toks, err := AppendTokens(make([]Token, 0, len(src)/tokenBytes+1), src)
+	toks, err := appendTokens(make([]Token, 0, len(src)/tokenBytes+1), src)
 	if err != nil {
 		return nil, err
 	}
 	return toks, nil
 }
 
-// AppendTokens scans the whole input like Tokenize and appends its tokens
-// to dst, so a caller that lexes batch after batch can reuse one buffer.
-// On error it returns dst with whatever was appended before the error.
-func AppendTokens(dst []Token, src string) ([]Token, error) {
+// appendTokens scans the whole input like Tokenize and appends its tokens
+// to dst. On error it returns dst with whatever was appended before the
+// error.
+func appendTokens(dst []Token, src string) ([]Token, error) {
 	lx := Lexer{src: src}
 	for {
 		t, err := lx.Next()
@@ -99,6 +99,27 @@ func AppendTokens(dst []Token, src string) ([]Token, error) {
 		}
 		dst = append(dst, t)
 	}
+}
+
+// MaxKeptSource is the longest batch, in bytes, whose tokens a caller may
+// keep once the batch has run: in a reused lex buffer or in a cached plan.
+// A token's Text is a slice of its source, so a kept token keeps the whole
+// batch text alive; a longer batch is lexed into a slice of its own and
+// dropped with its text. It bounds the kept tokens too: a token is at
+// least one byte.
+const MaxKeptSource = 4096
+
+// LexInto scans src like Tokenize. When src is at most MaxKeptSource bytes
+// the tokens go into the storage of *buf, and *buf is left holding them
+// for the next call to reuse; a longer src gets a slice of its own and
+// *buf is untouched.
+func LexInto(buf *[]Token, src string) ([]Token, error) {
+	if len(src) > MaxKeptSource {
+		return Tokenize(src)
+	}
+	toks, err := appendTokens((*buf)[:0], src)
+	*buf = toks
+	return toks, err
 }
 
 // tokenBytes is the source bytes per token Tokenize sizes for. Statements

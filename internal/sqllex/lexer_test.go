@@ -230,6 +230,27 @@ func TestAllocsTokenize(t *testing.T) {
 	}
 }
 
+// TestLexIntoKeepsOnlyShortSource: a batch of at most MaxKeptSource bytes
+// is lexed into the caller's buffer and left there for the next batch,
+// with no allocation once the buffer is big enough; a longer one gets a
+// slice of its own, so the buffer never holds tokens of its text.
+func TestLexIntoKeepsOnlyShortSource(t *testing.T) {
+	const short = "insert quotes values ('IBM', 101.25)"
+	var buf []Token
+	toks, err := LexInto(&buf, short)
+	if err != nil || len(toks) != 8 || len(buf) != 8 || &buf[0] != &toks[0] {
+		t.Fatalf("LexInto(short) = %d tokens, buffer %d: %v", len(toks), len(buf), err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _, _ = LexInto(&buf, short) }); avg != 0 {
+		t.Errorf("LexInto into a warm buffer: %.1f allocs/op, want 0", avg)
+	}
+	long := short + " -- " + strings.Repeat("x", MaxKeptSource)
+	toks, err = LexInto(&buf, long)
+	if err != nil || len(toks) != 8 || len(buf) != 8 || &buf[0] == &toks[0] {
+		t.Fatalf("LexInto(long) = %d tokens in the buffer's storage: %v", len(toks), err)
+	}
+}
+
 func TestTokenizeStringEscapes(t *testing.T) {
 	for src, want := range map[string]string{
 		"''":             "",

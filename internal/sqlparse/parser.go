@@ -30,42 +30,38 @@ func isReserved(word string) bool { return reserved[strings.ToLower(word)] }
 
 // SplitBatches splits a SQL script into batches at lines consisting solely
 // of the word GO (case-insensitive), the Sybase isql convention. Batches
-// that are empty after splitting are dropped.
+// that are empty after splitting are dropped. Each batch is a slice of src.
 func SplitBatches(src string) []string {
 	var out []string
-	var cur strings.Builder
-	for _, line := range strings.Split(src, "\n") {
-		if strings.EqualFold(strings.TrimSpace(line), "go") {
-			if strings.TrimSpace(cur.String()) != "" {
-				out = append(out, cur.String())
-			}
-			cur.Reset()
-			continue
-		}
-		cur.WriteString(line)
-		cur.WriteByte('\n')
-	}
-	if strings.TrimSpace(cur.String()) != "" {
-		out = append(out, cur.String())
+	for batch, rest, ok := NextBatch(src); ok; batch, rest, ok = NextBatch(rest) {
+		out = append(out, batch)
 	}
 	return out
 }
 
-// HasBatchSeparator reports whether src has a GO line, so SplitBatches
-// would cut it into more than one batch.
-func HasBatchSeparator(src string) bool {
-	for src != "" {
-		line := src
-		if i := strings.IndexByte(src, '\n'); i >= 0 {
-			line, src = src[:i], src[i+1:]
-		} else {
-			src = ""
+// NextBatch cuts the first batch that SplitBatches would return off src:
+// batch is a slice of src without its GO line, rest is the text after that
+// line, and ok is false when src holds no batch. A caller that runs the
+// batches one by one loops on it without building the list.
+func NextBatch(src string) (batch, rest string, ok bool) {
+	start := 0 // where the batch being scanned begins
+	for pos := 0; pos < len(src); {
+		end, next := len(src), len(src)
+		if i := strings.IndexByte(src[pos:], '\n'); i >= 0 {
+			end, next = pos+i, pos+i+1
 		}
-		if strings.EqualFold(strings.TrimSpace(line), "go") {
-			return true
+		if strings.EqualFold(strings.TrimSpace(src[pos:end]), "go") {
+			if strings.TrimSpace(src[start:pos]) != "" {
+				return src[start:pos], src[next:], true
+			}
+			start = next
 		}
+		pos = next
 	}
-	return false
+	if strings.TrimSpace(src[start:]) != "" {
+		return src[start:], "", true
+	}
+	return "", "", false
 }
 
 // Parser parses one batch of SQL text.

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -300,6 +301,28 @@ func TestSplitBatches(t *testing.T) {
 		if strings.TrimSpace(batches[i]) != want {
 			t.Errorf("batch %d = %q", i, batches[i])
 		}
+	}
+}
+
+// TestNextBatchSlicesSource: a batch is the text between GO lines as the
+// client sent it, a slice of the script, and cutting one off allocates
+// nothing.
+func TestNextBatchSlicesSource(t *testing.T) {
+	src := "select 1\r\n go \nGO\n  \nselect 2\nselect 3\n"
+	want := []string{"select 1\r\n", "  \nselect 2\nselect 3\n"}
+	if got := SplitBatches(src); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("SplitBatches = %q, want %q", got, want)
+	}
+	for _, s := range []string{"", "\n go\n", "GO"} {
+		if batch, rest, ok := NextBatch(s); ok {
+			t.Errorf("NextBatch(%q) = %q, %q, true", s, batch, rest)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, rest, ok := NextBatch(src); ok; _, rest, ok = NextBatch(rest) {
+		}
+	}); avg != 0 {
+		t.Errorf("NextBatch: %.1f allocs/op, want 0", avg)
 	}
 }
 
