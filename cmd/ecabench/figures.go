@@ -165,7 +165,7 @@ func figure1(w io.Writer) error {
 
 func figure2(w io.Writer) error {
 	modules := []struct{ name, impl, role string }{
-		{"General Interface (Gateway Open Server)", "internal/agent/gateway.go", "same wire protocol on both sides; pass-through"},
+		{"General Interface (Gateway Open Server)", "server.OpenServer + ListenGateway", "same wire protocol on both sides; pass-through"},
 		{"Language Filter", "ClientSession.Exec", "classifies batches: ECA command vs ordinary SQL"},
 		{"ECA Parser", "internal/agent/ecaparse.go + codegen.go", "parses Figures 9/10/12 syntax; generates server SQL"},
 		{"Local Event Detector (LED)", "internal/led", "Snoop event graph; contexts; couplings"},

@@ -33,32 +33,6 @@ type ActionResult struct {
 	Err      error
 }
 
-// actionHandler implements Figure 16: each detected occurrence invokes the
-// rule's stored procedure through its own upstream connection. sysContext
-// population and procedure execution are serialized (the paper shares one
-// sysContext table per database, so two concurrent materializations of the
-// same (table, context) pair would trample each other).
-type actionHandler struct {
-	up Upstream
-}
-
-// newActionHandler takes ownership of an already-built upstream; the agent
-// hands it a retry-wrapped connection so a broken connection is redialed
-// instead of disabling every rule action.
-func newActionHandler(up Upstream) *actionHandler {
-	return &actionHandler{up: up}
-}
-
-func (h *actionHandler) close() { h.up.Close() }
-
-// invoke materializes the occurrence's parameter context into sysContext
-// (§5.6's four steps) and executes the action procedure on its own. It
-// returns the informational messages the action produced.
-func (h *actionHandler) invoke(p ActionParam, occ *led.Occ) ([]*sqltypes.ResultSet, []string, error) {
-	results, err := h.up.Exec(actionScript(p, occ))
-	return results, messages(results), err
-}
-
 // actionScript builds the §5.6 script for one occurrence: populate
 // sysContext with the occurrence's (shadow table, context, vNo) tuples,
 // then execute the action procedure.
@@ -229,8 +203,12 @@ func (a *Agent) runActions(jobs []actionJob) {
 	}
 }
 
-// runGroup sends the group's scripts to the upstream together and
-// finishes each job, in order, as its reply arrives.
+// runGroup sends the group's scripts together over the action connection
+// and finishes each job, in order, as its reply arrives: Figure 16, where
+// each detected occurrence invokes the rule's stored procedure in the
+// server. One connection runs every group, in order: the paper shares one
+// sysContext table per database, so two materializations of one context
+// at once would trample each other.
 func (a *Agent) runGroup(group []actionJob) {
 	scripts := make([]string, len(group))
 	for i, j := range group {
@@ -242,8 +220,7 @@ func (a *Agent) runGroup(group []actionJob) {
 		}
 		scripts[i] = actionScript(j.param(), j.occ)
 	}
-	up := a.actions.up.(*retryUpstream) // New always wraps the action connection
-	up.ExecGroup(scripts, func(i int, results []*sqltypes.ResultSet, err error) {
+	a.actions.ExecGroup(scripts, func(i int, results []*sqltypes.ResultSet, err error) {
 		a.actionq.settle(func() { a.finishAction(group[i], results, err) })
 	})
 }

@@ -141,22 +141,11 @@ func TestResumedActionsRunBeforeLiveFirings(t *testing.T) {
 	}
 }
 
-// scriptUpstream records the one script invoke sends.
-type scriptUpstream struct{ sql *string }
-
-func (u scriptUpstream) Exec(sql string) ([]*sqltypes.ResultSet, error) {
-	*u.sql = sql
-	return nil, nil
-}
-func (scriptUpstream) Close() error { return nil }
-
 // TestInvokeScriptText pins the exact §5.6 populate + execute script:
 // one sysContext delete for the whole context, one insert per
 // distinct (shadow, vNo), an update constituent touching both shadows,
 // temporal constituents skipped, names escaped.
 func TestInvokeScriptText(t *testing.T) {
-	var got string
-	h := newActionHandler(scriptUpstream{&got})
 	p := ActionParam{StoreProc: "db.u.r__Proc", EventName: "db.u.e", Context: led.Chronicle, DB: "db"}
 	prim := func(table, op string, vno int) led.Primitive {
 		return led.Primitive{Event: "db.u.e", Table: table, Op: op, VNo: vno}
@@ -194,11 +183,7 @@ func TestInvokeScriptText(t *testing.T) {
 				"insert sysContext values ('db.u.stock_deleted', 'CHRONICLE', 9)\n" +
 				"execute db.u.r__Proc"},
 	} {
-		got = ""
-		if _, _, err := h.invoke(p, &led.Occ{Event: p.EventName, Context: p.Context, Constituents: tc.parts}); err != nil {
-			t.Fatal(err)
-		}
-		if got != tc.want {
+		if got := actionScript(p, &led.Occ{Event: p.EventName, Context: p.Context, Constituents: tc.parts}); got != tc.want {
 			t.Errorf("%s: script\n%s\nwant\n%s", tc.name, got, tc.want)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/obs"
+	"github.com/activedb/ecaagent/internal/server"
 	"github.com/activedb/ecaagent/internal/snoop"
 	"github.com/activedb/ecaagent/internal/sqlparse"
 )
@@ -117,7 +118,7 @@ type Agent struct {
 	clock    led.Clock
 	led      *led.LED
 	pm       *persistentManager
-	actions  *actionHandler
+	actions  *retryUpstream // the Action Handler's connection (runGroup)
 	notifier *notifier
 
 	mu       sync.Mutex
@@ -165,7 +166,7 @@ type Agent struct {
 	stopOnce sync.Once
 	bgWG     sync.WaitGroup
 
-	gateway *gateway
+	gateway *server.OpenServer
 }
 
 // New starts an agent: it connects the Persistent Manager and Action
@@ -239,7 +240,7 @@ func New(cfg Config) (*Agent, error) {
 		return nil, err
 	}
 	a.pm = pm
-	a.actions = newActionHandler(mkRetry(1))
+	a.actions = mkRetry(1)
 	a.recUp = mkRetry(2)
 	if cfg.NotifyAddr != "-" {
 		n, err := startNotifier(a, cfg.NotifyAddr)
@@ -286,7 +287,7 @@ func New(cfg Config) (*Agent, error) {
 func (a *Agent) Close() {
 	a.stopOnce.Do(func() { close(a.stopCh) })
 	if a.gateway != nil {
-		a.gateway.close()
+		a.gateway.Close()
 	}
 	if a.notifier != nil {
 		a.notifier.close()
@@ -305,7 +306,7 @@ func (a *Agent) Close() {
 		}
 		a.dur.closeWAL()
 	}
-	a.actions.close()
+	a.actions.Close()
 	a.pm.close()
 	a.recUp.Close()
 }
@@ -414,17 +415,7 @@ func (a *Agent) NotifyEndpoint() (string, int) {
 // UDP-vs-inproc ablation. Delivery is at-least-once: duplicates are
 // suppressed by the per-event vNo watermark and gaps are replayed from it
 // (see recovery.go).
-func (a *Agent) Deliver(msg string) {
-	a.waitReady()
-	a.met.notifReceived.Inc()
-	event, table, op, vno, err := parseNotification(msg)
-	if err != nil {
-		a.met.notifDropped.Inc()
-		a.cfg.Logf("agent: dropping notification: %v", err)
-		return
-	}
-	a.ingest(led.Primitive{Event: event, Table: table, Op: op, VNo: vno})
-}
+func (a *Agent) Deliver(msg string) { a.DeliverBatchBytes([]byte(msg)) }
 
 // FlushDeferred executes queued DEFERRED rule actions (transaction
 // boundary).

@@ -196,11 +196,12 @@ func TestActionContextNotStale(t *testing.T) {
 	info := r.agent.triggers["sentineldb.sharma.t_or"]
 	r.agent.mu.Unlock()
 	occ := &led.Occ{Event: info.Event, Context: info.Context, Constituents: []led.Primitive{{Op: "tick"}}}
-	results, _, err := r.agent.actions.invoke(actionJob{info: info}.param(), occ)
-	if err != nil {
-		t.Fatal(err)
+	r.agent.actionq.enqueue(actionJob{info: info, occ: occ, enqueued: r.agent.clock.Now()})
+	res := waitAction(t, r.agent)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	if rows := lastRowsOf(results); len(rows) != 0 {
+	if rows := lastRowsOf(res.Results); len(rows) != 0 {
 		t.Errorf("temporal occurrence: t_or read %v from stock.inserted, want nothing", rows)
 	}
 }
@@ -472,7 +473,7 @@ func TestTransparencyCreateIndex(t *testing.T) {
 	mu.Lock()
 	last := sent[len(sent)-1]
 	mu.Unlock()
-	if want := sqlparse.SplitBatches(batch)[0]; last != want {
+	if want, _, _ := sqlparse.NextBatch(batch); last != want {
 		t.Errorf("upstream received %q, client batch is %q", last, want)
 	}
 	db, _ := r.eng.Catalog().Database("sentineldb")

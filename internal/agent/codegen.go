@@ -204,11 +204,3 @@ func notifyPrefix(event, table, op string) string {
 // few hundred bytes (three internal names plus a vNo); anything bigger is
 // garbage or an attack, not a trigger message.
 const maxNotificationLen = 4096
-
-// parseNotification decodes a notification datagram. Truncated, oversized
-// and duplicate-field messages are rejected (the caller counts them in
-// NotificationsDropped); the vNo must be a non-empty decimal that fits an
-// int. The byte-slice form in notifcodec.go does the work.
-func parseNotification(msg string) (event, table, op string, vno int, err error) {
-	return parseNotificationBytes([]byte(msg), &wireNames)
-}

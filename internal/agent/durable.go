@@ -131,48 +131,75 @@ func parseGenName(name string) (prefix string, epoch uint64, ok bool) {
 	return name[:i], n, true
 }
 
-// loadLatest scans the directory and decodes the newest valid
-// checkpoint. It returns the decoded data (nil when no epoch is usable),
-// that checkpoint's epoch, and the highest epoch number present in any
-// file name — the floor for the next generation.
-func (d *durableState) loadLatest() (*checkpointData, uint64, uint64) {
-	names, err := d.fs.List()
+// generations is one listing of a durability directory.
+type generations struct {
+	ckpts    []uint64 // checkpoint epochs, newest first
+	wals     []uint64 // journal epochs, oldest first
+	maxEpoch uint64   // the highest epoch in any file name
+}
+
+// listGenerations lists the checkpoint and journal generations in fs.
+func listGenerations(fs storage.FS) (generations, error) {
+	var g generations
+	names, err := fs.List()
 	if err != nil {
-		d.a.cfg.Logf("agent: checkpoint scan: %v", err)
-		return nil, 0, 0
+		return g, err
 	}
-	var maxEpoch uint64
-	var ckptEpochs []uint64
 	for _, name := range names {
 		prefix, e, ok := parseGenName(name)
 		if !ok {
 			continue
 		}
-		if e > maxEpoch {
-			maxEpoch = e
-		}
-		if prefix == "ckpt" {
-			ckptEpochs = append(ckptEpochs, e)
+		g.maxEpoch = max(g.maxEpoch, e)
+		switch prefix {
+		case "ckpt":
+			g.ckpts = append(g.ckpts, e)
+		case "wal":
+			g.wals = append(g.wals, e)
 		}
 	}
-	sort.Slice(ckptEpochs, func(i, j int) bool { return ckptEpochs[i] > ckptEpochs[j] })
-	for _, e := range ckptEpochs {
-		data, err := d.fs.ReadFile(ckptName(e))
+	sort.Slice(g.ckpts, func(i, j int) bool { return g.ckpts[i] > g.ckpts[j] })
+	sort.Slice(g.wals, func(i, j int) bool { return g.wals[i] < g.wals[j] })
+	return g, nil
+}
+
+// newestCheckpoint decodes the newest checkpoint that reads and decodes
+// with its own epoch, telling skip why each newer one was passed over. It
+// returns nil and 0 when no checkpoint is usable.
+func (g generations) newestCheckpoint(fs storage.FS, skip func(epoch uint64, err error)) (*checkpointData, uint64) {
+	for _, e := range g.ckpts {
+		data, err := fs.ReadFile(ckptName(e))
 		if err != nil {
-			d.a.cfg.Logf("agent: reading checkpoint %d: %v", e, err)
+			skip(e, err)
 			continue
 		}
 		c, embedded, err := decodeCheckpoint(data)
-		if err != nil || embedded != e {
-			if err == nil {
-				err = fmt.Errorf("embedded epoch %d under name %s", embedded, ckptName(e))
-			}
-			d.a.cfg.Logf("agent: checkpoint %d invalid, trying older: %v", e, err)
+		if err == nil && embedded != e {
+			err = fmt.Errorf("embedded epoch %d under name %s", embedded, ckptName(e))
+		}
+		if err != nil {
+			skip(e, err)
 			continue
 		}
-		return c, e, maxEpoch
+		return c, e
 	}
-	return nil, 0, maxEpoch
+	return nil, 0
+}
+
+// loadLatest scans the directory and decodes the newest valid
+// checkpoint. It returns the decoded data (nil when no epoch is usable),
+// that checkpoint's epoch, and the highest epoch number present in any
+// file name — the floor for the next generation.
+func (d *durableState) loadLatest() (*checkpointData, uint64, uint64) {
+	g, err := listGenerations(d.fs)
+	if err != nil {
+		d.a.cfg.Logf("agent: checkpoint scan: %v", err)
+		return nil, 0, 0
+	}
+	c, e := g.newestCheckpoint(d.fs, func(e uint64, err error) {
+		d.a.cfg.Logf("agent: checkpoint %d unusable, trying older: %v", e, err)
+	})
+	return c, e, g.maxEpoch
 }
 
 // readWAL loads and parses one epoch's journal. A missing file is an

@@ -247,13 +247,13 @@ func TestEventNameExpansion(t *testing.T) {
 
 func TestNotificationRoundTrip(t *testing.T) {
 	msg := notifyPrefix("db.u.ev", "db.u.stock", "insert") + "42"
-	ev, tbl, op, vno, err := parseNotification(msg)
+	ev, tbl, op, vno, err := parseNotificationBytes([]byte(msg), &wireNames)
 	if err != nil || ev != "db.u.ev" || tbl != "db.u.stock" || op != "insert" || vno != 42 {
 		t.Errorf("round trip: %v %v %v %v %v", ev, tbl, op, vno, err)
 	}
 	for _, bad := range []string{"", "ECA1|a|b", "NOPE|a|b|c|1", "ECA1|a|b|c|x2"} {
-		if _, _, _, _, err := parseNotification(bad); err == nil {
-			t.Errorf("parseNotification(%q) succeeded", bad)
+		if _, _, _, _, err := parseNotificationBytes([]byte(bad), &wireNames); err == nil {
+			t.Errorf("parseNotificationBytes(%q) succeeded", bad)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func TestParseECATriggerNeverPanics(t *testing.T) {
 
 func TestParseNotificationNeverPanics(t *testing.T) {
 	f := func(s string) bool {
-		_, _, _, _, _ = parseNotification(s)
+		_, _, _, _, _ = parseNotificationBytes([]byte(s), &wireNames)
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {

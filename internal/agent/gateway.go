@@ -1,17 +1,12 @@
 package agent
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
-	"io"
-	"net"
-	"sync"
 
+	"github.com/activedb/ecaagent/internal/server"
 	"github.com/activedb/ecaagent/internal/sqllex"
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
-	"github.com/activedb/ecaagent/internal/tds"
 )
 
 // ClientSession is the agent-side state for one client connection: its own
@@ -204,31 +199,26 @@ func (cs *ClientSession) Query(sql string) (*sqltypes.ResultSet, error) {
 	return &sqltypes.ResultSet{}, nil
 }
 
-// gateway is the General Interface: a TCP listener speaking the same wire
-// protocol as the server, forwarding through ClientSessions.
-type gateway struct {
-	agent    *Agent
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{} // guarded by mu
-	closed   bool                  // guarded by mu
-	wg       sync.WaitGroup
-}
-
-// ListenGateway starts the agent's client-facing listener; clients connect
-// to it exactly as they would to the server.
+// ListenGateway starts the agent's client-facing listener, the General
+// Interface: the server package's tds loop with a ClientSession, and so
+// the Language Filter, behind each login. Clients connect to it exactly
+// as they would to the server.
 func (a *Agent) ListenGateway(addr string) error {
 	if a.gateway != nil {
 		return errors.New("agent: gateway already listening")
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	g := server.NewOpenServer(func(user, db string) (server.Session, error) {
+		cs, err := a.NewClientSession(user, db)
+		if err != nil {
+			return nil, err
+		}
+		return cs, nil
+	})
+	g.Logf = a.cfg.Logf
+	if err := g.Listen(addr); err != nil {
 		return err
 	}
-	g := &gateway{agent: a, listener: ln, conns: make(map[net.Conn]struct{})}
 	a.gateway = g
-	g.wg.Add(1)
-	go g.acceptLoop()
 	return nil
 }
 
@@ -237,100 +227,5 @@ func (a *Agent) GatewayAddr() string {
 	if a.gateway == nil {
 		return ""
 	}
-	return a.gateway.listener.Addr().String()
-}
-
-func (g *gateway) acceptLoop() {
-	defer g.wg.Done()
-	for {
-		conn, err := g.listener.Accept()
-		if err != nil {
-			return
-		}
-		g.mu.Lock()
-		if g.closed {
-			g.mu.Unlock()
-			conn.Close()
-			return
-		}
-		g.conns[conn] = struct{}{}
-		g.mu.Unlock()
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.serve(conn)
-		}()
-	}
-}
-
-func (g *gateway) close() {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	g.closed = true
-	for c := range g.conns {
-		c.Close()
-	}
-	g.mu.Unlock()
-	g.listener.Close()
-	g.wg.Wait()
-}
-
-// serve handles one client connection: the same login/language loop the
-// server runs, but with the Language Filter in the request path.
-func (g *gateway) serve(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		g.mu.Lock()
-		delete(g.conns, conn)
-		g.mu.Unlock()
-	}()
-
-	// One buffer for the connection's life: a small request costs one read.
-	r := bufio.NewReader(conn)
-	pkt, err := tds.ReadPacket(r)
-	if err != nil {
-		return
-	}
-	login, err := tds.UnmarshalLogin(pkt)
-	if err != nil {
-		_ = tds.WritePacket(conn, tds.MarshalLoginAck(tds.LoginAck{Message: err.Error()}))
-		return
-	}
-	cs, err := g.agent.NewClientSession(login.User, login.Database)
-	if err != nil {
-		_ = tds.WritePacket(conn, tds.MarshalLoginAck(tds.LoginAck{Message: err.Error()}))
-		return
-	}
-	defer cs.Close()
-	if err := tds.WritePacket(conn, tds.MarshalLoginAck(tds.LoginAck{OK: true, Message: "login succeeded (via ECA agent)"})); err != nil {
-		return
-	}
-
-	for {
-		pkt, err := tds.ReadPacket(r)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				g.agent.cfg.Logf("agent: gateway read: %v", err)
-			}
-			return
-		}
-		sql, err := tds.UnmarshalLanguage(pkt)
-		if err != nil {
-			_ = tds.WriteResults(conn, nil, fmt.Errorf("protocol error: %v", err))
-			continue
-		}
-		results, execErr := cs.Exec(sql)
-		// A pass-through error may itself be a remote ServerError; keep
-		// its text either way.
-		var srvErr *tds.ServerError
-		if errors.As(execErr, &srvErr) {
-			execErr = srvErr
-		}
-		if err := tds.WriteResults(conn, results, execErr); err != nil {
-			return
-		}
-	}
+	return a.gateway.Addr()
 }

@@ -1,8 +1,6 @@
 package agent
 
 import (
-	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,7 +8,6 @@ import (
 	"github.com/activedb/ecaagent/internal/client"
 	"github.com/activedb/ecaagent/internal/engine"
 	"github.com/activedb/ecaagent/internal/server"
-	"github.com/activedb/ecaagent/internal/tds"
 )
 
 // TestGatewayDisconnectRollsBack: a client that drops mid-transaction
@@ -81,50 +78,5 @@ func TestClientSessionCloseRollsBack(t *testing.T) {
 	}
 	if n := rs.Rows[0][0].Int(); n != 0 {
 		t.Errorf("count(*) = %d after the session closed mid-transaction, want 0", n)
-	}
-}
-
-// readCountingConn counts the Read calls that returned.
-type readCountingConn struct {
-	net.Conn
-	reads atomic.Int64
-}
-
-func (c *readCountingConn) Read(b []byte) (int, error) {
-	n, err := c.Conn.Read(b)
-	c.reads.Add(1)
-	return n, err
-}
-
-// TestReadsPerRequest holds the gateway to one read per small request.
-func TestReadsPerRequest(t *testing.T) {
-	r := newRig(t)
-	g := &gateway{agent: r.agent, conns: make(map[net.Conn]struct{})}
-	cli, conn := net.Pipe()
-	cc := &readCountingConn{Conn: conn}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		g.serve(cc)
-	}()
-	defer func() { cli.Close(); <-done }()
-	if err := tds.WritePacket(cli, tds.MarshalLogin(tds.Login{User: "sharma", Database: "sentineldb"})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tds.ReadPacket(cli); err != nil {
-		t.Fatal(err)
-	}
-	before := cc.reads.Load()
-	const requests = 10
-	for i := 0; i < requests; i++ {
-		if err := tds.WritePacket(cli, tds.MarshalLanguage("select count(*) from stock")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tds.ReadResponse(cli); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := cc.reads.Load() - before; got != requests {
-		t.Errorf("%d small requests cost %d reads, want %d", requests, got, requests)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // notifications — either the newline-batched text form the generated
 // triggers emit or one ECB1 binary frame (notifcodec.go), sniffed by
 // magic. Every notification is decoded and ingested on the caller's
-// goroutine (the notifier's listener for UDP), in wire order, exactly like
-// repeated Deliver calls: ingest serializes on the watermark lock anyway,
-// and the socket's receive buffer is the queue in front of it.
+// goroutine (the notifier's listener for UDP, or Deliver's caller), in
+// wire order: ingest serializes on the watermark lock anyway, and the
+// socket's receive buffer is the queue in front of it.
 //
 // The caller keeps ownership of data — nothing in the decode retains it
 // (names are interned, occurrences copied) — which is what lets the
@@ -39,15 +39,10 @@ func (a *Agent) DeliverBatchBytes(data []byte) {
 	a.met.notifDropped.Add(uint64(bad))
 }
 
-// DeliverBatch is the string-typed convenience form of DeliverBatchBytes.
-func (a *Agent) DeliverBatch(datagram string) {
-	a.DeliverBatchBytes([]byte(datagram))
-}
-
 // DecodeBatchBytes decodes a newline-batched text datagram through the
 // process-wide name table, calling emit per decoded notification and
 // onErr per malformed line; it returns the good and bad line counts. The
-// exported, allocation-free counterpart of DeliverBatch for embedders
+// exported, allocation-free counterpart of DeliverBatchBytes for embedders
 // and benchmarks that decode without delivering.
 func DecodeBatchBytes(data []byte, emit func(led.Primitive), onErr func(error)) (good, bad int) {
 	return decodeText(data, emit, onErr)
@@ -79,15 +74,4 @@ func decodeText(data []byte, emit func(led.Primitive), onErr func(error)) (good,
 		emit(led.Primitive{Event: event, Table: table, Op: op, VNo: vno})
 	}
 	return good, bad
-}
-
-// decodeBatch splits a batched text datagram into its notification lines
-// and parses each, returning the decoded primitives in wire order plus one
-// error per malformed line (the allocating convenience form of
-// decodeText).
-func decodeBatch(datagram []byte) (prims []led.Primitive, badLines []error) {
-	decodeText(datagram,
-		func(p led.Primitive) { prims = append(prims, p) },
-		func(err error) { badLines = append(badLines, err) })
-	return prims, badLines
 }

@@ -31,7 +31,7 @@ func TestDeliverBatchMultiLine(t *testing.T) {
 		notifMsg(stk, stkTbl, "insert", 2),
 		"", // blank lines (trailing newline) are ignored
 	}, "\n")
-	r.agent.DeliverBatch(datagram)
+	r.agent.DeliverBatchBytes([]byte(datagram))
 	r.agent.WaitActions()
 
 	var got []string
@@ -83,7 +83,7 @@ func TestDeliverBatchAfterClose(t *testing.T) {
 	}
 	r.agent.Close()
 
-	r.agent.DeliverBatch(notifMsg(ev, tbl, "insert", 2) + "\n" + notifMsg(ev, tbl, "insert", 3))
+	r.agent.DeliverBatchBytes([]byte(notifMsg(ev, tbl, "insert", 2) + "\n" + notifMsg(ev, tbl, "insert", 3)))
 	r.agent.DeliverBatchBytes(mustEncode(t, []led.Primitive{{Event: ev, Table: tbl, Op: "insert", VNo: 4}}))
 	r.agent.WaitActions()
 	st := r.agent.Stats()

@@ -1,10 +1,6 @@
 package agent
 
-import (
-	"sort"
-
-	"github.com/activedb/ecaagent/internal/storage"
-)
+import "github.com/activedb/ecaagent/internal/storage"
 
 // DurableOccurrences inspects a durability directory without booting an
 // agent over it: it decodes the newest valid checkpoint, folds every
@@ -20,44 +16,18 @@ import (
 // on the raw files, before any promotion, replay, or resync could paper
 // over a loss.
 func DurableOccurrences(fs storage.FS) (wm map[string]int, torn bool, err error) {
-	names, err := fs.List()
+	g, err := listGenerations(fs)
 	if err != nil {
 		return nil, false, err
 	}
-	var ckptEpochs, walEpochs []uint64
-	for _, name := range names {
-		prefix, e, ok := parseGenName(name)
-		if !ok {
-			continue
-		}
-		switch prefix {
-		case "ckpt":
-			ckptEpochs = append(ckptEpochs, e)
-		case "wal":
-			walEpochs = append(walEpochs, e)
-		}
-	}
-	sort.Slice(ckptEpochs, func(i, j int) bool { return ckptEpochs[i] > ckptEpochs[j] })
-	sort.Slice(walEpochs, func(i, j int) bool { return walEpochs[i] < walEpochs[j] })
-
 	wm = make(map[string]int)
-	var baseEpoch uint64
-	for _, e := range ckptEpochs { // newest valid checkpoint wins
-		data, rerr := fs.ReadFile(ckptName(e))
-		if rerr != nil {
-			continue
-		}
-		ck, embedded, derr := decodeCheckpoint(data)
-		if derr != nil || embedded != e {
-			continue
-		}
+	ck, baseEpoch := g.newestCheckpoint(fs, func(uint64, error) {})
+	if ck != nil {
 		for ev, w := range ck.Watermarks {
 			wm[ev] = w.Last
 		}
-		baseEpoch = e
-		break
 	}
-	for _, e := range walEpochs {
+	for _, e := range g.wals {
 		if e < baseEpoch {
 			continue // pruned generations may linger; the checkpoint covers them
 		}

@@ -161,8 +161,10 @@ func scanBinaryRecord(b []byte) (event, table, op []byte, vno int, rest []byte, 
 
 // parseNotificationBytes decodes one text notification line without
 // allocating: field boundaries are scanned in place and the three name
-// fields are resolved through the interner. It is byte-for-byte equivalent
-// to parseNotification (which delegates here); the fuzz corpus pins that.
+// fields are resolved through the interner. Truncated, oversized and
+// duplicate-field messages are rejected (the caller counts them in
+// NotificationsDropped); the vNo must be a non-empty decimal that fits an
+// int.
 func parseNotificationBytes(msg []byte, in *interner) (event, table, op string, vno int, err error) {
 	if len(msg) > maxNotificationLen {
 		return "", "", "", 0, fmt.Errorf("agent: oversized notification (%d bytes)", len(msg))

@@ -353,7 +353,7 @@ func FuzzBinaryCodec(f *testing.F) {
 	f.Add(strings.Repeat("x", 5000), "t", "insert", 1)
 	f.Fuzz(func(t *testing.T, event, table, op string, vno int) {
 		line := fmt.Sprintf("ECA1|%s|%s|%s|%d", event, table, op, vno)
-		tev, ttbl, top, tvno, terr := parseNotification(line)
+		tev, ttbl, top, tvno, terr := parseNotificationBytes([]byte(line), &wireNames)
 
 		buf, berr := EncodeBinaryBatch([]led.Primitive{{Event: event, Table: table, Op: op, VNo: vno}})
 		if berr != nil {

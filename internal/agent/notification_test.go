@@ -3,6 +3,8 @@ package agent
 import (
 	"strings"
 	"testing"
+
+	"github.com/activedb/ecaagent/internal/led"
 )
 
 // Malformed datagrams — truncated, oversized, duplicate-field, junk vNo —
@@ -32,23 +34,26 @@ func TestParseNotificationRejectsMalformed(t *testing.T) {
 	before := r.agent.Stats()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, _, _, err := parseNotification(tc.msg); err == nil {
-				t.Errorf("parseNotification(%q) accepted", tc.msg)
+			if _, _, _, _, err := parseNotificationBytes([]byte(tc.msg), &wireNames); err == nil {
+				t.Errorf("parseNotificationBytes(%q) accepted", tc.msg)
 			}
 			r.agent.Deliver(tc.msg)
 		})
 	}
+	// The empty datagram holds no line, so it counts as nothing; every
+	// other case is one received and dropped line.
+	want := uint64(len(cases) - 1)
 	after := r.agent.Stats()
-	if got := after.NotificationsDropped - before.NotificationsDropped; got != uint64(len(cases)) {
-		t.Errorf("NotificationsDropped advanced by %d, want %d", got, len(cases))
+	if got := after.NotificationsDropped - before.NotificationsDropped; got != want {
+		t.Errorf("NotificationsDropped advanced by %d, want %d", got, want)
 	}
-	if after.NotificationsReceived-before.NotificationsReceived != uint64(len(cases)) {
+	if after.NotificationsReceived-before.NotificationsReceived != want {
 		t.Errorf("NotificationsReceived: %+v", after)
 	}
 }
 
 func TestParseNotificationAcceptsWellFormed(t *testing.T) {
-	event, table, op, vno, err := parseNotification("ECA1|db.u.ev|db.u.tbl|insert|42\n")
+	event, table, op, vno, err := parseNotificationBytes([]byte("ECA1|db.u.ev|db.u.tbl|insert|42\n"), &wireNames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +82,7 @@ func FuzzParseNotification(f *testing.F) {
 	f.Add("eca1|e|t|insert|1")
 	f.Add("ECA1|e|t|INSERT|1")
 	f.Fuzz(func(t *testing.T, msg string) {
-		_, _, _, vno, err := parseNotification(msg)
+		_, _, _, vno, err := parseNotificationBytes([]byte(msg), &wireNames)
 		if err == nil && vno < 0 {
 			t.Errorf("accepted negative vNo %d from %q", vno, msg)
 		}
@@ -98,16 +103,17 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add("ECA1|e|t|insert|99999999999999999999999\nECA1|e|t|insert|1")
 	f.Add(strings.Repeat("ECA1|e|t|insert|1\n", 50))
 	f.Fuzz(func(t *testing.T, datagram string) {
-		prims, bad := decodeBatch([]byte(datagram))
+		var prims []led.Primitive
+		_, bad := decodeText([]byte(datagram), func(p led.Primitive) { prims = append(prims, p) }, func(error) {})
 		lines := 0
 		for _, line := range strings.Split(datagram, "\n") {
 			if line != "" {
 				lines++
 			}
 		}
-		if len(prims)+len(bad) != lines {
+		if len(prims)+bad != lines {
 			t.Errorf("accounting: %d prims + %d dropped != %d lines",
-				len(prims), len(bad), lines)
+				len(prims), bad, lines)
 		}
 		for _, p := range prims {
 			if p.VNo < 0 {

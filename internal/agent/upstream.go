@@ -61,11 +61,9 @@ func (u *localUpstream) Close() error {
 // engine, bypassing the wire protocol.
 func LocalDialer(eng *engine.Engine) UpstreamDialer {
 	return func(user, db string) (Upstream, error) {
-		sess := eng.NewSession(user)
-		if db != "" {
-			if err := sess.Use(db); err != nil {
-				return nil, err
-			}
+		sess, err := eng.OpenSession(user, db)
+		if err != nil {
+			return nil, err
 		}
 		return &localUpstream{sess: sess}, nil
 	}

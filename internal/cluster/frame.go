@@ -124,12 +124,6 @@ func DecodeReplFrame(b []byte) (Frame, int, error) {
 	return f, total, nil
 }
 
-// WriteFrame writes one frame to a stream.
-func WriteFrame(w io.Writer, f Frame) error {
-	_, err := w.Write(EncodeFrame(f))
-	return err
-}
-
 // ReadFrame reads exactly one frame from a stream. io.EOF at a frame
 // boundary is returned as-is; EOF inside a frame becomes
 // io.ErrUnexpectedEOF (a torn stream).

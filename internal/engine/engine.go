@@ -182,6 +182,18 @@ func (e *Engine) NewSession(user string) *Session {
 	return &Session{eng: e, db: "master", user: user}
 }
 
+// OpenSession opens a session for user in db, or in master when db is
+// "": what a login asks of the server.
+func (e *Engine) OpenSession(user, db string) (*Session, error) {
+	sess := e.NewSession(user)
+	if db != "" {
+		if err := sess.Use(db); err != nil {
+			return nil, err
+		}
+	}
+	return sess, nil
+}
+
 // User returns the session's login name.
 func (s *Session) User() string { return s.user }
 

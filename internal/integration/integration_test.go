@@ -6,7 +6,9 @@
 package integration
 
 import (
+	"bytes"
 	"fmt"
+	"net"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"github.com/activedb/ecaagent/internal/client"
 	"github.com/activedb/ecaagent/internal/engine"
 	"github.com/activedb/ecaagent/internal/server"
+	"github.com/activedb/ecaagent/internal/tds"
 )
 
 func quiet(string, ...any) {}
@@ -266,5 +269,39 @@ go`
 	}
 	if rowSets != 2 { // the SELECT and the sp_help description
 		t.Errorf("row-bearing result sets: %d", rowSets)
+	}
+}
+
+// TestGatewayLoginAckMatchesServer: a client that logs in through the
+// gateway receives the very LoginAck packet a direct login to the server
+// does, so the login does not give the agent away.
+func TestGatewayLoginAckMatchesServer(t *testing.T) {
+	d := startDeployment(t, catalog.New(), "")
+	defer d.stop()
+	loginAck := func(addr string) []byte {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tds.WritePacket(conn, tds.MarshalLogin(tds.Login{User: "sharma"})); err != nil {
+			t.Fatal(err)
+		}
+		pkt, err := tds.ReadPacket(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := tds.AppendPacket(nil, pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	if direct, via := loginAck(d.srv.Addr()), loginAck(d.agent.GatewayAddr()); !bytes.Equal(direct, via) {
+		t.Errorf("LoginAck through the gateway %q, direct %q", via, direct)
 	}
 }

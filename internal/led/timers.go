@@ -116,10 +116,3 @@ func (l *LED) FireTimersUpTo(t time.Time) {
 		l.dispatch(func() { next.fn(next.at) })
 	}
 }
-
-// PendingLogicalTimers reports how many logical timers are armed.
-func (l *LED) PendingLogicalTimers() int {
-	l.timMu.Lock()
-	defer l.timMu.Unlock()
-	return len(l.timers)
-}

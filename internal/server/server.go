@@ -1,6 +1,8 @@
-// Package server exposes the SQL engine over TCP using the tds protocol —
-// the reproduction's stand-in for the Sybase SQL Server process. The ECA
-// agent connects to it exactly the way any client does.
+// Package server serves the tds protocol over TCP. Like Sybase's Open
+// Server library it is one connection loop with two users: the SQL server
+// (New), the reproduction's stand-in for the Sybase SQL Server process,
+// and the ECA agent's gateway. The agent connects to the SQL server
+// exactly the way any client does.
 package server
 
 import (
@@ -14,33 +16,74 @@ import (
 	"sync"
 
 	"github.com/activedb/ecaagent/internal/engine"
+	"github.com/activedb/ecaagent/internal/sqltypes"
 	"github.com/activedb/ecaagent/internal/tds"
 )
 
-// Server serves the tds protocol over TCP on top of an engine.
-type Server struct {
-	eng *engine.Engine
+// Session runs one connection's requests. A login opens it, and the end
+// of the connection closes it.
+type Session interface {
+	Exec(sql string) ([]*sqltypes.ResultSet, error)
+	Close() error
+}
+
+// Opener opens the session a login asks for: user, positioned in db when
+// db is not "".
+type Opener func(user, db string) (Session, error)
+
+// OpenServer accepts tds connections and serves each on the Session its
+// login opens: one accept loop, one connection set and one login/request
+// loop, whatever runs the requests.
+type OpenServer struct {
+	open Opener
 
 	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
+	listener net.Listener          // guarded by mu
+	conns    map[net.Conn]struct{} // guarded by mu
+	closed   bool                  // guarded by mu
 	wg       sync.WaitGroup
 
-	// SnapshotPath, when set, is written on Checkpoint().
-	SnapshotPath string
 	// Logf receives diagnostics; defaults to log.Printf. Set to a no-op in
 	// tests.
 	Logf func(format string, args ...any)
 }
 
-// New creates a server over the engine.
-func New(eng *engine.Engine) *Server {
-	return &Server{
-		eng:   eng,
+// NewOpenServer creates a server whose logins open sessions with open.
+func NewOpenServer(open Opener) *OpenServer {
+	return &OpenServer{
+		open:  open,
 		conns: make(map[net.Conn]struct{}),
 		Logf:  log.Printf,
 	}
+}
+
+// Server is the SQL server: an OpenServer whose logins open engine
+// sessions.
+type Server struct {
+	*OpenServer
+	eng *engine.Engine
+
+	// SnapshotPath, when set, is written on Checkpoint().
+	SnapshotPath string
+}
+
+// New creates a server over the engine.
+func New(eng *engine.Engine) *Server {
+	open := func(user, db string) (Session, error) {
+		sess, err := eng.OpenSession(user, db)
+		if err != nil {
+			return nil, err
+		}
+		return engineSession{sess}, nil
+	}
+	return &Server{OpenServer: NewOpenServer(open), eng: eng}
+}
+
+// engineSession runs each request as a GO-separated script.
+type engineSession struct{ *engine.Session }
+
+func (s engineSession) Exec(sql string) ([]*sqltypes.ResultSet, error) {
+	return s.ExecScript(sql)
 }
 
 // Engine returns the underlying engine.
@@ -48,7 +91,7 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Listen binds the given address ("127.0.0.1:0" for an ephemeral port) and
 // starts accepting connections in a background goroutine.
-func (s *Server) Listen(addr string) error {
+func (s *OpenServer) Listen(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -67,7 +110,7 @@ func (s *Server) Listen(addr string) error {
 }
 
 // Addr returns the bound address, or "" before Listen.
-func (s *Server) Addr() string {
+func (s *OpenServer) Addr() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.listener == nil {
@@ -76,7 +119,7 @@ func (s *Server) Addr() string {
 	return s.listener.Addr().String()
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
+func (s *OpenServer) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	for {
 		conn, err := ln.Accept()
@@ -100,7 +143,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // Close stops accepting and closes all live connections.
-func (s *Server) Close() error {
+func (s *OpenServer) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -127,8 +170,8 @@ func (s *Server) Checkpoint() error {
 	return s.eng.Catalog().SaveFile(s.SnapshotPath)
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	var sess *engine.Session
+func (s *OpenServer) serveConn(conn net.Conn) {
+	var sess Session
 	defer func() {
 		if sess != nil {
 			sess.Close() // a dropped connection rolls back its open transaction
@@ -165,7 +208,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			_ = tds.WriteResults(conn, nil, fmt.Errorf("protocol error: %v", err))
 			continue
 		}
-		results, execErr := sess.ExecScript(sql)
+		results, execErr := sess.Exec(sql)
+		if execErr != nil {
+			// An error another server raised (the gateway relays them)
+			// goes back with that server's text alone.
+			var srvErr *tds.ServerError
+			if errors.As(execErr, &srvErr) {
+				execErr = srvErr
+			}
+		}
 		if err := tds.WriteResults(conn, results, execErr); err != nil {
 			return
 		}
@@ -181,16 +232,10 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // login opens the session a LOGIN packet asks for.
-func (s *Server) login(pkt tds.Packet) (*engine.Session, error) {
+func (s *OpenServer) login(pkt tds.Packet) (Session, error) {
 	login, err := tds.UnmarshalLogin(pkt)
 	if err != nil {
 		return nil, err
 	}
-	sess := s.eng.NewSession(login.User)
-	if login.Database != "" {
-		if err := sess.Use(login.Database); err != nil {
-			return nil, err
-		}
-	}
-	return sess, nil
+	return s.open(login.User, login.Database)
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/activedb/ecaagent/internal/catalog"
 	"github.com/activedb/ecaagent/internal/client"
 	"github.com/activedb/ecaagent/internal/engine"
+	"github.com/activedb/ecaagent/internal/sqltypes"
 	"github.com/activedb/ecaagent/internal/tds"
 )
 
@@ -93,6 +94,36 @@ func TestServerErrorPropagation(t *testing.T) {
 	// Connection still usable after an error.
 	if err := c.MustExec("create database ok"); err != nil {
 		t.Errorf("post-error exec: %v", err)
+	}
+}
+
+// relaySession answers every request with a server error that something
+// on the way wrapped, as the gateway's pass-through and ECA paths can.
+type relaySession struct{}
+
+func (relaySession) Exec(string) ([]*sqltypes.ResultSet, error) {
+	return nil, fmt.Errorf("agent: creating system tables in db: %w", &tds.ServerError{Msg: "table t not found"})
+}
+func (relaySession) Close() error { return nil }
+
+// TestRelayedServerErrorKeepsItsText: an error another server raised goes
+// back to the client with that server's text alone.
+func TestRelayedServerErrorKeepsItsText(t *testing.T) {
+	s := NewOpenServer(func(user, db string) (Session, error) { return relaySession{}, nil })
+	s.Logf = func(string, ...any) {}
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := client.Connect(s.Addr(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Exec("select 1")
+	var se *tds.ServerError
+	if !errors.As(err, &se) || se.Msg != "table t not found" {
+		t.Errorf("client got %v, want the server error %q", err, "table t not found")
 	}
 }
 

@@ -164,21 +164,6 @@ func (l *Lexer) Next() (Token, error) {
 	}
 }
 
-// Rest returns the unscanned tail of the input. The agent uses it to
-// capture raw SQL action bodies after the AS keyword.
-func (l *Lexer) Rest() string { return l.src[l.pos:] }
-
-// SkipTo positions the lexer at the given byte offset.
-func (l *Lexer) SkipTo(off int) {
-	if off < 0 {
-		off = 0
-	}
-	if off > len(l.src) {
-		off = len(l.src)
-	}
-	l.pos = off
-}
-
 func (l *Lexer) skipSpaceAndComments() {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]

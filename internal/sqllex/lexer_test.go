@@ -148,34 +148,6 @@ func TestIsKeywordAndIsOp(t *testing.T) {
 	}
 }
 
-func TestLexerRestAndSkipTo(t *testing.T) {
-	lx := New("create trigger t as select * from s")
-	for i := 0; i < 3; i++ {
-		if _, err := lx.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// After "create trigger t", next token should be "as"; capture rest after it.
-	tok, err := lx.Next()
-	if err != nil || !tok.IsKeyword("as") {
-		t.Fatalf("expected as, got %+v err=%v", tok, err)
-	}
-	rest := strings.TrimSpace(lx.Rest())
-	if rest != "select * from s" {
-		t.Errorf("Rest() = %q", rest)
-	}
-	lx.SkipTo(-5)
-	tok, _ = lx.Next()
-	if !tok.IsKeyword("create") {
-		t.Errorf("SkipTo(0) then Next = %+v", tok)
-	}
-	lx.SkipTo(1 << 20)
-	tok, _ = lx.Next()
-	if tok.Kind != TokEOF {
-		t.Errorf("SkipTo(end) then Next = %+v", tok)
-	}
-}
-
 func TestTokenizeNeverPanicsProperty(t *testing.T) {
 	f := func(s string) bool {
 		// Tokenize must terminate and never panic on arbitrary input.

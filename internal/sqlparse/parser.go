@@ -28,21 +28,12 @@ var reserved = map[string]bool{
 
 func isReserved(word string) bool { return reserved[strings.ToLower(word)] }
 
-// SplitBatches splits a SQL script into batches at lines consisting solely
-// of the word GO (case-insensitive), the Sybase isql convention. Batches
-// that are empty after splitting are dropped. Each batch is a slice of src.
-func SplitBatches(src string) []string {
-	var out []string
-	for batch, rest, ok := NextBatch(src); ok; batch, rest, ok = NextBatch(rest) {
-		out = append(out, batch)
-	}
-	return out
-}
-
-// NextBatch cuts the first batch that SplitBatches would return off src:
-// batch is a slice of src without its GO line, rest is the text after that
-// line, and ok is false when src holds no batch. A caller that runs the
-// batches one by one loops on it without building the list.
+// NextBatch cuts the first batch off a SQL script. Batches end at lines
+// consisting solely of the word GO (case-insensitive), the Sybase isql
+// convention, and batches that are empty after the cut are skipped. batch
+// is a slice of src without its GO line, rest is the text after that line,
+// and ok is false when src holds no batch. A caller runs a script by
+// looping on it.
 func NextBatch(src string) (batch, rest string, ok bool) {
 	start := 0 // where the batch being scanned begins
 	for pos := 0; pos < len(src); {
@@ -90,20 +81,6 @@ func ParseBatch(src string) ([]Statement, error) {
 		return nil, err
 	}
 	return p.Statements()
-}
-
-// ParseScript splits src into batches and parses each, concatenating the
-// statements in order.
-func ParseScript(src string) ([]Statement, error) {
-	var out []Statement
-	for _, batch := range SplitBatches(src) {
-		stmts, err := ParseBatch(batch)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, stmts...)
-	}
-	return out, nil
 }
 
 // ParseExpr parses a single expression, requiring full consumption.

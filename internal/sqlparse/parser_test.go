@@ -291,9 +291,31 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// splitBatches cuts src into all of its batches with NextBatch.
+func splitBatches(src string) []string {
+	var out []string
+	for batch, rest, ok := NextBatch(src); ok; batch, rest, ok = NextBatch(rest) {
+		out = append(out, batch)
+	}
+	return out
+}
+
+// parseScript parses src batch by batch, concatenating the statements.
+func parseScript(src string) ([]Statement, error) {
+	var out []Statement
+	for _, batch := range splitBatches(src) {
+		stmts, err := ParseBatch(batch)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, stmts...)
+	}
+	return out, nil
+}
+
 func TestSplitBatches(t *testing.T) {
 	src := "select 1\ngo\nselect 2\nGO\n\ngo\nselect 3"
-	batches := SplitBatches(src)
+	batches := splitBatches(src)
 	if len(batches) != 3 {
 		t.Fatalf("got %d batches: %q", len(batches), batches)
 	}
@@ -310,8 +332,8 @@ func TestSplitBatches(t *testing.T) {
 func TestNextBatchSlicesSource(t *testing.T) {
 	src := "select 1\r\n go \nGO\n  \nselect 2\nselect 3\n"
 	want := []string{"select 1\r\n", "  \nselect 2\nselect 3\n"}
-	if got := SplitBatches(src); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("SplitBatches = %q, want %q", got, want)
+	if got := splitBatches(src); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("batches = %q, want %q", got, want)
 	}
 	for _, s := range []string{"", "\n go\n", "GO"} {
 		if batch, rest, ok := NextBatch(s); ok {
@@ -333,7 +355,7 @@ insert t values (1)
 insert t values (2)
 go
 select * from t`
-	stmts, err := ParseScript(src)
+	stmts, err := parseScript(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +443,7 @@ delete Version
 insert Version select vNo from SysPrimitiveEvent where eventName = 'sentineldb.sharma.addStk'
 execute sentineldb.sharma.t_addStk__Proc
 go`
-	stmts, err := ParseScript(src)
+	stmts, err := parseScript(src)
 	if err != nil {
 		t.Fatal(err)
 	}
