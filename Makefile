@@ -127,9 +127,9 @@ cluster-chaos:
 	exit $$status
 
 # Short fuzzing passes over the notification decoders, the Snoop parser,
-# the checkpoint/journal decoders, the replication frame decoder and the
-# TDS response reader (seed corpora always run under plain `make test`;
-# this explores further).
+# the checkpoint, journal and catalog snapshot decoders, the replication
+# frame decoder and the TDS response reader (seed corpora always run under
+# plain `make test`; this explores further).
 fuzz:
 	$(GO) test -fuzz=FuzzParseNotification -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/agent
@@ -137,6 +137,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/agent
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/agent
+	$(GO) test -fuzz=FuzzLoadCatalog -fuzztime=10s ./internal/catalog
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/snoop
 	$(GO) test -fuzz=FuzzDecodeReplFrame -fuzztime=10s ./internal/cluster
 	$(GO) test -fuzz=FuzzReadResponse -fuzztime=10s ./internal/tds

@@ -4,8 +4,8 @@
 //   - Primary (-repl-ship addr): the durability layer's filesystem is teed
 //     through a ShipFS, so every checkpoint byte and WAL record the agent
 //     makes durable locally is also framed and streamed to the standby,
-//     along with heartbeats and the rule-definition feed. Ship failures
-//     degrade replication (counted, logged), never local durability.
+//     along with heartbeats. Ship failures degrade replication (counted,
+//     logged), never local durability.
 //   - Standby (-repl-listen addr): the process applies the primary's
 //     stream into -checkpoint-dir and watches the heartbeat cadence.
 //     When the configured number of consecutive intervals pass without a
@@ -255,10 +255,9 @@ type primaryReplication struct {
 }
 
 // wirePrimaryReplication tees cfg.Durability through a ShipFS streaming to
-// the standby, hooks the rule-definition feed, and prepares the heartbeat
-// beacon (started once the agent is up). floorEpoch carries the dead
-// primary's epoch across a promotion so the new primary's announcements
-// supersede it.
+// the standby and prepares the heartbeat beacon (started once the agent
+// is up). floorEpoch carries the dead primary's epoch across a promotion
+// so the new primary's announcements supersede it.
 //
 // Every upstream action runs behind a FencedDialer on the acquired epoch:
 // with -authority-server that epoch lives in the shared SQL server and a
@@ -319,11 +318,6 @@ func wirePrimaryReplication(cf *clusterFlags, cfg *agent.Config, ckptDir, adminU
 	}
 
 	cfg.Durability.FS = ship
-	cfg.DefinitionSink = func(record []byte) {
-		if err := sh.Ship(cluster.Frame{Kind: cluster.FrameRule, Name: cf.node, Payload: record}); err != nil {
-			log.Printf("ecaagent: shipping rule definition: %v", err)
-		}
-	}
 	met.SetRole(cluster.RolePrimary)
 	hb := cluster.NewHeartbeater(led.SystemClock(), cf.hbInterval, tok, sh.Ship, met)
 	p.hb = hb

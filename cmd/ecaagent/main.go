@@ -19,9 +19,9 @@
 //	         [-authority-server host:port] [-authority-lease 5s]
 //
 // The -repl-ship / -repl-listen pair forms a replicated hot pair: the
-// primary streams its durable state (checkpoints, WAL, rule definitions,
-// heartbeats) to the standby, which promotes itself — boots the agent over
-// the replicated directory — when the heartbeats stop. With
+// primary streams its durable state (checkpoints, WAL, heartbeats) to the
+// standby, which promotes itself — boots the agent over the replicated
+// directory — when the heartbeats stop. With
 // -repl-mode sync an occurrence is acknowledged (and its actions launched)
 // only after the standby durably applied its journal record: RPO=0, at
 // the price of a standby round-trip on the occurrence path. -authority-server
@@ -37,8 +37,9 @@
 // checkpointed there, accepted occurrences and completed actions are
 // journaled in between, and a restart replays the journal over the latest
 // checkpoint before gap-filling from the shadow tables — an exactly-once
-// action stream across crashes under -wal-sync always or group (see
-// DESIGN.md §8 for the guarantee matrix).
+// action stream across crashes under -wal-sync always; -wal-sync none
+// skips the journal fsync and degrades to at-least-once (see DESIGN.md §8
+// for the guarantee matrix).
 package main
 
 import (
@@ -74,7 +75,7 @@ func main() {
 	dlqLimit := flag.Int("dlq", 128, "dead-letter queue capacity for failed rule actions")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for durable checkpoints and the occurrence journal (empty disables crash safety)")
 	ckptInterval := flag.Duration("checkpoint-interval", 30*time.Second, "period of the background checkpoint loop (0 = checkpoint only on shutdown)")
-	walSync := flag.String("wal-sync", agent.WALSyncAlways, "journal sync policy: always (exactly-once), group (exactly-once, batched fsync), none (at-least-once)")
+	walSync := flag.String("wal-sync", agent.WALSyncAlways, "journal sync policy: always (exactly-once, one fsync per record), none (at-least-once)")
 	site := flag.String("site", "", "site name for global event forwarding")
 	gedAddr := flag.String("ged", "", "address of a global event detector to forward to")
 	httpAddr := flag.String("http", "", "admin HTTP address for /metrics, /stats, /eventgraph, /debug/pprof (empty disables)")
@@ -99,9 +100,9 @@ func main() {
 	}
 	if *ckptDir != "" {
 		switch *walSync {
-		case agent.WALSyncAlways, agent.WALSyncGroup, agent.WALSyncNone:
+		case agent.WALSyncAlways, agent.WALSyncNone:
 		default:
-			log.Fatalf("ecaagent: -wal-sync must be always, group or none (got %q)", *walSync)
+			log.Fatalf("ecaagent: -wal-sync must be always or none (got %q)", *walSync)
 		}
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			log.Fatalf("ecaagent: -checkpoint-dir: %v", err)

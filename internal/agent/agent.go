@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"sort"
@@ -44,13 +43,6 @@ type Config struct {
 	// local detection — the hook a Global Event Detector site uses
 	// (internal/ged) for the paper's distributed future-work extension.
 	Forward func(p led.Primitive)
-	// DefinitionSink, when set, receives one serialized record (JSON) for
-	// every successful rule-definition change — trigger creation or drop —
-	// in definition order. Cluster mode ships these to the other members
-	// as the log-shipped rulebase feed. Called with the definition lock
-	// held, so implementations must not re-enter the agent and should
-	// return quickly; definitions are DDL-rate, not data-rate.
-	DefinitionSink func(record []byte)
 	// Logf receives diagnostics; defaults to log.Printf.
 	Logf func(format string, args ...any)
 	// Retry tunes the resilient decorator wrapped around the agent's own
@@ -255,10 +247,6 @@ func New(cfg Config) (*Agent, error) {
 		return nil, err
 	}
 	if a.dur != nil {
-		if a.dur.syncMode == WALSyncGroup {
-			a.bgWG.Add(1)
-			go a.dur.groupSyncLoop()
-		}
 		if err := a.recoverDurable(); err != nil {
 			a.Close()
 			return nil, err
@@ -493,57 +481,12 @@ func (a *Agent) CreateTrigger(db, user string, def *TriggerDef) (messages []stri
 
 	switch {
 	case len(def.TableName) > 0: // Figure 9: new primitive event
-		messages, err = a.createPrimitive(db, user, trigName, eventName, def)
+		return a.createPrimitive(db, user, trigName, eventName, def)
 	case def.EventExpr != "": // Figure 12: new composite event
-		messages, err = a.createComposite(db, user, trigName, eventName, def)
+		return a.createComposite(db, user, trigName, eventName, def)
 	default: // Figure 10: trigger on an existing event
-		messages, err = a.createOnExisting(db, user, trigName, eventName, def)
+		return a.createOnExisting(db, user, trigName, eventName, def)
 	}
-	if err == nil {
-		a.emitDefinitionLocked("create", db, user, trigName, def)
-	}
-	return messages, err
-}
-
-// definitionRecord is the wire form of one rule-definition change for
-// Config.DefinitionSink — enough to audit or re-derive the rulebase on
-// another member.
-type definitionRecord struct {
-	Op       string `json:"op"` // "create" or "drop"
-	DB       string `json:"db"`
-	User     string `json:"user"`
-	Trigger  string `json:"trigger"`
-	Event    string `json:"event,omitempty"`
-	Table    string `json:"table,omitempty"`
-	TableOp  string `json:"tableOp,omitempty"`
-	Expr     string `json:"expr,omitempty"`
-	Context  string `json:"context,omitempty"`
-	Priority int    `json:"priority,omitempty"`
-	Action   string `json:"action,omitempty"`
-}
-
-// emitDefinitionLocked serializes one definition change to the sink.
-// Caller holds a.mu (which is what keeps the records in definition order).
-func (a *Agent) emitDefinitionLocked(op, db, user, trigName string, def *TriggerDef) {
-	if a.cfg.DefinitionSink == nil {
-		return
-	}
-	rec := definitionRecord{Op: op, DB: db, User: user, Trigger: trigName}
-	if def != nil {
-		rec.Event = def.EventName
-		rec.Table = strings.Join(def.TableName, ".")
-		rec.TableOp = string(def.Operation)
-		rec.Expr = def.EventExpr
-		rec.Context = def.Context.String()
-		rec.Priority = def.Priority
-		rec.Action = def.ActionSQL
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		a.cfg.Logf("agent: serializing definition record for %s: %v", trigName, err)
-		return
-	}
-	a.cfg.DefinitionSink(b)
 }
 
 // createPrimitive implements Example 1 (§5.2). Caller holds a.mu.
@@ -757,7 +700,6 @@ func (a *Agent) DropTrigger(db, user string, parts []string) ([]string, error) {
 		return nil, err
 	}
 	delete(a.triggers, internal)
-	a.emitDefinitionLocked("drop", db, user, internal, nil)
 	return []string{fmt.Sprintf("trigger %s dropped", internal)}, nil
 }
 

@@ -32,10 +32,6 @@ const (
 	// empty window state — correct, since no v1 build had window nodes.
 	ckptVersion   = 2
 	ckptVersionV1 = 1
-
-	// maxCkptItems bounds every decoded collection so a corrupt or
-	// adversarial count cannot balloon allocation before the data runs out.
-	maxCkptItems = 1 << 20
 )
 
 // ckptWatermark is one event's persisted delivery watermark.
@@ -81,49 +77,14 @@ func writeOccState(w *storage.Writer, o led.OccState) {
 	}
 }
 
-func readOccState(r *storage.Reader) (led.OccState, error) {
-	var o led.OccState
-	var err error
-	if o.Event, err = r.ReadString(); err != nil {
-		return o, err
+func readOccState(r *storage.Reader) led.OccState {
+	o := led.OccState{Event: r.String(), Context: led.Context(r.Uint()), At: r.Time()}
+	for range r.Count() {
+		o.Constituents = append(o.Constituents, led.Primitive{
+			Event: r.String(), Table: r.String(), Op: r.String(), VNo: int(r.Int()), At: r.Time(),
+		})
 	}
-	ctx, err := r.ReadUint()
-	if err != nil {
-		return o, err
-	}
-	o.Context = led.Context(ctx)
-	if o.At, err = r.ReadTime(); err != nil {
-		return o, err
-	}
-	n, err := r.ReadUint()
-	if err != nil {
-		return o, err
-	}
-	if n > maxCkptItems {
-		return o, fmt.Errorf("agent: checkpoint: implausible constituent count %d", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var c led.Primitive
-		if c.Event, err = r.ReadString(); err != nil {
-			return o, err
-		}
-		if c.Table, err = r.ReadString(); err != nil {
-			return o, err
-		}
-		if c.Op, err = r.ReadString(); err != nil {
-			return o, err
-		}
-		vno, err := r.ReadInt()
-		if err != nil {
-			return o, err
-		}
-		c.VNo = int(vno)
-		if c.At, err = r.ReadTime(); err != nil {
-			return o, err
-		}
-		o.Constituents = append(o.Constituents, c)
-	}
-	return o, nil
+	return o
 }
 
 func writeOccStates(w *storage.Writer, os []led.OccState) {
@@ -133,23 +94,12 @@ func writeOccStates(w *storage.Writer, os []led.OccState) {
 	}
 }
 
-func readOccStates(r *storage.Reader) ([]led.OccState, error) {
-	n, err := r.ReadUint()
-	if err != nil {
-		return nil, err
+func readOccStates(r *storage.Reader) []led.OccState {
+	out := make([]led.OccState, r.Count())
+	for i := range out {
+		out[i] = readOccState(r)
 	}
-	if n > maxCkptItems {
-		return nil, fmt.Errorf("agent: checkpoint: implausible occurrence count %d", n)
-	}
-	out := make([]led.OccState, 0, min(int(n), 1024))
-	for i := uint64(0); i < n; i++ {
-		o, err := readOccState(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, o)
-	}
-	return out, nil
+	return out
 }
 
 func writeFirings(w *storage.Writer, fs []led.FiringState) {
@@ -160,26 +110,12 @@ func writeFirings(w *storage.Writer, fs []led.FiringState) {
 	}
 }
 
-func readFirings(r *storage.Reader) ([]led.FiringState, error) {
-	n, err := r.ReadUint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxCkptItems {
-		return nil, fmt.Errorf("agent: checkpoint: implausible firing count %d", n)
-	}
+func readFirings(r *storage.Reader) []led.FiringState {
 	var out []led.FiringState
-	for i := uint64(0); i < n; i++ {
-		var f led.FiringState
-		if f.Rule, err = r.ReadString(); err != nil {
-			return nil, err
-		}
-		if f.Occ, err = readOccState(r); err != nil {
-			return nil, err
-		}
-		out = append(out, f)
+	for range r.Count() {
+		out = append(out, led.FiringState{Rule: r.String(), Occ: readOccState(r)})
 	}
-	return out, nil
+	return out
 }
 
 func boolUint(b bool) uint64 {
@@ -309,185 +245,50 @@ func decodeCheckpoint(data []byte) (*checkpointData, uint64, error) {
 		return nil, 0, fmt.Errorf("agent: checkpoint: payload CRC mismatch")
 	}
 
-	r, err := storage.NewReader(bytes.NewReader(payload))
-	if err != nil {
-		return nil, 0, fmt.Errorf("agent: checkpoint: %w", err)
-	}
+	r := storage.NewReader(payload)
+	r.Expect(storage.Magic)
 	c := &checkpointData{Watermarks: make(map[string]ckptWatermark), LED: &led.StateSnapshot{}}
-
-	n, err := r.ReadUint()
-	if err != nil || n > maxCkptItems {
-		return nil, 0, fmt.Errorf("agent: checkpoint: watermarks: %w", orCount(err, n))
-	}
-	for i := uint64(0); i < n; i++ {
-		var wm ckptWatermark
-		if wm.Event, err = r.ReadString(); err != nil {
-			return nil, 0, err
-		}
-		if wm.Table, err = r.ReadString(); err != nil {
-			return nil, 0, err
-		}
-		if wm.Op, err = r.ReadString(); err != nil {
-			return nil, 0, err
-		}
-		last, err := r.ReadInt()
-		if err != nil {
-			return nil, 0, err
-		}
-		wm.Last = int(last)
+	for range r.Count() {
+		wm := ckptWatermark{Event: r.String(), Table: r.String(), Op: r.String(), Last: int(r.Int())}
 		c.Watermarks[wm.Event] = wm
 	}
-
-	n, err = r.ReadUint()
-	if err != nil || n > maxCkptItems {
-		return nil, 0, fmt.Errorf("agent: checkpoint: nodes: %w", orCount(err, n))
-	}
-	for i := uint64(0); i < n; i++ {
-		var ns led.NodeState
-		if ns.Path, err = r.ReadString(); err != nil {
-			return nil, 0, err
-		}
-		kind, err := r.ReadUint()
-		if err != nil {
-			return nil, 0, err
-		}
-		ns.Kind = int(kind)
-		nc, err := r.ReadUint()
-		if err != nil || nc > maxCkptItems {
-			return nil, 0, fmt.Errorf("agent: checkpoint: contexts: %w", orCount(err, nc))
-		}
-		for j := uint64(0); j < nc; j++ {
-			var cs led.CtxState
-			ctx, err := r.ReadUint()
-			if err != nil {
-				return nil, 0, err
+	for range r.Count() {
+		ns := led.NodeState{Path: r.String(), Kind: int(r.Uint())}
+		for range r.Count() {
+			cs := led.CtxState{Ctx: led.Context(r.Uint()), Left: readOccStates(r), Right: readOccStates(r)}
+			for range r.Count() {
+				cs.Windows = append(cs.Windows, led.WindowState{Start: readOccState(r), Mids: readOccStates(r), Next: r.Time()})
 			}
-			cs.Ctx = led.Context(ctx)
-			if cs.Left, err = readOccStates(r); err != nil {
-				return nil, 0, err
+			for range r.Count() {
+				cs.Plus = append(cs.Plus, led.PlusState{Occ: readOccState(r), At: r.Time()})
 			}
-			if cs.Right, err = readOccStates(r); err != nil {
-				return nil, 0, err
-			}
-			nw, err := r.ReadUint()
-			if err != nil || nw > maxCkptItems {
-				return nil, 0, fmt.Errorf("agent: checkpoint: windows: %w", orCount(err, nw))
-			}
-			for k := uint64(0); k < nw; k++ {
-				var ws led.WindowState
-				if ws.Start, err = readOccState(r); err != nil {
-					return nil, 0, err
-				}
-				if ws.Mids, err = readOccStates(r); err != nil {
-					return nil, 0, err
-				}
-				if ws.Next, err = r.ReadTime(); err != nil {
-					return nil, 0, err
-				}
-				cs.Windows = append(cs.Windows, ws)
-			}
-			np, err := r.ReadUint()
-			if err != nil || np > maxCkptItems {
-				return nil, 0, fmt.Errorf("agent: checkpoint: plus: %w", orCount(err, np))
-			}
-			for k := uint64(0); k < np; k++ {
-				var ps led.PlusState
-				if ps.Occ, err = readOccState(r); err != nil {
-					return nil, 0, err
-				}
-				if ps.At, err = r.ReadTime(); err != nil {
-					return nil, 0, err
-				}
-				cs.Plus = append(cs.Plus, ps)
-			}
-			done, err := r.ReadUint()
-			if err != nil {
-				return nil, 0, err
-			}
-			cs.Done = done == 1
+			cs.Done = r.Uint() == 1
 			if version >= 2 {
-				if cs.Ring, err = readOccStates(r); err != nil {
-					return nil, 0, err
-				}
-				if cs.NextBound, err = r.ReadTime(); err != nil {
-					return nil, 0, err
-				}
+				cs.Ring = readOccStates(r)
+				cs.NextBound = r.Time()
 			}
 			ns.Contexts = append(ns.Contexts, cs)
 		}
 		c.LED.Nodes = append(c.LED.Nodes, ns)
 	}
-	if c.LED.Deferred, err = readFirings(r); err != nil {
-		return nil, 0, err
+	c.LED.Deferred = readFirings(r)
+	c.LED.Outstanding = readFirings(r)
+	for range r.Count() {
+		c.Pending = append(c.Pending, ckptPending{Key: r.String(), Rule: r.String(), Occ: readOccState(r)})
 	}
-	if c.LED.Outstanding, err = readFirings(r); err != nil {
-		return nil, 0, err
-	}
-
-	n, err = r.ReadUint()
-	if err != nil || n > maxCkptItems {
-		return nil, 0, fmt.Errorf("agent: checkpoint: pending actions: %w", orCount(err, n))
-	}
-	for i := uint64(0); i < n; i++ {
-		var p ckptPending
-		if p.Key, err = r.ReadString(); err != nil {
-			return nil, 0, err
-		}
-		if p.Rule, err = r.ReadString(); err != nil {
-			return nil, 0, err
-		}
-		if p.Occ, err = readOccState(r); err != nil {
-			return nil, 0, err
-		}
-		c.Pending = append(c.Pending, p)
-	}
-
-	n, err = r.ReadUint()
-	if err != nil || n > maxCkptItems {
-		return nil, 0, fmt.Errorf("agent: checkpoint: dead letters: %w", orCount(err, n))
-	}
-	for i := uint64(0); i < n; i++ {
-		var d ckptDead
-		if d.Rule, err = r.ReadString(); err != nil {
-			return nil, 0, err
-		}
-		if d.Event, err = r.ReadString(); err != nil {
-			return nil, 0, err
-		}
-		has, err := r.ReadUint()
-		if err != nil {
-			return nil, 0, err
-		}
-		d.HasOcc = has == 1
+	for range r.Count() {
+		d := ckptDead{Rule: r.String(), Event: r.String(), HasOcc: r.Uint() == 1}
 		if d.HasOcc {
-			if d.Occ, err = readOccState(r); err != nil {
-				return nil, 0, err
-			}
+			d.Occ = readOccState(r)
 		}
-		nm, err := r.ReadUint()
-		if err != nil || nm > maxCkptItems {
-			return nil, 0, fmt.Errorf("agent: checkpoint: messages: %w", orCount(err, nm))
+		for range r.Count() {
+			d.Messages = append(d.Messages, r.String())
 		}
-		for j := uint64(0); j < nm; j++ {
-			m, err := r.ReadString()
-			if err != nil {
-				return nil, 0, err
-			}
-			d.Messages = append(d.Messages, m)
-		}
-		if d.Err, err = r.ReadString(); err != nil {
-			return nil, 0, err
-		}
+		d.Err = r.String()
 		c.DLQ = append(c.DLQ, d)
 	}
-	return c, epoch, nil
-}
-
-// orCount folds the two failure modes of a counted section into one
-// error: a read failure, or a count past the sanity bound.
-func orCount(err error, n uint64) error {
-	if err != nil {
-		return err
+	if err := r.Err(); err != nil {
+		return nil, 0, fmt.Errorf("agent: checkpoint: %w", err)
 	}
-	return fmt.Errorf("implausible count %d", n)
+	return c, epoch, nil
 }

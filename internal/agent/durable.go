@@ -21,10 +21,6 @@ const (
 	// the exactly-once setting: an occurrence is durable before the LED
 	// sees it and an action is durable before its completion counts.
 	WALSyncAlways = "always"
-	// WALSyncGroup batches fsyncs: appenders block until the group
-	// syncer's next flush covers their record. Same guarantee as always,
-	// amortized latency.
-	WALSyncGroup = "group"
 	// WALSyncNone never fsyncs the journal. A crash can lose the unsynced
 	// tail; recovery degrades to at-least-once via the authoritative
 	// shadow-table resync.
@@ -49,8 +45,6 @@ type Durability struct {
 	CheckpointInterval time.Duration
 	// WALSync selects the journal sync policy (default WALSyncAlways).
 	WALSync string
-	// GroupInterval is the group-commit flush period (default 2ms).
-	GroupInterval time.Duration
 	// Crash injects named crash points (tests only).
 	Crash *faults.CrashSet
 	// ShipBarrier, when set, gates occurrence acknowledgement on
@@ -70,16 +64,13 @@ type durableState struct {
 	fs       storage.FS
 	crash    *faults.CrashSet
 	syncMode string
-	groupInt time.Duration
 	barrier  func() error // Durability.ShipBarrier; nil when unreplicated
 
 	mu        sync.Mutex
-	syncCond  *sync.Cond              // group-commit waiters
 	epoch     uint64                  // guarded by mu
 	wal       storage.File            // guarded by mu
 	walSeq    uint64                  // records appended (monotonic across rotations); guarded by mu
 	walSynced uint64                  // records known durable; guarded by mu
-	syncAll   bool                    // group syncer gone; sync inline; guarded by mu
 	ledger    map[string]*ledgerEntry // guarded by mu
 	ledgerSeq int                     // guarded by mu
 
@@ -97,7 +88,6 @@ func newDurableState(a *Agent, cfg Durability) *durableState {
 		fs:       cfg.FS,
 		crash:    cfg.Crash,
 		syncMode: cfg.WALSync,
-		groupInt: cfg.GroupInterval,
 		barrier:  cfg.ShipBarrier,
 		ledger:   make(map[string]*ledgerEntry),
 	}
@@ -107,10 +97,6 @@ func newDurableState(a *Agent, cfg Durability) *durableState {
 	if d.syncMode == "" {
 		d.syncMode = WALSyncAlways
 	}
-	if d.groupInt <= 0 {
-		d.groupInt = 2 * time.Millisecond
-	}
-	d.syncCond = sync.NewCond(&d.mu)
 	d.initRecoveryMetrics(a.met.reg)
 	return d
 }
@@ -225,30 +211,27 @@ func (d *durableState) readWAL(epoch uint64) []walRecord {
 	return recs
 }
 
-// appendLocked frames and writes one record to the current journal,
-// returning its monotonic sequence number. In always mode the record is
-// fsynced before return; group-mode callers wait via waitSynced outside
-// d.mu. Caller holds d.mu.
-func (d *durableState) appendLocked(r walRecord) uint64 {
+// appendLocked frames and writes one record to the current journal. In
+// always mode the record is fsynced before return. Caller holds d.mu.
+func (d *durableState) appendLocked(r walRecord) {
 	if d.wal == nil {
-		return d.walSeq
+		return
 	}
 	frame := encodeWALRecord(r)
 	if _, err := d.wal.Write(frame); err != nil {
 		d.a.cfg.Logf("agent: journal append: %v", err)
-		return d.walSeq
+		return
 	}
 	d.walSeq++
 	d.met.walRecords.Inc()
 	d.met.walBytes.Add(uint64(len(frame)))
-	if d.syncMode == WALSyncAlways || d.syncAll {
+	if d.syncMode == WALSyncAlways {
 		d.syncLocked()
 	}
-	return d.walSeq
 }
 
-// syncLocked flushes the journal up to the last appended record and
-// releases group-commit waiters. Caller holds d.mu.
+// syncLocked flushes the journal up to the last appended record. Caller
+// holds d.mu.
 func (d *durableState) syncLocked() {
 	if d.wal == nil || d.walSynced >= d.walSeq {
 		return
@@ -259,20 +242,6 @@ func (d *durableState) syncLocked() {
 	}
 	d.walSynced = d.walSeq
 	d.met.walSyncs.Inc()
-	d.syncCond.Broadcast()
-}
-
-// waitSynced blocks until the journal is durable through seq (group
-// mode). If the group syncer has shut down, it syncs inline.
-func (d *durableState) waitSynced(seq uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for d.walSynced < seq && !d.syncAll {
-		d.syncCond.Wait()
-	}
-	if d.walSynced < seq {
-		d.syncLocked()
-	}
 }
 
 // appendOcc journals one accepted occurrence, honoring the sync policy,
@@ -283,42 +252,11 @@ func (d *durableState) waitSynced(seq uint64) {
 // path) and a dead incarnation must not leave d.mu held against its own
 // still-draining action goroutines.
 func (d *durableState) appendOcc(p led.Primitive) {
-	var seq uint64
-	func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		seq = d.appendLocked(walRecord{
-			kind: walOccKind, event: p.Event, table: p.Table, op: p.Op, vno: p.VNo, at: p.At,
-		})
-	}()
-	if d.syncMode == WALSyncGroup {
-		d.waitSynced(seq)
-	}
-}
-
-// groupSyncLoop is the group-commit flusher. On shutdown it flushes once
-// more and flips appends to inline syncing so drain-phase completions
-// stay durable.
-func (d *durableState) groupSyncLoop() {
-	defer d.a.bgWG.Done()
-	//ecavet:allow nowallclock group-commit flush cadence is operational, not replayed
-	t := time.NewTicker(d.groupInt)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.a.stopCh:
-			d.mu.Lock()
-			d.syncLocked()
-			d.syncAll = true
-			d.syncCond.Broadcast()
-			d.mu.Unlock()
-			return
-		case <-t.C:
-			d.mu.Lock()
-			d.syncLocked()
-			d.mu.Unlock()
-		}
-	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.appendLocked(walRecord{
+		kind: walOccKind, event: p.Event, table: p.Table, op: p.Op, vno: p.VNo, at: p.At,
+	})
 }
 
 // recovered reports whether startup recovery completed and the journal
@@ -341,8 +279,6 @@ func (d *durableState) closeWAL() {
 		d.a.cfg.Logf("agent: closing journal: %v", err)
 	}
 	d.wal = nil
-	d.syncAll = true
-	d.syncCond.Broadcast()
 }
 
 // Checkpoint cuts a new durable generation: it freezes ingest and the

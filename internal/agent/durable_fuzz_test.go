@@ -216,3 +216,17 @@ func TestCheckpointDecodeDamage(t *testing.T) {
 		t.Fatal("empty image accepted")
 	}
 }
+
+// TestAllocsWALRecord: framing one journal record costs two allocations,
+// the payload and the frame, for either kind.
+func TestAllocsWALRecord(t *testing.T) {
+	at := time.Unix(1700000000, 42).UTC()
+	for _, r := range []walRecord{
+		{kind: walOccKind, event: "sentineldb.sharma.addStk", table: "sentineldb.sharma.stock", op: "insert", vno: 123456, at: at},
+		{kind: walDoneKind, key: "0123456789abcdef"},
+	} {
+		if avg := testing.AllocsPerRun(100, func() { _ = encodeWALRecord(r) }); avg > 2 {
+			t.Errorf("kind %d: %.1f allocs/op, want ≤ 2", r.kind, avg)
+		}
+	}
+}

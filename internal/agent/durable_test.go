@@ -274,6 +274,65 @@ func TestRecoveryMetricsExposed(t *testing.T) {
 	}
 }
 
+// TestWALSyncNoneAtLeastOnce: under the none policy the journal takes
+// records but is never synced, so a crash may lose them. The shadow-table
+// resync after the restart still runs every occurrence's action at least
+// once.
+func TestWALSyncNoneAtLeastOnce(t *testing.T) {
+	r := newDurableRig(t)
+	before, after := &actionRecorder{}, &actionRecorder{}
+	crash := faults.NewCrashSet()
+	crash.Arm("action.preExec", 2) // the second occurrence's action never runs
+	a1 := r.start(func(c *Config) {
+		c.Dial = recordingDialer(r.eng, before)
+		c.Durability.WALSync = WALSyncNone
+		c.Durability.Crash = crash
+	})
+	cs := r.session(a1)
+	if _, err := cs.Exec("create trigger t on stock for insert event addStk as print 'x'"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sym := range []string{"A", "B"} {
+		if _, err := cs.Exec("insert stock values ('" + sym + "', 1)"); err != nil {
+			t.Fatal(err)
+		}
+		a1.WaitActions()
+	}
+	if crash.Tripped() == "" {
+		t.Fatal("the second action was not stopped")
+	}
+	var b strings.Builder
+	a1.Metrics().WritePrometheus(&b)
+	if out := b.String(); !strings.Contains(out, "eca_recovery_wal_syncs_total 0") ||
+		strings.Contains(out, "eca_recovery_wal_records_total 0") {
+		t.Fatalf("under none the journal must take records and no syncs:\n%s", grepLines(out, "eca_recovery_wal_"))
+	}
+
+	// Power cut: the unsynced journal tail is gone; a1 is abandoned.
+	r.fs.Crash()
+	r.fs.Restart()
+	a2 := r.start(func(c *Config) {
+		c.Dial = recordingDialer(r.eng, after)
+		c.Durability.WALSync = WALSyncNone
+	})
+	defer a2.Close()
+	a2.WaitActions()
+	ran := func(rec *actionRecorder, vno int) bool {
+		for _, batch := range rec.snapshot() {
+			if strings.Contains(batch, fmt.Sprintf("', %d)\n", vno)) {
+				return true
+			}
+		}
+		return false
+	}
+	if ran(before, 2) || !ran(after, 2) {
+		t.Errorf("vNo 2: ran before the crash %v, after %v; want only after", ran(before, 2), ran(after, 2))
+	}
+	if !ran(before, 1) && !ran(after, 1) {
+		t.Error("vNo 1's action never ran")
+	}
+}
+
 func grepLines(s, substr string) string {
 	var out []string
 	for _, line := range strings.Split(s, "\n") {

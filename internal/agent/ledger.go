@@ -84,22 +84,15 @@ func (d *durableState) notePending(rule, key string, occ *led.Occ) {
 // WAL append and the in-memory mark happen under one lock hold, so a
 // concurrent checkpoint cut serializes either before both (the entry is
 // persisted pending, and the new journal's done record resolves it) or
-// after both (the entry is pruned). In group mode the caller then waits
-// for the batched fsync outside the lock. The hold is defer-scoped
-// because the append can unwind with a simulated-crash panic (cluster
-// repl.* crash points live inside the write path).
+// after both (the entry is pruned). The hold is defer-scoped because the
+// append can unwind with a simulated-crash panic (cluster repl.* crash
+// points live inside the write path).
 func (d *durableState) markDone(key string) {
-	var seq uint64
-	func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		seq = d.appendLocked(walRecord{kind: walDoneKind, key: key})
-		if e := d.ledger[key]; e != nil {
-			e.done = true
-		}
-	}()
-	if d.syncMode == WALSyncGroup {
-		d.waitSynced(seq)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.appendLocked(walRecord{kind: walDoneKind, key: key})
+	if e := d.ledger[key]; e != nil {
+		e.done = true
 	}
 }
 

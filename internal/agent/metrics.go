@@ -156,7 +156,7 @@ func (d *durableState) initRecoveryMetrics(reg *obs.Registry) {
 	d.met.walBytes = reg.Counter("eca_recovery_wal_bytes_total",
 		"Bytes appended to the write-ahead journal.")
 	d.met.walSyncs = reg.Counter("eca_recovery_wal_syncs_total",
-		"Journal fsyncs (per record under always, batched under group commit).")
+		"Journal fsyncs (one per record under always; under none only when a checkpoint or shutdown retires the journal).")
 	d.met.replayed = reg.Counter("eca_recovery_replayed_records_total",
 		"Journal records replayed during startup recovery.")
 	d.met.resumed = reg.Counter("eca_recovery_resumed_actions_total",

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"time"
+
+	"github.com/activedb/ecaagent/internal/storage"
 )
 
 // Write-ahead journal of what happened since the last checkpoint. Two
@@ -51,11 +53,6 @@ type walRecord struct {
 	key string
 }
 
-func walAppendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // walHeader renders the file header for one journal epoch.
 func walHeader(epoch uint64) []byte {
 	b := []byte(walMagic)
@@ -64,48 +61,22 @@ func walHeader(epoch uint64) []byte {
 
 // encodeWALRecord frames one record.
 func encodeWALRecord(r walRecord) []byte {
-	var p []byte
+	p := make([]byte, 0, 128)
 	switch r.kind {
 	case walOccKind:
-		p = walAppendString(p, r.event)
-		p = walAppendString(p, r.table)
-		p = walAppendString(p, r.op)
-		p = binary.AppendVarint(p, int64(r.vno))
-		p = binary.AppendVarint(p, r.at.UnixNano())
+		p = storage.AppendString(p, r.event)
+		p = storage.AppendString(p, r.table)
+		p = storage.AppendString(p, r.op)
+		p = storage.AppendInt(p, int64(r.vno))
+		p = storage.AppendTime(p, r.at)
 	case walDoneKind:
-		p = walAppendString(p, r.key)
+		p = storage.AppendString(p, r.key)
 	}
-	frame := []byte{r.kind}
-	frame = binary.AppendUvarint(frame, uint64(len(p)))
+	frame := make([]byte, 0, 1+binary.MaxVarintLen64+len(p)+4)
+	frame = storage.AppendUint(append(frame, r.kind), uint64(len(p)))
 	frame = append(frame, p...)
-	h := crc32.NewIEEE()
-	h.Write([]byte{r.kind})
-	h.Write(p)
-	return binary.LittleEndian.AppendUint32(frame, h.Sum32())
-}
-
-func walReadUvarint(b []byte, off int) (uint64, int, bool) {
-	n, sz := binary.Uvarint(b[off:])
-	if sz <= 0 {
-		return 0, off, false
-	}
-	return n, off + sz, true
-}
-
-func walReadVarint(b []byte, off int) (int64, int, bool) {
-	n, sz := binary.Varint(b[off:])
-	if sz <= 0 {
-		return 0, off, false
-	}
-	return n, off + sz, true
-}
-
-func walReadString(b []byte, off int) (string, int, bool) {
-	n, off, ok := walReadUvarint(b, off)
-	if !ok || n > uint64(len(b)-off) {
-		return "", off, false
-	}
-	return string(b[off : off+int(n)]), off + int(n), true
+	crc := crc32.Update(crc32.ChecksumIEEE(frame[:1]), crc32.IEEETable, p)
+	return binary.LittleEndian.AppendUint32(frame, crc)
 }
 
 // parseWAL decodes a journal image. Structural damage confined to the
@@ -129,16 +100,15 @@ func parseWAL(data []byte) (epoch uint64, recs []walRecord, torn bool, err error
 		if kind != walOccKind && kind != walDoneKind {
 			return epoch, recs, true, nil
 		}
-		plen, o, ok := walReadUvarint(data, off+1)
-		if !ok || plen > uint64(len(data)-o) || len(data)-o-int(plen) < 4 {
+		plen, sz := binary.Uvarint(data[off+1:])
+		o := off + 1 + sz
+		if sz <= 0 || plen > uint64(len(data)-o) || len(data)-o-int(plen) < 4 {
 			return epoch, recs, true, nil
 		}
 		payload := data[o : o+int(plen)]
 		crcOff := o + int(plen)
-		h := crc32.NewIEEE()
-		h.Write([]byte{kind})
-		h.Write(payload)
-		if binary.LittleEndian.Uint32(data[crcOff:crcOff+4]) != h.Sum32() {
+		crc := crc32.Update(crc32.ChecksumIEEE(data[off:off+1]), crc32.IEEETable, payload)
+		if binary.LittleEndian.Uint32(data[crcOff:crcOff+4]) != crc {
 			return epoch, recs, true, nil
 		}
 		r, ok := parseWALPayload(kind, payload)
@@ -151,36 +121,18 @@ func parseWAL(data []byte) (epoch uint64, recs []walRecord, torn bool, err error
 	return epoch, recs, false, nil
 }
 
+// parseWALPayload decodes one record's payload, which must be exactly
+// the fields its kind carries.
 func parseWALPayload(kind byte, p []byte) (walRecord, bool) {
 	r := walRecord{kind: kind}
-	var ok bool
-	off := 0
+	d := storage.NewReader(p)
 	switch kind {
 	case walOccKind:
-		if r.event, off, ok = walReadString(p, off); !ok {
-			return r, false
-		}
-		if r.table, off, ok = walReadString(p, off); !ok {
-			return r, false
-		}
-		if r.op, off, ok = walReadString(p, off); !ok {
-			return r, false
-		}
-		var vno, ns int64
-		if vno, off, ok = walReadVarint(p, off); !ok {
-			return r, false
-		}
-		if ns, off, ok = walReadVarint(p, off); !ok {
-			return r, false
-		}
-		r.vno = int(vno)
-		if ns != 0 {
-			r.at = time.Unix(0, ns).UTC()
-		}
+		r.event, r.table, r.op = d.String(), d.String(), d.String()
+		r.vno = int(d.Int())
+		r.at = d.Time()
 	case walDoneKind:
-		if r.key, off, ok = walReadString(p, off); !ok {
-			return r, false
-		}
+		r.key = d.String()
 	}
-	return r, off == len(p)
+	return r, d.Err() == nil && d.Len() == 0
 }

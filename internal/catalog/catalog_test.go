@@ -225,7 +225,7 @@ func TestDefaultOwnerAssignment(t *testing.T) {
 	}
 }
 
-func buildFullCatalog(t *testing.T) *Catalog {
+func buildFullCatalog(t testing.TB) *Catalog {
 	t.Helper()
 	c := New()
 	db, err := c.CreateDatabase("sentineldb")
@@ -336,6 +336,22 @@ func TestLoadCorruptSnapshot(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte("garbage!"))); err == nil {
 		t.Error("garbage snapshot accepted")
+	}
+	// One database, no tables, one procedure whose stored text is empty.
+	var empty bytes.Buffer
+	w := storage.NewWriter(&empty)
+	w.WriteUint(1)
+	w.WriteString("db")
+	w.WriteUint(0)
+	w.WriteUint(1)
+	w.WriteString("dbo")
+	w.WriteString("")
+	w.WriteUint(0)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&empty); err == nil {
+		t.Error("procedure with empty text accepted")
 	}
 }
 

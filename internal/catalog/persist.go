@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -121,16 +120,14 @@ func (d *Database) save(sw *storage.Writer) []indexDecl {
 
 // Load reads a snapshot stream written by Save, returning a fresh catalog.
 func Load(r io.Reader) (*Catalog, error) {
-	sr, err := storage.NewReader(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	sr := storage.NewReader(data)
+	sr.Expect(storage.Magic)
 	c := &Catalog{dbs: make(map[string]*Database)}
-	ndbs, err := sr.ReadUint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < ndbs; i++ {
+	for range sr.Count() {
 		db, err := loadDatabase(sr)
 		if err != nil {
 			return nil, err
@@ -150,19 +147,16 @@ func Load(r io.Reader) (*Catalog, error) {
 // index from its table's rows. A stream that ends before them predates
 // indexes and loads with none.
 func (c *Catalog) loadIndexes(sr *storage.Reader) error {
-	n, err := sr.ReadUint()
-	if errors.Is(err, io.EOF) {
-		return nil
+	if sr.Len() == 0 {
+		return sr.Err()
 	}
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
+	for range sr.Count() {
 		var f [5]string
 		for j := range f {
-			if f[j], err = sr.ReadString(); err != nil {
-				return err
-			}
+			f[j] = sr.String()
+		}
+		if err := sr.Err(); err != nil {
+			return err
 		}
 		db, ok := c.dbs[strings.ToLower(f[0])]
 		if !ok {
@@ -176,83 +170,34 @@ func (c *Catalog) loadIndexes(sr *storage.Reader) error {
 			return err
 		}
 	}
-	return nil
+	return sr.Err()
 }
 
+// loadDatabase reads one database written by save.
 func loadDatabase(sr *storage.Reader) (*Database, error) {
-	name, err := sr.ReadString()
-	if err != nil {
-		return nil, err
+	db := newDatabase(sr.String())
+	for range sr.Count() {
+		owner, name := sr.String(), sr.String()
+		tbl := sr.Table()
+		if tbl == nil {
+			return nil, sr.Err()
+		}
+		db.tables.put(owner, name, tbl)
 	}
-	db := newDatabase(name)
-
-	ntables, err := sr.ReadUint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < ntables; i++ {
-		owner, err := sr.ReadString()
+	for range sr.Count() {
+		owner, raw, cp, err := loadSource[*sqlparse.CreateProcedure](sr, db.name, "stored procedure")
 		if err != nil {
 			return nil, err
-		}
-		tname, err := sr.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		tbl, err := sr.ReadTable()
-		if err != nil {
-			return nil, err
-		}
-		db.tables.put(owner, tname, tbl)
-	}
-
-	nprocs, err := sr.ReadUint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nprocs; i++ {
-		owner, err := sr.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := sr.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		stmts, err := sqlparse.ParseBatch(raw)
-		if err != nil {
-			return nil, fmt.Errorf("re-parsing stored procedure in %s: %v", name, err)
-		}
-		cp, ok := stmts[0].(*sqlparse.CreateProcedure)
-		if !ok || len(stmts) != 1 {
-			return nil, fmt.Errorf("stored procedure text in %s is not a CREATE PROCEDURE", name)
 		}
 		db.procs.put(owner, cp.Name.Name(), &Procedure{
 			Name: cp.Name.Name(), Owner: owner,
 			Params: cp.Params, Body: cp.Body, RawSQL: raw,
 		})
 	}
-
-	ntrig, err := sr.ReadUint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < ntrig; i++ {
-		owner, err := sr.ReadString()
+	for range sr.Count() {
+		owner, raw, ct, err := loadSource[*sqlparse.CreateTrigger](sr, db.name, "trigger")
 		if err != nil {
 			return nil, err
-		}
-		raw, err := sr.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		stmts, err := sqlparse.ParseBatch(raw)
-		if err != nil {
-			return nil, fmt.Errorf("re-parsing trigger in %s: %v", name, err)
-		}
-		ct, ok := stmts[0].(*sqlparse.CreateTrigger)
-		if !ok || len(stmts) != 1 {
-			return nil, fmt.Errorf("trigger text in %s is not a CREATE TRIGGER", name)
 		}
 		tr := &Trigger{
 			Name: ct.Name.Name(), Owner: owner, Table: ct.Table.Name(),
@@ -264,7 +209,26 @@ func loadDatabase(sr *storage.Reader) (*Database, error) {
 			db.triggers.put(owner, tr.Name, tr)
 		}
 	}
-	return db, nil
+	return db, sr.Err()
+}
+
+// loadSource reads one stored object's owner and CREATE text and
+// re-parses the text, which must be exactly one statement of type T.
+func loadSource[T sqlparse.Statement](sr *storage.Reader, db, what string) (owner, raw string, st T, err error) {
+	owner, raw = sr.String(), sr.String()
+	if err = sr.Err(); err != nil {
+		return
+	}
+	stmts, err := sqlparse.ParseBatch(raw)
+	if err != nil {
+		return owner, raw, st, fmt.Errorf("re-parsing %s in %s: %v", what, db, err)
+	}
+	if len(stmts) == 1 {
+		if st, ok := stmts[0].(T); ok {
+			return owner, raw, st, nil
+		}
+	}
+	return owner, raw, st, fmt.Errorf("%s text in %s is not a single CREATE statement", what, db)
 }
 
 // SaveFile writes the catalog snapshot atomically to path (write to a temp

@@ -15,8 +15,8 @@ import (
 // tmp→sync→rename→dirsync protocol the primary's own durability layer
 // uses, file appends are synced before the frame counts as applied (the
 // applied count is the durability acknowledgement the primary's lag
-// gauges subtract), and heartbeats/rule broadcasts are decoded and handed
-// to the registered callbacks.
+// gauges subtract), and heartbeats are decoded and handed to the
+// registered callback.
 //
 // Promotion is deliberately not the Applier's job: it only maintains the
 // directory. The monitor decides *when* to boot an agent over it, and
@@ -28,7 +28,6 @@ type Applier struct {
 
 	mu      sync.Mutex
 	open    map[string]storage.File // live file handles (wal-N, ...); guarded by mu
-	ruleLog storage.File            // replicated rule feed; guarded by mu
 	applied uint64                  // frames fully applied; guarded by mu
 	peer    string                  // Hello sender; guarded by mu
 	epoch   uint64                  // highest epoch seen in Hello/heartbeats; guarded by mu
@@ -36,15 +35,7 @@ type Applier struct {
 	// OnHeartbeat, when set, observes every heartbeat frame (the monitor
 	// hooks in here). Set before the first Apply; not guarded.
 	OnHeartbeat func(seq, epoch uint64)
-	// OnRule, when set, observes replicated definition records in arrival
-	// order. Set before the first Apply; not guarded.
-	OnRule func(node string, record []byte)
 }
-
-// ruleLogName is the replica file accumulating FrameRule payloads: the
-// cluster-wide definition log a promoted node can audit its recovered
-// rulebase against.
-const ruleLogName = "rules.log"
 
 // NewApplier returns an applier writing into fs. met may be nil.
 func NewApplier(fs storage.FS, met *Metrics) *Applier {
@@ -171,16 +162,6 @@ func (ap *Applier) apply(f Frame) error {
 		}
 		ap.applied++
 		return nil
-
-	case FrameRule:
-		if err := ap.appendRule(f.Name, f.Payload); err != nil {
-			return err
-		}
-		ap.bumpApplied()
-		if ap.OnRule != nil {
-			ap.OnRule(f.Name, f.Payload)
-		}
-		return nil
 	}
 	return fmt.Errorf("%w: unhandled kind %d", ErrCorruptFrame, f.Kind)
 }
@@ -230,28 +211,6 @@ func (ap *Applier) appendSynced(h storage.File, name string, p []byte) error {
 	return nil
 }
 
-// appendRule records one replicated definition in rules.log as
-// node-length | node | record-length | record (uvarints), synced.
-func (ap *Applier) appendRule(node string, record []byte) error {
-	ap.mu.Lock()
-	defer ap.mu.Unlock()
-	if ap.ruleLog == nil {
-		// Recreate (not append): the FS seam has no append-open, and the
-		// primary re-ships the full definition feed on reconnect anyway.
-		h, err := ap.fs.Create(ruleLogName)
-		if err != nil {
-			return fmt.Errorf("cluster: opening %s: %w", ruleLogName, err)
-		}
-		ap.ruleLog = h
-	}
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(node)))
-	buf = append(buf, node...)
-	buf = binary.AppendUvarint(buf, uint64(len(record)))
-	buf = append(buf, record...)
-	return ap.appendSynced(ap.ruleLog, ruleLogName, buf)
-}
-
 // Close releases every open replica handle, propagating the first error
 // (a failed close after write is a lost-durability bug, not noise).
 func (ap *Applier) Close() error {
@@ -263,12 +222,6 @@ func (ap *Applier) Close() error {
 			first = fmt.Errorf("cluster: closing replica %s: %w", name, err)
 		}
 		delete(ap.open, name)
-	}
-	if ap.ruleLog != nil {
-		if err := ap.ruleLog.Close(); err != nil && first == nil {
-			first = fmt.Errorf("cluster: closing %s: %w", ruleLogName, err)
-		}
-		ap.ruleLog = nil
 	}
 	return first
 }

@@ -34,18 +34,14 @@ const (
 	// format); Name is the published file name (ckpt-N). The receiver
 	// applies it atomically: tmp → sync → rename → dir sync.
 	FrameCkpt FrameKind = 2
-	// FrameFileOpen announces that Name (wal-N, rules.log, ...) was
+	// FrameFileOpen announces that Name (wal-N, ...) was
 	// created/truncated; subsequent FrameFileData frames append to it.
 	FrameFileOpen FrameKind = 3
 	// FrameFileData appends Payload to the open file Name.
 	FrameFileData FrameKind = 4
 	// FrameRemove prunes file Name on the receiver.
 	FrameRemove FrameKind = 5
-	// FrameRule broadcasts one installed rule's DDL (Payload) from the
-	// defining node (Name) to cluster members, so every member's rule
-	// log records the full catalog.
-	FrameRule FrameKind = 6
-	// Kind 7 is reserved (retired); never reuse it.
+	// Kinds 6 and 7 are reserved (retired); never reuse them.
 	// FrameHeartbeat is the liveness beacon: Name is the beating node,
 	// Payload is seq uvarint | epoch uvarint.
 	FrameHeartbeat FrameKind = 8
@@ -107,7 +103,7 @@ func DecodeReplFrame(b []byte) (Frame, int, error) {
 	}
 	f := Frame{Kind: FrameKind(body[0])}
 	switch f.Kind {
-	case FrameHello, FrameCkpt, FrameFileOpen, FrameFileData, FrameRemove, FrameRule, FrameHeartbeat:
+	case FrameHello, FrameCkpt, FrameFileOpen, FrameFileData, FrameRemove, FrameHeartbeat:
 	default:
 		return Frame{}, 0, fmt.Errorf("%w: unknown kind %d", ErrCorruptFrame, body[0])
 	}

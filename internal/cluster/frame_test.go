@@ -13,7 +13,7 @@ var frameFixtures = []Frame{
 	{Kind: FrameFileOpen, Name: "wal-4"},
 	{Kind: FrameFileData, Name: "wal-4", Payload: []byte{1, 2, 3, 4, 5}},
 	{Kind: FrameRemove, Name: "wal-3"},
-	{Kind: FrameRule, Name: "node-a", Payload: []byte("create trigger t ...")},
+	{Kind: FrameFileData, Name: "wal-4", Payload: bytes.Repeat([]byte{0xec}, 300)},
 	{Kind: FrameHeartbeat, Name: "node-a", Payload: heartbeatPayload(42, 7)},
 }
 
@@ -61,6 +61,10 @@ func TestDecodeShortVsCorrupt(t *testing.T) {
 	}
 	if _, _, err := DecodeReplFrame(retiredKind7); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("reserved kind 7: got %v, want ErrCorruptFrame", err)
+	}
+	retiredKind6 := EncodeFrame(Frame{Kind: 6, Name: "node-a", Payload: []byte("create trigger t ...")})
+	if _, _, err := DecodeReplFrame(retiredKind6); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("reserved kind 6: got %v, want ErrCorruptFrame", err)
 	}
 }
 

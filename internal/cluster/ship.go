@@ -18,7 +18,7 @@ type Sink func(Frame) error
 // wraps the agent's storage.FS so every byte the checkpoint/WAL machinery
 // makes durable locally is also framed and shipped, in write order:
 //
-//   - appends to live files (the WAL, the rule log) ship as
+//   - appends to live files (the WAL) ship as
 //     FrameFileOpen/FrameFileData as they happen;
 //   - checkpoint temp files are buffered and ship as one atomic FrameCkpt
 //     when the publish rename lands — the standby never sees a

@@ -107,7 +107,7 @@ func NewShipper(cfg ShipperConfig, met *Metrics) *Shipper {
 // locally before shipping, so the snapshot — rendered from the local
 // directory after that write — already contains this frame's effect, and
 // sending it again would append its bytes twice. Non-state frames
-// (heartbeats, rule broadcasts) are not in snapshots and always go out.
+// (heartbeats) are not in snapshots and always go out.
 // Concurrent writers racing a reconnect can still duplicate a WAL record
 // in the replica; recovery's replay is idempotent against that.
 func (s *Shipper) Ship(f Frame) error {

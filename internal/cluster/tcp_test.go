@@ -41,7 +41,7 @@ func TestShipperStreamsAndAcks(t *testing.T) {
 		{Kind: FrameFileOpen, Name: "wal-1"},
 		{Kind: FrameFileData, Name: "wal-1", Payload: []byte{1, 2, 3}},
 		{Kind: FrameCkpt, Name: "ckpt-1", Payload: []byte("image")},
-		{Kind: FrameRule, Name: "A", Payload: []byte("create trigger ...")},
+		{Kind: FrameCkpt, Name: "ckpt-2", Payload: []byte("image 2")},
 	}
 	for _, f := range frames {
 		if err := sh.Ship(f); err != nil {

@@ -27,9 +27,6 @@ type CrashDir struct {
 	durable map[string][]byte
 	open    map[string]*crashFile
 	crashed bool
-	// syncs counts File.Sync calls that persisted data (tests assert group
-	// commit actually syncs).
-	syncs int
 }
 
 // NewCrashDir returns an empty CrashDir; seed drives the torn-tail lengths
@@ -82,7 +79,6 @@ func (f *crashFile) Sync() error {
 	if len(f.pending) > 0 {
 		f.d.durable[f.name] = append(f.d.durable[f.name], f.pending...)
 		f.pending = nil
-		f.d.syncs++
 	}
 	return nil
 }
@@ -203,11 +199,4 @@ func (d *CrashDir) Restart() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.crashed = false
-}
-
-// Syncs reports how many Sync calls persisted data.
-func (d *CrashDir) Syncs() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.syncs
 }

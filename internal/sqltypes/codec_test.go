@@ -131,12 +131,10 @@ func TestValueStorageRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := storage.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := r.ReadTable()
-	if err != nil {
+	r := storage.NewReader(buf.Bytes())
+	r.Expect(storage.Magic)
+	back := r.Table()
+	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
 	rows := back.Rows()

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -20,72 +19,69 @@ import (
 //
 // Integers are unsigned varints; strings are length-prefixed; times are
 // UnixMilli int64s (zig-zag encoded). NULL cells carry only the kind byte.
+//
+// The same records frame the agent's checkpoint payload and journal
+// records. Every element of every counted section takes at least one
+// byte, so a count larger than the bytes left is damage (Reader.Count).
 
-const snapMagic = "ECASNAP1"
+// Magic heads every stream NewWriter starts.
+const Magic = "ECASNAP1"
 
-// Writer encodes tables into a stream.
+// AppendString appends a length-prefixed string record to b.
+func AppendString(b []byte, s string) []byte {
+	return append(AppendUint(b, uint64(len(s))), s...)
+}
+
+// AppendUint appends an unsigned integer record to b.
+func AppendUint(b []byte, n uint64) []byte { return binary.AppendUvarint(b, n) }
+
+// AppendInt appends a signed integer record (zig-zag varint) to b.
+func AppendInt(b []byte, n int64) []byte { return binary.AppendVarint(b, n) }
+
+// AppendTime appends a timestamp record at nanosecond precision (the
+// checkpoint and the journal need occurrence times to round-trip exactly
+// — they feed action dedup keys). The zero time is encoded as a zero
+// nanosecond count and restored as the zero time.
+func AppendTime(b []byte, t time.Time) []byte {
+	if t.IsZero() {
+		return AppendInt(b, 0)
+	}
+	return AppendInt(b, t.UnixNano())
+}
+
+// Writer encodes records into a stream. Its first write error is sticky
+// and reported by Flush.
 type Writer struct {
-	w   *bufio.Writer
+	w   io.Writer
+	buf []byte
 	err error
 }
 
 // NewWriter starts a snapshot stream on w, writing the magic header.
 func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: bufio.NewWriter(w)}
-	sw.writeBytes([]byte(snapMagic))
-	return sw
+	return &Writer{w: w, buf: []byte(Magic)}
 }
 
-func (w *Writer) writeBytes(b []byte) {
-	if w.err != nil {
-		return
+// spill hands the buffered records to the underlying writer once they
+// fill a page.
+func (w *Writer) spill() {
+	if len(w.buf) >= 4096 {
+		_ = w.Flush()
 	}
-	_, w.err = w.w.Write(b)
-}
-
-func (w *Writer) writeUvarint(n uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	w.writeBytes(buf[:binary.PutUvarint(buf[:], n)])
-}
-
-func (w *Writer) writeVarint(n int64) {
-	var buf [binary.MaxVarintLen64]byte
-	w.writeBytes(buf[:binary.PutVarint(buf[:], n)])
-}
-
-func (w *Writer) writeString(s string) {
-	w.writeUvarint(uint64(len(s)))
-	w.writeBytes([]byte(s))
-}
-
-func (w *Writer) writeByte(b byte) {
-	if w.err != nil {
-		return
-	}
-	w.err = w.w.WriteByte(b)
 }
 
 // WriteString writes a free-form string record (used by the catalog for
 // object names and procedure/trigger source text).
-func (w *Writer) WriteString(s string) { w.writeString(s) }
+func (w *Writer) WriteString(s string) { w.buf = AppendString(w.buf, s); w.spill() }
 
 // WriteUint writes an unsigned integer record.
-func (w *Writer) WriteUint(n uint64) { w.writeUvarint(n) }
+func (w *Writer) WriteUint(n uint64) { w.buf = AppendUint(w.buf, n); w.spill() }
 
 // WriteInt writes a signed integer record (zig-zag varint).
-func (w *Writer) WriteInt(n int64) { w.writeVarint(n) }
+func (w *Writer) WriteInt(n int64) { w.buf = AppendInt(w.buf, n); w.spill() }
 
-// WriteTime writes a timestamp record at nanosecond precision (the
-// checkpoint codec needs occurrence times to round-trip exactly — they
-// feed action dedup keys). The zero time is encoded as a zero nanosecond
-// count and restored as the zero time.
-func (w *Writer) WriteTime(t time.Time) {
-	if t.IsZero() {
-		w.writeVarint(0)
-		return
-	}
-	w.writeVarint(t.UnixNano())
-}
+// WriteTime writes a timestamp record (see AppendTime).
+func (w *Writer) WriteTime(t time.Time) { w.buf = AppendTime(w.buf, t); w.spill() }
 
 // WriteTable encodes a table snapshot. It returns the table's index
 // declarations, read under the same lock as the schema and rows, which the
@@ -93,189 +89,212 @@ func (w *Writer) WriteTime(t time.Time) {
 func (w *Writer) WriteTable(t *Table) []IndexDef {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	w.writeUvarint(uint64(t.schema.Len()))
+	w.WriteUint(uint64(t.schema.Len()))
 	for _, c := range t.schema.Columns {
-		w.writeString(c.Name)
-		w.writeByte(byte(c.Type.Kind))
-		w.writeUvarint(uint64(c.Type.Length))
+		w.buf = AppendString(w.buf, c.Name)
+		w.buf = append(w.buf, byte(c.Type.Kind))
+		w.buf = AppendUint(w.buf, uint64(c.Type.Length))
 		if c.Nullable {
-			w.writeByte(1)
+			w.buf = append(w.buf, 1)
 		} else {
-			w.writeByte(0)
+			w.buf = append(w.buf, 0)
 		}
 	}
-	w.writeUvarint(uint64(len(t.rows)))
+	w.WriteUint(uint64(len(t.rows)))
 	for _, r := range t.rows {
-		w.writeUvarint(uint64(len(r)))
+		w.buf = AppendUint(w.buf, uint64(len(r)))
 		for _, v := range r {
-			w.writeValue(v)
+			w.buf = appendValue(w.buf, v)
 		}
+		w.spill()
 	}
 	return t.indexDefs()
 }
 
-func (w *Writer) writeValue(v sqltypes.Value) {
-	w.writeByte(byte(v.Kind()))
+func appendValue(b []byte, v sqltypes.Value) []byte {
+	b = append(b, byte(v.Kind()))
 	switch v.Kind() {
-	case sqltypes.KindNull:
 	case sqltypes.KindInt, sqltypes.KindBit:
-		w.writeVarint(v.Int())
+		b = AppendInt(b, v.Int())
 	case sqltypes.KindFloat:
-		w.writeUvarint(math.Float64bits(v.Float()))
+		b = AppendUint(b, math.Float64bits(v.Float()))
 	case sqltypes.KindChar, sqltypes.KindVarChar, sqltypes.KindText:
-		w.writeString(v.Str())
+		b = AppendString(b, v.Str())
 	case sqltypes.KindDateTime:
-		w.writeVarint(v.Time().UnixMilli())
+		b = AppendInt(b, v.Time().UnixMilli())
 	}
+	return b
 }
 
-// Flush flushes buffered output and returns any accumulated error.
+// Flush writes the buffered records and returns the first error.
 func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.w.Write(w.buf)
 	}
-	return w.w.Flush()
+	w.buf = w.buf[:0]
+	return w.err
 }
 
-// Reader decodes a snapshot stream written by Writer.
+// Reader decodes records from a byte slice. Its first failure is sticky:
+// every later read returns a zero value (and Count zero, which ends every
+// counted loop), and Err reports the failure. This is the one place that
+// decides what a short or implausible durable record is.
 type Reader struct {
-	r *bufio.Reader
+	b   []byte
+	off int
+	err error
 }
 
-// NewReader validates the magic header and returns a reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("reading snapshot magic: %w", err)
+// NewReader reads records from b.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+// Err returns the first failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Len returns the number of bytes left.
+func (r *Reader) Len() int { return len(r.b) - r.off }
+
+func (r *Reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("storage: at byte %d: "+format, append([]any{r.off}, args...)...)
 	}
-	if string(magic) != snapMagic {
-		return nil, fmt.Errorf("bad snapshot magic %q", magic)
-	}
-	return &Reader{r: br}, nil
 }
 
-// ReadString reads a string record.
-func (r *Reader) ReadString() (string, error) {
-	n, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return "", err
+// take consumes the next n bytes, or fails and returns nil.
+func (r *Reader) take(n uint64) []byte {
+	if r.err != nil {
+		return nil
 	}
-	if n > 1<<28 {
-		return "", fmt.Errorf("string record too large (%d bytes)", n)
+	if n > uint64(r.Len()) {
+		r.fail("record of %d bytes runs past the %d left", n, r.Len())
+		return nil
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	b := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b
 }
 
-// ReadUint reads an unsigned integer record.
-func (r *Reader) ReadUint() (uint64, error) { return binary.ReadUvarint(r.r) }
-
-// ReadInt reads a signed integer record.
-func (r *Reader) ReadInt() (int64, error) { return binary.ReadVarint(r.r) }
-
-// ReadTime reads a timestamp record written by WriteTime.
-func (r *Reader) ReadTime() (time.Time, error) {
-	ns, err := binary.ReadVarint(r.r)
-	if err != nil || ns == 0 {
-		return time.Time{}, err
+// Expect consumes a magic header, failing the reader if it is absent.
+func (r *Reader) Expect(magic string) {
+	if b := r.take(uint64(len(magic))); r.err == nil && string(b) != magic {
+		r.fail("bad magic %q", b)
 	}
-	return time.Unix(0, ns).UTC(), nil
 }
 
-// ReadTable decodes one table snapshot.
-func (r *Reader) ReadTable() (*Table, error) {
-	ncols, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return nil, err
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
 	}
-	if ncols > 4096 {
-		return nil, fmt.Errorf("implausible column count %d", ncols)
+	return 0
+}
+
+// Uint reads an unsigned integer record.
+func (r *Reader) Uint() uint64 {
+	if r.err != nil {
+		return 0
 	}
+	n, sz := binary.Uvarint(r.b[r.off:])
+	if sz <= 0 {
+		r.fail("bad unsigned varint")
+		return 0
+	}
+	r.off += sz
+	return n
+}
+
+// Int reads a signed integer record.
+func (r *Reader) Int() int64 {
+	if r.err != nil {
+		return 0
+	}
+	n, sz := binary.Varint(r.b[r.off:])
+	if sz <= 0 {
+		r.fail("bad signed varint")
+		return 0
+	}
+	r.off += sz
+	return n
+}
+
+// Count reads the element count of a section. A count larger than the
+// bytes left fails the reader and returns zero, so no caller sizes an
+// allocation or a loop from a corrupt count.
+func (r *Reader) Count() int {
+	n := r.Uint()
+	if n > uint64(r.Len()) {
+		r.fail("count %d exceeds the %d bytes left", n, r.Len())
+		return 0
+	}
+	return int(n)
+}
+
+// String reads a string record.
+func (r *Reader) String() string { return string(r.take(r.Uint())) }
+
+// Time reads a timestamp record written by AppendTime.
+func (r *Reader) Time() time.Time {
+	if ns := r.Int(); ns != 0 {
+		return time.Unix(0, ns).UTC()
+	}
+	return time.Time{}
+}
+
+// Table decodes one table snapshot; it returns nil once the reader has
+// failed.
+func (r *Reader) Table() *Table {
 	schema := &sqltypes.Schema{}
-	for i := uint64(0); i < ncols; i++ {
-		name, err := r.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		kindB, err := r.r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		length, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return nil, err
-		}
-		nullB, err := r.r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
+	ncols := r.Count()
+	for range ncols {
 		schema.Columns = append(schema.Columns, sqltypes.Column{
-			Name:     name,
-			Type:     sqltypes.Type{Kind: sqltypes.Kind(kindB), Length: int(length)},
-			Nullable: nullB == 1,
+			Name:     r.String(),
+			Type:     sqltypes.Type{Kind: sqltypes.Kind(r.Byte()), Length: int(r.Uint())},
+			Nullable: r.Byte() == 1,
 		})
 	}
-	nrows, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTable(schema)
+	nrows := r.Count()
 	rows := make([]sqltypes.Row, 0, nrows)
-	for i := uint64(0); i < nrows; i++ {
-		ncells, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return nil, err
+	for i := range nrows {
+		if n := r.Count(); n != ncols {
+			r.fail("row %d has %d cells, schema has %d columns", i, n, ncols)
 		}
-		if ncells != ncols {
-			return nil, fmt.Errorf("row %d has %d cells, schema has %d columns", i, ncells, ncols)
+		if r.err != nil {
+			return nil
 		}
-		row := make(sqltypes.Row, ncells)
-		for j := uint64(0); j < ncells; j++ {
-			v, err := r.readValue()
-			if err != nil {
-				return nil, err
-			}
-			row[j] = v
+		row := make(sqltypes.Row, ncols)
+		for j := range row {
+			row[j] = r.value()
 		}
 		rows = append(rows, row)
 	}
+	if r.err != nil {
+		return nil
+	}
 	// Bypass validation: the snapshot is trusted to already satisfy the
 	// schema it was written with.
+	t := NewTable(schema)
 	t.rows = rows
-	return t, nil
+	return t
 }
 
-func (r *Reader) readValue() (sqltypes.Value, error) {
-	kindB, err := r.r.ReadByte()
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	switch sqltypes.Kind(kindB) {
+func (r *Reader) value() sqltypes.Value {
+	switch k := sqltypes.Kind(r.Byte()); k {
 	case sqltypes.KindNull:
-		return sqltypes.Null, nil
+		return sqltypes.Null
 	case sqltypes.KindInt:
-		n, err := binary.ReadVarint(r.r)
-		return sqltypes.NewInt(n), err
+		return sqltypes.NewInt(r.Int())
 	case sqltypes.KindBit:
-		n, err := binary.ReadVarint(r.r)
-		return sqltypes.NewBit(n != 0), err
+		return sqltypes.NewBit(r.Int() != 0)
 	case sqltypes.KindFloat:
-		bits, err := binary.ReadUvarint(r.r)
-		return sqltypes.NewFloat(math.Float64frombits(bits)), err
+		return sqltypes.NewFloat(math.Float64frombits(r.Uint()))
 	case sqltypes.KindChar, sqltypes.KindVarChar:
-		s, err := r.ReadString()
-		return sqltypes.NewString(s), err
+		return sqltypes.NewString(r.String())
 	case sqltypes.KindText:
-		s, err := r.ReadString()
-		return sqltypes.NewText(s), err
+		return sqltypes.NewText(r.String())
 	case sqltypes.KindDateTime:
-		ms, err := binary.ReadVarint(r.r)
-		return sqltypes.NewDateTime(time.UnixMilli(ms).UTC()), err
+		return sqltypes.NewDateTime(time.UnixMilli(r.Int()).UTC())
 	default:
-		return sqltypes.Null, fmt.Errorf("unknown value kind %d in snapshot", kindB)
+		r.fail("unknown value kind %d", k)
+		return sqltypes.Null
 	}
 }

@@ -245,18 +245,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := r.ReadString(); s != "tablename" {
+	r := NewReader(buf.Bytes())
+	r.Expect(Magic)
+	if s := r.String(); s != "tablename" {
 		t.Errorf("string record: %q", s)
 	}
-	if n, _ := r.ReadUint(); n != 7 {
+	if n := r.Uint(); n != 7 {
 		t.Errorf("uint record: %d", n)
 	}
-	got, err := r.ReadTable()
-	if err != nil {
+	got := r.Table()
+	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != tbl.Len() {
@@ -275,11 +273,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotBadInput(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("WRONGMAG"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
+	for _, in := range []string{"WRONGMAG", ""} {
+		r := NewReader([]byte(in))
+		if r.Expect(Magic); r.Err() == nil {
+			t.Errorf("magic %q accepted", in)
+		}
 	}
 	// Truncated table data.
 	var buf bytes.Buffer
@@ -289,12 +287,37 @@ func TestSnapshotBadInput(t *testing.T) {
 	w.WriteTable(tbl)
 	_ = w.Flush()
 	data := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(data[:len(data)-3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadTable(); err == nil {
+	r := NewReader(data[:len(data)-3])
+	r.Expect(Magic)
+	if r.Table() != nil || r.Err() == nil {
 		t.Error("truncated snapshot accepted")
+	}
+	// A table with no columns and 2^62 rows: the row count must fail the
+	// decode, not size an allocation.
+	huge := AppendUint(AppendUint([]byte(Magic), 0), 1<<62)
+	r = NewReader(huge)
+	r.Expect(Magic)
+	if r.Table() != nil || r.Err() == nil {
+		t.Error("implausible row count accepted")
+	}
+}
+
+// TestReaderStickyError: the first failure sticks. Every later read
+// returns a zero value, a count never exceeds the bytes left, and Err
+// reports the first failure, not a later one.
+func TestReaderStickyError(t *testing.T) {
+	b := AppendString(nil, "ok")
+	b = AppendUint(b, 1000) // a count with 0 bytes behind it
+	r := NewReader(append(b, 0xff))
+	if s := r.String(); s != "ok" {
+		t.Fatalf("String = %q", s)
+	}
+	if n := r.Count(); n != 0 || r.Err() == nil {
+		t.Fatalf("Count = %d, err %v; want 0 and an error", n, r.Err())
+	}
+	first := r.Err()
+	if r.Byte() != 0 || r.Uint() != 0 || r.String() != "" || !r.Time().IsZero() || r.Err() != first {
+		t.Fatalf("reads after a failure: err %v, first %v", r.Err(), first)
 	}
 }
 
@@ -314,12 +337,10 @@ func TestSnapshotPropertyRoundTrip(t *testing.T) {
 		if w.Flush() != nil {
 			return false
 		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		got, err := r.ReadTable()
-		if err != nil {
+		r := NewReader(buf.Bytes())
+		r.Expect(Magic)
+		got := r.Table()
+		if r.Err() != nil {
 			return false
 		}
 		rows := got.Rows()

@@ -56,19 +56,18 @@ func TestCodecIntAndTime(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
+	r := NewReader(buf.Bytes())
+	r.Expect(Magic)
+	if n := r.Int(); n != -42 {
+		t.Fatalf("Int = %d", n)
 	}
-	if n, err := r.ReadInt(); err != nil || n != -42 {
-		t.Fatalf("ReadInt = %d, %v", n, err)
+	if got := r.Time(); !got.Equal(at) {
+		t.Fatalf("Time = %v; want %v", got, at)
 	}
-	got, err := r.ReadTime()
-	if err != nil || !got.Equal(at) {
-		t.Fatalf("ReadTime = %v, %v; want %v", got, err, at)
+	if z := r.Time(); !z.IsZero() {
+		t.Fatalf("zero Time = %v", z)
 	}
-	z, err := r.ReadTime()
-	if err != nil || !z.IsZero() {
-		t.Fatalf("zero ReadTime = %v, %v", z, err)
+	if err := r.Err(); err != nil || r.Len() != 0 {
+		t.Fatalf("after the last record: err=%v, %d bytes left", err, r.Len())
 	}
 }
