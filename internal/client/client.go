@@ -74,7 +74,7 @@ func NewConn(conn net.Conn, opts Options) (*Conn, error) {
 		return nil, err
 	}
 	if !ack.OK {
-		return nil, fmt.Errorf("login rejected: %s", ack.Message)
+		return nil, &tds.LoginRejected{Msg: ack.Message}
 	}
 	return c, nil
 }

@@ -83,23 +83,20 @@ func arrangeRow(schema *sqltypes.Schema, cols []string, vals sqltypes.Row) (sqlt
 }
 
 func (s *Session) execUpdate(st *sqlparse.Update) (*sqltypes.ResultSet, error) {
-	tbl, err := s.resolveTable(st.Table)
+	p := s.planFor(st)
+	defer p.release()
+	target := []sqlparse.TableRef{{Name: st.Table}}
+	fits, err := s.resolve(p, target)
 	if err != nil {
 		return nil, err
 	}
-	schema := tbl.Schema()
-	fr := newFrame(sqlparse.TableRef{Name: st.Table}, schema, s.db)
-	frames := []*frame{fr}
-
-	// Validate SET column names up front.
-	setIdx := make([]int, len(st.Set))
-	for i, a := range st.Set {
-		ci := schema.Index(a.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("unknown column %q in update", a.Column)
+	if !fits {
+		if err := s.planUpdate(st, p, target); err != nil {
+			return nil, err
 		}
-		setIdx[i] = ci
 	}
+	tbl, frames, setIdx := p.tables[0], p.frames, p.setIdx
+	fr, schema := frames[0], frames[0].schema
 
 	s.txnSaveTable(tbl)
 	old, updated, err := tbl.Update(
@@ -129,14 +126,37 @@ func (s *Session) execUpdate(st *sqlparse.Update) (*sqltypes.ResultSet, error) {
 	return &sqltypes.ResultSet{RowsAffected: len(updated)}, nil
 }
 
+// planUpdate builds p for UPDATE st: the target's frame and the position
+// of each SET column, validated up front.
+func (s *Session) planUpdate(st *sqlparse.Update, p *plan, target []sqlparse.TableRef) error {
+	s.rebuild(p, target)
+	schema := p.frames[0].schema
+	p.setIdx = make([]int, len(st.Set))
+	for i, a := range st.Set {
+		ci := schema.Index(a.Column)
+		if ci < 0 {
+			return fmt.Errorf("unknown column %q in update", a.Column)
+		}
+		p.setIdx[i] = ci
+	}
+	p.built = true
+	return nil
+}
+
 func (s *Session) execDelete(st *sqlparse.Delete) (*sqltypes.ResultSet, error) {
-	tbl, err := s.resolveTable(st.Table)
+	p := s.planFor(st)
+	defer p.release()
+	target := []sqlparse.TableRef{{Name: st.Table}}
+	fits, err := s.resolve(p, target)
 	if err != nil {
 		return nil, err
 	}
-	schema := tbl.Schema()
-	fr := newFrame(sqlparse.TableRef{Name: st.Table}, schema, s.db)
-	frames := []*frame{fr}
+	if !fits {
+		s.rebuild(p, target)
+		p.built = true
+	}
+	tbl, frames := p.tables[0], p.frames
+	fr, schema := frames[0], frames[0].schema
 
 	s.txnSaveTable(tbl)
 	removed, err := tbl.Delete(func(r sqltypes.Row) (bool, error) {
@@ -173,26 +193,25 @@ func (s *Session) fireTrigger(tableName sqlparse.ObjectName, op sqlparse.Trigger
 		return fmt.Errorf("trigger nesting exceeds %d levels", maxTriggerDepth)
 	}
 
-	nullable := schema.Clone()
-	for i := range nullable.Columns {
-		nullable.Columns[i].Nullable = true
-	}
+	nullable := s.nullable(schema)
 	ctx := &triggerContext{}
 	if inserted != nil {
-		ctx.inserted = storage.NewTable(nullable)
+		ctx.inserted = storage.NewTableOn(nullable)
 		if err := ctx.inserted.ReplaceAll(inserted); err != nil {
 			return fmt.Errorf("building inserted pseudo-table: %v", err)
 		}
 	}
 	if deleted != nil {
-		ctx.deleted = storage.NewTable(nullable)
+		ctx.deleted = storage.NewTableOn(nullable)
 		if err := ctx.deleted.ReplaceAll(deleted); err != nil {
 			return fmt.Errorf("building deleted pseudo-table: %v", err)
 		}
 	}
 
-	s.trigCtx = append(s.trigCtx, ctx)
-	defer func() { s.trigCtx = s.trigCtx[:len(s.trigCtx)-1] }()
+	// The body is a catalog object the session keeps plans for.
+	savedReuse := s.reuse
+	s.trigCtx, s.reuse = append(s.trigCtx, ctx), true
+	defer func() { s.trigCtx, s.reuse = s.trigCtx[:len(s.trigCtx)-1], savedReuse }()
 
 	for _, st := range tr.Body {
 		rs, err := s.ExecStmt(st)

@@ -162,11 +162,16 @@ type Session struct {
 	// procDepth guards against runaway procedure recursion.
 	procDepth int
 
-	// toks and key are the lex and shape-key buffers every batch reuses;
-	// plans is the plan cache (plan.go).
-	toks  []sqllex.Token
-	key   []byte
-	plans map[string]*sqlparse.Template
+	// toks and key are the lex and shape-key buffers every batch reuses.
+	// templates, plans and nullables are the plan cache (plan.go); reuse
+	// is set while the statements running are nodes the session will run
+	// again, whose plans it keeps.
+	toks      []sqllex.Token
+	key       []byte
+	templates map[string]*sqlparse.Template
+	plans     map[sqlparse.Statement]*plan
+	nullables map[*sqltypes.Schema]*sqltypes.Schema
+	reuse     bool
 }
 
 type triggerContext struct {
@@ -232,10 +237,12 @@ func (s *Session) ExecScript(src string) ([]*sqltypes.ResultSet, error) {
 // returned along with the error. A batch whose shape the session has run
 // before is not parsed again (plan.go).
 func (s *Session) ExecBatch(src string) ([]*sqltypes.ResultSet, error) {
-	stmts, err := s.parse(src)
+	stmts, kept, err := s.parse(src)
 	if err != nil || len(stmts) == 0 {
 		return nil, err
 	}
+	s.reuse = kept
+	defer func() { s.reuse = false }()
 	out := make([]*sqltypes.ResultSet, 0, len(stmts))
 	for _, st := range stmts {
 		rs, err := s.ExecStmt(st)
@@ -317,15 +324,11 @@ func (s *Session) database(name string) (*catalog.Database, error) {
 func (s *Session) resolveTable(name sqlparse.ObjectName) (*storage.Table, error) {
 	if !name.IsQualified() && len(s.trigCtx) > 0 {
 		ctx := s.trigCtx[len(s.trigCtx)-1]
-		switch strings.ToLower(name.Name()) {
-		case "inserted":
-			if ctx.inserted != nil {
-				return ctx.inserted, nil
-			}
-		case "deleted":
-			if ctx.deleted != nil {
-				return ctx.deleted, nil
-			}
+		switch n := name.Name(); {
+		case ctx.inserted != nil && strings.EqualFold(n, "inserted"):
+			return ctx.inserted, nil
+		case ctx.deleted != nil && strings.EqualFold(n, "deleted"):
+			return ctx.deleted, nil
 		}
 	}
 	db, err := s.database(name.Database())

@@ -184,7 +184,11 @@ func probePath(t *testing.T, s *Session, sql string) bool {
 		}
 		frames[i], tables[i] = newFrame(ref, tbl.Schema(), s.db), tbl
 	}
-	_, ok := s.joinIndexed(st.Where, frames, tables)
+	steps := s.planJoin(st.Where, frames, tables)
+	if steps == nil {
+		return false
+	}
+	_, ok := s.joinIndexed(st.Where, &plan{frames: frames, tables: tables, steps: steps})
 	return ok
 }
 

@@ -10,19 +10,16 @@ import (
 )
 
 // joinScan is the nested-loop join: every tuple of the cartesian product of
-// the FROM tables, in FROM-order row-position order, filtered by WHERE.
-func (s *Session) joinScan(where sqlparse.Expr, frames []*frame, tables []*storage.Table) ([]sourceRow, error) {
-	sources := make([][]sqltypes.Row, len(tables))
-	sourceLens := make([]int, len(tables))
-	for i, tbl := range tables {
-		sources[i] = tbl.Rows()
-		sourceLens[i] = len(sources[i])
+// p's FROM tables, in FROM-order row-position order, filtered by WHERE.
+func (s *Session) joinScan(where sqlparse.Expr, p *plan) ([]sourceRow, error) {
+	frames := p.frames
+	sources, idx := p.scratch()
+	for i, tbl := range p.tables {
+		if sources[i] = tbl.Rows(); len(sources[i]) == 0 {
+			return nil, nil
+		}
 	}
 	var matched []sourceRow
-	idx := make([]int, len(sources))
-	if anyEmpty(sourceLens) {
-		return nil, nil
-	}
 	for {
 		for i := range frames {
 			frames[i].row = sources[i][idx[i]]
@@ -38,10 +35,23 @@ func (s *Session) joinScan(where sqlparse.Expr, frames []*frame, tables []*stora
 			}
 			matched = append(matched, sr)
 		}
-		if !advance(idx, sourceLens) {
+		if !advance(idx, sources) {
 			return matched, nil
 		}
 	}
+}
+
+// advance increments the mixed-radix counter idx over the lengths of
+// sources; false when it wraps.
+func advance(idx []int, sources [][]sqltypes.Row) bool {
+	for i := len(idx) - 1; i >= 0; i-- {
+		idx[i]++
+		if idx[i] < len(sources[i]) {
+			return true
+		}
+		idx[i] = 0
+	}
+	return false
 }
 
 // joinStep enumerates one frame: a scan of its rows, or — when key is set —
@@ -52,9 +62,10 @@ type joinStep struct {
 	key   sqlparse.Expr
 }
 
-// joinIndexed answers the join by probing hash indexes where WHERE has an
-// AND-conjunct f.c = e on an indexed column c of frame f, with e a literal,
-// a variable or a column of a frame enumerated before f. The probe only
+// joinIndexed answers the join by probing hash indexes in the order of
+// p.steps, planJoin's answer: where WHERE has an AND-conjunct f.c = e on an
+// indexed column c of frame f, with e a literal, a declared variable or a
+// column of a frame enumerated before f. The probe only
 // narrows the candidates — the full WHERE still runs on every candidate
 // tuple — so its one obligation is that a probe returns every row that
 // could match; storage.Pin.Lookup guarantees it. The tuples are returned
@@ -66,24 +77,23 @@ type joinStep struct {
 // have an effect (safeWhere); otherwise an error or a syb_sendmsg call on
 // a tuple the probe skips would be lost.
 //
-// ok is false when the query is not the index's to answer — no usable
-// conjunct, a WHERE that is not safe, a key whose comparison would convert
-// (character vs numeric), or a probed table changed other than by appends
-// while the join ran; the caller then runs joinScan, whose answer is the
-// reference.
-func (s *Session) joinIndexed(where sqlparse.Expr, frames []*frame, tables []*storage.Table) (matched []sourceRow, ok bool) {
-	steps := s.planJoin(where, frames, tables)
-	if steps == nil {
-		return nil, false
+// ok is false when the query is not the index's to answer — a key whose
+// comparison would convert (character vs numeric), or a probed table
+// changed other than by appends while the join ran; the caller then runs
+// joinScan, whose answer is the reference. A query with no usable
+// conjunct or a WHERE that is not safe has no steps and never gets here.
+func (s *Session) joinIndexed(where sqlparse.Expr, p *plan) (matched []sourceRow, ok bool) {
+	frames, steps := p.frames, p.steps
+	scans, pos := p.scratch()
+	if n := len(frames); len(p.cur) != n {
+		p.pins, p.cur = make([]storage.Pin, n), make(sourceRow, n)
 	}
-	n := len(frames)
-	scans := make([][]sqltypes.Row, n)
-	pins := make([]storage.Pin, n)
+	pins, cur := p.pins, p.cur
 	for _, st := range steps {
 		if st.key == nil {
-			scans[st.frame] = tables[st.frame].Rows()
+			scans[st.frame] = p.tables[st.frame].Rows()
 		} else {
-			pins[st.frame] = tables[st.frame].Pin()
+			pins[st.frame] = p.tables[st.frame].Pin()
 		}
 	}
 
@@ -92,8 +102,6 @@ func (s *Session) joinIndexed(where sqlparse.Expr, frames []*frame, tables []*st
 		pos []int
 	}
 	var hits []hit
-	cur := make(sourceRow, n)
-	pos := make([]int, n)
 	bind := func(f int, row sqltypes.Row, at int) {
 		cur[f], pos[f] = row, at
 		frames[f].row = row
@@ -140,15 +148,17 @@ func (s *Session) joinIndexed(where sqlparse.Expr, frames []*frame, tables []*st
 		return nil, false
 	}
 
-	sort.Slice(hits, func(a, b int) bool {
-		pa, pb := hits[a].pos, hits[b].pos
-		for i := range pa {
-			if pa[i] != pb[i] {
-				return pa[i] < pb[i]
+	if len(hits) > 1 {
+		sort.Slice(hits, func(a, b int) bool {
+			pa, pb := hits[a].pos, hits[b].pos
+			for i := range pa {
+				if pa[i] != pb[i] {
+					return pa[i] < pb[i]
+				}
 			}
-		}
-		return false
-	})
+			return false
+		})
+	}
 	matched = make([]sourceRow, len(hits))
 	for i, h := range hits {
 		matched[i] = h.src

@@ -1,46 +1,78 @@
 package engine
 
 import (
+	"strings"
+
 	"github.com/activedb/ecaagent/internal/sqllex"
 	"github.com/activedb/ecaagent/internal/sqlparse"
+	"github.com/activedb/ecaagent/internal/sqltypes"
+	"github.com/activedb/ecaagent/internal/storage"
 )
 
-// The plan cache. A session keeps a sqlparse.Template for each batch
-// shape it has parsed, keyed by sqlparse.AppendShape. A batch of a known
-// shape is lexed but not parsed again; its literal values are bound into
-// the cached statements. That is safe because a Session runs one batch at
-// a time, the engine never writes to or keys anything by an AST node, and
-// nothing ExecBatch returns keeps a node.
+// The plan cache has two halves, both per session.
+//
+// Templates: a session keeps a sqlparse.Template for each batch shape it
+// has parsed, keyed by sqlparse.AppendShape. A batch of a known shape is
+// lexed but not parsed again; its literal values are bound into the
+// cached statements. That is safe because a Session runs one batch at a
+// time and nothing ExecBatch returns keeps a node.
+//
+// Statement plans: a session keeps a plan for each SELECT, UPDATE and
+// DELETE node it will run again — a template's statements and the bodies
+// of procedures and triggers — keyed by the node. A plan holds what
+// planning derives from the tables the statement names: frames and
+// validated column positions, the projection list, the join steps and the
+// last output schema, so a run keeps only per-row state. Procedure and
+// trigger bodies are catalog objects other sessions run concurrently, so
+// the engine keys plans by a node but never writes anything into one; a
+// plan reads the node's expressions, whose literals a template rebinds,
+// at every run. A plan is reused only while every table it names has the
+// layout it was built on, the session database is the one it was built
+// in, and the WHERE's variables are declared as they were; otherwise it
+// is built afresh. A statement that runs while its own plan is in use
+// gets a plan that is not kept.
 
-// planCap is how many shapes a session keeps; a full cache is emptied.
+// planCap is how many shapes and nullable schemas a session keeps, and a
+// quarter of how many statement plans. Full templates or plans empty the
+// whole cache; a full set of nullable schemas empties only itself.
 const planCap = 256
 
-// parse returns the statements of one batch, from the plan cache when the
-// session has parsed a batch of the same shape before. Only a batch of at
-// most sqllex.MaxKeptSource bytes is cached: a template's names are slices
-// of the text it was parsed from, so it keeps that text alive, and a bulk
-// load is parsed once anyway.
-func (s *Session) parse(src string) ([]sqlparse.Statement, error) {
+// parse returns the statements of one batch, from the template cache when
+// the session has parsed a batch of the same shape before. kept reports
+// whether the statements belong to a cached template, so the session will
+// see the same nodes again. Only a batch of at most sqllex.MaxKeptSource
+// bytes is cached: a template's names are slices of the text it was
+// parsed from, so it keeps that text alive, and a bulk load is parsed once
+// anyway.
+func (s *Session) parse(src string) (stmts []sqlparse.Statement, kept bool, err error) {
 	toks, err := sqllex.LexInto(&s.toks, src)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	keep := len(src) <= sqllex.MaxKeptSource
 	if keep {
 		s.key = sqlparse.AppendShape(s.key[:0], toks)
-		if t := s.plans[string(s.key)]; t != nil {
-			return t.Bind(toks)
+		if t := s.templates[string(s.key)]; t != nil {
+			stmts, err = t.Bind(toks)
+			return stmts, true, err
 		}
 	}
 	t, stmts, err := sqlparse.ParseTemplate(src, toks)
 	if err != nil || t == nil || !keep || hasDDL(stmts) {
-		return stmts, err
+		return stmts, false, err
 	}
-	if s.plans == nil || len(s.plans) >= planCap {
-		s.plans = make(map[string]*sqlparse.Template)
+	if s.templates == nil || len(s.templates) >= planCap {
+		s.forget()
+		s.templates = make(map[string]*sqlparse.Template)
 	}
-	s.plans[string(s.key)] = t
-	return stmts, nil
+	s.templates[string(s.key)] = t
+	return stmts, true, nil
+}
+
+// forget empties the plan cache: the templates, the statement plans and
+// the pseudo-tables' nullable schemas.
+func (s *Session) forget() {
+	s.templates, s.plans, s.nullables = nil, nil, nil
 }
 
 // hasDDL reports whether a batch creates, drops or alters anything: the
@@ -56,4 +88,215 @@ func hasDDL(stmts []sqlparse.Statement) bool {
 		}
 	}
 	return false
+}
+
+// plan is what a session keeps of planning one statement node.
+type plan struct {
+	busy  bool // the node is running on this plan
+	built bool // the fields below describe db, refs and vars
+
+	db   string
+	refs []layout   // of each table the statement names, in order
+	vars []varCheck // the variables the WHERE reads
+
+	// tables holds the statement's tables resolved for the current run;
+	// it and the join's buffers below are per-run state, kept only to
+	// reuse the slices.
+	tables []*storage.Table
+	frames []*frame
+	rows   [][]sqltypes.Row // each frame's rows to scan
+	at     []int            // each frame's current row position
+	pins   []storage.Pin
+	cur    sourceRow
+
+	// SELECT: whether it groups, the join steps (nil: scan), the
+	// projection list or the error building it, and the output schema of
+	// the last run.
+	grouped bool
+	steps   []joinStep
+	projs   []projection
+	projErr error
+	schema  *sqltypes.Schema
+
+	// UPDATE: the column position of each SET.
+	setIdx []int
+}
+
+// layout is what a plan takes from a table: its schema and how many
+// indexes it has. The schema alone decides what the plan's frames and
+// column positions mean, and two tables share one only when they are the
+// trigger pseudo-tables of one base table (Session.nullable), so a
+// trigger body's plan fits every firing. The index count lets a plan
+// follow a new index; indexes are only ever added. A join step is checked
+// again at every probe (storage.Pin.Lookup answers only on an indexed
+// column), so a step planned on another table's index falls back to the
+// scan.
+type layout struct {
+	schema *sqltypes.Schema
+	nidx   int
+}
+
+func layoutOf(tbl *storage.Table) layout {
+	schema, nidx := tbl.Layout()
+	return layout{schema, nidx}
+}
+
+// varCheck records whether a variable (lower-cased name) was declared
+// when the plan was built: the join plan probes on a declared variable
+// only.
+type varCheck struct {
+	name     string
+	declared bool
+}
+
+// planFor returns the plan to run node st on and marks it in use: the
+// session's plan for st, or, when st is a node the session will not see
+// again or its plan is already in use, a new plan that is not kept.
+// Every planFor is paired with a release.
+func (s *Session) planFor(st sqlparse.Statement) *plan {
+	p := s.plans[st]
+	switch {
+	case p != nil && !p.busy:
+	case p == nil && s.reuse:
+		if len(s.plans) >= 4*planCap {
+			s.forget()
+		}
+		if s.plans == nil {
+			s.plans = make(map[sqlparse.Statement]*plan)
+		}
+		p = &plan{}
+		s.plans[st] = p
+	default:
+		p = &plan{}
+	}
+	p.busy = true
+	return p
+}
+
+// release ends a run on p, dropping the rows and tables it bound.
+func (p *plan) release() {
+	for _, f := range p.frames {
+		f.row = nil
+	}
+	clear(p.tables)
+	clear(p.rows)
+	clear(p.pins)
+	clear(p.cur)
+	p.busy = false
+}
+
+// scratch returns the join's row lists and positions, one per frame and
+// all zero.
+func (p *plan) scratch() ([][]sqltypes.Row, []int) {
+	if n := len(p.frames); len(p.at) != n {
+		p.rows, p.at = make([][]sqltypes.Row, n), make([]int, n)
+	}
+	clear(p.rows)
+	clear(p.at)
+	return p.rows, p.at
+}
+
+// resolve resolves the tables of a statement's FROM list (or its one
+// target table) into p.tables, in order, and reports whether p was built
+// against them as they are now.
+func (s *Session) resolve(p *plan, from []sqlparse.TableRef) (fits bool, err error) {
+	p.tables = p.tables[:0]
+	fits = p.built && p.db == s.db && len(p.refs) == len(from)
+	for i, ref := range from {
+		tbl, err := s.resolveTable(ref.Name)
+		if err != nil {
+			return false, err
+		}
+		p.tables = append(p.tables, tbl)
+		fits = fits && layoutOf(tbl) == p.refs[i]
+	}
+	for _, v := range p.vars {
+		if _, ok := s.vars[v.name]; ok != v.declared {
+			return false, nil
+		}
+	}
+	return fits, nil
+}
+
+// rebuild clears p for planning afresh against p.tables in the session's
+// database and builds a frame on each table for the matching FROM entry.
+func (s *Session) rebuild(p *plan, from []sqlparse.TableRef) {
+	*p = plan{busy: true, db: s.db, tables: p.tables}
+	for i, tbl := range p.tables {
+		l := layoutOf(tbl)
+		p.refs = append(p.refs, l)
+		p.frames = append(p.frames, newFrame(from[i], l.schema, s.db))
+	}
+}
+
+// varsOf appends to out the variables e reads, each once, with whether it
+// is declared now.
+func (s *Session) varsOf(e sqlparse.Expr, out []varCheck) []varCheck {
+	switch e := e.(type) {
+	case *sqlparse.ColumnRef:
+		if !strings.HasPrefix(e.Name, "@") {
+			return out
+		}
+		name := strings.ToLower(e.Name)
+		for _, v := range out {
+			if v.name == name {
+				return out
+			}
+		}
+		_, declared := s.vars[name]
+		return append(out, varCheck{name, declared})
+	case *sqlparse.BinaryExpr:
+		return s.varsOf(e.R, s.varsOf(e.L, out))
+	case *sqlparse.UnaryExpr:
+		return s.varsOf(e.E, out)
+	case *sqlparse.IsNull:
+		return s.varsOf(e.E, out)
+	case *sqlparse.FuncCall:
+		for _, a := range e.Args {
+			out = s.varsOf(a, out)
+		}
+	case *sqlparse.InList:
+		out = s.varsOf(e.E, out)
+		for _, x := range e.List {
+			out = s.varsOf(x, out)
+		}
+	}
+	return out
+}
+
+// outputSchema returns the schema of a result whose first row is first
+// (nil when it is empty): the last run's, while its expression columns
+// have the types first gives them (projectionSchema).
+func (p *plan) outputSchema(first sqltypes.Row) *sqltypes.Schema {
+	if p.schema != nil {
+		for i, pr := range p.projs {
+			if pr.expr != nil && p.schema.Columns[i].Type != exprType(first, i) {
+				p.schema = nil
+				break
+			}
+		}
+	}
+	if p.schema == nil {
+		p.schema = projectionSchema(p.projs, p.frames, first)
+	}
+	return p.schema
+}
+
+// nullable returns the nullable copy of a base table's schema that the
+// trigger pseudo-tables built on it share: one per base schema, read-only
+// like every table schema, so a trigger body's plans fit the
+// pseudo-tables of every firing.
+func (s *Session) nullable(schema *sqltypes.Schema) *sqltypes.Schema {
+	if n := s.nullables[schema]; n != nil {
+		return n
+	}
+	n := schema.Clone()
+	for i := range n.Columns {
+		n.Columns[i].Nullable = true
+	}
+	if s.nullables == nil || len(s.nullables) >= planCap {
+		s.nullables = make(map[*sqltypes.Schema]*sqltypes.Schema)
+	}
+	s.nullables[schema] = n
+	return n
 }

@@ -15,9 +15,10 @@ import (
 
 // The plan-cache differential: one seeded stream of batches runs through a
 // warm Session.ExecBatch, where repeated shapes are bound into cached
-// statements, and through sqlparse.ParseBatch + ExecStmt on an identically
-// seeded catalog, where every batch is parsed afresh. Every result set,
-// every error text and a final dump of every table must be identical.
+// statements and run on kept statement plans, and through
+// sqlparse.ParseBatch + ExecStmt on an identically seeded catalog, where
+// every batch is parsed and planned afresh. Every result set, every error
+// text and a final dump of every table must be identical.
 
 // planLits are the number and string literals a slot can take: negatives
 // that fold, ints and floats in one slot, escaped quotes, and numbers the
@@ -44,10 +45,11 @@ func planValue(r *rand.Rand) string {
 
 // planBatch draws one batch. Most templates have a fixed shape, so their
 // literals change while the shape repeats; the IN list's length varies, so
-// a stream also has many shapes and the cache fills and empties.
+// a stream also has many shapes and the cache fills and empties. DDL
+// between repetitions changes what the statement plans were built on.
 func planBatch(r *rand.Rand, id *int) string {
 	*id++
-	switch r.Intn(16) {
+	switch r.Intn(19) {
 	case 0, 1:
 		return fmt.Sprintf("insert t1 (id, a, f, s) values (%d, %s, %s, %s)", *id, planNum(r), planNum(r), planStr(r))
 	case 2:
@@ -78,6 +80,13 @@ func planBatch(r *rand.Rand, id *int) string {
 	case 14:
 		return fmt.Sprintf("begin tran\ninsert t2 values (%d, %s, %s)\nupdate t1 set a = a + %s\n%s tran",
 			*id, planNum(r), planStr(r), planNum(r), pick(r, []string{"commit", "rollback"}))
+	case 15: // a second index on one column, or of one name, fails
+		col := pick(r, []string{"id", "a", "s"})
+		return fmt.Sprintf("create index t%s_%s on %s (%s)", col, pick(r, []string{"1", "2"}), pick(r, []string{"t1", "t2"}), col)
+	case 16: // t4's inserts fail until case 13 re-creates it
+		return fmt.Sprintf("alter table t4 add c%d %s null", *id, pick(r, []string{"int", "varchar(4)"}))
+	case 17:
+		return fmt.Sprintf("select t1.id, t2.s, t1.a from t1, t2 where t1.id = t2.id and t2.a > %s order by t1.id", planNum(r))
 	}
 	items := make([]string, 1+r.Intn(40))
 	for i := range items {
@@ -150,10 +159,11 @@ func TestPlanCacheDifferential(t *testing.T) {
 		id := 0
 		for i := 0; i < perSeed; i++ {
 			src := planBatch(r, &id)
-			if toks, err := sqllex.Tokenize(src); err == nil && cached.plans[string(sqlparse.AppendShape(nil, toks))] != nil {
+			if toks, err := sqllex.Tokenize(src); err == nil && cached.templates[string(sqlparse.AppendShape(nil, toks))] != nil {
 				hits++
 			}
 			got := dump(cached.ExecBatch(src))
+			fresh.forget() // procedure bodies, too, are planned afresh
 			want := dump(execParsed(fresh, src))
 			if got != want {
 				t.Fatalf("seed %d, batch %d:\n%s\ncached:\n%s\nparsed:\n%s", seed, i, src, got, want)
@@ -166,8 +176,8 @@ func TestPlanCacheDifferential(t *testing.T) {
 		if got, want := dumpTables(t, cached), dumpTables(t, fresh); got != want {
 			t.Fatalf("seed %d: tables differ\ncached:\n%s\nparsed:\n%s", seed, got, want)
 		}
-		if len(cached.plans) > planCap {
-			t.Fatalf("seed %d: %d cached shapes, cap %d", seed, len(cached.plans), planCap)
+		if len(cached.templates) > planCap {
+			t.Fatalf("seed %d: %d cached shapes, cap %d", seed, len(cached.templates), planCap)
 		}
 	}
 	// Anti-vacuity: most batches were bound into a cached plan, and the
@@ -204,7 +214,7 @@ func TestPlanCacheBindsLiterals(t *testing.T) {
 		t.Errorf("bad number on a hit: %v, parser says %v", err, want)
 	}
 	// use db, and three shapes of select: the first and last runs share one.
-	if n := len(s.plans); n != 4 {
+	if n := len(s.templates); n != 4 {
 		t.Errorf("%d cached shapes, want 4", n)
 	}
 }
@@ -213,17 +223,17 @@ func TestPlanCacheBindsLiterals(t *testing.T) {
 // batch with DDL is parsed every time and never cached.
 func TestPlanCacheSkipsDDL(t *testing.T) {
 	s, _ := newTestSession(t)
-	before := len(s.plans)
+	before := len(s.templates)
 	mustExec(t, s, "create table t (a varchar(10) null)\ninsert t values ('x')")
 	mustExec(t, s, "create procedure p as print 'p'")
 	mustExec(t, s, "drop procedure p")
-	if len(s.plans) != before {
-		t.Errorf("DDL batches cached: %d shapes, was %d", len(s.plans), before)
+	if len(s.templates) != before {
+		t.Errorf("DDL batches cached: %d shapes, was %d", len(s.templates), before)
 	}
 	for i := 0; i < planCap+10; i++ {
 		mustExec(t, s, "select 1"+strings.Repeat(", 1", i))
 	}
-	if n := len(s.plans); n == 0 || n > planCap {
+	if n := len(s.templates); n == 0 || n > planCap {
 		t.Errorf("%d cached shapes, cap %d", n, planCap)
 	}
 }

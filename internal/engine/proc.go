@@ -32,8 +32,12 @@ func (s *Session) execProcedureCall(st *sqlparse.Execute) (*sqltypes.ResultSet, 
 	}
 
 	// Bind arguments positionally, converting to the declared types.
-	// Unsupplied parameters default to NULL.
-	vars := make(map[string]sqltypes.Value, len(proc.Params))
+	// Unsupplied parameters default to NULL. A procedure without
+	// parameters declares no variable, so it needs no map.
+	var vars map[string]sqltypes.Value
+	if len(proc.Params) > 0 {
+		vars = make(map[string]sqltypes.Value, len(proc.Params))
+	}
 	for i, p := range proc.Params {
 		v := sqltypes.Null
 		if i < len(st.Args) {
@@ -50,15 +54,16 @@ func (s *Session) execProcedureCall(st *sqlparse.Execute) (*sqltypes.ResultSet, 
 	}
 
 	// Procedures execute in their home database with their own parameter
-	// scope; the caller's context is restored afterwards.
-	savedVars, savedDB := s.vars, s.db
-	s.vars = vars
+	// scope, and their body is a catalog object the session keeps plans
+	// for; the caller's context is restored afterwards.
+	savedVars, savedDB, savedReuse := s.vars, s.db, s.reuse
+	s.vars, s.reuse = vars, true
 	if dbName != "" {
 		s.db = dbName
 	}
 	s.procDepth++
 	defer func() {
-		s.vars, s.db = savedVars, savedDB
+		s.vars, s.db, s.reuse = savedVars, savedDB, savedReuse
 		s.procDepth--
 	}()
 

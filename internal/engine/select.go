@@ -7,7 +7,6 @@ import (
 
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
-	"github.com/activedb/ecaagent/internal/storage"
 )
 
 // execSelectStmt runs a SELECT, materializing the result. SELECT ... INTO
@@ -48,95 +47,92 @@ type sourceRow []sqltypes.Row
 
 // runSelect evaluates the SELECT and returns the materialized rows.
 func (s *Session) runSelect(st *sqlparse.Select) (*sqltypes.ResultSet, error) {
+	p := s.planFor(st)
+	defer p.release()
 	// FROM-less SELECT: evaluate items once against no frames.
 	if len(st.From) == 0 {
-		return s.selectWithoutFrom(st)
+		return s.selectWithoutFrom(st, p)
 	}
 
-	frames := make([]*frame, len(st.From))
-	tables := make([]*storage.Table, len(st.From))
-	indexed := false
-	for i, ref := range st.From {
-		tbl, err := s.resolveTable(ref.Name)
-		if err != nil {
+	fits, err := s.resolve(p, st.From)
+	if err != nil {
+		return nil, err
+	}
+	if !fits {
+		if err := s.planSelect(st, p); err != nil {
 			return nil, err
 		}
-		frames[i] = newFrame(ref, tbl.Schema(), s.db)
-		tables[i] = tbl
-		indexed = indexed || tbl.HasIndex()
 	}
 
-	// Compile-time column validation (matters when zero rows match).
-	if err := s.validateColumns(st.Where, frames); err != nil {
-		return nil, err
+	// Probe hash indexes where the plan found a usable conjunct;
+	// otherwise (and always when no FROM table has an index) the
+	// nested-loop cartesian product.
+	var matched []sourceRow
+	planned := false
+	if p.steps != nil {
+		matched, planned = s.joinIndexed(st.Where, p)
+	}
+	if !planned {
+		if matched, err = s.joinScan(st.Where, p); err != nil {
+			return nil, err
+		}
+	}
+
+	if p.grouped {
+		return s.selectGrouped(st, p, matched)
+	}
+	return s.selectPlain(st, p, matched)
+}
+
+// planSelect builds p for st against the FROM tables p.tables holds:
+// frames, compile-time column validation (which matters when zero rows
+// match), the join plan and the projection list.
+func (s *Session) planSelect(st *sqlparse.Select, p *plan) error {
+	s.rebuild(p, st.From)
+	if err := s.validateColumns(st.Where, p.frames); err != nil {
+		return err
 	}
 	for _, item := range st.Items {
 		if !item.Star {
-			if err := s.validateColumns(item.Expr, frames); err != nil {
-				return nil, err
+			if err := s.validateColumns(item.Expr, p.frames); err != nil {
+				return err
 			}
 		}
 	}
 	for _, ge := range st.GroupBy {
-		if err := s.validateColumns(ge, frames); err != nil {
-			return nil, err
+		if err := s.validateColumns(ge, p.frames); err != nil {
+			return err
 		}
 	}
-	if err := s.validateColumns(st.Having, frames); err != nil {
-		return nil, err
+	if err := s.validateColumns(st.Having, p.frames); err != nil {
+		return err
 	}
-
-	// Probe hash indexes where WHERE allows; otherwise (and always when no
-	// FROM table has an index) the nested-loop cartesian product.
-	var matched []sourceRow
-	planned := false
-	if indexed {
-		matched, planned = s.joinIndexed(st.Where, frames, tables)
-	}
-	if !planned {
-		var err error
-		if matched, err = s.joinScan(st.Where, frames, tables); err != nil {
-			return nil, err
+	for _, l := range p.refs {
+		if l.nidx > 0 {
+			p.vars = s.varsOf(st.Where, nil)
+			p.steps = s.planJoin(st.Where, p.frames, p.tables)
+			break
 		}
 	}
-
-	if len(st.GroupBy) > 0 || hasAggregates(st.Items) || hasAggregateExpr(st.Having) {
-		return s.selectGrouped(st, frames, matched)
+	p.grouped = len(st.GroupBy) > 0 || hasAggregates(st.Items) || hasAggregateExpr(st.Having)
+	if p.grouped {
+		p.projs = itemProjections(st.Items)
+	} else {
+		p.projs, p.projErr = s.buildProjections(st, p.frames)
 	}
-	return s.selectPlain(st, frames, matched)
+	p.built = true
+	return nil
 }
 
-func anyEmpty(lens []int) bool {
-	for _, n := range lens {
-		if n == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// advance increments a mixed-radix counter; false when it wraps.
-func advance(idx, lens []int) bool {
-	for i := len(idx) - 1; i >= 0; i-- {
-		idx[i]++
-		if idx[i] < lens[i] {
-			return true
-		}
-		idx[i] = 0
-	}
-	return false
-}
-
-func (s *Session) selectWithoutFrom(st *sqlparse.Select) (*sqltypes.ResultSet, error) {
+func (s *Session) selectWithoutFrom(st *sqlparse.Select, p *plan) (*sqltypes.ResultSet, error) {
 	if hasAggregates(st.Items) {
 		return nil, fmt.Errorf("aggregate without FROM")
 	}
 	if st.Where != nil || len(st.GroupBy) > 0 || st.Having != nil || len(st.OrderBy) > 0 {
 		return nil, fmt.Errorf("WHERE/GROUP/HAVING/ORDER require FROM")
 	}
-	schema := &sqltypes.Schema{}
-	row := sqltypes.Row{}
-	for i, item := range st.Items {
+	row := make(sqltypes.Row, 0, len(st.Items))
+	for _, item := range st.Items {
 		if item.Star {
 			return nil, fmt.Errorf("SELECT * requires FROM")
 		}
@@ -144,12 +140,12 @@ func (s *Session) selectWithoutFrom(st *sqlparse.Select) (*sqltypes.ResultSet, e
 		if err != nil {
 			return nil, err
 		}
-		schema.Columns = append(schema.Columns, sqltypes.Column{
-			Name: itemName(item, i), Type: typeOf(v), Nullable: true,
-		})
 		row = append(row, v)
 	}
-	return &sqltypes.ResultSet{Schema: schema, Rows: []sqltypes.Row{row}}, nil
+	if !p.built {
+		p.projs, p.built = itemProjections(st.Items), true
+	}
+	return &sqltypes.ResultSet{Schema: p.outputSchema(row), Rows: []sqltypes.Row{row}}, nil
 }
 
 // projection describes the output columns: either an expansion of a frame's
@@ -193,6 +189,16 @@ func (s *Session) buildProjections(st *sqlparse.Select, frames []*frame) ([]proj
 	return projs, nil
 }
 
+// itemProjections is the projection list of a select whose items are all
+// expressions: one that groups or has no FROM.
+func itemProjections(items []sqlparse.SelectItem) []projection {
+	projs := make([]projection, len(items))
+	for i, item := range items {
+		projs[i] = projection{expr: item.Expr, name: itemName(item, i)}
+	}
+	return projs
+}
+
 func itemName(item sqlparse.SelectItem, i int) string {
 	if item.Alias != "" {
 		return item.Alias
@@ -233,11 +239,7 @@ func projectionSchema(projs []projection, frames []*frame, firstRow sqltypes.Row
 			src := frames[p.frameIdx].schema.Column(p.colIdx)
 			col = sqltypes.Column{Name: p.name, Type: src.Type, Nullable: true}
 		} else {
-			typ := sqltypes.VarChar(255)
-			if firstRow != nil {
-				typ = typeOf(firstRow[i])
-			}
-			col = sqltypes.Column{Name: p.name, Type: typ, Nullable: true}
+			col = sqltypes.Column{Name: p.name, Type: exprType(firstRow, i), Nullable: true}
 		}
 		// Column names may repeat in SQL output; keep them as-is.
 		schema.Columns = append(schema.Columns, col)
@@ -245,38 +247,51 @@ func projectionSchema(projs []projection, frames []*frame, firstRow sqltypes.Row
 	return schema
 }
 
-func (s *Session) selectPlain(st *sqlparse.Select, frames []*frame, matched []sourceRow) (*sqltypes.ResultSet, error) {
-	projs, err := s.buildProjections(st, frames)
-	if err != nil {
-		return nil, err
+// exprType is the type of expression column i of a result whose first
+// row is firstRow: its value's, or varchar when the result is empty.
+func exprType(firstRow sqltypes.Row, i int) sqltypes.Type {
+	if firstRow == nil {
+		return sqltypes.VarChar(255)
 	}
-	type outRow struct {
-		row sqltypes.Row
-		src sourceRow
+	return typeOf(firstRow[i])
+}
+
+func (s *Session) selectPlain(st *sqlparse.Select, p *plan, matched []sourceRow) (*sqltypes.ResultSet, error) {
+	if p.projErr != nil {
+		return nil, p.projErr
 	}
-	var out []outRow
-	for _, sr := range matched {
+	frames, projs := p.frames, p.projs
+	rows := make([]sqltypes.Row, len(matched))
+	for n, sr := range matched {
 		for i := range frames {
 			frames[i].row = sr[i]
 		}
 		row := make(sqltypes.Row, len(projs))
-		for i, p := range projs {
-			if p.expr == nil {
-				row[i] = sr[p.frameIdx][p.colIdx]
+		for i, pr := range projs {
+			if pr.expr == nil {
+				row[i] = sr[pr.frameIdx][pr.colIdx]
 				continue
 			}
-			v, err := s.eval(p.expr, frames)
+			v, err := s.eval(pr.expr, frames)
 			if err != nil {
 				return nil, err
 			}
 			row[i] = v
 		}
-		out = append(out, outRow{row: row, src: sr})
+		rows[n] = row
 	}
 
 	// ORDER BY before DISTINCT projection-only handling: sort using source
 	// rows (expressions can reference any source column) or output aliases.
 	if len(st.OrderBy) > 0 {
+		type outRow struct {
+			row sqltypes.Row
+			src sourceRow
+		}
+		out := make([]outRow, len(rows))
+		for i, row := range rows {
+			out[i] = outRow{row: row, src: matched[i]}
+		}
 		var sortErr error
 		sort.SliceStable(out, func(a, b int) bool {
 			for _, ob := range st.OrderBy {
@@ -315,12 +330,11 @@ func (s *Session) selectPlain(st *sqlparse.Select, frames []*frame, matched []so
 		if sortErr != nil {
 			return nil, sortErr
 		}
+		for i, o := range out {
+			rows[i] = o.row
+		}
 	}
 
-	rows := make([]sqltypes.Row, len(out))
-	for i, o := range out {
-		rows[i] = o.row
-	}
 	if st.Distinct {
 		rows = distinctRows(rows)
 	}
@@ -328,7 +342,7 @@ func (s *Session) selectPlain(st *sqlparse.Select, frames []*frame, matched []so
 	if len(rows) > 0 {
 		first = rows[0]
 	}
-	return &sqltypes.ResultSet{Schema: projectionSchema(projs, frames, first), Rows: rows}, nil
+	return &sqltypes.ResultSet{Schema: p.outputSchema(first), Rows: rows}, nil
 }
 
 // orderKey evaluates an ORDER BY expression: output alias reference first,
@@ -411,10 +425,11 @@ func hasAggregateExpr(e sqlparse.Expr) bool {
 	return false
 }
 
-func (s *Session) selectGrouped(st *sqlparse.Select, frames []*frame, matched []sourceRow) (*sqltypes.ResultSet, error) {
+func (s *Session) selectGrouped(st *sqlparse.Select, p *plan, matched []sourceRow) (*sqltypes.ResultSet, error) {
 	if hasStarItems(st.Items) {
 		return nil, fmt.Errorf("SELECT * cannot be combined with aggregates")
 	}
+	frames := p.frames
 	// Partition matched rows into groups.
 	groups := make(map[string][]sourceRow)
 	var order []string
@@ -445,14 +460,7 @@ func (s *Session) selectGrouped(st *sqlparse.Select, frames []*frame, matched []
 		groups[""] = nil
 	}
 
-	schema := &sqltypes.Schema{}
-	for i, item := range st.Items {
-		schema.Columns = append(schema.Columns, sqltypes.Column{
-			Name: itemName(item, i), Type: sqltypes.VarChar(255), Nullable: true,
-		})
-	}
 	var rows []sqltypes.Row
-	typed := false
 	for _, key := range order {
 		group := groups[key]
 		if st.Having != nil {
@@ -472,13 +480,16 @@ func (s *Session) selectGrouped(st *sqlparse.Select, frames []*frame, matched []
 				return nil, err
 			}
 			row[i] = v
-			if !typed {
-				schema.Columns[i].Type = typeOf(v)
-			}
 		}
-		typed = true
 		rows = append(rows, row)
 	}
+	// The first row typed the columns before any sort, as projectionSchema
+	// does.
+	var first sqltypes.Row
+	if len(rows) > 0 {
+		first = rows[0]
+	}
+	schema := p.outputSchema(first)
 
 	if len(st.OrderBy) > 0 {
 		var sortErr error

@@ -278,30 +278,48 @@ go`
 func TestGatewayLoginAckMatchesServer(t *testing.T) {
 	d := startDeployment(t, catalog.New(), "")
 	defer d.stop()
-	loginAck := func(addr string) []byte {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tds.WritePacket(conn, tds.MarshalLogin(tds.Login{User: "sharma"})); err != nil {
-			t.Fatal(err)
-		}
-		pkt, err := tds.ReadPacket(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := tds.AppendPacket(nil, pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	if direct, via := loginAck(d.srv.Addr()), loginAck(d.agent.GatewayAddr()); !bytes.Equal(direct, via) {
+	if direct, via := rawLoginAck(t, d.srv.Addr(), ""), rawLoginAck(t, d.agent.GatewayAddr(), ""); !bytes.Equal(direct, via) {
 		t.Errorf("LoginAck through the gateway %q, direct %q", via, direct)
 	}
+}
+
+// TestGatewayLoginRejectMatchesServer: a login the server refuses is
+// refused through the gateway with the very same LoginAck packet, the
+// server's own message and nothing of the agent's.
+func TestGatewayLoginRejectMatchesServer(t *testing.T) {
+	d := startDeployment(t, catalog.New(), "")
+	defer d.stop()
+	direct, via := rawLoginAck(t, d.srv.Addr(), "nodb"), rawLoginAck(t, d.agent.GatewayAddr(), "nodb")
+	if !bytes.Equal(direct, via) {
+		t.Errorf("rejecting LoginAck through the gateway %q, direct %q", via, direct)
+	}
+	if !bytes.Contains(direct, []byte("database nodb does not exist")) {
+		t.Errorf("direct LoginAck %q does not name the missing database", direct)
+	}
+}
+
+// rawLoginAck logs in as sharma to db at addr and returns the LoginAck
+// packet's wire bytes.
+func rawLoginAck(t *testing.T, addr, db string) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tds.WritePacket(conn, tds.MarshalLogin(tds.Login{User: "sharma", Database: db})); err != nil {
+		t.Fatal(err)
+	}
+	pkt, err := tds.ReadPacket(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := tds.AppendPacket(nil, pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }

@@ -196,7 +196,13 @@ func (s *OpenServer) serveConn(conn net.Conn) {
 		if sess == nil {
 			ack := tds.LoginAck{OK: true, Message: "login succeeded"}
 			if sess, err = s.login(pkt); err != nil {
+				// A refusal another server sent (the gateway relays its
+				// upstream's) goes back with that server's text alone.
 				ack = tds.LoginAck{Message: err.Error()}
+				var rej *tds.LoginRejected
+				if errors.As(err, &rej) {
+					ack.Message = rej.Msg
+				}
 			}
 			if err := tds.WritePacket(conn, tds.MarshalLoginAck(ack)); err != nil || !ack.OK {
 				return

@@ -118,6 +118,8 @@ func (r Row) Equal(o Row) bool {
 // the unit the engine returns, the wire protocol transports, and the client
 // library exposes.
 type ResultSet struct {
+	// Schema is read-only: the engine hands one schema to every run of a
+	// statement whose output columns keep their types.
 	Schema *Schema
 	Rows   []Row
 	// Messages carries informational output (PRINT statements, trigger

@@ -129,11 +129,13 @@ func (t *Table) indexDefs() []IndexDef {
 	return out
 }
 
-// HasIndex reports whether any column of the table is indexed.
-func (t *Table) HasIndex() bool {
+// Layout returns the table's schema (shared, read-only) and how many
+// indexes it has. Indexes are only ever added, so a caller that sees the
+// same schema and count again on the same table sees the same layout.
+func (t *Table) Layout() (*sqltypes.Schema, int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.indexes) > 0
+	return t.schema, len(t.indexes)
 }
 
 // IndexedColumn reports whether column position col carries an index.

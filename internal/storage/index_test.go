@@ -213,7 +213,7 @@ func TestCreateIndexRejects(t *testing.T) {
 			t.Errorf("CreateIndex(%s, %s) = %v, want %q", tc.name, tc.col, err, tc.want)
 		}
 	}
-	if !tbl.HasIndex() || !tbl.IndexedColumn(0) || tbl.IndexedColumn(1) {
+	if _, n := tbl.Layout(); n != 1 || !tbl.IndexedColumn(0) || tbl.IndexedColumn(1) {
 		t.Error("index bookkeeping")
 	}
 }

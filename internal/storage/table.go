@@ -36,6 +36,13 @@ func NewTable(schema *sqltypes.Schema) *Table {
 	return &Table{schema: schema.Clone()}
 }
 
+// NewTableOn creates an empty table on schema itself, not a copy. The
+// caller hands schema over and must never write to it again; tables that
+// share one schema stay independent, since no table writes its schema.
+func NewTableOn(schema *sqltypes.Schema) *Table {
+	return &Table{schema: schema}
+}
+
 // Schema returns the table's schema: shared and read-only. AddColumn
 // installs a new schema rather than changing this one.
 func (t *Table) Schema() *sqltypes.Schema {
@@ -182,22 +189,28 @@ func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.
 func (t *Table) Delete(pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var removed []sqltypes.Row
-	kept := make([]sqltypes.Row, 0, len(t.rows))
-	for _, r := range t.rows {
+	// kept is allocated at the first match, so a delete that matches
+	// nothing allocates nothing, and it is a fresh slice, so the table is
+	// untouched on error. It keeps the old capacity: the next insert then
+	// appends without growing it.
+	var removed, kept []sqltypes.Row
+	for i, r := range t.rows {
 		match, err := pred(r)
 		if err != nil {
-			// kept is a fresh slice, so the table is untouched on error.
 			return nil, err
 		}
-		if match {
+		switch {
+		case match:
+			if removed == nil {
+				kept = append(make([]sqltypes.Row, 0, len(t.rows)), t.rows[:i]...)
+			}
 			removed = append(removed, r)
-		} else {
+		case removed != nil:
 			kept = append(kept, r)
 		}
 	}
-	t.rows = kept
 	if len(removed) > 0 {
+		t.rows = kept
 		t.changed(true)
 	}
 	return removed, nil

@@ -213,6 +213,12 @@ type LoginAck struct {
 	Message string
 }
 
+// LoginRejected is a login the remote side refused; Msg is the text of
+// its LOGINACK.
+type LoginRejected struct{ Msg string }
+
+func (e *LoginRejected) Error() string { return "login rejected: " + e.Msg }
+
 // MarshalLoginAck encodes a LOGINACK packet.
 func MarshalLoginAck(a LoginAck) Packet {
 	var e encoder
