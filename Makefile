@@ -16,10 +16,16 @@ check: fmt vet lint lint-fix-check build race differential cep-differential cras
 # second check is waiver hygiene: every //ecavet:allow needs an analyzer
 # name AND a reason, and `make fmt` rejects reasonless ones before the
 # analyzers even run (fixtures under testdata exercise malformed waivers
-# on purpose and are excluded).
+# on purpose and are excluded). The third check rejects a same-name copy
+# such as `x := x` or `a, b := a, b`: since go 1.22 each loop iteration
+# has its own variables, so the copy is dead, and it can shadow a counter
+# the loop means to advance.
 fmt:
 	@out=$$(gofmt -l . | grep -v testdata); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@copies=$$(grep -rnE --include='*.go' '^\s*(\w+) := \1\s*$$|^\s*(\w+), (\w+) := \2, \3\s*$$|^\s*(\w+), (\w+), (\w+) := \4, \5, \6\s*$$' . | grep -v testdata); \
+	if [ -n "$$copies" ]; then \
+		echo "dead same-name copies (each loop iteration has its own variables since go 1.22):"; echo "$$copies"; exit 1; fi
 	@bad=$$(grep -rn --include='*.go' --exclude='*_test.go' -E '//ecavet:allow[[:space:]]*([[:alnum:]_]+[[:space:]]*)?$$' . | grep -v testdata); \
 	if [ -n "$$bad" ]; then \
 		echo "ecavet waivers need a reason (//ecavet:allow <analyzer> <reason>):"; echo "$$bad"; exit 1; fi
@@ -98,20 +104,24 @@ differential:
 cep-differential:
 	$(GO) test -race -count=1 -run 'TestCEPDifferential|TestWindowPropertyRandom' ./internal/led
 
-# The crash-recovery equivalence proof: every Snoop operator under every
-# parameter context, killed at three named crash points per cell with a
-# fixed seed matrix, restarted over the surviving files, and required to
-# reproduce the crash-free oracle's occurrence set and action multiset.
-# The drain/DLQ/watermark restart satellites ride along, all under -race.
+# The crash-recovery equivalence proof (internal/scenario): every Snoop
+# and CEP operator under every parameter context (64 cells), each killed
+# three times with the agent's seven crash points dealt out in turn,
+# restarted over the surviving files, and required to reproduce the
+# crash-free oracle's occurrence set and action multiset; plus the
+# due-timer recovery regression cell. The drain/DLQ/watermark restart
+# satellites ride along, all under -race.
 crash-suite:
-	$(GO) test -race -count=1 -run 'TestCrashDifferential|TestDLQPersistsAcrossRestart|TestWatermarkSeededBeforeDeliver|TestCloseDrainDeadlineWedged|TestRecoveryMetricsExposed|TestWALDecodeDamage|TestCheckpointDecodeDamage|TestCheckpointRoundTrip' ./internal/agent
+	$(GO) test -race -count=1 -run 'TestCrashDifferential|TestRecoveryFiresDueTimers|TestDLQPersistsAcrossRestart|TestWatermarkSeededBeforeDeliver|TestCloseDrainDeadlineWedged|TestRecoveryMetricsExposed|TestWALDecodeDamage|TestCheckpointDecodeDamage|TestCheckpointRoundTrip' ./internal/agent
 
-# The cluster failover proof (DESIGN.md §10): the hot pair killed at the
-# agent's seven durability crash points plus the mid-replication windows,
-# the promoted standby required to reproduce the crash-free oracle's
-# occurrence set and action multiset for every Snoop operator x context,
-# with promotion latency asserted on a deterministic clock; the sync-ship
-# RPO=0 matrix and SQL-lease zombie cell (ISSUE 9); zombie fencing under
+# The cluster failover proof (DESIGN.md §10, internal/scenario): the hot
+# pair killed at the agent's seven durability crash points plus the four
+# mid-replication windows, the promoted standby required to reproduce the
+# crash-free oracle's occurrence set and action multiset for every
+# operator x context (64 cells), with promotion latency asserted on a
+# deterministic clock; the same pair in sync mode killed once at each of
+# the 11 points with RPO=0 asserted on the raw replica, and the SQL-lease
+# zombie cell; zombie fencing under
 # a faults.Pipe partition and the replication frame/shipper/applier tests
 # ride along. The hard -timeout turns a wedged promotion into a loud
 # failure instead of a hung gate. Output tees to cluster-chaos.log (CI uploads it on failure), and

@@ -10,7 +10,6 @@ import (
 // non-empty output, so figure regeneration cannot silently rot.
 func TestEveryFigureRegenerates(t *testing.T) {
 	for _, id := range figureIDs() {
-		id := id
 		t.Run("figure"+id, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := figures[id].fn(&buf); err != nil {

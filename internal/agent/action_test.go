@@ -3,12 +3,23 @@ package agent
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/sqltypes"
 )
+
+// isActionBatch reports whether a batch runs a rule action's procedure.
+func isActionBatch(b string) bool {
+	for _, line := range strings.Split(b, "\n") {
+		if strings.HasPrefix(line, "execute ") {
+			return true
+		}
+	}
+	return false
+}
 
 // gatedUpstream holds rule-action batches until open is closed, then lets
 // them through — an upstream that is slow, not broken. The first held

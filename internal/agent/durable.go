@@ -496,6 +496,12 @@ func (a *Agent) recoverDurable() error {
 					d.met.replayed.Inc()
 				}
 			}
+			// Logical timers the restored state already holds due (a window
+			// boundary, a P* tick) fire now, while the done marks replayed
+			// above still cover their actions and before the resync below
+			// adds later occurrences: the recovery checkpoint prunes those
+			// marks, and a firing after it would run its action twice.
+			a.led.FireTimersUpTo(a.led.Now())
 			a.led.Wait() // detached replay detections must land in the ledger
 			d.replaying.Store(false)
 		}

@@ -3,6 +3,7 @@ package agent
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -280,11 +281,11 @@ func TestRecoveryMetricsExposed(t *testing.T) {
 // once.
 func TestWALSyncNoneAtLeastOnce(t *testing.T) {
 	r := newDurableRig(t)
-	before, after := &actionRecorder{}, &actionRecorder{}
+	before, after := &actionLog{}, &actionLog{}
 	crash := faults.NewCrashSet()
 	crash.Arm("action.preExec", 2) // the second occurrence's action never runs
 	a1 := r.start(func(c *Config) {
-		c.Dial = recordingDialer(r.eng, before)
+		c.Dial = before.dial(LocalDialer(r.eng))
 		c.Durability.WALSync = WALSyncNone
 		c.Durability.Crash = crash
 	})
@@ -312,13 +313,15 @@ func TestWALSyncNoneAtLeastOnce(t *testing.T) {
 	r.fs.Crash()
 	r.fs.Restart()
 	a2 := r.start(func(c *Config) {
-		c.Dial = recordingDialer(r.eng, after)
+		c.Dial = after.dial(LocalDialer(r.eng))
 		c.Durability.WALSync = WALSyncNone
 	})
 	defer a2.Close()
 	a2.WaitActions()
-	ran := func(rec *actionRecorder, vno int) bool {
-		for _, batch := range rec.snapshot() {
+	ran := func(log *actionLog, vno int) bool {
+		log.mu.Lock()
+		defer log.mu.Unlock()
+		for _, batch := range log.batches {
 			if strings.Contains(batch, fmt.Sprintf("', %d)\n", vno)) {
 				return true
 			}
@@ -331,6 +334,37 @@ func TestWALSyncNoneAtLeastOnce(t *testing.T) {
 	if !ran(before, 1) && !ran(after, 1) {
 		t.Error("vNo 1's action never ran")
 	}
+}
+
+// actionLog keeps the rule-action batches an upstream ran.
+type actionLog struct {
+	mu      sync.Mutex
+	batches []string
+}
+
+func (l *actionLog) dial(inner UpstreamDialer) UpstreamDialer {
+	return func(user, db string) (Upstream, error) {
+		up, err := inner(user, db)
+		if err != nil {
+			return nil, err
+		}
+		return loggedUpstream{up, l}, nil
+	}
+}
+
+type loggedUpstream struct {
+	Upstream
+	l *actionLog
+}
+
+func (u loggedUpstream) Exec(sql string) ([]*sqltypes.ResultSet, error) {
+	rs, err := u.Upstream.Exec(sql)
+	if err == nil && isActionBatch(sql) {
+		u.l.mu.Lock()
+		u.l.batches = append(u.l.batches, sql)
+		u.l.mu.Unlock()
+	}
+	return rs, err
 }
 
 func grepLines(s, substr string) string {

@@ -14,6 +14,7 @@ import (
 	"github.com/activedb/ecaagent/internal/faults"
 	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/obs"
+	"github.com/activedb/ecaagent/internal/scenario"
 	"github.com/activedb/ecaagent/internal/storage"
 )
 
@@ -109,11 +110,11 @@ func TestStandbyRecoveryPinsDurablePrefixOnTornTail(t *testing.T) {
 	applier := NewApplier(stbFS, met)
 	ship := NewShipFS(priFS, applier.Apply, nil, met)
 
-	priActs := &foActionRecorder{}
+	priActs := &scenario.ActionRecorder{}
 	pri, err := agent.New(agent.Config{
-		Dial:       foRecordingDialer(eng, priActs),
+		Dial:       scenario.RecordingDialer(eng, priActs),
 		NotifyAddr: "-",
-		Clock:      led.NewManualClock(foClockBase),
+		Clock:      led.NewManualClock(scenario.Base),
 		Logf:       func(string, ...any) {},
 		Durability: &agent.Durability{FS: ship, WALSync: agent.WALSyncAlways},
 	})
@@ -229,11 +230,11 @@ func TestStandbyRecoveryPinsDurablePrefixOnTornTail(t *testing.T) {
 	// shadow tables instead of trusting the divergent suffix.
 	var logMu sync.Mutex
 	var logs []string
-	stbActs := &foActionRecorder{}
+	stbActs := &scenario.ActionRecorder{}
 	stb, err := agent.New(agent.Config{
-		Dial:       foRecordingDialer(eng, stbActs),
+		Dial:       scenario.RecordingDialer(eng, stbActs),
 		NotifyAddr: "-",
-		Clock:      led.NewManualClock(foClockBase),
+		Clock:      led.NewManualClock(scenario.Base),
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -261,7 +262,7 @@ func TestStandbyRecoveryPinsDurablePrefixOnTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	stb.WaitActions()
-	if got := stbActs.snapshot(); len(got) != 1 {
+	if got := stbActs.Snapshot(); len(got) != 1 {
 		t.Fatalf("standby re-ran %d action(s) after resync, want exactly 1 (the torn occurrence): %v", len(got), got)
 	}
 
@@ -274,7 +275,7 @@ func TestStandbyRecoveryPinsDurablePrefixOnTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	stb.WaitActions()
-	if got := stbActs.snapshot(); len(got) != 2 {
+	if got := stbActs.Snapshot(); len(got) != 2 {
 		t.Fatalf("post-recovery insert did not fire: %d action(s) recorded: %v", len(got), got)
 	}
 }

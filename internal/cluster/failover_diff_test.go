@@ -1,572 +1,307 @@
 package cluster
 
 import (
-	"fmt"
-	"sort"
+	"os"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/activedb/ecaagent/internal/agent"
-	"github.com/activedb/ecaagent/internal/catalog"
-	"github.com/activedb/ecaagent/internal/engine"
 	"github.com/activedb/ecaagent/internal/faults"
 	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/obs"
-	"github.com/activedb/ecaagent/internal/sqltypes"
+	"github.com/activedb/ecaagent/internal/scenario"
 )
 
-// The failover-differential suite: for every Snoop operator under every
-// parameter context, the same workload is driven twice — once against a
-// crash-free single-node oracle, once against a two-node cluster whose
-// primary is killed mid-run at a named crash point (the agent's seven
-// durability points plus the mid-replication windows ShipFS exposes).
-// The standby detects the silence on a deterministic clock, promotes
-// after the configured run of missed heartbeats, and finishes the
-// workload. The promoted node must produce exactly the oracle's
-// occurrence set and exactly the oracle's action multiset: failover
-// loses nothing and double-fires nothing.
-
-var foClockBase = time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+// The failover proofs: the scenario workload (internal/scenario) against
+// a two-node pair whose primary is killed at a named crash point — the
+// agent's seven durability points plus the four mid-replication windows
+// ShipFS exposes. The standby detects the silence on a deterministic
+// clock, promotes after the configured run of missed heartbeats, and
+// finishes the workload; it must reproduce the crash-free oracle's
+// occurrence set and action multiset. The two suites differ only in the
+// replication sink: an in-process Applier (TestFailoverDifferential), or
+// a loopback Shipper whose ack barrier gates every durable write, with a
+// SyncController halting on failure (TestSyncShipRPOZero). Sync mode also
+// asserts RPO=0 on the raw replica files before promotion, replay or
+// resync could mask a loss.
 
 const (
-	foInterval = 500 * time.Millisecond
-	foMisses   = 3
-	// foPromoteBound bounds crash-to-promotion in *control* time: the
-	// miss hysteresis plus one interval of slack. Asserted on the manual
-	// clock, so it is exact, not a race against the scheduler.
-	foPromoteBound = (foMisses + 1) * foInterval
+	hbInterval = 500 * time.Millisecond
+	hbMisses   = 3
+	// promoteBound bounds crash-to-promotion in control time: the miss
+	// hysteresis plus one interval of slack. Asserted on the manual clock,
+	// so it is exact, not a race against the scheduler.
+	promoteBound = (hbMisses + 1) * hbInterval
 )
 
-// foActionRecorder captures rule-action executions at the upstream Exec
-// level, surviving agent restarts and failovers.
-type foActionRecorder struct {
-	mu      sync.Mutex
-	batches []string
-}
-
-func foIsActionBatch(b string) bool {
-	for _, line := range strings.Split(b, "\n") {
-		if strings.HasPrefix(line, "execute ") {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *foActionRecorder) record(batch string) {
-	if !foIsActionBatch(batch) {
-		return
-	}
-	r.mu.Lock()
-	r.batches = append(r.batches, batch)
-	r.mu.Unlock()
-}
-
-func (r *foActionRecorder) snapshot() []string {
-	r.mu.Lock()
-	out := append([]string(nil), r.batches...)
-	r.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-type foRecordingUpstream struct {
-	up  agent.Upstream
-	rec *foActionRecorder
-}
-
-func (u foRecordingUpstream) Exec(sql string) ([]*sqltypes.ResultSet, error) {
-	rs, err := u.up.Exec(sql)
-	if err == nil {
-		u.rec.record(sql)
-	}
-	return rs, err
-}
-
-func (u foRecordingUpstream) Close() error { return u.up.Close() }
-
-func foRecordingDialer(eng *engine.Engine, rec *foActionRecorder) agent.UpstreamDialer {
-	inner := agent.LocalDialer(eng)
-	return func(user, db string) (agent.Upstream, error) {
-		up, err := inner(user, db)
-		if err != nil {
-			return nil, err
-		}
-		return foRecordingUpstream{up: up, rec: rec}, nil
-	}
-}
-
-// foOccRecorder collects the primitive-occurrence set keyed (event, vNo);
-// replay re-forwards records, so set semantics absorb the duplicates.
-type foOccRecorder struct {
-	mu   sync.Mutex
-	seen map[string]bool
-}
-
-func (r *foOccRecorder) add(p led.Primitive) {
-	r.mu.Lock()
-	if r.seen == nil {
-		r.seen = make(map[string]bool)
-	}
-	r.seen[fmt.Sprintf("%s|%d", p.Event, p.VNo)] = true
-	r.mu.Unlock()
-}
-
-func (r *foOccRecorder) snapshot() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.seen))
-	for k := range r.seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-type foStep struct {
-	advance time.Duration
-	insert  string
-	ckpt    bool
-}
-
-var foScript = []foStep{
-	{advance: time.Second, insert: "ta"},
-	{advance: time.Second, insert: "tb"},
-	{ckpt: true},
-	{advance: time.Second, insert: "tc"},
-	{advance: time.Second, insert: "ta"},
-	{insert: "tb"},
-	{advance: 2 * time.Second, insert: "tc"},
-	{ckpt: true},
-	{advance: time.Second, insert: "ta"},
-	{insert: "tb"},
-	{insert: "tc"},
-	{advance: 5 * time.Second},
-}
-
-var foOperators = []struct{ name, expr string }{
-	{"or", "ea | eb"},
-	{"and", "ea ^ eb"},
-	{"seq", "ea ; eb"},
-	{"not", "not(ea, eb, ec2)"},
-	{"aperiodic", "A(ea, eb, ec2)"},
-	{"aperiodic-star", "A*(ea, eb, ec2)"},
-	{"periodic", "P(ea, [2 sec], ec2)"},
-	{"periodic-star", "P*(ea, [2 sec], ec2)"},
-	{"plus", "ea plus [3 sec]"},
-	{"temporal", "[2030-01-01 00:00:07]"},
-}
-
-var foContexts = []string{"RECENT", "CHRONICLE", "CONTINUOUS", "CUMULATIVE"}
-
-// foCrashes arms the agent's seven durability crash points plus the
-// mid-replication windows: between a local occurrence append and its ship
-// (repl.preShip.occ — the standby must gap-fill via resync), just after
-// (repl.postShip.occ — the standby must dedup the replayed record), and
-// the same pair around a checkpoint image ship. The nth counts include
-// boot-time recovery hits, matching the single-node suite.
-var foCrashes = []struct {
-	point string
-	nth   int
-}{
-	{"ingest.preWAL", 2},
-	{"ingest.postWAL", 4},
-	{"action.preExec", 3},
-	{"action.postDone", 2},
-	{"ckpt.beforeRename", 2},
-	{"ckpt.afterRename", 2},
-	{"ckpt.begin", 3},
-	{"repl.preShip.occ", 3},
-	{"repl.postShip.occ", 3},
-	{"repl.preShip.ckpt", 2},
-	{"repl.postShip.ckpt", 2},
-}
-
-// foRun is one cluster lifetime: engine, recorders, both durable
-// directories, and the control clock survive the primary's death; the
-// data clock is re-created at the promotion instant exactly like a
-// single-node restart (a dead process's pending timers die with it).
-type foRun struct {
-	t    *testing.T
-	eng  *engine.Engine
-	acts *foActionRecorder
-	occs *foOccRecorder
-
-	priFS *faults.CrashDir // primary's durable directory
-	stbFS *faults.CrashDir // standby's replica directory
-
-	dataClock *led.ManualClock // LED temporal operators
-	ctrlClock *led.ManualClock // heartbeats + failure detection
-
-	auth    *EpochRegistry
-	metA    *Metrics
-	metB    *Metrics
-	applier *Applier
-	hb      *Heartbeater
-	monitor *Monitor
-	crash   *faults.CrashSet
-
-	agent  *agent.Agent
-	driver *engine.Session
-}
-
-func newFORun(t *testing.T, seed int64, crash *faults.CrashSet) *foRun {
+// chaosSeed reads CHAOS_SEED (default 0): the value offsets every kill's
+// seed, and a failing cell prints the seed to replay with.
+func chaosSeed(t *testing.T) int64 {
 	t.Helper()
-	r := &foRun{
-		t:         t,
-		eng:       engine.New(catalog.New()),
-		acts:      &foActionRecorder{},
-		occs:      &foOccRecorder{},
-		priFS:     faults.NewCrashDir(seed),
-		stbFS:     faults.NewCrashDir(seed + 1000),
-		dataClock: led.NewManualClock(foClockBase),
-		ctrlClock: led.NewManualClock(foClockBase),
+	raw := os.Getenv("CHAOS_SEED")
+	if raw == "" {
+		return 0
+	}
+	n, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil {
+		t.Fatalf("CHAOS_SEED=%q is not an integer: %v", raw, err)
+	}
+	return n
+}
+
+// pair is one cluster lifetime: the engine, the recorders, both durable
+// directories and the control clock survive the primary's death; the data
+// clock is re-created at the promotion instant like a single-node restart.
+type pair struct {
+	*scenario.Run
+	sync bool
+
+	priFS, stbFS *faults.CrashDir
+	ctrlClock    *led.ManualClock // heartbeats + failure detection
+
+	auth       *EpochRegistry
+	metA, metB *Metrics
+	applier    *Applier
+	hb         *Heartbeater
+	monitor    *Monitor
+
+	// sync mode only
+	shipper    *Shipper
+	ctl        *SyncController
+	stopListen func()
+}
+
+func newPair(t *testing.T, k scenario.Kill, sync bool) *pair {
+	t.Helper()
+	p := &pair{
+		Run:       scenario.NewRun(t, k.Arm()),
+		sync:      sync,
+		priFS:     faults.NewCrashDir(k.Seed),
+		stbFS:     faults.NewCrashDir(k.Seed + 1000),
+		ctrlClock: led.NewManualClock(scenario.Base),
 		auth:      NewEpochRegistry(),
-		crash:     crash,
+		metA:      NewMetrics(obs.NewRegistry()),
+		metB:      NewMetrics(obs.NewRegistry()),
 	}
-	r.metA = NewMetrics(obs.NewRegistry())
-	r.metB = NewMetrics(obs.NewRegistry())
-	seed0 := r.eng.NewSession("sharma")
-	if _, err := seed0.ExecScript(`create database fodb
-use fodb
-create table ta (x int null)
-create table tb (x int null)
-create table tc (x int null)`); err != nil {
-		t.Fatal(err)
-	}
-	r.startPrimary()
-	return r
+	p.startPrimary()
+	return p
 }
 
-// startPrimary boots node A: fenced upstream, ShipFS tee into the
-// standby's applier (synchronous in-process replication — the
-// exactly-once setting), heartbeats and failure detection on the control
-// clock.
-func (r *foRun) startPrimary() {
-	r.t.Helper()
-	epoch, err := r.auth.Acquire("A")
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	tokA := &Token{}
-	tokA.Set(epoch)
-	r.metA.SetRole(RolePrimary)
-	r.metB.SetRole(RoleStandby)
-
-	r.applier = NewApplier(r.stbFS, r.metB)
-	ship := NewShipFS(r.priFS, r.applier.Apply, r.crash, r.metA)
-
-	a, err := agent.New(agent.Config{
-		Dial:       FencedDialer(foRecordingDialer(r.eng, r.acts), r.auth, tokA, r.metA),
-		NotifyAddr: "-",
-		Clock:      r.dataClock,
-		Forward:    r.occs.add,
-		Logf:       func(string, ...any) {},
-		Durability: &agent.Durability{FS: ship, WALSync: agent.WALSyncAlways, Crash: r.crash},
-	})
-	if err != nil {
-		r.t.Fatalf("starting primary: %v", err)
-	}
-	r.agent = a
-	r.bindDriver()
-
-	r.hb = NewHeartbeater(r.ctrlClock, foInterval, tokA, r.applier.Apply, r.metA)
-	r.monitor = NewMonitor(MonitorConfig{
-		Clock:    r.ctrlClock,
-		Interval: foInterval,
-		Misses:   foMisses,
-	}, r.metB, nil)
-	r.applier.OnHeartbeat = r.monitor.Beat
-	r.monitor.Start()
-	r.hb.Start()
-}
-
-func (r *foRun) bindDriver() {
-	r.t.Helper()
-	a := r.agent
-	r.eng.SetNotifier(func(host string, port int, msg string) error {
-		a.Deliver(msg)
-		return nil
-	})
-	r.driver = r.eng.NewSession("sharma")
-	if err := r.driver.Use("fodb"); err != nil {
-		r.t.Fatal(err)
-	}
-}
-
-func (r *foRun) setup(expr, ctx string) {
-	r.t.Helper()
-	cs, err := r.agent.NewClientSession("sharma", "fodb")
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	defer cs.Close()
-	for _, ddl := range []string{
-		"create trigger fo_pa on ta for insert event ea as print 'pa'",
-		"create trigger fo_pb on tb for insert event eb as print 'pb'",
-		"create trigger fo_pc on tc for insert event ec2 as print 'pc'",
-		fmt.Sprintf("create trigger fo_comp event comp = %s %s as print 'comp'", expr, ctx),
-	} {
-		if _, err := cs.Exec(ddl); err != nil {
-			r.t.Fatalf("setup %q: %v", ddl, err)
+// startPrimary boots node A: a fenced upstream, a ShipFS tee into the
+// standby's applier, heartbeats and failure detection on the control
+// clock. Heartbeats reach the applier directly in both modes, so failure
+// detection stays exactly on the manual control clock.
+func (p *pair) startPrimary() {
+	p.T.Helper()
+	tokA := p.token("A")
+	p.metA.SetRole(RolePrimary)
+	p.metB.SetRole(RoleStandby)
+	p.applier = NewApplier(p.stbFS, p.metB)
+	dur := &agent.Durability{WALSync: agent.WALSyncAlways, Crash: p.Crash}
+	sink := p.applier.Apply
+	var ship *ShipFS
+	if p.sync {
+		addr, stop, err := ListenStandby("127.0.0.1:0", p.applier)
+		if err != nil {
+			p.T.Fatalf("standby listener: %v", err)
 		}
-	}
-}
-
-func (r *foRun) step(s foStep) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := faults.IsCrash(rec); !ok {
-				panic(rec)
+		p.stopListen = stop
+		p.shipper = NewShipper(ShipperConfig{
+			Addr:       addr,
+			Node:       "A",
+			Tok:        tokA,
+			Snapshot:   func() ([]Frame, error) { return ship.SnapshotFrames() },
+			SyncWindow: 4,
+			AckTimeout: 10 * time.Second, // loopback acks are fast; a trip here is a real bug
+		}, p.metA)
+		p.ctl = NewSyncController(SyncConfig{Mode: ReplModeSync, Degrade: DegradeHalt, Clock: p.ctrlClock},
+			p.shipper.Barrier, p.metA)
+		// Every WAL frame waits for the standby's durable ack, so the
+		// replica holds everything the primary completed — occurrence
+		// records and action-done records alike.
+		sink = func(f Frame) error {
+			err := p.shipper.Ship(f)
+			if err == nil {
+				err = p.shipper.Barrier()
 			}
+			p.ctl.ObserveShip(err)
+			return err
 		}
-	}()
-	if s.advance > 0 {
-		r.dataClock.Advance(s.advance)
+		dur.ShipBarrier = p.ctl.Barrier
 	}
-	if s.insert != "" {
-		if _, err := r.driver.ExecScript("insert " + s.insert + " values (1)"); err != nil {
-			r.t.Errorf("insert %s: %v", s.insert, err)
-		}
+	ship = NewShipFS(p.priFS, sink, p.Crash, p.metA)
+	dur.FS = ship
+	p.Boot(FencedDialer(p.Dialer(), p.auth, tokA, p.metA), dur)
+	if p.sync {
+		p.Agent.SetReadinessGate(p.ctl.Ready)
 	}
-	if s.ckpt {
-		if err := r.agent.Checkpoint(); err != nil {
-			r.t.Errorf("checkpoint: %v", err)
-		}
+
+	p.hb = NewHeartbeater(p.ctrlClock, hbInterval, tokA, p.applier.Apply, p.metA)
+	p.monitor = NewMonitor(MonitorConfig{Clock: p.ctrlClock, Interval: hbInterval, Misses: hbMisses}, p.metB, nil)
+	p.applier.OnHeartbeat = p.monitor.Beat
+	p.monitor.Start()
+	p.hb.Start()
+}
+
+func (p *pair) token(node string) *Token {
+	epoch, err := p.auth.Acquire(node)
+	if err != nil {
+		p.T.Fatal(err)
 	}
+	tok := &Token{}
+	tok.Set(epoch)
+	return tok
 }
 
 // failover is the kill-and-promote sequence: the dead primary's pending
 // work quiesces (pre-crash history), its directory drops unsynced writes,
 // its beacon dies with it, and control time advances interval by interval
-// until the monitor promotes — which must happen within the
-// deterministic deadline. The standby then boots a full agent over the
-// replica directory under a fresh fencing epoch.
-func (r *foRun) failover() {
-	r.t.Helper()
-	r.agent.WaitActions()
-	r.priFS.Crash()
-	r.hb.Stop()
-
-	crashAt := r.ctrlClock.Now()
-	for i := 0; i < foMisses+2 && !r.monitor.Promoted(); i++ {
-		r.ctrlClock.Advance(foInterval)
-	}
-	if !r.monitor.Promoted() {
-		r.t.Fatalf("standby did not promote after %v of silence", r.ctrlClock.Now().Sub(crashAt))
-	}
-	if took := r.ctrlClock.Now().Sub(crashAt); took > foPromoteBound {
-		r.t.Errorf("promotion took %v of control time, deadline %v", took, foPromoteBound)
-	}
-	r.monitor.Stop()
-	if err := r.applier.Close(); err != nil {
-		r.t.Fatalf("closing replica handles: %v", err)
+// until the monitor promotes — within the deterministic deadline. The
+// standby then boots a full agent over the replica directory under a
+// fresh fencing epoch.
+func (p *pair) failover() {
+	p.T.Helper()
+	p.Agent.WaitActions()
+	acked := p.Occs.Snapshot() // everything acknowledged before the kill
+	p.priFS.Crash()
+	p.hb.Stop()
+	if p.sync {
+		p.shipper.Close()
 	}
 
-	epoch, err := r.auth.Acquire("B")
-	if err != nil {
-		r.t.Fatal(err)
+	crashAt := p.ctrlClock.Now()
+	for i := 0; i < hbMisses+2 && !p.monitor.Promoted(); i++ {
+		p.ctrlClock.Advance(hbInterval)
 	}
-	tokB := &Token{}
-	tokB.Set(epoch)
-	r.metB.SetRole(RolePromoting)
-	r.metB.Promotions.Inc()
+	if !p.monitor.Promoted() {
+		p.T.Fatalf("standby did not promote after %v of silence", p.ctrlClock.Now().Sub(crashAt))
+	}
+	if took := p.ctrlClock.Now().Sub(crashAt); took > promoteBound {
+		p.T.Errorf("promotion took %v of control time, deadline %v", took, promoteBound)
+	}
+	p.monitor.Stop()
+	if p.sync {
+		p.stopListen()
+	}
+	if err := p.applier.Close(); err != nil {
+		p.T.Fatalf("closing replica handles: %v", err)
+	}
+	if p.sync {
+		p.checkRPOZero(acked)
+	}
 
-	r.dataClock = led.NewManualClock(r.dataClock.Now())
-	a, err := agent.New(agent.Config{
-		Dial:       FencedDialer(foRecordingDialer(r.eng, r.acts), r.auth, tokB, r.metB),
-		NotifyAddr: "-",
-		Clock:      r.dataClock,
-		Forward:    r.occs.add,
-		Logf:       func(string, ...any) {},
-		Durability: &agent.Durability{FS: r.stbFS, WALSync: agent.WALSyncAlways},
-	})
-	if err != nil {
-		r.t.Fatalf("promoting standby: %v", err)
-	}
-	r.agent = a
-	r.metB.SetRole(RolePrimary)
-	r.bindDriver()
+	tokB := p.token("B")
+	p.metB.SetRole(RolePromoting)
+	p.metB.Promotions.Inc()
+	p.Boot(FencedDialer(p.Dialer(), p.auth, tokB, p.metB),
+		&agent.Durability{FS: p.stbFS, WALSync: agent.WALSyncAlways})
+	p.metB.SetRole(RolePrimary)
 }
 
-// run drives the full script, failing over once when the armed crash
-// point trips, and returns with all actions drained.
-func (r *foRun) run() {
-	failed := false
-	for _, s := range foScript {
-		r.step(s)
-		r.agent.WaitActions()
-		if !failed && r.crash.Tripped() != "" {
-			r.failover()
-			failed = true
+// checkRPOZero inspects the replica directory as files — the promoted
+// agent has not booted, nothing has replayed or resynced: every
+// occurrence acknowledged under the sync barrier must be durable there.
+// Keys are the recorder's qualified "db.owner.event|vNo" of primitives;
+// composite firings are derived state, re-detected from them.
+func (p *pair) checkRPOZero(acked []string) {
+	wm, _, err := agent.DurableOccurrences(p.stbFS)
+	if err != nil {
+		p.T.Fatalf("inspecting replica directory: %v", err)
+	}
+	for _, key := range acked {
+		ev, n, _ := strings.Cut(key, "|")
+		vno, err := strconv.Atoi(n)
+		if err != nil {
+			p.T.Fatalf("bad occurrence key %q", key)
+		}
+		if vno > wm[ev] {
+			p.T.Errorf("RPO VIOLATION: occurrence %s vno %d was acknowledged but the standby's durable watermark is %d",
+				ev, vno, wm[ev])
 		}
 	}
-	r.agent.WaitActions()
+}
+
+func (p *pair) close() {
+	p.Agent.Close()
+	if !p.monitor.Promoted() {
+		// The crash never tripped: the old primary's side is still live.
+		p.hb.Stop()
+		p.monitor.Stop()
+		if p.sync {
+			p.shipper.Close()
+			p.stopListen()
+		}
+		p.applier.Close()
+	}
+}
+
+// playPair runs c's oracle once and one pair per kill.
+func playPair(t *testing.T, c scenario.Cell, sync bool) {
+	off := chaosSeed(t)
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("reproduce with: CHAOS_SEED=%d make cluster-chaos", off)
+		}
+	})
+	want := scenario.Oracle(t, c.Op, c.Ctx)
+	for _, k := range c.Kills {
+		k.Seed += off
+		p := newPair(t, k, sync)
+		p.Play(c.Op, c.Ctx, p.failover)
+		p.Check(k, want)
+		if p.metB.Role() != RolePrimary {
+			t.Errorf("%s: standby role = %q after failover", k, p.metB.Role())
+		}
+		if sync && p.metA.ReplSyncBarriers.Value() == 0 {
+			t.Errorf("%s: no sync barriers were taken — the mode was not actually exercised", k)
+		}
+		if sync && p.ctl.Halted() {
+			t.Errorf("%s: sync controller halted — a barrier failed on a healthy link", k)
+		}
+		p.close()
+	}
 }
 
 func TestFailoverDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover differential matrix is long")
 	}
-	cell := 0
-	for _, op := range foOperators {
-		for _, ctx := range foContexts {
-			op, ctx, cell := op, ctx, cell
-			t.Run(op.name+"/"+ctx, func(t *testing.T) {
-				t.Parallel()
-				oracle := newOracleRun(t, 1)
-				oracle.setup(op.expr, ctx)
-				oracle.run()
-				wantActs := oracle.acts.snapshot()
-				wantOccs := oracle.occs.snapshot()
-				oracle.agent.Close()
-
-				for i := 0; i < 3; i++ {
-					spec := foCrashes[(cell+i)%len(foCrashes)]
-					crash := faults.NewCrashSet()
-					crash.Arm(spec.point, spec.nth)
-					sub := newFORun(t, int64(cell*37+i+2), crash)
-					sub.setup(op.expr, ctx)
-					sub.run()
-					tag := fmt.Sprintf("%s nth=%d (tripped=%q)", spec.point, spec.nth, crash.Tripped())
-					if gotOccs := sub.occs.snapshot(); !foEqual(wantOccs, gotOccs) {
-						t.Errorf("%s: occurrence stream diverged\noracle:   %v\npromoted: %v", tag, wantOccs, gotOccs)
-					}
-					if gotActs := sub.acts.snapshot(); !foEqual(wantActs, gotActs) {
-						t.Errorf("%s: action stream diverged (%d vs %d)\nonly-oracle:   %v\nonly-promoted: %v",
-							tag, len(wantActs), len(gotActs), foDiff(wantActs, gotActs), foDiff(gotActs, wantActs))
-					}
-					if crash.Tripped() != "" && sub.metB.Role() != RolePrimary {
-						t.Errorf("%s: standby role = %q after failover", tag, sub.metB.Role())
-					}
-					sub.agent.Close()
-				}
-			})
-			cell++
-		}
+	for _, c := range scenario.Cells(scenario.Crashes, 3) {
+		t.Run(c.Name(), func(t *testing.T) {
+			t.Parallel()
+			playPair(t, c, false)
+		})
 	}
 }
 
-// oracleRun is the crash-free single-node baseline: the same agent
-// configuration minus cluster wrapping, killed never.
-type oracleRun struct {
-	t      *testing.T
-	eng    *engine.Engine
-	acts   *foActionRecorder
-	occs   *foOccRecorder
-	fs     *faults.CrashDir
-	clock  *led.ManualClock
-	agent  *agent.Agent
-	driver *engine.Session
+// syncCells kill the sync pair once at each crash point.
+var syncCells = []scenario.Cell{
+	scenario.One("not", "RECENT", "ingest.preWAL", 7),
+	scenario.One("or", "CHRONICLE", "ingest.postWAL", 60),
+	scenario.One("periodic-star", "CONTINUOUS", "action.preExec", 113),
+	scenario.One("aperiodic", "CUMULATIVE", "action.postDone", 166),
+	scenario.One("and", "RECENT", "ckpt.beforeRename", 219),
+	scenario.One("plus", "CHRONICLE", "ckpt.afterRename", 272),
+	scenario.One("aperiodic-star", "CONTINUOUS", "ckpt.begin", 325),
+	scenario.One("seq", "CUMULATIVE", "repl.preShip.occ", 378),
+	scenario.One("temporal", "RECENT", "repl.postShip.occ", 431),
+	scenario.One("periodic", "CHRONICLE", "repl.preShip.ckpt", 484),
+	scenario.One("not", "CONTINUOUS", "repl.postShip.ckpt", 537),
 }
 
-func newOracleRun(t *testing.T, seed int64) *oracleRun {
-	t.Helper()
-	r := &oracleRun{
-		t:     t,
-		eng:   engine.New(catalog.New()),
-		acts:  &foActionRecorder{},
-		occs:  &foOccRecorder{},
-		fs:    faults.NewCrashDir(seed),
-		clock: led.NewManualClock(foClockBase),
+// TestSyncShipRPOZero runs one sync-mode cell per crash point. Each
+// asserts RPO=0 on the raw replica (inside failover), the oracle's exact
+// occurrence set and the oracle's exact action multiset.
+func TestSyncShipRPOZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sync-ship chaos matrix is long")
 	}
-	seed0 := r.eng.NewSession("sharma")
-	if _, err := seed0.ExecScript(`create database fodb
-use fodb
-create table ta (x int null)
-create table tb (x int null)
-create table tc (x int null)`); err != nil {
-		t.Fatal(err)
+	for _, c := range syncCells {
+		t.Run(c.Kills[0].Point+"/"+c.Name(), func(t *testing.T) {
+			t.Parallel()
+			playPair(t, c, true)
+		})
 	}
-	a, err := agent.New(agent.Config{
-		Dial:       foRecordingDialer(r.eng, r.acts),
-		NotifyAddr: "-",
-		Clock:      r.clock,
-		Forward:    r.occs.add,
-		Logf:       func(string, ...any) {},
-		Durability: &agent.Durability{FS: r.fs, WALSync: agent.WALSyncAlways},
-	})
-	if err != nil {
-		t.Fatalf("starting oracle: %v", err)
-	}
-	r.agent = a
-	a2 := a
-	r.eng.SetNotifier(func(host string, port int, msg string) error {
-		a2.Deliver(msg)
-		return nil
-	})
-	r.driver = r.eng.NewSession("sharma")
-	if err := r.driver.Use("fodb"); err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-func (r *oracleRun) setup(expr, ctx string) {
-	r.t.Helper()
-	cs, err := r.agent.NewClientSession("sharma", "fodb")
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	defer cs.Close()
-	for _, ddl := range []string{
-		"create trigger fo_pa on ta for insert event ea as print 'pa'",
-		"create trigger fo_pb on tb for insert event eb as print 'pb'",
-		"create trigger fo_pc on tc for insert event ec2 as print 'pc'",
-		fmt.Sprintf("create trigger fo_comp event comp = %s %s as print 'comp'", expr, ctx),
-	} {
-		if _, err := cs.Exec(ddl); err != nil {
-			r.t.Fatalf("setup %q: %v", ddl, err)
-		}
-	}
-}
-
-func (r *oracleRun) run() {
-	for _, s := range foScript {
-		if s.advance > 0 {
-			r.clock.Advance(s.advance)
-		}
-		if s.insert != "" {
-			if _, err := r.driver.ExecScript("insert " + s.insert + " values (1)"); err != nil {
-				r.t.Errorf("insert %s: %v", s.insert, err)
-			}
-		}
-		if s.ckpt {
-			if err := r.agent.Checkpoint(); err != nil {
-				r.t.Errorf("checkpoint: %v", err)
-			}
-		}
-		r.agent.WaitActions()
-	}
-	r.agent.WaitActions()
-}
-
-func foEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func foDiff(a, b []string) []string {
-	count := make(map[string]int)
-	for _, s := range b {
-		count[s]++
-	}
-	var out []string
-	for _, s := range a {
-		if count[s] > 0 {
-			count[s]--
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
 }

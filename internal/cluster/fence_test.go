@@ -10,6 +10,7 @@ import (
 	"github.com/activedb/ecaagent/internal/faults"
 	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/obs"
+	"github.com/activedb/ecaagent/internal/scenario"
 )
 
 // TestZombiePrimaryFenced drives the classic asymmetric-partition
@@ -30,7 +31,7 @@ create table ta (x int null)`); err != nil {
 		t.Fatal(err)
 	}
 
-	acts := &foActionRecorder{}
+	acts := &scenario.ActionRecorder{}
 	auth := NewEpochRegistry()
 	metA := NewMetrics(obs.NewRegistry())
 	metB := NewMetrics(obs.NewRegistry())
@@ -60,10 +61,10 @@ create table ta (x int null)`); err != nil {
 	metB.SetRole(RoleStandby)
 
 	priFS := faults.NewCrashDir(8)
-	dataClockA := led.NewManualClock(foClockBase)
-	ctrlClock := led.NewManualClock(foClockBase)
+	dataClockA := led.NewManualClock(scenario.Base)
+	ctrlClock := led.NewManualClock(scenario.Base)
 	a, err := agent.New(agent.Config{
-		Dial:       FencedDialer(foRecordingDialer(eng, acts), auth, tokA, metA),
+		Dial:       FencedDialer(scenario.RecordingDialer(eng, acts), auth, tokA, metA),
 		NotifyAddr: "-",
 		Clock:      dataClockA,
 		Logf:       func(string, ...any) {},
@@ -76,12 +77,12 @@ create table ta (x int null)`); err != nil {
 
 	monitor := NewMonitor(MonitorConfig{
 		Clock:    ctrlClock,
-		Interval: foInterval,
-		Misses:   foMisses,
+		Interval: hbInterval,
+		Misses:   hbMisses,
 	}, metB, nil)
 	applier.OnHeartbeat = monitor.Beat
 	monitor.Start()
-	hb := NewHeartbeater(ctrlClock, foInterval, tokA, sink, metA)
+	hb := NewHeartbeater(ctrlClock, hbInterval, tokA, sink, metA)
 	hb.Start()
 
 	cs, err := a.NewClientSession("sharma", "zdb")
@@ -117,10 +118,10 @@ create table ta (x int null)`); err != nil {
 	}
 	// One insert fires two rule actions: the primitive trigger's own
 	// action and the composite rule's.
-	if got := len(acts.snapshot()); got != 2 {
+	if got := len(acts.Snapshot()); got != 2 {
 		t.Fatalf("healthy action count = %d, want 2", got)
 	}
-	ctrlClock.Advance(foInterval) // a beat lands, the monitor's first tick sees it
+	ctrlClock.Advance(hbInterval) // a beat lands, the monitor's first tick sees it
 	if m := monitor.Misses(); m != 0 {
 		t.Fatalf("misses with live primary = %d, want 0", m)
 	}
@@ -128,8 +129,8 @@ create table ta (x int null)`); err != nil {
 	// The partition: A's direction goes dark. A itself is alive and keeps
 	// trying to beat into the cable.
 	pipe.SetPartitioned(true)
-	for i := 0; i < foMisses+2 && !monitor.Promoted(); i++ {
-		ctrlClock.Advance(foInterval)
+	for i := 0; i < hbMisses+2 && !monitor.Promoted(); i++ {
+		ctrlClock.Advance(hbInterval)
 	}
 	if !monitor.Promoted() {
 		t.Fatal("standby never promoted behind the partition")
@@ -153,7 +154,7 @@ create table ta (x int null)`); err != nil {
 	metB.SetRole(RolePrimary)
 	metB.Promotions.Inc()
 	b, err := agent.New(agent.Config{
-		Dial:       FencedDialer(foRecordingDialer(eng, acts), auth, tokB, metB),
+		Dial:       FencedDialer(scenario.RecordingDialer(eng, acts), auth, tokB, metB),
 		NotifyAddr: "-",
 		Clock:      led.NewManualClock(dataClockA.Now()),
 		Logf:       func(string, ...any) {},
@@ -163,7 +164,7 @@ create table ta (x int null)`); err != nil {
 		t.Fatalf("promoting standby: %v", err)
 	}
 	defer b.Close()
-	if got := len(acts.snapshot()); got != 2 {
+	if got := len(acts.Snapshot()); got != 2 {
 		t.Fatalf("promotion re-fired an already-done action: %d executions", got)
 	}
 
@@ -173,7 +174,7 @@ create table ta (x int null)`); err != nil {
 		t.Fatal(err)
 	}
 	a.WaitActions()
-	if got := len(acts.snapshot()); got != 2 {
+	if got := len(acts.Snapshot()); got != 2 {
 		t.Fatalf("zombie fired an action through a stale token: %d executions", got)
 	}
 	// Exactly one rejection per attempted action (two rules fired on the
@@ -197,7 +198,7 @@ create table ta (x int null)`); err != nil {
 		t.Fatal(err)
 	}
 	b.WaitActions()
-	if got := len(acts.snapshot()); got != 4 {
+	if got := len(acts.Snapshot()); got != 4 {
 		t.Fatalf("post-failover action count = %d, want 4 (each firing exactly once)", got)
 	}
 

@@ -6,10 +6,11 @@ import (
 
 	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/obs"
+	"github.com/activedb/ecaagent/internal/scenario"
 )
 
 func newTestMonitor() (*led.ManualClock, *Monitor, *int) {
-	clock := led.NewManualClock(foClockBase)
+	clock := led.NewManualClock(scenario.Base)
 	promotions := 0
 	m := NewMonitor(MonitorConfig{
 		Clock:    clock,
@@ -101,7 +102,7 @@ func TestMonitorStopDisarms(t *testing.T) {
 }
 
 func TestHeartbeaterBeatsOnClock(t *testing.T) {
-	clock := led.NewManualClock(foClockBase)
+	clock := led.NewManualClock(scenario.Base)
 	met := NewMetrics(obs.NewRegistry())
 	tok := &Token{}
 	tok.Set(9)

@@ -13,6 +13,7 @@ import (
 	"github.com/activedb/ecaagent/internal/faults"
 	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/obs"
+	"github.com/activedb/ecaagent/internal/scenario"
 	"github.com/activedb/ecaagent/internal/sqltypes"
 )
 
@@ -60,7 +61,7 @@ func sqlAuthExecer(t *testing.T, eng *engine.Engine) Execer {
 // loss on its next renewal.
 func TestSQLAuthorityCAS(t *testing.T) {
 	eng := engine.New(catalog.New())
-	clock := led.NewManualClock(foClockBase)
+	clock := led.NewManualClock(scenario.Base)
 
 	authA, err := NewSQLAuthority(SQLAuthorityConfig{
 		Exec: sqlAuthExecer(t, eng), Node: "A", Clock: clock,
@@ -129,7 +130,7 @@ func TestSQLAuthorityCAS(t *testing.T) {
 // no communication with the new primary required.
 func TestSQLAuthorityLeaseExpiry(t *testing.T) {
 	eng := engine.New(catalog.New())
-	clock := led.NewManualClock(foClockBase)
+	clock := led.NewManualClock(scenario.Base)
 	gate := &gatedExecer{inner: sqlAuthExecer(t, eng)}
 
 	auth, err := NewSQLAuthority(SQLAuthorityConfig{
@@ -186,12 +187,12 @@ create table ta (x int null)`); err != nil {
 		t.Fatal(err)
 	}
 
-	acts := &foActionRecorder{}
+	acts := &scenario.ActionRecorder{}
 	metA := NewMetrics(obs.NewRegistry())
 	metB := NewMetrics(obs.NewRegistry())
 	stbFS := faults.NewCrashDir(17)
 	applier := NewApplier(stbFS, metB)
-	ctrlClock := led.NewManualClock(foClockBase)
+	ctrlClock := led.NewManualClock(scenario.Base)
 
 	// A's whole uplink — replication, heartbeats, SQL — dies in one
 	// direction; what B sends (nothing A needs) still flows. The Duplex's
@@ -228,9 +229,9 @@ create table ta (x int null)`); err != nil {
 	metB.SetRole(RoleStandby)
 
 	priFS := faults.NewCrashDir(18)
-	dataClockA := led.NewManualClock(foClockBase)
+	dataClockA := led.NewManualClock(scenario.Base)
 	a, err := agent.New(agent.Config{
-		Dial:       FencedDialer(foRecordingDialer(eng, acts), authA, tokA, metA),
+		Dial:       FencedDialer(scenario.RecordingDialer(eng, acts), authA, tokA, metA),
 		NotifyAddr: "-",
 		Clock:      dataClockA,
 		Logf:       func(string, ...any) {},
@@ -243,12 +244,12 @@ create table ta (x int null)`); err != nil {
 
 	monitor := NewMonitor(MonitorConfig{
 		Clock:    ctrlClock,
-		Interval: foInterval,
-		Misses:   foMisses,
+		Interval: hbInterval,
+		Misses:   hbMisses,
 	}, metB, nil)
 	applier.OnHeartbeat = monitor.Beat
 	monitor.Start()
-	hb := NewHeartbeater(ctrlClock, foInterval, tokA, sink, metA)
+	hb := NewHeartbeater(ctrlClock, hbInterval, tokA, sink, metA)
 	hb.Start()
 	defer hb.Stop()
 
@@ -283,7 +284,7 @@ create table ta (x int null)`); err != nil {
 	if err := a.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(acts.snapshot()); got != 2 {
+	if got := len(acts.Snapshot()); got != 2 {
 		t.Fatalf("healthy action count = %d, want 2", got)
 	}
 	ctrlClock.Advance(time.Second)
@@ -296,8 +297,8 @@ create table ta (x int null)`); err != nil {
 	link.SetPartitioned(faults.AtoB, true)
 	gateA.SetCut(true)
 
-	for i := 0; i < foMisses+2 && !monitor.Promoted(); i++ {
-		ctrlClock.Advance(foInterval)
+	for i := 0; i < hbMisses+2 && !monitor.Promoted(); i++ {
+		ctrlClock.Advance(hbInterval)
 	}
 	if !monitor.Promoted() {
 		t.Fatal("standby never promoted behind the partition")
@@ -331,7 +332,7 @@ create table ta (x int null)`); err != nil {
 	metB.SetRole(RolePrimary)
 	metB.Promotions.Inc()
 	b, err := agent.New(agent.Config{
-		Dial:       FencedDialer(foRecordingDialer(eng, acts), authB, tokB, metB),
+		Dial:       FencedDialer(scenario.RecordingDialer(eng, acts), authB, tokB, metB),
 		NotifyAddr: "-",
 		Clock:      led.NewManualClock(dataClockA.Now()),
 		Logf:       func(string, ...any) {},
@@ -356,7 +357,7 @@ create table ta (x int null)`); err != nil {
 		t.Fatal(err)
 	}
 	a.WaitActions()
-	if got := len(acts.snapshot()); got != 2 {
+	if got := len(acts.Snapshot()); got != 2 {
 		t.Fatalf("zombie executed an action on an expired lease: %d executions", got)
 	}
 	if got := metA.FencedRejections.Value(); got != 2 {
@@ -378,7 +379,7 @@ create table ta (x int null)`); err != nil {
 		t.Fatal(err)
 	}
 	b.WaitActions()
-	if got := len(acts.snapshot()); got != 4 {
+	if got := len(acts.Snapshot()); got != 4 {
 		t.Fatalf("post-failover action count = %d, want 4", got)
 	}
 

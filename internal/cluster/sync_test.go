@@ -16,6 +16,7 @@ import (
 	"github.com/activedb/ecaagent/internal/faults"
 	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/obs"
+	"github.com/activedb/ecaagent/internal/scenario"
 )
 
 // The degradation ladder, rung by rung: healthy sync passes the barrier;
@@ -23,7 +24,7 @@ import (
 // skipped) instead of stalling; the first successful ship re-enters
 // sync; and the halt policy latches.
 func TestSyncControllerDegradeAsync(t *testing.T) {
-	clock := led.NewManualClock(foClockBase)
+	clock := led.NewManualClock(scenario.Base)
 	met := NewMetrics(obs.NewRegistry())
 	var barrierErr error
 	barriers := 0
@@ -69,7 +70,7 @@ func TestSyncControllerDegradeAsync(t *testing.T) {
 func TestSyncControllerHaltLatches(t *testing.T) {
 	met := NewMetrics(obs.NewRegistry())
 	ctl := NewSyncController(SyncConfig{
-		Mode: ReplModeSync, Degrade: DegradeHalt, Clock: led.NewManualClock(foClockBase),
+		Mode: ReplModeSync, Degrade: DegradeHalt, Clock: led.NewManualClock(scenario.Base),
 	}, func() error { return errors.New("standby gone") }, met)
 
 	if err := ctl.Barrier(); !errors.Is(err, ErrReplHalted) {
@@ -110,7 +111,7 @@ func TestReadyzFailsWhenSyncPeerUnreachable(t *testing.T) {
 	if _, err := seed.ExecScript("create database rdb"); err != nil {
 		t.Fatal(err)
 	}
-	clock := led.NewManualClock(foClockBase)
+	clock := led.NewManualClock(scenario.Base)
 	met := NewMetrics(obs.NewRegistry())
 	ctl := NewSyncController(SyncConfig{
 		Mode: ReplModeSync, Degrade: DegradeAsync, Grace: 10 * time.Second, Clock: clock,
@@ -119,7 +120,7 @@ func TestReadyzFailsWhenSyncPeerUnreachable(t *testing.T) {
 	a, err := agent.New(agent.Config{
 		Dial:       agent.LocalDialer(eng),
 		NotifyAddr: "-",
-		Clock:      led.NewManualClock(foClockBase),
+		Clock:      led.NewManualClock(scenario.Base),
 		Logf:       func(string, ...any) {},
 		Durability: &agent.Durability{FS: faults.NewCrashDir(3), WALSync: agent.WALSyncAlways, ShipBarrier: ctl.Barrier},
 	})

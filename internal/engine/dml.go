@@ -47,10 +47,11 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*sqltypes.ResultSet, error) {
 	}
 
 	s.txnSaveTable(tbl)
-	if err := tbl.InsertMany(rows); err != nil {
+	stored, err := tbl.InsertMany(rows)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.fireTrigger(st.Table, sqlparse.OpInsert, rows, nil, schema); err != nil {
+	if err := s.fireTrigger(st.Table, sqlparse.OpInsert, stored, nil, schema); err != nil {
 		return nil, err
 	}
 	return &sqltypes.ResultSet{RowsAffected: len(rows)}, nil
@@ -193,19 +194,16 @@ func (s *Session) fireTrigger(tableName sqlparse.ObjectName, op sqlparse.Trigger
 		return fmt.Errorf("trigger nesting exceeds %d levels", maxTriggerDepth)
 	}
 
+	// The images are rows the base table stored, in slices nobody else
+	// holds, so the pseudo-tables adopt them; the nullable schema has the
+	// base column types, so they fit it as stored.
 	nullable := s.nullable(schema)
 	ctx := &triggerContext{}
 	if inserted != nil {
-		ctx.inserted = storage.NewTableOn(nullable)
-		if err := ctx.inserted.ReplaceAll(inserted); err != nil {
-			return fmt.Errorf("building inserted pseudo-table: %v", err)
-		}
+		ctx.inserted = storage.NewTableOn(nullable, inserted)
 	}
 	if deleted != nil {
-		ctx.deleted = storage.NewTableOn(nullable)
-		if err := ctx.deleted.ReplaceAll(deleted); err != nil {
-			return fmt.Errorf("building deleted pseudo-table: %v", err)
-		}
+		ctx.deleted = storage.NewTableOn(nullable, deleted)
 	}
 
 	// The body is a catalog object the session keeps plans for.

@@ -122,8 +122,9 @@ insert SysPrimitiveEvent values ('db', 'sharma', 'db.sharma.addStk', 'db.sharma.
 // TestAllocsTriggerFiring pins what a warm insert costs when it fires the
 // Figure 11 trigger: the trigger body's UPDATE and two SELECTs run on
 // their session plans, and the pseudo-table shares its base table's
-// cached nullable schema. Measured: 38; 72 when every firing planned
-// afresh.
+// cached nullable schema and adopts the rows it stored. Measured: 36; 38
+// when the pseudo-table converted the rows again, 72 when every firing
+// planned afresh.
 func TestAllocsTriggerFiring(t *testing.T) {
 	s := figure11Setup(t)
 	const runs = 200
@@ -140,7 +141,7 @@ func TestAllocsTriggerFiring(t *testing.T) {
 		}
 		i++
 	})
-	const want = 38
+	const want = 36
 	if avg > want {
 		t.Errorf("trigger firing: %.1f allocs/op, want <= %d", avg, want)
 	}

@@ -36,7 +36,7 @@ func (s *Session) execSelectStmt(st *sqlparse.Select) (*sqltypes.ResultSet, erro
 		return nil, err
 	}
 	s.txnSaveTable(tbl)
-	if err := tbl.InsertMany(rs.Rows); err != nil {
+	if _, err := tbl.InsertMany(rs.Rows); err != nil {
 		return nil, err
 	}
 	return &sqltypes.ResultSet{RowsAffected: len(rs.Rows)}, nil

@@ -18,7 +18,6 @@ import (
 // reliance on the detector's own code paths.
 func TestWindowPropertyRandom(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			size := time.Duration(1+rng.Intn(8)) * time.Second

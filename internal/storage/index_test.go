@@ -67,7 +67,7 @@ func TestIndexMaintainedAcrossMutations(t *testing.T) {
 		}
 	}
 	check("create")
-	if err := tbl.InsertMany([]sqltypes.Row{row("A", 9, 1), row("D", 9, 0)}); err != nil {
+	if _, err := tbl.InsertMany([]sqltypes.Row{row("A", 9, 1), row("D", 9, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	check("insert many")

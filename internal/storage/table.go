@@ -36,11 +36,14 @@ func NewTable(schema *sqltypes.Schema) *Table {
 	return &Table{schema: schema.Clone()}
 }
 
-// NewTableOn creates an empty table on schema itself, not a copy. The
-// caller hands schema over and must never write to it again; tables that
-// share one schema stay independent, since no table writes its schema.
-func NewTableOn(schema *sqltypes.Schema) *Table {
-	return &Table{schema: schema}
+// NewTableOn creates a table on schema itself, not a copy, holding rows
+// as they are. The caller hands both over and must never write to them
+// again. The rows are not validated: they must already fit schema, as the
+// rows another table stored under the same column types do. Tables that
+// share a schema or rows stay independent, since no table writes its
+// schema or a stored row.
+func NewTableOn(schema *sqltypes.Schema, rows []sqltypes.Row) *Table {
+	return &Table{schema: schema, rows: rows}
 }
 
 // Schema returns the table's schema: shared and read-only. AddColumn
@@ -73,21 +76,22 @@ func (t *Table) Insert(row sqltypes.Row) error {
 }
 
 // InsertMany appends several rows atomically: either all rows are inserted
-// or none.
-func (t *Table) InsertMany(rows []sqltypes.Row) error {
+// or none. It returns the stored rows in a slice of the caller's own; the
+// rows are shared and read-only.
+func (t *Table) InsertMany(rows []sqltypes.Row) ([]sqltypes.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	conv := make([]sqltypes.Row, len(rows))
 	for i, r := range rows {
 		c, err := t.prepareRowLocked(r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		conv[i] = c
 	}
 	t.rows = append(t.rows, conv...)
 	t.appendIndexed(len(t.rows) - len(conv))
-	return nil
+	return conv, nil
 }
 
 func (t *Table) prepareRowLocked(row sqltypes.Row) (sqltypes.Row, error) {

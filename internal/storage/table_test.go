@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -73,7 +74,7 @@ func TestInsertValidation(t *testing.T) {
 
 func TestInsertManyAtomic(t *testing.T) {
 	tbl := NewTable(stockSchema())
-	err := tbl.InsertMany([]sqltypes.Row{
+	_, err := tbl.InsertMany([]sqltypes.Row{
 		row("A", 1, 1),
 		{sqltypes.Null, sqltypes.Null, sqltypes.Null}, // violates NOT NULL
 	})
@@ -83,11 +84,16 @@ func TestInsertManyAtomic(t *testing.T) {
 	if tbl.Len() != 0 {
 		t.Errorf("partial insert: %d rows", tbl.Len())
 	}
-	if err := tbl.InsertMany([]sqltypes.Row{row("A", 1, 1), row("B", 2, 2)}); err != nil {
+	// The returned rows are the stored ones, coerced like Insert's.
+	stored, err := tbl.InsertMany([]sqltypes.Row{row("A", 1, 1), {sqltypes.NewString("VERYLONGSYMBOL"), sqltypes.NewInt(2), sqltypes.Null}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Len() != 2 {
 		t.Errorf("Len = %d", tbl.Len())
+	}
+	if !reflect.DeepEqual(stored, tbl.Rows()) || stored[1][0].Str() != "VERYLONGSY" || stored[1][1].Kind() != sqltypes.KindFloat {
+		t.Errorf("InsertMany returned %v, table holds %v", stored, tbl.Rows())
 	}
 }
 
