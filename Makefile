@@ -108,11 +108,13 @@ cep-differential:
 # and CEP operator under every parameter context (64 cells), each killed
 # three times with the agent's seven crash points dealt out in turn,
 # restarted over the surviving files, and required to reproduce the
-# crash-free oracle's occurrence set and action multiset; plus the
-# due-timer recovery regression cell. The drain/DLQ/watermark restart
-# satellites ride along, all under -race.
+# crash-free oracle's occurrence set and action multiset; every operator
+# with a DETACHED composite rule under RECENT, killed once at each of the
+# seven points (16 cells); plus the due-timer recovery regression cell and
+# the committed v2 checkpoint images (outstanding and deferred firings).
+# The drain/DLQ/watermark restart satellites ride along, all under -race.
 crash-suite:
-	$(GO) test -race -count=1 -run 'TestCrashDifferential|TestRecoveryFiresDueTimers|TestDLQPersistsAcrossRestart|TestWatermarkSeededBeforeDeliver|TestCloseDrainDeadlineWedged|TestRecoveryMetricsExposed|TestWALDecodeDamage|TestCheckpointDecodeDamage|TestCheckpointRoundTrip' ./internal/agent
+	$(GO) test -race -count=1 -run 'TestCrashDifferential|TestCrashDifferentialDetached|TestRecoveryFiresDueTimers|TestCheckpointReadsV2|TestDLQPersistsAcrossRestart|TestWatermarkSeededBeforeDeliver|TestCloseDrainDeadlineWedged|TestRecoveryMetricsExposed|TestWALDecodeDamage|TestCheckpointDecodeDamage|TestCheckpointRoundTrip' ./internal/agent
 
 # The cluster failover proof (DESIGN.md §10, internal/scenario): the hot
 # pair killed at the agent's seven durability crash points plus the four

@@ -188,7 +188,6 @@ func New(cfg Config) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:             cfg,
-		led:             led.New(cfg.Clock),
 		events:          make(map[string]*eventInfo),
 		triggers:        make(map[string]*triggerInfo),
 		nativeByTableOp: make(map[string]string),
@@ -200,6 +199,7 @@ func New(cfg Config) (*Agent, error) {
 	if a.clock == nil {
 		a.clock = led.SystemClock()
 	}
+	a.led = led.New(trackerClock{Clock: a.clock, mu: &a.rec.mu})
 	a.rec.mu.Lock()
 	a.rec.seen = make(map[string]*eventWatermark)
 	a.rec.mu.Unlock()
@@ -212,9 +212,6 @@ func New(cfg Config) (*Agent, error) {
 	a.initMetrics(reg)
 	if cfg.Durability != nil && (cfg.Durability.FS != nil || cfg.Durability.Dir != "") {
 		a.dur = newDurableState(a, *cfg.Durability)
-		// Outstanding-firing capture must be on before any rule exists, so
-		// checkpoints see detections whose actions have not been handed off.
-		a.led.TrackFirings(true)
 	}
 	// The agent's own connections are wrapped in the retry decorator so one
 	// broken connection disables nothing: it is redialed with backoff, and
@@ -299,7 +296,7 @@ func (a *Agent) Close() {
 	a.recUp.Close()
 }
 
-// drain waits for in-flight and detached rule actions, bounded by the
+// drain waits for the queued and in-flight rule actions, bounded by the
 // deadline. It reports whether everything finished in time.
 func (a *Agent) drain(timeout time.Duration) bool {
 	done := make(chan struct{})
@@ -406,14 +403,17 @@ func (a *Agent) NotifyEndpoint() (string, int) {
 func (a *Agent) Deliver(msg string) { a.DeliverBatchBytes([]byte(msg)) }
 
 // FlushDeferred executes queued DEFERRED rule actions (transaction
-// boundary).
-func (a *Agent) FlushDeferred() { a.led.FlushDeferred() }
+// boundary). It holds the tracker lock like every other LED propagation
+// the agent causes, so no checkpoint cuts between the queue's pop and the
+// ledger claims of the actions.
+func (a *Agent) FlushDeferred() {
+	a.rec.mu.Lock()
+	defer a.rec.mu.Unlock()
+	a.led.FlushDeferred()
+}
 
 // WaitActions blocks until all in-flight rule actions complete.
-func (a *Agent) WaitActions() {
-	a.led.Wait()
-	a.actionq.wg.Wait()
-}
+func (a *Agent) WaitActions() { a.actionq.wg.Wait() }
 
 // Events lists registered internal event names, sorted.
 func (a *Agent) Events() []string {
@@ -662,10 +662,10 @@ func (a *Agent) addLEDRule(info *triggerInfo) error {
 					d.notePending(info.Name, key, occ)
 					return
 				}
-				// Claim the key synchronously, before the hand-off to the
-				// action worker and before detection clears the outstanding
-				// entry — every firing is in the outstanding set, the
-				// ledger, or both at any checkpoint cut.
+				// Claim the key before the hand-off to the action worker.
+				// The detection that fired this runs under the tracker lock,
+				// which a checkpoint takes first, so every cut sees the
+				// firing either undetected or in the ledger.
 				if !d.begin(info.Name, key, occ) {
 					d.met.deduped.Inc()
 					return

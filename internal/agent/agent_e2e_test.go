@@ -23,14 +23,21 @@ type rig struct {
 	agent *Agent
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T) *rig { return newRigWith(t, nil) }
+
+// newRigWith is newRig with mutate applied to the agent's Config.
+func newRigWith(t *testing.T, mutate func(*Config)) *rig {
 	t.Helper()
 	eng := engine.New(catalog.New())
-	a, err := New(Config{
+	cfg := Config{
 		Dial:       LocalDialer(eng),
 		NotifyAddr: "-",
 		Logf:       func(string, ...any) {},
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,13 @@ import (
 //
 // The payload is an internal/storage codec stream holding the delivery
 // watermarks, the full LED StateSnapshot, the ledger's pending actions
-// and the dead-letter queue. The file is written to a .tmp name, fsynced,
-// renamed into place and the directory fsynced, so a checkpoint either
-// exists completely or not at all; the CRC catches bit rot and torn
-// writes that slip past the rename barrier. Decoding is all-or-nothing —
+// and the dead-letter queue. Between the deferred queue and the pending
+// actions sits an outstanding-firing section, written empty: older builds
+// filled it, and the reader maps its firings into pending actions. The
+// file is written to a .tmp name, fsynced, renamed into place and the
+// directory fsynced, so a checkpoint either exists completely or not at
+// all; the CRC catches bit rot and torn writes that slip past the rename
+// barrier. Decoding is all-or-nothing —
 // any structural damage is an error and the caller falls back to the
 // previous epoch (or a cold start), never to partially loaded state.
 
@@ -179,7 +182,7 @@ func encodeCheckpointAt(epoch uint64, c *checkpointData, version uint32) ([]byte
 		}
 	}
 	writeFirings(w, c.LED.Deferred)
-	writeFirings(w, c.LED.Outstanding)
+	writeFirings(w, nil) // outstanding firings: the ledger's pending section holds them
 
 	w.WriteUint(uint64(len(c.Pending)))
 	for _, p := range c.Pending {
@@ -272,9 +275,14 @@ func decodeCheckpoint(data []byte) (*checkpointData, uint64, error) {
 		c.LED.Nodes = append(c.LED.Nodes, ns)
 	}
 	c.LED.Deferred = readFirings(r)
-	c.LED.Outstanding = readFirings(r)
+	outstanding := readFirings(r)
 	for range r.Count() {
 		c.Pending = append(c.Pending, ckptPending{Key: r.String(), Rule: r.String(), Occ: readOccState(r)})
+	}
+	// An image from a build whose detector kept its own outstanding set:
+	// those firings are ledger entries like any other pending action.
+	for _, f := range outstanding {
+		c.Pending = append(c.Pending, ckptPending{Key: actionKey(f.Rule, led.OccFromState(f.Occ)), Rule: f.Rule, Occ: f.Occ})
 	}
 	for range r.Count() {
 		d := ckptDead{Rule: r.String(), Event: r.String(), HasOcc: r.Uint() == 1}

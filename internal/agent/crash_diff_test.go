@@ -14,10 +14,10 @@ import (
 
 // playCell runs c's oracle once and one restarted single node per kill.
 func playCell(t *testing.T, c scenario.Cell) {
-	want := scenario.Oracle(t, c.Op, c.Ctx)
+	want := scenario.Oracle(t, c)
 	for _, k := range c.Kills {
 		n := scenario.NewNode(t, k.Seed, k.Arm())
-		n.Play(c.Op, c.Ctx, n.Restart)
+		n.Play(c, n.Restart)
 		n.Check(k, want)
 		n.Agent.Close()
 	}
@@ -28,6 +28,22 @@ func TestCrashDifferential(t *testing.T) {
 		t.Skip("crash differential matrix is long")
 	}
 	for _, c := range scenario.Cells(scenario.AgentCrashes, 3) {
+		t.Run(c.Name(), func(t *testing.T) {
+			t.Parallel()
+			playCell(t, c)
+		})
+	}
+}
+
+// TestCrashDifferentialDetached: the same proof for DETACHED composite
+// rules, every operator under RECENT killed at each agent crash point.
+// The LED hands a DETACHED firing to the action ledger and queue before
+// the detecting propagation returns, exactly as it does an IMMEDIATE one.
+func TestCrashDifferentialDetached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash differential matrix is long")
+	}
+	for _, c := range scenario.DetachedCells() {
 		t.Run(c.Name(), func(t *testing.T) {
 			t.Parallel()
 			playCell(t, c)
@@ -53,7 +69,7 @@ func TestCrashDifferentialProducesActions(t *testing.T) {
 			t.Parallel()
 			total := 0
 			for _, ctx := range scenario.Contexts {
-				total += scenario.Oracle(t, op, ctx).Composite()
+				total += scenario.Oracle(t, scenario.Cell{Op: op, Ctx: ctx}).Composite()
 			}
 			if total == 0 {
 				t.Errorf("operator %s: composite action never executed in any context", op.Name)

@@ -454,10 +454,6 @@ func (a *Agent) recoverDurable() error {
 			for _, p := range ck.Pending {
 				d.notePending(p.Rule, p.Key, led.OccFromState(p.Occ))
 			}
-			for _, f := range ck.LED.Outstanding {
-				occ := led.OccFromState(f.Occ)
-				d.notePending(f.Rule, actionKey(f.Rule, occ), occ)
-			}
 			for _, r := range ck.DLQ {
 				res := ActionResult{Rule: r.Rule, Event: r.Event, Messages: r.Messages}
 				if r.HasOcc {
@@ -473,24 +469,7 @@ func (a *Agent) recoverDurable() error {
 			for _, r := range d.readWAL(ckEpoch) {
 				switch r.kind {
 				case walOccKind:
-					// Logical timers due before this occurrence fire first,
-					// reproducing the live interleaving of periodic ticks,
-					// PLUS emissions and temporal events with the stream.
-					a.led.FireTimersUpTo(r.at)
-					dup := false
-					a.rec.mu.Lock()
-					if w, ok := a.rec.seen[r.event]; ok {
-						if r.vno <= w.last {
-							dup = true
-						} else {
-							w.last = r.vno
-						}
-					}
-					a.rec.mu.Unlock()
-					if !dup {
-						a.signal(led.Primitive{Event: r.event, Table: r.table, Op: r.op, VNo: r.vno, At: r.at})
-						d.met.replayed.Inc()
-					}
+					a.replayOcc(r)
 				case walDoneKind:
 					d.markDoneLocal(r.key)
 					d.met.replayed.Inc()
@@ -501,8 +480,9 @@ func (a *Agent) recoverDurable() error {
 			// above still cover their actions and before the resync below
 			// adds later occurrences: the recovery checkpoint prunes those
 			// marks, and a firing after it would run its action twice.
+			a.rec.mu.Lock()
 			a.led.FireTimersUpTo(a.led.Now())
-			a.led.Wait() // detached replay detections must land in the ledger
+			a.rec.mu.Unlock()
 			d.replaying.Store(false)
 		}
 	}
@@ -522,6 +502,24 @@ func (a *Agent) recoverDurable() error {
 	}
 	d.met.recoverySec.Observe(a.clock.Now().Sub(start).Seconds())
 	return nil
+}
+
+// replayOcc re-signals one journaled occurrence unless its watermark
+// already covers it. Logical timers due before it fire first, reproducing
+// the live interleaving of periodic ticks, PLUS emissions and temporal
+// events with the stream.
+func (a *Agent) replayOcc(r walRecord) {
+	a.rec.mu.Lock()
+	defer a.rec.mu.Unlock()
+	a.led.FireTimersUpTo(r.at)
+	if w, ok := a.rec.seen[r.event]; ok {
+		if r.vno <= w.last {
+			return
+		}
+		w.last = r.vno
+	}
+	a.signal(led.Primitive{Event: r.event, Table: r.table, Op: r.op, VNo: r.vno, At: r.at})
+	a.dur.met.replayed.Inc()
 }
 
 // resumePending launches every ledger entry the journal could not prove

@@ -405,8 +405,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				}},
 			}},
 			Deferred: []led.FiringState{{Rule: "db.u.r", Occ: led.OccState{Event: "db.u.e", At: at}}},
-			Outstanding: []led.FiringState{{Rule: "db.u.r2", Occ: led.OccState{Event: "db.u.e", At: at,
-				Constituents: []led.Primitive{{Event: "db.u.e", Table: "db.u.t", Op: "insert", VNo: 7, At: at}}}}},
 		},
 		Pending: []ckptPending{{Key: "abc123", Rule: "db.u.r", Occ: led.OccState{Event: "db.u.e", At: at}}},
 		DLQ: []ckptDead{{Rule: "db.u.r", Event: "db.u.e", HasOcc: true,
@@ -429,8 +427,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(got.LED.Nodes) != 2 || got.LED.Nodes[0].Path != "db.u.comp/0" || got.LED.Nodes[0].Kind != 3 {
 		t.Errorf("nodes: %+v", got.LED.Nodes)
 	}
-	if len(got.LED.Outstanding) != 1 || got.LED.Outstanding[0].Occ.Constituents[0].VNo != 7 {
-		t.Errorf("outstanding: %+v", got.LED.Outstanding)
+	if len(got.LED.Deferred) != 1 || got.LED.Deferred[0].Rule != "db.u.r" {
+		t.Errorf("deferred: %+v", got.LED.Deferred)
 	}
 	if len(got.Pending) != 1 || got.Pending[0].Key != "abc123" {
 		t.Errorf("pending: %+v", got.Pending)

@@ -29,7 +29,11 @@ import (
 //     authoritative SysPrimitiveEvent.vNo over a privileged connection,
 //     catching trailing losses that no later datagram would ever reveal.
 
-// tracker holds the per-event delivery watermarks.
+// tracker holds the per-event delivery watermarks. Its lock also
+// serializes every LED propagation the agent causes — ingest, timer
+// dispatch (trackerClock), FlushDeferred and journal replay — and a
+// checkpoint takes it first, so no cut falls between a detection and the
+// action ledger's claim of the firing.
 type tracker struct {
 	mu   sync.Mutex
 	seen map[string]*eventWatermark // keyed by internal event name; guarded by mu
@@ -41,6 +45,22 @@ type eventWatermark struct {
 	table string
 	op    string
 	last  int // guarded by mu (the owning tracker's)
+}
+
+// trackerClock is the clock the agent gives its LED: every timer callback
+// (periodic tick, PLUS delay, absolute-time event, window boundary) runs
+// under the tracker lock, as every Signal does.
+type trackerClock struct {
+	led.Clock
+	mu *sync.Mutex
+}
+
+func (c trackerClock) AfterFunc(d time.Duration, f func()) func() {
+	return c.Clock.AfterFunc(d, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		f()
+	})
 }
 
 // trackEvent registers a primitive event's delivery watermark. Creation

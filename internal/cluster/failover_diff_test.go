@@ -245,11 +245,11 @@ func playPair(t *testing.T, c scenario.Cell, sync bool) {
 			t.Logf("reproduce with: CHAOS_SEED=%d make cluster-chaos", off)
 		}
 	})
-	want := scenario.Oracle(t, c.Op, c.Ctx)
+	want := scenario.Oracle(t, c)
 	for _, k := range c.Kills {
 		k.Seed += off
 		p := newPair(t, k, sync)
-		p.Play(c.Op, c.Ctx, p.failover)
+		p.Play(c, p.failover)
 		p.Check(k, want)
 		if p.metB.Role() != RolePrimary {
 			t.Errorf("%s: standby role = %q after failover", k, p.metB.Role())

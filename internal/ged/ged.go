@@ -189,9 +189,6 @@ func (g *GED) AddRule(r *led.Rule) error { return g.led.AddRule(r) }
 // DropRule detaches a rule.
 func (g *GED) DropRule(name string) error { return g.led.DropRule(name) }
 
-// Wait blocks until detached rule executions complete.
-func (g *GED) Wait() { g.led.Wait() }
-
 // --- wire transport ---
 
 // Datagram format forwarded by agents: GED1|site|event|table|op|vno.
@@ -262,7 +259,7 @@ func (g *GED) listen(conn *net.UDPConn) {
 	}
 }
 
-// Close stops the UDP listener and waits for detached rules.
+// Close stops the UDP listener and waits for its goroutine.
 func (g *GED) Close() {
 	g.mu.Lock()
 	conn := g.conn
@@ -272,7 +269,6 @@ func (g *GED) Close() {
 		conn.Close()
 	}
 	g.wg.Wait()
-	g.led.Wait()
 }
 
 // Forwarder returns a function an agent can use to forward every locally

@@ -253,7 +253,6 @@ func TestConcurrentSiteFanIn(t *testing.T) {
 		}(siteName(i))
 	}
 	wg.Wait()
-	g.Wait()
 
 	st := g.Stats()
 	if st.SignalsAccepted != sites*perSite {

@@ -61,7 +61,6 @@ func TestWindowPropertyRandom(t *testing.T) {
 			// Arbitrary final advance: flush every boundary whose window
 			// can still be non-empty, plus a random tail.
 			clock.Advance(size + slide + time.Duration(rng.Intn(5000))*time.Millisecond)
-			l.Wait()
 
 			want := bruteForceWindows(hist, size, slide, clock.Now())
 			if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -184,8 +184,8 @@ func forEachDiffCell(fn func(name string, c diffCase, ctx Context, coupling Coup
 
 // operatorStreams runs one cell's script on a fresh detector and renders
 // every rule-set copy's canonical occurrence stream, copies in order, one
-// occurrence per line. DETACHED streams are sorted: detached execution
-// order is unspecified.
+// occurrence per line. DETACHED streams are sorted, the form the golden
+// file was recorded in when detached actions ran on a worker pool.
 func operatorStreams(t *testing.T, c diffCase, ctx Context, coupling Coupling, concurrent bool) string {
 	t.Helper()
 	clock := NewManualClock(t0)
@@ -196,7 +196,6 @@ func operatorStreams(t *testing.T, c diffCase, ctx Context, coupling Coupling, c
 	if coupling == Deferred {
 		l.FlushDeferred()
 	}
-	l.Wait()
 	var b strings.Builder
 	for k := 0; k < diffCopies; k++ {
 		occs := rec.byKey[fmt.Sprintf("c%d_", k)]

@@ -13,7 +13,6 @@ package led
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -207,22 +206,20 @@ func (realClock) AfterFunc(d time.Duration, f func()) func() {
 // packages.
 func SystemClock() Clock { return realClock{} }
 
-// firing is one pending rule execution. seq is its outstanding-set key
-// when firing tracking is on (see noteFired); zero otherwise.
+// firing is one pending rule execution.
 type firing struct {
 	rule *Rule
 	occ  *Occ
-	seq  uint64
 }
 
 // LED is the local event detector. All exported methods are safe for
 // concurrent use.
 //
-// Lock order: mu before outMu. timMu and the detached pool's lock are
-// leaves. mu is the detector lock: every graph propagation (Signal, timer
-// dispatch), definition change, deferred flush and checkpoint holds it, so
-// each sees the graph, its operator state and the queued firings as one
-// consistent cut. Rule actions always run after it is released.
+// Lock order: mu, then timMu (a leaf). mu is the detector lock: every
+// graph propagation (Signal, timer dispatch), definition change, deferred
+// flush and checkpoint holds it, so each sees the graph, its operator
+// state and the deferred queue as one consistent cut. Rule actions always
+// run after it is released, on the propagating goroutine.
 type LED struct {
 	clock Clock
 
@@ -235,27 +232,15 @@ type LED struct {
 	// FlushDeferred.
 	deferred []firing // guarded by mu
 
-	// pool bounds DETACHED rule concurrency at 4×GOMAXPROCS workers (it
-	// also owns the WaitGroup behind Wait).
-	pool detachedPool
-
 	// timMu guards the logical timer registry (timers.go). Leaf lock:
 	// nothing is acquired while holding it.
 	timMu   sync.Mutex
 	timers  map[uint64]*logTimer
 	timNext uint64
 
-	// spare holds one recycled per-propagation pending slice (pool.go), so
-	// a warmed Signal carries no per-call bookkeeping allocation.
+	// spare holds one recycled per-propagation pending slice (scratch.go),
+	// so a warmed Signal carries no per-call bookkeeping allocation.
 	spare atomic.Pointer[firingScratch]
-
-	// outMu guards the outstanding-firing set (snapshot.go): firings
-	// detected but not yet durably handed off to their rule actions.
-	// Acquired after mu, never before it.
-	outMu       sync.Mutex
-	outstanding map[uint64]firing
-	outSeq      uint64
-	track       atomic.Bool
 
 	// met holds the optional instruments (see EnableMetrics); loaded
 	// atomically so Signal never takes an extra lock for them.
@@ -267,17 +252,11 @@ func New(clock Clock) *LED {
 	if clock == nil {
 		clock = realClock{}
 	}
-	l := &LED{
+	return &LED{
 		clock: clock,
 		nodes: make(map[string]*node),
 		rules: make(map[string]*Rule),
 	}
-	l.pool.maxWorkers = 4 * runtime.GOMAXPROCS(0)
-	l.pool.run = func(f firing) {
-		l.runRule(f)
-		l.clearFired(f.seq)
-	}
-	return l
 }
 
 // DefinePrimitive registers a primitive event name.
@@ -401,19 +380,26 @@ func (l *LED) RuleNames() []string {
 }
 
 // Signal injects a primitive event occurrence (called by the agent's Event
-// Notifier when a server notification arrives). Unknown events are
-// ignored, matching the notifier's tolerance of stray datagrams.
+// Notifier when a server notification arrives) and runs the rule actions
+// it fires before returning. Unknown events are ignored, matching the
+// notifier's tolerance of stray datagrams.
 func (l *LED) Signal(p Primitive) {
 	if p.At.IsZero() {
 		p.At = l.clock.Now()
 	}
-	if m := l.met.Load(); m != nil {
-		// Measure through the clock seam so the histogram is exact (and
-		// typically zero) under ManualClock replay.
-		start := l.clock.Now()
-		defer func() { m.detectSec.Observe(l.clock.Now().Sub(start).Seconds()) }()
+	m := l.met.Load()
+	var start time.Time
+	if m != nil {
+		start = l.clock.Now()
 	}
-	l.dispatch(func() { l.signalLocked(p) })
+	scr := l.detect(func() { l.signalLocked(p) })
+	if m != nil {
+		// Detection only, lock wait included: the actions below are not
+		// part of it. Measured through the clock seam so the histogram is
+		// exact (and typically zero) under ManualClock replay.
+		m.detectSec.Observe(l.clock.Now().Sub(start).Seconds())
+	}
+	l.fire(scr)
 }
 
 // signalLocked delivers p to its primitive node. Caller holds mu.
@@ -423,49 +409,43 @@ func (l *LED) signalLocked(p Primitive) {
 	}
 }
 
-// dispatch runs fn — one graph propagation: a signal, or a timer callback
-// (periodic tick, PLUS delay, absolute-time event, window boundary) —
-// under mu, queues the deferred firings it produced, and executes the rest
-// after releasing the lock.
-func (l *LED) dispatch(fn func()) {
+// dispatch runs one graph propagation — a signal, or a timer callback
+// (periodic tick, PLUS delay, absolute-time event, window boundary) — and
+// then the rule actions it fired.
+func (l *LED) dispatch(fn func()) { l.fire(l.detect(fn)) }
+
+// detect runs fn under mu and returns the firings it produced in priority
+// order, then detection order; DEFERRED ones are already queued.
+func (l *LED) detect(fn func()) *firingScratch {
 	scr := l.getScratch()
 	l.mu.Lock()
 	l.pending = scr.fs[:0]
 	fn()
-	fired := l.pending
-	l.pending = nil
 	// Keep the (possibly regrown) backing array with the scratch so the
 	// spare learns the propagation's working-set size.
-	scr.fs = fired
-	// Stable insertion sort by descending priority; equal priorities keep
-	// detection order (allocation-free, see sortFirings).
-	sortFirings(fired)
-	for _, f := range fired {
+	scr.fs = l.pending
+	l.pending = nil
+	sortFirings(scr.fs)
+	for _, f := range scr.fs {
 		if f.rule.Coupling == Deferred {
 			l.deferred = append(l.deferred, f)
 		}
 	}
-	// Note outstanding firings before unlocking, so a checkpoint sees node
-	// state and not-yet-executed firings as one consistent cut.
-	l.noteFired(fired, false)
 	l.mu.Unlock()
-	l.runFirings(fired)
-	l.putScratch(scr)
+	return scr
 }
 
-// runFirings executes rule firings detection produced: immediate
-// synchronously (already in priority order), detached via the bounded
-// worker pool. Deferred firings were queued by dispatch.
-func (l *LED) runFirings(fired []firing) {
-	for _, f := range fired {
-		switch f.rule.Coupling {
-		case Immediate:
+// fire runs the IMMEDIATE and DETACHED actions of one propagation inline,
+// in order, and recycles the scratch. The LED only detects: a rule's
+// Action is its hand-off to whatever executes it (the agent's action
+// queue), so DETACHED needs no path of its own here.
+func (l *LED) fire(scr *firingScratch) {
+	for _, f := range scr.fs {
+		if f.rule.Coupling != Deferred {
 			l.runRule(f)
-			l.clearFired(f.seq)
-		case Detached:
-			l.pool.submit(f)
 		}
 	}
+	l.putScratch(scr)
 }
 
 func (l *LED) runRule(f firing) {
@@ -475,8 +455,9 @@ func (l *LED) runRule(f firing) {
 	f.rule.Action(f.occ)
 }
 
-// FlushDeferred runs all queued deferred rule firings (the agent calls
-// this at transaction boundaries).
+// FlushDeferred runs all queued deferred rule firings inline, in priority
+// order, then detection order (the agent calls this at transaction
+// boundaries).
 func (l *LED) FlushDeferred() {
 	l.mu.Lock()
 	queued := l.deferred
@@ -487,16 +468,10 @@ func (l *LED) FlushDeferred() {
 			kept = append(kept, f)
 		}
 	}
-	// Hand the popped batch to the outstanding set inside the same
-	// critical section as the swap: a checkpoint cut between the swap and
-	// the runs would otherwise see the firings in neither the deferred
-	// queue nor the outstanding set.
-	l.noteFired(kept, true)
 	l.mu.Unlock()
 	sortFirings(kept)
 	for _, f := range kept {
 		l.runRule(f)
-		l.clearFired(f.seq)
 	}
 }
 
@@ -507,17 +482,11 @@ func (l *LED) DeferredCount() int {
 	return len(l.deferred)
 }
 
-// Wait blocks until all detached rule executions submitted so far finish
-// (used by tests and orderly shutdown). With the bounded pool this drains
-// the detached queue, not just in-flight goroutines.
-func (l *LED) Wait() { l.pool.wait() }
-
-// DetachedStats reports the detached pool's current queue depth, running
-// workers, and the peak worker count observed (which the burst regression
-// test asserts stays at the cap).
-func (l *LED) DetachedStats() (queued, workers, peak int) {
-	return l.pool.stats()
-}
+// Wait returns at once: every action has run before the Signal, timer
+// dispatch or FlushDeferred that fired it returns, so there is nothing
+// left to wait for. It stays for callers outside this module's packages
+// (the benchmark's LED probe).
+func (l *LED) Wait() {}
 
 // Now exposes the detector's clock.
 func (l *LED) Now() time.Time { return l.clock.Now() }

@@ -34,10 +34,11 @@ type ledMetrics struct {
 }
 
 // EnableMetrics registers the detector's instruments in reg and starts
-// recording: eca_detect_latency_seconds observes each Signal's full graph
-// propagation (lock wait included — that is what a caller experiences),
-// and eca_led_operator_occurrences_total{op} counts occurrences each
-// operator node emits. Safe to call at any time; concurrent Signals pick
+// recording: eca_detect_latency_seconds observes each Signal's graph
+// propagation (lock wait included — that is what a caller experiences)
+// but not the rule actions it then runs, and
+// eca_led_operator_occurrences_total{op} counts occurrences each operator
+// node emits. Safe to call at any time; concurrent Signals pick
 // the instruments up atomically.
 func (l *LED) EnableMetrics(reg *obs.Registry) {
 	m := &ledMetrics{
@@ -50,12 +51,6 @@ func (l *LED) EnableMetrics(reg *obs.Registry) {
 	for k, name := range opName {
 		m.opOccs[k] = occs.With(name)
 	}
-	reg.GaugeFunc("eca_led_detached_queue_depth",
-		"DETACHED rule firings queued for the bounded worker pool.",
-		func() float64 { q, _, _ := l.DetachedStats(); return float64(q) })
-	reg.GaugeFunc("eca_led_detached_workers",
-		"Worker goroutines currently draining DETACHED rule firings.",
-		func() float64 { _, w, _ := l.DetachedStats(); return float64(w) })
 	l.met.Store(m)
 }
 

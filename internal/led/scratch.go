@@ -1,7 +1,5 @@
 package led
 
-import "sync"
-
 // primOccBlock lays an occurrence and its single-constituent backing array
 // out in one heap object, so delivering a primitive occurrence to a
 // subscriber costs exactly one allocation instead of two. The occurrence
@@ -24,12 +22,10 @@ func newPrimOcc(p Primitive, ctx Context) *Occ {
 }
 
 // firingScratch is a recyclable firing slice used for the per-propagation
-// pending list. dispatch appends into it under the detector lock, then
-// runs the firings and returns the scratch to the LED's spare slot.
-// Recycling is safe because every consumer of a firing copies the value
-// out of the slice before dispatch releases it: noteFired stores copies in
-// the outstanding map, the deferred queue and the detached pool append
-// copies, and IMMEDIATE rules run to completion before release.
+// pending list. detect appends into it under the detector lock, fire runs
+// the firings and returns the scratch to the LED's spare slot. Recycling
+// is safe because the deferred queue appends copies and every other
+// firing's action runs to completion before release.
 type firingScratch struct {
 	fs []firing
 }
@@ -67,66 +63,4 @@ func sortFirings(fs []firing) {
 			fs[j], fs[j-1] = fs[j-1], fs[j]
 		}
 	}
-}
-
-// detachedPool runs DETACHED rule actions on a bounded set of worker
-// goroutines. The previous implementation spawned one goroutine per firing
-// — a burst of detached firings could spawn without bound — so the pool
-// queues firings and lazily spins up at most maxWorkers drainers; each
-// worker exits when the queue runs dry, keeping an idle detector at zero
-// goroutines.
-type detachedPool struct {
-	run func(firing)
-
-	mu         sync.Mutex
-	queue      []firing // guarded by mu
-	workers    int      // guarded by mu
-	maxWorkers int
-	peak       int // guarded by mu
-
-	// wg counts queued-but-unfinished firings, so wait drains the queue,
-	// not just in-flight workers (shutdown after a burst completes).
-	wg sync.WaitGroup
-}
-
-// submit enqueues one detached firing and ensures a worker will drain it.
-func (p *detachedPool) submit(f firing) {
-	p.wg.Add(1)
-	p.mu.Lock()
-	p.queue = append(p.queue, f)
-	if p.workers < p.maxWorkers {
-		p.workers++
-		if p.workers > p.peak {
-			p.peak = p.workers
-		}
-		go p.drain()
-	}
-	p.mu.Unlock()
-}
-
-// drain runs queued firings until none remain, then retires the worker.
-func (p *detachedPool) drain() {
-	for {
-		p.mu.Lock()
-		if len(p.queue) == 0 {
-			p.workers--
-			p.mu.Unlock()
-			return
-		}
-		f := p.queue[0]
-		p.queue = p.queue[1:]
-		p.mu.Unlock()
-		p.run(f)
-		p.wg.Done()
-	}
-}
-
-// wait blocks until every submitted firing has run.
-func (p *detachedPool) wait() { p.wg.Wait() }
-
-// stats snapshots queue depth, running workers and the peak worker count.
-func (p *detachedPool) stats() (queued, workers, peak int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue), p.workers, p.peak
 }

@@ -11,15 +11,14 @@ import (
 // StateSnapshot is a point-in-time, serializable image of everything the
 // detector holds only in memory: per-node partial occurrences under every
 // parameter context, open operator windows and their timer deadlines,
-// pending PLUS emissions, the deferred-firing queue, and the firings that
-// had been detected but whose rule actions had not yet been handed off
-// (outstanding). The agent's checkpoint writer encodes it with the
+// pending PLUS emissions and the deferred-firing queue. Every other firing
+// has been handed to its rule action before the propagation that detected
+// it returned. The agent's checkpoint writer encodes it with the
 // internal/storage codec; RestoreState rebuilds the same detection state
 // onto a graph freshly reconstructed from the system tables.
 type StateSnapshot struct {
-	Nodes       []NodeState
-	Deferred    []FiringState
-	Outstanding []FiringState
+	Nodes    []NodeState
+	Deferred []FiringState
 }
 
 // NodeState is one operator node's non-empty per-context state. Nodes are
@@ -71,7 +70,7 @@ type OccState struct {
 	Constituents []Primitive
 }
 
-// FiringState is one pending rule firing (deferred or outstanding).
+// FiringState is one pending rule firing.
 type FiringState struct {
 	Rule string
 	Occ  OccState
@@ -126,9 +125,9 @@ func occsFromState(ss []OccState) []*Occ {
 
 // SnapshotState captures the detector's full volatile state. It holds the
 // detector lock, which excludes every Signal, timer dispatch, deferred
-// flush and definition change, so the image is a consistent cut; in-flight rule
-// actions that already left the detector are covered by the Outstanding
-// list (see noteFired) and by the agent's action ledger.
+// flush and definition change, so the image is a consistent cut; rule
+// actions that already left the detector are the agent's to record (its
+// action ledger).
 func (l *LED) SnapshotState() *StateSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -158,18 +157,6 @@ func (l *LED) SnapshotState() *StateSnapshot {
 	for _, f := range l.deferred {
 		snap.Deferred = append(snap.Deferred, FiringState{Rule: f.rule.Name, Occ: occToState(f.occ)})
 	}
-
-	l.outMu.Lock()
-	seqs := make([]uint64, 0, len(l.outstanding))
-	for s := range l.outstanding {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		f := l.outstanding[s]
-		snap.Outstanding = append(snap.Outstanding, FiringState{Rule: f.rule.Name, Occ: occToState(f.occ)})
-	}
-	l.outMu.Unlock()
 	return snap
 }
 
@@ -223,9 +210,7 @@ func (n *node) captureState(path string) *NodeState {
 // inactive contexts or child indexes out of range return an error and the
 // caller falls back to a cold start. Timers for restored windows, PLUS
 // emissions and unfired temporal events are re-armed at their original
-// logical deadlines. Outstanding firings are NOT re-queued here — the
-// agent resumes them through its action ledger, which knows which already
-// completed.
+// logical deadlines, and the deferred queue is reloaded.
 func (l *LED) RestoreState(snap *StateSnapshot) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -333,51 +318,4 @@ func (l *LED) nodeAtPathLocked(path string) (*node, error) {
 		}
 	}
 	return n, nil
-}
-
-// TrackFirings toggles outstanding-firing capture. The durable agent
-// enables it before adding rules; with tracking off the fire path takes no
-// extra lock.
-func (l *LED) TrackFirings(on bool) { l.track.Store(on) }
-
-// noteFired registers detected firings in the outstanding set before the
-// detector lock is released, so a checkpoint's consistent cut sees
-// node state and not-yet-executed firings together. Deferred firings are
-// skipped — the deferred queue snapshot covers them until FlushDeferred
-// notes them itself.
-func (l *LED) noteFired(fired []firing, includeDeferred bool) {
-	if !l.track.Load() {
-		return
-	}
-	l.outMu.Lock()
-	for i := range fired {
-		if !includeDeferred && fired[i].rule.Coupling == Deferred {
-			continue
-		}
-		l.outSeq++
-		fired[i].seq = l.outSeq
-		if l.outstanding == nil {
-			l.outstanding = make(map[uint64]firing)
-		}
-		l.outstanding[fired[i].seq] = fired[i]
-	}
-	l.outMu.Unlock()
-}
-
-// clearFired removes one firing from the outstanding set once its rule
-// action has been handed off durably (or filtered out).
-func (l *LED) clearFired(seq uint64) {
-	if seq == 0 {
-		return
-	}
-	l.outMu.Lock()
-	delete(l.outstanding, seq)
-	l.outMu.Unlock()
-}
-
-// OutstandingFirings reports the current outstanding-set size (tests).
-func (l *LED) OutstandingFirings() int {
-	l.outMu.Lock()
-	defer l.outMu.Unlock()
-	return len(l.outstanding)
 }

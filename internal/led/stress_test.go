@@ -156,7 +156,6 @@ func TestStressConcurrentSignalsUnderChurn(t *testing.T) {
 		}
 	}()
 	<-done
-	l.Wait()
 
 	if churn == 0 {
 		t.Error("churn goroutine never added/dropped a bridge rule; stress is vacuous")
@@ -173,74 +172,5 @@ func TestStressConcurrentSignalsUnderChurn(t *testing.T) {
 	}
 	if extra := len(ledger) - sets*rounds; extra > 0 {
 		t.Errorf("%d unexpected ledger entries (phantom firings)", extra)
-	}
-}
-
-// TestDetachedBurstBounded is the regression test for the unbounded
-// goroutine spawn: a burst of detached firings must be drained by at most
-// the pool's worker cap, every action must run exactly once, and
-// Wait (the shutdown drain) must complete.
-func TestDetachedBurstBounded(t *testing.T) {
-	const (
-		workers = 4
-		burst   = 500
-	)
-	clock := NewManualClock(t0)
-	l := New(clock)
-	l.pool.maxWorkers = workers
-	if err := l.DefinePrimitive("ev"); err != nil {
-		t.Fatal(err)
-	}
-	var (
-		mu    sync.Mutex
-		seen  = make(map[int]int)
-		calls int
-	)
-	if err := l.AddRule(&Rule{
-		Name:     "r",
-		Event:    "ev",
-		Context:  Recent,
-		Coupling: Detached,
-		Action: func(o *Occ) {
-			mu.Lock()
-			seen[o.Constituents[0].VNo]++
-			calls++
-			mu.Unlock()
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	at := t0
-	for i := 1; i <= burst; i++ {
-		at = at.Add(time.Millisecond)
-		l.Signal(Primitive{Event: "ev", Table: "t", Op: "insert", VNo: i, At: at})
-	}
-	// Shutdown drain under a burst: must terminate with everything run.
-	l.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != burst {
-		t.Fatalf("detached actions ran %d times, want %d", calls, burst)
-	}
-	for i := 1; i <= burst; i++ {
-		if seen[i] != 1 {
-			t.Errorf("vno %d ran %d times, want 1", i, seen[i])
-		}
-	}
-	// Worker retirement is asynchronous (a worker marks its last firing
-	// done before it re-checks the queue and exits), so poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		q, w, peak := l.DetachedStats()
-		if q == 0 && w == 0 && peak <= workers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool after drain: queued=%d workers=%d peak=%d, want 0/0/<=%d",
-				q, w, peak, workers)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -73,11 +73,11 @@ func (r *Run) Boot(dial agent.UpstreamDialer, dur *agent.Durability) {
 	}
 }
 
-// Play installs three primitive events and the composite op under ctx,
-// drives Script, calls down once when the armed crash point trips, and
-// returns with every action drained. down must Boot the incarnation that
-// finishes the script.
-func (r *Run) Play(op Operator, ctx string, down func()) {
+// Play installs three primitive events and c's composite under its
+// context and coupling, drives Script, calls down once when the armed
+// crash point trips, and returns with every action drained. down must
+// Boot the incarnation that finishes the script.
+func (r *Run) Play(c Cell, down func()) {
 	r.T.Helper()
 	cs, err := r.Agent.NewClientSession("sharma", "scenariodb")
 	if err != nil {
@@ -87,7 +87,7 @@ func (r *Run) Play(op Operator, ctx string, down func()) {
 		"create trigger sc_pa on ta for insert event ea as print 'pa'",
 		"create trigger sc_pb on tb for insert event eb as print 'pb'",
 		"create trigger sc_pc on tc for insert event ec2 as print 'pc'",
-		fmt.Sprintf("create trigger sc_comp event comp = %s %s as print 'comp'", op.Expr, ctx),
+		fmt.Sprintf("create trigger sc_comp event comp = %s %s %s as print 'comp'", c.Op.Expr, c.Ctx, c.Coupling),
 	} {
 		if _, err := cs.Exec(ddl); err != nil {
 			r.T.Fatalf("setup %q: %v", ddl, err)
@@ -178,11 +178,11 @@ func (n *Node) Restart() {
 	n.Boot(n.Dialer(), &agent.Durability{FS: n.fs, WALSync: agent.WALSyncAlways})
 }
 
-// Oracle is the crash-free single-node outcome of op under ctx.
-func Oracle(t testing.TB, op Operator, ctx string) Outcome {
+// Oracle is the crash-free single-node outcome of c.
+func Oracle(t testing.TB, c Cell) Outcome {
 	t.Helper()
 	n := NewNode(t, 1, nil)
-	n.Play(op, ctx, nil)
+	n.Play(c, nil)
 	n.Agent.Close()
 	return n.Outcome()
 }

@@ -135,15 +135,22 @@ func (k Kill) Arm() *faults.CrashSet {
 
 func (k Kill) String() string { return fmt.Sprintf("%s nth=%d seed=%d", k.Point, k.Nth, k.Seed) }
 
-// Cell is one operator under one context and the kills its subjects take.
+// Cell is one operator under one context and coupling mode, and the
+// kills its subjects take. An empty Coupling is the default, IMMEDIATE.
 type Cell struct {
-	Op    Operator
-	Ctx   string
-	Kills []Kill
+	Op       Operator
+	Ctx      string
+	Coupling string
+	Kills    []Kill
 }
 
 // Name is the cell's subtest name.
-func (c Cell) Name() string { return c.Op.Name + "/" + c.Ctx }
+func (c Cell) Name() string {
+	if c.Coupling == "" {
+		return c.Op.Name + "/" + c.Ctx
+	}
+	return c.Op.Name + "/" + c.Ctx + "/" + c.Coupling
+}
 
 // Cells lists a matrix: every operator under every context, each killed
 // perCell times. The kills deal the points out in turn — the ith kill of
@@ -160,6 +167,21 @@ func Cells(points []Crash, perCell int) []Cell {
 			}
 			cells = append(cells, c)
 		}
+	}
+	return cells
+}
+
+// DetachedCells lists every operator under RECENT with its composite rule
+// DETACHED, each killed once at every agent crash point: the ith kill of
+// the kth cell arms AgentCrashes[i] with seed 31k+i+2.
+func DetachedCells() []Cell {
+	cells := make([]Cell, 0, len(Operators))
+	for k, op := range Operators {
+		c := Cell{Op: op, Ctx: "RECENT", Coupling: "DETACHED"}
+		for i, p := range AgentCrashes {
+			c.Kills = append(c.Kills, Kill{p, int64(31*k + i + 2)})
+		}
+		cells = append(cells, c)
 	}
 	return cells
 }

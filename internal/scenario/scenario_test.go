@@ -2,19 +2,27 @@ package scenario
 
 import "testing"
 
-// TestCellsArmEveryPoint: the crash and failover matrices arm every one
-// of their crash points.
+// TestCellsArmEveryPoint: the crash, DETACHED crash and failover matrices
+// arm every one of their crash points.
 func TestCellsArmEveryPoint(t *testing.T) {
-	for _, points := range [][]Crash{AgentCrashes, Crashes} {
+	for _, m := range []struct {
+		name   string
+		points []Crash
+		cells  []Cell
+	}{
+		{"crash", AgentCrashes, Cells(AgentCrashes, 3)},
+		{"DETACHED crash", AgentCrashes, DetachedCells()},
+		{"failover", Crashes, Cells(Crashes, 3)},
+	} {
 		armed := map[Crash]bool{}
-		for _, c := range Cells(points, 3) {
+		for _, c := range m.cells {
 			for _, k := range c.Kills {
 				armed[k.Crash] = true
 			}
 		}
-		for _, p := range points {
+		for _, p := range m.points {
 			if !armed[p] {
-				t.Errorf("the %d-point matrix never arms %s", len(points), p.Point)
+				t.Errorf("the %s matrix never arms %s", m.name, p.Point)
 			}
 		}
 	}
