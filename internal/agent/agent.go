@@ -277,6 +277,9 @@ func (a *Agent) Close() {
 	if a.notifier != nil {
 		a.notifier.close()
 	}
+	// The resync sweep's connection goes first: closing it fails a sweep
+	// query hung on the server, which bgWG.Wait would otherwise wait out.
+	a.recUp.Close()
 	a.bgWG.Wait()
 	if !a.drain(a.cfg.DrainTimeout) {
 		a.cfg.Logf("agent: drain deadline %v exceeded; abandoning in-flight rule actions", a.cfg.DrainTimeout)
@@ -293,7 +296,6 @@ func (a *Agent) Close() {
 	}
 	a.actions.Close()
 	a.pm.close()
-	a.recUp.Close()
 }
 
 // drain waits for the queued and in-flight rule actions, bounded by the

@@ -128,15 +128,9 @@ func boolUint(b bool) uint64 {
 	return 0
 }
 
-// encodeCheckpoint renders the complete file image for one epoch.
-func encodeCheckpoint(epoch uint64, c *checkpointData) ([]byte, error) {
-	return encodeCheckpointAt(epoch, c, ckptVersion)
-}
-
-// encodeCheckpointAt renders an image at an explicit format version; the
-// v1 path exists so tests can pin that current builds still read images
-// written before the CEP window section existed.
-func encodeCheckpointAt(epoch uint64, c *checkpointData, version uint32) ([]byte, error) {
+// encodeCheckpoint renders the complete file image for one epoch, always
+// at the current format version.
+func encodeCheckpoint(epoch uint64, c *checkpointData) []byte {
 	var buf bytes.Buffer
 	w := storage.NewWriter(&buf)
 
@@ -175,10 +169,8 @@ func encodeCheckpointAt(epoch uint64, c *checkpointData, version uint32) ([]byte
 				w.WriteTime(ps.At)
 			}
 			w.WriteUint(boolUint(cs.Done))
-			if version >= 2 {
-				writeOccStates(w, cs.Ring)
-				w.WriteTime(cs.NextBound)
-			}
+			writeOccStates(w, cs.Ring)
+			w.WriteTime(cs.NextBound)
 		}
 	}
 	writeFirings(w, c.LED.Deferred)
@@ -205,17 +197,15 @@ func encodeCheckpointAt(epoch uint64, c *checkpointData, version uint32) ([]byte
 		}
 		w.WriteString(d.Err)
 	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
+	_ = w.Flush() // a bytes.Buffer never fails a write
 	payload := buf.Bytes()
 
 	out := []byte(ckptMagic)
-	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint32(out, ckptVersion)
 	out = binary.LittleEndian.AppendUint64(out, epoch)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload)), nil
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
 // decodeCheckpoint validates and decodes a checkpoint image, returning

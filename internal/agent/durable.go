@@ -320,10 +320,7 @@ func (a *Agent) Checkpoint() error {
 	}
 
 	newEpoch := d.epoch + 1
-	img, err := encodeCheckpoint(newEpoch, c)
-	if err != nil {
-		return fmt.Errorf("agent: encoding checkpoint: %w", err)
-	}
+	img := encodeCheckpoint(newEpoch, c)
 	tmp := ckptName(newEpoch) + ".tmp"
 	f, err := d.fs.Create(tmp)
 	if err != nil {

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"os"
 	"testing"
 	"time"
 
@@ -27,11 +28,7 @@ func fuzzCheckpointImage() []byte {
 		Pending: []ckptPending{{Key: "k", Rule: "db.u.r", Occ: led.OccState{Event: "db.u.e", At: at}}},
 		DLQ:     []ckptDead{{Rule: "db.u.r", Event: "db.u.e", Err: "x"}},
 	}
-	img, err := encodeCheckpoint(3, c)
-	if err != nil {
-		panic(err)
-	}
-	return img
+	return encodeCheckpoint(3, c)
 }
 
 // fuzzCheckpointImageCEP builds a valid image whose LED snapshot carries
@@ -54,30 +51,14 @@ func fuzzCheckpointImageCEP() []byte {
 			}},
 		},
 	}
-	img, err := encodeCheckpoint(7, c)
-	if err != nil {
-		panic(err)
-	}
-	return img
+	return encodeCheckpoint(7, c)
 }
 
-// fuzzCheckpointImageV1 is the same shape encoded at format version 1.
+// fuzzCheckpointImageV1 is a format-version-1 image (testdata/ckpt-v1-fuzz,
+// written by the last build that could still encode v1): one CHRONICLE
+// context holding one left occurrence.
 func fuzzCheckpointImageV1() []byte {
-	at := time.Unix(1700000000, 0).UTC()
-	c := &checkpointData{
-		Watermarks: map[string]ckptWatermark{},
-		LED: &led.StateSnapshot{
-			Nodes: []led.NodeState{{
-				Path: "db.u.comp",
-				Kind: 2,
-				Contexts: []led.CtxState{{
-					Ctx:  led.Chronicle,
-					Left: []led.OccState{{Event: "db.u.e", At: at}},
-				}},
-			}},
-		},
-	}
-	img, err := encodeCheckpointAt(2, c, ckptVersionV1)
+	img, err := os.ReadFile("testdata/ckpt-v1-fuzz")
 	if err != nil {
 		panic(err)
 	}

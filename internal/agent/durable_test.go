@@ -2,6 +2,7 @@ package agent
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -410,11 +411,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		DLQ: []ckptDead{{Rule: "db.u.r", Event: "db.u.e", HasOcc: true,
 			Occ: led.OccState{Event: "db.u.e", At: at}, Messages: []string{"m"}, Err: "boom"}},
 	}
-	img, err := encodeCheckpoint(9, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, epoch, err := decodeCheckpoint(img)
+	got, epoch, err := decodeCheckpoint(encodeCheckpoint(9, c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,25 +447,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestCheckpointReadsV1 pins backward compatibility: an image written at
 // format version 1 (before the CEP window section) must decode on a v2
-// build, with every context's window state empty.
+// build, with every context's window state empty. testdata/ckpt-v1 was
+// written by the last build that could still encode v1: epoch 4, one
+// watermark, and one RECENT context holding one left occurrence at the
+// time below.
 func TestCheckpointReadsV1(t *testing.T) {
 	at := time.Unix(1700000000, 42).UTC()
-	c := &checkpointData{
-		Watermarks: map[string]ckptWatermark{
-			"db.u.e": {Event: "db.u.e", Table: "db.u.t", Op: "insert", Last: 7},
-		},
-		LED: &led.StateSnapshot{
-			Nodes: []led.NodeState{{
-				Path: "db.u.comp/0",
-				Kind: 3,
-				Contexts: []led.CtxState{{
-					Ctx:  led.Recent,
-					Left: []led.OccState{{Event: "db.u.e", Context: led.Recent, At: at}},
-				}},
-			}},
-		},
-	}
-	img, err := encodeCheckpointAt(4, c, ckptVersionV1)
+	img, err := os.ReadFile("testdata/ckpt-v1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -190,6 +191,82 @@ func TestPeriodicResyncSweep(t *testing.T) {
 	// The background sweep must find and replay the loss without any help.
 	if res := waitAction(t, r.agent); res.Err != nil {
 		t.Fatalf("sweep-recovered action: %v", res.Err)
+	}
+}
+
+// sweepHang wedges the resync sweep: once armed, an Exec that reads the
+// server's occurrence counter blocks until its connection is closed (or
+// the test gives up and releases it).
+type sweepHang struct {
+	armed       atomic.Bool
+	blocked     chan struct{} // closed when the first sweep query blocks
+	blockedOnce sync.Once
+	release     chan struct{}
+}
+
+type sweepHangUpstream struct {
+	Upstream
+	h         *sweepHang
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (u *sweepHangUpstream) Exec(sql string) ([]*sqltypes.ResultSet, error) {
+	if u.h.armed.Load() && strings.Contains(sql, "select vNo from") {
+		u.h.blockedOnce.Do(func() { close(u.h.blocked) })
+		select {
+		case <-u.closed:
+		case <-u.h.release:
+		}
+		return nil, net.ErrClosed
+	}
+	return u.Upstream.Exec(sql)
+}
+
+func (u *sweepHangUpstream) Close() error {
+	u.closeOnce.Do(func() { close(u.closed) })
+	return u.Upstream.Close()
+}
+
+// TestCloseUnblocksWedgedResync: a resync sweep whose counter query hangs
+// (no per-attempt deadline is configured) must not hold Close past the
+// drain deadline — Close releases the sweep's connection before it waits
+// for the background goroutines.
+func TestCloseUnblocksWedgedResync(t *testing.T) {
+	h := &sweepHang{blocked: make(chan struct{}), release: make(chan struct{})}
+	r := newRigWith(t, func(cfg *Config) {
+		dial := cfg.Dial
+		cfg.Dial = func(user, db string) (Upstream, error) {
+			up, err := dial(user, db)
+			if err != nil {
+				return nil, err
+			}
+			return &sweepHangUpstream{Upstream: up, h: h, closed: make(chan struct{})}, nil
+		}
+		cfg.ResyncInterval = 10 * time.Millisecond
+		cfg.DrainTimeout = 100 * time.Millisecond
+	})
+	cs := r.session(t, "sharma", "sentineldb")
+	if _, err := cs.Exec("create trigger t on stock for insert event addStk as print 'x'"); err != nil {
+		t.Fatal(err)
+	}
+	h.armed.Store(true)
+	select {
+	case <-h.blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("resync sweep never queried the occurrence counter")
+	}
+	done := make(chan struct{})
+	go func() {
+		r.agent.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		close(h.release) // let Close finish so the test can report
+		<-done
+		t.Fatal("Close did not return with the resync sweep wedged (drain deadline 100ms)")
 	}
 }
 

@@ -3,9 +3,9 @@
 // standard library's go/ast, go/token and go/types so the repo keeps its
 // zero-dependency go.mod (the container this grows in has no module
 // network). An Analyzer inspects one type-checked package and reports
-// Diagnostics; drivers (the go vet -vettool unitchecker in unitchecker.go,
-// the go list loader in load.go, the analysistest fixture runner) supply
-// the packages and collect the output.
+// Diagnostics; two loaders supply the packages and collect the output:
+// the `go list` driver in load.go, which cmd/ecavet runs over the module,
+// and the analysistest fixture runner.
 //
 // The suite mechanizes the invariants the differential test suites only
 // probe probabilistically: determinism (nowallclock), the durable-publish
@@ -76,14 +76,6 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Run executes the analyzers over pkg with a fresh fact store and
-// returns the raw diagnostics in position order. Waivers are not applied
-// — see RunWithWaivers. Cross-package facts need a driver that threads a
-// store between packages; use RunFacts for that.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunFacts(pkg, analyzers, NewFacts())
-}
-
 // RunFacts executes the analyzers over pkg against the given fact store:
 // facts dependency packages exported are visible to the analyzers, and
 // facts they export land in the store for dependents. The raw
@@ -110,18 +102,13 @@ func RunFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Diagnostic, 
 	return diags, nil
 }
 
-// RunWithWaivers executes the analyzers and applies the waiver protocol
-// (//ecavet:allow name reason): suppressed findings vanish, while malformed waivers,
-// waivers naming unknown analyzers and stale waivers (suppressing
-// nothing) are themselves reported under the waiverstale analyzer. This
-// is the driver entry point — raw Run is for analysistest fixtures that
-// assert pre-waiver findings.
-func RunWithWaivers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunFactsWithWaivers(pkg, analyzers, NewFacts())
-}
-
-// RunFactsWithWaivers is RunWithWaivers with a driver-supplied fact
-// store.
+// RunFactsWithWaivers is RunFacts plus the waiver protocol
+// (//ecavet:allow name reason): suppressed findings vanish, while
+// malformed waivers, waivers naming unknown analyzers and stale waivers
+// (suppressing nothing) are themselves reported under the waiverstale
+// analyzer. This is what the driver reports — raw RunFacts is for
+// analysistest fixtures that assert pre-waiver findings and for
+// facts-only passes over dependencies.
 func RunFactsWithWaivers(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Diagnostic, error) {
 	diags, err := RunFacts(pkg, analyzers, facts)
 	if err != nil {

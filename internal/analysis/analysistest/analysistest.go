@@ -73,14 +73,14 @@ func run(t *testing.T, testdata string, analyzers []*analysis.Analyzer, paths []
 // from toolchain export data. As each fixture package loads, the
 // analyzers under test get a facts-only pass over it into the shared
 // store — the recursion through loaderImporter loads imports first, so
-// facts flow in dependency order exactly as in the real drivers.
+// facts flow in dependency order exactly as in the go-list driver.
 type loader struct {
 	t         *testing.T
 	src       string // testdata/src
 	fset      *token.FileSet
 	pkgs      map[string]*analysis.Package
 	checking  map[string]bool
-	std       types.ImporterFrom
+	std       types.Importer
 	analyzers []*analysis.Analyzer
 	facts     *analysis.Facts
 }
@@ -95,7 +95,7 @@ func newLoader(t *testing.T, testdata string, analyzers []*analysis.Analyzer) *l
 		analyzers: analyzers,
 		facts:     analysis.NewFacts(),
 	}
-	ld.std = analysis.NewExportImporter(ld.fset, nil, stdExportFiles)
+	ld.std = analysis.NewExportImporter(ld.fset, stdExportFiles)
 	return ld
 }
 
@@ -162,7 +162,7 @@ func (li *loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*
 	if err := ensureStdExport(path); err != nil {
 		return nil, err
 	}
-	return ld.std.ImportFrom(path, dir, mode)
+	return ld.std.Import(path)
 }
 
 // stdExportFiles maps import paths to compiler export-data files,
@@ -180,11 +180,11 @@ func ensureStdExport(path string) error {
 	if _, ok := stdExportFiles[path]; ok {
 		return nil
 	}
-	pkgs, err := goListExport(path)
+	files, err := analysis.ExportFiles(path)
 	if err != nil {
 		return err
 	}
-	for p, file := range pkgs {
+	for p, file := range files {
 		stdExportFiles[p] = file
 	}
 	if _, ok := stdExportFiles[path]; !ok && path != "unsafe" {

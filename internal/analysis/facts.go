@@ -1,27 +1,19 @@
 package analysis
 
-import (
-	"encoding/json"
-	"fmt"
-	"go/types"
-	"sort"
-)
+import "go/types"
 
 // Facts is the cross-package fact store — the mechanism that lets an
 // analyzer learn something about an *imported* function without
 // re-analyzing its source (mirroring x/tools' analysis facts, string-
 // valued and keyed by package-qualified object). An analyzer exports a
 // fact on an object it analyzed (Pass.ExportFact) and looks facts up on
-// objects its package references (Pass.LookupFact); the drivers carry
-// the store across packages in dependency order:
+// objects its package references (Pass.LookupFact). The store lives in
+// memory for one run, and both loaders fill it in dependency order:
 //
-//   - the unitchecker serializes the store into the vet facts file
-//     (VetxOutput) cmd/go caches per package, and seeds it from the
-//     dependency facts files in PackageVetx;
-//   - the go-list driver analyzes in `go list -deps` order (dependencies
-//     first) and threads one in-memory store through the walk, running a
-//     facts-only pass over in-module packages that are dependencies of
-//     the requested patterns;
+//   - the go-list driver (load.go) analyzes in `go list -deps` order
+//     (dependencies first) and threads one store through the walk,
+//     running a facts-only pass over in-module packages that are
+//     dependencies of the requested patterns;
 //   - the analysistest loader runs a facts-only pass over every fixture
 //     package as it loads, so fixture imports behave like real imports.
 //
@@ -52,78 +44,8 @@ func (f *Facts) get(analyzer, object, name string) (string, bool) {
 	return v, ok
 }
 
-// Merge copies every fact from other into f (other wins on collision).
-func (f *Facts) Merge(other *Facts) {
-	if other == nil {
-		return
-	}
-	for k, v := range other.m {
-		f.m[k] = v
-	}
-}
-
 // Len reports the number of stored facts.
 func (f *Facts) Len() int { return len(f.m) }
-
-// factRecord is the serialized form of one fact.
-type factRecord struct {
-	Analyzer string
-	Object   string
-	Name     string
-	Value    string `json:",omitempty"`
-}
-
-// Encode renders the whole store as deterministic JSON (sorted records),
-// the payload of the unitchecker's facts file. Encoding the cumulative
-// store — own facts plus everything inherited from dependencies — keeps
-// the driver simple: a dependent only ever needs its direct
-// dependencies' files.
-func (f *Facts) Encode() []byte {
-	recs := make([]factRecord, 0, len(f.m))
-	for k, v := range f.m {
-		recs = append(recs, factRecord{Analyzer: k.Analyzer, Object: k.Object, Name: k.Name, Value: v})
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Name < b.Name
-	})
-	data, err := json.Marshal(recs)
-	if err != nil { // unreachable: plain strings
-		return []byte("[]")
-	}
-	return data
-}
-
-// DecodeFacts parses a facts file. Empty (or whitespace-only) input is a
-// valid empty store — pre-facts ecavet versions wrote zero-byte files,
-// and cmd/go may hand those back from its cache.
-func DecodeFacts(data []byte) (*Facts, error) {
-	f := NewFacts()
-	trimmed := false
-	for _, c := range data {
-		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			trimmed = true
-			break
-		}
-	}
-	if !trimmed {
-		return f, nil
-	}
-	var recs []factRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return nil, fmt.Errorf("decoding facts: %w", err)
-	}
-	for _, r := range recs {
-		f.put(r.Analyzer, r.Object, r.Name, r.Value)
-	}
-	return f, nil
-}
 
 // ObjectKey names a package-level object (or method) stably across
 // compilations: "pkgpath.Name" for functions, vars and types,

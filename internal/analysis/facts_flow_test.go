@@ -12,7 +12,7 @@ import (
 // starts with Marked exports a "marked" fact, and any call to a function
 // carrying the fact is reported — including calls into *imported*
 // fixture packages, which only works if the analysistest loader threads
-// facts in dependency order like the real drivers do.
+// facts in dependency order like the go-list driver does.
 var marked = &analysis.Analyzer{
 	Name: "marked",
 	Doc:  "test analyzer: flags calls to Marked* functions across packages",

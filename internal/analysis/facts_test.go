@@ -1,69 +1,12 @@
 package analysis
 
 import (
-	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"testing"
 )
-
-// TestFactsRoundTrip: Encode is deterministic and DecodeFacts inverts it;
-// the empty and whitespace-only inputs (legacy zero-byte vetx files)
-// decode to empty stores.
-func TestFactsRoundTrip(t *testing.T) {
-	f := NewFacts()
-	f.put("alpha", "pkg.F", "kind", "source")
-	f.put("alpha", "pkg.G", "kind", "")
-	f.put("beta", "pkg.F", "kind", "sink")
-
-	enc := f.Encode()
-	if !bytes.Equal(enc, f.Encode()) {
-		t.Fatal("Encode is not deterministic")
-	}
-	got, err := DecodeFacts(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != f.Len() {
-		t.Fatalf("round trip lost facts: %d != %d", got.Len(), f.Len())
-	}
-	if v, ok := got.get("alpha", "pkg.F", "kind"); !ok || v != "source" {
-		t.Fatalf("get after round trip = %q, %v", v, ok)
-	}
-	if v, ok := got.get("beta", "pkg.F", "kind"); !ok || v != "sink" {
-		t.Fatal("analyzer scoping lost in round trip")
-	}
-	if _, ok := got.get("alpha", "pkg.F", "other"); ok {
-		t.Fatal("nonexistent fact reported present")
-	}
-
-	for _, empty := range [][]byte{nil, {}, []byte("  \n\t")} {
-		e, err := DecodeFacts(empty)
-		if err != nil || e.Len() != 0 {
-			t.Fatalf("empty input must decode to empty store, got %v, %v", e, err)
-		}
-	}
-	if _, err := DecodeFacts([]byte("{broken")); err == nil {
-		t.Fatal("corrupt facts file must error")
-	}
-}
-
-func TestFactsMerge(t *testing.T) {
-	a, b := NewFacts(), NewFacts()
-	a.put("x", "p.F", "n", "old")
-	b.put("x", "p.F", "n", "new")
-	b.put("x", "p.G", "n", "only-b")
-	a.Merge(b)
-	if v, _ := a.get("x", "p.F", "n"); v != "new" {
-		t.Errorf("merge collision: got %q, want other side to win", v)
-	}
-	if _, ok := a.get("x", "p.G", "n"); !ok {
-		t.Error("merge dropped a fact")
-	}
-	a.Merge(nil) // must not panic
-}
 
 // TestObjectKey: functions key as pkgpath.Name, methods as
 // pkgpath.Recv.Name (pointer receivers deref), nil keys to "".

@@ -11,11 +11,12 @@ import (
 	"sort"
 )
 
-// The standalone driver: load packages via `go list -deps -export -json`
-// and analyze every non-dependency match from source. Imports resolve
+// The driver: load packages via `go list -deps -export -json` and
+// analyze every non-dependency match from source. Imports resolve
 // through the export data `go list -export` makes the toolchain produce,
-// so no source beyond the analyzed package is ever re-type-checked —
-// exactly how the vettool mode works, minus cmd/go orchestrating it.
+// so no source beyond the analyzed package is ever re-type-checked.
+// Test files are not loaded: every analyzer and the waiver scanner skip
+// them anyway (Pass.InTestFile, CollectWaivers).
 //
 // `go list -deps` emits dependencies before dependents, which is exactly
 // the order the fact store needs: one in-memory store threads through the
@@ -39,8 +40,8 @@ type listPackage struct {
 
 // goList runs `go list` and decodes its JSON stream. With export set it
 // lists transitive dependencies and builds export data (the analysis
-// loader's mode); without, it is a cheap source-file listing of just the
-// matched packages (the waiver lister's mode).
+// loader's and ExportFiles' mode); without, it is a cheap source-file
+// listing of just the matched packages (the waiver lister's mode).
 func goList(patterns []string, export bool) ([]*listPackage, error) {
 	args := []string{"list"}
 	if export {
@@ -69,6 +70,28 @@ func goList(patterns []string, export bool) ([]*listPackage, error) {
 	return pkgs, nil
 }
 
+// ExportFiles maps every package in the patterns' dependency closure to
+// its compiler export-data file, building the data as needed — the
+// importer input for NewExportImporter. analysistest resolves the
+// standard library with it.
+func ExportFiles(patterns ...string) (map[string]string, error) {
+	pkgs, err := goList(patterns, true)
+	if err != nil {
+		return nil, err
+	}
+	return exportFiles(pkgs), nil
+}
+
+func exportFiles(pkgs []*listPackage) map[string]string {
+	files := make(map[string]string, len(pkgs))
+	for _, p := range pkgs {
+		if p.Export != "" {
+			files[p.ImportPath] = p.Export
+		}
+	}
+	return files
+}
+
 // CheckPackages loads the packages matching the `go list` patterns and
 // runs the analyzers (with waiver filtering) over each non-dependency,
 // non-standard-library match. It returns all surviving diagnostics in one
@@ -78,14 +101,8 @@ func CheckPackages(patterns []string, analyzers []*Analyzer) ([]Diagnostic, *tok
 	if err != nil {
 		return nil, nil, err
 	}
-	exportFiles := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exportFiles[p.ImportPath] = p.Export
-		}
-	}
 	fset := token.NewFileSet()
-	imp := NewExportImporter(fset, nil, exportFiles)
+	imp := NewExportImporter(fset, exportFiles(pkgs))
 	facts := NewFacts()
 	var all []Diagnostic
 	for _, p := range pkgs {

@@ -12,36 +12,16 @@ import (
 )
 
 // NewExportImporter builds a types importer that resolves imports from
-// compiler export-data files — the same files cmd/go hands a vet tool in
-// PackageFile, or `go list -export` reports in .Export. importMap
-// translates source-level import paths to canonical package paths
-// (identity when nil); exportFiles maps canonical paths to export files.
-func NewExportImporter(fset *token.FileSet, importMap, exportFiles map[string]string) types.ImporterFrom {
-	var lookup = func(path string) (io.ReadCloser, error) {
+// the compiler export-data files `go list -export` reports, keyed by
+// import path (ExportFiles).
+func NewExportImporter(fset *token.FileSet, exportFiles map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exportFiles[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
-	}
-	inner := importer.ForCompiler(fset, "gc", lookup)
-	return &exportImporter{inner: inner.(types.ImporterFrom), importMap: importMap}
-}
-
-type exportImporter struct {
-	inner     types.ImporterFrom
-	importMap map[string]string
-}
-
-func (e *exportImporter) Import(path string) (*types.Package, error) {
-	return e.ImportFrom(path, "", 0)
-}
-
-func (e *exportImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if mapped, ok := e.importMap[path]; ok {
-		path = mapped
-	}
-	return e.inner.ImportFrom(path, dir, 0)
+	})
 }
 
 // ParseFiles parses the named Go files with comments (the waiver scanner
@@ -71,8 +51,8 @@ func NewInfo() *types.Info {
 }
 
 // TypeCheck type-checks one package's parsed files into a Package ready
-// for Run. goVersion may be "" (the toolchain default) or a "go1.N"
-// string from the vet config / go.mod.
+// for RunFacts. goVersion may be "" (the toolchain default) or a "go1.N"
+// string from go.mod.
 func TypeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, goVersion string) (*Package, error) {
 	info := NewInfo()
 	conf := types.Config{
