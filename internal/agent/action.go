@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/activedb/ecaagent/internal/faults"
@@ -115,8 +116,9 @@ type actionJob struct {
 // into the dead-letter queue against the closed upstream — instead of
 // hanging.
 type actionQueue struct {
-	run func(group []actionJob)
-	wg  sync.WaitGroup // queued + running jobs: the barrier of WaitActions and Close
+	run     func(group []actionJob)
+	wg      sync.WaitGroup // queued + running jobs: the barrier of WaitActions and Close
+	pending atomic.Int32   // what wg counts, readable (add changes both)
 
 	mu   sync.Mutex
 	wake sync.Cond // on mu: jobs arrived, or stopped was set
@@ -133,8 +135,14 @@ func newActionQueue(run func([]actionJob)) *actionQueue {
 	return q
 }
 
+// add moves the barrier and the pending count together.
+func (q *actionQueue) add(n int) {
+	q.wg.Add(n)
+	q.pending.Add(int32(n))
+}
+
 func (q *actionQueue) enqueue(j actionJob) {
-	q.wg.Add(1)
+	q.add(1)
 	q.mu.Lock()
 	q.jobs = append(q.jobs, j)
 	start := !q.working
@@ -183,7 +191,7 @@ func (q *actionQueue) work() {
 // job where a dead process's would; the worker moves on.
 func (q *actionQueue) settle(step func()) {
 	defer faults.Recover()
-	defer q.wg.Done()
+	defer q.add(-1)
 	step()
 }
 
@@ -215,7 +223,7 @@ func (a *Agent) runGroup(group []actionJob) {
 		if d := a.dur; d != nil && !survives(func() { d.crash.Hit("action.preExec") }) {
 			// Nothing of the group has been sent: it stops where a dead
 			// process's would.
-			a.actionq.wg.Add(-len(group))
+			a.actionq.add(-len(group))
 			return
 		}
 		scripts[i] = actionScript(j.param(), j.occ)

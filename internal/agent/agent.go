@@ -112,6 +112,7 @@ type Agent struct {
 	pm       *persistentManager
 	actions  *retryUpstream // the Action Handler's connection (runGroup)
 	notifier *notifier
+	execs    atomic.Int32 // client statements inside ClientSession.Exec
 
 	mu       sync.Mutex
 	events   map[string]*eventInfo   // internal event name → info

@@ -50,6 +50,8 @@ func (cs *ClientSession) Database() string { return cs.db }
 // classified as an ECA command (handled by the agent) or ordinary SQL
 // (passed through to the server verbatim).
 func (cs *ClientSession) Exec(sql string) ([]*sqltypes.ResultSet, error) {
+	cs.agent.execs.Add(1)
+	defer cs.agent.execs.Add(-1)
 	var out []*sqltypes.ResultSet
 	for batch, rest, ok := sqlparse.NextBatch(sql); ok; batch, rest, ok = sqlparse.NextBatch(rest) {
 		start := cs.agent.clock.Now()

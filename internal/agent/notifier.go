@@ -2,16 +2,20 @@ package agent
 
 import (
 	"net"
+	"net/netip"
 	"sync"
+
+	"github.com/activedb/ecaagent/internal/engine"
 )
 
 // notifier implements the Event Notifier (Figure 15): a lightweight
 // listener thread that receives UDP notifications emitted by the generated
 // triggers' syb_sendmsg calls, decodes them, and signals the LED.
 type notifier struct {
-	agent *Agent
-	conn  *net.UDPConn
-	wg    sync.WaitGroup
+	agent   *Agent
+	conn    *net.UDPConn
+	wg      sync.WaitGroup
+	release func() // ends the engine.ReceiveInProcess registration
 }
 
 // startNotifier binds the UDP listener ("127.0.0.1:0" picks an ephemeral
@@ -26,6 +30,12 @@ func startNotifier(a *Agent, addr string) (*notifier, error) {
 		return nil, err
 	}
 	n := &notifier{agent: a, conn: conn}
+	// An engine of this process that sends here yields after the send
+	// while the agent runs no rule action and no client statement but the
+	// sender's (engine.UDPNotifier). addr returns an IP literal.
+	host, port := n.addr()
+	n.release = engine.ReceiveInProcess(netip.AddrPortFrom(netip.MustParseAddr(host), uint16(port)),
+		func() bool { return a.actionq.pending.Load() == 0 && a.execs.Load() <= 1 })
 	n.wg.Add(1)
 	go n.listen()
 	return n, nil
@@ -49,6 +59,7 @@ func (n *notifier) listen() {
 }
 
 func (n *notifier) close() {
+	n.release()
 	n.conn.Close()
 	n.wg.Wait()
 }

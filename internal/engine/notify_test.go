@@ -3,7 +3,10 @@ package engine
 import (
 	"fmt"
 	"net"
+	"net/netip"
+	"slices"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -157,5 +160,84 @@ func TestUDPNotifierConcurrent(t *testing.T) {
 		if from[i] != from[0] {
 			t.Fatalf("datagram %q came from %s, want %s", m, from[i], from[0])
 		}
+	}
+}
+
+// TestUDPNotifierYieldsAfterSend: the notifier yields once per datagram,
+// after the write, so the datagram just sent is already readable when the
+// yield runs; it yields only while the destination is read in this
+// process by a reader with nothing queued, and never after a failed send.
+func TestUDPNotifierYieldsAfterSend(t *testing.T) {
+	ln, port := udpSink(t, "127.0.0.1:0")
+	raw, err := ln.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each yield records what a non-blocking read finds on the listener
+	// ("" when nothing is there).
+	var seen []string
+	n := &udpNotifier{addrs: make(map[udpDest]netip.AddrPort), yield: func() {
+		buf := make([]byte, 64)
+		got := ""
+		err := raw.Read(func(fd uintptr) bool {
+			if k, _, err := syscall.Recvfrom(int(fd), buf, syscall.MSG_DONTWAIT); err == nil {
+				got = string(buf[:k])
+			}
+			return true // never wait for the socket
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		seen = append(seen, got)
+	}}
+	sendAll := func(msgs ...string) {
+		t.Helper()
+		for _, m := range msgs {
+			if err := n.send("127.0.0.1", port, m); err != nil {
+				t.Fatalf("send %s: %v", m, err)
+			}
+		}
+	}
+	// Read elsewhere: no yield; the datagrams are drained unread.
+	sendAll("x0", "x1")
+	if len(seen) != 0 {
+		t.Errorf("%d yields for a destination no goroutine of this process reads", len(seen))
+	}
+	receive(t, ln, 2)
+
+	idle := true
+	release := ReceiveInProcess(netip.MustParseAddrPort(fmt.Sprintf("127.0.0.1:%d", port)), func() bool { return idle })
+	defer release()
+	want := []string{"m0", "m1", "m2", "m3", "m4"}
+	sendAll(want...)
+	if !slices.Equal(seen, want) {
+		t.Errorf("the yields found %q readable, want %q: one yield per send, after its write", seen, want)
+	}
+
+	// The reader has work queued: no yield.
+	idle = false
+	sendAll("b0")
+	idle = true
+	receive(t, ln, 1)
+	if len(seen) != len(want) {
+		t.Errorf("a send to a reader with work queued yielded (%d yields after %d sends)", len(seen), len(want))
+	}
+
+	for _, to := range []struct {
+		host string
+		port int
+	}{{"no such host", port}, {"", port}, {"127.0.0.1", 70000}} {
+		if err := n.send(to.host, to.port, "lost"); err == nil {
+			t.Errorf("send to %q port %d: no error", to.host, to.port)
+		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("failed sends yielded: %d yields after %d good sends", len(seen), len(want))
+	}
+
+	release()
+	sendAll("r0")
+	if len(seen) != len(want) {
+		t.Errorf("a send after release yielded (%d yields after %d sends)", len(seen), len(want))
 	}
 }
