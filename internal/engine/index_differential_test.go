@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"hash"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -33,10 +36,11 @@ type diffPair struct {
 	scan    *Session
 	indexed []string // "table.col" carrying an index on the idx side
 	nextID  int
+	h       hash.Hash // every dump of the scan side
 }
 
 func newDiffPair(t *testing.T, r *rand.Rand) *diffPair {
-	p := &diffPair{t: t}
+	p := &diffPair{t: t, h: sha256.New()}
 	for _, s := range []**Session{&p.idx, &p.scan} {
 		*s = New(catalog.New()).NewSession("u")
 	}
@@ -68,9 +72,11 @@ func (p *diffPair) insertSQL(r *rand.Rand, tbl string) string {
 // convert), but identically on both.
 func (p *diffPair) both(sql string) {
 	p.t.Helper()
-	if got, want := dump(p.idx.ExecScript(sql)), dump(p.scan.ExecScript(sql)); got != want {
+	got, want := dump(p.idx.ExecScript(sql)), dump(p.scan.ExecScript(sql))
+	if got != want {
 		p.t.Fatalf("%s\nindexed:\n%s\nscan:\n%s", sql, got, want)
 	}
+	io.WriteString(p.h, want+"\x00")
 }
 
 // dump renders results exactly: schema, every value with its kind, messages
@@ -192,6 +198,25 @@ func probePath(t *testing.T, s *Session, sql string) bool {
 	return ok
 }
 
+// indexDiffHashes is the SHA-256 of each seed's full dump in
+// TestIndexScanDifferential (every statement's result sets and error text
+// on the scan side, then its final tables), as the tree-walking evaluator
+// produced it before expressions were bound at plan time.
+var indexDiffHashes = [...]string{
+	"760b86ba3621b6239fca773762e547268bf357791abe390aca04f4cc1cf45cf5",
+	"2faddae68ec40e2d95ea4bb552e5c428fd6d5000e9f08665be06d3380cbc28c7",
+	"310d789ea29a2a76db11ddf722351396b216bc771847898604d670a48630c525",
+	"681f48acaad8938c6cd10b728994620f3cfd4ecd5d48a62e0ed1400c3908a68a",
+	"9130827eb02c3568fb16a037cf168645c50002032411e2bbb875c54093faf81c",
+	"5364166d2a4aff8877a559ace382a43e8ec78e9dd0e7f743d8e12accc85fe747",
+	"c3b268882602a0b3e186b6be262b772c7e44194e8992edc775a55aab34369c83",
+	"3c94cd22dfe30a6dfebd80563ba45d5af2f721dc45737fa29949bb038195e016",
+	"00aa7fcdfcc6946b3bde788d1c01d5600111a2cbd5b2e5daf92dc8ae47f5a4c4",
+	"96769299ad18bb2a1662ad0cf6dc21279f4097ddd4c7fe0e3c63b81d0254f118",
+	"27d1b2dcbe8696fabdb989a45116b41e8f452536548e8fafee26db9abf8372c4",
+	"7a4ad1b6989e38e56608f5f184f779907f8f3d3dcdf141639f18248c1f3e532d",
+}
+
 func TestIndexScanDifferential(t *testing.T) {
 	const seeds, perStep = 12, 25
 	cases, probed, failed := 0, 0, 0
@@ -218,6 +243,7 @@ func TestIndexScanDifferential(t *testing.T) {
 				if got != want {
 					t.Fatalf("seed %d after %s: indexes %v\n%s\nindexed:\n%s\nscan:\n%s", seed, step, p.indexed, run, got, want)
 				}
+				io.WriteString(p.h, want+"\x00")
 				if strings.Contains(want, "division by zero") {
 					failed++
 				}
@@ -253,6 +279,8 @@ func TestIndexScanDifferential(t *testing.T) {
 			p.both(p.insertSQL(r, victim))
 		}
 		compare("truncate")
+		io.WriteString(p.h, dumpTables(t, p.scan))
+		checkSeedHash(t, "index differential", seed, p.h, indexDiffHashes[:])
 	}
 	if cases < 2000 {
 		t.Errorf("only %d cases", cases)

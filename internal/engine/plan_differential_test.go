@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"hash"
+	"io"
 	"math/rand"
 	"sort"
 	"strings"
@@ -142,6 +145,33 @@ func dumpTables(t *testing.T, s *Session) string {
 	return b.String()
 }
 
+// planDiffHashes is the SHA-256 of each seed's full dump in
+// TestPlanCacheDifferential (every batch's result sets and error text,
+// then the final tables), as the tree-walking evaluator produced it before
+// expressions were bound at plan time. Any other evaluator must reproduce
+// every one.
+var planDiffHashes = [...]string{
+	"4d0e0fa7252dd801dc683abdb79f05ebc4d8ce600ac74e5f8ddcc9917caf608a",
+	"7b1a6ac128ee4f2774a747a045afa11cba390553cefb201be060c7c4ba1c5f64",
+	"6e8701b9bf7b54022d4ded132ffe570512a5e596e866e888966a6f9ba887f99b",
+	"aaf1a6519e95d746b69413ab5a89b06b600d1108eac1fc1d541a3d355b64deb6",
+	"1e9c097d2a180b523b246a57bb90b7c651bff2788b93330a190bd550ae1a1156",
+	"ab1bbda2ce47a751ed004283928a0e6e335b0d49fd00f0f3db7e6cd26c37c173",
+	"4c42fdaf7f92530323bb47ad4a56fd1eb6026403f947b6ebbbeb84bb1fca0060",
+	"a1b35d8b9b2bc8ce8f7db52c75d2ccd999269a8f2112b442418676c01b645126",
+	"4cd298fb15675886c91396b916a896c871a42f845d7f7e215c71eba82eda9cf0",
+	"c2804874ecdb5ebf697b11461ea8884411c9ca4bd91f6058bf43cfe9c29385ee",
+}
+
+// checkSeedHash fails unless h, the dump of one seed, is want[seed-1].
+func checkSeedHash(t *testing.T, name string, seed int64, h hash.Hash, want []string) {
+	t.Helper()
+	got := fmt.Sprintf("%x", h.Sum(nil))
+	if int(seed) > len(want) || got != want[seed-1] {
+		t.Errorf("%s seed %d: dump hash %s, want the recorded one", name, seed, got)
+	}
+}
+
 func TestPlanCacheDifferential(t *testing.T) {
 	const seeds, perSeed = 10, 600
 	setup := "create database db\nuse db\n" +
@@ -154,6 +184,7 @@ func TestPlanCacheDifferential(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		cached := New(catalog.New()).NewSession("u")
 		fresh := New(catalog.New()).NewSession("u")
+		h := sha256.New()
 		mustExec(t, cached, setup)
 		mustExec(t, fresh, setup)
 		id := 0
@@ -168,6 +199,7 @@ func TestPlanCacheDifferential(t *testing.T) {
 			if got != want {
 				t.Fatalf("seed %d, batch %d:\n%s\ncached:\n%s\nparsed:\n%s", seed, i, src, got, want)
 			}
+			io.WriteString(h, want+"\x00")
 			if strings.Contains(want, "error: ") {
 				failed++
 			}
@@ -175,7 +207,10 @@ func TestPlanCacheDifferential(t *testing.T) {
 		}
 		if got, want := dumpTables(t, cached), dumpTables(t, fresh); got != want {
 			t.Fatalf("seed %d: tables differ\ncached:\n%s\nparsed:\n%s", seed, got, want)
+		} else {
+			io.WriteString(h, want)
 		}
+		checkSeedHash(t, "plan differential", seed, h, planDiffHashes[:])
 		if len(cached.templates) > planCap {
 			t.Fatalf("seed %d: %d cached shapes, cap %d", seed, len(cached.templates), planCap)
 		}
