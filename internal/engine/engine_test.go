@@ -12,7 +12,7 @@ import (
 
 // newTestSession builds an engine with one database "db" and a session
 // using it, with notifications captured in the returned slice.
-func newTestSession(t *testing.T) (*Session, *[]string) {
+func newTestSession(t testing.TB) (*Session, *[]string) {
 	t.Helper()
 	eng := New(catalog.New())
 	var notes []string
@@ -26,7 +26,7 @@ func newTestSession(t *testing.T) (*Session, *[]string) {
 	return s, &notes
 }
 
-func mustExec(t *testing.T, s *Session, sql string) []*sqltypes.ResultSet {
+func mustExec(t testing.TB, s *Session, sql string) []*sqltypes.ResultSet {
 	t.Helper()
 	rs, err := s.ExecScript(sql)
 	if err != nil {

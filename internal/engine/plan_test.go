@@ -12,7 +12,7 @@ import (
 // actionScriptSetup creates what the §5.6 script of a print rule touches:
 // the sysContext table, the shadow table its constituent names, and the
 // rule's action procedure.
-func actionScriptSetup(t *testing.T) *Session {
+func actionScriptSetup(t testing.TB) *Session {
 	t.Helper()
 	s, _ := newTestSession(t)
 	mustExec(t, s, `create table sysContext (
@@ -100,7 +100,7 @@ func TestPlanCacheDropsLongBatchText(t *testing.T) {
 // insert event touches, as the agent generates it: the base table, the
 // SysPrimitiveEvent row, the shadow table and the trigger itself.
 // Notifications go nowhere.
-func figure11Setup(t *testing.T) *Session {
+func figure11Setup(t testing.TB) *Session {
 	t.Helper()
 	s, _ := newTestSession(t)
 	s.eng.SetNotifier(func(string, int, string) error { return nil })
@@ -148,18 +148,16 @@ func TestAllocsTriggerFiring(t *testing.T) {
 	t.Logf("trigger firing: %.1f allocs/op", avg)
 }
 
-// TestAllocsContextActionWarm pins the §5.6 script of a rule whose action
-// procedure joins stock.inserted (Figure 14): the script's statements,
-// the procedure's context join over the vNo index and the user's
-// insert-select each run on a session plan. Measured: 41; 82 when every
-// run planned afresh.
-func TestAllocsContextActionWarm(t *testing.T) {
+// contextActionSetup creates what the §5.6 script of a rule whose action
+// procedure joins stock.inserted touches, with n shadow rows, and returns
+// the n scripts of its first n occurrences.
+func contextActionSetup(t testing.TB, n int) (*Session, []string) {
+	t.Helper()
 	s := actionScriptSetup(t)
-	const runs = 200
 	mustExec(t, s, "select * into db.sharma.stock_inserted_tmp from db.sharma.stock_inserted where 1 = 2\n"+
 		"create index stock_inserted_vNo on db.sharma.stock_inserted (vNo)\n"+
 		"create table audit (symbol varchar(10), price float null, slot int null)")
-	for i := 1; i <= runs+2; i++ {
+	for i := 1; i <= n; i++ {
 		mustExec(t, s, fmt.Sprintf("insert db.sharma.stock_inserted values ('IBM', %d, %d)", 100+i, i))
 	}
 	mustExec(t, s, "create procedure db.sharma.f1__Proc as\n"+
@@ -167,10 +165,21 @@ func TestAllocsContextActionWarm(t *testing.T) {
 		"insert db.sharma.stock_inserted_tmp select s.* from db.sharma.stock_inserted s, sysContext c "+
 		"where c.context = 'RECENT' and c.tableName = 'db.sharma.stock_inserted' and s.vNo = c.vNo\n"+
 		"insert audit select symbol, price, 1 from db.sharma.stock_inserted_tmp")
-	scripts := make([]string, runs+2)
+	scripts := make([]string, n)
 	for i := range scripts {
 		scripts[i] = strings.Replace(actionScript(i+1), "r__Proc", "f1__Proc", 1)
 	}
+	return s, scripts
+}
+
+// TestAllocsContextActionWarm pins the §5.6 script of a rule whose action
+// procedure joins stock.inserted (Figure 14): the script's statements,
+// the procedure's context join over the vNo index and the user's
+// insert-select each run on a session plan. Measured: 41; 82 when every
+// run planned afresh.
+func TestAllocsContextActionWarm(t *testing.T) {
+	const runs = 200
+	s, scripts := contextActionSetup(t, runs+2)
 	mustExec(t, s, scripts[0])
 	i := 1
 	avg := testing.AllocsPerRun(runs, func() {
