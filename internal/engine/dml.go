@@ -29,7 +29,16 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*sqltypes.ResultSet, error) {
 			rows = append(rows, full)
 		}
 	} else {
-		for _, exprRow := range st.Values {
+		p := s.planFor(st)
+		defer p.release()
+		if !p.built {
+			for _, exprRow := range st.Values {
+				bound, _ := s.bindAll(exprRow, nil)
+				p.values = append(p.values, bound)
+			}
+			p.built = true
+		}
+		for _, exprRow := range p.values {
 			vals := make(sqltypes.Row, len(exprRow))
 			for i, e := range exprRow {
 				v, err := s.eval(e, nil)
@@ -96,24 +105,23 @@ func (s *Session) execUpdate(st *sqlparse.Update) (*sqltypes.ResultSet, error) {
 			return nil, err
 		}
 	}
-	tbl, frames, setIdx := p.tables[0], p.frames, p.setIdx
-	fr, schema := frames[0], frames[0].schema
+	tbl, cur, schema := p.tables[0], p.cur, p.frames[0].schema
 
 	s.txnSaveTable(tbl)
 	old, updated, err := tbl.Update(
 		func(r sqltypes.Row) (bool, error) {
-			fr.row = r
-			return s.truthy(st.Where, frames)
+			cur[0] = r
+			return s.truthy(p.where, cur)
 		},
 		func(r sqltypes.Row) (sqltypes.Row, error) {
-			// fr.row is still the stored row pred just accepted, so the
+			// cur is still the stored row pred just accepted, so the
 			// assignments see pre-update values while r takes the new ones.
-			for i, a := range st.Set {
-				v, err := s.eval(a.Value, frames)
+			for i, x := range p.exprs {
+				v, err := s.eval(x, cur)
 				if err != nil {
 					return nil, err
 				}
-				r[setIdx[i]] = v
+				r[p.setIdx[i]] = v
 			}
 			return r, nil
 		},
@@ -127,18 +135,27 @@ func (s *Session) execUpdate(st *sqlparse.Update) (*sqltypes.ResultSet, error) {
 	return &sqltypes.ResultSet{RowsAffected: len(updated)}, nil
 }
 
-// planUpdate builds p for UPDATE st: the target's frame and the position
-// of each SET column, validated up front.
+// planUpdate builds p for UPDATE st: the target's frame, the position of
+// each SET column, the bound WHERE and the bound SET values. An unknown
+// column fails here, so also when no row matches.
 func (s *Session) planUpdate(st *sqlparse.Update, p *plan, target []sqlparse.TableRef) error {
 	s.rebuild(p, target)
 	schema := p.frames[0].schema
 	p.setIdx = make([]int, len(st.Set))
+	values := make([]sqlparse.Expr, len(st.Set))
 	for i, a := range st.Set {
 		ci := schema.Index(a.Column)
 		if ci < 0 {
 			return fmt.Errorf("unknown column %q in update", a.Column)
 		}
-		p.setIdx[i] = ci
+		p.setIdx[i], values[i] = ci, a.Value
+	}
+	var err error
+	if p.where, err = s.bind(st.Where, p.frames); err != nil {
+		return err
+	}
+	if p.exprs, err = s.bindAll(values, p.frames); err != nil {
+		return err
 	}
 	p.built = true
 	return nil
@@ -154,15 +171,17 @@ func (s *Session) execDelete(st *sqlparse.Delete) (*sqltypes.ResultSet, error) {
 	}
 	if !fits {
 		s.rebuild(p, target)
+		if p.where, err = s.bind(st.Where, p.frames); err != nil {
+			return nil, err
+		}
 		p.built = true
 	}
-	tbl, frames := p.tables[0], p.frames
-	fr, schema := frames[0], frames[0].schema
+	tbl, cur, schema := p.tables[0], p.cur, p.frames[0].schema
 
 	s.txnSaveTable(tbl)
 	removed, err := tbl.Delete(func(r sqltypes.Row) (bool, error) {
-		fr.row = r
-		return s.truthy(st.Where, frames)
+		cur[0] = r
+		return s.truthy(p.where, cur)
 	})
 	if err != nil {
 		return nil, err

@@ -468,7 +468,13 @@ func (s *Session) execDropProcedure(st *sqlparse.DropProcedure) (*sqltypes.Resul
 }
 
 func (s *Session) execPrint(st *sqlparse.Print) (*sqltypes.ResultSet, error) {
-	v, err := s.eval(st.Value, nil)
+	p := s.planFor(st)
+	defer p.release()
+	if !p.built {
+		p.exprs, _ = s.bindAll([]sqlparse.Expr{st.Value}, nil)
+		p.built = true
+	}
+	v, err := s.eval(p.exprs[0], nil)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"github.com/activedb/ecaagent/internal/catalog"
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
-	"github.com/activedb/ecaagent/internal/storage"
 )
 
 // The index-vs-scan differential: two engines hold the same seeded random
@@ -181,20 +180,14 @@ func probePath(t *testing.T, s *Session, sql string) bool {
 		t.Fatal(err)
 	}
 	st := stmts[0].(*sqlparse.Select)
-	frames := make([]*frame, len(st.From))
-	tables := make([]*storage.Table, len(st.From))
-	for i, ref := range st.From {
-		tbl, err := s.resolveTable(ref.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames[i], tables[i] = newFrame(ref, tbl.Schema(), s.db), tbl
+	p := &plan{}
+	if _, err := s.resolve(p, st.From); err != nil {
+		t.Fatal(err)
 	}
-	steps := s.planJoin(st.Where, frames, tables)
-	if steps == nil {
+	if err := s.planSelect(st, p); err != nil || p.steps == nil {
 		return false
 	}
-	_, ok := s.joinIndexed(st.Where, &plan{frames: frames, tables: tables, steps: steps})
+	_, ok := s.joinIndexed(p)
 	return ok
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sort"
-	"strings"
 
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
@@ -11,29 +10,39 @@ import (
 
 // joinScan is the nested-loop join: every tuple of the cartesian product of
 // p's FROM tables, in FROM-order row-position order, filtered by WHERE.
-func (s *Session) joinScan(where sqlparse.Expr, p *plan) ([]sourceRow, error) {
-	frames := p.frames
+// It reads each table's stored rows in place (storage.Table.Rows).
+func (s *Session) joinScan(p *plan) ([]sourceRow, error) {
 	sources, idx := p.scratch()
 	for i, tbl := range p.tables {
 		if sources[i] = tbl.Rows(); len(sources[i]) == 0 {
 			return nil, nil
 		}
 	}
+	cur := p.cur
 	var matched []sourceRow
-	for {
-		for i := range frames {
-			frames[i].row = sources[i][idx[i]]
+	if len(cur) == 1 {
+		for _, r := range sources[0] {
+			cur[0] = r
+			ok, err := s.truthy(p.where, cur)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				matched = append(matched, sourceRow{r})
+			}
 		}
-		ok, err := s.truthy(where, frames)
+		return matched, nil
+	}
+	for {
+		for i := range cur {
+			cur[i] = sources[i][idx[i]]
+		}
+		ok, err := s.truthy(p.where, cur)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			sr := make(sourceRow, len(sources))
-			for i := range sources {
-				sr[i] = sources[i][idx[i]]
-			}
-			matched = append(matched, sr)
+			matched = append(matched, append(sourceRow(nil), cur...))
 		}
 		if !advance(idx, sources) {
 			return matched, nil
@@ -59,7 +68,7 @@ func advance(idx []int, sources [][]sqltypes.Row) bool {
 type joinStep struct {
 	frame int
 	col   int
-	key   sqlparse.Expr
+	key   *expr
 }
 
 // joinIndexed answers the join by probing hash indexes in the order of
@@ -82,11 +91,11 @@ type joinStep struct {
 // changed other than by appends while the join ran; the caller then runs
 // joinScan, whose answer is the reference. A query with no usable
 // conjunct or a WHERE that is not safe has no steps and never gets here.
-func (s *Session) joinIndexed(where sqlparse.Expr, p *plan) (matched []sourceRow, ok bool) {
-	frames, steps := p.frames, p.steps
+func (s *Session) joinIndexed(p *plan) (matched []sourceRow, ok bool) {
+	steps := p.steps
 	scans, pos := p.scratch()
-	if n := len(frames); len(p.cur) != n {
-		p.pins, p.cur = make([]storage.Pin, n), make(sourceRow, n)
+	if n := len(p.frames); len(p.pins) != n {
+		p.pins = make([]storage.Pin, n)
 	}
 	pins, cur := p.pins, p.cur
 	for _, st := range steps {
@@ -104,12 +113,11 @@ func (s *Session) joinIndexed(where sqlparse.Expr, p *plan) (matched []sourceRow
 	var hits []hit
 	bind := func(f int, row sqltypes.Row, at int) {
 		cur[f], pos[f] = row, at
-		frames[f].row = row
 	}
 	var walk func(level int) bool
 	walk = func(level int) bool {
 		if level == len(steps) {
-			match, err := s.truthy(where, frames)
+			match, err := s.truthy(p.where, cur)
 			if err != nil {
 				return false
 			}
@@ -128,7 +136,7 @@ func (s *Session) joinIndexed(where sqlparse.Expr, p *plan) (matched []sourceRow
 			}
 			return true
 		}
-		key, err := s.eval(st.key, frames)
+		key, err := s.eval(st.key, cur)
 		if err != nil {
 			return false
 		}
@@ -173,32 +181,29 @@ type probe struct {
 	needs uint64
 }
 
-// planJoin orders the frames for joinIndexed: repeatedly probe the first
-// frame that has a usable equality conjunct whose other side is already
-// bound; otherwise scan the first frame no conjunct can probe (or, failing
-// that, the first unplaced frame). nil means no frame would be probed.
-func (s *Session) planJoin(where sqlparse.Expr, frames []*frame, tables []*storage.Table) []joinStep {
-	if len(frames) > 64 || !s.safeWhere(where, frames) {
+// planJoin orders p's frames for joinIndexed: repeatedly probe the first
+// frame that has a usable equality conjunct in p's bound WHERE whose other
+// side is already bound; otherwise scan the first frame no conjunct can
+// probe (or, failing that, the first unplaced frame). nil means no frame
+// would be probed.
+func (s *Session) planJoin(p *plan) []joinStep {
+	frames, tables := p.frames, p.tables
+	if len(frames) > 64 || !s.safeWhere(p.where) {
 		return nil
 	}
 	var probes []probe
-	for _, c := range conjuncts(where, nil) {
-		eq, isEq := c.(*sqlparse.BinaryExpr)
-		if !isEq || eq.Op != sqlparse.OpEq {
+	for _, c := range conjuncts(p.where, nil) {
+		if c.op != opCompare || c.bin != sqlparse.OpEq {
 			continue
 		}
-		for _, side := range [2][2]sqlparse.Expr{{eq.L, eq.R}, {eq.R, eq.L}} {
-			cr, isCol := side[0].(*sqlparse.ColumnRef)
-			if !isCol || strings.HasPrefix(cr.Name, "@") {
+		for _, side := range [2][2]*expr{{c.args[0], c.args[1]}, {c.args[1], c.args[0]}} {
+			col := side[0]
+			if col.op != opColumn || !tables[col.frame].IndexedColumn(col.col) {
 				continue
 			}
-			f, col, err := resolve(cr, frames)
-			if err != nil || !tables[f].IndexedColumn(col) {
-				continue
-			}
-			needs, ok := s.keyFrames(side[1], frames)
-			if ok && needs&(1<<f) == 0 {
-				probes = append(probes, probe{joinStep{frame: f, col: col, key: side[1]}, needs})
+			needs, ok := s.keyFrames(side[1])
+			if ok && needs&(1<<col.frame) == 0 {
+				probes = append(probes, probe{joinStep{frame: col.frame, col: col.col, key: side[1]}, needs})
 			}
 		}
 	}
@@ -245,9 +250,9 @@ func (s *Session) planJoin(where sqlparse.Expr, frames []*frame, tables []*stora
 }
 
 // conjuncts flattens the top-level AND tree of e.
-func conjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
-	if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == sqlparse.OpAnd {
-		return conjuncts(b.R, conjuncts(b.L, out))
+func conjuncts(e *expr, out []*expr) []*expr {
+	if e != nil && e.op == opAnd {
+		return conjuncts(e.args[1], conjuncts(e.args[0], out))
 	}
 	if e == nil {
 		return out
@@ -256,20 +261,17 @@ func conjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
 }
 
 // keyFrames returns the set of frames a probe key reads. ok is false
-// unless e is a literal, a declared variable or a column that resolves —
-// the operands whose evaluation cannot fail.
-func (s *Session) keyFrames(e sqlparse.Expr, frames []*frame) (needs uint64, ok bool) {
-	switch e := e.(type) {
-	case *sqlparse.Literal:
+// unless e is a literal, a declared variable or a column — the operands
+// whose evaluation cannot fail.
+func (s *Session) keyFrames(e *expr) (needs uint64, ok bool) {
+	switch e.op {
+	case opLiteral:
 		return 0, true
-	case *sqlparse.ColumnRef:
-		if strings.HasPrefix(e.Name, "@") {
-			_, declared := s.vars[strings.ToLower(e.Name)]
-			return 0, declared
-		}
-		if f, _, err := resolve(e, frames); err == nil {
-			return 1 << f, true
-		}
+	case opVar:
+		_, declared := s.vars[e.key]
+		return 0, declared
+	case opColumn:
+		return 1 << e.frame, true
 	}
 	return 0, false
 }
@@ -278,28 +280,17 @@ func (s *Session) keyFrames(e sqlparse.Expr, frames []*frame) (needs uint64, ok 
 // effect: operands keyFrames accepts, combined by comparisons, LIKE, IN
 // lists, IS NULL, AND, OR and NOT — no arithmetic, which can divide by
 // zero, and no function call.
-func (s *Session) safeWhere(e sqlparse.Expr, frames []*frame) bool {
-	switch e := e.(type) {
-	case *sqlparse.BinaryExpr:
-		switch e.Op {
-		case sqlparse.OpAnd, sqlparse.OpOr, sqlparse.OpLike, sqlparse.OpEq, sqlparse.OpNe,
-			sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
-			return s.safeWhere(e.L, frames) && s.safeWhere(e.R, frames)
-		}
-		return false
-	case *sqlparse.UnaryExpr:
-		return e.Op == "not" && s.safeWhere(e.E, frames)
-	case *sqlparse.IsNull:
-		return s.safeWhere(e.E, frames)
-	case *sqlparse.InList:
-		for _, item := range e.List {
-			if !s.safeWhere(item, frames) {
+func (s *Session) safeWhere(e *expr) bool {
+	switch e.op {
+	case opAnd, opOr, opLike, opCompare, opNot, opIsNull, opIn:
+		for _, a := range e.args {
+			if !s.safeWhere(a) {
 				return false
 			}
 		}
-		return s.safeWhere(e.E, frames)
+		return true
 	}
-	_, ok := s.keyFrames(e, frames)
+	_, ok := s.keyFrames(e)
 	return ok
 }
 

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"strings"
-
 	"github.com/activedb/ecaagent/internal/sqllex"
 	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
@@ -17,20 +15,23 @@ import (
 // cached statements. That is safe because a Session runs one batch at a
 // time and nothing ExecBatch returns keeps a node.
 //
-// Statement plans: a session keeps a plan for each SELECT, UPDATE and
-// DELETE node it will run again — a template's statements and the bodies
-// of procedures and triggers — keyed by the node. A plan holds what
-// planning derives from the tables the statement names: frames and
-// validated column positions, the projection list, the join steps and the
-// last output schema, so a run keeps only per-row state. Procedure and
-// trigger bodies are catalog objects other sessions run concurrently, so
-// the engine keys plans by a node but never writes anything into one; a
-// plan reads the node's expressions, whose literals a template rebinds,
-// at every run. A plan is reused only while every table it names has the
-// layout it was built on, the session database is the one it was built
-// in, and the WHERE's variables are declared as they were; otherwise it
-// is built afresh. A statement that runs while its own plan is in use
-// gets a plan that is not kept.
+// Statement plans: a session keeps a plan for each statement node with
+// expressions that it will run again (SELECT, UPDATE, DELETE, INSERT,
+// PRINT and EXECUTE) — a template's statements and the bodies of
+// procedures and triggers — keyed by the node. A plan holds what planning
+// derives from the tables the statement names: frames, the statement's
+// expressions bound to them (bind: column references as frame and
+// position, so an unknown column fails the plan), the projection list,
+// the join steps and the last output schema, so a run keeps only per-row
+// state. Procedure and trigger bodies are catalog objects other sessions
+// run concurrently, so the engine keys plans by a node but never writes
+// anything into one; a bound literal points at the node's Literal, whose
+// value a template rebinds before every run. A plan is reused only while
+// every table it names has the layout it was built on, the session
+// database is the one it was built in, and the WHERE's variables are
+// declared as they were; otherwise it is built and bound afresh. A plan
+// of a statement without tables is built once. A statement that runs
+// while its own plan is in use gets a plan that is not kept.
 
 // planCap is how many shapes and nullable schemas a session keeps, and a
 // quarter of how many statement plans. Full templates or plans empty the
@@ -97,25 +98,34 @@ type plan struct {
 
 	db   string
 	refs []layout   // of each table the statement names, in order
-	vars []varCheck // the variables the WHERE reads
+	vars []varCheck // the variables the WHERE reads, when it has join steps
 
-	// tables holds the statement's tables resolved for the current run;
-	// it and the join's buffers below are per-run state, kept only to
-	// reuse the slices.
-	tables []*storage.Table
+	// frames describe the statement's tables to bind, and the bound
+	// expressions below read the rows of those frames.
 	frames []*frame
+	where  *expr
+	exprs  []*expr   // PRINT's value, EXECUTE's arguments, UPDATE's SET values
+	values [][]*expr // INSERT's VALUES rows
+
+	// tables holds the statement's tables resolved for the current run,
+	// and cur the current row of each frame; they and the join's buffers
+	// below are per-run state, kept only to reuse the slices.
+	tables []*storage.Table
+	cur    sourceRow
 	rows   [][]sqltypes.Row // each frame's rows to scan
 	at     []int            // each frame's current row position
 	pins   []storage.Pin
-	cur    sourceRow
 
 	// SELECT: whether it groups, the join steps (nil: scan), the
-	// projection list or the error building it, and the output schema of
-	// the last run.
+	// projection list or the error building it, the GROUP BY keys, HAVING,
+	// the ORDER BY keys and the output schema of the last run.
 	grouped bool
 	steps   []joinStep
 	projs   []projection
 	projErr error
+	groupBy []*expr
+	having  *expr
+	order   []orderKey
 	schema  *sqltypes.Schema
 
 	// UPDATE: the column position of each SET.
@@ -175,9 +185,6 @@ func (s *Session) planFor(st sqlparse.Statement) *plan {
 
 // release ends a run on p, dropping the rows and tables it bound.
 func (p *plan) release() {
-	for _, f := range p.frames {
-		f.row = nil
-	}
 	clear(p.tables)
 	clear(p.rows)
 	clear(p.pins)
@@ -221,7 +228,7 @@ func (s *Session) resolve(p *plan, from []sqlparse.TableRef) (fits bool, err err
 // rebuild clears p for planning afresh against p.tables in the session's
 // database and builds a frame on each table for the matching FROM entry.
 func (s *Session) rebuild(p *plan, from []sqlparse.TableRef) {
-	*p = plan{busy: true, db: s.db, tables: p.tables}
+	*p = plan{busy: true, db: s.db, tables: p.tables, cur: make(sourceRow, len(p.tables))}
 	for i, tbl := range p.tables {
 		l := layoutOf(tbl)
 		p.refs = append(p.refs, l)
@@ -231,35 +238,18 @@ func (s *Session) rebuild(p *plan, from []sqlparse.TableRef) {
 
 // varsOf appends to out the variables e reads, each once, with whether it
 // is declared now.
-func (s *Session) varsOf(e sqlparse.Expr, out []varCheck) []varCheck {
-	switch e := e.(type) {
-	case *sqlparse.ColumnRef:
-		if !strings.HasPrefix(e.Name, "@") {
-			return out
-		}
-		name := strings.ToLower(e.Name)
+func (s *Session) varsOf(e *expr, out []varCheck) []varCheck {
+	if e.op == opVar {
 		for _, v := range out {
-			if v.name == name {
+			if v.name == e.key {
 				return out
 			}
 		}
-		_, declared := s.vars[name]
-		return append(out, varCheck{name, declared})
-	case *sqlparse.BinaryExpr:
-		return s.varsOf(e.R, s.varsOf(e.L, out))
-	case *sqlparse.UnaryExpr:
-		return s.varsOf(e.E, out)
-	case *sqlparse.IsNull:
-		return s.varsOf(e.E, out)
-	case *sqlparse.FuncCall:
-		for _, a := range e.Args {
-			out = s.varsOf(a, out)
-		}
-	case *sqlparse.InList:
-		out = s.varsOf(e.E, out)
-		for _, x := range e.List {
-			out = s.varsOf(x, out)
-		}
+		_, declared := s.vars[e.key]
+		return append(out, varCheck{e.key, declared})
+	}
+	for _, a := range e.args {
+		out = s.varsOf(a, out)
 	}
 	return out
 }

@@ -34,23 +34,29 @@ func (s *Session) execProcedureCall(st *sqlparse.Execute) (*sqltypes.ResultSet, 
 	// Bind arguments positionally, converting to the declared types.
 	// Unsupplied parameters default to NULL. A procedure without
 	// parameters declares no variable, so it needs no map.
+	p := s.planFor(st)
+	defer p.release()
+	if !p.built {
+		p.exprs, _ = s.bindAll(st.Args, nil)
+		p.built = true
+	}
 	var vars map[string]sqltypes.Value
 	if len(proc.Params) > 0 {
 		vars = make(map[string]sqltypes.Value, len(proc.Params))
 	}
-	for i, p := range proc.Params {
+	for i, param := range proc.Params {
 		v := sqltypes.Null
-		if i < len(st.Args) {
-			raw, err := s.eval(st.Args[i], nil)
+		if i < len(p.exprs) {
+			raw, err := s.eval(p.exprs[i], nil)
 			if err != nil {
 				return nil, err
 			}
-			v, err = raw.Convert(p.Type)
+			v, err = raw.Convert(param.Type)
 			if err != nil {
 				return nil, fmt.Errorf("argument %d of %s: %v", i+1, proc.Name, err)
 			}
 		}
-		vars[strings.ToLower(p.Name)] = v
+		vars[strings.ToLower(param.Name)] = v
 	}
 
 	// Procedures execute in their home database with their own parameter

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -95,33 +96,80 @@ func TestIntegerCompareBeyondFloat(t *testing.T) {
 
 // TestAllocsWhereSizeFree: a WHERE costs no allocation per row, also when
 // it names a qualified, mixed-case column, so a scanning UPDATE, DELETE
-// and SELECT allocate the same on 64 rows as on 1 024.
+// and SELECT allocate the same on 64 rows as on 1 024, in count and in
+// bytes: the scan reads the stored rows in place instead of copying them.
 func TestAllocsWhereSizeFree(t *testing.T) {
-	counts := func(n int) []float64 {
+	type cost struct{ allocs, bytes float64 }
+	counts := func(n int) []cost {
 		s, _ := newTestSession(t)
 		mustExec(t, s, "create table q (Symbol varchar(10), price float null)")
 		for i := 0; i < n; i++ {
 			mustExec(t, s, fmt.Sprintf("insert q values ('Q%d', %d)", i, i))
 		}
-		var out []float64
+		var out []cost
 		for _, sql := range []string{
 			"update q set price = 1 where q.Symbol = 'nosuch'",
 			"delete q where q.Symbol = 'nosuch'",
 			"select price from q where q.Symbol = 'Q12'",
 		} {
-			mustExec(t, s, sql)
-			out = append(out, testing.AllocsPerRun(20, func() {
+			run := func() {
 				if _, err := s.ExecScript(sql); err != nil {
 					t.Fatal(err)
 				}
-			}))
+			}
+			run()
+			out = append(out, cost{testing.AllocsPerRun(20, run), bytesPerRun(20, run)})
 		}
 		return out
 	}
 	small, big := counts(64), counts(1024)
 	for i, name := range []string{"UPDATE", "DELETE", "SELECT"} {
 		if small[i] != big[i] {
-			t.Errorf("%s: %.1f allocs/op on 64 rows, %.1f on 1024", name, small[i], big[i])
+			t.Errorf("%s: %.1f allocs and %.0f B per op on 64 rows, %.1f and %.0f B on 1024",
+				name, small[i].allocs, small[i].bytes, big[i].allocs, big[i].bytes)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call, on one
+// processor.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestUnknownColumnOnEmptyTable: an UPDATE or DELETE that names an unknown
+// column fails with the error SELECT gives, also when the table is empty
+// and no WHERE or SET is ever evaluated, as the original server reports
+// it when it compiles the statement.
+func TestUnknownColumnOnEmptyTable(t *testing.T) {
+	const want = `unknown column "nosuch"`
+	for _, rows := range []int{0, 1} {
+		s, _ := newTestSession(t)
+		mustExec(t, s, "create table t (a int null)")
+		for i := 0; i < rows; i++ {
+			mustExec(t, s, "insert t values (1)")
+		}
+		for _, sql := range []string{
+			"delete t where nosuch = 1",
+			"update t set a = 1 where nosuch = 1",
+			"update t set a = nosuch",
+			"select a from t where nosuch = 1",
+		} {
+			if _, err := s.ExecScript(sql); err == nil || err.Error() != want {
+				t.Errorf("%d rows: %s: error %v, want %s", rows, sql, err, want)
+			}
+		}
+		if got := lastRows(mustExec(t, s, "select count(*) from t where a = 1"))[0][0].Int(); got != int64(rows) {
+			t.Errorf("%d rows: %d rows hold a = 1 after the failed statements", rows, got)
 		}
 	}
 }

@@ -70,10 +70,10 @@ func (s *Session) runSelect(st *sqlparse.Select) (*sqltypes.ResultSet, error) {
 	var matched []sourceRow
 	planned := false
 	if p.steps != nil {
-		matched, planned = s.joinIndexed(st.Where, p)
+		matched, planned = s.joinIndexed(p)
 	}
 	if !planned {
-		if matched, err = s.joinScan(st.Where, p); err != nil {
+		if matched, err = s.joinScan(p); err != nil {
 			return nil, err
 		}
 	}
@@ -85,67 +85,97 @@ func (s *Session) runSelect(st *sqlparse.Select) (*sqltypes.ResultSet, error) {
 }
 
 // planSelect builds p for st against the FROM tables p.tables holds:
-// frames, compile-time column validation (which matters when zero rows
-// match), the join plan and the projection list.
+// frames, the bound WHERE, items, GROUP BY keys and HAVING (binding them
+// reports an unknown column even when zero rows match, as the original
+// server does at compile time), the join plan, the projection list and
+// the ORDER BY keys.
 func (s *Session) planSelect(st *sqlparse.Select, p *plan) error {
 	s.rebuild(p, st.From)
-	if err := s.validateColumns(st.Where, p.frames); err != nil {
+	var err error
+	if p.where, err = s.bind(st.Where, p.frames); err != nil {
 		return err
 	}
-	for _, item := range st.Items {
+	items := make([]*expr, len(st.Items))
+	for i, item := range st.Items {
 		if !item.Star {
-			if err := s.validateColumns(item.Expr, p.frames); err != nil {
+			if items[i], err = s.bind(item.Expr, p.frames); err != nil {
 				return err
 			}
 		}
 	}
-	for _, ge := range st.GroupBy {
-		if err := s.validateColumns(ge, p.frames); err != nil {
-			return err
-		}
+	if p.groupBy, err = s.bindAll(st.GroupBy, p.frames); err != nil {
+		return err
 	}
-	if err := s.validateColumns(st.Having, p.frames); err != nil {
+	if p.having, err = s.bind(st.Having, p.frames); err != nil {
 		return err
 	}
 	for _, l := range p.refs {
-		if l.nidx > 0 {
-			p.vars = s.varsOf(st.Where, nil)
-			p.steps = s.planJoin(st.Where, p.frames, p.tables)
+		if l.nidx > 0 && p.where != nil {
+			p.vars = s.varsOf(p.where, nil)
+			p.steps = s.planJoin(p)
 			break
 		}
 	}
-	p.grouped = len(st.GroupBy) > 0 || hasAggregates(st.Items) || hasAggregateExpr(st.Having)
+	p.grouped = len(st.GroupBy) > 0 || hasAggregate(items) || (p.having != nil && p.having.agg)
 	if p.grouped {
-		p.projs = itemProjections(st.Items)
+		p.projs = itemProjections(st.Items, items)
 	} else {
-		p.projs, p.projErr = s.buildProjections(st, p.frames)
+		p.projs, p.projErr = buildProjections(st, p.frames, items)
 	}
+	p.order = s.orderKeys(st, p)
 	p.built = true
 	return nil
 }
 
+// bindAll binds each of es against frames, reporting the first unknown
+// column.
+func (s *Session) bindAll(es []sqlparse.Expr, frames []*frame) ([]*expr, error) {
+	var out []*expr
+	var first error
+	for _, e := range es {
+		x, err := s.bind(e, frames)
+		if first == nil {
+			first = err
+		}
+		out = append(out, x)
+	}
+	return out, first
+}
+
 func (s *Session) selectWithoutFrom(st *sqlparse.Select, p *plan) (*sqltypes.ResultSet, error) {
-	if hasAggregates(st.Items) {
-		return nil, fmt.Errorf("aggregate without FROM")
+	if !p.built {
+		items, _ := s.bindAll(itemExprs(st.Items), nil)
+		p.projs, p.built = itemProjections(st.Items, items), true
+	}
+	for _, pr := range p.projs {
+		if pr.expr != nil && pr.expr.agg {
+			return nil, fmt.Errorf("aggregate without FROM")
+		}
 	}
 	if st.Where != nil || len(st.GroupBy) > 0 || st.Having != nil || len(st.OrderBy) > 0 {
 		return nil, fmt.Errorf("WHERE/GROUP/HAVING/ORDER require FROM")
 	}
 	row := make(sqltypes.Row, 0, len(st.Items))
-	for _, item := range st.Items {
+	for i, item := range st.Items {
 		if item.Star {
 			return nil, fmt.Errorf("SELECT * requires FROM")
 		}
-		v, err := s.eval(item.Expr, nil)
+		v, err := s.eval(p.projs[i].expr, nil)
 		if err != nil {
 			return nil, err
 		}
 		row = append(row, v)
 	}
-	if !p.built {
-		p.projs, p.built = itemProjections(st.Items), true
-	}
 	return &sqltypes.ResultSet{Schema: p.outputSchema(row), Rows: []sqltypes.Row{row}}, nil
+}
+
+// itemExprs returns the expression of each select item, nil for a star.
+func itemExprs(items []sqlparse.SelectItem) []sqlparse.Expr {
+	out := make([]sqlparse.Expr, len(items))
+	for i, item := range items {
+		out[i] = item.Expr
+	}
+	return out
 }
 
 // projection describes the output columns: either an expansion of a frame's
@@ -153,11 +183,13 @@ func (s *Session) selectWithoutFrom(st *sqlparse.Select, p *plan) (*sqltypes.Res
 type projection struct {
 	frameIdx int // for star columns
 	colIdx   int
-	expr     sqlparse.Expr // nil for star columns
+	expr     *expr // nil for star columns
 	name     string
 }
 
-func (s *Session) buildProjections(st *sqlparse.Select, frames []*frame) ([]projection, error) {
+// buildProjections expands the select list over frames; items holds each
+// item's bound expression.
+func buildProjections(st *sqlparse.Select, frames []*frame, items []*expr) ([]projection, error) {
 	var projs []projection
 	for i, item := range st.Items {
 		switch {
@@ -183,20 +215,31 @@ func (s *Session) buildProjections(st *sqlparse.Select, frames []*frame) ([]proj
 				return nil, fmt.Errorf("unknown table or alias %q in select list", item.StarTable)
 			}
 		default:
-			projs = append(projs, projection{expr: item.Expr, name: itemName(item, i)})
+			projs = append(projs, projection{expr: items[i], name: itemName(item, i)})
 		}
 	}
 	return projs, nil
 }
 
 // itemProjections is the projection list of a select whose items are all
-// expressions: one that groups or has no FROM.
-func itemProjections(items []sqlparse.SelectItem) []projection {
+// expressions (bound as items): one that groups or has no FROM.
+func itemProjections(items []sqlparse.SelectItem, bound []*expr) []projection {
 	projs := make([]projection, len(items))
 	for i, item := range items {
-		projs[i] = projection{expr: item.Expr, name: itemName(item, i)}
+		projs[i] = projection{expr: bound[i], name: itemName(item, i)}
 	}
 	return projs
+}
+
+// projIndex returns the position of the first output column named name,
+// or -1.
+func projIndex(projs []projection, name string) int {
+	for i, p := range projs {
+		if strings.EqualFold(p.name, name) {
+			return i
+		}
+	}
+	return -1
 }
 
 func itemName(item sqlparse.SelectItem, i int) string {
@@ -260,19 +303,16 @@ func (s *Session) selectPlain(st *sqlparse.Select, p *plan, matched []sourceRow)
 	if p.projErr != nil {
 		return nil, p.projErr
 	}
-	frames, projs := p.frames, p.projs
+	projs := p.projs
 	rows := make([]sqltypes.Row, len(matched))
 	for n, sr := range matched {
-		for i := range frames {
-			frames[i].row = sr[i]
-		}
 		row := make(sqltypes.Row, len(projs))
 		for i, pr := range projs {
 			if pr.expr == nil {
 				row[i] = sr[pr.frameIdx][pr.colIdx]
 				continue
 			}
-			v, err := s.eval(pr.expr, frames)
+			v, err := s.eval(pr.expr, sr)
 			if err != nil {
 				return nil, err
 			}
@@ -283,7 +323,7 @@ func (s *Session) selectPlain(st *sqlparse.Select, p *plan, matched []sourceRow)
 
 	// ORDER BY before DISTINCT projection-only handling: sort using source
 	// rows (expressions can reference any source column) or output aliases.
-	if len(st.OrderBy) > 0 {
+	if len(p.order) > 0 {
 		type outRow struct {
 			row sqltypes.Row
 			src sourceRow
@@ -292,15 +332,21 @@ func (s *Session) selectPlain(st *sqlparse.Select, p *plan, matched []sourceRow)
 		for i, row := range rows {
 			out[i] = outRow{row: row, src: matched[i]}
 		}
+		key := func(k orderKey, o outRow) (sqltypes.Value, error) {
+			if k.out >= 0 {
+				return o.row[k.out], nil
+			}
+			return s.eval(k.e, o.src)
+		}
 		var sortErr error
 		sort.SliceStable(out, func(a, b int) bool {
-			for _, ob := range st.OrderBy {
-				va, err := s.orderKey(ob.Expr, frames, out[a].src, out[a].row, projs)
+			for _, k := range p.order {
+				va, err := key(k, out[a])
 				if err != nil {
 					sortErr = err
 					return false
 				}
-				vb, err := s.orderKey(ob.Expr, frames, out[b].src, out[b].row, projs)
+				vb, err := key(k, out[b])
 				if err != nil {
 					sortErr = err
 					return false
@@ -320,7 +366,7 @@ func (s *Session) selectPlain(st *sqlparse.Select, p *plan, matched []sourceRow)
 				if c == 0 {
 					continue
 				}
-				if ob.Desc {
+				if k.desc {
 					return c > 0
 				}
 				return c < 0
@@ -345,20 +391,44 @@ func (s *Session) selectPlain(st *sqlparse.Select, p *plan, matched []sourceRow)
 	return &sqltypes.ResultSet{Schema: p.outputSchema(first), Rows: rows}, nil
 }
 
-// orderKey evaluates an ORDER BY expression: output alias reference first,
-// then source-row evaluation.
-func (s *Session) orderKey(e sqlparse.Expr, frames []*frame, src sourceRow, out sqltypes.Row, projs []projection) (sqltypes.Value, error) {
-	if cr, ok := e.(*sqlparse.ColumnRef); ok && len(cr.Qualifier.Parts) == 0 {
-		for i, p := range projs {
-			if strings.EqualFold(p.name, cr.Name) {
-				return out[i], nil
+// orderKey is one ORDER BY key: output column out, or, when out is
+// negative, e evaluated on the source row. A grouped select orders by
+// output columns only; err is the error of a key that names none, raised
+// when the sort first compares by the key.
+type orderKey struct {
+	out  int
+	e    *expr
+	err  error
+	desc bool
+}
+
+// orderKeys binds st's ORDER BY keys for plan p: an unqualified name
+// refers to an output column first (the first whose name it matches),
+// and otherwise a key is evaluated on the source row. A name that
+// resolves to nothing fails when the sort evaluates its key, not here.
+func (s *Session) orderKeys(st *sqlparse.Select, p *plan) []orderKey {
+	var keys []orderKey
+	for _, ob := range st.OrderBy {
+		k := orderKey{out: -1, desc: ob.Desc}
+		cr, isCol := ob.Expr.(*sqlparse.ColumnRef)
+		switch {
+		case p.grouped && !isCol:
+			k.err = fmt.Errorf("ORDER BY with aggregates must reference output columns")
+		case p.grouped:
+			if k.out = projIndex(p.projs, cr.Name); k.out < 0 {
+				k.err = fmt.Errorf("ORDER BY column %q not in output", cr.Name)
+			}
+		default:
+			if isCol && len(cr.Qualifier.Parts) == 0 {
+				k.out = projIndex(p.projs, cr.Name)
+			}
+			if k.out < 0 {
+				k.e, _ = s.bind(ob.Expr, p.frames)
 			}
 		}
+		keys = append(keys, k)
 	}
-	for i := range frames {
-		frames[i].row = src[i]
-	}
-	return s.eval(e, frames)
+	return keys
 }
 
 func distinctRows(rows []sqltypes.Row) []sqltypes.Row {
@@ -384,42 +454,11 @@ func rowKey(r sqltypes.Row) string {
 
 // --- grouped / aggregate execution ---
 
-func hasAggregates(items []sqlparse.SelectItem) bool {
-	for _, it := range items {
-		if it.Expr != nil && hasAggregateExpr(it.Expr) {
+// hasAggregate reports whether any of the bound items holds an aggregate.
+func hasAggregate(items []*expr) bool {
+	for _, x := range items {
+		if x != nil && x.agg {
 			return true
-		}
-	}
-	return false
-}
-
-func hasAggregateExpr(e sqlparse.Expr) bool {
-	switch e := e.(type) {
-	case nil:
-		return false
-	case *sqlparse.FuncCall:
-		if aggregateFuncs[e.Name] {
-			return true
-		}
-		for _, a := range e.Args {
-			if hasAggregateExpr(a) {
-				return true
-			}
-		}
-	case *sqlparse.BinaryExpr:
-		return hasAggregateExpr(e.L) || hasAggregateExpr(e.R)
-	case *sqlparse.UnaryExpr:
-		return hasAggregateExpr(e.E)
-	case *sqlparse.IsNull:
-		return hasAggregateExpr(e.E)
-	case *sqlparse.InList:
-		if hasAggregateExpr(e.E) {
-			return true
-		}
-		for _, x := range e.List {
-			if hasAggregateExpr(x) {
-				return true
-			}
 		}
 	}
 	return false
@@ -429,19 +468,15 @@ func (s *Session) selectGrouped(st *sqlparse.Select, p *plan, matched []sourceRo
 	if hasStarItems(st.Items) {
 		return nil, fmt.Errorf("SELECT * cannot be combined with aggregates")
 	}
-	frames := p.frames
 	// Partition matched rows into groups.
 	groups := make(map[string][]sourceRow)
 	var order []string
 	for _, sr := range matched {
-		for i := range frames {
-			frames[i].row = sr[i]
-		}
 		var key string
-		if len(st.GroupBy) > 0 {
-			keys := make([]string, len(st.GroupBy))
-			for i, ge := range st.GroupBy {
-				v, err := s.eval(ge, frames)
+		if len(p.groupBy) > 0 {
+			keys := make([]string, len(p.groupBy))
+			for i, ge := range p.groupBy {
+				v, err := s.eval(ge, sr)
 				if err != nil {
 					return nil, err
 				}
@@ -455,7 +490,7 @@ func (s *Session) selectGrouped(st *sqlparse.Select, p *plan, matched []sourceRo
 		groups[key] = append(groups[key], sr)
 	}
 	// A global aggregate over zero rows still yields one (empty) group.
-	if len(st.GroupBy) == 0 && len(order) == 0 {
+	if len(p.groupBy) == 0 && len(order) == 0 {
 		order = append(order, "")
 		groups[""] = nil
 	}
@@ -463,8 +498,8 @@ func (s *Session) selectGrouped(st *sqlparse.Select, p *plan, matched []sourceRo
 	var rows []sqltypes.Row
 	for _, key := range order {
 		group := groups[key]
-		if st.Having != nil {
-			hv, err := s.evalAggExpr(st.Having, frames, group)
+		if p.having != nil {
+			hv, err := s.evalAgg(p.having, group)
 			if err != nil {
 				return nil, err
 			}
@@ -473,9 +508,9 @@ func (s *Session) selectGrouped(st *sqlparse.Select, p *plan, matched []sourceRo
 				continue
 			}
 		}
-		row := make(sqltypes.Row, len(st.Items))
-		for i, item := range st.Items {
-			v, err := s.evalAggExpr(item.Expr, frames, group)
+		row := make(sqltypes.Row, len(p.projs))
+		for i, pr := range p.projs {
+			v, err := s.evalAgg(pr.expr, group)
 			if err != nil {
 				return nil, err
 			}
@@ -491,25 +526,19 @@ func (s *Session) selectGrouped(st *sqlparse.Select, p *plan, matched []sourceRo
 	}
 	schema := p.outputSchema(first)
 
-	if len(st.OrderBy) > 0 {
+	if len(p.order) > 0 {
 		var sortErr error
 		sort.SliceStable(rows, func(a, b int) bool {
-			for _, ob := range st.OrderBy {
-				cr, ok := ob.Expr.(*sqlparse.ColumnRef)
-				if !ok {
-					sortErr = fmt.Errorf("ORDER BY with aggregates must reference output columns")
+			for _, k := range p.order {
+				if k.err != nil {
+					sortErr = k.err
 					return false
 				}
-				ci := schema.Index(cr.Name)
-				if ci < 0 {
-					sortErr = fmt.Errorf("ORDER BY column %q not in output", cr.Name)
-					return false
-				}
-				c, known := rows[a][ci].Compare(rows[b][ci])
+				c, known := rows[a][k.out].Compare(rows[b][k.out])
 				if !known || c == 0 {
 					continue
 				}
-				if ob.Desc {
+				if k.desc {
 					return c > 0
 				}
 				return c < 0
@@ -535,74 +564,60 @@ func hasStarItems(items []sqlparse.SelectItem) bool {
 	return false
 }
 
-// evalAggExpr evaluates an expression over a group: aggregate calls are
-// computed across the group's rows; everything else is evaluated on the
-// group's first row.
-func (s *Session) evalAggExpr(e sqlparse.Expr, frames []*frame, group []sourceRow) (sqltypes.Value, error) {
-	switch e := e.(type) {
-	case *sqlparse.FuncCall:
-		if aggregateFuncs[e.Name] {
-			return s.computeAggregate(e, frames, group)
-		}
-		if hasAggregateExpr(e) {
-			// A scalar function over aggregate results, e.g. abs(-sum(a)):
-			// compute each argument over the group, then apply the
-			// function to the resulting constants.
-			args := make([]sqlparse.Expr, len(e.Args))
-			for i, a := range e.Args {
-				v, err := s.evalAggExpr(a, frames, group)
+// evalAgg evaluates an expression over a group: aggregate calls are
+// computed across the group's rows, a function, operator or negation
+// over them applies to their results, and everything else is evaluated
+// on the group's first row.
+func (s *Session) evalAgg(e *expr, group []sourceRow) (sqltypes.Value, error) {
+	if e.agg {
+		switch e.op {
+		case opAggregate:
+			return s.aggregate(e, group)
+		case opFunc:
+			args := make([]sqltypes.Value, len(e.args))
+			for i, a := range e.args {
+				v, err := s.evalAgg(a, group)
 				if err != nil {
 					return sqltypes.Null, err
 				}
-				args[i] = &sqlparse.Literal{Value: v}
+				args[i] = v
 			}
-			return s.evalFunc(&sqlparse.FuncCall{Name: e.Name, Args: args}, nil)
-		}
-	case *sqlparse.BinaryExpr:
-		if hasAggregateExpr(e) {
-			l, err := s.evalAggExpr(e.L, frames, group)
+			return s.call(e.name, args)
+		case opAnd, opOr, opCompare, opArith, opLike:
+			l, err := s.evalAgg(e.args[0], group)
 			if err != nil {
 				return sqltypes.Null, err
 			}
-			r, err := s.evalAggExpr(e.R, frames, group)
+			r, err := s.evalAgg(e.args[1], group)
 			if err != nil {
 				return sqltypes.Null, err
 			}
-			return s.evalBinary(&sqlparse.BinaryExpr{Op: e.Op,
-				L: &sqlparse.Literal{Value: l}, R: &sqlparse.Literal{Value: r}}, nil)
-		}
-	case *sqlparse.UnaryExpr:
-		if hasAggregateExpr(e) {
-			v, err := s.evalAggExpr(e.E, frames, group)
+			return binary(e, l, r)
+		case opNot, opNeg:
+			v, err := s.evalAgg(e.args[0], group)
 			if err != nil {
 				return sqltypes.Null, err
 			}
-			return s.evalUnary(&sqlparse.UnaryExpr{Op: e.Op, E: &sqlparse.Literal{Value: v}}, nil)
+			return unary(e, v)
 		}
 	}
-	// Non-aggregate: evaluate on the first row of the group.
 	if len(group) == 0 {
 		return sqltypes.Null, nil
 	}
-	for i := range frames {
-		frames[i].row = group[0][i]
-	}
-	return s.eval(e, frames)
+	return s.eval(e, group[0])
 }
 
-func (s *Session) computeAggregate(e *sqlparse.FuncCall, frames []*frame, group []sourceRow) (sqltypes.Value, error) {
-	if e.Name == "count" && e.Star {
+// aggregate computes an aggregate call across a group's rows.
+func (s *Session) aggregate(e *expr, group []sourceRow) (sqltypes.Value, error) {
+	if e.name == "count" && e.star {
 		return sqltypes.NewInt(int64(len(group))), nil
 	}
-	if len(e.Args) != 1 {
-		return sqltypes.Null, fmt.Errorf("%s() takes one argument", e.Name)
+	if len(e.args) != 1 {
+		return sqltypes.Null, fmt.Errorf("%s() takes one argument", e.name)
 	}
 	var values []sqltypes.Value
 	for _, sr := range group {
-		for i := range frames {
-			frames[i].row = sr[i]
-		}
-		v, err := s.eval(e.Args[0], frames)
+		v, err := s.eval(e.args[0], sr)
 		if err != nil {
 			return sqltypes.Null, err
 		}
@@ -610,7 +625,7 @@ func (s *Session) computeAggregate(e *sqlparse.FuncCall, frames []*frame, group 
 			values = append(values, v)
 		}
 	}
-	switch e.Name {
+	switch e.name {
 	case "count":
 		return sqltypes.NewInt(int64(len(values))), nil
 	case "sum", "avg":
@@ -623,7 +638,7 @@ func (s *Session) computeAggregate(e *sqlparse.FuncCall, frames []*frame, group 
 		for _, v := range values {
 			f, ok := v.AsFloat()
 			if !ok {
-				return sqltypes.Null, fmt.Errorf("%s() over non-numeric value", e.Name)
+				return sqltypes.Null, fmt.Errorf("%s() over non-numeric value", e.name)
 			}
 			total += f
 			if v.Kind() == sqltypes.KindInt || v.Kind() == sqltypes.KindBit {
@@ -632,7 +647,7 @@ func (s *Session) computeAggregate(e *sqlparse.FuncCall, frames []*frame, group 
 				allInt = false
 			}
 		}
-		if e.Name == "avg" {
+		if e.name == "avg" {
 			return sqltypes.NewFloat(total / float64(len(values))), nil
 		}
 		if allInt {
@@ -647,14 +662,14 @@ func (s *Session) computeAggregate(e *sqlparse.FuncCall, frames []*frame, group 
 		for _, v := range values[1:] {
 			c, known := v.Compare(best)
 			if !known {
-				return sqltypes.Null, fmt.Errorf("%s() over incomparable values", e.Name)
+				return sqltypes.Null, fmt.Errorf("%s() over incomparable values", e.name)
 			}
-			if (e.Name == "min" && c < 0) || (e.Name == "max" && c > 0) {
+			if (e.name == "min" && c < 0) || (e.name == "max" && c > 0) {
 				best = v
 			}
 		}
 		return best, nil
 	default:
-		return sqltypes.Null, fmt.Errorf("unknown aggregate %q", e.Name)
+		return sqltypes.Null, fmt.Errorf("unknown aggregate %q", e.name)
 	}
 }

@@ -58,7 +58,8 @@ func (s *Session) argString(e sqlparse.Expr) (string, error) {
 		}
 		return cr.Name, nil
 	}
-	v, err := s.eval(e, nil)
+	x, _ := s.bind(e, nil)
+	v, err := s.eval(x, nil)
 	if err != nil {
 		return "", err
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // transaction tracks undo images for an explicit BEGIN TRAN. The first
-// time a table is modified inside the transaction its full row set is
-// saved; ROLLBACK restores every saved image. This gives per-session
+// time a table is modified inside the transaction its slot array is kept
+// (storage.Table.Rows: read-only, and no later mutation changes it);
+// ROLLBACK restores every saved image. This gives per-session
 // atomicity for DML (schema changes are not undone, matching the
 // original server's behaviour for several DDL statements inside
 // transactions).

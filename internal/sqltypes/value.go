@@ -184,6 +184,18 @@ func (v Value) Equal(o Value) bool {
 	return ok && c == 0
 }
 
+// EqualChars is the direct equality test of two character values: ok
+// reports whether v and o are both character values, and equal whether
+// their strings are the same, which is what Compare reports for them.
+func (v Value) EqualChars(o Value) (equal, ok bool) {
+	if !isChars(v.kind) || !isChars(o.kind) {
+		return false, false
+	}
+	return v.s == o.s, true
+}
+
+func isChars(k Kind) bool { return k == KindChar || k == KindVarChar || k == KindText }
+
 // Compare orders two values. The second result is false when the
 // comparison is unknown (either side NULL, or incomparable kinds), matching
 // SQL three-valued logic. INT and BIT compare exactly as int64; a pair with

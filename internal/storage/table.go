@@ -3,13 +3,15 @@
 // used for database persistence, which is what makes the agent's ECA rules
 // durable "using the native database functionality" as the paper requires.
 //
-// Tables are copy-on-write. A stored row, and the table's schema, is never
-// written after it is stored: every mutation replaces a row slot or the
-// schema pointer instead. So the rows and schemas a table hands out (Scan,
-// Rows, Pin.Lookup, the Update and Delete predicates, Update's and Delete's
-// returned images, Schema) are the stored values themselves, shared with
-// the table and every other reader. They stay valid and unchanged after
-// later mutations, and callers must treat them as read-only.
+// Tables are copy-on-write. A stored row, the table's slot array and its
+// schema are never written after they are published: Insert appends past
+// the end of the slot array, and every other mutation publishes a new slot
+// array or schema pointer instead. So the rows, slot arrays and schemas a
+// table hands out (Scan, Rows, Pin.Lookup, the Update and Delete
+// predicates, Update's and Delete's returned images, Schema) are the
+// stored values themselves, shared with the table and every other reader.
+// They stay valid and unchanged after later mutations, and callers must
+// treat them as read-only: no write into them, no sort of them.
 package storage
 
 import (
@@ -131,12 +133,13 @@ func (t *Table) Scan(fn func(row sqltypes.Row) bool) {
 	}
 }
 
-// Rows returns the stored rows in position order. The slice is the
-// caller's own; the rows in it are shared and read-only.
+// Rows returns the stored rows in position order: the table's slot array
+// itself, shared and read-only like the rows in it, with no capacity
+// past its length, so an append to it copies. It does not allocate.
 func (t *Table) Rows() []sqltypes.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append([]sqltypes.Row(nil), t.rows...)
+	return t.rows[:len(t.rows):len(t.rows)]
 }
 
 // Update rewrites every row matching pred with the result of set, returning
@@ -145,6 +148,8 @@ func (t *Table) Rows() []sqltypes.Row {
 // the stored row and the images are the stored rows before and after; all
 // are read-only. set is called right after pred accepted a row and is the
 // one callback that gets a private copy, which it may modify and return.
+// An update that changes a row publishes a new slot array, so a slot
+// array Rows handed out keeps the rows it had.
 func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -171,20 +176,24 @@ func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.
 		}
 		changes = append(changes, change{idx: i, row: conv})
 	}
+	if len(changes) == 0 {
+		return nil, nil, nil
+	}
+	// The new slot array keeps the old capacity, as Delete's does.
+	rows := append(make([]sqltypes.Row, 0, cap(t.rows)), t.rows...)
 	rekey := false
 	for _, c := range changes {
 		for _, ix := range t.indexes {
-			if !sameKey(t.rows[c.idx][ix.col], c.row[ix.col]) {
+			if !sameKey(rows[c.idx][ix.col], c.row[ix.col]) {
 				rekey = true
 			}
 		}
-		old = append(old, t.rows[c.idx])
-		t.rows[c.idx] = c.row
+		old = append(old, rows[c.idx])
+		rows[c.idx] = c.row
 		new = append(new, c.row)
 	}
-	if len(changes) > 0 {
-		t.changed(rekey)
-	}
+	t.rows = rows
+	t.changed(rekey)
 	return old, new, nil
 }
 
