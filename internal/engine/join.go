@@ -193,7 +193,7 @@ func (s *Session) planJoin(p *plan) []joinStep {
 	}
 	var probes []probe
 	for _, c := range conjuncts(p.where, nil) {
-		if c.op != opCompare || c.bin != sqlparse.OpEq {
+		if (c.op != opCompare && c.op != opTest) || c.bin != sqlparse.OpEq {
 			continue
 		}
 		for _, side := range [2][2]*expr{{c.args[0], c.args[1]}, {c.args[1], c.args[0]}} {
@@ -282,7 +282,7 @@ func (s *Session) keyFrames(e *expr) (needs uint64, ok bool) {
 // zero, and no function call.
 func (s *Session) safeWhere(e *expr) bool {
 	switch e.op {
-	case opAnd, opOr, opLike, opCompare, opNot, opIsNull, opIn:
+	case opAnd, opOr, opLike, opCompare, opTest, opNot, opIsNull, opIn:
 		for _, a := range e.args {
 			if !s.safeWhere(a) {
 				return false
