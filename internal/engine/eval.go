@@ -213,6 +213,21 @@ func (s *Session) bind(e sqlparse.Expr, frames []*frame) (x *expr, err error) {
 	return x, err
 }
 
+// bindAll binds each of es against frames, reporting the first unknown
+// column.
+func (s *Session) bindAll(es []sqlparse.Expr, frames []*frame) ([]*expr, error) {
+	var out []*expr
+	var first error
+	for _, e := range es {
+		x, err := s.bind(e, frames)
+		if first == nil {
+			first = err
+		}
+		out = append(out, x)
+	}
+	return out, first
+}
+
 // eval evaluates a bound expression on row, the current row of each of
 // its plan's frames (nil outside a FROM).
 func (s *Session) eval(e *expr, row sourceRow) (sqltypes.Value, error) {
@@ -255,9 +270,6 @@ func (s *Session) eval(e *expr, row sourceRow) (sqltypes.Value, error) {
 		r, err := s.eval(e.args[1], row)
 		if err != nil {
 			return sqltypes.Null, err
-		}
-		if e.op == opCompare {
-			return compare(e.bin, l, r), nil
 		}
 		return binary(e, l, r)
 	case opNot, opNeg, opIsNull:

@@ -127,21 +127,6 @@ func (s *Session) planSelect(st *sqlparse.Select, p *plan) error {
 	return nil
 }
 
-// bindAll binds each of es against frames, reporting the first unknown
-// column.
-func (s *Session) bindAll(es []sqlparse.Expr, frames []*frame) ([]*expr, error) {
-	var out []*expr
-	var first error
-	for _, e := range es {
-		x, err := s.bind(e, frames)
-		if first == nil {
-			first = err
-		}
-		out = append(out, x)
-	}
-	return out, first
-}
-
 func (s *Session) selectWithoutFrom(st *sqlparse.Select, p *plan) (*sqltypes.ResultSet, error) {
 	if !p.built {
 		items, _ := s.bindAll(itemExprs(st.Items), nil)
