@@ -20,6 +20,8 @@ func (s *Session) joinScan(p *plan) ([]sourceRow, error) {
 	}
 	cur := p.cur
 	var matched []sourceRow
+	// One table, the keyed pass-through statement's case, needs no
+	// counter over the product.
 	if len(cur) == 1 {
 		for _, r := range sources[0] {
 			cur[0] = r
