@@ -33,7 +33,7 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*sqltypes.ResultSet, error) {
 		defer p.release()
 		if !p.built {
 			for _, exprRow := range st.Values {
-				bound, _ := s.bindAll(exprRow, nil)
+				bound, _ := bindAll(exprRow, nil)
 				p.values = append(p.values, bound)
 			}
 			p.built = true
@@ -151,10 +151,10 @@ func (s *Session) planUpdate(st *sqlparse.Update, p *plan, target []sqlparse.Tab
 		p.setIdx[i], values[i] = ci, a.Value
 	}
 	var err error
-	if p.where, err = s.bind(st.Where, p.frames); err != nil {
+	if p.where, err = bind(st.Where, p.frames); err != nil {
 		return err
 	}
-	if p.exprs, err = s.bindAll(values, p.frames); err != nil {
+	if p.exprs, err = bindAll(values, p.frames); err != nil {
 		return err
 	}
 	p.built = true
@@ -171,7 +171,7 @@ func (s *Session) execDelete(st *sqlparse.Delete) (*sqltypes.ResultSet, error) {
 	}
 	if !fits {
 		s.rebuild(p, target)
-		if p.where, err = s.bind(st.Where, p.frames); err != nil {
+		if p.where, err = bind(st.Where, p.frames); err != nil {
 			return nil, err
 		}
 		p.built = true

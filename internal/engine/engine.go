@@ -471,7 +471,7 @@ func (s *Session) execPrint(st *sqlparse.Print) (*sqltypes.ResultSet, error) {
 	p := s.planFor(st)
 	defer p.release()
 	if !p.built {
-		p.exprs, _ = s.bindAll([]sqlparse.Expr{st.Value}, nil)
+		p.exprs, _ = bindAll([]sqlparse.Expr{st.Value}, nil)
 		p.built = true
 	}
 	v, err := s.eval(p.exprs[0], nil)

@@ -131,7 +131,7 @@ type expr struct {
 // not resolve becomes a node that fails with resolve's error when it is
 // evaluated; err is the first such error, in evaluation order, for the
 // callers that report it when the plan is built. bind(nil) is nil.
-func (s *Session) bind(e sqlparse.Expr, frames []*frame) (x *expr, err error) {
+func bind(e sqlparse.Expr, frames []*frame) (x *expr, err error) {
 	note := func(e error) {
 		if err == nil {
 			err = e
@@ -215,11 +215,11 @@ func (s *Session) bind(e sqlparse.Expr, frames []*frame) (x *expr, err error) {
 
 // bindAll binds each of es against frames, reporting the first unknown
 // column.
-func (s *Session) bindAll(es []sqlparse.Expr, frames []*frame) ([]*expr, error) {
+func bindAll(es []sqlparse.Expr, frames []*frame) ([]*expr, error) {
 	var out []*expr
 	var first error
 	for _, e := range es {
-		x, err := s.bind(e, frames)
+		x, err := bind(e, frames)
 		if first == nil {
 			first = err
 		}

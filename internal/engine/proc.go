@@ -37,7 +37,7 @@ func (s *Session) execProcedureCall(st *sqlparse.Execute) (*sqltypes.ResultSet, 
 	p := s.planFor(st)
 	defer p.release()
 	if !p.built {
-		p.exprs, _ = s.bindAll(st.Args, nil)
+		p.exprs, _ = bindAll(st.Args, nil)
 		p.built = true
 	}
 	var vars map[string]sqltypes.Value

@@ -92,21 +92,21 @@ func (s *Session) runSelect(st *sqlparse.Select) (*sqltypes.ResultSet, error) {
 func (s *Session) planSelect(st *sqlparse.Select, p *plan) error {
 	s.rebuild(p, st.From)
 	var err error
-	if p.where, err = s.bind(st.Where, p.frames); err != nil {
+	if p.where, err = bind(st.Where, p.frames); err != nil {
 		return err
 	}
 	items := make([]*expr, len(st.Items))
 	for i, item := range st.Items {
 		if !item.Star {
-			if items[i], err = s.bind(item.Expr, p.frames); err != nil {
+			if items[i], err = bind(item.Expr, p.frames); err != nil {
 				return err
 			}
 		}
 	}
-	if p.groupBy, err = s.bindAll(st.GroupBy, p.frames); err != nil {
+	if p.groupBy, err = bindAll(st.GroupBy, p.frames); err != nil {
 		return err
 	}
-	if p.having, err = s.bind(st.Having, p.frames); err != nil {
+	if p.having, err = bind(st.Having, p.frames); err != nil {
 		return err
 	}
 	for _, l := range p.refs {
@@ -122,14 +122,14 @@ func (s *Session) planSelect(st *sqlparse.Select, p *plan) error {
 	} else {
 		p.projs, p.projErr = buildProjections(st, p.frames, items)
 	}
-	p.order = s.orderKeys(st, p)
+	p.order = orderKeys(st, p)
 	p.built = true
 	return nil
 }
 
 func (s *Session) selectWithoutFrom(st *sqlparse.Select, p *plan) (*sqltypes.ResultSet, error) {
 	if !p.built {
-		items, _ := s.bindAll(itemExprs(st.Items), nil)
+		items, _ := bindAll(itemExprs(st.Items), nil)
 		p.projs, p.built = itemProjections(st.Items, items), true
 	}
 	for _, pr := range p.projs {
@@ -391,7 +391,7 @@ type orderKey struct {
 // refers to an output column first (the first whose name it matches),
 // and otherwise a key is evaluated on the source row. A name that
 // resolves to nothing fails when the sort evaluates its key, not here.
-func (s *Session) orderKeys(st *sqlparse.Select, p *plan) []orderKey {
+func orderKeys(st *sqlparse.Select, p *plan) []orderKey {
 	var keys []orderKey
 	for _, ob := range st.OrderBy {
 		k := orderKey{out: -1, desc: ob.Desc}
@@ -408,7 +408,7 @@ func (s *Session) orderKeys(st *sqlparse.Select, p *plan) []orderKey {
 				k.out = projIndex(p.projs, cr.Name)
 			}
 			if k.out < 0 {
-				k.e, _ = s.bind(ob.Expr, p.frames)
+				k.e, _ = bind(ob.Expr, p.frames)
 			}
 		}
 		keys = append(keys, k)

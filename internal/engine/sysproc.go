@@ -58,7 +58,7 @@ func (s *Session) argString(e sqlparse.Expr) (string, error) {
 		}
 		return cr.Name, nil
 	}
-	x, _ := s.bind(e, nil)
+	x, _ := bind(e, nil)
 	v, err := s.eval(x, nil)
 	if err != nil {
 		return "", err
