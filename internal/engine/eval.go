@@ -91,7 +91,6 @@ const (
 	opColumn                  // the value at position col of frame's row
 	opVar                     // the variable key
 	opCompare                 // =, <>, <, <=, >, >= of args[0] and args[1]
-	opTest                    // opCompare of two columns or literals, read in place
 	opArith                   // +, -, *, /, % of args[0] and args[1]
 	opLike                    // args[0] LIKE args[1]
 	opAnd                     // args[0] AND args[1], three-valued
@@ -171,9 +170,6 @@ func bind(e sqlparse.Expr, frames []*frame) (x *expr, err error) {
 				x.op = opLike
 			case sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
 				x.op = opCompare
-				if isLeaf(x.args[0]) && isLeaf(x.args[1]) {
-					x.op = opTest
-				}
 			case sqlparse.OpAdd, sqlparse.OpSub, sqlparse.OpMul, sqlparse.OpDiv, sqlparse.OpMod:
 				x.op = opArith
 			default:
@@ -254,14 +250,6 @@ func (s *Session) eval(e *expr, row sourceRow) (sqltypes.Value, error) {
 			return sqltypes.Null, err
 		}
 		return logical(e.op, l, r), nil
-	case opTest:
-		l, r := leaf(e.args[0], row), leaf(e.args[1], row)
-		if e.bin == sqlparse.OpEq {
-			if equal, ok := l.EqualChars(r); ok {
-				return sqltypes.NewBit(equal), nil
-			}
-		}
-		return compare(e.bin, l, r), nil
 	case opCompare, opArith, opLike:
 		l, err := s.eval(e.args[0], row)
 		if err != nil {
@@ -298,21 +286,15 @@ func (s *Session) eval(e *expr, row sourceRow) (sqltypes.Value, error) {
 	}
 }
 
-// isLeaf reports whether e is a column or a literal, the operands a
-// comparison reads in place (opTest).
-func isLeaf(e *expr) bool { return e.op == opColumn || e.op == opLiteral }
-
-// leaf reads a column or a literal.
-func leaf(e *expr, row sourceRow) sqltypes.Value {
-	if e.op == opColumn {
-		return row[e.frame][e.col]
-	}
-	return e.lit.Value
-}
-
 // compare applies a comparison operator: the values are ordered by
-// Value.Compare, and a comparison it cannot make is SQL unknown.
+// Value.Compare, and a comparison it cannot make is SQL unknown. An
+// equality of two character values is a direct string test.
 func compare(op sqlparse.BinaryOp, l, r sqltypes.Value) sqltypes.Value {
+	if op == sqlparse.OpEq {
+		if equal, ok := l.EqualChars(r); ok {
+			return sqltypes.NewBit(equal)
+		}
+	}
 	c, known := l.Compare(r)
 	if !known {
 		return sqltypes.Null
@@ -340,7 +322,7 @@ func binary(e *expr, l, r sqltypes.Value) (sqltypes.Value, error) {
 	switch e.op {
 	case opAnd, opOr:
 		return logical(e.op, l, r), nil
-	case opCompare, opTest:
+	case opCompare:
 		return compare(e.bin, l, r), nil
 	case opLike:
 		if l.IsNull() || r.IsNull() {

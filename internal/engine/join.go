@@ -20,21 +20,6 @@ func (s *Session) joinScan(p *plan) ([]sourceRow, error) {
 	}
 	cur := p.cur
 	var matched []sourceRow
-	// One table, the keyed pass-through statement's case, needs no
-	// counter over the product.
-	if len(cur) == 1 {
-		for _, r := range sources[0] {
-			cur[0] = r
-			ok, err := s.truthy(p.where, cur)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				matched = append(matched, sourceRow{r})
-			}
-		}
-		return matched, nil
-	}
 	for {
 		for i := range cur {
 			cur[i] = sources[i][idx[i]]
@@ -195,7 +180,7 @@ func (s *Session) planJoin(p *plan) []joinStep {
 	}
 	var probes []probe
 	for _, c := range conjuncts(p.where, nil) {
-		if (c.op != opCompare && c.op != opTest) || c.bin != sqlparse.OpEq {
+		if c.op != opCompare || c.bin != sqlparse.OpEq {
 			continue
 		}
 		for _, side := range [2][2]*expr{{c.args[0], c.args[1]}, {c.args[1], c.args[0]}} {
@@ -284,7 +269,7 @@ func (s *Session) keyFrames(e *expr) (needs uint64, ok bool) {
 // zero, and no function call.
 func (s *Session) safeWhere(e *expr) bool {
 	switch e.op {
-	case opAnd, opOr, opLike, opCompare, opTest, opNot, opIsNull, opIn:
+	case opAnd, opOr, opLike, opCompare, opNot, opIsNull, opIn:
 		for _, a := range e.args {
 			if !s.safeWhere(a) {
 				return false

@@ -568,7 +568,7 @@ func (s *Session) evalAgg(e *expr, group []sourceRow) (sqltypes.Value, error) {
 				args[i] = v
 			}
 			return s.call(e.name, args)
-		case opAnd, opOr, opCompare, opTest, opArith, opLike:
+		case opAnd, opOr, opCompare, opArith, opLike:
 			l, err := s.evalAgg(e.args[0], group)
 			if err != nil {
 				return sqltypes.Null, err

@@ -188,13 +188,11 @@ func (v Value) Equal(o Value) bool {
 // reports whether v and o are both character values, and equal whether
 // their strings are the same, which is what Compare reports for them.
 func (v Value) EqualChars(o Value) (equal, ok bool) {
-	if !isChars(v.kind) || !isChars(o.kind) {
+	if !(Type{Kind: v.kind}).IsCharacter() || !(Type{Kind: o.kind}).IsCharacter() {
 		return false, false
 	}
 	return v.s == o.s, true
 }
-
-func isChars(k Kind) bool { return k == KindChar || k == KindVarChar || k == KindText }
 
 // Compare orders two values. The second result is false when the
 // comparison is unknown (either side NULL, or incomparable kinds), matching
