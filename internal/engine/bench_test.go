@@ -11,6 +11,8 @@ import (
 //   - passthrough: the four shapes of the passthrough workload in turn, a
 //     keyed SELECT, a keyed UPDATE and an INSERT/DELETE pair, on a 64-row
 //     table;
+//   - update_4096: a keyed UPDATE of one row of a 4 096-row table, the
+//     statement that pays for a copy-on-write slot array per table size;
 //   - trigger_firing: an insert that fires the Figure 11 trigger;
 //   - context_action: the §5.6 script of a rule whose action joins
 //     stock.inserted (Figure 14).
@@ -47,6 +49,26 @@ func BenchmarkStatementMix(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.ExecBatch(stmts[i%n]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("update_4096", func(b *testing.B) {
+		s, _ := newTestSession(b)
+		mustExec(b, s, "create table quotes (symbol varchar(10), price float null)")
+		const rows = 4096
+		for i := 0; i < rows; i++ {
+			mustExec(b, s, fmt.Sprintf("insert quotes values ('Q%04d', %d.25)", i, 100+i%100))
+		}
+		var stmts [256]string
+		for i := range stmts {
+			stmts[i] = fmt.Sprintf("update quotes set price = %d.5 where symbol = 'Q%04d'", 90+i%20, (i*37)%rows)
+		}
+		mustExec(b, s, stmts[0])
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.ExecBatch(stmts[i%len(stmts)]); err != nil {
 				b.Fatal(err)
 			}
 		}
