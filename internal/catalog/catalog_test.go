@@ -387,9 +387,9 @@ func TestSaveLoadIndexes(t *testing.T) {
 	if got := tbl2.Indexes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("indexes after load: %+v, want %+v", got, want)
 	}
-	rows, _, ok := tbl2.Pin().Lookup(0, sqltypes.NewString("IBM"))
-	if !ok || len(rows) != 1 {
-		t.Errorf("rebuilt index lookup: %v ok=%v", rows, ok)
+	pos, ok := tbl2.Pin().Lookup(0, sqltypes.NewString("IBM"), nil)
+	if !ok || len(pos) != 1 {
+		t.Errorf("rebuilt index lookup: %v ok=%v", pos, ok)
 	}
 
 	if err := db2.DropTable("sharma", "stock", ""); err != nil {

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/activedb/ecaagent/internal/sqltypes"
+	"github.com/activedb/ecaagent/internal/storage"
 )
 
 // aggregateSetup creates t(g, name, a) holding ('a', 'x', 1), ('b', 'y',
@@ -18,6 +20,21 @@ insert t values ('a', 'x', 1)
 insert t values ('b', 'y', 0)
 insert t values ('a', 'z', 2)`)
 	return s, notes
+}
+
+// testTable returns the session database's table name, to fill with
+// rows no INSERT statement spells.
+func testTable(t *testing.T, s *Session, name string) *storage.Table {
+	t.Helper()
+	db, err := s.database("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Table("", name, s.User())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
 }
 
 // TestAggregateErrorPrecedence pins which error a grouped select reports
@@ -133,5 +150,73 @@ func TestGroupedSendMsgOrder(t *testing.T) {
 	want := []string{"0/x", "0/y", "0/z", "2/x", "2/z", "1/x", "1/z", "3/x", "2/y", "1/y", "3/y"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("syb_sendmsg order:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestGroupKeysDoNotMerge: GROUP BY and DISTINCT tell apart rows whose
+// values differ even when, run together, their characters are the same.
+func TestGroupKeysDoNotMerge(t *testing.T) {
+	s, _ := newTestSession(t)
+	mustExec(t, s, "create table k (x varchar(10) null, y varchar(10) null)")
+	tbl := testTable(t, s, "k")
+	for _, r := range [][2]string{{"a\x005:b", "c"}, {"a", "b\x005:c"}} {
+		if err := tbl.Insert(sqltypes.Row{sqltypes.NewString(r[0]), sqltypes.NewString(r[1])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rows := lastRows(mustExec(t, s, "select x, y, count(*) from k group by x, y")); len(rows) != 2 ||
+		rows[0][2].Int() != 1 || rows[1][2].Int() != 1 {
+		t.Errorf("group by x, y: %v, want two groups of one row", rows)
+	}
+	if rows := lastRows(mustExec(t, s, "select distinct x, y from k")); len(rows) != 2 {
+		t.Errorf("select distinct x, y: %d rows, want 2", len(rows))
+	}
+	// Values equal in kind and text still share a key.
+	mustExec(t, s, "insert k values ('a', 'b\x005:c')")
+	if rows := lastRows(mustExec(t, s, "select count(*) from k group by x, y")); len(rows) != 2 || rows[1][0].Int() != 2 {
+		t.Errorf("equal rows: %v, want groups of 1 and 2", rows)
+	}
+}
+
+// TestAllocsAggregateSizeFree: an aggregate folds as it walks the matched
+// tuples, which the plan keeps as row positions in a buffer it reuses, so
+// a global or grouped aggregate allocates the same on 64 rows as on 4 096,
+// in count and in bytes.
+func TestAllocsAggregateSizeFree(t *testing.T) {
+	type cost struct{ allocs, bytes float64 }
+	queries := []string{
+		"select count(*) from q",
+		"select sum(price) from q",
+		"select count(*) from q where price > 10",
+		"select grp, count(*), max(price) from q group by grp",
+	}
+	counts := func(n int) []cost {
+		s, _ := newTestSession(t)
+		mustExec(t, s, "create table q (Symbol varchar(10), grp int, price float null)")
+		tbl := testTable(t, s, "q")
+		for i := 0; i < n; i++ {
+			row := sqltypes.Row{sqltypes.NewString(fmt.Sprintf("Q%d", i)), sqltypes.NewInt(int64(i % 4)), sqltypes.NewFloat(float64(i))}
+			if err := tbl.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out []cost
+		for _, sql := range queries {
+			run := func() {
+				if _, err := s.ExecScript(sql); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			out = append(out, cost{testing.AllocsPerRun(20, run), bytesPerRun(20, run)})
+		}
+		return out
+	}
+	small, big := counts(64), counts(4096)
+	for i, sql := range queries {
+		if small[i] != big[i] {
+			t.Errorf("%s: %.1f allocs and %.0f B per op on 64 rows, %.1f and %.0f B on 4096",
+				sql, small[i].allocs, small[i].bytes, big[i].allocs, big[i].bytes)
+		}
 	}
 }

@@ -13,6 +13,8 @@ import (
 //     table;
 //   - update_4096: a keyed UPDATE of one row of a 4 096-row table, the
 //     statement that pays for a copy-on-write slot array per table size;
+//   - aggregate_4096: a count(*), a sum and a four-group GROUP BY in turn
+//     over a 4 096-row table, the shape of a benchmark's row-count checks;
 //   - trigger_firing: an insert that fires the Figure 11 trigger;
 //   - context_action: the §5.6 script of a rule whose action joins
 //     stock.inserted (Figure 14).
@@ -65,6 +67,29 @@ func BenchmarkStatementMix(b *testing.B) {
 			stmts[i] = fmt.Sprintf("update quotes set price = %d.5 where symbol = 'Q%04d'", 90+i%20, (i*37)%rows)
 		}
 		mustExec(b, s, stmts[0])
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.ExecBatch(stmts[i%len(stmts)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("aggregate_4096", func(b *testing.B) {
+		s, _ := newTestSession(b)
+		mustExec(b, s, "create table quotes (symbol varchar(10), grp int, price float null)")
+		const rows = 4096
+		for i := 0; i < rows; i++ {
+			mustExec(b, s, fmt.Sprintf("insert quotes values ('Q%04d', %d, %d.25)", i, i%4, 100+i%100))
+		}
+		stmts := [...]string{
+			"select count(*) from quotes",
+			"select sum(price) from quotes where price > 150",
+			"select grp, count(*), max(price) from quotes group by grp",
+		}
+		for _, sql := range stmts {
+			mustExec(b, s, sql)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -194,9 +194,9 @@ func (s *Session) execDelete(st *sqlparse.Delete) (*sqltypes.ResultSet, error) {
 
 // fireTrigger runs the native trigger for (table, op), if one exists and
 // any rows were affected. The trigger body sees the inserted/deleted
-// pseudo-tables; its output is appended to the session's pending extra
-// results, which ExecBatch interleaves after the triggering statement —
-// the order a real client would observe on the wire.
+// pseudo-tables; its output is appended to the batch's results after the
+// triggering statement's own (execStmts) — the order a real client would
+// observe on the wire.
 func (s *Session) fireTrigger(tableName sqlparse.ObjectName, op sqlparse.TriggerOp, inserted, deleted []sqltypes.Row, schema *sqltypes.Schema) error {
 	if len(inserted) == 0 && len(deleted) == 0 {
 		return nil
@@ -233,7 +233,7 @@ func (s *Session) fireTrigger(tableName sqlparse.ObjectName, op sqlparse.Trigger
 	for _, st := range tr.Body {
 		rs, err := s.ExecStmt(st)
 		if rs != nil && (rs.Schema != nil || len(rs.Messages) > 0) {
-			s.extra = append(s.extra, rs)
+			s.out = append(s.out, rs)
 		}
 		if err != nil {
 			return fmt.Errorf("trigger %s: %v", tr.Name, err)

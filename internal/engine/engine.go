@@ -185,10 +185,10 @@ type Session struct {
 	vars map[string]sqltypes.Value
 	// txn is the open explicit transaction, if any.
 	txn *transaction
-	// extra buffers result sets produced by triggers and procedures fired
-	// from within a statement; ExecBatch interleaves them after the
-	// triggering statement's own result, preserving wire order.
-	extra []*sqltypes.ResultSet
+	// out holds the running batch's results (execStmts): each statement's
+	// own result, then the result sets of the trigger and procedure bodies
+	// it ran, which they append here as they run, in wire order.
+	out []*sqltypes.ResultSet
 	// procDepth guards against runaway procedure recursion.
 	procDepth int
 
@@ -273,25 +273,32 @@ func (s *Session) ExecBatch(src string) ([]*sqltypes.ResultSet, error) {
 	}
 	s.reuse = kept
 	defer func() { s.reuse = false }()
-	out := make([]*sqltypes.ResultSet, 0, len(stmts))
-	for _, st := range stmts {
-		rs, err := s.ExecStmt(st)
-		if rs != nil {
-			out = append(out, rs)
-		}
-		out = append(out, s.drainExtra()...)
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return s.execStmts(stmts)
 }
 
-// drainExtra removes and returns the buffered trigger/procedure output.
-func (s *Session) drainExtra() []*sqltypes.ResultSet {
-	out := s.extra
-	s.extra = nil
-	return out
+// execStmts runs stmts in order and returns each one's result followed by
+// the result sets of the trigger and procedure bodies it ran; on error,
+// the results up to the failing statement's and the error. The slice has
+// room for one body result per statement (a Figure 11 trigger's SELECT,
+// an action procedure's PRINT), so such a batch allocates it once.
+func (s *Session) execStmts(stmts []sqlparse.Statement) ([]*sqltypes.ResultSet, error) {
+	s.out = make([]*sqltypes.ResultSet, 0, 2*len(stmts))
+	defer func() { s.out = nil }()
+	for _, st := range stmts {
+		// The statement's own result goes before what its bodies append.
+		at := len(s.out)
+		s.out = append(s.out, nil)
+		rs, err := s.ExecStmt(st)
+		if rs != nil {
+			s.out[at] = rs
+		} else {
+			s.out = append(s.out[:at], s.out[at+1:]...)
+		}
+		if err != nil {
+			return s.out, err
+		}
+	}
+	return s.out, nil
 }
 
 // ExecStmt executes one statement.

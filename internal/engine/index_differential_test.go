@@ -187,8 +187,7 @@ func probePath(t *testing.T, s *Session, sql string) bool {
 	if err := s.planSelect(st, p); err != nil || p.steps == nil {
 		return false
 	}
-	_, ok := s.joinIndexed(p)
-	return ok
+	return s.joinIndexed(p)
 }
 
 // indexDiffHashes is the SHA-256 of each seed's full dump in

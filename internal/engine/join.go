@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/activedb/ecaagent/internal/sqlparse"
@@ -8,31 +9,32 @@ import (
 	"github.com/activedb/ecaagent/internal/storage"
 )
 
-// joinScan is the nested-loop join: every tuple of the cartesian product of
-// p's FROM tables, in FROM-order row-position order, filtered by WHERE.
-// It reads each table's stored rows in place (storage.Table.Rows).
-func (s *Session) joinScan(p *plan) ([]sourceRow, error) {
+// joinScan is the nested-loop join: it puts in p.matched every tuple of
+// the cartesian product of p's FROM tables that WHERE accepts, in
+// FROM-order row-position order. It reads each table's stored rows in
+// place (storage.Table.Rows) and keeps them in p.rows, through which the
+// matched positions are read.
+func (s *Session) joinScan(p *plan) error {
 	sources, idx := p.scratch()
 	for i, tbl := range p.tables {
 		if sources[i] = tbl.Rows(); len(sources[i]) == 0 {
-			return nil, nil
+			return nil
 		}
 	}
 	cur := p.cur
-	var matched []sourceRow
 	for {
 		for i := range cur {
 			cur[i] = sources[i][idx[i]]
 		}
 		ok, err := s.truthy(p.where, cur)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
-			matched = append(matched, append(sourceRow(nil), cur...))
+			p.addMatch(idx)
 		}
 		if !advance(idx, sources) {
-			return matched, nil
+			return nil
 		}
 	}
 }
@@ -64,9 +66,11 @@ type joinStep struct {
 // column of a frame enumerated before f. The probe only
 // narrows the candidates — the full WHERE still runs on every candidate
 // tuple — so its one obligation is that a probe returns every row that
-// could match; storage.Pin.Lookup guarantees it. The tuples are returned
-// in FROM-order row-position order, exactly as joinScan produces them, so
-// ORDER BY ties, DISTINCT and GROUP BY see identical input.
+// could match; storage.Pin.Lookup guarantees it. A probed frame's rows are
+// read through its pin's slot array (storage.Pin.Rows), which p.rows
+// keeps. The tuples are put in p.matched in FROM-order row-position
+// order, exactly as joinScan produces them, so ORDER BY ties, DISTINCT
+// and GROUP BY see identical input.
 //
 // joinScan evaluates WHERE on every tuple of the product and this path on
 // fewer, so it is taken only when evaluating WHERE can neither fail nor
@@ -78,29 +82,26 @@ type joinStep struct {
 // changed other than by appends while the join ran; the caller then runs
 // joinScan, whose answer is the reference. A query with no usable
 // conjunct or a WHERE that is not safe has no steps and never gets here.
-func (s *Session) joinIndexed(p *plan) (matched []sourceRow, ok bool) {
+func (s *Session) joinIndexed(p *plan) (ok bool) {
 	steps := p.steps
-	scans, pos := p.scratch()
+	rows, at := p.scratch()
 	if n := len(p.frames); len(p.pins) != n {
 		p.pins = make([]storage.Pin, n)
 	}
 	pins, cur := p.pins, p.cur
 	for _, st := range steps {
 		if st.key == nil {
-			scans[st.frame] = p.tables[st.frame].Rows()
+			rows[st.frame] = p.tables[st.frame].Rows()
 		} else {
 			pins[st.frame] = p.tables[st.frame].Pin()
+			rows[st.frame] = pins[st.frame].Rows()
 		}
 	}
 
-	type hit struct {
-		src sourceRow
-		pos []int
-	}
-	var hits []hit
-	bind := func(f int, row sqltypes.Row, at int) {
-		cur[f], pos[f] = row, at
-	}
+	// p.probe is a stack of the positions each level's probe returned: a
+	// level appends its own above the levels before it and drops them when
+	// it is done.
+	p.probe = p.probe[:0]
 	var walk func(level int) bool
 	walk = func(level int) bool {
 		if level == len(steps) {
@@ -109,14 +110,15 @@ func (s *Session) joinIndexed(p *plan) (matched []sourceRow, ok bool) {
 				return false
 			}
 			if match {
-				hits = append(hits, hit{src: append(sourceRow(nil), cur...), pos: append([]int(nil), pos...)})
+				p.addMatch(at)
 			}
 			return true
 		}
 		st := steps[level]
+		f := st.frame
 		if st.key == nil {
-			for at, row := range scans[st.frame] {
-				bind(st.frame, row, at)
+			for a, row := range rows[f] {
+				cur[f], at[f] = row, a
 				if !walk(level + 1) {
 					return false
 				}
@@ -127,38 +129,49 @@ func (s *Session) joinIndexed(p *plan) (matched []sourceRow, ok bool) {
 		if err != nil {
 			return false
 		}
-		rows, at, ok := pins[st.frame].Lookup(st.col, key)
-		if !ok {
+		from := len(p.probe)
+		if p.probe, ok = pins[f].Lookup(st.col, key, p.probe); !ok {
 			return false
 		}
-		for i, row := range rows {
-			bind(st.frame, row, at[i])
+		for i, to := from, len(p.probe); i < to; i++ {
+			a := int(p.probe[i])
+			cur[f], at[f] = rows[f][a], a
 			if !walk(level + 1) {
 				return false
 			}
 		}
+		p.probe = p.probe[:from]
 		return true
 	}
 	if !walk(0) {
-		return nil, false
+		return false
 	}
+	// Steps in FROM order enumerate the tuples in position order already.
+	for i, st := range steps {
+		if st.frame != i {
+			sort.Sort(tuples{p.matched, len(p.frames)})
+			break
+		}
+	}
+	return true
+}
 
-	if len(hits) > 1 {
-		sort.Slice(hits, func(a, b int) bool {
-			pa, pb := hits[a].pos, hits[b].pos
-			for i := range pa {
-				if pa[i] != pb[i] {
-					return pa[i] < pb[i]
-				}
-			}
-			return false
-		})
+// tuples sorts a flat buffer of n-position tuples into position order.
+type tuples struct {
+	pos []int32
+	n   int
+}
+
+func (t tuples) Len() int { return len(t.pos) / t.n }
+
+func (t tuples) Less(a, b int) bool {
+	return slices.Compare(t.pos[a*t.n:(a+1)*t.n], t.pos[b*t.n:(b+1)*t.n]) < 0
+}
+
+func (t tuples) Swap(a, b int) {
+	for i := 0; i < t.n; i++ {
+		t.pos[a*t.n+i], t.pos[b*t.n+i] = t.pos[b*t.n+i], t.pos[a*t.n+i]
 	}
-	matched = make([]sourceRow, len(hits))
-	for i, h := range hits {
-		matched[i] = h.src
-	}
-	return matched, true
 }
 
 // probe is a usable equality conjunct: a probe step for its frame, and the

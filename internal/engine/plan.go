@@ -112,9 +112,21 @@ type plan struct {
 	// below are per-run state, kept only to reuse the slices.
 	tables []*storage.Table
 	cur    sourceRow
-	rows   [][]sqltypes.Row // each frame's rows to scan
+	rows   [][]sqltypes.Row // each frame's slot array
 	at     []int            // each frame's current row position
 	pins   []storage.Pin
+
+	// The join's answer is matched: the tuples WHERE accepts, each as one
+	// position per frame into rows, in FROM-order row-position order.
+	// probe holds the positions of the index probes under way, and
+	// members and groupOf the tuple indices of a grouped select (select.go).
+	// Positions are not rows, so the buffers hold no row when the run ends;
+	// release keeps them for the next run up to keptPositions each.
+	matched []int32
+	probe   []int32
+	members []int32
+	groupOf []int32
+	key     []byte // a GROUP BY key
 
 	// SELECT: whether it groups, the join steps (nil: scan), the
 	// projection list or the error building it, the GROUP BY keys, HAVING,
@@ -183,24 +195,60 @@ func (s *Session) planFor(st sqlparse.Statement) *plan {
 	return p
 }
 
+// keptPositions is the most positions a plan keeps in each of its
+// position buffers between runs (64 KiB): a run that needs more grows the
+// buffer, and release drops it.
+const keptPositions = 1 << 14
+
 // release ends a run on p, dropping the rows and tables it bound.
 func (p *plan) release() {
 	clear(p.tables)
 	clear(p.rows)
 	clear(p.pins)
 	clear(p.cur)
+	p.matched, p.probe = reusable(p.matched), reusable(p.probe)
+	p.members, p.groupOf = reusable(p.members), reusable(p.groupOf)
 	p.busy = false
 }
 
-// scratch returns the join's row lists and positions, one per frame and
-// all zero.
+// reusable returns buf emptied, or nil when it holds more than keptPositions.
+func reusable(buf []int32) []int32 {
+	if cap(buf) > keptPositions {
+		return nil
+	}
+	return buf[:0]
+}
+
+// scratch empties p.matched and returns the join's row lists and
+// positions, one per frame and all zero.
 func (p *plan) scratch() ([][]sqltypes.Row, []int) {
 	if n := len(p.frames); len(p.at) != n {
 		p.rows, p.at = make([][]sqltypes.Row, n), make([]int, n)
 	}
 	clear(p.rows)
 	clear(p.at)
+	p.matched = p.matched[:0]
 	return p.rows, p.at
+}
+
+// addMatch appends the tuple at, one row position per frame, to p.matched.
+func (p *plan) addMatch(at []int) {
+	for _, a := range at {
+		p.matched = append(p.matched, int32(a))
+	}
+}
+
+// matches returns how many tuples p.matched holds.
+func (p *plan) matches() int { return len(p.matched) / len(p.cur) }
+
+// tuple sets p.cur to matched tuple t, reading its rows through p.rows,
+// and returns it.
+func (p *plan) tuple(t int) sourceRow {
+	n := len(p.cur)
+	for f, a := range p.matched[t*n : (t+1)*n] {
+		p.cur[f] = p.rows[f][a]
+	}
+	return p.cur
 }
 
 // resolve resolves the tables of a statement's FROM list (or its one

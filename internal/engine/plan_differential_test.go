@@ -104,18 +104,7 @@ func execParsed(s *Session, src string) ([]*sqltypes.ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []*sqltypes.ResultSet
-	for _, st := range stmts {
-		rs, err := s.ExecStmt(st)
-		if rs != nil {
-			out = append(out, rs)
-		}
-		out = append(out, s.drainExtra()...)
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return s.execStmts(stmts)
 }
 
 // dumpTables renders every table of db, in name order, with each value's

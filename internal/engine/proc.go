@@ -77,7 +77,7 @@ func (s *Session) execProcedureCall(st *sqlparse.Execute) (*sqltypes.ResultSet, 
 	for _, bodyStmt := range proc.Body {
 		rs, err := s.ExecStmt(bodyStmt)
 		if rs != nil && (rs.Schema != nil || len(rs.Messages) > 0) {
-			s.extra = append(s.extra, rs)
+			s.out = append(s.out, rs)
 		}
 		if rs != nil {
 			out.RowsAffected += rs.RowsAffected

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -66,22 +67,17 @@ func (s *Session) runSelect(st *sqlparse.Select) (*sqltypes.ResultSet, error) {
 
 	// Probe hash indexes where the plan found a usable conjunct;
 	// otherwise (and always when no FROM table has an index) the
-	// nested-loop cartesian product.
-	var matched []sourceRow
-	planned := false
-	if p.steps != nil {
-		matched, planned = s.joinIndexed(p)
-	}
-	if !planned {
-		if matched, err = s.joinScan(p); err != nil {
+	// nested-loop cartesian product. Either leaves the matched tuples in
+	// p.matched, as row positions.
+	if p.steps == nil || !s.joinIndexed(p) {
+		if err := s.joinScan(p); err != nil {
 			return nil, err
 		}
 	}
-
 	if p.grouped {
-		return s.selectGrouped(st, p, matched)
+		return s.selectGrouped(st, p)
 	}
-	return s.selectPlain(st, p, matched)
+	return s.selectPlain(st, p)
 }
 
 // planSelect builds p for st against the FROM tables p.tables holds:
@@ -284,14 +280,19 @@ func exprType(firstRow sqltypes.Row, i int) sqltypes.Type {
 	return typeOf(firstRow[i])
 }
 
-func (s *Session) selectPlain(st *sqlparse.Select, p *plan, matched []sourceRow) (*sqltypes.ResultSet, error) {
+// selectPlain projects each matched tuple to an output row, all rows in
+// one backing array, then orders them and drops duplicates.
+func (s *Session) selectPlain(st *sqlparse.Select, p *plan) (*sqltypes.ResultSet, error) {
 	if p.projErr != nil {
 		return nil, p.projErr
 	}
 	projs := p.projs
-	rows := make([]sqltypes.Row, len(matched))
-	for n, sr := range matched {
-		row := make(sqltypes.Row, len(projs))
+	n, width := p.matches(), len(projs)
+	rows := make([]sqltypes.Row, n)
+	vals := make([]sqltypes.Value, n*width)
+	for t := range rows {
+		sr := p.tuple(t)
+		row := vals[t*width : (t+1)*width : (t+1)*width]
 		for i, pr := range projs {
 			if pr.expr == nil {
 				row[i] = sr[pr.frameIdx][pr.colIdx]
@@ -303,7 +304,7 @@ func (s *Session) selectPlain(st *sqlparse.Select, p *plan, matched []sourceRow)
 			}
 			row[i] = v
 		}
-		rows[n] = row
+		rows[t] = row
 	}
 
 	// ORDER BY before DISTINCT projection-only handling: sort using source
@@ -311,17 +312,17 @@ func (s *Session) selectPlain(st *sqlparse.Select, p *plan, matched []sourceRow)
 	if len(p.order) > 0 {
 		type outRow struct {
 			row sqltypes.Row
-			src sourceRow
+			t   int // the matched tuple it came from
 		}
 		out := make([]outRow, len(rows))
 		for i, row := range rows {
-			out[i] = outRow{row: row, src: matched[i]}
+			out[i] = outRow{row: row, t: i}
 		}
 		key := func(k orderKey, o outRow) (sqltypes.Value, error) {
 			if k.out >= 0 {
 				return o.row[k.out], nil
 			}
-			return s.eval(k.e, o.src)
+			return s.eval(k.e, p.tuple(o.t))
 		}
 		var sortErr error
 		sort.SliceStable(out, func(a, b int) bool {
@@ -416,25 +417,37 @@ func orderKeys(st *sqlparse.Select, p *plan) []orderKey {
 	return keys
 }
 
+// distinctRows drops, in place, every row equal to an earlier one in
+// kind and text, value by value (appendKey).
 func distinctRows(rows []sqltypes.Row) []sqltypes.Row {
-	seen := make(map[string]bool, len(rows))
-	var out []sqltypes.Row
+	seen := make(map[string]bool)
+	var key []byte
+	out := rows[:0]
 	for _, r := range rows {
-		key := rowKey(r)
-		if !seen[key] {
-			seen[key] = true
+		key = key[:0]
+		for _, v := range r {
+			key = appendKey(key, v)
+		}
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-func rowKey(r sqltypes.Row) string {
-	parts := make([]string, len(r))
-	for i, v := range r {
-		parts[i] = fmt.Sprintf("%d:%s", v.Kind(), v.AsString())
-	}
-	return strings.Join(parts, "\x00")
+// appendKey appends v's grouping key to b: its kind, then the length and
+// bytes of its text as AsString renders it. Two values get the same bytes
+// exactly when they have the same kind and text, and the length keeps a
+// row's values from running into each other, so a key of several values
+// is unambiguous.
+func appendKey(b []byte, v sqltypes.Value) []byte {
+	b = append(b, byte(v.Kind()), 0, 0, 0, 0)
+	at := len(b)
+	b = v.AppendString(b)
+	l := len(b) - at
+	b[at-4], b[at-3], b[at-2], b[at-1] = byte(l>>24), byte(l>>16), byte(l>>8), byte(l)
+	return b
 }
 
 // --- grouped / aggregate execution ---
@@ -449,42 +462,19 @@ func hasAggregate(items []*expr) bool {
 	return false
 }
 
-func (s *Session) selectGrouped(st *sqlparse.Select, p *plan, matched []sourceRow) (*sqltypes.ResultSet, error) {
+func (s *Session) selectGrouped(st *sqlparse.Select, p *plan) (*sqltypes.ResultSet, error) {
 	if hasStarItems(st.Items) {
 		return nil, fmt.Errorf("SELECT * cannot be combined with aggregates")
 	}
-	// Partition matched rows into groups.
-	groups := make(map[string][]sourceRow)
-	var order []string
-	for _, sr := range matched {
-		var key string
-		if len(p.groupBy) > 0 {
-			keys := make([]string, len(p.groupBy))
-			for i, ge := range p.groupBy {
-				v, err := s.eval(ge, sr)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = fmt.Sprintf("%d:%s", v.Kind(), v.AsString())
-			}
-			key = strings.Join(keys, "\x00")
-		}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], sr)
-	}
-	// A global aggregate over zero rows still yields one (empty) group.
-	if len(p.groupBy) == 0 && len(order) == 0 {
-		order = append(order, "")
-		groups[""] = nil
+	groups, err := s.partition(p)
+	if err != nil {
+		return nil, err
 	}
 
 	var rows []sqltypes.Row
-	for _, key := range order {
-		group := groups[key]
+	for _, group := range groups {
 		if p.having != nil {
-			hv, err := s.evalAgg(p.having, group)
+			hv, err := s.evalAgg(p, p.having, group)
 			if err != nil {
 				return nil, err
 			}
@@ -495,7 +485,7 @@ func (s *Session) selectGrouped(st *sqlparse.Select, p *plan, matched []sourceRo
 		}
 		row := make(sqltypes.Row, len(p.projs))
 		for i, pr := range p.projs {
-			v, err := s.evalAgg(pr.expr, group)
+			v, err := s.evalAgg(p, pr.expr, group)
 			if err != nil {
 				return nil, err
 			}
@@ -540,6 +530,61 @@ func (s *Session) selectGrouped(st *sqlparse.Select, p *plan, matched []sourceRo
 	return &sqltypes.ResultSet{Schema: schema, Rows: rows}, nil
 }
 
+// partition splits the matched tuples into groups by their GROUP BY keys,
+// evaluated tuple by tuple, and returns each group's tuple indices in
+// tuple order, the groups in the order of their first tuples. The lists
+// are consecutive slices of p.members. Without GROUP BY all tuples form
+// one group, also when there are none.
+func (s *Session) partition(p *plan) ([][]int32, error) {
+	n := p.matches()
+	p.members, p.groupOf = p.members[:0], p.groupOf[:0]
+	if len(p.groupBy) == 0 {
+		for t := 0; t < n; t++ {
+			p.members = append(p.members, int32(t))
+		}
+		return [][]int32{p.members}, nil
+	}
+	// Number the groups in order of appearance, counting each one's
+	// tuples; then lay them out one after another in p.members.
+	ids := make(map[string]int32)
+	var size []int32
+	for t := 0; t < n; t++ {
+		sr := p.tuple(t)
+		p.key = p.key[:0]
+		for _, ge := range p.groupBy {
+			v, err := s.eval(ge, sr)
+			if err != nil {
+				return nil, err
+			}
+			p.key = appendKey(p.key, v)
+		}
+		g, ok := ids[string(p.key)]
+		if !ok {
+			g = int32(len(size))
+			ids[string(p.key)] = g
+			size = append(size, 0)
+		}
+		size[g]++
+		p.groupOf = append(p.groupOf, g)
+	}
+	// end[g] is where group g's next tuple goes, and its end at last.
+	end, at := size, int32(0)
+	for g, k := range size {
+		end[g], at = at, at+k
+	}
+	p.members = slices.Grow(p.members, n)[:n]
+	for t, g := range p.groupOf {
+		p.members[end[g]] = int32(t)
+		end[g]++
+	}
+	groups := make([][]int32, len(end))
+	at = 0
+	for g := range groups {
+		groups[g], at = p.members[at:end[g]], end[g]
+	}
+	return groups, nil
+}
+
 func hasStarItems(items []sqlparse.SelectItem) bool {
 	for _, it := range items {
 		if it.Star {
@@ -549,19 +594,19 @@ func hasStarItems(items []sqlparse.SelectItem) bool {
 	return false
 }
 
-// evalAgg evaluates an expression over a group: aggregate calls are
-// computed across the group's rows, a function, operator or negation
-// over them applies to their results, and everything else is evaluated
-// on the group's first row.
-func (s *Session) evalAgg(e *expr, group []sourceRow) (sqltypes.Value, error) {
+// evalAgg evaluates an expression over a group, the indices of its
+// matched tuples: aggregate calls are computed across the group's rows, a
+// function, operator or negation over them applies to their results, and
+// everything else is evaluated on the group's first row.
+func (s *Session) evalAgg(p *plan, e *expr, group []int32) (sqltypes.Value, error) {
 	if e.agg {
 		switch e.op {
 		case opAggregate:
-			return s.aggregate(e, group)
+			return s.aggregate(p, e, group)
 		case opFunc:
 			args := make([]sqltypes.Value, len(e.args))
 			for i, a := range e.args {
-				v, err := s.evalAgg(a, group)
+				v, err := s.evalAgg(p, a, group)
 				if err != nil {
 					return sqltypes.Null, err
 				}
@@ -569,17 +614,17 @@ func (s *Session) evalAgg(e *expr, group []sourceRow) (sqltypes.Value, error) {
 			}
 			return s.call(e.name, args)
 		case opAnd, opOr, opCompare, opArith, opLike:
-			l, err := s.evalAgg(e.args[0], group)
+			l, err := s.evalAgg(p, e.args[0], group)
 			if err != nil {
 				return sqltypes.Null, err
 			}
-			r, err := s.evalAgg(e.args[1], group)
+			r, err := s.evalAgg(p, e.args[1], group)
 			if err != nil {
 				return sqltypes.Null, err
 			}
 			return binary(e, l, r)
 		case opNot, opNeg:
-			v, err := s.evalAgg(e.args[0], group)
+			v, err := s.evalAgg(p, e.args[0], group)
 			if err != nil {
 				return sqltypes.Null, err
 			}
@@ -589,72 +634,81 @@ func (s *Session) evalAgg(e *expr, group []sourceRow) (sqltypes.Value, error) {
 	if len(group) == 0 {
 		return sqltypes.Null, nil
 	}
-	return s.eval(e, group[0])
+	return s.eval(e, p.tuple(int(group[0])))
 }
 
-// aggregate computes an aggregate call across a group's rows.
-func (s *Session) aggregate(e *expr, group []sourceRow) (sqltypes.Value, error) {
+// aggregate computes an aggregate call across a group's rows, folding
+// each argument value as it is evaluated. A value the aggregate cannot
+// take is an error only once the whole group has been evaluated, so an
+// evaluation error in a later row is the one reported, and every call an
+// argument makes happens, as when every value was evaluated first.
+func (s *Session) aggregate(p *plan, e *expr, group []int32) (sqltypes.Value, error) {
 	if e.name == "count" && e.star {
 		return sqltypes.NewInt(int64(len(group))), nil
 	}
 	if len(e.args) != 1 {
 		return sqltypes.Null, fmt.Errorf("%s() takes one argument", e.name)
 	}
-	var values []sqltypes.Value
-	for _, sr := range group {
-		v, err := s.eval(e.args[0], sr)
+	var (
+		n      int64 // the non-NULL values folded
+		allInt = true
+		total  float64
+		itotal int64
+		best   sqltypes.Value // min, max: the first of the least or greatest
+		bad    error          // the first value the aggregate cannot take
+	)
+	for _, t := range group {
+		v, err := s.eval(e.args[0], p.tuple(int(t)))
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		if !v.IsNull() {
-			values = append(values, v)
+		if v.IsNull() || bad != nil {
+			continue
 		}
-	}
-	switch e.name {
-	case "count":
-		return sqltypes.NewInt(int64(len(values))), nil
-	case "sum", "avg":
-		if len(values) == 0 {
-			return sqltypes.Null, nil
-		}
-		allInt := true
-		total := 0.0
-		var itotal int64
-		for _, v := range values {
-			f, ok := v.AsFloat()
+		n++
+		switch e.name {
+		case "sum", "avg":
+			x, ok := v.AsFloat()
 			if !ok {
-				return sqltypes.Null, fmt.Errorf("%s() over non-numeric value", e.name)
+				bad = fmt.Errorf("%s() over non-numeric value", e.name)
+				continue
 			}
-			total += f
+			total += x
 			if v.Kind() == sqltypes.KindInt || v.Kind() == sqltypes.KindBit {
 				itotal += v.Int()
 			} else {
 				allInt = false
 			}
+		case "min", "max":
+			c, known := v.Compare(best)
+			switch {
+			case n == 1:
+				best = v
+			case !known:
+				bad = fmt.Errorf("%s() over incomparable values", e.name)
+			case (e.name == "min" && c < 0) || (e.name == "max" && c > 0):
+				best = v
+			}
 		}
-		if e.name == "avg" {
-			return sqltypes.NewFloat(total / float64(len(values))), nil
-		}
-		if allInt {
+	}
+	if bad != nil {
+		return sqltypes.Null, bad
+	}
+	switch e.name {
+	case "count":
+		return sqltypes.NewInt(n), nil
+	case "sum", "avg":
+		switch {
+		case n == 0:
+			return sqltypes.Null, nil
+		case e.name == "avg":
+			return sqltypes.NewFloat(total / float64(n)), nil
+		case allInt:
 			return sqltypes.NewInt(itotal), nil
 		}
 		return sqltypes.NewFloat(total), nil
 	case "min", "max":
-		if len(values) == 0 {
-			return sqltypes.Null, nil
-		}
-		best := values[0]
-		for _, v := range values[1:] {
-			c, known := v.Compare(best)
-			if !known {
-				return sqltypes.Null, fmt.Errorf("%s() over incomparable values", e.name)
-			}
-			if (e.name == "min" && c < 0) || (e.name == "max" && c > 0) {
-				best = v
-			}
-		}
 		return best, nil
-	default:
-		return sqltypes.Null, fmt.Errorf("unknown aggregate %q", e.name)
 	}
+	return sqltypes.Null, fmt.Errorf("unknown aggregate %q", e.name)
 }

@@ -158,6 +158,23 @@ func (v Value) AsString() string {
 	}
 }
 
+// AppendString appends AsString's rendering of the value to b, allocating
+// only when b must grow.
+func (v Value) AppendString(b []byte) []byte {
+	switch v.kind {
+	case KindInt, KindBit:
+		return strconv.AppendInt(b, v.n, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.float(), 'g', -1, 64)
+	case KindChar, KindVarChar, KindText:
+		return append(b, v.s...)
+	case KindDateTime:
+		return v.time().AppendFormat(b, DateTimeFormat)
+	default:
+		return append(b, v.AsString()...)
+	}
+}
+
 // SQLLiteral renders the value as a SQL literal that re-parses to an equal
 // value; used by the agent's code generator and the persistence codec.
 func (v Value) SQLLiteral() string {

@@ -220,6 +220,27 @@ func TestAllocsCompare(t *testing.T) {
 	_ = sink
 }
 
+// TestAppendString: AppendString appends what AsString returns, and
+// allocates nothing when the buffer has room.
+func TestAppendString(t *testing.T) {
+	vals := []Value{Null, NewInt(-42), NewBit(true), NewFloat(2.5), NewFloat(math.Inf(-1)), NewString("Q\x0012"),
+		NewText(""), NewDateTime(time.Date(1999, 3, 23, 9, 30, 0, 125e6, time.UTC))}
+	buf := make([]byte, 0, 64)
+	for _, v := range vals {
+		if got := string(v.AppendString([]byte("x"))); got != "x"+v.AsString() {
+			t.Errorf("%s %q: AppendString gives %q, want %q", v.Kind(), v.AsString(), got, "x"+v.AsString())
+		}
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		for _, v := range vals {
+			buf = v.AppendString(buf[:0])
+		}
+	})
+	if avg != 0 {
+		t.Errorf("%.1f allocs/op, want 0", avg)
+	}
+}
+
 func TestConvert(t *testing.T) {
 	v, err := NewString("hello world").Convert(VarChar(5))
 	if err != nil || v.Str() != "hello" {

@@ -55,11 +55,12 @@ func TestHandedOutRowsAndSchemasStayUnchanged(t *testing.T) {
 			}
 			tbl.Scan(func(r sqltypes.Row) bool { keep("Scan", r); return true })
 			keep("Rows", tbl.Rows()...)
-			looked, _, ok := tbl.Pin().Lookup(0, sqltypes.NewString("B"))
+			pin := tbl.Pin()
+			looked, ok := pin.Lookup(0, sqltypes.NewString("B"), nil)
 			if !ok || len(looked) != 1 {
 				t.Fatalf("lookup: %v ok=%v", looked, ok)
 			}
-			keep("Lookup", looked...)
+			keep("Pin.Rows", pin.Rows()[looked[0]])
 			old, updated, err := tbl.Update(
 				func(r sqltypes.Row) (bool, error) { keep("Update pred", r); return r[0].Str() == "C", nil },
 				func(r sqltypes.Row) (sqltypes.Row, error) { r[2] = sqltypes.NewInt(30); return r, nil },
@@ -150,8 +151,11 @@ func TestReadersKeepRowsWhileWriterUpdates(t *testing.T) {
 				}
 				kept = append(kept[:0], tbl.Rows()...)
 				tbl.Scan(func(r sqltypes.Row) bool { kept = append(kept, r); return true })
-				if rows, _, ok := tbl.Pin().Lookup(0, sqltypes.NewString("S07")); ok {
-					kept = append(kept, rows...)
+				pin := tbl.Pin()
+				if pos, ok := pin.Lookup(0, sqltypes.NewString("S07"), nil); ok {
+					for _, at := range pos {
+						kept = append(kept, pin.Rows()[at])
+					}
 				}
 				_ = tbl.Schema().String()
 				for _, r := range kept {

@@ -174,71 +174,73 @@ func (t *Table) changed(rebuild bool) {
 	}
 }
 
-// Pin fixes the table's current state for repeated index probes: the rows
-// present now, for as long as nothing but appends changes the table.
+// Pin fixes the table's current state for repeated index probes: its slot
+// array now, for as long as nothing but appends changes the table.
 func (t *Table) Pin() Pin {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return Pin{t: t, gen: t.gen, n: len(t.rows)}
+	return Pin{t: t, gen: t.gen, rows: t.rows[:len(t.rows):len(t.rows)]}
 }
 
 // Pin is a table state fixed for index probes; see Table.Pin.
 type Pin struct {
-	t   *Table
-	gen uint64
-	n   int
+	t    *Table
+	gen  uint64
+	rows []sqltypes.Row
 }
 
-// Lookup returns, in ascending position order, the stored rows (read-only) of
-// the pinned state whose column col may equal key under
-// sqltypes.Value.Compare — a superset of the rows that do — with their
-// positions. A NULL key matches nothing. ok is false when the index cannot
-// answer: col carries no index, key's class differs from the column's (a
-// comparison that converts), key is NaN, or the table changed other than by
-// appends since the pin.
-func (p Pin) Lookup(col int, key sqltypes.Value) (rows []sqltypes.Row, pos []int, ok bool) {
+// Rows returns the pinned slot array: the rows present when the pin was
+// taken, in position order, shared and read-only as Table.Rows's are. It
+// does not allocate.
+func (p Pin) Rows() []sqltypes.Row { return p.rows }
+
+// Lookup appends to pos, in ascending order, the positions in Rows of the
+// rows whose column col may equal key under sqltypes.Value.Compare — a
+// superset of the rows that do — and returns the extended slice. It
+// allocates only when pos must grow. A NULL key matches nothing. ok is
+// false when the index cannot answer: col carries no index, key's class
+// differs from the column's (a comparison that converts), key is NaN, or
+// the table changed other than by appends since the pin.
+func (p Pin) Lookup(col int, key sqltypes.Value, pos []int32) (_ []int32, ok bool) {
 	t := p.t
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix := t.indexOn(col)
 	if ix == nil || t.gen != p.gen {
-		return nil, nil, false
+		return pos, false
 	}
 	if key.IsNull() {
-		return nil, nil, true
+		return pos, true
 	}
 	if keyClass(key.Kind()) != keyClass(t.schema.Column(col).Type.Kind) {
-		return nil, nil, false
+		return pos, false
 	}
 	k, ok := keyOf(key)
 	if !ok {
-		return nil, nil, false
+		return pos, false
 	}
-	pos = mergeBelow(ix.keys[k], ix.nan, p.n)
-	rows = make([]sqltypes.Row, len(pos))
-	for i, at := range pos {
-		rows[i] = t.rows[at]
-	}
-	return rows, pos, true
+	return appendBelow(pos, ix.keys[k], ix.nan, len(p.rows)), true
 }
 
-// mergeBelow merges two ascending position lists, keeping positions < n
-// (rows appended after the pin).
-func mergeBelow(a, b []int, n int) []int {
+// appendBelow appends to dst the merge of two ascending position lists,
+// keeping positions < n (rows appended after the pin).
+func appendBelow(dst []int32, a, b []int, n int) []int32 {
 	a = a[:sort.SearchInts(a, n)]
 	b = b[:sort.SearchInts(b, n)]
-	if len(b) == 0 {
-		return append([]int(nil), a...)
-	}
-	out := make([]int, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
 		if a[0] < b[0] {
-			out, a = append(out, a[0]), a[1:]
+			dst, a = append(dst, int32(a[0])), a[1:]
 		} else {
-			out, b = append(out, b[0]), b[1:]
+			dst, b = append(dst, int32(b[0])), b[1:]
 		}
 	}
-	return append(append(out, a...), b...)
+	for _, at := range a {
+		dst = append(dst, int32(at))
+	}
+	for _, at := range b {
+		dst = append(dst, int32(at))
+	}
+	return dst
 }
 
 // sameKey reports whether a and b land in the same index bucket.

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -14,14 +13,13 @@ import (
 // lookupPos probes a fresh pin and returns the matching positions.
 func lookupPos(t *testing.T, tbl *Table, col int, key sqltypes.Value) []int {
 	t.Helper()
-	rows, pos, ok := tbl.Pin().Lookup(col, key)
+	at, ok := tbl.Pin().Lookup(col, key, nil)
 	if !ok {
 		t.Fatalf("lookup %v on column %d refused", key, col)
 	}
-	for i, r := range rows {
-		if fmt.Sprint(r) != fmt.Sprint(tbl.Rows()[pos[i]]) { // NaN != NaN under DeepEqual
-			t.Fatalf("row %d does not match position %d", i, pos[i])
-		}
+	var pos []int
+	for _, p := range at {
+		pos = append(pos, int(p))
 	}
 	return pos
 }
@@ -131,11 +129,11 @@ func TestIndexKeyAgreesWithCompare(t *testing.T) {
 			t.Errorf("numeric %v: lookup %v, scan %v", key, got, want)
 		}
 	}
-	if rows, _, ok := num.Pin().Lookup(0, sqltypes.Null); !ok || len(rows) != 0 {
-		t.Errorf("NULL key: %v ok=%v", rows, ok)
+	if pos, ok := num.Pin().Lookup(0, sqltypes.Null, nil); !ok || len(pos) != 0 {
+		t.Errorf("NULL key: %v ok=%v", pos, ok)
 	}
 	for _, key := range []sqltypes.Value{sqltypes.NewFloat(math.NaN()), sqltypes.NewString("1")} {
-		if _, _, ok := num.Pin().Lookup(0, key); ok {
+		if _, ok := num.Pin().Lookup(0, key, nil); ok {
 			t.Errorf("key %v answered; it needs the scan", key)
 		}
 	}
@@ -185,17 +183,46 @@ func TestPinSeesOnlyItsState(t *testing.T) {
 	if err := tbl.Insert(row("A", 2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, pos, ok := pin.Lookup(0, sqltypes.NewString("A")); !ok || !reflect.DeepEqual(pos, []int{0}) {
+	if pos, ok := pin.Lookup(0, sqltypes.NewString("A"), nil); !ok || !reflect.DeepEqual(pos, []int32{0}) || len(pin.Rows()) != 1 {
 		t.Fatalf("pinned lookup after append: %v ok=%v", pos, ok)
 	}
-	if _, _, ok := pin.Lookup(1, sqltypes.NewFloat(1)); ok {
+	if _, ok := pin.Lookup(1, sqltypes.NewFloat(1), nil); ok {
 		t.Error("lookup on an unindexed column answered")
 	}
 	if _, err := tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[1].Float() == 2, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := pin.Lookup(0, sqltypes.NewString("A")); ok {
+	if _, ok := pin.Lookup(0, sqltypes.NewString("A"), nil); ok {
 		t.Error("stale pin answered after a delete")
+	}
+}
+
+// TestAllocsPinLookup: a probe appends its positions after what the
+// caller's buffer holds and allocates nothing once the buffer is large
+// enough; the rows are read through the pinned slot array.
+func TestAllocsPinLookup(t *testing.T) {
+	tbl := NewTable(stockSchema())
+	for i, sym := range []string{"A", "B", "A", "C", "A"} {
+		if err := tbl.Insert(row(sym, float64(i), int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.CreateIndex("by_sym", "symbol"); err != nil {
+		t.Fatal(err)
+	}
+	pin, a := tbl.Pin(), sqltypes.NewString("A")
+	pos, ok := pin.Lookup(0, a, []int32{9})
+	if !ok || !reflect.DeepEqual(pos, []int32{9, 0, 2, 4}) {
+		t.Fatalf("lookup into a buffer holding 9: %v ok=%v", pos, ok)
+	}
+	for _, at := range pos[1:] {
+		if pin.Rows()[at][0].Str() != "A" {
+			t.Errorf("pinned row %d is %v", at, pin.Rows()[at])
+		}
+	}
+	buf := make([]int32, 0, 8)
+	if avg := testing.AllocsPerRun(20, func() { buf, _ = pin.Lookup(0, a, buf[:0]) }); avg != 0 {
+		t.Errorf("Lookup into a large enough buffer: %.1f allocs/op, want 0", avg)
 	}
 }
 

@@ -8,10 +8,16 @@
 // the end of the slot array, and every other mutation publishes a new slot
 // array or schema pointer instead. So the rows, slot arrays and schemas a
 // table hands out (Scan, Rows, Pin.Lookup, the Update and Delete
-// predicates, Update's and Delete's returned images, Schema) are the
-// stored values themselves, shared with the table and every other reader.
-// They stay valid and unchanged after later mutations, and callers must
-// treat them as read-only: no write into them, no sort of them.
+// predicates, Update's and Delete's returned images, Pin.Rows, Schema) are
+// the stored values themselves, shared with the table and every other
+// reader. They stay valid and unchanged after later mutations, and callers
+// must treat them as read-only: no write into them, no sort of them.
+//
+// A Pin holds the slot array it was taken on and exposes it (Pin.Rows).
+// Pin.Lookup answers with positions into that array, appended to a buffer
+// the caller owns, so a probe allocates neither rows nor positions; the
+// caller reads the rows through the pinned array. Positions are int32, so
+// a table holds fewer than 2^31 rows.
 package storage
 
 import (
