@@ -77,12 +77,12 @@ type joinStep struct {
 // have an effect (safeWhere); otherwise an error or a syb_sendmsg call on
 // a tuple the probe skips would be lost.
 //
-// ok is false when the query is not the index's to answer — a key whose
-// comparison would convert (character vs numeric), or a probed table
-// changed other than by appends while the join ran; the caller then runs
-// joinScan, whose answer is the reference. A query with no usable
+// It returns false when the query is not the index's to answer — a key
+// whose comparison would convert (character vs numeric), or a probed
+// table changed other than by appends while the join ran; the caller then
+// runs joinScan, whose answer is the reference. A query with no usable
 // conjunct or a WHERE that is not safe has no steps and never gets here.
-func (s *Session) joinIndexed(p *plan) (ok bool) {
+func (s *Session) joinIndexed(p *plan) bool {
 	steps := p.steps
 	rows, at := p.scratch()
 	if n := len(p.frames); len(p.pins) != n {
@@ -129,7 +129,7 @@ func (s *Session) joinIndexed(p *plan) (ok bool) {
 		if err != nil {
 			return false
 		}
-		from := len(p.probe)
+		from, ok := len(p.probe), false
 		if p.probe, ok = pins[f].Lookup(st.col, key, p.probe); !ok {
 			return false
 		}
