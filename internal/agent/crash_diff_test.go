@@ -1,6 +1,7 @@
 package agent_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/activedb/ecaagent/internal/scenario"
@@ -46,6 +47,31 @@ func TestCrashDifferentialDetached(t *testing.T) {
 	for _, c := range scenario.DetachedCells() {
 		t.Run(c.Name(), func(t *testing.T) {
 			t.Parallel()
+			playCell(t, c)
+		})
+	}
+}
+
+// TestCrashDifferentialDeferred: the same proof for DEFERRED composite
+// rules, every operator under RECENT killed at each agent crash point.
+// The composite's firings are held across the kill — in the checkpoint,
+// or re-detected by journal replay — and run at the flush after the last
+// step, which the oracle makes at the same point. Holding a firing
+// changes when its action runs, not what it runs: the oracle must run
+// the IMMEDIATE oracle's actions.
+func TestCrashDifferentialDeferred(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash differential matrix is long")
+	}
+	for _, c := range scenario.DeferredCells() {
+		t.Run(c.Name(), func(t *testing.T) {
+			t.Parallel()
+			held := scenario.Oracle(t, c)
+			now := scenario.Oracle(t, scenario.Cell{Op: c.Op, Ctx: c.Ctx})
+			if !slices.Equal(held.Acts, now.Acts) || !slices.Equal(held.Occs, now.Occs) {
+				t.Errorf("DEFERRED oracle ran %d actions (%d composite), IMMEDIATE %d (%d composite)",
+					len(held.Acts), held.Composite(), len(now.Acts), now.Composite())
+			}
 			playCell(t, c)
 		})
 	}

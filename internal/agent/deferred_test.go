@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -49,4 +50,163 @@ func TestDeferredNotFlushedByOtherBatches(t *testing.T) {
 	}
 	r.agent.FlushDeferred()
 	waitAction(t, r.agent)
+}
+
+// deferredGauge reads eca_deferred_actions, the number of held DEFERRED
+// firings.
+func deferredGauge(t *testing.T, a *Agent) int {
+	t.Helper()
+	v, ok := promValue(a.Metrics(), "eca_deferred_actions")
+	if !ok {
+		t.Fatal("eca_deferred_actions absent from the registry")
+	}
+	return int(v)
+}
+
+// TestDeferredPriorityAcrossTriggers: held firings of unrelated triggers,
+// detected by separate signals, flush highest priority first, not in
+// detection order.
+func TestDeferredPriorityAcrossTriggers(t *testing.T) {
+	r := newRig(t)
+	cs := r.session(t, "sharma", "sentineldb")
+	driver := r.eng.NewSession("sharma")
+	if err := driver.Use("sentineldb"); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"low", "high", "mid"}
+	for i, name := range names {
+		if _, err := driver.ExecScript("create table t_" + name + " (x int null)"); err != nil {
+			t.Fatal(err)
+		}
+		ddl := fmt.Sprintf("create trigger r_%s on t_%s for insert event e_%s DEFERRED %d as print '%s'",
+			name, name, name, []int{1, 9, 5}[i], name)
+		if _, err := cs.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range names {
+		if _, err := driver.ExecScript("insert t_" + name + " values (1)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.agent.WaitActions()
+	expectNoAction(t, r.agent)
+	r.agent.FlushDeferred()
+	var got []string
+	for range names {
+		got = append(got, waitAction(t, r.agent).Messages...)
+	}
+	if want := "[high mid low]"; fmt.Sprint(got) != want {
+		t.Fatalf("flush order = %v, want %s", got, want)
+	}
+}
+
+// TestDeferredDroppedTriggerNeverRuns: a trigger dropped while its firing
+// is held never runs that firing; another trigger's held firing still
+// does.
+func TestDeferredDroppedTriggerNeverRuns(t *testing.T) {
+	r := newRig(t)
+	cs := r.session(t, "sharma", "sentineldb")
+	for _, ddl := range []string{
+		"create trigger t_keep on stock for insert event ev DEFERRED as print 'kept'",
+		"create trigger t_drop event ev DEFERRED 5 as print 'dropped'",
+	} {
+		if _, err := cs.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cs.Exec("insert stock values ('X', 1)"); err != nil {
+		t.Fatal(err)
+	}
+	if n := deferredGauge(t, r.agent); n != 2 {
+		t.Fatalf("held firings = %d, want 2", n)
+	}
+	if _, err := cs.Exec("drop trigger t_drop"); err != nil {
+		t.Fatal(err)
+	}
+	r.agent.FlushDeferred()
+	if res := waitAction(t, r.agent); res.Rule != "sentineldb.sharma.t_keep" {
+		t.Fatalf("flushed action: %+v", res)
+	}
+	r.agent.WaitActions()
+	expectNoAction(t, r.agent)
+	if n := deferredGauge(t, r.agent); n != 0 {
+		t.Errorf("held firings after flush = %d, want 0", n)
+	}
+}
+
+// TestDeferredGaugeCountsHeldFirings: eca_deferred_actions counts held
+// DEFERRED firings, not IMMEDIATE ones, and reads 0 after a flush.
+func TestDeferredGaugeCountsHeldFirings(t *testing.T) {
+	r := newRig(t)
+	cs := r.session(t, "sharma", "sentineldb")
+	for _, ddl := range []string{
+		"create trigger t_def on stock for insert event ev DEFERRED as print 'd'",
+		"create trigger t_now event ev as print 'i'",
+	} {
+		if _, err := cs.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := cs.Exec("insert stock values ('X', 1)"); err != nil {
+			t.Fatal(err)
+		}
+		if n := deferredGauge(t, r.agent); n != i {
+			t.Fatalf("after %d inserts the gauge reads %d", i, n)
+		}
+	}
+	r.agent.FlushDeferred()
+	if n := deferredGauge(t, r.agent); n != 0 {
+		t.Fatalf("after flush the gauge reads %d", n)
+	}
+	r.agent.WaitActions()
+	if st := r.agent.Stats(); st.ActionsRun != 6 {
+		t.Errorf("actions run = %d, want 6", st.ActionsRun)
+	}
+}
+
+// TestDeferredSurvivesCheckpointRestart: a held firing is written into the
+// checkpoint, survives a power cut and a restart, and runs exactly once at
+// the next flush — not at boot, and not again after a further restart.
+func TestDeferredSurvivesCheckpointRestart(t *testing.T) {
+	r := newDurableRig(t)
+	a := r.start(nil)
+	cs := r.session(a)
+	if _, err := cs.Exec("create trigger t_def on stock for insert event ev DEFERRED as print 'deferred ran'"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Exec("insert stock values ('X', 1)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Power cut: the incarnation is abandoned, not closed.
+	a.WaitActions()
+	r.fs.Crash()
+	r.fs.Restart()
+
+	b := r.start(nil)
+	b.WaitActions()
+	expectNoAction(t, b)
+	if n := deferredGauge(t, b); n != 1 {
+		t.Fatalf("restored held firings = %d, want 1", n)
+	}
+	b.FlushDeferred()
+	if res := waitAction(t, b); res.Rule != "sentineldb.sharma.t_def" || len(res.Messages) != 1 || res.Messages[0] != "deferred ran" {
+		t.Fatalf("flushed action: %+v", res)
+	}
+	b.WaitActions()
+	expectNoAction(t, b)
+	b.Close()
+
+	c := r.start(nil)
+	defer c.Close()
+	c.FlushDeferred()
+	c.WaitActions()
+	expectNoAction(t, c)
+	if st := c.Stats(); st.ActionsRun != 0 {
+		t.Errorf("a further restart re-ran the action: %+v", st)
+	}
 }

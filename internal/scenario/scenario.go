@@ -186,6 +186,22 @@ func DetachedCells() []Cell {
 	return cells
 }
 
+// DeferredCells lists every operator under RECENT with its composite rule
+// DEFERRED, each killed once at every agent crash point: the ith kill of
+// the kth cell arms AgentCrashes[i] with seed 31k+i+2. The held firings
+// run at the one flush Play makes after the last step.
+func DeferredCells() []Cell {
+	cells := make([]Cell, 0, len(Operators))
+	for k, op := range Operators {
+		c := Cell{Op: op, Ctx: "RECENT", Coupling: "DEFERRED"}
+		for i, p := range AgentCrashes {
+			c.Kills = append(c.Kills, Kill{p, int64(31*k + i + 2)})
+		}
+		cells = append(cells, c)
+	}
+	return cells
+}
+
 // One is the cell that runs the named operator under ctx once, killed at
 // the named point. It panics on a name neither table has.
 func One(op, ctx, point string, seed int64) Cell {

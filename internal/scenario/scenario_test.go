@@ -2,7 +2,8 @@ package scenario
 
 import "testing"
 
-// TestCellsArmEveryPoint: the crash, DETACHED crash and failover matrices
+// TestCellsArmEveryPoint: the crash, DETACHED crash, DEFERRED crash and
+// failover matrices
 // arm every one of their crash points.
 func TestCellsArmEveryPoint(t *testing.T) {
 	for _, m := range []struct {
@@ -12,6 +13,7 @@ func TestCellsArmEveryPoint(t *testing.T) {
 	}{
 		{"crash", AgentCrashes, Cells(AgentCrashes, 3)},
 		{"DETACHED crash", AgentCrashes, DetachedCells()},
+		{"DEFERRED crash", AgentCrashes, DeferredCells()},
 		{"failover", Crashes, Cells(Crashes, 3)},
 	} {
 		armed := map[Crash]bool{}
