@@ -87,7 +87,9 @@ race:
 # operator's occurrence streams, signalled serially and with the rule-set
 # copies signalled concurrently, against the committed golden file, plus
 # the concurrent-signal stress under rule add/drop churn and the detector
-# tests that define events around live state; then the engine's
+# tests that define events around live state; then the agent's flush of
+# held DEFERRED firings, highest priority first across triggers fired by
+# separate signals; then the engine's
 # index-vs-scan differential (seeded random joins answered by hash-index
 # probes and by the nested loop must return identical result sets, row
 # order included, across every mutation an index survives); and the
@@ -95,7 +97,8 @@ race:
 # session's cached plans and through a fresh parse per batch must return
 # identical results, errors and tables), under -race.
 differential:
-	$(GO) test -race -count=1 -run 'TestOperatorStreamsGolden|TestDifferential|TestStressConcurrentSignalsUnderChurn|AcrossDefine|SurvivesDefine|TestDeferredPriorityAcrossRuleSets' ./internal/led
+	$(GO) test -race -count=1 -run 'TestOperatorStreamsGolden|TestDifferential|TestStressConcurrentSignalsUnderChurn|AcrossDefine|SurvivesDefine' ./internal/led
+	$(GO) test -race -count=1 -run 'TestDeferredPriorityAcrossTriggers' ./internal/agent
 	$(GO) test -race -count=1 -run 'TestIndexScanDifferential|TestPlanCacheDifferential' ./internal/engine
 
 # The CEP oracle-differential proof (DESIGN.md §12): every window,
@@ -111,11 +114,16 @@ cep-differential:
 # restarted over the surviving files, and required to reproduce the
 # crash-free oracle's occurrence set and action multiset; every operator
 # with a DETACHED composite rule under RECENT, killed once at each of the
-# seven points (16 cells); plus the due-timer recovery regression cell and
-# the committed v2 checkpoint images (outstanding and deferred firings).
-# The drain/DLQ/watermark restart satellites ride along, all under -race.
+# seven points (16 cells); every operator with a DEFERRED composite rule
+# under RECENT, its held firings flushed after the last step, killed once
+# at each of the seven points (16 cells); plus the due-timer recovery
+# regression cell and the committed v2 checkpoint images (outstanding and
+# deferred firings). The drain/DLQ/watermark restart satellites and the
+# held-firing tests (a held firing across a checkpoint and a power cut, a
+# dropped trigger's held firing, the held-firing gauge) ride along, all
+# under -race.
 crash-suite:
-	$(GO) test -race -count=1 -run 'TestCrashDifferential|TestCrashDifferentialDetached|TestRecoveryFiresDueTimers|TestCheckpointReadsV2|TestDLQPersistsAcrossRestart|TestWatermarkSeededBeforeDeliver|TestCloseDrainDeadlineWedged|TestRecoveryMetricsExposed|TestWALDecodeDamage|TestCheckpointDecodeDamage|TestCheckpointRoundTrip' ./internal/agent
+	$(GO) test -race -count=1 -run 'TestCrashDifferential|TestCrashDifferentialDetached|TestCrashDifferentialDeferred|TestRecoveryFiresDueTimers|TestCheckpointReadsV2|TestDLQPersistsAcrossRestart|TestWatermarkSeededBeforeDeliver|TestCloseDrainDeadlineWedged|TestRecoveryMetricsExposed|TestWALDecodeDamage|TestCheckpointDecodeDamage|TestCheckpointRoundTrip|TestDeferredSurvivesCheckpointRestart|TestDeferredDroppedTriggerNeverRuns|TestDeferredGaugeCountsHeldFirings' ./internal/agent
 
 # The cluster failover proof (DESIGN.md §10, internal/scenario): the hot
 # pair killed at the agent's seven durability crash points plus the four

@@ -1,8 +1,10 @@
 package agent
 
 import (
+	"cmp"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -405,14 +407,19 @@ func (a *Agent) NotifyEndpoint() (string, int) {
 // (see recovery.go).
 func (a *Agent) Deliver(msg string) { a.DeliverBatchBytes([]byte(msg)) }
 
-// FlushDeferred executes queued DEFERRED rule actions (transaction
-// boundary). It holds the tracker lock like every other LED propagation
-// the agent causes, so no checkpoint cuts between the queue's pop and the
-// ledger claims of the actions.
+// FlushDeferred launches the held DEFERRED firings (transaction
+// boundary), highest priority first; equal priorities keep detection
+// order. It holds the tracker lock, so no checkpoint cuts between the held
+// list's pop and the ledger claims of the actions.
 func (a *Agent) FlushDeferred() {
 	a.rec.mu.Lock()
 	defer a.rec.mu.Unlock()
-	a.led.FlushDeferred()
+	held := a.rec.held
+	a.rec.held = nil
+	slices.SortStableFunc(held, func(x, y heldFiring) int { return cmp.Compare(y.info.Priority, x.info.Priority) })
+	for _, f := range held {
+		a.launch(f.info, f.occ)
+	}
 }
 
 // WaitActions blocks until all in-flight rule actions complete.
@@ -645,9 +652,10 @@ func (a *Agent) installRule(db, user, trigName, eventName string, def *TriggerDe
 		trigName, eventName, info.Coupling, info.Context, info.Priority)}, nil
 }
 
-// addLEDRule wires a trigger's rule into the LED; its action is the
-// SybaseAction analog: queue a call that materializes the context and
-// executes the stored procedure (Figure 16).
+// addLEDRule wires a trigger's rule into the LED. Its action holds a
+// DEFERRED firing for the next FlushDeferred and launches any other at
+// once. Every detection runs under the tracker lock, which guards the held
+// list.
 func (a *Agent) addLEDRule(info *triggerInfo) error {
 	return a.led.AddRule(&led.Rule{
 		Name:     info.Name,
@@ -656,27 +664,38 @@ func (a *Agent) addLEDRule(info *triggerInfo) error {
 		Coupling: info.Coupling,
 		Priority: info.Priority,
 		Action: func(occ *led.Occ) {
-			key := ""
-			if d := a.dur; d != nil {
-				key = actionKey(info.Name, occ)
-				if d.replaying.Load() {
-					// Journal replay: collect the firing; resumePending
-					// executes whatever no done record covers.
-					d.notePending(info.Name, key, occ)
-					return
-				}
-				// Claim the key before the hand-off to the action worker.
-				// The detection that fired this runs under the tracker lock,
-				// which a checkpoint takes first, so every cut sees the
-				// firing either undetected or in the ledger.
-				if !d.begin(info.Name, key, occ) {
-					d.met.deduped.Inc()
-					return
-				}
+			if info.Coupling == led.Deferred {
+				a.rec.held = append(a.rec.held, heldFiring{info: info, occ: occ})
+				return
 			}
-			a.actionq.enqueue(actionJob{info: info, occ: occ, enqueued: a.clock.Now(), key: key})
+			a.launch(info, occ)
 		},
 	})
+}
+
+// launch is the SybaseAction analog: it claims a firing in the action
+// ledger and queues a call that materializes the context and executes the
+// stored procedure (Figure 16). Caller holds a.rec.mu.
+func (a *Agent) launch(info *triggerInfo, occ *led.Occ) {
+	key := ""
+	if d := a.dur; d != nil {
+		key = actionKey(info.Name, occ)
+		if d.replaying.Load() {
+			// Journal replay: collect the firing; resumePending executes
+			// whatever no done record covers.
+			d.notePending(info.Name, key, occ)
+			return
+		}
+		// Claim the key before the hand-off to the action worker. The
+		// detection or flush that launched this runs under the tracker
+		// lock, which a checkpoint takes first, so every cut sees the
+		// firing either held, undetected or in the ledger.
+		if !d.begin(info.Name, key, occ) {
+			d.met.deduped.Inc()
+			return
+		}
+	}
+	a.actionq.enqueue(actionJob{info: info, occ: occ, enqueued: a.clock.Now(), key: key})
 }
 
 // DropTrigger removes an ECA trigger: the LED rule, the stored procedure,
@@ -693,7 +712,13 @@ func (a *Agent) DropTrigger(db, user string, parts []string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("agent: trigger %s does not exist", internal)
 	}
-	if err := a.led.DropRule(internal); err != nil {
+	a.rec.mu.Lock()
+	err = a.led.DropRule(internal)
+	if err == nil {
+		a.rec.held = slices.DeleteFunc(a.rec.held, func(f heldFiring) bool { return f.info == info })
+	}
+	a.rec.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	if _, err := a.pm.exec("use " + info.DB + "\ndrop procedure " + info.Proc); err != nil {

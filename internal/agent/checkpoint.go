@@ -17,8 +17,10 @@ import (
 //	payloadLen uint64 LE | payload | crc32(payload) uint32 LE
 //
 // The payload is an internal/storage codec stream holding the delivery
-// watermarks, the full LED StateSnapshot, the ledger's pending actions
-// and the dead-letter queue. Between the deferred queue and the pending
+// watermarks, the LED StateSnapshot's node states, the agent's held
+// DEFERRED firings, the ledger's pending actions and the dead-letter
+// queue. The held firings sit where older builds wrote the detector's
+// deferred queue, in the same layout. Between them and the pending
 // actions sits an outstanding-firing section, written empty: older builds
 // filled it, and the reader maps its firings into pending actions. The
 // file is written to a .tmp name, fsynced, renamed into place and the
@@ -43,6 +45,13 @@ type ckptWatermark struct {
 	Last             int
 }
 
+// ckptFiring is one held DEFERRED firing (or, in an older image's
+// outstanding section, one firing the detector had not yet handed off).
+type ckptFiring struct {
+	Rule string
+	Occ  led.OccState
+}
+
 // ckptPending is one not-yet-done ledger entry.
 type ckptPending struct {
 	Key, Rule string
@@ -62,6 +71,7 @@ type ckptDead struct {
 type checkpointData struct {
 	Watermarks map[string]ckptWatermark
 	LED        *led.StateSnapshot
+	Deferred   []ckptFiring
 	Pending    []ckptPending
 	DLQ        []ckptDead
 }
@@ -105,7 +115,7 @@ func readOccStates(r *storage.Reader) []led.OccState {
 	return out
 }
 
-func writeFirings(w *storage.Writer, fs []led.FiringState) {
+func writeFirings(w *storage.Writer, fs []ckptFiring) {
 	w.WriteUint(uint64(len(fs)))
 	for _, f := range fs {
 		w.WriteString(f.Rule)
@@ -113,10 +123,10 @@ func writeFirings(w *storage.Writer, fs []led.FiringState) {
 	}
 }
 
-func readFirings(r *storage.Reader) []led.FiringState {
-	var out []led.FiringState
+func readFirings(r *storage.Reader) []ckptFiring {
+	var out []ckptFiring
 	for range r.Count() {
-		out = append(out, led.FiringState{Rule: r.String(), Occ: readOccState(r)})
+		out = append(out, ckptFiring{Rule: r.String(), Occ: readOccState(r)})
 	}
 	return out
 }
@@ -173,7 +183,7 @@ func encodeCheckpoint(epoch uint64, c *checkpointData) []byte {
 			w.WriteTime(cs.NextBound)
 		}
 	}
-	writeFirings(w, c.LED.Deferred)
+	writeFirings(w, c.Deferred)
 	writeFirings(w, nil) // outstanding firings: the ledger's pending section holds them
 
 	w.WriteUint(uint64(len(c.Pending)))
@@ -264,7 +274,7 @@ func decodeCheckpoint(data []byte) (*checkpointData, uint64, error) {
 		}
 		c.LED.Nodes = append(c.LED.Nodes, ns)
 	}
-	c.LED.Deferred = readFirings(r)
+	c.Deferred = readFirings(r)
 	outstanding := readFirings(r)
 	for range r.Count() {
 		c.Pending = append(c.Pending, ckptPending{Key: r.String(), Rule: r.String(), Occ: readOccState(r)})

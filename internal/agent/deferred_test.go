@@ -45,8 +45,8 @@ func TestDeferredNotFlushedByOtherBatches(t *testing.T) {
 	if _, err := cs.Exec("select count(*) from stock"); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.agent.LED().DeferredCount(); got != 1 {
-		t.Fatalf("deferred queue after plain select: %d", got)
+	if got := deferredGauge(t, r.agent); got != 1 {
+		t.Fatalf("held firings after plain select: %d", got)
 	}
 	r.agent.FlushDeferred()
 	waitAction(t, r.agent)

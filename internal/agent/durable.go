@@ -299,11 +299,13 @@ func (a *Agent) Checkpoint() error {
 	for ev, w := range a.rec.seen {
 		wms[ev] = ckptWatermark{Event: ev, Table: w.table, Op: w.op, Last: w.last}
 	}
-	snap := a.led.SnapshotState()
+	c := &checkpointData{Watermarks: wms, LED: a.led.SnapshotState()}
+	for _, f := range a.rec.held {
+		c.Deferred = append(c.Deferred, ckptFiring{Rule: f.info.Name, Occ: led.OccToState(f.occ)})
+	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	c := &checkpointData{Watermarks: wms, LED: snap}
 	for _, e := range d.pendingLocked() {
 		c.Pending = append(c.Pending, ckptPending{Key: e.key, Rule: e.rule, Occ: led.OccToState(e.occ)})
 	}
@@ -437,6 +439,7 @@ func (a *Agent) recoverDurable() error {
 			// cold start.
 			a.cfg.Logf("agent: checkpoint %d does not match the rebuilt event graph (%v); cold start", ckEpoch, err)
 		} else {
+			a.mu.Lock()
 			a.rec.mu.Lock()
 			for ev, w := range a.rec.seen {
 				if cw, ok := ck.Watermarks[ev]; ok {
@@ -447,7 +450,13 @@ func (a *Agent) recoverDurable() error {
 					w.last = 0
 				}
 			}
+			for _, f := range ck.Deferred {
+				if info := a.triggers[f.Rule]; info != nil { // else dropped since the cut
+					a.rec.held = append(a.rec.held, heldFiring{info: info, occ: led.OccFromState(f.Occ)})
+				}
+			}
 			a.rec.mu.Unlock()
+			a.mu.Unlock()
 			for _, p := range ck.Pending {
 				d.notePending(p.Rule, p.Key, led.OccFromState(p.Occ))
 			}

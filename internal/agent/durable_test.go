@@ -405,9 +405,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 					NextBound: at.Add(5 * time.Second),
 				}},
 			}},
-			Deferred: []led.FiringState{{Rule: "db.u.r", Occ: led.OccState{Event: "db.u.e", At: at}}},
 		},
-		Pending: []ckptPending{{Key: "abc123", Rule: "db.u.r", Occ: led.OccState{Event: "db.u.e", At: at}}},
+		Deferred: []ckptFiring{{Rule: "db.u.r", Occ: led.OccState{Event: "db.u.e", At: at}}},
+		Pending:  []ckptPending{{Key: "abc123", Rule: "db.u.r", Occ: led.OccState{Event: "db.u.e", At: at}}},
 		DLQ: []ckptDead{{Rule: "db.u.r", Event: "db.u.e", HasOcc: true,
 			Occ: led.OccState{Event: "db.u.e", At: at}, Messages: []string{"m"}, Err: "boom"}},
 	}
@@ -424,8 +424,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(got.LED.Nodes) != 2 || got.LED.Nodes[0].Path != "db.u.comp/0" || got.LED.Nodes[0].Kind != 3 {
 		t.Errorf("nodes: %+v", got.LED.Nodes)
 	}
-	if len(got.LED.Deferred) != 1 || got.LED.Deferred[0].Rule != "db.u.r" {
-		t.Errorf("deferred: %+v", got.LED.Deferred)
+	if len(got.Deferred) != 1 || got.Deferred[0].Rule != "db.u.r" {
+		t.Errorf("deferred: %+v", got.Deferred)
 	}
 	if len(got.Pending) != 1 || got.Pending[0].Key != "abc123" {
 		t.Errorf("pending: %+v", got.Pending)

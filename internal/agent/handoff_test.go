@@ -199,15 +199,15 @@ func TestCheckpointReadsV2Outstanding(t *testing.T) {
 }
 
 // TestCheckpointReadsV2Deferred: a firing in an older image's deferred
-// section waits in the detector's queue until FlushDeferred, then runs
-// once.
+// section, written by a build whose detector held it, waits in the
+// agent's held list until FlushDeferred, then runs once.
 func TestCheckpointReadsV2Deferred(t *testing.T) {
 	_, a := startFromV2Fixture(t, "ckpt-v2-deferred")
 	defer a.Close()
 	a.WaitActions()
 	expectNoAction(t, a)
-	if n := a.LED().DeferredCount(); n != 1 {
-		t.Fatalf("restored deferred queue holds %d firings, want 1", n)
+	if n := deferredGauge(t, a); n != 1 {
+		t.Fatalf("restored held list holds %d firings, want 1", n)
 	}
 	a.FlushDeferred()
 	res := waitAction(t, a)

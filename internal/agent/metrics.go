@@ -98,7 +98,11 @@ func (a *Agent) initMetrics(reg *obs.Registry) {
 		func() float64 { return float64(a.dlq.len()) })
 	reg.GaugeFunc("eca_deferred_actions",
 		"Deferred rule firings queued for the next transaction boundary.",
-		func() float64 { return float64(a.led.DeferredCount()) })
+		func() float64 {
+			a.rec.mu.Lock()
+			defer a.rec.mu.Unlock()
+			return float64(len(a.rec.held))
+		})
 
 	m.gatewayBatchSec = reg.Histogram("eca_gateway_batch_seconds",
 		"Language Filter latency per client batch (classification plus handling), seconds.", nil)

@@ -29,14 +29,25 @@ import (
 //     authoritative SysPrimitiveEvent.vNo over a privileged connection,
 //     catching trailing losses that no later datagram would ever reveal.
 
-// tracker holds the per-event delivery watermarks. Its lock also
-// serializes every LED propagation the agent causes — ingest, timer
-// dispatch (trackerClock), FlushDeferred and journal replay — and a
-// checkpoint takes it first, so no cut falls between a detection and the
-// action ledger's claim of the firing.
+// tracker holds the per-event delivery watermarks and the held DEFERRED
+// firings. Its lock also serializes every LED propagation the agent
+// causes — ingest, timer dispatch (trackerClock) and journal replay — and
+// FlushDeferred, and a checkpoint takes it first, so no cut falls between
+// a detection and the action ledger's claim or the held list's record of
+// the firing.
 type tracker struct {
 	mu   sync.Mutex
 	seen map[string]*eventWatermark // keyed by internal event name; guarded by mu
+	// held lists the DEFERRED firings waiting for FlushDeferred, in
+	// detection order.
+	held []heldFiring // guarded by mu
+}
+
+// heldFiring is one DEFERRED rule firing waiting for a transaction
+// boundary.
+type heldFiring struct {
+	info *triggerInfo
+	occ  *led.Occ
 }
 
 // eventWatermark is the last-seen occurrence number of one primitive

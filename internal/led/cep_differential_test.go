@@ -264,9 +264,6 @@ func TestCEPDifferential(t *testing.T) {
 					buildCepOracle(t, orc, c, ctx, orcRec)
 
 					runCepScript(c, clock, orc, l)
-					if coupling == led.Deferred {
-						l.FlushDeferred()
-					}
 
 					for k := 0; k < cepCopies; k++ {
 						key := fmt.Sprintf("c%d_", k)

@@ -14,8 +14,10 @@ import (
 
 // The operator-stream suite pins the detector's observable behaviour:
 // every Snoop operator, under all four parameter contexts and all three
-// coupling modes, is driven through a ManualClock event script with four
-// independent copies of the rule set, and the occurrence streams — event
+// coupling labels (the detector hands every firing to its action the same
+// way, so each DEFERRED cell equals its IMMEDIATE cell), is driven through
+// a ManualClock event script with four independent copies of the rule
+// set, and the occurrence streams — event
 // name, context, occurrence time, and the full constituent list — must
 // match testdata/operator_streams.golden byte for byte. The golden file
 // was recorded from the detector before its per-component sharding was
@@ -23,14 +25,13 @@ import (
 
 // diffStep is one step of a differential event script.
 type diffStep struct {
-	kind  string        // "sig" | "adv" | "flush"
+	kind  string        // "sig" | "adv"
 	event string        // for sig: unprefixed event name (e1, e2, e3)
 	d     time.Duration // for adv
 }
 
 func sig(event string) diffStep    { return diffStep{kind: "sig", event: event} }
 func adv(d time.Duration) diffStep { return diffStep{kind: "adv", d: d} }
-func flushDeferred() diffStep      { return diffStep{kind: "flush"} }
 
 // diffCase is one operator under test: an expression template over
 // %[1]s..%[3]s (the prefixed primitive names) and a script that exercises
@@ -158,8 +159,6 @@ func runDiffScript(c diffCase, clock *ManualClock, l *LED, concurrent bool) {
 			wg.Wait()
 		case "adv":
 			clock.Advance(st.d)
-		case "flush":
-			l.FlushDeferred()
 		}
 	}
 }
@@ -193,9 +192,6 @@ func operatorStreams(t *testing.T, c diffCase, ctx Context, coupling Coupling, c
 	rec := &diffRecorder{byKey: make(map[string][]string)}
 	buildDiffLED(t, l, c, ctx, coupling, rec)
 	runDiffScript(c, clock, l, concurrent)
-	if coupling == Deferred {
-		l.FlushDeferred()
-	}
 	var b strings.Builder
 	for k := 0; k < diffCopies; k++ {
 		occs := rec.byKey[fmt.Sprintf("c%d_", k)]

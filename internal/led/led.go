@@ -2,9 +2,11 @@
 // event-graph detector for Snoop composite events that the ECA agent embeds
 // (Section 3 of the paper). Primitive event occurrences are signalled into
 // the graph; operator nodes detect composite occurrences under the four
-// parameter contexts (RECENT, CHRONICLE, CONTINUOUS, CUMULATIVE); rules
-// attached to events run with IMMEDIATE, DEFERRED or DETACHED coupling and
-// priority ordering.
+// parameter contexts (RECENT, CHRONICLE, CONTINUOUS, CUMULATIVE); every
+// firing of a rule attached to an event is handed to the rule's action in
+// priority order before the propagation that detected it returns. The
+// coupling mode is the rule's label for its action; the LED keeps no
+// firing.
 //
 // The whole graph sits behind one lock: the agent signals the detector from
 // one serial ingest path, so finer locking would have nothing to run in
@@ -66,7 +68,8 @@ func ParseContext(s string) (Context, error) {
 
 // Coupling is a rule coupling mode. The paper's prototype implements only
 // IMMEDIATE and lists the others as future work; this reproduction
-// implements all three.
+// implements all three in the agent, which applies a rule's coupling to
+// the firings the LED hands it.
 type Coupling int
 
 // The three coupling modes.
@@ -216,10 +219,10 @@ type firing struct {
 // concurrent use.
 //
 // Lock order: mu, then timMu (a leaf). mu is the detector lock: every
-// graph propagation (Signal, timer dispatch), definition change, deferred
-// flush and checkpoint holds it, so each sees the graph, its operator
-// state and the deferred queue as one consistent cut. Rule actions always
-// run after it is released, on the propagating goroutine.
+// graph propagation (Signal, timer dispatch), definition change and
+// checkpoint holds it, so each sees the graph and its operator state as
+// one consistent cut. Rule actions always run after it is released, on
+// the propagating goroutine.
 type LED struct {
 	clock Clock
 
@@ -228,9 +231,6 @@ type LED struct {
 	rules map[string]*Rule // guarded by mu
 	// pending accumulates rule firings during one graph propagation.
 	pending []firing // guarded by mu
-	// deferred queues DEFERRED firings, in detection order, until
-	// FlushDeferred.
-	deferred []firing // guarded by mu
 
 	// timMu guards the logical timer registry (timers.go). Leaf lock:
 	// nothing is acquired while holding it.
@@ -309,19 +309,17 @@ func (l *LED) EventNames() []string {
 	return out
 }
 
-// Rule is an ECA rule: when Event is detected in Context, and Condition
-// holds, run Action under the given Coupling. Higher Priority rules run
-// first among rules fired by the same signal.
+// Rule is an ECA rule: when Event is detected in Context, run Action.
+// Higher Priority rules run first among rules fired by the same signal.
+// Coupling is the rule's label for its action (the event graph shows it);
+// the LED hands every firing to Action the same way.
 type Rule struct {
-	Name      string
-	Event     string
-	Context   Context
-	Coupling  Coupling
-	Priority  int
-	Condition func(*Occ) bool // nil means always
-	Action    func(*Occ)
-
-	disabled bool
+	Name     string
+	Event    string
+	Context  Context
+	Coupling Coupling
+	Priority int
+	Action   func(*Occ)
 }
 
 // AddRule attaches a rule, activating detection of its event in its
@@ -343,9 +341,6 @@ func (l *LED) AddRule(r *Rule) error {
 	l.rules[r.Name] = r
 	n.activate(r.Context)
 	n.subscribeRule(r, func(occ *Occ) {
-		if r.disabled {
-			return
-		}
 		l.pending = append(l.pending, firing{rule: r, occ: occ})
 	})
 	return nil
@@ -359,7 +354,6 @@ func (l *LED) DropRule(name string) error {
 	if !ok {
 		return fmt.Errorf("led: rule %q not defined", name)
 	}
-	r.disabled = true
 	delete(l.rules, name)
 	if n, ok := l.nodes[r.Event]; ok {
 		n.unsubscribeRule(r)
@@ -415,7 +409,7 @@ func (l *LED) signalLocked(p Primitive) {
 func (l *LED) dispatch(fn func()) { l.fire(l.detect(fn)) }
 
 // detect runs fn under mu and returns the firings it produced in priority
-// order, then detection order; DEFERRED ones are already queued.
+// order, then detection order.
 func (l *LED) detect(fn func()) *firingScratch {
 	scr := l.getScratch()
 	l.mu.Lock()
@@ -426,65 +420,24 @@ func (l *LED) detect(fn func()) *firingScratch {
 	scr.fs = l.pending
 	l.pending = nil
 	sortFirings(scr.fs)
-	for _, f := range scr.fs {
-		if f.rule.Coupling == Deferred {
-			l.deferred = append(l.deferred, f)
-		}
-	}
 	l.mu.Unlock()
 	return scr
 }
 
-// fire runs the IMMEDIATE and DETACHED actions of one propagation inline,
-// in order, and recycles the scratch. The LED only detects: a rule's
-// Action is its hand-off to whatever executes it (the agent's action
-// queue), so DETACHED needs no path of its own here.
+// fire hands every firing of one propagation to its rule's action, in
+// order, and recycles the scratch. The LED only detects: a rule's Action
+// is its hand-off to whatever executes it (the agent's action queue, or
+// its held list for a DEFERRED rule), so no coupling needs a path of its
+// own here.
 func (l *LED) fire(scr *firingScratch) {
 	for _, f := range scr.fs {
-		if f.rule.Coupling != Deferred {
-			l.runRule(f)
-		}
+		f.rule.Action(f.occ)
 	}
 	l.putScratch(scr)
 }
 
-func (l *LED) runRule(f firing) {
-	if f.rule.Condition != nil && !f.rule.Condition(f.occ) {
-		return
-	}
-	f.rule.Action(f.occ)
-}
-
-// FlushDeferred runs all queued deferred rule firings inline, in priority
-// order, then detection order (the agent calls this at transaction
-// boundaries).
-func (l *LED) FlushDeferred() {
-	l.mu.Lock()
-	queued := l.deferred
-	l.deferred = nil
-	kept := queued[:0]
-	for _, f := range queued {
-		if !f.rule.disabled { // DropRule since the firing was queued
-			kept = append(kept, f)
-		}
-	}
-	l.mu.Unlock()
-	sortFirings(kept)
-	for _, f := range kept {
-		l.runRule(f)
-	}
-}
-
-// DeferredCount reports the number of queued deferred firings.
-func (l *LED) DeferredCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.deferred)
-}
-
-// Wait returns at once: every action has run before the Signal, timer
-// dispatch or FlushDeferred that fired it returns, so there is nothing
-// left to wait for. It stays for callers outside this module's packages
+// Wait returns at once: every action has run before the Signal or timer
+// dispatch that fired it returns, so there is nothing left to wait for. It stays for callers outside this module's packages
 // (the benchmark's LED probe).
 func (l *LED) Wait() {}
 

@@ -114,42 +114,3 @@ func TestOrOfComposites(t *testing.T) {
 		t.Errorf("constituent counts: %d %d", len(occs[0].Constituents), len(occs[1].Constituents))
 	}
 }
-
-// Not-condition rules skip the action entirely (condition evaluated before
-// coupling dispatch for deferred rules too).
-func TestDeferredRuleConditionEvaluatedAtFlush(t *testing.T) {
-	h := newHarness(t, "e1")
-	fired := 0
-	err := h.led.AddRule(&Rule{
-		Name: "r", Event: "e1", Context: Recent, Coupling: Deferred,
-		Condition: func(o *Occ) bool { return o.Constituents[0].VNo > 1 },
-		Action:    func(*Occ) { fired++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.sig("e1") // vno 1: condition false
-	h.sig("e1") // vno 2: condition true
-	h.led.FlushDeferred()
-	if fired != 1 {
-		t.Errorf("deferred condition: fired %d", fired)
-	}
-}
-
-// Dropped rules queued as deferred do not run at flush.
-func TestDroppedDeferredRuleSkipped(t *testing.T) {
-	h := newHarness(t, "e1")
-	fired := 0
-	_ = h.led.AddRule(&Rule{
-		Name: "r", Event: "e1", Context: Recent, Coupling: Deferred,
-		Action: func(*Occ) { fired++ },
-	})
-	h.sig("e1")
-	if err := h.led.DropRule("r"); err != nil {
-		t.Fatal(err)
-	}
-	h.led.FlushDeferred()
-	if fired != 0 {
-		t.Error("dropped deferred rule still ran")
-	}
-}

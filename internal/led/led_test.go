@@ -485,45 +485,23 @@ func TestMultipleRulesWithPriority(t *testing.T) {
 	}
 }
 
-func TestRuleCondition(t *testing.T) {
-	h := newHarness(t, "e1")
-	fired := 0
-	err := h.led.AddRule(&Rule{
-		Name: "guarded", Event: "e1", Context: Recent,
-		Condition: func(o *Occ) bool { return o.Constituents[0].VNo%2 == 0 },
-		Action:    func(*Occ) { fired++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.sig("e1") // vno 1: condition false
-	h.sig("e1") // vno 2: condition true
-	if fired != 1 {
-		t.Errorf("condition gating: fired %d", fired)
-	}
-}
-
+// TestDeferredCoupling: the LED hands a DEFERRED firing to its action
+// before the Signal that detected it returns, and keeps nothing of it;
+// holding it for a transaction boundary is the executor's job.
 func TestDeferredCoupling(t *testing.T) {
 	h := newHarness(t, "e1")
-	fired := 0
+	var held []*Occ
 	_ = h.led.AddRule(&Rule{
 		Name: "def", Event: "e1", Context: Recent, Coupling: Deferred,
-		Action: func(*Occ) { fired++ },
+		Action: func(o *Occ) { held = append(held, o) },
 	})
 	h.sig("e1")
 	h.sig("e1")
-	if fired != 0 {
-		t.Fatal("deferred rule ran before flush")
+	if len(held) != 2 || held[0].Constituents[0].VNo != 1 || held[1].Constituents[0].VNo != 2 {
+		t.Fatalf("deferred firings handed off: %v", held)
 	}
-	if h.led.DeferredCount() != 2 {
-		t.Fatalf("deferred queue: %d", h.led.DeferredCount())
-	}
-	h.led.FlushDeferred()
-	if fired != 2 {
-		t.Errorf("after flush: %d", fired)
-	}
-	if h.led.DeferredCount() != 0 {
-		t.Error("queue not drained")
+	if snap := h.led.SnapshotState(); len(snap.Nodes) != 0 {
+		t.Errorf("detector kept state for a primitive rule: %+v", snap.Nodes)
 	}
 }
 
@@ -609,41 +587,6 @@ func TestCompositeStateSurvivesDefine(t *testing.T) {
 	h.sig("b")
 	if len(got) != 2 {
 		t.Fatalf("AND fired %d times after define, want 2", len(got))
-	}
-}
-
-// TestDeferredPriorityAcrossRuleSets checks FlushDeferred runs deferred
-// firings of unrelated rules highest priority first, not in signal order.
-func TestDeferredPriorityAcrossRuleSets(t *testing.T) {
-	l := New(NewManualClock(t0))
-	var order []string
-	mk := func(ev string, prio int) {
-		if err := l.DefinePrimitive(ev); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.AddRule(&Rule{
-			Name: "r_" + ev, Event: ev, Context: Recent,
-			Coupling: Deferred, Priority: prio,
-			Action: func(o *Occ) { order = append(order, ev) },
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk("low", 1)
-	mk("high", 9)
-	mk("mid", 5)
-	at := t0
-	for i, ev := range []string{"low", "high", "mid"} {
-		at = at.Add(time.Second)
-		l.Signal(Primitive{Event: ev, Table: "t", Op: "insert", VNo: i + 1, At: at})
-	}
-	if len(order) != 0 {
-		t.Fatalf("deferred rules ran before flush: %v", order)
-	}
-	l.FlushDeferred()
-	want := []string{"high", "mid", "low"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("deferred order = %v, want %v", order, want)
 	}
 }
 

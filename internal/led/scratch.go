@@ -22,10 +22,10 @@ func newPrimOcc(p Primitive, ctx Context) *Occ {
 }
 
 // firingScratch is a recyclable firing slice used for the per-propagation
-// pending list. detect appends into it under the detector lock, fire runs
-// the firings and returns the scratch to the LED's spare slot. Recycling
-// is safe because the deferred queue appends copies and every other
-// firing's action runs to completion before release.
+// pending list. detect appends into it under the detector lock, fire hands
+// the firings to their actions and returns the scratch to the LED's spare
+// slot. Recycling is safe because every action returns before release, and
+// an action that keeps its firing keeps the occurrence, not the slice.
 type firingScratch struct {
 	fs []firing
 }

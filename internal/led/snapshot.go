@@ -10,15 +10,14 @@ import (
 
 // StateSnapshot is a point-in-time, serializable image of everything the
 // detector holds only in memory: per-node partial occurrences under every
-// parameter context, open operator windows and their timer deadlines,
-// pending PLUS emissions and the deferred-firing queue. Every other firing
-// has been handed to its rule action before the propagation that detected
-// it returned. The agent's checkpoint writer encodes it with the
+// parameter context, open operator windows and their timer deadlines, and
+// pending PLUS emissions. It holds no firing: every one has been handed to
+// its rule action before the propagation that detected it returned. The
+// agent's checkpoint writer encodes it with the
 // internal/storage codec; RestoreState rebuilds the same detection state
 // onto a graph freshly reconstructed from the system tables.
 type StateSnapshot struct {
-	Nodes    []NodeState
-	Deferred []FiringState
+	Nodes []NodeState
 }
 
 // NodeState is one operator node's non-empty per-context state. Nodes are
@@ -70,12 +69,6 @@ type OccState struct {
 	Constituents []Primitive
 }
 
-// FiringState is one pending rule firing.
-type FiringState struct {
-	Rule string
-	Occ  OccState
-}
-
 // OccToState converts a live occurrence to its serializable form (the
 // agent's checkpoint codec).
 func OccToState(o *Occ) OccState { return occToState(o) }
@@ -124,10 +117,10 @@ func occsFromState(ss []OccState) []*Occ {
 }
 
 // SnapshotState captures the detector's full volatile state. It holds the
-// detector lock, which excludes every Signal, timer dispatch, deferred
-// flush and definition change, so the image is a consistent cut; rule
-// actions that already left the detector are the agent's to record (its
-// action ledger).
+// detector lock, which excludes every Signal, timer dispatch and
+// definition change, so the image is a consistent cut; rule actions that
+// already left the detector are the agent's to record (its action ledger
+// and its held DEFERRED firings).
 func (l *LED) SnapshotState() *StateSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -152,10 +145,6 @@ func (l *LED) SnapshotState() *StateSnapshot {
 			}
 		}
 		walk(root, name)
-	}
-
-	for _, f := range l.deferred {
-		snap.Deferred = append(snap.Deferred, FiringState{Rule: f.rule.Name, Occ: occToState(f.occ)})
 	}
 	return snap
 }
@@ -210,7 +199,7 @@ func (n *node) captureState(path string) *NodeState {
 // inactive contexts or child indexes out of range return an error and the
 // caller falls back to a cold start. Timers for restored windows, PLUS
 // emissions and unfired temporal events are re-armed at their original
-// logical deadlines, and the deferred queue is reloaded.
+// logical deadlines.
 func (l *LED) RestoreState(snap *StateSnapshot) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -289,13 +278,6 @@ func (l *LED) RestoreState(snap *StateSnapshot) error {
 			// from activate is harmless — done suppresses the second fire.
 			n.armTemporal(cs.Ctx)
 		}
-	}
-	for _, fs := range snap.Deferred {
-		r, ok := l.rules[fs.Rule]
-		if !ok {
-			continue // rule dropped since the checkpoint
-		}
-		l.deferred = append(l.deferred, firing{rule: r, occ: occFromState(fs.Occ)})
 	}
 	return nil
 }

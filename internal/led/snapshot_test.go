@@ -16,7 +16,7 @@ import (
 
 // buildSnapLED defines one copy of the operator's rule set on l, recording
 // occurrences through rec.
-func buildSnapLED(t *testing.T, l *LED, c diffCase, ctx Context, coupling Coupling, rec func(*Occ)) {
+func buildSnapLED(t *testing.T, l *LED, c diffCase, ctx Context, rec func(*Occ)) {
 	t.Helper()
 	for _, p := range []string{"e1", "e2", "e3"} {
 		if err := l.DefinePrimitive("s_" + p); err != nil {
@@ -26,7 +26,7 @@ func buildSnapLED(t *testing.T, l *LED, c diffCase, ctx Context, coupling Coupli
 	expr := fmt.Sprintf(c.expr, "s_e1", "s_e2", "s_e3")
 	defComposite(t, &harness{led: l}, "s_comp", expr)
 	if err := l.AddRule(&Rule{
-		Name: "s_r", Event: "s_comp", Context: ctx, Coupling: coupling, Action: rec,
+		Name: "s_r", Event: "s_comp", Context: ctx, Action: rec,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,6 @@ func runSnapScript(steps []diffStep, clock *ManualClock, vno *int, leds ...*LED)
 			}
 		case "adv":
 			clock.Advance(st.d)
-		case "flush":
-			for _, l := range leds {
-				l.FlushDeferred()
-			}
 		}
 	}
 }
@@ -69,10 +65,10 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 					subj := New(clock)
 					var refOccs, subjOccs []string
 					crashed := false
-					buildSnapLED(t, ref, c, ctx, Immediate, func(o *Occ) {
+					buildSnapLED(t, ref, c, ctx, func(o *Occ) {
 						refOccs = append(refOccs, canonOcc(o))
 					})
-					buildSnapLED(t, subj, c, ctx, Immediate, func(o *Occ) {
+					buildSnapLED(t, subj, c, ctx, func(o *Occ) {
 						// The abandoned detector's leftover timers keep
 						// firing on the shared clock after the "crash";
 						// a dead process would not record them.
@@ -91,7 +87,7 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 					// on a fresh detector, as recovery rebuilds the graph
 					// from the system tables before restoring state.
 					restored := New(clock)
-					buildSnapLED(t, restored, c, ctx, Immediate, func(o *Occ) {
+					buildSnapLED(t, restored, c, ctx, func(o *Occ) {
 						subjOccs = append(subjOccs, canonOcc(o))
 					})
 					if err := restored.RestoreState(snap); err != nil {
@@ -110,47 +106,12 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesDeferred proves queued deferred firings survive the
-// snapshot/restore cycle and run on the restored detector's flush.
-func TestSnapshotCarriesDeferred(t *testing.T) {
-	clock := NewManualClock(t0)
-	l := New(clock)
-	buildSnapLED(t, l, diffCases[0] /* OR */, Recent, Deferred, func(*Occ) {
-		t.Error("deferred firing ran before flush")
-	})
-	vno := 0
-	runSnapScript([]diffStep{sig("e1")}, clock, &vno, l)
-	if got := l.DeferredCount(); got != 1 {
-		t.Fatalf("deferred queued = %d, want 1", got)
-	}
-	snap := l.SnapshotState()
-	if len(snap.Deferred) != 1 {
-		t.Fatalf("snapshot deferred = %d, want 1", len(snap.Deferred))
-	}
-
-	restored := New(clock)
-	var got []string
-	buildSnapLED(t, restored, diffCases[0], Recent, Deferred, func(o *Occ) {
-		got = append(got, canonOcc(o))
-	})
-	if err := restored.RestoreState(snap); err != nil {
-		t.Fatal(err)
-	}
-	if n := restored.DeferredCount(); n != 1 {
-		t.Fatalf("restored deferred = %d, want 1", n)
-	}
-	restored.FlushDeferred()
-	if len(got) != 1 || !strings.Contains(got[0], "s_e1") {
-		t.Fatalf("restored flush produced %v", got)
-	}
-}
-
 // TestRestoreRejectsMismatchedGraph guards the cold-start fallback: a
 // snapshot taken against one graph must not silently load onto another.
 func TestRestoreRejectsMismatchedGraph(t *testing.T) {
 	clock := NewManualClock(t0)
 	l := New(clock)
-	buildSnapLED(t, l, diffCases[2] /* SEQ */, Chronicle, Immediate, func(*Occ) {})
+	buildSnapLED(t, l, diffCases[2] /* SEQ */, Chronicle, func(*Occ) {})
 	vno := 0
 	runSnapScript([]diffStep{sig("e1")}, clock, &vno, l)
 	snap := l.SnapshotState()
@@ -159,7 +120,7 @@ func TestRestoreRejectsMismatchedGraph(t *testing.T) {
 	}
 
 	other := New(clock)
-	buildSnapLED(t, other, diffCases[0] /* OR: shallower graph */, Chronicle, Immediate, func(*Occ) {})
+	buildSnapLED(t, other, diffCases[0] /* OR: shallower graph */, Chronicle, func(*Occ) {})
 	if err := other.RestoreState(snap); err == nil {
 		t.Fatal("restore onto a mismatched graph succeeded")
 	}
