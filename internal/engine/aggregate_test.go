@@ -64,6 +64,22 @@ func TestAggregateErrorPrecedence(t *testing.T) {
 	}
 }
 
+// TestAggregateEmptyGroupOperands: a global aggregate over no rows still
+// evaluates its other operands; only a column reference reads NULL there.
+func TestAggregateEmptyGroupOperands(t *testing.T) {
+	s, _ := newTestSession(t)
+	mustExec(t, s, "create table t (a int null)\ninsert t values (1)")
+	rows := lastRows(mustExec(t, s, "select count(*) from t where a > 5 having count(*) = 0"))
+	if len(rows) != 1 || rows[0][0].Int() != 0 {
+		t.Errorf("HAVING count(*) = 0 over no rows: %v, want [(0)]", rows)
+	}
+	rows = lastRows(mustExec(t, s, "select count(*), 7, a, 'x' + 'y' from t where a > 5"))
+	if len(rows) != 1 || rows[0][0].Int() != 0 || rows[0][1].IsNull() || rows[0][1].Int() != 7 ||
+		!rows[0][2].IsNull() || rows[0][3].IsNull() || rows[0][3].Str() != "xy" {
+		t.Errorf("operands of a global aggregate over no rows: %v, want [(0, 7, NULL, xy)]", rows)
+	}
+}
+
 // TestAggregateValues pins the results of the folds: a global aggregate
 // over no rows is one row, an all-INT sum stays INT while a mixed one is
 // FLOAT, and min and max keep the first of equal values.

@@ -251,6 +251,16 @@ func (p *plan) tuple(t int) sourceRow {
 	return p.cur
 }
 
+// nullTuple sets p.cur to a tuple whose every column is NULL and returns
+// it: the row a global aggregate over no matched tuples evaluates its
+// other operands on.
+func (p *plan) nullTuple() sourceRow {
+	for f, fr := range p.frames {
+		p.cur[f] = make(sqltypes.Row, len(fr.schema.Columns))
+	}
+	return p.cur
+}
+
 // resolve resolves the tables of a statement's FROM list (or its one
 // target table) into p.tables, in order, and reports whether p was built
 // against them as they are now.

@@ -597,7 +597,8 @@ func hasStarItems(items []sqlparse.SelectItem) bool {
 // evalAgg evaluates an expression over a group, the indices of its
 // matched tuples: aggregate calls are computed across the group's rows, a
 // function, operator or negation over them applies to their results, and
-// everything else is evaluated on the group's first row.
+// everything else is evaluated on the group's first row — on a tuple of
+// NULL columns when the group is empty, so a literal keeps its value.
 func (s *Session) evalAgg(p *plan, e *expr, group []int32) (sqltypes.Value, error) {
 	if e.agg {
 		switch e.op {
@@ -632,7 +633,7 @@ func (s *Session) evalAgg(p *plan, e *expr, group []int32) (sqltypes.Value, erro
 		}
 	}
 	if len(group) == 0 {
-		return sqltypes.Null, nil
+		return s.eval(e, p.nullTuple())
 	}
 	return s.eval(e, p.tuple(int(group[0])))
 }
