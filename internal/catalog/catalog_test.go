@@ -283,8 +283,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Len() != 1 {
-		t.Errorf("rows lost: %d", tbl.Len())
+	if len(tbl.Rows()) != 1 {
+		t.Errorf("rows lost: %d", len(tbl.Rows()))
 	}
 	p, err := db.Procedure("", "p_report", "sharma")
 	if err != nil {
@@ -472,8 +472,8 @@ func TestLoadSnapshotBeforeIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Len() != 1 || len(tbl.Indexes()) != 0 {
-		t.Errorf("old snapshot: %d rows, indexes %+v", tbl.Len(), tbl.Indexes())
+	if len(tbl.Rows()) != 1 || len(tbl.Indexes()) != 0 {
+		t.Errorf("old snapshot: %d rows, indexes %+v", len(tbl.Rows()), tbl.Indexes())
 	}
 	if _, err := db.Procedure("", "p_report", "sharma"); err != nil {
 		t.Error(err)

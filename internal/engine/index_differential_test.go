@@ -265,7 +265,9 @@ func TestIndexScanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tbl.Truncate()
+			if err := tbl.ReplaceAll(nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i := 0; i < 4; i++ {
 			p.both(p.insertSQL(r, victim))

@@ -29,7 +29,7 @@ func TestHandedOutRowsAndSchemasStayUnchanged(t *testing.T) {
 			return tbl.AddColumn(sqltypes.Column{Name: "vNo", Type: sqltypes.Int, Nullable: true})
 		}},
 		{"rollback", func(tbl *Table) error { return tbl.ReplaceAll([]sqltypes.Row{row("Z", 9, 9)}) }},
-		{"truncate", func(tbl *Table) error { tbl.Truncate(); return nil }},
+		{"truncate", func(tbl *Table) error { return tbl.ReplaceAll(nil) }},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			tbl := NewTable(stockSchema())
@@ -53,7 +53,6 @@ func TestHandedOutRowsAndSchemasStayUnchanged(t *testing.T) {
 					kept = append(kept, handout{from, r, fmt.Sprint(r)})
 				}
 			}
-			tbl.Scan(func(r sqltypes.Row) bool { keep("Scan", r); return true })
 			keep("Rows", tbl.Rows()...)
 			pin := tbl.Pin()
 			looked, ok := pin.Lookup(0, sqltypes.NewString("B"), nil)
@@ -150,7 +149,6 @@ func TestReadersKeepRowsWhileWriterUpdates(t *testing.T) {
 				default:
 				}
 				kept = append(kept[:0], tbl.Rows()...)
-				tbl.Scan(func(r sqltypes.Row) bool { kept = append(kept, r); return true })
 				pin := tbl.Pin()
 				if pos, ok := pin.Lookup(0, sqltypes.NewString("S07"), nil); ok {
 					for _, at := range pos {
@@ -173,7 +171,7 @@ func TestReadersKeepRowsWhileWriterUpdates(t *testing.T) {
 // TestAllocsScanSizeFree: reading a table costs the same number of
 // allocations whatever its size, because no row is copied.
 func TestAllocsScanSizeFree(t *testing.T) {
-	counts := func(n int) (scan, rows, noDelete, noUpdate float64) {
+	counts := func(n int) (rows, noDelete, noUpdate float64) {
 		tbl := NewTable(stockSchema())
 		for i := 0; i < n; i++ {
 			if err := tbl.Insert(row(fmt.Sprintf("S%d", i), float64(i), int64(i))); err != nil {
@@ -182,9 +180,6 @@ func TestAllocsScanSizeFree(t *testing.T) {
 		}
 		sink := 0
 		none := func(sqltypes.Row) (bool, error) { return false, nil }
-		scan = testing.AllocsPerRun(20, func() {
-			tbl.Scan(func(r sqltypes.Row) bool { sink += len(r); return true })
-		})
 		rows = testing.AllocsPerRun(20, func() { sink += len(tbl.Rows()) })
 		noDelete = testing.AllocsPerRun(20, func() {
 			if _, err := tbl.Delete(none); err != nil {
@@ -196,14 +191,14 @@ func TestAllocsScanSizeFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		return scan, rows, noDelete, noUpdate
+		return rows, noDelete, noUpdate
 	}
-	s64, r64, d64, u64 := counts(64)
-	s1k, r1k, d1k, u1k := counts(1024)
+	r64, d64, u64 := counts(64)
+	r1k, d1k, u1k := counts(1024)
 	for _, c := range []struct {
 		name       string
 		small, big float64
-	}{{"Scan", s64, s1k}, {"Rows", r64, r1k}, {"Delete matching nothing", d64, d1k}, {"Update matching nothing", u64, u1k}} {
+	}{{"Rows", r64, r1k}, {"Delete matching nothing", d64, d1k}, {"Update matching nothing", u64, u1k}} {
 		if c.small != c.big {
 			t.Errorf("%s: %.1f allocs/op on 64 rows, %.1f on 1024", c.name, c.small, c.big)
 		}

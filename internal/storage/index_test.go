@@ -100,7 +100,9 @@ func TestIndexMaintainedAcrossMutations(t *testing.T) {
 	if got := lookupPos(t, tbl, 0, a); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("after replace: %v", got)
 	}
-	tbl.Truncate()
+	if err := tbl.ReplaceAll(nil); err != nil {
+		t.Fatal(err)
+	}
 	check("truncate")
 	if got := lookupPos(t, tbl, 0, a); len(got) != 0 {
 		t.Fatalf("after truncate: %v", got)

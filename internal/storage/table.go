@@ -7,7 +7,7 @@
 // schema are never written after they are published: Insert appends past
 // the end of the slot array, and every other mutation publishes a new slot
 // array or schema pointer instead. So the rows, slot arrays and schemas a
-// table hands out (Scan, Rows, Pin.Lookup, the Update and Delete
+// table hands out (Rows, Pin.Lookup, the Update and Delete
 // predicates, Update's and Delete's returned images, Pin.Rows, Schema) are
 // the stored values themselves, shared with the table and every other
 // reader. They stay valid and unchanged after later mutations, and callers
@@ -60,13 +60,6 @@ func (t *Table) Schema() *sqltypes.Schema {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.schema
-}
-
-// Len returns the number of rows.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
 }
 
 // Insert appends a row after validating arity, NOT NULL constraints, and
@@ -123,20 +116,6 @@ func (t *Table) prepareRowLocked(row sqltypes.Row) (sqltypes.Row, error) {
 		conv[i] = cv
 	}
 	return conv, nil
-}
-
-// Scan calls fn for every row, stopping early if fn returns false. The
-// callback receives the stored row: read-only, and it may retain it. The
-// read lock is held for the duration of the scan (Update replaces row
-// slots), so fn must not call methods of the same table.
-func (t *Table) Scan(fn func(row sqltypes.Row) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, r := range t.rows {
-		if !fn(r) {
-			return
-		}
-	}
 }
 
 // Rows returns the stored rows in position order: the table's slot array
@@ -233,14 +212,6 @@ func (t *Table) Delete(pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, e
 		t.changed(true)
 	}
 	return removed, nil
-}
-
-// Truncate removes all rows.
-func (t *Table) Truncate() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rows = nil
-	t.changed(true)
 }
 
 // AddColumn appends a column to the schema, filling existing rows with

@@ -32,22 +32,11 @@ func TestInsertAndScan(t *testing.T) {
 	if err := tbl.Insert(row("T", 20, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Len() != 2 {
-		t.Fatalf("Len = %d", tbl.Len())
+	if len(tbl.Rows()) != 2 {
+		t.Fatalf("Len = %d", len(tbl.Rows()))
 	}
-	var seen []string
-	tbl.Scan(func(r sqltypes.Row) bool {
-		seen = append(seen, r[0].Str())
-		return true
-	})
-	if len(seen) != 2 || seen[0] != "IBM" || seen[1] != "T" {
-		t.Errorf("scan order: %v", seen)
-	}
-	// Early stop.
-	count := 0
-	tbl.Scan(func(r sqltypes.Row) bool { count++; return false })
-	if count != 1 {
-		t.Errorf("early stop scanned %d", count)
+	if rows := tbl.Rows(); rows[0][0].Str() != "IBM" || rows[1][0].Str() != "T" {
+		t.Errorf("row order: %v", rows)
 	}
 }
 
@@ -81,16 +70,16 @@ func TestInsertManyAtomic(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch with bad row accepted")
 	}
-	if tbl.Len() != 0 {
-		t.Errorf("partial insert: %d rows", tbl.Len())
+	if len(tbl.Rows()) != 0 {
+		t.Errorf("partial insert: %d rows", len(tbl.Rows()))
 	}
 	// The returned rows are the stored ones, coerced like Insert's.
 	stored, err := tbl.InsertMany([]sqltypes.Row{row("A", 1, 1), {sqltypes.NewString("VERYLONGSYMBOL"), sqltypes.NewInt(2), sqltypes.Null}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Len() != 2 {
-		t.Errorf("Len = %d", tbl.Len())
+	if len(tbl.Rows()) != 2 {
+		t.Errorf("Len = %d", len(tbl.Rows()))
 	}
 	if !reflect.DeepEqual(stored, tbl.Rows()) || stored[1][0].Str() != "VERYLONGSY" || stored[1][1].Kind() != sqltypes.KindFloat {
 		t.Errorf("InsertMany returned %v, table holds %v", stored, tbl.Rows())
@@ -148,13 +137,13 @@ func TestDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(removed) != 3 || tbl.Len() != 3 {
-		t.Fatalf("removed %d, left %d", len(removed), tbl.Len())
+	if len(removed) != 3 || len(tbl.Rows()) != 3 {
+		t.Fatalf("removed %d, left %d", len(removed), len(tbl.Rows()))
 	}
 	// Predicate error leaves table intact.
 	_, err = tbl.Delete(func(r sqltypes.Row) (bool, error) { return false, fmt.Errorf("boom") })
-	if err == nil || tbl.Len() != 3 {
-		t.Errorf("error delete: err=%v len=%d", err, tbl.Len())
+	if err == nil || len(tbl.Rows()) != 3 {
+		t.Errorf("error delete: err=%v len=%d", err, len(tbl.Rows()))
 	}
 }
 
@@ -181,14 +170,16 @@ func TestAddColumn(t *testing.T) {
 func TestTruncateAndReplaceAll(t *testing.T) {
 	tbl := NewTable(stockSchema())
 	_ = tbl.Insert(row("A", 1, 1))
-	tbl.Truncate()
-	if tbl.Len() != 0 {
+	if err := tbl.ReplaceAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows()) != 0 {
 		t.Fatal("truncate failed")
 	}
 	if err := tbl.ReplaceAll([]sqltypes.Row{row("B", 2, 2), row("C", 3, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Len() != 2 {
+	if len(tbl.Rows()) != 2 {
 		t.Fatal("replace failed")
 	}
 	if err := tbl.ReplaceAll([]sqltypes.Row{{sqltypes.Null, sqltypes.Null, sqltypes.Null}}); err == nil {
@@ -205,7 +196,9 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				_ = tbl.Insert(row(fmt.Sprintf("G%d", g), float64(i), int64(i)))
-				tbl.Scan(func(r sqltypes.Row) bool { return true })
+				for _, r := range tbl.Rows() {
+					_ = r[0].Str()
+				}
 				if i%10 == 0 {
 					_, _, _ = tbl.Update(
 						func(r sqltypes.Row) (bool, error) { return r[2].Int() == int64(i), nil },
@@ -216,8 +209,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if tbl.Len() != 800 {
-		t.Errorf("Len = %d, want 800", tbl.Len())
+	if len(tbl.Rows()) != 800 {
+		t.Errorf("Len = %d, want 800", len(tbl.Rows()))
 	}
 }
 
@@ -263,8 +256,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tbl.Len() {
-		t.Fatalf("row count %d vs %d", got.Len(), tbl.Len())
+	if len(got.Rows()) != len(tbl.Rows()) {
+		t.Fatalf("row count %d vs %d", len(got.Rows()), len(tbl.Rows()))
 	}
 	gotRows, wantRows := got.Rows(), tbl.Rows()
 	for i := range wantRows {
