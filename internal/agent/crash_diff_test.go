@@ -44,7 +44,7 @@ func TestCrashDifferentialDetached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash differential matrix is long")
 	}
-	for _, c := range scenario.DetachedCells() {
+	for _, c := range scenario.CouplingCells("DETACHED") {
 		t.Run(c.Name(), func(t *testing.T) {
 			t.Parallel()
 			playCell(t, c)
@@ -55,15 +55,15 @@ func TestCrashDifferentialDetached(t *testing.T) {
 // TestCrashDifferentialDeferred: the same proof for DEFERRED composite
 // rules, every operator under RECENT killed at each agent crash point.
 // The composite's firings are held across the kill — in the checkpoint,
-// or re-detected by journal replay — and run at the flush after the last
-// step, which the oracle makes at the same point. Holding a firing
+// or re-detected by journal replay — and run at the script's last step, a
+// flush, which the oracle makes at the same point. Holding a firing
 // changes when its action runs, not what it runs: the oracle must run
 // the IMMEDIATE oracle's actions.
 func TestCrashDifferentialDeferred(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash differential matrix is long")
 	}
-	for _, c := range scenario.DeferredCells() {
+	for _, c := range scenario.CouplingCells("DEFERRED") {
 		t.Run(c.Name(), func(t *testing.T) {
 			t.Parallel()
 			held := scenario.Oracle(t, c)

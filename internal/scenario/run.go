@@ -74,10 +74,9 @@ func (r *Run) Boot(dial agent.UpstreamDialer, dur *agent.Durability) {
 }
 
 // Play installs three primitive events and c's composite under its
-// context and coupling, drives Script, flushes the held DEFERRED firings
-// once after the last step (the run's one transaction boundary), calls
-// down once when the armed crash point trips, and returns with every
-// action drained. down must Boot the incarnation that finishes the run.
+// context and coupling, drives Script, calls down once when the armed
+// crash point trips, and returns with every action drained. down must
+// Boot the incarnation that finishes the script.
 func (r *Run) Play(c Cell, down func()) {
 	r.T.Helper()
 	cs, err := r.Agent.NewClientSession("sharma", "scenariodb")
@@ -108,19 +107,6 @@ func (r *Run) Play(c Cell, down func()) {
 			downed = true
 		}
 	}
-	r.flush()
-	if !downed && r.Crash.Tripped() != "" {
-		down()
-		r.flush()
-	}
-	r.Agent.WaitActions()
-}
-
-// flush runs the held DEFERRED firings and waits for their actions,
-// swallowing a simulated-crash panic like step.
-func (r *Run) flush() {
-	defer faults.Recover()
-	r.Agent.FlushDeferred()
 	r.Agent.WaitActions()
 }
 
@@ -140,6 +126,9 @@ func (r *Run) step(s Step) {
 		if err := r.Agent.Checkpoint(); err != nil {
 			r.T.Errorf("checkpoint: %v", err)
 		}
+	}
+	if s.Flush {
+		r.Agent.FlushDeferred()
 	}
 }
 

@@ -63,17 +63,20 @@ var Operators = []Operator{
 var Contexts = []string{"RECENT", "CHRONICLE", "CONTINUOUS", "CUMULATIVE"}
 
 // Step is one workload step: advance the logical clock, insert into a
-// monitored table, or cut an explicit checkpoint.
+// monitored table, cut an explicit checkpoint, or flush the held DEFERRED
+// firings.
 type Step struct {
 	Advance time.Duration
 	Insert  string
 	Ckpt    bool
+	Flush   bool
 }
 
 // Script interleaves constituent inserts of every operator with clock
 // advances (driving P/P*/PLUS/temporal timers and window boundaries) and
 // two mid-run checkpoints, so a crash can land before, between, and after
-// cuts.
+// cuts. It ends with the run's one transaction boundary, which releases
+// a DEFERRED rule's held firings.
 var Script = []Step{
 	{Advance: time.Second, Insert: "ta"},
 	{Advance: time.Second, Insert: "tb"},
@@ -87,6 +90,7 @@ var Script = []Step{
 	{Insert: "tb"},
 	{Insert: "tc"},
 	{Advance: 5 * time.Second},
+	{Flush: true},
 }
 
 // Crash is a named crash point and the hit it trips on.
@@ -171,29 +175,14 @@ func Cells(points []Crash, perCell int) []Cell {
 	return cells
 }
 
-// DetachedCells lists every operator under RECENT with its composite rule
-// DETACHED, each killed once at every agent crash point: the ith kill of
-// the kth cell arms AgentCrashes[i] with seed 31k+i+2.
-func DetachedCells() []Cell {
+// CouplingCells lists every operator under RECENT with its composite rule
+// under coupling (DETACHED or DEFERRED), each killed once at every agent
+// crash point: the ith kill of the kth cell arms AgentCrashes[i] with seed
+// 31k+i+2.
+func CouplingCells(coupling string) []Cell {
 	cells := make([]Cell, 0, len(Operators))
 	for k, op := range Operators {
-		c := Cell{Op: op, Ctx: "RECENT", Coupling: "DETACHED"}
-		for i, p := range AgentCrashes {
-			c.Kills = append(c.Kills, Kill{p, int64(31*k + i + 2)})
-		}
-		cells = append(cells, c)
-	}
-	return cells
-}
-
-// DeferredCells lists every operator under RECENT with its composite rule
-// DEFERRED, each killed once at every agent crash point: the ith kill of
-// the kth cell arms AgentCrashes[i] with seed 31k+i+2. The held firings
-// run at the one flush Play makes after the last step.
-func DeferredCells() []Cell {
-	cells := make([]Cell, 0, len(Operators))
-	for k, op := range Operators {
-		c := Cell{Op: op, Ctx: "RECENT", Coupling: "DEFERRED"}
+		c := Cell{Op: op, Ctx: "RECENT", Coupling: coupling}
 		for i, p := range AgentCrashes {
 			c.Kills = append(c.Kills, Kill{p, int64(31*k + i + 2)})
 		}

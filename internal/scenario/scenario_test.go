@@ -12,8 +12,8 @@ func TestCellsArmEveryPoint(t *testing.T) {
 		cells  []Cell
 	}{
 		{"crash", AgentCrashes, Cells(AgentCrashes, 3)},
-		{"DETACHED crash", AgentCrashes, DetachedCells()},
-		{"DEFERRED crash", AgentCrashes, DeferredCells()},
+		{"DETACHED crash", AgentCrashes, CouplingCells("DETACHED")},
+		{"DEFERRED crash", AgentCrashes, CouplingCells("DEFERRED")},
 		{"failover", Crashes, Cells(Crashes, 3)},
 	} {
 		armed := map[Crash]bool{}
