@@ -2,6 +2,7 @@ package agent
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -208,5 +209,67 @@ func TestDeferredSurvivesCheckpointRestart(t *testing.T) {
 	expectNoAction(t, c)
 	if st := c.Stats(); st.ActionsRun != 0 {
 		t.Errorf("a further restart re-ran the action: %+v", st)
+	}
+}
+
+// TestDeferredHeldListConcurrent: detections on several connections,
+// flushes, checkpoints and gauge reads reach the held list at once; every
+// occurrence's action still runs exactly once. Run it under -race.
+func TestDeferredHeldListConcurrent(t *testing.T) {
+	const writers, inserts = 3, 40
+	r := newDurableRig(t)
+	a := r.start(nil)
+	defer a.Close()
+	cs := r.session(a)
+	if _, err := cs.Exec("create trigger t_def on stock for insert event ev DEFERRED as print 'd'"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		driver := r.eng.NewSession("sharma")
+		if err := driver.Use("sentineldb"); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < inserts; i++ {
+				if _, err := driver.ExecScript("insert stock values ('X', 1)"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var side sync.WaitGroup
+	side.Add(1)
+	go func() {
+		defer side.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a.FlushDeferred()
+			if err := a.Checkpoint(); err != nil {
+				t.Error(err)
+			}
+			if _, ok := promValue(a.Metrics(), "eca_deferred_actions"); !ok {
+				t.Error("eca_deferred_actions absent")
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	side.Wait()
+	a.FlushDeferred()
+	a.WaitActions()
+	if st := a.Stats(); st.ActionsRun != writers*inserts {
+		t.Errorf("actions run = %d, want %d", st.ActionsRun, writers*inserts)
+	}
+	if n := deferredGauge(t, a); n != 0 {
+		t.Errorf("held firings after the last flush = %d", n)
 	}
 }
