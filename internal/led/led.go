@@ -437,8 +437,9 @@ func (l *LED) fire(scr *firingScratch) {
 }
 
 // Wait returns at once: every action has run before the Signal or timer
-// dispatch that fired it returns, so there is nothing left to wait for. It stays for callers outside this module's packages
-// (the benchmark's LED probe).
+// dispatch that fired it returns, so there is nothing left to wait for.
+// It stays for callers outside this module's packages (the benchmark's
+// LED probe).
 func (l *LED) Wait() {}
 
 // Now exposes the detector's clock.
