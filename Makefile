@@ -120,10 +120,11 @@ cep-differential:
 # regression cell and the committed v2 checkpoint images (outstanding and
 # deferred firings). The drain/DLQ/watermark restart satellites and the
 # held-firing tests (a held firing across a checkpoint and a power cut, a
-# dropped trigger's held firing, the held-firing gauge) ride along, all
-# under -race.
+# flushed firing's action not run again after a power cut, a dropped
+# trigger's held firing, the held-firing gauge) ride along, all under
+# -race.
 crash-suite:
-	$(GO) test -race -count=1 -run 'TestCrashDifferential|TestCrashDifferentialDetached|TestCrashDifferentialDeferred|TestRecoveryFiresDueTimers|TestCheckpointReadsV2|TestDLQPersistsAcrossRestart|TestWatermarkSeededBeforeDeliver|TestCloseDrainDeadlineWedged|TestRecoveryMetricsExposed|TestWALDecodeDamage|TestCheckpointDecodeDamage|TestCheckpointRoundTrip|TestDeferredSurvivesCheckpointRestart|TestDeferredDroppedTriggerNeverRuns|TestDeferredGaugeCountsHeldFirings' ./internal/agent
+	$(GO) test -race -count=1 -run 'TestCrashDifferential|TestCrashDifferentialDetached|TestCrashDifferentialDeferred|TestRecoveryFiresDueTimers|TestCheckpointReadsV2|TestDLQPersistsAcrossRestart|TestWatermarkSeededBeforeDeliver|TestCloseDrainDeadlineWedged|TestRecoveryMetricsExposed|TestWALDecodeDamage|TestCheckpointDecodeDamage|TestCheckpointRoundTrip|TestDeferredSurvivesCheckpointRestart|TestDeferredFlushedActionNotRerunAfterCrash|TestDeferredDroppedTriggerNeverRuns|TestDeferredGaugeCountsHeldFirings' ./internal/agent
 
 # The cluster failover proof (DESIGN.md §10, internal/scenario): the hot
 # pair killed at the agent's seven durability crash points plus the four

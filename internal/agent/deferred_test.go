@@ -273,3 +273,37 @@ func TestDeferredHeldListConcurrent(t *testing.T) {
 		t.Errorf("held firings after the last flush = %d", n)
 	}
 }
+
+// TestDeferredFlushedActionNotRerunAfterCrash: a held firing that was
+// flushed and whose action ran before a power cut, with no checkpoint
+// since, is re-detected by journal replay; the journal's done record
+// keeps it from being held, and run, a second time.
+func TestDeferredFlushedActionNotRerunAfterCrash(t *testing.T) {
+	r := newDurableRig(t)
+	a := r.start(nil)
+	cs := r.session(a)
+	if _, err := cs.Exec("create trigger t_def on stock for insert event ev DEFERRED as print 'deferred ran'"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Exec("insert stock values ('X', 1)"); err != nil {
+		t.Fatal(err)
+	}
+	a.FlushDeferred()
+	waitAction(t, a)
+	a.WaitActions()
+	r.fs.Crash()
+	r.fs.Restart()
+
+	b := r.start(nil)
+	defer b.Close()
+	b.WaitActions()
+	if n := deferredGauge(t, b); n != 0 {
+		t.Errorf("held firings after restart = %d, want 0", n)
+	}
+	b.FlushDeferred()
+	b.WaitActions()
+	expectNoAction(t, b)
+	if st := b.Stats(); st.ActionsRun != 0 {
+		t.Errorf("the flushed action ran again after the restart: %+v", st)
+	}
+}

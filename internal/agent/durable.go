@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -488,6 +489,15 @@ func (a *Agent) recoverDurable() error {
 			// marks, and a firing after it would run its action twice.
 			a.rec.mu.Lock()
 			a.led.FireTimersUpTo(a.led.Now())
+			// A held firing whose done record the journal replayed was
+			// flushed and ran before the crash; the recovery checkpoint
+			// prunes that mark, so holding it again would run it twice.
+			d.mu.Lock()
+			a.rec.held = slices.DeleteFunc(a.rec.held, func(f heldFiring) bool {
+				e := d.ledger[actionKey(f.info.Name, f.occ)]
+				return e != nil && e.done
+			})
+			d.mu.Unlock()
 			a.rec.mu.Unlock()
 			d.replaying.Store(false)
 		}
