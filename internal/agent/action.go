@@ -1,8 +1,7 @@
 package agent
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,12 +33,27 @@ type ActionResult struct {
 	Err      error
 }
 
-// actionScript builds the §5.6 script for one occurrence: populate
+// scriptWriter builds the §5.6 script for one occurrence: populate
 // sysContext with the occurrence's (shadow table, context, vNo) tuples,
-// then execute the action procedure.
-func actionScript(p ActionParam, occ *led.Occ) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "use %s\n", p.DB)
+// then execute the action procedure. It keeps its buffer and its
+// duplicate set from script to script, so the action worker that owns it
+// pays one allocation per script: the script's string.
+type scriptWriter struct {
+	buf  []byte
+	seen map[contextRow]struct{}
+}
+
+// contextRow is one sysContext tuple: the shadow table of base table
+// table and suffix (inserted or deleted), at vno.
+type contextRow struct {
+	table, suffix string
+	vno           int
+}
+
+func (w *scriptWriter) script(p ActionParam, occ *led.Occ) string {
+	ctx := p.Context.String()
+	b := append(w.buf[:0], "use "...)
+	b = append(b, p.DB...)
 
 	// Steps 2-3 of §5.6: replace the context's tuples with this
 	// occurrence's (tableName, context, vNo) list, derived from the LED
@@ -51,20 +65,28 @@ func actionScript(p ActionParam, occ *led.Occ) string {
 	// shows: each event keeps its own vNo counter, so rows keyed only by
 	// base table would cross-match occurrences of different events on the
 	// same table. EXPERIMENTS.md records this correctness fix.
-	fmt.Fprintf(&b, "delete %s where context = '%s'\n", TabContext, p.Context)
-	type key struct {
-		table string
-		vno   int
+	b = append(b, "\ndelete "+TabContext+" where context = '"...)
+	b = append(b, ctx...)
+	b = append(b, "'\n"...)
+	if w.seen == nil {
+		w.seen = make(map[contextRow]struct{})
 	}
-	seen := make(map[key]bool)
-	record := func(shadow string, vno int) {
-		k := key{table: shadow, vno: vno}
-		if seen[k] {
+	clear(w.seen)
+	record := func(table, suffix string, vno int) {
+		k := contextRow{table, suffix, vno}
+		if _, dup := w.seen[k]; dup {
 			return
 		}
-		seen[k] = true
-		fmt.Fprintf(&b, "insert %s values ('%s', '%s', %d)\n",
-			TabContext, sqlEscape(shadow), p.Context, vno)
+		w.seen[k] = struct{}{}
+		b = append(b, "insert "+TabContext+" values ('"...)
+		b = append(b, sqlEscape(table)...) // then "_"+suffix: shadowTableName's text, escaped
+		b = append(b, '_')
+		b = append(b, suffix...)
+		b = append(b, "', '"...)
+		b = append(b, ctx...)
+		b = append(b, "', "...)
+		b = strconv.AppendInt(b, int64(vno), 10)
+		b = append(b, ")\n"...)
 	}
 	for _, c := range occ.Constituents {
 		if c.Table == "" {
@@ -72,18 +94,20 @@ func actionScript(p ActionParam, occ *led.Occ) string {
 		}
 		switch c.Op {
 		case "insert":
-			record(shadowTableName(c.Table, "inserted"), c.VNo)
+			record(c.Table, "inserted", c.VNo)
 		case "delete":
-			record(shadowTableName(c.Table, "deleted"), c.VNo)
+			record(c.Table, "deleted", c.VNo)
 		case "update":
-			record(shadowTableName(c.Table, "inserted"), c.VNo)
-			record(shadowTableName(c.Table, "deleted"), c.VNo)
+			record(c.Table, "inserted", c.VNo)
+			record(c.Table, "deleted", c.VNo)
 		}
 	}
 	// Step 4: the procedure joins sysContext with the shadow tables and
 	// runs the user action.
-	fmt.Fprintf(&b, "execute %s", p.StoreProc)
-	return b.String()
+	b = append(b, "execute "...)
+	b = append(b, p.StoreProc...)
+	w.buf = b
+	return string(b)
 }
 
 // messages collects the informational messages of a response in order.
@@ -226,7 +250,7 @@ func (a *Agent) runGroup(group []actionJob) {
 			a.actionq.add(-len(group))
 			return
 		}
-		scripts[i] = actionScript(j.param(), j.occ)
+		scripts[i] = a.scripts.script(j.param(), j.occ)
 	}
 	a.actions.ExecGroup(scripts, func(i int, results []*sqltypes.ResultSet, err error) {
 		a.actionq.settle(func() { a.finishAction(group[i], results, err) })

@@ -152,6 +152,33 @@ func TestResumedActionsRunBeforeLiveFirings(t *testing.T) {
 	}
 }
 
+// actionScript is the script a fresh scriptWriter writes.
+func actionScript(p ActionParam, occ *led.Occ) string {
+	var w scriptWriter
+	return w.script(p, occ)
+}
+
+// TestAllocsActionScript holds a warm one-constituent script to one
+// allocation, its string, and a writer reused across occurrences to the
+// text a fresh one writes.
+func TestAllocsActionScript(t *testing.T) {
+	p := ActionParam{StoreProc: "sentineldb.sharma.watch__Proc", Context: led.Recent, DB: "sentineldb"}
+	one := &led.Occ{Constituents: []led.Primitive{{Table: "sentineldb.sharma.stock", Op: "insert", VNo: 41}}}
+	many := &led.Occ{Constituents: []led.Primitive{
+		{Table: "sentineldb.sharma.o'k", Op: "update", VNo: 7}, {Op: "tick"},
+		{Table: "sentineldb.sharma.stock", Op: "delete", VNo: 41}, {Table: "sentineldb.sharma.o'k", Op: "update", VNo: 7},
+	}}
+	var w scriptWriter
+	for _, occ := range []*led.Occ{many, one, many, one} {
+		if got, want := w.script(p, occ), actionScript(p, occ); got != want {
+			t.Fatalf("reused writer wrote\n%s\nwant\n%s", got, want)
+		}
+	}
+	if got := testing.AllocsPerRun(200, func() { _ = w.script(p, one) }); got > 1 {
+		t.Errorf("warm one-constituent script: %.1f allocations, want 1", got)
+	}
+}
+
 // TestInvokeScriptText pins the exact §5.6 populate + execute script:
 // one sysContext delete for the whole context, one insert per
 // distinct (shadow, vNo), an update constituent touching both shadows,

@@ -113,6 +113,7 @@ type Agent struct {
 	led      *led.LED
 	pm       *persistentManager
 	actions  *retryUpstream // the Action Handler's connection (runGroup)
+	scripts  scriptWriter   // the action worker's alone (runGroup)
 	notifier *notifier
 	execs    atomic.Int32 // client statements inside ClientSession.Exec
 

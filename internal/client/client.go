@@ -17,12 +17,15 @@ import (
 )
 
 // Conn is one logged-in connection. It is safe for concurrent use; requests
-// are serialized on the wire. Responses are read through one buffer that
-// lives as long as the connection, so a small response costs one read.
+// are serialized on the wire. Requests are framed into one buffer and
+// responses read through another, both living as long as the connection,
+// so a small response costs one read and a round trip allocates only the
+// values it returns.
 type Conn struct {
-	mu   sync.Mutex // serializes requests; guards r
+	mu   sync.Mutex // serializes requests; guards rd and wbuf
 	conn net.Conn
-	r    *bufio.Reader
+	rd   *tds.Reader
+	wbuf []byte // requests are framed here; kept up to tds.WriteChunk bytes
 	// closed is set once by Close, which never takes mu: closing the
 	// socket is how another goroutine unblocks an Exec that waits on a
 	// silent server.
@@ -64,8 +67,8 @@ func NewConn(conn net.Conn, opts Options) (*Conn, error) {
 	if err := tds.WritePacket(conn, tds.MarshalLogin(tds.Login{User: opts.User, Database: opts.Database})); err != nil {
 		return nil, err
 	}
-	c := &Conn{conn: conn, r: bufio.NewReader(conn)}
-	pkt, err := tds.ReadPacket(c.r)
+	c := &Conn{conn: conn, rd: tds.NewReader(bufio.NewReader(conn))}
+	pkt, err := c.rd.Next()
 	if err != nil {
 		return nil, err
 	}
@@ -92,18 +95,39 @@ func (c *Conn) Exec(sql string) ([]*sqltypes.ResultSet, error) {
 		return nil, fmt.Errorf("client: %w", net.ErrClosed)
 	}
 	results, err := c.roundTrip(sql)
-	var se *tds.ServerError
-	if err != nil && !errors.As(err, &se) {
+	if err != nil && !serverError(err) {
 		c.Close()
 	}
 	return results, err
 }
 
+// serverError reports whether err is one the server sent. It is only
+// called on an error: the target errors.As needs escapes, and would cost
+// every successful call an allocation.
+func serverError(err error) bool {
+	var se *tds.ServerError
+	return errors.As(err, &se)
+}
+
 func (c *Conn) roundTrip(sql string) ([]*sqltypes.ResultSet, error) {
-	if err := tds.WritePacket(c.conn, tds.MarshalLanguage(sql)); err != nil {
+	buf, err := tds.AppendLanguage(c.wbuf[:0], sql)
+	c.keep(buf)
+	if err != nil {
 		return nil, err
 	}
-	return tds.ReadResponse(c.r)
+	if _, err := c.conn.Write(buf); err != nil {
+		return nil, err
+	}
+	return c.rd.ReadResponse()
+}
+
+// keep holds on to a request buffer for the next request, unless one
+// oversized script grew it past tds.WriteChunk.
+func (c *Conn) keep(buf []byte) {
+	if cap(buf) > tds.WriteChunk {
+		buf = nil
+	}
+	c.wbuf = buf[:0]
 }
 
 // Pipeline sends the scripts in order without waiting for each answer,
@@ -123,34 +147,30 @@ func (c *Conn) Pipeline(scripts []string, reply func(i int, results []*sqltypes.
 	if c.closed.Load() {
 		return 0, fmt.Errorf("client: %w", net.ErrClosed)
 	}
-	var buf []byte
 	read := 0
 	for read < len(scripts) {
-		buf = buf[:0]
+		buf := c.wbuf[:0]
 		sent := read
 		for sent < len(scripts) {
-			p := tds.MarshalLanguage(scripts[sent])
-			if sent > read && len(buf)+5+len(p.Payload) > tds.WriteChunk {
-				break
-			}
-			b, err := tds.AppendPacket(buf, p)
-			if err != nil {
+			b, err := tds.AppendLanguage(buf, scripts[sent])
+			if err != nil || sent > read && len(b) > tds.WriteChunk {
 				if sent > read {
-					break // send what is framed; this script fails on its own turn
+					break // send what is framed; this script goes first in the next write
 				}
+				c.keep(b)
 				return read, err
 			}
 			buf = b
 			sent++
 		}
+		c.keep(buf)
 		if _, err := c.conn.Write(buf); err != nil {
 			c.Close()
 			return read, err
 		}
 		for ; read < sent; read++ {
-			results, err := tds.ReadResponse(c.r)
-			var se *tds.ServerError
-			if err != nil && !errors.As(err, &se) {
+			results, err := c.rd.ReadResponse()
+			if err != nil && !serverError(err) {
 				c.Close()
 				return read, err
 			}

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -161,5 +163,74 @@ func TestCloseIsIdempotent(t *testing.T) {
 	}
 	if _, err := c.Exec("select 1"); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("exec after close: %v", err)
+	}
+}
+
+// TestResponseValuesAreTheirOwn decodes two responses of the same shape
+// and length but different bytes on one connection: everything the first
+// returned (its schema, CHAR, VARCHAR and TEXT values and PRINT messages)
+// must read the same after the second has been decoded into the same
+// buffers. The long TEXT value is larger than the read buffer, so it is
+// decoded from the reused scratch; the rest from the read buffer.
+func TestResponseValuesAreTheirOwn(t *testing.T) {
+	response := func(x string) []byte {
+		char, err := sqltypes.NewString(strings.Repeat(x, 3)).Convert(sqltypes.Char(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		schema := sqltypes.NewSchema(
+			sqltypes.Column{Name: "c" + x, Type: sqltypes.Char(4)},
+			sqltypes.Column{Name: "v" + x, Type: sqltypes.VarChar(30)},
+			sqltypes.Column{Name: "t" + x, Type: sqltypes.Text, Nullable: true},
+		)
+		return packets(t,
+			tds.MarshalRowFmt(schema),
+			tds.MarshalRow(sqltypes.Row{char, sqltypes.NewString(strings.Repeat(x, 8)), sqltypes.NewText(strings.Repeat(x, 16))}),
+			tds.MarshalRow(sqltypes.Row{char, sqltypes.NewString(x), sqltypes.NewText(strings.Repeat(x, 5000))}),
+			tds.MarshalInfo("rule "+x+" fired"),
+			tds.MarshalDone(2, false),
+			tds.MarshalInfo("print "+x),
+			tds.MarshalDone(0, false),
+			tds.MarshalDone(0, true),
+		)
+	}
+	describe := func(results []*sqltypes.ResultSet) string {
+		var b strings.Builder
+		for _, rs := range results {
+			if rs.Schema != nil {
+				fmt.Fprintf(&b, "%+v\n", *rs.Schema)
+			}
+			fmt.Fprintf(&b, "%q %q\n", rs.Rows, rs.Messages)
+		}
+		return b.String()
+	}
+	cli, srv := net.Pipe()
+	go serveRaw(srv, response("a"), response("z"))
+	c, err := NewConn(cli, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	first, err := c.Exec("select 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := describe(first)
+	if !strings.Contains(want, strings.Repeat("a", 5000)) {
+		t.Fatalf("first response decoded as:\n%.300s", want)
+	}
+	second, err := c.Exec("select 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := describe(first); got != want {
+		t.Errorf("first response changed when the second was decoded:\n%.300s\nwant:\n%.300s", got, want)
+	}
+	fresh, err := tds.ReadResponse(bytes.NewReader(response("z")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := describe(second); got != describe(fresh) {
+		t.Errorf("second response decoded as:\n%.300s\nwant:\n%.300s", got, describe(fresh))
 	}
 }

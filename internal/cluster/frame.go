@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // The replication wire format. The payloads themselves are PR 4's
@@ -67,19 +68,27 @@ var ErrShortFrame = errors.New("cluster: short frame (need more bytes)")
 // unknown kind. The stream must not be trusted past this point.
 var ErrCorruptFrame = errors.New("cluster: corrupt frame")
 
-// AppendFrame appends f's encoding to dst.
+// AppendFrame appends f's encoding to dst: the body is written in place
+// after a length placeholder, which is patched once the body's length is
+// known, and the CRC is computed over the appended body.
 func AppendFrame(dst []byte, f Frame) []byte {
-	body := []byte{byte(f.Kind)}
-	body = binary.AppendUvarint(body, uint64(len(f.Name)))
-	body = append(body, f.Name...)
-	body = append(body, f.Payload...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = append(dst, body...)
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, byte(f.Kind))
+	dst = binary.AppendUvarint(dst, uint64(len(f.Name)))
+	dst = append(dst, f.Name...)
+	dst = append(dst, f.Payload...)
+	body := dst[start+4:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
 }
 
 // EncodeFrame renders one frame.
 func EncodeFrame(f Frame) []byte { return AppendFrame(nil, f) }
+
+// keptFrameBuf is the most a connection's frame buffer keeps between
+// frames: a buffer that one larger frame (a checkpoint image) grew is
+// dropped after that frame.
+const keptFrameBuf = 64 << 10
 
 // DecodeReplFrame decodes the first frame in b, returning the frame and
 // the number of bytes it consumed. It never panics on hostile input —
@@ -124,24 +133,30 @@ func DecodeReplFrame(b []byte) (Frame, int, error) {
 // boundary is returned as-is; EOF inside a frame becomes
 // io.ErrUnexpectedEOF (a torn stream).
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+	f, _, err := readFrame(r, nil)
+	return f, err
+}
+
+// readFrame is ReadFrame reading the frame's bytes into buf, which it
+// returns for the next frame. The frame it decodes does not alias buf.
+func readFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
+	buf = append(buf[:0], 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Frame{}, buf, err
 	}
-	bodyLen := binary.LittleEndian.Uint32(hdr[:])
+	bodyLen := binary.LittleEndian.Uint32(buf)
 	if bodyLen < 1 || bodyLen > maxFrameBody {
-		return Frame{}, fmt.Errorf("%w: body length %d", ErrCorruptFrame, bodyLen)
+		return Frame{}, buf, fmt.Errorf("%w: body length %d", ErrCorruptFrame, bodyLen)
 	}
-	buf := make([]byte, 4+int(bodyLen)+4)
-	copy(buf, hdr[:])
+	buf = slices.Grow(buf, int(bodyLen)+4)[:4+int(bodyLen)+4]
 	if _, err := io.ReadFull(r, buf[4:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return Frame{}, buf, err
 	}
 	f, _, err := DecodeReplFrame(buf)
-	return f, err
+	return f, buf, err
 }
 
 // heartbeatPayload encodes a beacon's sequence number and fencing epoch.

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 )
@@ -171,4 +173,27 @@ func FuzzDecodeReplFrame(f *testing.F) {
 			decodeHeartbeat(fr.Payload) // must never panic either
 		}
 	})
+}
+
+// TestAllocsAppendFrame: a frame appended after other bytes is the frame
+// format of the package comment, built here from a separate body, and
+// appending into a buffer that already has the room allocates nothing.
+func TestAllocsAppendFrame(t *testing.T) {
+	prefix := []byte("prefix")
+	var buf []byte
+	for _, f := range frameFixtures {
+		body := binary.AppendUvarint([]byte{byte(f.Kind)}, uint64(len(f.Name)))
+		body = append(append(body, f.Name...), f.Payload...)
+		want := binary.LittleEndian.AppendUint32(append([]byte(nil), prefix...), uint32(len(body)))
+		want = binary.LittleEndian.AppendUint32(append(want, body...), crc32.ChecksumIEEE(body))
+		buf = AppendFrame(append(buf[:0], prefix...), f)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("%d/%s: appended\n%x\nwant\n%x", f.Kind, f.Name, buf, want)
+		}
+	}
+	for _, f := range frameFixtures {
+		if got := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], f) }); got != 0 {
+			t.Errorf("%d/%s: %.1f allocations appending into a buffer with room, want 0", f.Kind, f.Name, got)
+		}
+	}
 }

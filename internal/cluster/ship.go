@@ -28,8 +28,11 @@ type Sink func(Frame) error
 // Ship failures never fail the primary's local durability: they are
 // counted (ReplErrors), remembered (Err), and the primary keeps running —
 // a lagging standby degrades the failover guarantee, it must not take the
-// live node down with it. The sink itself is responsible for retry,
-// backoff and reconnection.
+// live node down with it. Nothing retries the failed frame: a Shipper
+// sink drops its connection on the failure, and the next Ship redials and
+// re-ships a snapshot (SnapshotFrames), which already holds the failed
+// frame's effect. There is no retry ladder and no backoff: while the
+// standby stays down, every Ship dials once and fails.
 //
 // Mid-replication crash points: the chaos harness arms repl.preShip.* /
 // repl.postShip.* to kill the primary between a local write and its ship

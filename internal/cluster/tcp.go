@@ -87,6 +87,7 @@ type Shipper struct {
 	acked   uint64     // frames acknowledged this connection; guarded by mu
 	pending []int      // payload size of each unacked frame; guarded by mu
 	lagB    int        // total unacked payload bytes; guarded by mu
+	wbuf    []byte     // the frame being written, kept up to keptFrameBuf bytes; guarded by mu
 }
 
 // NewShipper returns a disconnected shipper; the first Ship dials.
@@ -241,7 +242,12 @@ func (s *Shipper) writeLocked(f Frame) error {
 		s.dropConnLocked()
 		return err
 	}
-	if _, err := s.conn.Write(EncodeFrame(f)); err != nil {
+	s.wbuf = AppendFrame(s.wbuf[:0], f)
+	_, err := s.conn.Write(s.wbuf)
+	if cap(s.wbuf) > keptFrameBuf {
+		s.wbuf = nil
+	}
+	if err != nil {
 		s.dropConnLocked()
 		return fmt.Errorf("cluster: shipping frame: %w", err)
 	}
@@ -378,12 +384,18 @@ func ListenStandby(addr string, ap *Applier) (boundAddr string, stop func(), err
 func serveStream(conn net.Conn, ap *Applier) {
 	defer conn.Close()
 	var applied uint64
+	var buf []byte // the frame being read; kept up to keptFrameBuf bytes
 	r := bufio.NewReader(conn)
 	for {
 		// The standby blocks here for the primary's next frame by
 		// design: idle links are normal, and stop() closes the conn to
 		// unblock the read.
-		f, err := ReadFrame(r) //ecavet:allow iodeadline standby waits for the next frame indefinitely; stop() closes the conn
+		var f Frame
+		var err error
+		f, buf, err = readFrame(r, buf) //ecavet:allow iodeadline standby waits for the next frame indefinitely; stop() closes the conn
+		if cap(buf) > keptFrameBuf {
+			buf = nil
+		}
 		if err != nil {
 			return // EOF, torn tail, or corruption: shipper re-snapshots
 		}

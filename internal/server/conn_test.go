@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"github.com/activedb/ecaagent/internal/catalog"
 	"github.com/activedb/ecaagent/internal/client"
 	"github.com/activedb/ecaagent/internal/engine"
+	"github.com/activedb/ecaagent/internal/sqltypes"
 	"github.com/activedb/ecaagent/internal/tds"
 )
 
@@ -93,5 +95,113 @@ func TestReadsPerRequest(t *testing.T) {
 	}
 	if got := cc.reads.Load() - before; got != requests {
 		t.Errorf("%d small requests cost %d reads, want %d", requests, got, requests)
+	}
+}
+
+// scriptedSession answers each request from a fixed table and records the
+// SQL text it was handed.
+type scriptedSession struct {
+	replies map[string][]*sqltypes.ResultSet
+	got     []string
+}
+
+func (s *scriptedSession) Exec(sql string) ([]*sqltypes.ResultSet, error) {
+	if s.got != nil {
+		s.got = append(s.got, sql)
+	}
+	return s.replies[sql], nil
+}
+
+func (s *scriptedSession) Close() error { return nil }
+
+// startScripted serves sess on one end of a net.Pipe and returns a
+// logged-in client on the other; the cleanup closes both and waits for
+// the connection loop to end.
+func startScripted(t *testing.T, sess Session) *client.Conn {
+	t.Helper()
+	srv := NewOpenServer(func(string, string) (Session, error) { return sess, nil })
+	srv.Logf = func(string, ...any) {}
+	cli, conn := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.serveConn(conn)
+	}()
+	c, err := client.NewConn(cli, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close(); <-done })
+	return c
+}
+
+// TestAllocsWireRoundTrip holds a warm round trip through client.Conn and
+// the connection loop to the values it returns. The requests, responses
+// and decode buffers are the connection's own and reused; what is left is
+// the SQL text the server hands its session and, on the client, the
+// result slice, the result set, the slice holding its rows or messages,
+// each row, and each string value or message.
+func TestAllocsWireRoundTrip(t *testing.T) {
+	schema := sqltypes.NewSchema(
+		sqltypes.Column{Name: "symbol", Type: sqltypes.VarChar(10)},
+		sqltypes.Column{Name: "price", Type: sqltypes.Float, Nullable: true},
+	)
+	sess := &scriptedSession{replies: map[string][]*sqltypes.ResultSet{
+		"print 'rule fired'": {{Messages: []string{"rule fired"}}},
+		"select symbol, price from stock": {{
+			Schema:       schema,
+			Rows:         []sqltypes.Row{{sqltypes.NewString("IBM"), sqltypes.NewFloat(101)}},
+			RowsAffected: 1,
+		}},
+	}}
+	c := startScripted(t, sess)
+	for _, tc := range []struct {
+		sql  string
+		want float64
+	}{
+		{"print 'rule fired'", 5},              // SQL text; results, set, messages, message
+		{"select symbol, price from stock", 6}, // SQL text; results, set, rows, row, "IBM"
+	} {
+		if _, err := c.Exec(tc.sql); err != nil { // warm: buffers sized, schema cached
+			t.Fatal(err)
+		}
+		var err error
+		got := testing.AllocsPerRun(200, func() {
+			_, err = c.Exec(tc.sql)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got > tc.want {
+			t.Errorf("%q: %.1f allocations per round trip, want at most %.0f", tc.sql, got, tc.want)
+		}
+	}
+}
+
+// TestRequestTextIsItsOwn: the SQL text a session is handed never aliases
+// the connection's read buffers, which the next request overwrites. Each
+// pair of requests has the same length, so the second lands where the
+// first was: in the read buffer for a short one, in the reused scratch for
+// one larger than the read buffer.
+func TestRequestTextIsItsOwn(t *testing.T) {
+	sess := &scriptedSession{got: []string{}}
+	c := startScripted(t, sess)
+	var sent []string
+	for _, n := range []int{8, 5000} {
+		for _, x := range []string{"a", "z"} {
+			sql := "print '" + strings.Repeat(x, n) + "'"
+			if _, err := c.Exec(sql); err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, sql)
+		}
+	}
+	if len(sess.got) != len(sent) {
+		t.Fatalf("session ran %d requests, want %d", len(sess.got), len(sent))
+	}
+	for i := range sent {
+		if sess.got[i] != sent[i] {
+			t.Errorf("request %d reads %.20q... after later requests, want %.20q...", i, sess.got[i], sent[i])
+		}
 	}
 }

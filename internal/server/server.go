@@ -182,11 +182,15 @@ func (s *OpenServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	// One buffer for the connection's life, so a small request costs one
-	// read. The first packet is the login; every later one is a request.
+	// One read buffer and one response buffer for the connection's life,
+	// so a small request costs one read and the loop allocates only the
+	// SQL text of each request. The first packet is the login; every
+	// later one is a request.
 	r := bufio.NewReader(conn)
+	rd := tds.NewReader(r) //ecavet:allow iodeadline a session waits for its next command indefinitely; Close() closes the conn
+	rw := tds.NewResponseWriter(conn)
 	for {
-		pkt, err := tds.ReadPacket(r) //ecavet:allow iodeadline a session waits for its next command indefinitely; Close() closes the conn
+		pkt, err := rd.Next()
 		if err != nil {
 			if sess != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.Logf("server: read: %v", err)
@@ -211,7 +215,7 @@ func (s *OpenServer) serveConn(conn net.Conn) {
 		}
 		sql, err := tds.UnmarshalLanguage(pkt)
 		if err != nil {
-			_ = tds.WriteResults(conn, nil, fmt.Errorf("protocol error: %v", err))
+			_ = rw.WriteResults(nil, fmt.Errorf("protocol error: %v", err))
 			continue
 		}
 		results, execErr := sess.Exec(sql)
@@ -223,7 +227,7 @@ func (s *OpenServer) serveConn(conn net.Conn) {
 				execErr = srvErr
 			}
 		}
-		if err := tds.WriteResults(conn, results, execErr); err != nil {
+		if err := rw.WriteResults(results, execErr); err != nil {
 			return
 		}
 		if r.Buffered() > 0 {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/activedb/ecaagent/internal/sqltypes"
@@ -69,15 +70,39 @@ type Packet struct {
 	Payload []byte
 }
 
+// The encoder. Every token is appended straight into its destination:
+// beginToken writes the type byte and a length placeholder, the payload
+// appenders below write the payload after it, and endToken back-patches
+// the length. Marshal*, AppendPacket, WritePacket and WriteResults all
+// encode this way.
+
+// beginToken appends t's header with its length still to be patched.
+func beginToken(dst []byte, t PacketType) []byte {
+	return append(dst, byte(t), 0, 0, 0, 0)
+}
+
+// endToken back-patches the length of the token that begins at
+// dst[start]. A payload over the limit is cut off again and reported.
+func endToken(dst []byte, start int) ([]byte, error) {
+	n := len(dst) - start - 5
+	if n > maxPacketSize {
+		return dst[:start], fmt.Errorf("tds: packet too large (%d bytes)", n)
+	}
+	binary.BigEndian.PutUint32(dst[start+1:], uint32(n))
+	return dst, nil
+}
+
 // AppendPacket appends p's frame to dst: type byte, 4-byte big-endian
 // payload length, payload.
 func AppendPacket(dst []byte, p Packet) ([]byte, error) {
-	if len(p.Payload) > maxPacketSize {
-		return dst, fmt.Errorf("tds: packet too large (%d bytes)", len(p.Payload))
-	}
-	dst = append(dst, byte(p.Type))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Payload)))
-	return append(dst, p.Payload...), nil
+	start := len(dst)
+	return endToken(append(beginToken(dst, p.Type), p.Payload...), start)
+}
+
+// AppendLanguage appends a LANGUAGE token carrying sql to dst.
+func AppendLanguage(dst []byte, sql string) ([]byte, error) {
+	start := len(dst)
+	return endToken(appendStr(beginToken(dst, PktLanguage), sql), start)
 }
 
 // WritePacket frames p and writes it in one Write, so the peer never
@@ -91,87 +116,141 @@ func WritePacket(w io.Writer, p Packet) error {
 	return err
 }
 
-// ReadPacket reads one framed packet.
+// ReadPacket reads one framed packet into a payload of its own. The
+// payload grows as its bytes arrive, so a length prefix alone costs no
+// more than one chunk. A connection that reads many packets uses a
+// Reader instead, which reuses its buffers.
 func ReadPacket(r io.Reader) (Packet, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Packet{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxPacketSize {
-		return Packet{}, fmt.Errorf("tds: packet length %d exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Packet{}, err
-	}
-	return Packet{Type: PacketType(hdr[0]), Payload: payload}, nil
-}
-
-// --- payload encoding helpers ---
-
-type encoder struct{ buf []byte }
-
-func (e *encoder) uvarint(n uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	e.buf = append(e.buf, tmp[:binary.PutUvarint(tmp[:], n)]...)
-}
-
-func (e *encoder) varint(n int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	e.buf = append(e.buf, tmp[:binary.PutVarint(tmp[:], n)]...)
-}
-
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) byte(b byte) { e.buf = append(e.buf, b) }
-
-type decoder struct {
-	buf []byte
-	pos int
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	n, w := binary.Uvarint(d.buf[d.pos:])
-	if w <= 0 {
-		return 0, fmt.Errorf("tds: truncated uvarint")
-	}
-	d.pos += w
-	return n, nil
-}
-
-func (d *decoder) varint() (int64, error) {
-	n, w := binary.Varint(d.buf[d.pos:])
-	if w <= 0 {
-		return 0, fmt.Errorf("tds: truncated varint")
-	}
-	d.pos += w
-	return n, nil
-}
-
-func (d *decoder) str() (string, error) {
-	n, err := d.uvarint()
+	frame, err := readToken(r, nil)
 	if err != nil {
-		return "", err
+		return Packet{}, err
 	}
-	if n > uint64(len(d.buf)-d.pos) {
-		return "", fmt.Errorf("tds: truncated string")
-	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s, nil
+	return Packet{Type: PacketType(frame[0]), Payload: frame[5:]}, nil
 }
 
-func (d *decoder) byteVal() (byte, error) {
-	if d.pos >= len(d.buf) {
-		return 0, fmt.Errorf("tds: truncated byte")
+// readToken reads one token, header and payload, into buf[:0], growing
+// buf as the payload arrives. io.EOF before the first byte is returned
+// as-is; EOF anywhere later is io.ErrUnexpectedEOF.
+func readToken(r io.Reader, buf []byte) ([]byte, error) {
+	buf = append(buf[:0], 0, 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf[:0], err
 	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b, nil
+	n := int(binary.BigEndian.Uint32(buf[1:]))
+	if n > maxPacketSize {
+		return buf[:0], fmt.Errorf("tds: packet length %d exceeds limit", n)
+	}
+	want := 5 + n
+	for len(buf) < want {
+		if len(buf) == cap(buf) {
+			// At least double, at least one chunk, never past the token.
+			buf = slices.Grow(buf, min(want-len(buf), max(len(buf), WriteChunk)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), want)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// --- payload encoding ---
+
+func appendStr(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func appendRowFmt(dst []byte, s *sqltypes.Schema) []byte {
+	dst = binary.AppendUvarint(dst, uint64(s.Len()))
+	for _, c := range s.Columns {
+		dst = appendStr(dst, c.Name)
+		dst = append(dst, byte(c.Type.Kind))
+		dst = binary.AppendUvarint(dst, uint64(c.Type.Length))
+		dst = appendBool(dst, c.Nullable)
+	}
+	return dst
+}
+
+func appendRow(dst []byte, r sqltypes.Row) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(r)))
+	for _, v := range r {
+		dst = append(dst, byte(v.Kind()))
+		switch v.Kind() {
+		case sqltypes.KindNull:
+		case sqltypes.KindInt, sqltypes.KindBit:
+			dst = binary.AppendVarint(dst, v.Int())
+		case sqltypes.KindFloat:
+			dst = binary.AppendUvarint(dst, math.Float64bits(v.Float()))
+		case sqltypes.KindChar, sqltypes.KindVarChar, sqltypes.KindText:
+			dst = appendStr(dst, v.Str())
+		case sqltypes.KindDateTime:
+			dst = binary.AppendVarint(dst, v.Time().UnixMilli())
+		}
+	}
+	return dst
+}
+
+func appendDone(dst []byte, rowsAffected int) []byte {
+	return binary.AppendVarint(dst, int64(rowsAffected))
+}
+
+// --- payload decoding ---
+//
+// Each helper decodes one field from the front of b and returns the rest
+// of b. Nothing returned aliases b: str copies its bytes into a string.
+
+func uvarint(b []byte) (uint64, []byte, error) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 {
+		return 0, nil, fmt.Errorf("tds: truncated uvarint")
+	}
+	return n, b[w:], nil
+}
+
+func varint(b []byte) (int64, []byte, error) {
+	n, w := binary.Varint(b)
+	if w <= 0 {
+		return 0, nil, fmt.Errorf("tds: truncated varint")
+	}
+	return n, b[w:], nil
+}
+
+func str(b []byte) (string, []byte, error) {
+	n, b, err := uvarint(b)
+	if err != nil {
+		return "", nil, err
+	}
+	if n > uint64(len(b)) {
+		return "", nil, fmt.Errorf("tds: truncated string")
+	}
+	return string(b[:n]), b[n:], nil
+}
+
+func byteVal(b []byte) (byte, []byte, error) {
+	if len(b) == 0 {
+		return 0, nil, fmt.Errorf("tds: truncated byte")
+	}
+	return b[0], b[1:], nil
+}
+
+// expect checks a packet's type before its payload is decoded.
+func expect(p Packet, want string, types ...PacketType) error {
+	if slices.Contains(types, p.Type) {
+		return nil
+	}
+	return fmt.Errorf("tds: expected %s, got %s", want, p.Type)
 }
 
 // --- message constructors / parsers ---
@@ -184,23 +263,19 @@ type Login struct {
 
 // MarshalLogin encodes a LOGIN packet.
 func MarshalLogin(l Login) Packet {
-	var e encoder
-	e.str(l.User)
-	e.str(l.Database)
-	return Packet{Type: PktLogin, Payload: e.buf}
+	return Packet{Type: PktLogin, Payload: appendStr(appendStr(nil, l.User), l.Database)}
 }
 
 // UnmarshalLogin decodes a LOGIN packet.
 func UnmarshalLogin(p Packet) (Login, error) {
-	if p.Type != PktLogin {
-		return Login{}, fmt.Errorf("tds: expected LOGIN, got %s", p.Type)
+	if err := expect(p, "LOGIN", PktLogin); err != nil {
+		return Login{}, err
 	}
-	d := decoder{buf: p.Payload}
-	user, err := d.str()
+	user, b, err := str(p.Payload)
 	if err != nil {
 		return Login{}, err
 	}
-	db, err := d.str()
+	db, _, err := str(b)
 	if err != nil {
 		return Login{}, err
 	}
@@ -221,27 +296,19 @@ func (e *LoginRejected) Error() string { return "login rejected: " + e.Msg }
 
 // MarshalLoginAck encodes a LOGINACK packet.
 func MarshalLoginAck(a LoginAck) Packet {
-	var e encoder
-	if a.OK {
-		e.byte(1)
-	} else {
-		e.byte(0)
-	}
-	e.str(a.Message)
-	return Packet{Type: PktLoginAck, Payload: e.buf}
+	return Packet{Type: PktLoginAck, Payload: appendStr(appendBool(nil, a.OK), a.Message)}
 }
 
 // UnmarshalLoginAck decodes a LOGINACK packet.
 func UnmarshalLoginAck(p Packet) (LoginAck, error) {
-	if p.Type != PktLoginAck {
-		return LoginAck{}, fmt.Errorf("tds: expected LOGINACK, got %s", p.Type)
+	if err := expect(p, "LOGINACK", PktLoginAck); err != nil {
+		return LoginAck{}, err
 	}
-	d := decoder{buf: p.Payload}
-	ok, err := d.byteVal()
+	ok, b, err := byteVal(p.Payload)
 	if err != nil {
 		return LoginAck{}, err
 	}
-	msg, err := d.str()
+	msg, _, err := str(b)
 	if err != nil {
 		return LoginAck{}, err
 	}
@@ -250,205 +317,160 @@ func UnmarshalLoginAck(p Packet) (LoginAck, error) {
 
 // MarshalLanguage encodes a LANGUAGE (SQL batch) packet.
 func MarshalLanguage(sql string) Packet {
-	var e encoder
-	e.str(sql)
-	return Packet{Type: PktLanguage, Payload: e.buf}
+	return Packet{Type: PktLanguage, Payload: appendStr(nil, sql)}
 }
 
-// UnmarshalLanguage decodes a LANGUAGE packet.
+// UnmarshalLanguage decodes a LANGUAGE packet. The SQL text is the one
+// allocation: it never aliases p.Payload.
 func UnmarshalLanguage(p Packet) (string, error) {
-	if p.Type != PktLanguage {
-		return "", fmt.Errorf("tds: expected LANGUAGE, got %s", p.Type)
+	if err := expect(p, "LANGUAGE", PktLanguage); err != nil {
+		return "", err
 	}
-	d := decoder{buf: p.Payload}
-	return d.str()
+	sql, _, err := str(p.Payload)
+	return sql, err
 }
 
 // MarshalRowFmt encodes a result schema.
 func MarshalRowFmt(s *sqltypes.Schema) Packet {
-	var e encoder
-	e.uvarint(uint64(s.Len()))
-	for _, c := range s.Columns {
-		e.str(c.Name)
-		e.byte(byte(c.Type.Kind))
-		e.uvarint(uint64(c.Type.Length))
-		if c.Nullable {
-			e.byte(1)
-		} else {
-			e.byte(0)
-		}
-	}
-	return Packet{Type: PktRowFmt, Payload: e.buf}
+	return Packet{Type: PktRowFmt, Payload: appendRowFmt(nil, s)}
 }
 
 // UnmarshalRowFmt decodes a result schema.
 func UnmarshalRowFmt(p Packet) (*sqltypes.Schema, error) {
-	if p.Type != PktRowFmt {
-		return nil, fmt.Errorf("tds: expected ROWFMT, got %s", p.Type)
+	if err := expect(p, "ROWFMT", PktRowFmt); err != nil {
+		return nil, err
 	}
-	d := decoder{buf: p.Payload}
-	n, err := d.uvarint()
+	n, b, err := uvarint(p.Payload)
 	if err != nil {
 		return nil, err
 	}
 	if n > 4096 {
 		return nil, fmt.Errorf("tds: implausible column count %d", n)
 	}
-	s := &sqltypes.Schema{}
-	for i := uint64(0); i < n; i++ {
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		kind, err := d.byteVal()
-		if err != nil {
-			return nil, err
-		}
-		length, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		nullable, err := d.byteVal()
-		if err != nil {
-			return nil, err
-		}
-		s.Columns = append(s.Columns, sqltypes.Column{
-			Name:     name,
-			Type:     sqltypes.Type{Kind: sqltypes.Kind(kind), Length: int(length)},
-			Nullable: nullable == 1,
-		})
+	// A column takes at least 4 bytes: name length, kind, length, nullable.
+	if n > uint64(len(b)/4) {
+		return nil, fmt.Errorf("tds: truncated schema")
 	}
-	return s, nil
+	cols := make([]sqltypes.Column, n)
+	for i := range cols {
+		c := &cols[i]
+		var kind, nullable byte
+		var length uint64
+		if c.Name, b, err = str(b); err != nil {
+			return nil, err
+		}
+		if kind, b, err = byteVal(b); err != nil {
+			return nil, err
+		}
+		if length, b, err = uvarint(b); err != nil {
+			return nil, err
+		}
+		if nullable, b, err = byteVal(b); err != nil {
+			return nil, err
+		}
+		c.Type = sqltypes.Type{Kind: sqltypes.Kind(kind), Length: int(length)}
+		c.Nullable = nullable == 1
+	}
+	return &sqltypes.Schema{Columns: cols}, nil
 }
 
 // MarshalRow encodes one result row.
 func MarshalRow(r sqltypes.Row) Packet {
-	var e encoder
-	e.uvarint(uint64(len(r)))
-	for _, v := range r {
-		e.byte(byte(v.Kind()))
-		switch v.Kind() {
-		case sqltypes.KindNull:
-		case sqltypes.KindInt, sqltypes.KindBit:
-			e.varint(v.Int())
-		case sqltypes.KindFloat:
-			e.uvarint(math.Float64bits(v.Float()))
-		case sqltypes.KindChar, sqltypes.KindVarChar, sqltypes.KindText:
-			e.str(v.Str())
-		case sqltypes.KindDateTime:
-			e.varint(v.Time().UnixMilli())
-		}
-	}
-	return Packet{Type: PktRow, Payload: e.buf}
+	return Packet{Type: PktRow, Payload: appendRow(nil, r)}
 }
 
 // UnmarshalRow decodes one result row.
 func UnmarshalRow(p Packet) (sqltypes.Row, error) {
-	if p.Type != PktRow {
-		return nil, fmt.Errorf("tds: expected ROW, got %s", p.Type)
+	if err := expect(p, "ROW", PktRow); err != nil {
+		return nil, err
 	}
-	d := decoder{buf: p.Payload}
-	n, err := d.uvarint()
+	n, b, err := uvarint(p.Payload)
 	if err != nil {
 		return nil, err
 	}
 	if n > 4096 {
 		return nil, fmt.Errorf("tds: implausible cell count %d", n)
 	}
-	row := make(sqltypes.Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		kind, err := d.byteVal()
-		if err != nil {
+	// A cell takes at least its kind byte.
+	if n > uint64(len(b)) {
+		return nil, fmt.Errorf("tds: truncated row")
+	}
+	row := make(sqltypes.Row, n)
+	for i := range row {
+		if row[i], b, err = decodeValue(b); err != nil {
 			return nil, err
 		}
-		var v sqltypes.Value
-		switch sqltypes.Kind(kind) {
-		case sqltypes.KindNull:
-			v = sqltypes.Null
-		case sqltypes.KindInt:
-			x, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
-			v = sqltypes.NewInt(x)
-		case sqltypes.KindBit:
-			x, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
-			v = sqltypes.NewBit(x != 0)
-		case sqltypes.KindFloat:
-			bits, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			v = sqltypes.NewFloat(math.Float64frombits(bits))
-		case sqltypes.KindChar, sqltypes.KindVarChar:
-			s, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			v = sqltypes.NewString(s)
-		case sqltypes.KindText:
-			s, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			v = sqltypes.NewText(s)
-		case sqltypes.KindDateTime:
-			ms, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
-			v = sqltypes.NewDateTime(time.UnixMilli(ms).UTC())
-		default:
-			return nil, fmt.Errorf("tds: unknown value kind %d", kind)
-		}
-		row = append(row, v)
 	}
 	return row, nil
 }
 
-// MarshalInfo encodes an informational message.
-func MarshalInfo(msg string) Packet {
-	var e encoder
-	e.str(msg)
-	return Packet{Type: PktInfo, Payload: e.buf}
+func decodeValue(b []byte) (sqltypes.Value, []byte, error) {
+	kind, b, err := byteVal(b)
+	if err != nil {
+		return sqltypes.Null, nil, err
+	}
+	switch k := sqltypes.Kind(kind); k {
+	case sqltypes.KindNull:
+		return sqltypes.Null, b, nil
+	case sqltypes.KindInt, sqltypes.KindBit, sqltypes.KindDateTime:
+		x, b, err := varint(b)
+		if err != nil {
+			return sqltypes.Null, nil, err
+		}
+		switch k {
+		case sqltypes.KindInt:
+			return sqltypes.NewInt(x), b, nil
+		case sqltypes.KindBit:
+			return sqltypes.NewBit(x != 0), b, nil
+		}
+		return sqltypes.NewDateTime(time.UnixMilli(x).UTC()), b, nil
+	case sqltypes.KindFloat:
+		bits, b, err := uvarint(b)
+		if err != nil {
+			return sqltypes.Null, nil, err
+		}
+		return sqltypes.NewFloat(math.Float64frombits(bits)), b, nil
+	case sqltypes.KindChar, sqltypes.KindVarChar, sqltypes.KindText:
+		s, b, err := str(b)
+		if err != nil {
+			return sqltypes.Null, nil, err
+		}
+		if k == sqltypes.KindText {
+			return sqltypes.NewText(s), b, nil
+		}
+		return sqltypes.NewString(s), b, nil
+	}
+	return sqltypes.Null, nil, fmt.Errorf("tds: unknown value kind %d", kind)
 }
 
-// MarshalError encodes a statement error.
-func MarshalError(msg string) Packet {
-	var e encoder
-	e.str(msg)
-	return Packet{Type: PktError, Payload: e.buf}
+// MarshalInfo encodes an informational message.
+func MarshalInfo(msg string) Packet {
+	return Packet{Type: PktInfo, Payload: appendStr(nil, msg)}
 }
 
 // UnmarshalText decodes INFO and ERROR payloads.
 func UnmarshalText(p Packet) (string, error) {
-	if p.Type != PktInfo && p.Type != PktError {
-		return "", fmt.Errorf("tds: expected INFO/ERROR, got %s", p.Type)
+	if err := expect(p, "INFO/ERROR", PktInfo, PktError); err != nil {
+		return "", err
 	}
-	d := decoder{buf: p.Payload}
-	return d.str()
+	msg, _, err := str(p.Payload)
+	return msg, err
 }
 
 // MarshalDone encodes a statement-complete token.
 func MarshalDone(rowsAffected int, final bool) Packet {
-	var e encoder
-	e.varint(int64(rowsAffected))
 	t := PktDone
 	if final {
 		t = PktDoneFinal
 	}
-	return Packet{Type: t, Payload: e.buf}
+	return Packet{Type: t, Payload: appendDone(nil, rowsAffected)}
 }
 
 // UnmarshalDone decodes DONE and DONEFINAL payloads.
 func UnmarshalDone(p Packet) (rowsAffected int, err error) {
-	if p.Type != PktDone && p.Type != PktDoneFinal {
-		return 0, fmt.Errorf("tds: expected DONE, got %s", p.Type)
+	if err := expect(p, "DONE", PktDone, PktDoneFinal); err != nil {
+		return 0, err
 	}
-	d := decoder{buf: p.Payload}
-	n, err := d.varint()
+	n, _, err := varint(p.Payload)
 	return int(n), err
 }

@@ -1,10 +1,13 @@
 package tds
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -224,5 +227,33 @@ func TestUnmarshalGarbage(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<63)
 	if _, err := UnmarshalText(Packet{Type: PktInfo, Payload: huge}); err == nil {
 		t.Error("string length 1<<63 accepted")
+	}
+}
+
+// TestLengthPrefixIsNotAnAllocation: a header that claims 60 MiB, then
+// ends, costs the bytes that arrived, not the bytes it claimed, on every
+// read path.
+func TestLengthPrefixIsNotAnAllocation(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32([]byte{byte(PktLanguage)}, 60<<20)
+	reads := []struct {
+		name string
+		read func() error
+	}{
+		{"ReadPacket", func() error { _, err := ReadPacket(bytes.NewReader(hdr)); return err }},
+		{"Reader", func() error { _, err := NewReader(bytes.NewReader(hdr)).Next(); return err }},
+		{"Reader/bufio", func() error { _, err := NewReader(bufio.NewReader(bytes.NewReader(hdr))).Next(); return err }},
+		{"ReadResponse", func() error { _, err := ReadResponse(bufio.NewReader(bytes.NewReader(hdr))); return err }},
+	}
+	for _, r := range reads {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := r.read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: %v, want io.ErrUnexpectedEOF", r.name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: a 5-byte stream cost %d bytes of allocation", r.name, d)
+		}
 	}
 }

@@ -276,7 +276,12 @@ func TestReadResponseTruncated(t *testing.T) {
 
 // FuzzReadResponse feeds arbitrary streams, seeded with the golden
 // messages, to ReadResponse: it must not panic, and a buffered one-byte
-// reader must decode exactly what a whole-stream reader does.
+// reader must decode exactly what a whole-stream reader does. A Reader
+// reused across responses must too, and what it returned must not change
+// when it decodes the next: each reused Reader decodes the stream, then
+// the stream with every byte inverted (so its buffers' bytes change),
+// then the stream again. One Reader decodes most tokens where they lie in
+// its read buffer, the other most tokens from its scratch.
 func FuzzReadResponse(f *testing.F) {
 	for _, c := range wireCases() {
 		f.Add(wireBytes(f, c))
@@ -286,6 +291,26 @@ func FuzzReadResponse(f *testing.F) {
 		got := describeResponse(ReadResponse(bufio.NewReader(iotest.OneByteReader(bytes.NewReader(data)))))
 		if got != want {
 			t.Fatalf("buffered one-byte decode differs:\n%s\nwant:\n%s", got, want)
+		}
+		inverted := make([]byte, len(data))
+		for i, b := range data {
+			inverted[i] = ^b
+		}
+		for _, size := range []int{4096, 16} {
+			br := bufio.NewReaderSize(nil, size)
+			rd := NewReader(br)
+			decode := func(stream []byte) ([]*sqltypes.ResultSet, error) {
+				br.Reset(bytes.NewReader(stream))
+				return rd.ReadResponse()
+			}
+			first, err := decode(data)
+			_, _ = decode(inverted)
+			if got := describeResponse(first, err); got != want {
+				t.Fatalf("reused %d-byte Reader: first decode changed by the next:\n%s\nwant:\n%s", size, got, want)
+			}
+			if got := describeResponse(decode(data)); got != want {
+				t.Fatalf("reused %d-byte Reader: third decode differs:\n%s\nwant:\n%s", size, got, want)
+			}
 		}
 	})
 }
