@@ -118,13 +118,15 @@ cep-differential:
 # under RECENT, its held firings flushed after the last step, killed once
 # at each of the seven points (16 cells); plus the due-timer recovery
 # regression cell and the committed v2 checkpoint images (outstanding and
-# deferred firings). The drain/DLQ/watermark restart satellites and the
-# held-firing tests (a held firing across a checkpoint and a power cut, a
+# deferred firings), and the SHA-256 pins on the seed checkpoint and
+# journal images (TestDurableImagesPinned: the on-disk bytes never move
+# with the Go types that carry them). The drain/DLQ/watermark restart
+# satellites and the held-firing tests (a held firing across a checkpoint and a power cut, a
 # flushed firing's action not run again after a power cut, a dropped
 # trigger's held firing, the held-firing gauge) ride along, all under
 # -race.
 crash-suite:
-	$(GO) test -race -count=1 -run 'TestCrashDifferential|TestCrashDifferentialDetached|TestCrashDifferentialDeferred|TestRecoveryFiresDueTimers|TestCheckpointReadsV2|TestDLQPersistsAcrossRestart|TestWatermarkSeededBeforeDeliver|TestCloseDrainDeadlineWedged|TestRecoveryMetricsExposed|TestWALDecodeDamage|TestCheckpointDecodeDamage|TestCheckpointRoundTrip|TestDeferredSurvivesCheckpointRestart|TestDeferredFlushedActionNotRerunAfterCrash|TestDeferredDroppedTriggerNeverRuns|TestDeferredGaugeCountsHeldFirings' ./internal/agent
+	$(GO) test -race -count=1 -run 'TestCrashDifferential|TestCrashDifferentialDetached|TestCrashDifferentialDeferred|TestRecoveryFiresDueTimers|TestCheckpointReadsV2|TestDLQPersistsAcrossRestart|TestWatermarkSeededBeforeDeliver|TestCloseDrainDeadlineWedged|TestRecoveryMetricsExposed|TestWALDecodeDamage|TestCheckpointDecodeDamage|TestCheckpointRoundTrip|TestDurableImagesPinned|TestDeferredSurvivesCheckpointRestart|TestDeferredFlushedActionNotRerunAfterCrash|TestDeferredDroppedTriggerNeverRuns|TestDeferredGaugeCountsHeldFirings' ./internal/agent
 
 # The cluster failover proof (DESIGN.md §10, internal/scenario): the hot
 # pair killed at the agent's seven durability crash points plus the four

@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -101,15 +103,21 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	})
 }
 
-// FuzzReplayWAL: a journal that is truncated or corrupted mid-record must
-// yield the valid prefix with torn=true; damaged headers must error; no
-// input may panic.
-func FuzzReplayWAL(f *testing.F) {
+// fuzzWALImage builds the seed journal: an epoch-5 header, one
+// occurrence record and one action-done record.
+func fuzzWALImage() []byte {
 	at := time.Unix(1700000000, 0).UTC()
 	buf := walHeader(5)
 	buf = append(buf, encodeWALRecord(walRecord{
 		kind: walOccKind, event: "db.u.e", table: "db.u.t", op: "insert", vno: 1, at: at})...)
-	buf = append(buf, encodeWALRecord(walRecord{kind: walDoneKind, key: "abc"})...)
+	return append(buf, encodeWALRecord(walRecord{kind: walDoneKind, key: "abc"})...)
+}
+
+// FuzzReplayWAL: a journal that is truncated or corrupted mid-record must
+// yield the valid prefix with torn=true; damaged headers must error; no
+// input may panic.
+func FuzzReplayWAL(f *testing.F) {
+	buf := fuzzWALImage()
 	f.Add(buf)
 	f.Add(buf[:len(buf)-3]) // torn tail
 	f.Add(buf[:16])         // header only
@@ -171,6 +179,27 @@ func TestWALDecodeDamage(t *testing.T) {
 
 	if _, recs, torn, err := parseWAL(buf[:7]); err != nil || !torn || len(recs) != 0 {
 		t.Fatalf("short file: recs=%d torn=%v err=%v", len(recs), torn, err)
+	}
+}
+
+// TestDurableImagesPinned pins the bytes of the seed checkpoint and
+// journal images: a change to the Go types that carry a checkpoint or a
+// journal record must not change what lands on disk. Only the struct
+// literals in the image builders may move with the types; never the
+// hashes.
+func TestDurableImagesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		img  []byte
+		want string
+	}{
+		{"checkpoint", fuzzCheckpointImage(), "e4b76a332006598087ea0e86ab32d714e6d4b92a411cac80fd3577dd4153eeb9"},
+		{"checkpoint-cep", fuzzCheckpointImageCEP(), "c9554b2c9c1d26492108503c21ce284e8441869f1817955af1f6af51827bc73d"},
+		{"wal", fuzzWALImage(), "f17d2ad9bcafd9c10fa6b6e7a5d8e39cdc1b118cd976b8346c739af07a71c0ed"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.img)); got != c.want {
+			t.Errorf("%s image: sha256 %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
