@@ -735,56 +735,50 @@ func (a *Agent) DropTrigger(db, user string, parts []string) ([]string, error) {
 // recover restores events and rules from the system tables (Figure 8's
 // "On ECA Agent starting or recovery" path).
 func (a *Agent) recover() error {
-	prims, comps, trigs, err := a.pm.loadAll()
+	prims, vnos, comps, trigs, err := a.pm.loadAll()
 	if err != nil {
 		return err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	host, port := a.NotifyEndpoint()
-	for _, p := range prims {
-		if err := a.led.DefinePrimitive(p.Name); err != nil {
+	for i, info := range prims {
+		if err := a.led.DefinePrimitive(info.Name); err != nil {
 			return fmt.Errorf("agent: recovery: %w", err)
 		}
-		op := sqlparse.TriggerOp(p.Op)
-		a.events[p.Name] = &eventInfo{
-			Name: p.Name, DB: p.DB, User: p.User, Primitive: true, Table: p.Table, Op: op,
-		}
-		_, _, tobj, err := splitInternal(p.Table)
+		a.events[info.Name] = info
+		op := string(info.Op)
+		_, _, tobj, err := splitInternal(info.Table)
 		if err == nil {
-			a.nativeByTableOp[strings.ToLower(p.DB+"|"+tobj+"|"+p.Op)] = p.Name
+			a.nativeByTableOp[strings.ToLower(info.DB+"|"+tobj+"|"+op)] = info.Name
 		}
 		// Adopt the authoritative vNo as the delivery watermark: the LED
 		// state that pre-restart occurrences fed is gone, so they are not
 		// replayed — at-least-once holds from this point forward.
-		a.trackEvent(p.Name, p.Table, p.Op, p.VNo)
+		a.trackEvent(info.Name, info.Table, op, vnos[i])
 		// The persisted native trigger embeds the *previous* agent
 		// instance's notification endpoint; regenerate it with ours (the
 		// server's silent trigger overwrite makes this a clean replace).
-		batches := genPrimitiveEvent(p.Name, p.Table, op, host, port)
-		if _, err := a.pm.exec("use " + p.DB + "\n" + batches[len(batches)-1]); err != nil {
-			return fmt.Errorf("agent: recovery: rebinding trigger for %s: %w", p.Name, err)
+		batches := genPrimitiveEvent(info.Name, info.Table, info.Op, host, port)
+		if _, err := a.pm.exec("use " + info.DB + "\n" + batches[len(batches)-1]); err != nil {
+			return fmt.Errorf("agent: recovery: rebinding trigger for %s: %w", info.Name, err)
 		}
 	}
-	for _, c := range comps {
-		expr, err := snoop.Parse(c.Expr)
+	for _, info := range comps {
+		expr, err := snoop.Parse(info.Expr)
 		if err != nil {
-			return fmt.Errorf("agent: recovery: composite %s: %w", c.Name, err)
+			return fmt.Errorf("agent: recovery: composite %s: %w", info.Name, err)
 		}
-		if err := a.led.DefineComposite(c.Name, expr); err != nil {
+		if err := a.led.DefineComposite(info.Name, expr); err != nil {
 			return fmt.Errorf("agent: recovery: %w", err)
 		}
-		a.events[c.Name] = &eventInfo{Name: c.Name, DB: c.DB, User: c.User, Expr: c.Expr}
+		a.events[info.Name] = info
 	}
-	for _, t := range trigs {
-		info := &triggerInfo{
-			Name: t.Name, DB: t.DB, User: t.User, Event: t.Event, Proc: t.Proc,
-			Coupling: t.Coupling, Context: t.Context, Priority: t.Priority,
-		}
+	for _, info := range trigs {
 		if err := a.addLEDRule(info); err != nil {
-			return fmt.Errorf("agent: recovery: rule %s: %w", t.Name, err)
+			return fmt.Errorf("agent: recovery: rule %s: %w", info.Name, err)
 		}
-		a.triggers[t.Name] = info
+		a.triggers[info.Name] = info
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package agent
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -47,36 +48,26 @@ type ckptWatermark struct {
 
 // ckptFiring is one held DEFERRED firing (or, in an older image's
 // outstanding section, one firing the detector had not yet handed off).
+// It names its rule rather than holding the live *triggerInfo, because
+// the rule may have been dropped between the cut and the restart.
 type ckptFiring struct {
 	Rule string
-	Occ  led.OccState
+	Occ  *led.Occ
 }
 
-// ckptPending is one not-yet-done ledger entry.
-type ckptPending struct {
-	Key, Rule string
-	Occ       led.OccState
-}
-
-// ckptDead is one persisted dead-letter entry.
-type ckptDead struct {
-	Rule, Event string
-	Occ         led.OccState
-	HasOcc      bool
-	Messages    []string
-	Err         string
-}
-
-// checkpointData is everything a checkpoint round-trips.
+// checkpointData is everything a checkpoint round-trips. Each durable
+// fact keeps the Go type it has in the running agent: occurrences are
+// *led.Occ, pending actions are the ledger's own entries, dead letters
+// are ActionResults (Err round-trips as its text).
 type checkpointData struct {
 	Watermarks map[string]ckptWatermark
 	LED        *led.StateSnapshot
 	Deferred   []ckptFiring
-	Pending    []ckptPending
-	DLQ        []ckptDead
+	Pending    []*ledgerEntry
+	DLQ        []ActionResult
 }
 
-func writeOccState(w *storage.Writer, o led.OccState) {
+func writeOcc(w *storage.Writer, o *led.Occ) {
 	w.WriteString(o.Event)
 	w.WriteUint(uint64(o.Context))
 	w.WriteTime(o.At)
@@ -90,8 +81,8 @@ func writeOccState(w *storage.Writer, o led.OccState) {
 	}
 }
 
-func readOccState(r *storage.Reader) led.OccState {
-	o := led.OccState{Event: r.String(), Context: led.Context(r.Uint()), At: r.Time()}
+func readOcc(r *storage.Reader) *led.Occ {
+	o := &led.Occ{Event: r.String(), Context: led.Context(r.Uint()), At: r.Time()}
 	for range r.Count() {
 		o.Constituents = append(o.Constituents, led.Primitive{
 			Event: r.String(), Table: r.String(), Op: r.String(), VNo: int(r.Int()), At: r.Time(),
@@ -100,17 +91,17 @@ func readOccState(r *storage.Reader) led.OccState {
 	return o
 }
 
-func writeOccStates(w *storage.Writer, os []led.OccState) {
+func writeOccs(w *storage.Writer, os []*led.Occ) {
 	w.WriteUint(uint64(len(os)))
 	for _, o := range os {
-		writeOccState(w, o)
+		writeOcc(w, o)
 	}
 }
 
-func readOccStates(r *storage.Reader) []led.OccState {
-	out := make([]led.OccState, r.Count())
+func readOccs(r *storage.Reader) []*led.Occ {
+	out := make([]*led.Occ, r.Count())
 	for i := range out {
-		out[i] = readOccState(r)
+		out[i] = readOcc(r)
 	}
 	return out
 }
@@ -119,14 +110,14 @@ func writeFirings(w *storage.Writer, fs []ckptFiring) {
 	w.WriteUint(uint64(len(fs)))
 	for _, f := range fs {
 		w.WriteString(f.Rule)
-		writeOccState(w, f.Occ)
+		writeOcc(w, f.Occ)
 	}
 }
 
 func readFirings(r *storage.Reader) []ckptFiring {
 	var out []ckptFiring
 	for range r.Count() {
-		out = append(out, ckptFiring{Rule: r.String(), Occ: readOccState(r)})
+		out = append(out, ckptFiring{Rule: r.String(), Occ: readOcc(r)})
 	}
 	return out
 }
@@ -165,21 +156,21 @@ func encodeCheckpoint(epoch uint64, c *checkpointData) []byte {
 		w.WriteUint(uint64(len(ns.Contexts)))
 		for _, cs := range ns.Contexts {
 			w.WriteUint(uint64(cs.Ctx))
-			writeOccStates(w, cs.Left)
-			writeOccStates(w, cs.Right)
+			writeOccs(w, cs.Left)
+			writeOccs(w, cs.Right)
 			w.WriteUint(uint64(len(cs.Windows)))
 			for _, ws := range cs.Windows {
-				writeOccState(w, ws.Start)
-				writeOccStates(w, ws.Mids)
+				writeOcc(w, ws.Start)
+				writeOccs(w, ws.Mids)
 				w.WriteTime(ws.Next)
 			}
 			w.WriteUint(uint64(len(cs.Plus)))
 			for _, ps := range cs.Plus {
-				writeOccState(w, ps.Occ)
+				writeOcc(w, ps.Occ)
 				w.WriteTime(ps.At)
 			}
 			w.WriteUint(boolUint(cs.Done))
-			writeOccStates(w, cs.Ring)
+			writeOccs(w, cs.Ring)
 			w.WriteTime(cs.NextBound)
 		}
 	}
@@ -187,25 +178,29 @@ func encodeCheckpoint(epoch uint64, c *checkpointData) []byte {
 	writeFirings(w, nil) // outstanding firings: the ledger's pending section holds them
 
 	w.WriteUint(uint64(len(c.Pending)))
-	for _, p := range c.Pending {
-		w.WriteString(p.Key)
-		w.WriteString(p.Rule)
-		writeOccState(w, p.Occ)
+	for _, e := range c.Pending {
+		w.WriteString(e.key)
+		w.WriteString(e.rule)
+		writeOcc(w, e.occ)
 	}
 
 	w.WriteUint(uint64(len(c.DLQ)))
 	for _, d := range c.DLQ {
 		w.WriteString(d.Rule)
 		w.WriteString(d.Event)
-		w.WriteUint(boolUint(d.HasOcc))
-		if d.HasOcc {
-			writeOccState(w, d.Occ)
+		w.WriteUint(boolUint(d.Occ != nil))
+		if d.Occ != nil {
+			writeOcc(w, d.Occ)
 		}
 		w.WriteUint(uint64(len(d.Messages)))
 		for _, m := range d.Messages {
 			w.WriteString(m)
 		}
-		w.WriteString(d.Err)
+		var msg string
+		if d.Err != nil {
+			msg = d.Err.Error()
+		}
+		w.WriteString(msg)
 	}
 	_ = w.Flush() // a bytes.Buffer never fails a write
 	payload := buf.Bytes()
@@ -258,16 +253,16 @@ func decodeCheckpoint(data []byte) (*checkpointData, uint64, error) {
 	for range r.Count() {
 		ns := led.NodeState{Path: r.String(), Kind: int(r.Uint())}
 		for range r.Count() {
-			cs := led.CtxState{Ctx: led.Context(r.Uint()), Left: readOccStates(r), Right: readOccStates(r)}
+			cs := led.CtxState{Ctx: led.Context(r.Uint()), Left: readOccs(r), Right: readOccs(r)}
 			for range r.Count() {
-				cs.Windows = append(cs.Windows, led.WindowState{Start: readOccState(r), Mids: readOccStates(r), Next: r.Time()})
+				cs.Windows = append(cs.Windows, led.WindowState{Start: readOcc(r), Mids: readOccs(r), Next: r.Time()})
 			}
 			for range r.Count() {
-				cs.Plus = append(cs.Plus, led.PlusState{Occ: readOccState(r), At: r.Time()})
+				cs.Plus = append(cs.Plus, led.PlusState{Occ: readOcc(r), At: r.Time()})
 			}
 			cs.Done = r.Uint() == 1
 			if version >= 2 {
-				cs.Ring = readOccStates(r)
+				cs.Ring = readOccs(r)
 				cs.NextBound = r.Time()
 			}
 			ns.Contexts = append(ns.Contexts, cs)
@@ -277,22 +272,24 @@ func decodeCheckpoint(data []byte) (*checkpointData, uint64, error) {
 	c.Deferred = readFirings(r)
 	outstanding := readFirings(r)
 	for range r.Count() {
-		c.Pending = append(c.Pending, ckptPending{Key: r.String(), Rule: r.String(), Occ: readOccState(r)})
+		c.Pending = append(c.Pending, &ledgerEntry{key: r.String(), rule: r.String(), occ: readOcc(r)})
 	}
 	// An image from a build whose detector kept its own outstanding set:
 	// those firings are ledger entries like any other pending action.
 	for _, f := range outstanding {
-		c.Pending = append(c.Pending, ckptPending{Key: actionKey(f.Rule, led.OccFromState(f.Occ)), Rule: f.Rule, Occ: f.Occ})
+		c.Pending = append(c.Pending, &ledgerEntry{key: actionKey(f.Rule, f.Occ), rule: f.Rule, occ: f.Occ})
 	}
 	for range r.Count() {
-		d := ckptDead{Rule: r.String(), Event: r.String(), HasOcc: r.Uint() == 1}
-		if d.HasOcc {
-			d.Occ = readOccState(r)
+		d := ActionResult{Rule: r.String(), Event: r.String()}
+		if r.Uint() == 1 {
+			d.Occ = readOcc(r)
 		}
 		for range r.Count() {
 			d.Messages = append(d.Messages, r.String())
 		}
-		d.Err = r.String()
+		if msg := r.String(); msg != "" {
+			d.Err = errors.New(msg)
+		}
 		c.DLQ = append(c.DLQ, d)
 	}
 	if err := r.Err(); err != nil {

@@ -255,9 +255,7 @@ func (d *durableState) syncLocked() {
 func (d *durableState) appendOcc(p led.Primitive) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.appendLocked(walRecord{
-		kind: walOccKind, event: p.Event, table: p.Table, op: p.Op, vno: p.VNo, at: p.At,
-	})
+	d.appendLocked(walRecord{kind: walOccKind, occ: p})
 }
 
 // recovered reports whether startup recovery completed and the journal
@@ -302,25 +300,13 @@ func (a *Agent) Checkpoint() error {
 	}
 	c := &checkpointData{Watermarks: wms, LED: a.led.SnapshotState()}
 	for _, f := range a.rec.held {
-		c.Deferred = append(c.Deferred, ckptFiring{Rule: f.info.Name, Occ: led.OccToState(f.occ)})
+		c.Deferred = append(c.Deferred, ckptFiring{Rule: f.info.Name, Occ: f.occ})
 	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, e := range d.pendingLocked() {
-		c.Pending = append(c.Pending, ckptPending{Key: e.key, Rule: e.rule, Occ: led.OccToState(e.occ)})
-	}
-	for _, r := range a.dlq.snapshot() {
-		cd := ckptDead{Rule: r.Rule, Event: r.Event, Messages: r.Messages}
-		if r.Occ != nil {
-			cd.HasOcc = true
-			cd.Occ = led.OccToState(r.Occ)
-		}
-		if r.Err != nil {
-			cd.Err = r.Err.Error()
-		}
-		c.DLQ = append(c.DLQ, cd)
-	}
+	c.Pending = d.pendingLocked()
+	c.DLQ = a.dlq.snapshot()
 
 	newEpoch := d.epoch + 1
 	img := encodeCheckpoint(newEpoch, c)
@@ -453,23 +439,16 @@ func (a *Agent) recoverDurable() error {
 			}
 			for _, f := range ck.Deferred {
 				if info := a.triggers[f.Rule]; info != nil { // else dropped since the cut
-					a.rec.held = append(a.rec.held, heldFiring{info: info, occ: led.OccFromState(f.Occ)})
+					a.rec.held = append(a.rec.held, heldFiring{info: info, occ: f.Occ})
 				}
 			}
 			a.rec.mu.Unlock()
 			a.mu.Unlock()
-			for _, p := range ck.Pending {
-				d.notePending(p.Rule, p.Key, led.OccFromState(p.Occ))
+			for _, e := range ck.Pending {
+				d.notePending(e.rule, e.key, e.occ)
 			}
 			for _, r := range ck.DLQ {
-				res := ActionResult{Rule: r.Rule, Event: r.Event, Messages: r.Messages}
-				if r.HasOcc {
-					res.Occ = led.OccFromState(r.Occ)
-				}
-				if r.Err != "" {
-					res.Err = errors.New(r.Err)
-				}
-				a.dlq.push(res)
+				a.dlq.push(r)
 			}
 
 			d.replaying.Store(true)
@@ -527,14 +506,14 @@ func (a *Agent) recoverDurable() error {
 func (a *Agent) replayOcc(r walRecord) {
 	a.rec.mu.Lock()
 	defer a.rec.mu.Unlock()
-	a.led.FireTimersUpTo(r.at)
-	if w, ok := a.rec.seen[r.event]; ok {
-		if r.vno <= w.last {
+	a.led.FireTimersUpTo(r.occ.At)
+	if w, ok := a.rec.seen[r.occ.Event]; ok {
+		if r.occ.VNo <= w.last {
 			return
 		}
-		w.last = r.vno
+		w.last = r.occ.VNo
 	}
-	a.signal(led.Primitive{Event: r.event, Table: r.table, Op: r.op, VNo: r.vno, At: r.at})
+	a.signal(r.occ)
 	a.dur.met.replayed.Inc()
 }
 

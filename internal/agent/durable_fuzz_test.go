@@ -2,6 +2,7 @@ package agent
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -23,12 +24,12 @@ func fuzzCheckpointImage() []byte {
 				Kind: 2,
 				Contexts: []led.CtxState{{
 					Ctx:  led.Chronicle,
-					Left: []led.OccState{{Event: "db.u.e", At: at}},
+					Left: []*led.Occ{{Event: "db.u.e", At: at}},
 				}},
 			}},
 		},
-		Pending: []ckptPending{{Key: "k", Rule: "db.u.r", Occ: led.OccState{Event: "db.u.e", At: at}}},
-		DLQ:     []ckptDead{{Rule: "db.u.r", Event: "db.u.e", Err: "x"}},
+		Pending: []*ledgerEntry{{key: "k", rule: "db.u.r", occ: &led.Occ{Event: "db.u.e", At: at}}},
+		DLQ:     []ActionResult{{Rule: "db.u.r", Event: "db.u.e", Err: errors.New("x")}},
 	}
 	return encodeCheckpoint(3, c)
 }
@@ -46,7 +47,7 @@ func fuzzCheckpointImageCEP() []byte {
 				Kind: 11, // kWindow
 				Contexts: []led.CtxState{{
 					Ctx: led.Recent,
-					Ring: []led.OccState{{Event: "db.u.e", Context: led.Recent, At: at,
+					Ring: []*led.Occ{{Event: "db.u.e", Context: led.Recent, At: at,
 						Constituents: []led.Primitive{{Event: "db.u.e", Table: "db.u.t", Op: "insert", VNo: 2, At: at}}}},
 					NextBound: at.Add(5 * time.Second),
 				}},
@@ -109,7 +110,7 @@ func fuzzWALImage() []byte {
 	at := time.Unix(1700000000, 0).UTC()
 	buf := walHeader(5)
 	buf = append(buf, encodeWALRecord(walRecord{
-		kind: walOccKind, event: "db.u.e", table: "db.u.t", op: "insert", vno: 1, at: at})...)
+		kind: walOccKind, occ: led.Primitive{Event: "db.u.e", Table: "db.u.t", Op: "insert", VNo: 1, At: at}})...)
 	return append(buf, encodeWALRecord(walRecord{kind: walDoneKind, key: "abc"})...)
 }
 
@@ -147,7 +148,7 @@ func TestWALDecodeDamage(t *testing.T) {
 	at := time.Unix(1700000000, 0).UTC()
 	buf := walHeader(5)
 	buf = append(buf, encodeWALRecord(walRecord{
-		kind: walOccKind, event: "db.u.e", table: "db.u.t", op: "insert", vno: 1, at: at})...)
+		kind: walOccKind, occ: led.Primitive{Event: "db.u.e", Table: "db.u.t", Op: "insert", VNo: 1, At: at}})...)
 	r2 := encodeWALRecord(walRecord{kind: walDoneKind, key: "abc"})
 	buf = append(buf, r2...)
 
@@ -155,7 +156,7 @@ func TestWALDecodeDamage(t *testing.T) {
 	if err != nil || torn || epoch != 5 || len(recs) != 2 {
 		t.Fatalf("intact journal: epoch=%d recs=%d torn=%v err=%v", epoch, len(recs), torn, err)
 	}
-	if recs[0].vno != 1 || !recs[0].at.Equal(at) || recs[1].key != "abc" {
+	if recs[0].occ.VNo != 1 || !recs[0].occ.At.Equal(at) || recs[1].key != "abc" {
 		t.Fatalf("decoded records: %+v", recs)
 	}
 
@@ -232,7 +233,7 @@ func TestCheckpointDecodeDamage(t *testing.T) {
 func TestAllocsWALRecord(t *testing.T) {
 	at := time.Unix(1700000000, 42).UTC()
 	for _, r := range []walRecord{
-		{kind: walOccKind, event: "sentineldb.sharma.addStk", table: "sentineldb.sharma.stock", op: "insert", vno: 123456, at: at},
+		{kind: walOccKind, occ: led.Primitive{Event: "sentineldb.sharma.addStk", Table: "sentineldb.sharma.stock", Op: "insert", VNo: 123456, At: at}},
 		{kind: walDoneKind, key: "0123456789abcdef"},
 	} {
 		if avg := testing.AllocsPerRun(100, func() { _ = encodeWALRecord(r) }); avg > 2 {

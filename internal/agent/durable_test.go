@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -392,7 +393,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				Kind: 3,
 				Contexts: []led.CtxState{{
 					Ctx:  led.Recent,
-					Left: []led.OccState{{Event: "db.u.e", Context: led.Recent, At: at}},
+					Left: []*led.Occ{{Event: "db.u.e", Context: led.Recent, At: at}},
 				}},
 			}, {
 				// A CEP window node's partial state (format v2 section).
@@ -400,16 +401,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				Kind: 11,
 				Contexts: []led.CtxState{{
 					Ctx: led.Chronicle,
-					Ring: []led.OccState{{Event: "db.u.e", Context: led.Chronicle, At: at,
+					Ring: []*led.Occ{{Event: "db.u.e", Context: led.Chronicle, At: at,
 						Constituents: []led.Primitive{{Event: "db.u.e", Table: "db.u.t", Op: "insert", VNo: 8, At: at}}}},
 					NextBound: at.Add(5 * time.Second),
 				}},
 			}},
 		},
-		Deferred: []ckptFiring{{Rule: "db.u.r", Occ: led.OccState{Event: "db.u.e", At: at}}},
-		Pending:  []ckptPending{{Key: "abc123", Rule: "db.u.r", Occ: led.OccState{Event: "db.u.e", At: at}}},
-		DLQ: []ckptDead{{Rule: "db.u.r", Event: "db.u.e", HasOcc: true,
-			Occ: led.OccState{Event: "db.u.e", At: at}, Messages: []string{"m"}, Err: "boom"}},
+		Deferred: []ckptFiring{{Rule: "db.u.r", Occ: &led.Occ{Event: "db.u.e", At: at}}},
+		Pending:  []*ledgerEntry{{key: "abc123", rule: "db.u.r", occ: &led.Occ{Event: "db.u.e", At: at}}},
+		DLQ: []ActionResult{{Rule: "db.u.r", Event: "db.u.e",
+			Occ: &led.Occ{Event: "db.u.e", At: at}, Messages: []string{"m"}, Err: errors.New("boom")}},
 	}
 	got, epoch, err := decodeCheckpoint(encodeCheckpoint(9, c))
 	if err != nil {
@@ -427,10 +428,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(got.Deferred) != 1 || got.Deferred[0].Rule != "db.u.r" {
 		t.Errorf("deferred: %+v", got.Deferred)
 	}
-	if len(got.Pending) != 1 || got.Pending[0].Key != "abc123" {
+	if len(got.Pending) != 1 || got.Pending[0].key != "abc123" {
 		t.Errorf("pending: %+v", got.Pending)
 	}
-	if len(got.DLQ) != 1 || got.DLQ[0].Err != "boom" || !got.DLQ[0].HasOcc {
+	if len(got.DLQ) != 1 || got.DLQ[0].Err == nil || got.DLQ[0].Err.Error() != "boom" || got.DLQ[0].Occ == nil {
 		t.Errorf("dlq: %+v", got.DLQ)
 	}
 	if !got.LED.Nodes[0].Contexts[0].Left[0].At.Equal(at) {

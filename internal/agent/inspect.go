@@ -45,8 +45,8 @@ func DurableOccurrences(fs storage.FS) (wm map[string]int, torn bool, err error)
 			if r.kind != walOccKind {
 				continue
 			}
-			if r.vno > wm[r.event] {
-				wm[r.event] = r.vno
+			if r.occ.VNo > wm[r.occ.Event] {
+				wm[r.occ.Event] = r.occ.VNo
 			}
 		}
 	}

@@ -3,9 +3,9 @@ package agent
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/activedb/ecaagent/internal/led"
+	"github.com/activedb/ecaagent/internal/sqlparse"
 	"github.com/activedb/ecaagent/internal/sqltypes"
 )
 
@@ -105,30 +105,14 @@ func (pm *persistentManager) deleteTrigger(db, trigger string) error {
 	return err
 }
 
-// persistedEvent is one restored event definition.
-type persistedEvent struct {
-	DB, User, Name string
-	Table, Op      string // primitive only
-	VNo            int    // primitive only: authoritative occurrence count
-	Expr           string // composite only
-	At             time.Time
-}
-
-// persistedTrigger is one restored rule.
-type persistedTrigger struct {
-	DB, User, Name string
-	Proc, Event    string
-	Coupling       led.Coupling
-	Context        led.Context
-	Priority       int
-}
-
 // loadAll restores the agent's state: every registered database's
-// primitive events, composite events and triggers, in creation order.
-func (pm *persistentManager) loadAll() (prims []persistedEvent, comps []persistedEvent, trigs []persistedTrigger, err error) {
+// primitive events, composite events and triggers, in creation order, as
+// the registration records the running agent keeps. vnos[i] is prims[i]'s
+// authoritative occurrence count.
+func (pm *persistentManager) loadAll() (prims []*eventInfo, vnos []int, comps []*eventInfo, trigs []*triggerInfo, err error) {
 	rs, err := pm.up.Exec("use master select dbName from " + TabRegistry)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	var dbs []string
 	forEachRow(rs, func(r sqltypes.Row) {
@@ -140,23 +124,24 @@ func (pm *persistentManager) loadAll() (prims []persistedEvent, comps []persiste
 		rs, err = pm.up.Exec(fmt.Sprintf(
 			"use %s select dbName, userName, eventName, tableName, operation, vNo from %s", db, TabPrimitiveEvent))
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("agent: restoring primitive events from %s: %w", db, err)
+			return nil, nil, nil, nil, fmt.Errorf("agent: restoring primitive events from %s: %w", db, err)
 		}
 		forEachRow(rs, func(r sqltypes.Row) {
 			vno, _ := r[5].AsInt()
-			prims = append(prims, persistedEvent{
-				DB: r[0].AsString(), User: r[1].AsString(), Name: r[2].AsString(),
-				Table: r[3].AsString(), Op: r[4].AsString(), VNo: int(vno),
+			prims = append(prims, &eventInfo{
+				DB: r[0].AsString(), User: r[1].AsString(), Name: r[2].AsString(), Primitive: true,
+				Table: r[3].AsString(), Op: sqlparse.TriggerOp(r[4].AsString()),
 			})
+			vnos = append(vnos, int(vno))
 		})
 
 		rs, err = pm.up.Exec(fmt.Sprintf(
 			"use %s select dbName, userName, eventName, eventDescribe from %s", db, TabCompositeEvent))
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("agent: restoring composite events from %s: %w", db, err)
+			return nil, nil, nil, nil, fmt.Errorf("agent: restoring composite events from %s: %w", db, err)
 		}
 		forEachRow(rs, func(r sqltypes.Row) {
-			comps = append(comps, persistedEvent{
+			comps = append(comps, &eventInfo{
 				DB: r[0].AsString(), User: r[1].AsString(), Name: r[2].AsString(),
 				Expr: r[3].AsString(),
 			})
@@ -166,7 +151,7 @@ func (pm *persistentManager) loadAll() (prims []persistedEvent, comps []persiste
 			"use %s select dbName, userName, triggerName, triggerProc, eventName, coupling, context, priority from %s",
 			db, TabEcaTrigger))
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("agent: restoring triggers from %s: %w", db, err)
+			return nil, nil, nil, nil, fmt.Errorf("agent: restoring triggers from %s: %w", db, err)
 		}
 		var rowErr error
 		forEachRow(rs, func(r sqltypes.Row) {
@@ -181,17 +166,17 @@ func (pm *persistentManager) loadAll() (prims []persistedEvent, comps []persiste
 				return
 			}
 			prio, _ := r[7].AsInt()
-			trigs = append(trigs, persistedTrigger{
+			trigs = append(trigs, &triggerInfo{
 				DB: r[0].AsString(), User: r[1].AsString(), Name: r[2].AsString(),
 				Proc: r[3].AsString(), Event: r[4].AsString(),
 				Coupling: coupling, Context: ctx, Priority: int(prio),
 			})
 		})
 		if rowErr != nil {
-			return nil, nil, nil, rowErr
+			return nil, nil, nil, nil, rowErr
 		}
 	}
-	return prims, comps, trigs, nil
+	return prims, vnos, comps, trigs, nil
 }
 
 // exec forwards arbitrary SQL on the privileged connection (used by the

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"time"
 
+	"github.com/activedb/ecaagent/internal/led"
 	"github.com/activedb/ecaagent/internal/storage"
 )
 
@@ -40,17 +40,12 @@ const (
 	walDoneKind byte = 2 // rule action completed
 )
 
-// walRecord is one decoded journal record.
+// walRecord is one decoded journal record: an occurrence record carries
+// the tracker's led.Primitive, an action-done record its ledger key.
 type walRecord struct {
 	kind byte
-
-	// walOccKind fields
-	event, table, op string
-	vno              int
-	at               time.Time
-
-	// walDoneKind field
-	key string
+	occ  led.Primitive // walOccKind
+	key  string        // walDoneKind
 }
 
 // walHeader renders the file header for one journal epoch.
@@ -64,11 +59,11 @@ func encodeWALRecord(r walRecord) []byte {
 	p := make([]byte, 0, 128)
 	switch r.kind {
 	case walOccKind:
-		p = storage.AppendString(p, r.event)
-		p = storage.AppendString(p, r.table)
-		p = storage.AppendString(p, r.op)
-		p = storage.AppendInt(p, int64(r.vno))
-		p = storage.AppendTime(p, r.at)
+		p = storage.AppendString(p, r.occ.Event)
+		p = storage.AppendString(p, r.occ.Table)
+		p = storage.AppendString(p, r.occ.Op)
+		p = storage.AppendInt(p, int64(r.occ.VNo))
+		p = storage.AppendTime(p, r.occ.At)
 	case walDoneKind:
 		p = storage.AppendString(p, r.key)
 	}
@@ -128,9 +123,7 @@ func parseWALPayload(kind byte, p []byte) (walRecord, bool) {
 	d := storage.NewReader(p)
 	switch kind {
 	case walOccKind:
-		r.event, r.table, r.op = d.String(), d.String(), d.String()
-		r.vno = int(d.Int())
-		r.at = d.Time()
+		r.occ = led.Primitive{Event: d.String(), Table: d.String(), Op: d.String(), VNo: int(d.Int()), At: d.Time()}
 	case walDoneKind:
 		r.key = d.String()
 	}

@@ -32,10 +32,13 @@ type NodeState struct {
 }
 
 // CtxState is the detection state of one node under one parameter context.
+// Every occurrence is the detector's own Occ type, deep-copied on the way
+// out (SnapshotState) and on the way back in (RestoreState), so an image
+// never shares an occurrence with a live detector.
 type CtxState struct {
 	Ctx     Context
-	Left    []OccState
-	Right   []OccState
+	Left    []*Occ
+	Right   []*Occ
 	Windows []WindowState
 	Plus    []PlusState
 	Done    bool // temporal event already fired
@@ -43,75 +46,32 @@ type CtxState struct {
 	// child occurrences and armed boundary deadline (cep.go). Snapshot
 	// section v2; absent in v1 checkpoints, which restores as an empty
 	// window — correct for any checkpoint written before windows existed.
-	Ring      []OccState
+	Ring      []*Occ
 	NextBound time.Time
 }
 
 // WindowState is one open A/A*/P/P* interval. Next is the next periodic
 // tick deadline; zero for aperiodic windows, which hold no timer.
 type WindowState struct {
-	Start OccState
-	Mids  []OccState
+	Start *Occ
+	Mids  []*Occ
 	Next  time.Time
 }
 
 // PlusState is one scheduled PLUS re-emission.
 type PlusState struct {
-	Occ OccState
+	Occ *Occ
 	At  time.Time
 }
 
-// OccState is a serializable Occ.
-type OccState struct {
-	Event        string
-	Context      Context
-	At           time.Time
-	Constituents []Primitive
-}
-
-// OccToState converts a live occurrence to its serializable form (the
-// agent's checkpoint codec).
-func OccToState(o *Occ) OccState { return occToState(o) }
-
-// OccFromState rebuilds a live occurrence from its serialized form.
-func OccFromState(s OccState) *Occ { return occFromState(s) }
-
-func occToState(o *Occ) OccState {
-	return OccState{
-		Event:        o.Event,
-		Context:      o.Context,
-		At:           o.At,
-		Constituents: append([]Primitive(nil), o.Constituents...),
-	}
-}
-
-func occFromState(s OccState) *Occ {
-	return &Occ{
-		Event:        s.Event,
-		Context:      s.Context,
-		At:           s.At,
-		Constituents: append([]Primitive(nil), s.Constituents...),
-	}
-}
-
-func occsToState(os []*Occ) []OccState {
+// clones deep-copies an occurrence list; nil stays nil.
+func clones(os []*Occ) []*Occ {
 	if len(os) == 0 {
 		return nil
 	}
-	out := make([]OccState, len(os))
+	out := make([]*Occ, len(os))
 	for i, o := range os {
-		out[i] = occToState(o)
-	}
-	return out
-}
-
-func occsFromState(ss []OccState) []*Occ {
-	if len(ss) == 0 {
-		return nil
-	}
-	out := make([]*Occ, len(ss))
-	for i, s := range ss {
-		out[i] = occFromState(s)
+		out[i] = o.clone()
 	}
 	return out
 }
@@ -169,21 +129,21 @@ func (n *node) captureState(path string) *NodeState {
 		}
 		cs := CtxState{
 			Ctx:       ctx,
-			Left:      occsToState(st.left),
-			Right:     occsToState(st.right),
+			Left:      clones(st.left),
+			Right:     clones(st.right),
 			Done:      st.done,
-			Ring:      occsToState(st.ring),
+			Ring:      clones(st.ring),
 			NextBound: st.nextBound,
 		}
 		for _, w := range st.windows {
 			cs.Windows = append(cs.Windows, WindowState{
-				Start: occToState(w.start),
-				Mids:  occsToState(w.mids),
+				Start: w.start.clone(),
+				Mids:  clones(w.mids),
 				Next:  w.next,
 			})
 		}
 		for _, p := range st.plus {
-			cs.Plus = append(cs.Plus, PlusState{Occ: occToState(p.occ), At: p.at})
+			cs.Plus = append(cs.Plus, PlusState{Occ: p.occ.clone(), At: p.at})
 		}
 		out = append(out, cs)
 	}
@@ -246,24 +206,24 @@ func (l *LED) RestoreState(snap *StateSnapshot) error {
 	for _, t := range plan {
 		n, cs := t.n, t.cs
 		st := n.state[cs.Ctx]
-		st.left = occsFromState(cs.Left)
-		st.right = occsFromState(cs.Right)
+		st.left = clones(cs.Left)
+		st.right = clones(cs.Right)
 		st.windows = nil
 		st.plus = nil
 		st.done = cs.Done
 		for _, ws := range cs.Windows {
-			w := &window{start: occFromState(ws.Start), mids: occsFromState(ws.Mids), next: ws.Next}
+			w := &window{start: ws.Start.clone(), mids: clones(ws.Mids), next: ws.Next}
 			st.windows = append(st.windows, w)
 			if n.kind == kPer || n.kind == kPerStar {
 				n.armPeriodic(cs.Ctx, st, w)
 			}
 		}
 		for _, ps := range cs.Plus {
-			p := &plusPending{occ: occFromState(ps.Occ), at: ps.At}
+			p := &plusPending{occ: ps.Occ.clone(), at: ps.At}
 			st.plus = append(st.plus, p)
 			n.armPlus(cs.Ctx, st, p)
 		}
-		st.ring = occsFromState(cs.Ring)
+		st.ring = clones(cs.Ring)
 		st.nextBound = time.Time{}
 		st.ringStop = nil
 		if !cs.NextBound.IsZero() {
