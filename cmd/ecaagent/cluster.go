@@ -264,12 +264,16 @@ type primaryReplication struct {
 // partitioned old primary's actions are rejected (and dead-lettered) the
 // moment a successor acquires or its own lease lapses.
 //
-// In -repl-mode sync the ShipFS sink ships AND barriers every frame — the
-// durable append does not return until the standby has acknowledged — and
-// the agent's occurrence path takes the controller's barrier before any
-// acknowledgement or action launch. The degradation ladder is the
-// controller's: sync → degraded-async (loud, readiness fails past
-// -repl-grace) or → fenced halt, per -repl-degrade.
+// In -repl-mode sync the ShipFS tees into the controller's sink
+// (cluster.SyncController.Sink): while the link is healthy every frame is
+// shipped and barriered, so the durable append does not return until the
+// standby has acknowledged, and the agent's occurrence path takes the
+// controller's barrier before any acknowledgement or action launch. The
+// degradation ladder is the controller's: sync → degraded-async (loud,
+// readiness fails past -repl-grace, frames ship without waiting until the
+// standby has caught up) or → fenced halt, per -repl-degrade. Heartbeats
+// go through the same sink, so an idle primary still notices the
+// standby's silence and its return.
 func wirePrimaryReplication(cf *clusterFlags, cfg *agent.Config, ckptDir, adminUser string, floorEpoch uint64, met *cluster.Metrics) *primaryReplication {
 	auth, epoch, closeAuth := newAuthority(cf, adminUser, floorEpoch, met)
 	tok := &cluster.Token{}
@@ -277,36 +281,20 @@ func wirePrimaryReplication(cf *clusterFlags, cfg *agent.Config, ckptDir, adminU
 	cfg.Dial = cluster.FencedDialer(cfg.Dial, auth, tok, met)
 
 	p := &primaryReplication{met: met, closeAuth: closeAuth, done: make(chan struct{})}
-	var sh *cluster.Shipper
-	// The sink dispatches on mode. Sync mode ships AND barriers every
-	// frame — chain-replication semantics: occurrence records, action-done
-	// records and checkpoint bytes are all standby-durable before the
-	// local append returns, so the replica is always a superset of what
-	// this node completed.
-	sink := func(f cluster.Frame) error {
-		err := sh.Ship(f)
-		if p.ctl != nil {
-			if err == nil {
-				err = sh.Barrier()
-			}
-			p.ctl.ObserveShip(err)
-		}
-		return err
-	}
-	ship := cluster.NewShipFS(storage.OSDir{Dir: ckptDir}, sink, nil, met)
-	p.ship = ship
+	var ship *cluster.ShipFS
 	shipCfg := cluster.ShipperConfig{
 		Addr:     cf.ship,
 		Node:     cf.node,
 		Tok:      tok,
-		Snapshot: ship.SnapshotFrames,
+		Snapshot: func() ([]cluster.Frame, error) { return ship.SnapshotFrames() },
 	}
 	if cf.replMode == cluster.ReplModeSync {
 		shipCfg.SyncWindow = cf.syncWindow
 		shipCfg.AckTimeout = cf.ackTimeout
 	}
-	sh = cluster.NewShipper(shipCfg, met)
+	sh := cluster.NewShipper(shipCfg, met)
 	p.shipper = sh
+	sink := sh.Ship
 	if cf.replMode == cluster.ReplModeSync {
 		p.ctl = cluster.NewSyncController(cluster.SyncConfig{
 			Mode:    cluster.ReplModeSync,
@@ -314,12 +302,15 @@ func wirePrimaryReplication(cf *clusterFlags, cfg *agent.Config, ckptDir, adminU
 			Grace:   cf.grace,
 			Logf:    log.Printf,
 		}, sh.Barrier, met)
+		sink = p.ctl.Sink(sh)
 		cfg.Durability.ShipBarrier = p.ctl.Barrier
 	}
+	ship = cluster.NewShipFS(storage.OSDir{Dir: ckptDir}, sink, nil, met)
+	p.ship = ship
 
 	cfg.Durability.FS = ship
 	met.SetRole(cluster.RolePrimary)
-	hb := cluster.NewHeartbeater(led.SystemClock(), cf.hbInterval, tok, sh.Ship, met)
+	hb := cluster.NewHeartbeater(led.SystemClock(), cf.hbInterval, tok, sink, met)
 	p.hb = hb
 	return p
 }

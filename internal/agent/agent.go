@@ -221,20 +221,17 @@ func New(cfg Config) (*Agent, error) {
 	// broken connection disables nothing: it is redialed with backoff, and
 	// only terminal (server-answered) errors surface.
 	dialAdmin := func() (Upstream, error) { return cfg.Dial(cfg.AdminUser, "") }
-	mkRetry := func(seedOffset int64) *retryUpstream {
-		rc := cfg.Retry
-		rc = rc.withDefaults()
-		rc.Seed += seedOffset
-		return newRetryUpstream(dialAdmin, rc, cfg.Logf,
+	mkRetry := func() *retryUpstream {
+		return newRetryUpstream(dialAdmin, cfg.Retry, cfg.Logf,
 			a.met.upstreamRetries.Inc, a.met.reconnects.Inc)
 	}
-	pm, err := newPersistentManager(mkRetry(0), cfg.AdminUser)
+	pm, err := newPersistentManager(mkRetry(), cfg.AdminUser)
 	if err != nil {
 		return nil, err
 	}
 	a.pm = pm
-	a.actions = mkRetry(1)
-	a.recUp = mkRetry(2)
+	a.actions = mkRetry()
+	a.recUp = mkRetry()
 	if cfg.NotifyAddr != "-" {
 		n, err := startNotifier(a, cfg.NotifyAddr)
 		if err != nil {

@@ -29,9 +29,11 @@ type RetryConfig struct {
 	// AttemptTimeout aborts a single attempt that hangs by closing its
 	// connection (0 disables the deadline).
 	AttemptTimeout time.Duration
-	// Seed drives the backoff jitter deterministically (default 1).
-	Seed int64
 }
+
+// retrySeed seeds every connection's backoff jitter, so a retry schedule
+// is the same on every run.
+const retrySeed = 1
 
 func (c RetryConfig) withDefaults() RetryConfig {
 	if c.MaxAttempts <= 0 {
@@ -42,9 +44,6 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	}
 	if c.MaxDelay <= 0 {
 		c.MaxDelay = time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -109,7 +108,7 @@ func newRetryUpstream(dial func() (Upstream, error), cfg RetryConfig, logf func(
 		onRetry:     onRetry,
 		onReconnect: onReconnect,
 		logf:        logf,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         rand.New(rand.NewSource(retrySeed)),
 	}
 }
 

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -231,23 +232,15 @@ func loadSource[T sqlparse.Statement](sr *storage.Reader, db, what string) (owne
 	return owner, raw, st, fmt.Errorf("%s text in %s is not a single CREATE statement", what, db)
 }
 
-// SaveFile writes the catalog snapshot atomically to path (write to a temp
-// file in the same directory, then rename).
+// SaveFile writes the catalog snapshot to path through storage.Publish,
+// so a power cut at any point leaves the previous snapshot or the new
+// one, never an empty file that the next start would refuse to load.
 func (c *Catalog) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ecasnap-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := c.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return storage.Publish(storage.OSDir{Dir: filepath.Dir(path)}, filepath.Base(path), buf.Bytes())
 }
 
 // LoadFile reads a catalog snapshot from path.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -106,8 +105,10 @@ func (ap *Applier) apply(f Frame) error {
 		return nil
 
 	case FrameCkpt:
-		if err := ap.publish(f.Name, f.Payload); err != nil {
-			return err
+		// The primary's own publish sequence: tmp → fsync → rename → dir
+		// fsync.
+		if err := storage.Publish(ap.fs, f.Name, f.Payload); err != nil {
+			return fmt.Errorf("cluster: publishing %s: %w", f.Name, err)
 		}
 		ap.bumpApplied()
 		return nil
@@ -170,32 +171,6 @@ func (ap *Applier) bumpApplied() {
 	ap.mu.Lock()
 	ap.applied++
 	ap.mu.Unlock()
-}
-
-// publish writes one complete file image durably under name using the
-// primary's own publish protocol: tmp → fsync → rename → dir fsync.
-func (ap *Applier) publish(name string, img []byte) error {
-	tmp := name + ".tmp"
-	h, err := ap.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("cluster: applying %s: %w", name, err)
-	}
-	if _, err := h.Write(img); err != nil {
-		return errors.Join(fmt.Errorf("cluster: applying %s: %w", name, err), h.Close())
-	}
-	if err := h.Sync(); err != nil {
-		return errors.Join(fmt.Errorf("cluster: applying %s: %w", name, err), h.Close())
-	}
-	if err := h.Close(); err != nil {
-		return fmt.Errorf("cluster: applying %s: %w", name, err)
-	}
-	if err := ap.fs.Rename(tmp, name); err != nil {
-		return fmt.Errorf("cluster: publishing %s: %w", name, err)
-	}
-	if err := ap.fs.SyncDir(); err != nil {
-		return fmt.Errorf("cluster: publishing %s: %w", name, err)
-	}
-	return nil
 }
 
 // appendSynced appends to a live replica file and syncs before the frame

@@ -121,14 +121,7 @@ func (p *pair) startPrimary() {
 		// Every WAL frame waits for the standby's durable ack, so the
 		// replica holds everything the primary completed — occurrence
 		// records and action-done records alike.
-		sink = func(f Frame) error {
-			err := p.shipper.Ship(f)
-			if err == nil {
-				err = p.shipper.Barrier()
-			}
-			p.ctl.ObserveShip(err)
-			return err
-		}
+		sink = p.ctl.Sink(p.shipper)
 		dur.ShipBarrier = p.ctl.Barrier
 	}
 	ship = NewShipFS(p.priFS, sink, p.Crash, p.metA)

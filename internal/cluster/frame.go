@@ -139,6 +139,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 
 // readFrame is ReadFrame reading the frame's bytes into buf, which it
 // returns for the next frame. The frame it decodes does not alias buf.
+// The buffer grows as the body arrives, never more than one keptFrameBuf
+// past the bytes read, so a length prefix alone costs nothing; a frame
+// that fits the buffer is one io.ReadFull.
 func readFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	buf = append(buf[:0], 0, 0, 0, 0)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -148,12 +151,20 @@ func readFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	if bodyLen < 1 || bodyLen > maxFrameBody {
 		return Frame{}, buf, fmt.Errorf("%w: body length %d", ErrCorruptFrame, bodyLen)
 	}
-	buf = slices.Grow(buf, int(bodyLen)+4)[:4+int(bodyLen)+4]
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	want := 4 + int(bodyLen) + 4
+	for len(buf) < want {
+		if len(buf) == cap(buf) {
+			// At least double, at least keptFrameBuf, never past the frame.
+			buf = slices.Grow(buf, min(want-len(buf), max(len(buf), keptFrameBuf)))
 		}
-		return Frame{}, buf, err
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), want)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, buf, err
+		}
 	}
 	f, _, err := DecodeReplFrame(buf)
 	return f, buf, err

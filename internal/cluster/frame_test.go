@@ -6,7 +6,12 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"net"
+	"runtime"
 	"testing"
+	"testing/iotest"
+
+	"github.com/activedb/ecaagent/internal/faults"
 )
 
 var frameFixtures = []Frame{
@@ -195,5 +200,71 @@ func TestAllocsAppendFrame(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], f) }); got != 0 {
 			t.Errorf("%d/%s: %.1f allocations appending into a buffer with room, want 0", f.Kind, f.Name, got)
 		}
+	}
+}
+
+// TestAllocsFrameLengthPrefix: a length prefix that claims 60 MiB, then
+// ends, costs the bytes that arrived, not the bytes it claimed, through
+// ReadFrame and through the standby's stream loop.
+func TestAllocsFrameLengthPrefix(t *testing.T) {
+	prefix := binary.LittleEndian.AppendUint32(nil, 60<<20)
+	reads := []struct {
+		name string
+		read func()
+	}{
+		{"ReadFrame", func() {
+			if _, err := ReadFrame(bytes.NewReader(prefix)); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("ReadFrame: %v, want io.ErrUnexpectedEOF", err)
+			}
+		}},
+		{"serveStream", func() {
+			primary, standby := net.Pipe()
+			go func() {
+				primary.Write(prefix)
+				primary.Close()
+			}()
+			serveStream(standby, NewApplier(faults.NewCrashDir(1), nil))
+		}},
+	}
+	for _, r := range reads {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.read()
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: a 4-byte stream cost %d bytes of allocation", r.name, d)
+		}
+	}
+}
+
+// TestReadFrameGrowsAcrossChunks: frames larger than the kept buffer,
+// arriving a few bytes per read, decode whole through one reused buffer,
+// before and after small ones.
+func TestReadFrameGrowsAcrossChunks(t *testing.T) {
+	frames := []Frame{
+		{Kind: FrameFileData, Name: "wal-1", Payload: []byte{1, 2, 3}},
+		{Kind: FrameCkpt, Name: "ckpt-2", Payload: bytes.Repeat([]byte("ECACKPT1"), 3*keptFrameBuf/8+17)},
+		{Kind: FrameHeartbeat, Name: "node-a", Payload: heartbeatPayload(9, 2)},
+	}
+	var stream []byte
+	for _, f := range frames {
+		stream = AppendFrame(stream, f)
+	}
+	r := iotest.HalfReader(bytes.NewReader(stream))
+	var buf []byte
+	for i, want := range frames {
+		var got Frame
+		var err error
+		got, buf, err = readFrame(r, buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got.Kind != want.Kind || got.Name != want.Name || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("frame %d: got %v %q (%d bytes), want %v %q (%d bytes)",
+				i, got.Kind, got.Name, len(got.Payload), want.Kind, want.Name, len(want.Payload))
+		}
+	}
+	if _, _, err := readFrame(r, buf); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 }

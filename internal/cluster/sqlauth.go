@@ -33,14 +33,15 @@ type SQLAuthorityConfig struct {
 	LeaseTTL time.Duration
 	// RenewEvery is the renewal cadence (default LeaseTTL/3).
 	RenewEvery time.Duration
-	// DB is the database holding the epoch table (default "ecacluster").
-	DB string
 	// Logf receives lease-loss and renewal-failure reports (default
 	// discards).
 	Logf func(format string, args ...any)
 	// Met counts renewals and losses. May be nil.
 	Met *Metrics
 }
+
+// authorityDB is the database holding the epoch table.
+const authorityDB = "ecacluster"
 
 func (c SQLAuthorityConfig) withDefaults() SQLAuthorityConfig {
 	if c.Clock == nil {
@@ -51,9 +52,6 @@ func (c SQLAuthorityConfig) withDefaults() SQLAuthorityConfig {
 	}
 	if c.RenewEvery <= 0 {
 		c.RenewEvery = c.LeaseTTL / 3
-	}
-	if c.DB == "" {
-		c.DB = "ecacluster"
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -100,7 +98,7 @@ func NewSQLAuthority(cfg SQLAuthorityConfig) (*SQLAuthority, error) {
 
 // exec runs sql inside the authority database.
 func (a *SQLAuthority) exec(sql string) ([]*sqltypes.ResultSet, error) {
-	return a.cfg.Exec.Exec("use " + a.cfg.DB + "\n" + sql) //ecavet:allow fencedwrite the authority's own epoch row is the fence's ground truth and cannot validate against itself
+	return a.cfg.Exec.Exec("use " + authorityDB + "\n" + sql) //ecavet:allow fencedwrite the authority's own epoch row is the fence's ground truth and cannot validate against itself
 }
 
 // execIgnoreExists swallows catalog duplicate errors, the expected
@@ -116,10 +114,10 @@ func (a *SQLAuthority) execIgnoreExists(sql string) error {
 }
 
 func (a *SQLAuthority) bootstrap() error {
-	if err := a.execIgnoreExists("create database " + a.cfg.DB); err != nil {
+	if err := a.execIgnoreExists("create database " + authorityDB); err != nil {
 		return fmt.Errorf("cluster: creating authority database: %w", err)
 	}
-	if err := a.execIgnoreExists("use " + a.cfg.DB +
+	if err := a.execIgnoreExists("use " + authorityDB +
 		"\ncreate table syseca_epoch (epoch int null, holder varchar(64) null, expires int null)"); err != nil {
 		return fmt.Errorf("cluster: creating epoch table: %w", err)
 	}

@@ -26,14 +26,14 @@ const (
 // when the standby stops acknowledging within the deadline.
 const (
 	// DegradeAsync drops to asynchronous shipping — loudly (gauge, log,
-	// readiness after the grace window) — and re-enters sync the moment a
-	// ship to the standby succeeds again. Availability over the zero-RPO
-	// guarantee.
+	// readiness after the grace window) — and re-enters sync once the
+	// standby has acknowledged everything shipped. Availability over the
+	// zero-RPO guarantee.
 	DegradeAsync = "async"
-	// DegradeHalt fences the primary's own acknowledgement path: every
-	// occurrence stays journaled locally but is withheld from the detector
-	// until an operator intervenes or the node is superseded. The zero-RPO
-	// guarantee over availability.
+	// DegradeHalt fences the primary's own acknowledgement path on the
+	// first failed ship or ack: every occurrence stays journaled locally
+	// but is withheld from the detector until an operator intervenes or
+	// the node is superseded. The zero-RPO guarantee over availability.
 	DegradeHalt = "halt"
 )
 
@@ -100,14 +100,47 @@ func NewSyncController(cfg SyncConfig, barrier func() error, met *Metrics) *Sync
 	return &SyncController{cfg: cfg.withDefaults(), barrier: barrier, met: met}
 }
 
+// Sink composes the replication sink a sync primary tees its ShipFS
+// into. While the link is healthy every frame is shipped and then
+// barriered: the durable append that wrote it returns only once the
+// standby has acknowledged everything shipped, so the replica always
+// holds what this node completed. A failed ship or ack is reported to
+// ObserveShip, which latches the halt under DegradeHalt and degrades the
+// link under DegradeAsync. While degraded or halted, frames ship without
+// waiting on the standby at all — neither the window admission nor the
+// barrier — so an outage costs one ack deadline, not one per frame. The
+// degraded link re-enters sync at the first frame that finds the standby
+// connected and caught up (every frame shipped acknowledged); a halt
+// never does. In async mode the sink is sh.Ship.
+func (c *SyncController) Sink(sh *Shipper) Sink {
+	if c.cfg.Mode != ReplModeSync {
+		return sh.Ship
+	}
+	return func(f Frame) error {
+		if c.Degraded() && (c.Halted() || !sh.caughtUp()) {
+			err := sh.shipNoWait(f)
+			if err != nil {
+				c.ObserveShip(err)
+			}
+			return err
+		}
+		err := sh.Ship(f)
+		if err == nil {
+			err = sh.Barrier()
+		}
+		c.ObserveShip(err)
+		return err
+	}
+}
+
 // Barrier gates one occurrence acknowledgement. In sync mode it blocks
 // until the standby's cumulative ack covers everything shipped so far
 // (which includes the occurrence's own WAL record — ShipFS ships before
 // the agent calls the barrier). nil means acknowledged; ErrReplHalted
 // means the occurrence must be withheld (halt policy). Under the async
 // degrade policy a failed barrier returns nil — the occurrence proceeds
-// un-replicated — and the controller stays degraded until a ship to the
-// standby succeeds again (ObserveShip).
+// un-replicated — and the controller stays degraded until the standby
+// has acknowledged everything shipped again (ObserveShip).
 func (c *SyncController) Barrier() error {
 	if c.cfg.Mode != ReplModeSync {
 		return nil
@@ -135,29 +168,17 @@ func (c *SyncController) Barrier() error {
 	if c.met != nil {
 		c.met.ReplSyncTimeouts.Inc()
 	}
+	c.noteFailure(err)
 	if c.cfg.Degrade == DegradeHalt {
-		c.mu.Lock()
-		c.halted = true
-		if c.downSince.IsZero() {
-			c.downSince = c.cfg.Clock.Now()
-		}
-		c.mu.Unlock()
-		if c.met != nil {
-			c.met.ReplDegraded.Set(1)
-			c.met.ReplHalted.Set(1)
-		}
-		c.cfg.Logf("cluster: SYNC REPLICATION HALTED: %v; occurrences stay journaled but unacknowledged until operator action", err)
 		return fmt.Errorf("%w: %v", ErrReplHalted, err)
 	}
-	c.noteFailure(err)
 	return nil
 }
 
-// ObserveShip records the outcome of one ship attempt to the sync peer.
-// Wire it around the Shipper's sink: failures start (or extend) an
-// outage, the first success after an outage re-enters sync mode. The
-// heartbeat cadence makes this a built-in probe — a primary with no WAL
-// traffic still notices the standby's death and recovery.
+// ObserveShip records the outcome of one shipped and barriered frame
+// (Sink calls it): a failure latches the halt under DegradeHalt and
+// starts (or extends) an outage under DegradeAsync; nil — the standby
+// acknowledged everything shipped — ends an outage and re-enters sync.
 func (c *SyncController) ObserveShip(err error) {
 	if err != nil {
 		c.noteFailure(err)
@@ -166,8 +187,26 @@ func (c *SyncController) ObserveShip(err error) {
 	c.noteSuccess()
 }
 
-// noteFailure enters (or extends) the degraded state.
+// noteFailure latches the halt under DegradeHalt; otherwise it enters
+// (or extends) the degraded state.
 func (c *SyncController) noteFailure(err error) {
+	if c.cfg.Degrade == DegradeHalt {
+		c.mu.Lock()
+		entered := !c.halted
+		c.halted = true
+		if c.downSince.IsZero() {
+			c.downSince = c.cfg.Clock.Now()
+		}
+		c.mu.Unlock()
+		if entered {
+			if c.met != nil {
+				c.met.ReplDegraded.Set(1)
+				c.met.ReplHalted.Set(1)
+			}
+			c.cfg.Logf("cluster: SYNC REPLICATION HALTED: %v; occurrences stay journaled but unacknowledged until operator action", err)
+		}
+		return
+	}
 	c.mu.Lock()
 	entered := !c.degraded
 	c.degraded = true

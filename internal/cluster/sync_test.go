@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,4 +306,184 @@ func ioReadFull(conn net.Conn, p []byte) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// gatedStandby reads a primary's replication stream and acknowledges
+// each frame with the connection's cumulative count, but only while
+// acking is set: a standby that still accepts the stream has stopped
+// acknowledging it.
+type gatedStandby struct {
+	ln     net.Listener
+	acking atomic.Bool
+}
+
+func newGatedStandby(t *testing.T) *gatedStandby {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedStandby{ln: ln}
+	g.acking.Store(true)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			go g.serve(conn)
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	return g
+}
+
+func (g *gatedStandby) serve(conn net.Conn) {
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	var applied uint64
+	for {
+		if _, err := ReadFrame(r); err != nil {
+			return // the shipper dropped or closed the connection
+		}
+		applied++
+		if g.acking.Load() {
+			var ack [8]byte
+			binary.LittleEndian.PutUint64(ack[:], applied)
+			if _, err := conn.Write(ack[:]); err != nil {
+				return
+			}
+		}
+	}
+}
+
+// syncRig is a sync primary wired the way ecaagent wires it: the agent's
+// durability directory tees through the controller's Sink to a gated
+// standby, the controller's Barrier gates every occurrence, and its
+// Ready gates /readyz. One rule prints on every insert into ta.
+type syncRig struct {
+	*scenario.Run
+	stb  *gatedStandby
+	ctl  *SyncController
+	met  *Metrics
+	sess *engine.Session
+}
+
+func newSyncRig(t *testing.T, degrade string, ackTimeout time.Duration) *syncRig {
+	t.Helper()
+	r := &syncRig{Run: scenario.NewRun(t, nil), stb: newGatedStandby(t), met: NewMetrics(obs.NewRegistry())}
+	var ship *ShipFS
+	sh := NewShipper(ShipperConfig{
+		Addr:       r.stb.ln.Addr().String(),
+		Node:       "A",
+		Snapshot:   func() ([]Frame, error) { return ship.SnapshotFrames() },
+		SyncWindow: 4,
+		AckTimeout: ackTimeout,
+	}, r.met)
+	t.Cleanup(func() { sh.Close() })
+	r.ctl = NewSyncController(SyncConfig{
+		Mode: ReplModeSync, Degrade: degrade, Clock: led.NewManualClock(scenario.Base),
+	}, sh.Barrier, r.met)
+	ship = NewShipFS(faults.NewCrashDir(11), r.ctl.Sink(sh), nil, r.met)
+	r.Boot(r.Dialer(), &agent.Durability{FS: ship, WALSync: agent.WALSyncAlways, ShipBarrier: r.ctl.Barrier})
+	t.Cleanup(func() { r.Agent.Close() })
+	r.Agent.SetRoleFunc(func() string { return RolePrimary })
+	r.Agent.SetReadinessGate(r.ctl.Ready)
+	cs, err := r.Agent.NewClientSession("sharma", "scenariodb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Exec("create trigger sy_pa on ta for insert event ea as print 'pa'"); err != nil {
+		t.Fatal(err)
+	}
+	cs.Close()
+	r.sess = r.Eng.NewSession("sharma")
+	if err := r.sess.Use("scenariodb"); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// insert drives one occurrence and waits for its action, if any.
+func (r *syncRig) insert() {
+	r.T.Helper()
+	if _, err := r.sess.ExecScript("insert ta values (1)"); err != nil {
+		r.T.Fatal(err)
+	}
+	r.Agent.WaitActions()
+}
+
+func (r *syncRig) actions() int { return len(r.Acts.Snapshot()) }
+
+// Under -repl-degrade halt, a standby that stops acknowledging latches
+// the halt at the first failed ack: the unacknowledged occurrence is
+// withheld (no action runs for it), the halted gauge reads 1, and
+// /readyz answers 503 repl-halted.
+func TestSyncSinkHaltLatches(t *testing.T) {
+	r := newSyncRig(t, DegradeHalt, 200*time.Millisecond)
+	r.insert()
+	if n := r.actions(); n != 1 {
+		t.Fatalf("healthy sync: %d actions, want 1", n)
+	}
+
+	r.stb.acking.Store(false)
+	r.insert()
+	if n := r.actions(); n != 1 {
+		t.Fatalf("the unacknowledged occurrence's action ran: %d actions, want 1 (halted=%v degraded=%v)",
+			n, r.ctl.Halted(), r.ctl.Degraded())
+	}
+	if !r.ctl.Halted() || r.met.ReplHalted.Value() != 1 {
+		t.Fatalf("halt not latched: halted=%v eca_cluster_repl_halted=%d", r.ctl.Halted(), r.met.ReplHalted.Value())
+	}
+	srv := httptest.NewServer(r.Agent.AdminHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || string(body) != "repl-halted\n" {
+		t.Fatalf("/readyz = %d %q, want 503 repl-halted", resp.StatusCode, body)
+	}
+}
+
+// Under -repl-degrade async, a standby that stops acknowledging costs one
+// ack deadline, not one per frame: ten occurrences after it goes silent
+// finish within two deadlines, every action runs, and the link re-enters
+// sync once the standby acknowledges everything shipped again.
+func TestSyncSinkDegradedDoesNotWait(t *testing.T) {
+	const ackTimeout = 500 * time.Millisecond
+	r := newSyncRig(t, DegradeAsync, ackTimeout)
+	r.insert()
+
+	r.stb.acking.Store(false)
+	start := time.Now()
+	for range 10 {
+		r.insert()
+	}
+	if took := time.Since(start); took > 2*ackTimeout {
+		t.Fatalf("10 occurrences against a silent standby took %v, want ≤ %v", took, 2*ackTimeout)
+	}
+	if n := r.actions(); n != 11 {
+		t.Fatalf("degraded async: %d actions, want 11", n)
+	}
+	if !r.ctl.Degraded() || r.met.ReplDegraded.Value() != 1 {
+		t.Fatalf("silent standby did not degrade the link (degraded=%v gauge=%d)", r.ctl.Degraded(), r.met.ReplDegraded.Value())
+	}
+
+	// The standby acknowledges again: the next frame it receives draws a
+	// cumulative ack covering everything shipped, and a later frame finds
+	// the standby caught up and re-enters sync.
+	r.stb.acking.Store(true)
+	for i := 0; r.ctl.Degraded(); i++ {
+		if i == 50 {
+			t.Fatal("the link did not heal after the standby acknowledged again")
+		}
+		r.insert()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if r.met.ReplDegraded.Value() != 0 {
+		t.Fatalf("eca_cluster_repl_degraded = %d after healing, want 0", r.met.ReplDegraded.Value())
+	}
 }

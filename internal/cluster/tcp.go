@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -36,12 +37,6 @@ type ShipperConfig struct {
 	// wire ShipFS.SnapshotFrames here. May be nil (stream-only, used when
 	// a fresh standby directory is guaranteed).
 	Snapshot func() ([]Frame, error)
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline — the per-attempt
-	// deadline that keeps a hung standby from wedging the primary's
-	// durability path (default 2s).
-	WriteTimeout time.Duration
 	// SyncWindow bounds the in-flight (shipped, unacknowledged) frames in
 	// synchronous mode: Ship blocks while the window is full, and Barrier
 	// blocks until it is empty. 0 keeps the PR 6 behavior — fire and
@@ -53,17 +48,18 @@ type ShipperConfig struct {
 	AckTimeout time.Duration
 }
 
-// ackWriteTimeout bounds the standby's 8-byte ack writes: a primary
-// that stops draining acks must not wedge the standby's apply loop.
-const ackWriteTimeout = 2 * time.Second
+const (
+	// dialTimeout bounds each connection attempt to the standby.
+	dialTimeout = 2 * time.Second
+	// writeTimeout is the per-frame write deadline: a hung standby must
+	// not wedge the primary's durability path.
+	writeTimeout = 2 * time.Second
+	// ackWriteTimeout bounds the standby's 8-byte ack writes: a primary
+	// that stops draining acks must not wedge the standby's apply loop.
+	ackWriteTimeout = 2 * time.Second
+)
 
 func (c ShipperConfig) withDefaults() ShipperConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 2 * time.Second
-	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 2 * time.Second
 	}
@@ -111,7 +107,14 @@ func NewShipper(cfg ShipperConfig, met *Metrics) *Shipper {
 // (heartbeats) are not in snapshots and always go out.
 // Concurrent writers racing a reconnect can still duplicate a WAL record
 // in the replica; recovery's replay is idempotent against that.
-func (s *Shipper) Ship(f Frame) error {
+func (s *Shipper) Ship(f Frame) error { return s.ship(f, s.cfg.SyncWindow > 0) }
+
+// shipNoWait is Ship without the sync window's admission wait: the
+// degraded sync sink ships through it, so a standby that stopped
+// acknowledging costs no frame a deadline.
+func (s *Shipper) shipNoWait(f Frame) error { return s.ship(f, false) }
+
+func (s *Shipper) ship(f Frame, admit bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -126,7 +129,7 @@ func (s *Shipper) Ship(f Frame) error {
 			return nil
 		}
 	}
-	if s.cfg.SyncWindow > 0 {
+	if admit {
 		if err := s.awaitLocked(func() bool { return len(s.pending) < s.cfg.SyncWindow }); err != nil {
 			return err
 		}
@@ -200,7 +203,7 @@ func frameInSnapshot(k FrameKind) bool {
 // connectLocked dials, sends Hello, and re-ships the snapshot, reporting
 // whether a snapshot went out. Caller holds s.mu.
 func (s *Shipper) connectLocked() (snapshotSent bool, err error) {
-	conn, err := net.DialTimeout("tcp", s.cfg.Addr, s.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", s.cfg.Addr, dialTimeout)
 	if err != nil {
 		return false, fmt.Errorf("cluster: dialing standby %s: %w", s.cfg.Addr, err)
 	}
@@ -237,7 +240,7 @@ func (s *Shipper) writeLocked(f Frame) error {
 	// Wall clock, not the Clock seam: net.Conn deadlines are kernel
 	// timers; a ManualClock cannot drive them and determinism is not at
 	// stake for an I/O timeout.
-	deadline := time.Now().Add(s.cfg.WriteTimeout) //ecavet:allow nowallclock net.Conn deadlines are wall-clock by contract
+	deadline := time.Now().Add(writeTimeout) //ecavet:allow nowallclock net.Conn deadlines are wall-clock by contract
 	if err := s.conn.SetWriteDeadline(deadline); err != nil {
 		s.dropConnLocked()
 		return err
@@ -264,7 +267,7 @@ func (s *Shipper) drainAcks(conn net.Conn) {
 	var buf [8]byte
 	r := bufio.NewReader(conn)
 	for {
-		if _, err := readFull(r, buf[:]); err != nil { //ecavet:allow iodeadline acks arrive at the standby's applying pace; Close unblocks the read
+		if _, err := io.ReadFull(r, buf[:]); err != nil { //ecavet:allow iodeadline acks arrive at the standby's applying pace; Close unblocks the read
 			return
 		}
 		applied := binary.LittleEndian.Uint64(buf[:])
@@ -280,18 +283,6 @@ func (s *Shipper) drainAcks(conn net.Conn) {
 		}
 		s.mu.Unlock()
 	}
-}
-
-func readFull(r *bufio.Reader, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := r.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // gaugeLocked publishes the lag gauges. Caller holds s.mu.
@@ -310,6 +301,14 @@ func (s *Shipper) dropConnLocked() {
 		s.conn = nil
 	}
 	s.ackCond.Broadcast() // waiters must observe the turnover
+}
+
+// caughtUp reports whether the standby is connected and has acknowledged
+// every frame shipped on the connection.
+func (s *Shipper) caughtUp() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.conn != nil && len(s.pending) == 0
 }
 
 // Lag reports unacknowledged frames and payload bytes on the current

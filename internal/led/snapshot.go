@@ -12,10 +12,11 @@ import (
 // detector holds only in memory: per-node partial occurrences under every
 // parameter context, open operator windows and their timer deadlines, and
 // pending PLUS emissions. It holds no firing: every one has been handed to
-// its rule action before the propagation that detected it returned. The
-// agent's checkpoint writer encodes it with the
-// internal/storage codec; RestoreState rebuilds the same detection state
-// onto a graph freshly reconstructed from the system tables.
+// its rule action before the propagation that detected it returned. Its
+// occurrences are *Occ, the detector's own type, so the agent's
+// checkpoint writer encodes them with the internal/storage codec without
+// a mirror type in between; RestoreState rebuilds the same detection
+// state onto a graph freshly reconstructed from the system tables.
 type StateSnapshot struct {
 	Nodes []NodeState
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -29,6 +30,31 @@ type FS interface {
 	Remove(name string) error
 	List() ([]string, error)
 	SyncDir() error
+}
+
+// Publish writes img durably under name, replacing any previous file
+// whole: it writes name+".tmp", fsyncs and closes it, renames it over
+// name and fsyncs the directory. A crash at any step leaves either the
+// previous file or the complete new one, never an empty or torn name.
+func Publish(fs FS, name string, img []byte) error {
+	tmp := name + ".tmp"
+	f, err := fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(img); err != nil {
+		return errors.Join(err, f.Close())
+	}
+	if err := f.Sync(); err != nil {
+		return errors.Join(err, f.Close())
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := fs.Rename(tmp, name); err != nil {
+		return err
+	}
+	return fs.SyncDir()
 }
 
 // OSDir is the production FS: one real directory. The directory is created
