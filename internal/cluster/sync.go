@@ -120,7 +120,7 @@ func (c *SyncController) Sink(sh *Shipper) Sink {
 		if c.Degraded() && (c.Halted() || !sh.caughtUp()) {
 			err := sh.shipNoWait(f)
 			if err != nil {
-				c.ObserveShip(err)
+				c.noteFailure(err)
 			}
 			return err
 		}
